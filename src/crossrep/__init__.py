@@ -75,11 +75,14 @@ from .reps import (
     Rep,
     are_equivalent,
     commutant_basis,
+    covariant_character,
     decompose,
     decompositions_match,
     defining_rep,
     direct_sum_reps,
     evaluate,
+    hom_dim,
+    hom_projection,
     intertwiners,
     is_irreducible,
     regular_irreducibility_criterion,

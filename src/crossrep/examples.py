@@ -366,7 +366,7 @@ def run_s3_multiplicity_two(tol=DEFAULT_TOL):
 
 def run_quantum_mq(q: int, tol=DEFAULT_TOL):
     _, model, pair = quantum_mq(q)
-    dec = decompose(model.defining_covariant_rep().joint_rep(), seed=2, tol=tol)
+    dec = decompose(model.defining_covariant_rep(), seed=2, tol=tol)
     return {
         "span_dim": _row(q * q, model.span_dim),
         "defining_rep_irreducible": _row(True, pair.is_irreducible(tol)),

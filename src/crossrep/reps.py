@@ -4,6 +4,11 @@ A representation is stored as the matrix images of a labeled generator
 set.  Every intertwiner computation first closes the generator set under
 adjoints: a one-sided relation against unitary generators does not imply
 the adjoint relation for a non-invertible intertwiner.
+
+Covariant representations over a :class:`GroupAction` have a second,
+structure-aware engine: Hom dimensions are character inner products
+(:func:`hom_dim`) and Hom spaces are ranges of a group-and-algebra average
+(:func:`hom_projection`), so neither needs a Sylvester solve.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 
 from .algebra import AlgElement, GroupAction, LabelAction, MatAlg
 from .errors import (
+    ActionMismatch,
     DecompositionFailed,
     DimensionMismatch,
     InvariantViolation,
@@ -26,6 +32,7 @@ from .linalg import (
     Tolerance,
     as_matrix,
     phase_normalize,
+    random_hermitian,
     solve_sylvester_family,
 )
 
@@ -43,6 +50,9 @@ __all__ = [
     "commutant_basis",
     "is_irreducible",
     "are_equivalent",
+    "covariant_character",
+    "hom_dim",
+    "hom_projection",
     "decompose",
     "decompositions_match",
     "regular_representation",
@@ -205,10 +215,12 @@ class IrrepDecomposition:
 
     ``basis_change`` is a unitary Q with ``Q* pi(x) Q`` block diagonal,
     blocks ordered class by class, each class repeated multiplicity times,
-    every copy exactly equal to the class representative.
+    every copy exactly equal to the class representative.  Components are
+    :class:`CovariantRep` s when a covariant representation was decomposed
+    and :class:`Rep` s otherwise.
     """
 
-    components: list[tuple[Rep, int]]
+    components: list[tuple[Rep | CovariantRep, int]]
     basis_change: np.ndarray
 
     @property
@@ -216,16 +228,10 @@ class IrrepDecomposition:
         return sum(r.dim * m for r, m in self.components)
 
 
-def _split_once(r: Rep, basis, seed: int, tol: Tolerance):
-    """Split the space along eigenvalue clusters of a random self-adjoint
-    commutant element; returns a list of isometries or None when the random
-    element fails to separate."""
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    S = sum(c * B for c, B in zip(coeff, basis))
-    H = (S + S.conj().T) / 2
+def _eigen_clusters(H: np.ndarray, tol: Tolerance):
+    """Orthonormal bases of the eigenspaces of a Hermitian matrix, merging
+    eigenvalues closer than eig_sep; None when everything is one cluster."""
     evals, evecs = np.linalg.eigh(H)
-    # cluster along the real line with gap eig_sep
     groups = [[0]]
     for i in range(1, len(evals)):
         if evals[i] - evals[groups[-1][-1]] < tol.eig_sep:
@@ -235,6 +241,16 @@ def _split_once(r: Rep, basis, seed: int, tol: Tolerance):
     if len(groups) < 2:
         return None
     return [evecs[:, g] for g in groups]
+
+
+def _split_once(r: Rep, basis, seed: int, tol: Tolerance):
+    """Split the space along eigenvalue clusters of a random self-adjoint
+    commutant element; returns a list of isometries or None when the random
+    element fails to separate."""
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    S = sum(c * B for c, B in zip(coeff, basis))
+    return _eigen_clusters((S + S.conj().T) / 2, tol)
 
 
 def _irreducible_pieces(r: Rep, seed: int, tol: Tolerance):
@@ -259,40 +275,118 @@ def _irreducible_pieces(r: Rep, seed: int, tol: Tolerance):
     return leaves
 
 
-def decompose(r: Rep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposition:
+def _covariant_pieces(cov: CovariantRep, end_dim: int, seed: int, tol: Tolerance):
+    """Depth-first refinement into irreducible (covariant rep, isometry)
+    leaves; ``end_dim`` is ``hom_dim(cov, cov)``, and 1 marks a leaf."""
+    if end_dim == 1:
+        return [(cov, np.eye(cov.dim, dtype=complex))]
+    gens = [*cov.base.gens.values(), *cov.unitaries]
+    for attempt in range(5):
+        rng = np.random.default_rng(seed + attempt)
+        H = hom_projection(cov, cov, random_hermitian(cov.dim, rng))
+        H = (H + H.conj().T) / 2
+        # the eigenspaces of H are invariant only if H is in the commutant
+        bound = tol.identity_bound(cov.dim * np.linalg.norm(H))
+        for M in gens:
+            if np.linalg.norm(H @ M - M @ H) > bound:
+                raise InvariantViolation("averaged element fails to commute with a generator")
+        isometries = _eigen_clusters(H, tol)
+        if isometries is not None:
+            break
+    else:
+        raise DecompositionFailed(
+            "no eigenvalue gap above eig_sep after 5 reseeded retries"
+        )
+    leaves = []
+    for Q in isometries:
+        sub = cov.conjugate(Q)
+        for piece, iso in _covariant_pieces(sub, hom_dim(sub, sub, tol), seed, tol):
+            leaves.append((piece, Q @ iso))
+    return leaves
+
+
+def _collect(leaves, witness) -> IrrepDecomposition:
+    """Group irreducible (rep, isometry) leaves into equivalence classes.
+
+    ``witness(a, b)`` is a unitary W with ``W a W* = b``, or None when the
+    two are inequivalent.  Classes are ordered by (dimension, first
+    occurrence).
+    """
+    classes: list[tuple] = []
+    for piece, iso in leaves:
+        for rep, isos in classes:
+            W = witness(rep, piece) if rep.dim == piece.dim else None
+            if W is not None:
+                # W (class rep) W* = piece, so iso @ W carries the class rep exactly
+                isos.append(iso @ W)
+                break
+        else:
+            classes.append((piece, [iso]))
+    classes.sort(key=lambda cls: cls[0].dim)
+    components = [(rep, len(isos)) for rep, isos in classes]
+    basis_change = np.hstack([iso for _, isos in classes for iso in isos])
+    return IrrepDecomposition(components, basis_change)
+
+
+def _decompose_covariant(cov: CovariantRep, seed: int, tol: Tolerance) -> IrrepDecomposition:
+    cov.validate(tol)
+    end_dim = hom_dim(cov, cov, tol)
+    leaves = _covariant_pieces(cov, end_dim, seed, tol)
+    rng = np.random.default_rng(seed)
+
+    def witness(a, b):
+        if hom_dim(a, b, tol) != 1:
+            return None
+        X = rng.standard_normal((b.dim, a.dim)) + 1j * rng.standard_normal((b.dim, a.dim))
+        return _unitarize(hom_projection(a, b, X))
+
+    dec = _collect(leaves, witness)
+    # dim End = sum of squared multiplicities, an exact check on the clustering
+    if sum(m * m for _, m in dec.components) != end_dim:
+        raise InvariantViolation(
+            f"multiplicities {[m for _, m in dec.components]} do not match dim End = {end_dim}"
+        )
+    return dec
+
+
+def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposition:
     """Decompose into irreducibles by random commutant splitting.
+
+    A :class:`Rep` is split along a random element of its commutant from
+    the intertwiner solve, and each piece is tested for irreducibility by
+    another solve.  A :class:`CovariantRep` over a :class:`GroupAction` is
+    validated once and split along a random Hermitian element P(X) of
+    :func:`hom_projection`; a cluster whose character sum :func:`hom_dim`
+    exceeds 1 is split again, leaves are matched by character sums and
+    carried onto each other by the unitarized P12(X).  Its components are
+    covariant representations.
 
     Components are grouped by unitary equivalence and ordered by
     (dimension, first occurrence); the multiset of components is
     independent of the seed, only the basis_change varies.
     """
+    if isinstance(r, CovariantRep):
+        return _decompose_covariant(r, seed, tol)
     leaves = _irreducible_pieces(r, seed, tol)
-    classes: list[dict] = []
-    for piece, iso in leaves:
-        hit = None
-        for cls in classes:
-            if cls["rep"].dim != piece.dim:
-                continue
-            eq = _equiv_irreducibles(cls["rep"], piece, tol)
-            if eq.equivalent:
-                hit = (cls, eq.witness)
-                break
-        if hit is None:
-            classes.append({"rep": piece, "isos": [iso], "first": len(classes)})
-        else:
-            cls, W = hit
-            # W (class rep) W* = piece, so iso @ W carries the class rep exactly
-            cls["isos"].append(iso @ W)
-    order = sorted(range(len(classes)), key=lambda i: (classes[i]["rep"].dim, classes[i]["first"]))
-    components = [(classes[i]["rep"], len(classes[i]["isos"])) for i in order]
-    basis_change = np.hstack([np.hstack(classes[i]["isos"]) for i in order])
-    return IrrepDecomposition(components, basis_change)
+    return _collect(leaves, lambda a, b: _equiv_irreducibles(a, b, tol).witness)
 
 
 def decompositions_match(
     d1: IrrepDecomposition, d2: IrrepDecomposition, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """Equality of decompositions as multisets of equivalence classes."""
+    """Equality of decompositions as multisets of equivalence classes.
+
+    Components are irreducible, so covariant ones are compared by
+    :func:`hom_dim` and :class:`Rep` ones by a single intertwiner solve.
+    """
+
+    def same(a, b) -> bool:
+        if a.dim != b.dim:
+            return False
+        if isinstance(a, CovariantRep):
+            return hom_dim(a, b, tol) == 1
+        return _equiv_irreducibles(a, b, tol).equivalent
+
     if d1.total_dim != d2.total_dim:
         return False
     remaining = list(range(len(d2.components)))
@@ -300,7 +394,7 @@ def decompositions_match(
         found = None
         for j in remaining:
             rep2, m2 = d2.components[j]
-            if rep2.dim == rep1.dim and m1 == m2 and are_equivalent(rep1, rep2, tol).equivalent:
+            if m1 == m2 and same(rep1, rep2):
                 found = j
                 break
         if found is None:
@@ -342,26 +436,125 @@ class CovariantRep:
             gens[f"U[{self.group.labels[g]}]"] = self.unitaries[g]
         return Rep(self.dim, gens)
 
+    def conjugate(self, Q) -> "CovariantRep":
+        """The covariant representation Q* Pi Q on the range of an isometry Q
+        whose range is invariant (or a unitary Q)."""
+        Q = as_matrix(Q)
+        Qh = Q.conj().T
+        return CovariantRep(self.base.conjugate(Q), self.action, [Qh @ U @ Q for U in self.unitaries])
+
     def validate(self, tol: Tolerance = DEFAULT_TOL):
         G = self.group
-        scale = max(1.0, self.dim)
+        bound = tol.identity_bound(self.dim)
         for g in range(G.order):
             for h in range(G.order):
                 delta = self.unitaries[g] @ self.unitaries[h] - self.unitaries[G.mul(g, h)]
-                if np.linalg.norm(delta) > 1e3 * tol.abs_eps * scale:
+                if np.linalg.norm(delta) > bound:
                     raise InvariantViolation(f"unitaries fail homomorphism at ({g},{h})")
         for g in range(G.order):
             Ug = self.unitaries[g]
             twisted = rep_compose(self.base, self.action, g)
             for label, M in self.base.gens.items():
                 delta = Ug @ M @ Ug.conj().T - twisted.gens[label]
-                if np.linalg.norm(delta) > 1e3 * tol.abs_eps * scale:
+                if np.linalg.norm(delta) > bound:
                     raise InvariantViolation(
                         f"covariance fails at element {g} on generator {label!r}"
                     )
 
     def is_irreducible(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return is_irreducible(self.joint_rep(), tol)
+
+
+def _unit_pattern(algebra: MatAlg):
+    """For the matrix units e^k_ij in basis order: the weights 1/n_k, the
+    position of e^k_ji, and the mask of the diagonal units e^k_ii."""
+    weights, transpose, diagonal = [], [], []
+    pos = 0
+    for n in algebra.block_dims:
+        for i in range(n):
+            for j in range(n):
+                weights.append(1.0 / n)
+                transpose.append(pos + j * n + i)
+                diagonal.append(i == j)
+        pos += n * n
+    return np.array(weights), transpose, np.array(diagonal)
+
+
+def _common_algebra(cov1: CovariantRep, cov2: CovariantRep) -> MatAlg:
+    for cov in (cov1, cov2):
+        if not isinstance(cov.action, GroupAction):
+            raise TypeError(
+                "the character engine needs a GroupAction; decompose cov.joint_rep() instead"
+            )
+    if cov1.action.algebra != cov2.action.algebra or cov1.group != cov2.group:
+        raise ActionMismatch("covariant representations over different actions")
+    return cov1.action.algebra
+
+
+def _unit_images(cov: CovariantRep, labels) -> np.ndarray:
+    if set(cov.base.gens) != set(labels):
+        raise LabelMismatch("base representation is not labeled by the algebra's matrix units")
+    return np.array([cov.base.gens[l] for l in labels])
+
+
+def covariant_character(cov: CovariantRep) -> np.ndarray:
+    """The character chi(g, e^k_ij) = tr(U_g pi(e^k_ij)) of a covariant rep.
+
+    Row g holds chi(g, .) on the matrix units in ``basis_labels()`` order,
+    followed by tr(U_g (1 - pi(1))), the character of the subspace the
+    algebra annihilates (zero when pi is unital).
+    """
+    labels = cov.action.algebra.basis_labels()
+    units = _unit_images(cov, labels)
+    U = np.array(cov.unitaries)
+    # tr(U_g pi(e)) = sum_ab U_g[a, b] pi(e)[b, a]
+    chi = U.reshape(len(U), -1) @ units.transpose(0, 2, 1).reshape(len(units), -1).T
+    _, _, diagonal = _unit_pattern(cov.action.algebra)
+    rest = np.trace(U, axis1=1, axis2=2) - chi[:, diagonal].sum(axis=1)
+    return np.column_stack([chi, rest])
+
+
+def hom_dim(cov1: CovariantRep, cov2: CovariantRep, tol: Tolerance = DEFAULT_TOL) -> int:
+    """dim Hom(Pi1, Pi2) as a character inner product, with no linear solve:
+
+        |G|^-1 sum_g [ sum_k n_k^-1 sum_ij chi2(g, e^k_ij) conj(chi1(g, e^k_ij))
+                       + chi2(g, 1 - pi2(1)) conj(chi1(g, 1 - pi1(1))) ],
+
+    the trace of :func:`hom_projection`.  The sum is rounded to an integer
+    within ``rank_eps`` of its scale; :class:`InvariantViolation` when it is
+    not near a nonnegative integer.
+    """
+    weights = np.append(_unit_pattern(_common_algebra(cov1, cov2))[0], 1.0)
+    terms = weights * covariant_character(cov2) * covariant_character(cov1).conj()
+    total = terms.sum() / len(terms)
+    count = round(total.real)
+    scale = np.abs(terms).sum() / len(terms)
+    if count < 0 or abs(total - count) > tol.rank_eps * max(1.0, scale):
+        raise InvariantViolation(f"character sum {total:.6g} is not a dimension")
+    return count
+
+
+def hom_projection(cov1: CovariantRep, cov2: CovariantRep, X) -> np.ndarray:
+    """Orthogonal (Frobenius) projection of a dim2 x dim1 matrix onto Hom(Pi1, Pi2):
+
+        P12(X) = |G|^-1 sum_g U2_g [ sum_k n_k^-1 sum_ij pi2(e^k_ij) X pi1(e^k_ji)
+                                     + (1 - pi2(1)) X (1 - pi1(1)) ] U1_g*.
+
+    The bracket projects onto the algebra intertwiners, the group average
+    onto the unitary intertwiners, and the two commute because U_g
+    normalizes pi(A).  Costs O((|G| + dim A) d^3).
+    """
+    alg = _common_algebra(cov1, cov2)
+    weights, transpose, diagonal = _unit_pattern(alg)
+    labels = alg.basis_labels()
+    units1, units2 = _unit_images(cov1, labels), _unit_images(cov2, labels)
+    X = as_matrix(X)
+    Y = np.tensordot(weights, units2 @ X @ units1[transpose], axes=1)
+    rest1 = np.eye(cov1.dim) - units1[diagonal].sum(axis=0)
+    rest2 = np.eye(cov2.dim) - units2[diagonal].sum(axis=0)
+    Y += rest2 @ X @ rest1
+    U1, U2 = np.array(cov1.unitaries), np.array(cov2.unitaries)
+    return (U2 @ Y @ U1.conj().transpose(0, 2, 1)).mean(axis=0)
 
 
 def regular_representation(pi: Rep, action) -> CovariantRep:

@@ -191,21 +191,9 @@ def crossed_irreps(
 ) -> list[CovariantRep]:
     """Every irreducible covariant representation of the crossed product.
 
-    Obtained by decomposing the faithful defining representation of the
-    matrix model; each component is repackaged as a covariant pair.
+    The components of the faithful defining representation of the matrix
+    model, decomposed by the character engine of :func:`decompose`.
     """
     model = build_crossed_model(action, tol)
-    joint = model.defining_covariant_rep().joint_rep()
-    dec = decompose(joint, seed, tol)
-    out = []
-    alg_labels = set(action.algebra.basis_labels())
-    for comp, _ in dec.components:
-        base = Rep(comp.dim, {l: M for l, M in comp.gens.items() if l in alg_labels})
-        unitaries = [
-            comp.gens[f"U[{action.group.labels[g]}]"]
-            for g in range(action.group.order)
-        ]
-        out.append(CovariantRep(base, action, unitaries))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    dec = decompose(model.defining_covariant_rep(), seed, tol)
+    return [rep for rep, _ in dec.components[:limit]]

@@ -249,7 +249,11 @@ def model_to_json(model: CrossedModel) -> dict:
 def decomposition_to_json(dec: IrrepDecomposition) -> dict:
     return {
         "components": [
-            {"dim": r.dim, "multiplicity": m, "irrep": rep_to_json(r)}
+            {
+                "dim": r.dim,
+                "multiplicity": m,
+                "irrep": covariant_to_json(r) if isinstance(r, CovariantRep) else rep_to_json(r),
+            }
             for r, m in dec.components
         ],
         "basis_change": matrix_to_json(dec.basis_change),

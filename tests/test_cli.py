@@ -142,6 +142,8 @@ def test_analyze_reducible_exit_4(tmp_path, capsys):
     assert code == 4
     doc = json.loads(capsys.readouterr().out)
     assert "decomposition" in doc
+    # the trivial and sign characters of Z2, the algebra acting by evaluation
+    assert doc["decomposition"] == [{"dim": 1, "multiplicity": 1}] * 2
 
 
 def test_action_ref_path_resolution(tmp_path, capsys):

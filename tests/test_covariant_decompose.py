@@ -1,0 +1,210 @@
+"""The character/averaging engine for covariant representations.
+
+``decompose(cov)`` on a covariant representation over a ``GroupAction``
+splits along averaged commutant elements and counts with character sums;
+these tests hold it against the intertwiner-solve route on the joint
+generating set, on inputs whose joint solve sits on both sides of the
+stacked/Gram switch at p*q = 120.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import crossrep.linalg
+import crossrep.reps
+from crossrep.algebra import GroupAction, MatAlg, StarAut
+from crossrep.crossed import build_crossed_model
+from crossrep.errors import DecompositionFailed, InvariantViolation
+from crossrep.examples import first_s3_example, s3_label_action
+from crossrep.groups import make_cyclic_group
+from crossrep.linalg import Tolerance
+from crossrep.reps import (
+    CovariantRep,
+    IrrepDecomposition,
+    Rep,
+    decompose,
+    decompositions_match,
+    defining_rep,
+    direct_sum_reps,
+    hom_dim,
+    hom_projection,
+    intertwiners,
+    regular_representation,
+)
+from crossrep.sampling import (
+    crossed_irreps,
+    random_block_irrep,
+    random_cyclic_action,
+    random_s3_action,
+)
+
+
+def _doubled(cov: CovariantRep) -> CovariantRep:
+    base = direct_sum_reps([cov.base, cov.base])
+    return CovariantRep(base, cov.action, [scipy.linalg.block_diag(U, U) for U in cov.unitaries])
+
+
+def _cyclic_model(n, blocks, seed):
+    act = random_cyclic_action(n, blocks, np.random.default_rng(seed))
+    return build_crossed_model(act).defining_covariant_rep()
+
+
+def _s3_regular(kind, seed, block=0):
+    rng = np.random.default_rng(seed)
+    act = random_s3_action(rng, kind)
+    return regular_representation(random_block_irrep(act.algebra, rng, block), act)
+
+
+def _flip_action():
+    A = MatAlg([1, 1])
+    swap = StarAut(A, (1, 0), [np.eye(1)] * 2)
+    return GroupAction(make_cyclic_group(2), A, [StarAut.identity(A), swap])
+
+
+def _non_unital():
+    """The flip pair on C^2 plus C^2 where the algebra acts as zero and the
+    group by the swap, so the second half is trivial + sign of Z2."""
+    act = _flip_action()
+    pi = defining_rep(act.algebra)
+    zero = Rep(2, {l: np.zeros((2, 2)) for l in pi.gens})
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    U = scipy.linalg.block_diag(swap, swap)
+    return CovariantRep(direct_sum_reps([pi, zero]), act, [np.eye(4), U])
+
+
+# the joint commutant solve has p*q = dim^2: dims 4, 6 and 9 take its
+# stacked route, dims 12 and 18 its Gram route
+CASES = {
+    "non-unital (4)": _non_unital,
+    "Z2[1,2] model (6)": lambda: _cyclic_model(2, [1, 2], 3),
+    "S3 permutation regular (6)": lambda: _s3_regular("permutation", 8),
+    "Z3[1,2] model (9)": lambda: _cyclic_model(3, [1, 2], 4),
+    "Z4[1,2] model (12)": lambda: _cyclic_model(4, [1, 2], 5),
+    "Z3[2,2] model (12)": lambda: _cyclic_model(3, [2, 2], 6),
+    "S3 permutation regular doubled (12)": lambda: _doubled(_s3_regular("permutation", 8)),
+    "S3 inner regular (12)": lambda: _s3_regular("inner", 2),
+    "Z6[1,2] model (18)": lambda: _cyclic_model(6, [1, 2], 7),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def cov(request):
+    return CASES[request.param]()
+
+
+def _shape(dec):
+    return sorted((r.dim, m) for r, m in dec.components)
+
+
+def test_covariant_and_joint_routes_agree(cov, tol):
+    dec = decompose(cov, seed=1, tol=tol)
+    joint = decompose(cov.joint_rep(), seed=1, tol=tol)
+    assert all(isinstance(r, CovariantRep) for r, _ in dec.components)
+    assert _shape(dec) == _shape(joint)
+    # the same classes: compare the covariant components as joint reps
+    as_joint = IrrepDecomposition(
+        [(r.joint_rep(), m) for r, m in dec.components], dec.basis_change
+    )
+    assert decompositions_match(as_joint, joint, tol)
+    assert decompositions_match(dec, decompose(cov, seed=4, tol=tol), tol)
+    assert sum(m * m for _, m in dec.components) == hom_dim(cov, cov, tol)
+
+
+def test_covariant_basis_change_reconstructs(cov, tol):
+    dec = decompose(cov, seed=2, tol=tol)
+    Q = dec.basis_change
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(cov.dim)) < 1e-9
+    pairs = [(M, lambda r, l=l: r.base.gens[l]) for l, M in cov.base.gens.items()]
+    pairs += [(U, lambda r, g=g: r.unitaries[g]) for g, U in enumerate(cov.unitaries)]
+    for M, image in pairs:
+        want = scipy.linalg.block_diag(
+            *[image(r) for r, m in dec.components for _ in range(m)]
+        )
+        assert np.linalg.norm(Q.conj().T @ M @ Q - want) < 1e-7
+
+
+def test_covariant_multiset_seed_independent(cov, tol):
+    shapes = {tuple(_shape(decompose(cov, seed=s, tol=tol))) for s in range(5)}
+    assert len(shapes) == 1
+
+
+def test_hom_dim_matches_intertwiner_count(cov, tol):
+    comps = [r for r, _ in decompose(cov, seed=0, tol=tol).components]
+    pairs = [(cov, cov)] + [(c, cov) for c in comps] + [(a, b) for a in comps for b in comps]
+    for a, b in pairs:
+        assert hom_dim(a, b, tol) == len(intertwiners(a.joint_rep(), b.joint_rep(), tol))
+
+
+def test_hom_projection_lands_in_hom_and_fixes_it(tol):
+    cov = _cyclic_model(3, [1, 2], 4)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((cov.dim, cov.dim)) + 1j * rng.standard_normal((cov.dim, cov.dim))
+    P = hom_projection(cov, cov, X)
+    for M in cov.joint_rep().gens.values():
+        assert np.linalg.norm(P @ M - M @ P) < 1e-10
+    assert np.linalg.norm(hom_projection(cov, cov, P) - P) < 1e-10
+
+
+def test_non_unital_components():
+    dec = decompose(_non_unital(), seed=0)
+    assert _shape(dec) == [(1, 1), (1, 1), (2, 1)]
+    # the two 1-dim components are the trivial and sign pairs on which the
+    # algebra acts as zero
+    ones = [r for r, _ in dec.components if r.dim == 1]
+    assert all(np.allclose(M, 0) for r in ones for M in r.base.gens.values())
+    assert sorted(round(r.unitaries[1][0, 0].real) for r in ones) == [-1, 1]
+
+
+def test_non_covariant_input_rejected():
+    act = _flip_action()
+    reg = regular_representation(defining_rep(act.algebra), act)
+    # identity unitaries are a homomorphism but do not implement the flip
+    bad = CovariantRep(reg.base, act, [np.eye(reg.dim)] * 2)
+    with pytest.raises(InvariantViolation):
+        decompose(bad)
+
+
+def test_non_multiplicative_base_fails_character_sum(tol):
+    cov = _cyclic_model(2, [1, 2], 3)
+    gens = dict(cov.base.gens)
+    gens["b1_00"] = 1.1 * gens["b1_00"]
+    bent = CovariantRep(Rep(cov.dim, gens), cov.action, cov.unitaries)
+    with pytest.raises(InvariantViolation):
+        hom_dim(bent, bent, tol)
+
+
+def test_merged_clusters_are_split_again(tol):
+    # a wide eig_sep merges eigenvalues of inequivalent pieces into one
+    # cluster, whose character sum sends it through another split
+    cov = CASES["Z6[1,2] model (18)"]()
+    wide = decompose(cov, seed=0, tol=Tolerance(eig_sep=0.5))
+    assert _shape(wide) == _shape(decompose(cov, seed=0, tol=tol))
+
+
+def test_no_eigenvalue_gap_raises():
+    cov = _doubled(_s3_regular("permutation", 8))
+    with pytest.raises(DecompositionFailed):
+        decompose(cov, seed=0, tol=Tolerance(eig_sep=1e6))
+
+
+def test_label_action_covariant_needs_joint_rep():
+    reg = regular_representation(first_s3_example(), s3_label_action())
+    with pytest.raises(TypeError):
+        decompose(reg)
+
+
+def test_crossed_irreps_makes_no_sylvester_solve(monkeypatch, tol):
+    calls = []
+    original = crossrep.linalg.solve_sylvester_family
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(crossrep.linalg, "solve_sylvester_family", counting)
+    monkeypatch.setattr(crossrep.reps, "solve_sylvester_family", counting)
+    act = random_s3_action(np.random.default_rng(2), "conjugated")
+    irreps = crossed_irreps(act, seed=0, tol=tol)
+    assert sum(c.dim**2 for c in irreps) == 6 * act.algebra.linear_dim
+    assert calls == []

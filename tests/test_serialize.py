@@ -11,6 +11,7 @@ from crossrep.examples import (
     rotation_action,
     s3_label_action,
 )
+from crossrep.reps import decompose
 from crossrep.serialize import (
     action_from_json,
     action_to_json,
@@ -18,6 +19,7 @@ from crossrep.serialize import (
     covariant_to_json,
     crossed_element_from_json,
     crossed_element_to_json,
+    decomposition_to_json,
     group_from_json,
     group_to_json,
     matrix_from_json,
@@ -122,3 +124,13 @@ def test_model_json_contains_contract_fields():
     assert doc["span_dim"] == 4
     assert set(doc["vg"]) == {"0", "1"}
     assert "defining_rep" in doc and "unitaries" in doc["defining_rep"]
+
+
+def test_covariant_decomposition_components_keep_their_unitaries(tol):
+    act = rotation_action(3)
+    dec = decompose(build_crossed_model(act).defining_covariant_rep(), seed=0, tol=tol)
+    doc = json.loads(json.dumps(decomposition_to_json(dec)))
+    (comp,) = doc["components"]
+    assert (comp["dim"], comp["multiplicity"]) == (3, 3)
+    back = covariant_from_json(comp["irrep"])
+    assert np.allclose(back.unitaries[1], dec.components[0][0].unitaries[1])
