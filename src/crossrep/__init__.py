@@ -76,6 +76,7 @@ from .reps import (
     are_equivalent,
     commutant_basis,
     covariant_character,
+    covariant_equivalence,
     decompose,
     decompositions_match,
     defining_rep,
@@ -88,5 +89,8 @@ from .reps import (
     regular_irreducibility_criterion,
     regular_representation,
     rep_compose,
+    rep_end_dim,
+    rep_equivalence,
     rep_from_images,
+    trivial_covariant,
 )

@@ -9,6 +9,7 @@ inside each target block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -196,6 +197,12 @@ class StarAut:
         ]
         return AlgElement(self.parent, blocks)
 
+    @cached_property
+    def coefficient_matrix(self) -> np.ndarray:
+        """Row i holds the coefficients of alpha(e_i) over the matrix-unit basis,
+        so a basis-labeled representation composes with alpha by one tensordot."""
+        return np.array([self.apply(e).coeffs() for e in self.parent.basis_elements()])
+
     def compose(self, other: "StarAut") -> "StarAut":
         """self after other."""
         perm = tuple(self.perm[other.perm[j]] for j in range(self.parent.n_blocks))
@@ -216,11 +223,8 @@ class StarAut:
         Compared on matrix units; the stored unitaries may differ by a
         phase per block without changing the map.
         """
-        for e in self.parent.basis_elements():
-            delta = self.apply(e).coeffs() - other.apply(e).coeffs()
-            if np.linalg.norm(delta) > 1e3 * tol.abs_eps:
-                return False
-        return True
+        delta = self.coefficient_matrix - other.coefficient_matrix
+        return bool(np.all(np.linalg.norm(delta, axis=1) <= tol.identity_bound(1.0)))
 
     def is_identity_map(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.induced_equal(StarAut.identity(self.parent), tol)
@@ -253,14 +257,19 @@ class GroupAction:
     def apply(self, g: int, x: AlgElement) -> AlgElement:
         return self.auts[g].apply(x)
 
+    @cached_property
+    def trivial_restriction(self) -> "GroupAction":
+        """The action of the trivial subgroup, built once and shared by every
+        representation of the algebra alone that enters the character engine."""
+        G = self.group
+        return restrict_action(self, Subgroup(G, (G.identity,)))[0]
+
     def validate(self, tol: Tolerance = DEFAULT_TOL):
         G = self.group
-        basis = self.algebra.basis_elements()
-        d = len(basis)
-        # row i of images[g] is alpha_g(e_i) in coefficients, so the map
-        # alpha_g alpha_h has row matrix images[h] @ images[g]
-        images = [np.array([a.apply(e).coeffs() for e in basis]) for a in self.auts]
-        bound = 1e3 * tol.abs_eps * d
+        d = self.algebra.linear_dim
+        # the map alpha_g alpha_h has row matrix images[h] @ images[g]
+        images = [a.coefficient_matrix for a in self.auts]
+        bound = tol.identity_bound(d)
         if np.linalg.norm(images[G.identity] - np.eye(d)) > bound:
             raise InvariantViolation("identity element does not act trivially")
         for g in range(G.order):

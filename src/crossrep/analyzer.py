@@ -49,11 +49,14 @@ from .reps import (
     CovariantRep,
     Rep,
     are_equivalent,
-    commutant_basis,
+    covariant_equivalence,
     decompose,
     evaluate,
     is_irreducible,
     rep_compose,
+    rep_end_dim,
+    rep_equivalence,
+    trivial_covariant,
 )
 
 __all__ = [
@@ -177,6 +180,7 @@ class _Core:
     """Intermediate data shared by analyze and the cyclic refinement."""
 
     pi1: Rep
+    translates: list[Rep]
     multiplicity: int
     subgroup: Subgroup
     witnesses: dict[int, np.ndarray]
@@ -188,12 +192,19 @@ def _analyze_core(Pi: CovariantRep, seed: int, tol: Tolerance) -> _Core:
     G = Pi.group
     if not Pi.is_irreducible(tol):
         raise NotIrreducible("covariant representation is reducible")
-    dec = decompose(Pi.base, seed, tol)
-    pi1, r = dec.components[0]
+    if isinstance(Pi.action, GroupAction):
+        dec = decompose(trivial_covariant(Pi.base, Pi.action), seed, tol)
+        components = [(c.base, m) for c, m in dec.components]
+    else:
+        dec = decompose(Pi.base, seed, tol)
+        components = dec.components
+    pi1, r = components[0]
+    # pi1 and the components are irreducible leaves, so no test re-checks them
+    translates = [rep_compose(pi1, Pi.action, g) for g in range(G.order)]
 
     members, witnesses = [], {}
     for g in range(G.order):
-        eq = are_equivalent(pi1, rep_compose(pi1, Pi.action, g), tol)
+        eq = rep_equivalence(pi1, translates[g], Pi.action, tol, seed)
         if eq.equivalent:
             members.append(g)
             # W pi1 W* = pi1 o alpha_g
@@ -206,12 +217,12 @@ def _analyze_core(Pi: CovariantRep, seed: int, tol: Tolerance) -> _Core:
     used = set()
     cols = []
     for gi in reps_list:
-        target = rep_compose(pi1, Pi.action, gi)
+        target = translates[gi]
         hit = None
-        for ci, (crep, cmult) in enumerate(dec.components):
+        for ci, (crep, cmult) in enumerate(components):
             if ci in used or crep.dim != target.dim:
                 continue
-            eq = are_equivalent(target, crep, tol)
+            eq = rep_equivalence(target, crep, Pi.action, tol, seed)
             if eq.equivalent:
                 hit = (ci, cmult, eq.witness)
                 break
@@ -230,14 +241,14 @@ def _analyze_core(Pi: CovariantRep, seed: int, tol: Tolerance) -> _Core:
             iso = dec.basis_change[:, offsets[ci] + copy * d1 : offsets[ci] + (copy + 1) * d1]
             # T target T* = component, so iso @ T compresses Pi to the translate
             cols.append(iso @ T)
-    if len(used) != len(dec.components):
+    if len(used) != len(components):
         raise BlockStructureViolation(
             "restriction contains components outside the orbit of the base irrep"
         )
     conjugator = np.hstack(cols)
     if conjugator.shape != (Pi.dim, Pi.dim):
         raise BlockStructureViolation("conjugator is not square; dimensions conflict")
-    return _Core(pi1, r, H, witnesses, reps_list, conjugator)
+    return _Core(pi1, translates, r, H, witnesses, reps_list, conjugator)
 
 
 def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureReport:
@@ -254,7 +265,7 @@ def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureRe
         conj = C.conj().T @ M @ C
         want = np.zeros_like(conj)
         for i, gi in enumerate(reps_list):
-            tw = rep_compose(pi1, Pi.action, gi).gens[label]
+            tw = core.translates[gi].gens[label]
             want[i * block : (i + 1) * block, i * block : (i + 1) * block] = np.kron(
                 np.eye(r), tw
             )
@@ -488,9 +499,9 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     ``Lambda_h (x) V^h`` and the verdict is the irreducibility of the
     Lambda family on the multiplicity space.
     """
-    cb = commutant_basis(Psi.base, tol)
-    r = int(round(np.sqrt(len(cb))))
-    if r * r != len(cb):
+    end_dim = rep_end_dim(Psi.base, Psi.action, tol)
+    r = int(round(np.sqrt(end_dim)))
+    if r * r != end_dim:
         raise InvariantViolation("base commutant is not a full matrix algebra")
     if Psi.dim % r != 0:
         raise InvariantViolation("multiplicity does not divide the dimension")
@@ -499,12 +510,12 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     for l, M in Psi.base.gens.items():
         if np.linalg.norm(M - np.kron(np.eye(r), pi1.gens[l])) > _BLOCK_TOL * max(1.0, Psi.dim):
             raise InvariantViolation("base is not 1_r (x) pi1 in tensor form")
-    if not is_irreducible(pi1, tol):
+    if rep_end_dim(pi1, Psi.action, tol) != 1:
         raise InvariantViolation("tensor base is not irreducible")
     G = Psi.group
     lam = {}
     for h in range(G.order):
-        eq = are_equivalent(pi1, rep_compose(pi1, Psi.action, h), tol)
+        eq = rep_equivalence(pi1, rep_compose(pi1, Psi.action, h), Psi.action, tol)
         if not eq.equivalent:
             raise InvariantViolation(
                 "every group element must fix the class of the base irreducible"
@@ -537,7 +548,7 @@ def build_cyclic_irrep(
     d1 = pi1.dim
     if V.shape != (d1, d1):
         raise InvariantViolation("corner unitary must act on the space of pi1")
-    if np.linalg.norm(V.conj().T @ V - np.eye(d1)) > 1e3 * tol.abs_eps * max(1, d1):
+    if np.linalg.norm(V.conj().T @ V - np.eye(d1)) > tol.identity_bound(d1):
         raise InvariantViolation("corner matrix is not unitary")
     if np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)) > _BLOCK_TOL * max(1, d1):
         raise InvariantViolation("V^k != 1")
@@ -545,10 +556,10 @@ def build_cyclic_irrep(
     for l, M in pi1.gens.items():
         if np.linalg.norm(V @ M @ V.conj().T - twisted.gens[l]) > _BLOCK_TOL * max(1, d1):
             raise InvariantViolation("V does not conjugate pi1 onto its m-th translate")
-    if not is_irreducible(pi1, tol):
+    if rep_end_dim(pi1, action, tol) != 1:
         raise InvariantViolation("pi1 must be irreducible")
     for j in range(1, m):
-        if are_equivalent(pi1, rep_compose(pi1, action, j), tol).equivalent:
+        if rep_equivalence(pi1, rep_compose(pi1, action, j), action, tol).equivalent:
             raise InvariantViolation(f"pi1 is equivalent to its translate by {j} < m")
 
     translates = [rep_compose(pi1, action, i) for i in range(m)]
@@ -645,11 +656,15 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
 
     U_eta = Pi.unitaries[S3_ETA]
     U_tau = Pi.unitaries[S3_TAU]
-    eta_joint = Rep(Pi.dim, {**Pi.base.gens, "U[eta]": U_eta})
-    eta_sub = Subgroup(G, (S3_E, S3_ETA, S3_ETA2))
+    z3_action, _ = restrict_action(Pi.action, Subgroup(G, (S3_E, S3_ETA, S3_ETA2)))
+    z3_cov = CovariantRep(
+        Pi.base,
+        z3_action,
+        [np.eye(Pi.dim, dtype=complex), U_eta, U_eta @ U_eta],
+    )
 
-    if is_irreducible(eta_joint, tol):
-        if is_irreducible(Pi.base, tol):
+    if z3_cov.is_irreducible(tol):
+        if rep_end_dim(Pi.base, Pi.action, tol) == 1:
             report = analyze(Pi, seed, tol)
             return S3Class(
                 case="Minimal",
@@ -658,12 +673,6 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
                 multiplicity=report.multiplicity,
                 report=report,
             )
-        z3_action, _ = restrict_action(Pi.action, eta_sub)
-        z3_cov = CovariantRep(
-            Pi.base,
-            z3_action,
-            [np.eye(Pi.dim, dtype=complex), U_eta, U_eta @ U_eta],
-        )
         report, m, k, V = _cyclic_canonical_form(z3_cov, seed, tol)
         if m != 3:
             raise BlockStructureViolation("3-cycle restriction must split into 3 blocks")
@@ -681,7 +690,8 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         )
 
     # the 3-cycle restriction is reducible: exactly two swapped blocks
-    dec = decompose(eta_joint, seed, tol)
+    z3_restriction = z3_cov if isinstance(Pi.action, GroupAction) else z3_cov.joint_rep()
+    dec = decompose(z3_restriction, seed, tol)
     if len(dec.components) != 2 or any(m != 1 for _, m in dec.components) or (
         dec.components[0][0].dim != dec.components[1][0].dim
     ):
@@ -699,9 +709,9 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         Q.conj().T @ U_tau @ Q, [1, 0], half, "conjugated transposition unitary"
     )
 
-    if is_irreducible(pi_tilde_A, tol):
-        eq = are_equivalent(
-            pi_tilde_A, rep_compose(pi_tilde_A, Pi.action, S3_TAU), tol
+    if rep_end_dim(pi_tilde_A, Pi.action, tol) == 1:
+        eq = rep_equivalence(
+            pi_tilde_A, rep_compose(pi_tilde_A, Pi.action, S3_TAU), Pi.action, tol, seed
         )
         r = 2 if eq.equivalent else 1
         return S3Class(
@@ -715,7 +725,6 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         )
 
     # both stages split: the representation is regular
-    z3_action, _ = restrict_action(Pi.action, eta_sub)
     half_cov = CovariantRep(
         pi_tilde_A,
         z3_action,
@@ -726,12 +735,13 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         raise BlockStructureViolation("regular case needs a full 3-cycle orbit")
     pi = half_report.base_irrep
     for g in range(1, 6):
-        if are_equivalent(pi, rep_compose(pi, Pi.action, g), tol).equivalent:
+        if rep_equivalence(pi, rep_compose(pi, Pi.action, g), Pi.action, tol).equivalent:
             raise BlockStructureViolation(
                 "regular case requires all six translates pairwise inequivalent"
             )
     canonical = _canonical_regular_s3(pi, Pi.action)
-    eq = are_equivalent(Pi.joint_rep(), canonical.joint_rep(), tol)
+    # Pi is irreducible and of the same dimension, so hom_dim 1 is equivalence
+    eq = covariant_equivalence(Pi, canonical, tol, seed)
     if not eq.equivalent:
         raise BlockStructureViolation("representation is not equivalent to the regular model")
     C = eq.witness.conj().T

@@ -175,7 +175,7 @@ def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> Cr
         for l, e in zip(labels, units):
             lhs = vg[g] @ model.psi_images[l] @ vg[ginv]
             rhs = model.psi(action.apply(g, e))
-            if np.linalg.norm(lhs - rhs) > 1e3 * tol.abs_eps * host:
+            if np.linalg.norm(lhs - rhs) > tol.identity_bound(host):
                 raise InvariantViolation("model covariance V_g psi(a) V_g* failed")
         for h in range(n):
             if np.linalg.norm(vg[g] @ vg[h] - vg[G.mul(g, h)]) > tol.abs_eps * host:

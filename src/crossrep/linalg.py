@@ -243,8 +243,7 @@ def scalar_quotient(A, B, tol: Tolerance = DEFAULT_TOL) -> complex:
     if abs(B[idx]) == 0:
         raise ValueError("cannot divide by the zero matrix")
     c = complex(A[idx] / B[idx])
-    scale = max(np.linalg.norm(A), 1.0)
-    if np.linalg.norm(A - c * B) > 1e3 * tol.abs_eps * scale:
+    if np.linalg.norm(A - c * B) > tol.identity_bound(np.linalg.norm(A)):
         raise ValueError("matrices are not scalar multiples of each other")
     return c
 

@@ -8,7 +8,9 @@ the adjoint relation for a non-invertible intertwiner.
 Covariant representations over a :class:`GroupAction` have a second,
 structure-aware engine: Hom dimensions are character inner products
 (:func:`hom_dim`) and Hom spaces are ranges of a group-and-algebra average
-(:func:`hom_projection`), so neither needs a Sylvester solve.
+(:func:`hom_projection`), so neither needs a Sylvester solve.  A
+representation of the algebra alone enters that engine as a covariant
+representation over the trivial subgroup (:func:`trivial_covariant`).
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ __all__ = [
     "covariant_character",
     "hom_dim",
     "hom_projection",
+    "covariant_equivalence",
+    "trivial_covariant",
+    "rep_end_dim",
+    "rep_equivalence",
     "decompose",
     "decompositions_match",
     "regular_representation",
@@ -120,17 +126,15 @@ def rep_compose(rep: Rep, action, g: int) -> Rep:
     """The representation ``x -> rep(alpha_g(x))``.
 
     For a :class:`GroupAction` the rep must be labeled by the algebra's
-    matrix-unit basis; for a :class:`LabelAction` the generator labels are
-    permuted.
+    matrix-unit basis, and the images are one contraction of the generator
+    stack with the coefficient matrix of alpha_g; for a :class:`LabelAction`
+    the generator labels are permuted.
     """
     if isinstance(action, GroupAction):
-        alg = action.algebra
-        aut = action.aut(g)
-        gens = {
-            label: evaluate(rep, alg, aut.apply(e))
-            for label, e in zip(alg.basis_labels(), alg.basis_elements())
-        }
-        return Rep(rep.dim, gens)
+        labels = action.algebra.basis_labels()
+        units = np.array([rep.gens[l] for l in labels])
+        images = np.tensordot(action.aut(g).coefficient_matrix, units, axes=1)
+        return Rep(rep.dim, dict(zip(labels, images)))
     if isinstance(action, LabelAction):
         return Rep(rep.dim, {l: rep.gens[action.map_label(g, l)] for l in rep.gens})
     raise TypeError(f"unsupported action type {type(action)!r}")
@@ -332,15 +336,7 @@ def _decompose_covariant(cov: CovariantRep, seed: int, tol: Tolerance) -> IrrepD
     cov.validate(tol)
     end_dim = hom_dim(cov, cov, tol)
     leaves = _covariant_pieces(cov, end_dim, seed, tol)
-    rng = np.random.default_rng(seed)
-
-    def witness(a, b):
-        if hom_dim(a, b, tol) != 1:
-            return None
-        X = rng.standard_normal((b.dim, a.dim)) + 1j * rng.standard_normal((b.dim, a.dim))
-        return _unitarize(hom_projection(a, b, X))
-
-    dec = _collect(leaves, witness)
+    dec = _collect(leaves, lambda a, b: covariant_equivalence(a, b, tol, seed).witness)
     # dim End = sum of squared multiplicities, an exact check on the clustering
     if sum(m * m for _, m in dec.components) != end_dim:
         raise InvariantViolation(
@@ -462,6 +458,13 @@ class CovariantRep:
                     )
 
     def is_irreducible(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Over a :class:`GroupAction`: :meth:`validate`, then the character sum
+        ``hom_dim(self, self) == 1``, an exact integer with no rank decision.
+        Over a :class:`LabelAction`: the intertwiner solve on the joint
+        generating set."""
+        if isinstance(self.action, GroupAction):
+            self.validate(tol)
+            return hom_dim(self, self, tol) == 1
         return is_irreducible(self.joint_rep(), tol)
 
 
@@ -557,6 +560,66 @@ def hom_projection(cov1: CovariantRep, cov2: CovariantRep, X) -> np.ndarray:
     return (U2 @ Y @ U1.conj().transpose(0, 2, 1)).mean(axis=0)
 
 
+def covariant_equivalence(
+    cov1: CovariantRep, cov2: CovariantRep, tol: Tolerance = DEFAULT_TOL, seed: int = 0
+) -> Equivalence:
+    """Unitary equivalence of two covariant representations known to be irreducible.
+
+    Over a :class:`GroupAction` the verdict is the character sum
+    ``hom_dim(cov1, cov2) == 1`` and the witness is the unitarized P12(X)
+    of a random X drawn from ``seed``; over a :class:`LabelAction` both come
+    from one intertwiner solve on the joint generating sets.  The witness W
+    satisfies ``W Pi1 W* = Pi2``.  Neither input is re-tested for
+    irreducibility.
+    """
+    if cov1.dim != cov2.dim:
+        return Equivalence(False, None)
+    if not isinstance(cov1.action, GroupAction):
+        return _equiv_irreducibles(cov1.joint_rep(), cov2.joint_rep(), tol)
+    count = hom_dim(cov1, cov2, tol)
+    if count == 0:
+        return Equivalence(False, None)
+    if count > 1:
+        raise InvariantViolation("intertwiner space of irreducibles has dim > 1")
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((cov2.dim, cov1.dim)) + 1j * rng.standard_normal((cov2.dim, cov1.dim))
+    return Equivalence(True, _unitarize(hom_projection(cov1, cov2, X)))
+
+
+def trivial_covariant(pi: Rep, action: GroupAction) -> CovariantRep:
+    """``pi`` as a covariant representation over the trivial subgroup, U_e = 1.
+
+    Its Hom spaces are those of representations of the algebra alone, so
+    the character engine decides irreducibility and equivalence of ``pi``
+    and its translates.  ``pi`` must be labeled by the matrix units.
+    """
+    return CovariantRep(pi, action.trivial_restriction, [np.eye(pi.dim, dtype=complex)])
+
+
+def rep_end_dim(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> int:
+    """dim End(pi) for a representation of the algebra an action acts on:
+    the character sum of :func:`trivial_covariant` for a :class:`GroupAction`,
+    the commutant solve otherwise."""
+    if isinstance(action, GroupAction):
+        cov = trivial_covariant(pi, action)
+        return hom_dim(cov, cov, tol)
+    return len(commutant_basis(pi, tol))
+
+
+def rep_equivalence(
+    pi1: Rep, pi2: Rep, action, tol: Tolerance = DEFAULT_TOL, seed: int = 0
+) -> Equivalence:
+    """Unitary equivalence of two irreducible representations of the algebra
+    an action acts on: :func:`covariant_equivalence` of their
+    :func:`trivial_covariant` s for a :class:`GroupAction`, one intertwiner
+    solve otherwise.  Neither input is re-tested for irreducibility."""
+    if isinstance(action, GroupAction):
+        return covariant_equivalence(
+            trivial_covariant(pi1, action), trivial_covariant(pi2, action), tol, seed
+        )
+    return _equiv_irreducibles(pi1, pi2, tol)
+
+
 def regular_representation(pi: Rep, action) -> CovariantRep:
     """The covariant representation induced from ``pi`` by translation.
 
@@ -590,12 +653,12 @@ def regular_irreducibility_criterion(pi: Rep, action, tol: Tolerance = DEFAULT_T
     True exactly when ``pi`` is irreducible and no nontrivial group element
     carries ``pi`` to an equivalent representation.
     """
-    if not is_irreducible(pi, tol):
+    if rep_end_dim(pi, action, tol) != 1:
         return False
     G = action.group
     for g in range(G.order):
         if g == G.identity:
             continue
-        if are_equivalent(pi, rep_compose(pi, action, g), tol).equivalent:
+        if rep_equivalence(pi, rep_compose(pi, action, g), action, tol).equivalent:
             return False
     return True

@@ -1,0 +1,158 @@
+"""The analyzer on the character engine.
+
+Over a ``GroupAction`` every irreducibility, equivalence and decomposition
+decision that ``analyze``, ``cyclic_analyze`` and ``classify_s3`` take at the
+size of the representation is a character sum or a group-and-algebra
+average.  The intertwiner solves left are the multiplicity-space family and
+the fixed-point-algebra pieces, both smaller than the representation.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import crossrep.linalg
+import crossrep.reps
+from crossrep.analyzer import analyze, classify_s3, cyclic_analyze
+from crossrep.examples import cute_example, torus_orbit_action, torus_orbit_evaluation
+from crossrep.groups import make_symmetric_group_3
+from crossrep.linalg import random_unitary
+from crossrep.reps import Rep, evaluate, regular_representation, rep_compose
+from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
+
+
+def _s3_irrep(kind, seed, index):
+    act = random_s3_action(np.random.default_rng(seed), kind)
+    return crossed_irreps(act, seed=0)[index]
+
+
+def _torus_regular():
+    act, pi = torus_orbit_evaluation()
+    return regular_representation(pi, act)
+
+
+# (analyzer, input, S3 case or None); the S3 inputs are the first crossed
+# irreducible of actions whose first component has that shape
+SOLVE_CASES = {
+    "classify_s3 Minimal": (classify_s3, lambda: _s3_irrep("inner", 2, 0), "Minimal"),
+    "classify_s3 EtaTriple": (classify_s3, lambda: _s3_irrep("permutation", 1, 0), "EtaTriple"),
+    "classify_s3 TauPair": (classify_s3, lambda: _s3_irrep("permutation", 2, 0), "TauPair"),
+    "classify_s3 Regular6": (classify_s3, _torus_regular, "Regular6"),
+    "cyclic_analyze cute": (cyclic_analyze, lambda: cute_example()[1], None),
+    "analyze S3 regular": (analyze, _torus_regular, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_CASES))
+def test_no_sylvester_solve_at_representation_size(name, monkeypatch, tol):
+    analyzer, make, case = SOLVE_CASES[name]
+    Pi = make()
+    sizes = []
+    original = crossrep.linalg.solve_sylvester_family
+
+    def counting(pairs, dims=None, tol=crossrep.linalg.DEFAULT_TOL):
+        pairs = list(pairs)
+        sizes.append((pairs[0][0].shape[0], pairs[0][1].shape[0]) if pairs else dims)
+        return original(pairs, dims, tol)
+
+    monkeypatch.setattr(crossrep.linalg, "solve_sylvester_family", counting)
+    monkeypatch.setattr(crossrep.reps, "solve_sylvester_family", counting)
+    out = analyzer(Pi, seed=3, tol=tol)
+    if case is not None:
+        assert out.case == case
+    assert all(Pi.dim not in pq for pq in sizes), sizes
+
+
+def _assert_permutes_and_twists(act):
+    nb = act.algebra.n_blocks
+    assert any(a.perm != tuple(range(nb)) for a in act.auts)
+    assert any(
+        not np.allclose(u, np.eye(len(u))) for a in act.auts for u in a.unitaries
+    )
+
+
+@pytest.mark.parametrize(
+    "make_action",
+    [
+        lambda: random_cyclic_action(4, [2, 2, 1], np.random.default_rng(0)),
+        lambda: random_s3_action(np.random.default_rng(0), "conjugated"),
+    ],
+    ids=["Z4[2,2,1] twisted", "S3 conjugated"],
+)
+def test_rep_compose_matches_evaluate_reference(make_action):
+    act = make_action()
+    _assert_permutes_and_twists(act)
+    alg = act.algebra
+    labels, units = alg.basis_labels(), alg.basis_elements()
+    rng = np.random.default_rng(1)
+    d = 5
+    # a generic linear map on the matrix units, so every coefficient counts
+    rep = Rep(
+        d, {l: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for l in labels}
+    )
+    for g in range(act.group.order):
+        aut = act.aut(g)
+        got = rep_compose(rep, act, g)
+        assert list(got.gens) == labels
+        for l, e in zip(labels, units):
+            want = evaluate(rep, alg, aut.apply(e))
+            assert np.linalg.norm(got.gens[l] - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+def _property_pool():
+    """Irreducibles over cyclic, S3 and the free S3 orbit, covering stabilizer
+    orders 1, 2, 3, 4 and 6, multiplicity one and two, m = 1, 2 and 4 and all
+    four S3 shapes."""
+    rng = np.random.default_rng(41)
+    actions = {
+        "Z4[2,2,1]": random_cyclic_action(4, [2, 2, 1], np.random.default_rng(0)),
+        "Z4[1,1,1,1]": random_cyclic_action(4, [1, 1, 1, 1], np.random.default_rng(4)),
+        "Z6[1,1,2]": random_cyclic_action(6, [1, 1, 2], rng),
+        "S3-perm": random_s3_action(np.random.default_rng(0), "permutation"),
+        "S3-inner": random_s3_action(np.random.default_rng(2), "inner"),
+        "S3-torus": torus_orbit_action(),
+    }
+    return {
+        f"{name}#{i}": cov
+        for name, act in actions.items()
+        for i, cov in enumerate(crossed_irreps(act, seed=0))
+    }
+
+
+POOL = _property_pool()
+
+
+def _verdicts(cov, seed, tol):
+    report = analyze(cov, seed, tol)
+    out = {"stabilizer": report.subgroup.order, "multiplicity": report.multiplicity}
+    G = cov.group
+    if G.order == 6 and G.labels == make_symmetric_group_3().labels:
+        verdict = classify_s3(cov, seed, tol)
+        out.update(case=verdict.case, s3_multiplicity=verdict.multiplicity)
+    else:
+        cyc = cyclic_analyze(cov, seed, tol)
+        out.update(m=cyc.m, k=cyc.k)
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(POOL)),
+    w_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 10_000),
+)
+def test_verdicts_invariant_under_conjugation_and_seed(name, w_seed, seed):
+    tol = crossrep.linalg.DEFAULT_TOL
+    cov = POOL[name]
+    W = random_unitary(cov.dim, np.random.default_rng(w_seed))
+    assert _verdicts(cov.conjugate(W), seed, tol) == _verdicts(cov, 0, tol)
+
+
+def test_property_pool_covers_every_verdict(tol):
+    seen = [_verdicts(cov, 0, tol) for cov in POOL.values()]
+    cases = {v["case"] for v in seen if "case" in v}
+    assert cases == {"Minimal", "EtaTriple", "TauPair", "Regular6"}
+    assert {v["stabilizer"] for v in seen} == {1, 2, 3, 4, 6}
+    assert {v["multiplicity"] for v in seen} == {1, 2}
+    assert {v["m"] for v in seen if "m" in v} == {1, 2, 4}

@@ -30,6 +30,7 @@ from crossrep.reps import (
     hom_dim,
     hom_projection,
     intertwiners,
+    is_irreducible,
     regular_representation,
 )
 from crossrep.sampling import (
@@ -136,6 +137,13 @@ def test_hom_dim_matches_intertwiner_count(cov, tol):
         assert hom_dim(a, b, tol) == len(intertwiners(a.joint_rep(), b.joint_rep(), tol))
 
 
+def test_is_irreducible_matches_joint_route(cov, tol):
+    # every seeded input is reducible, every component irreducible
+    comps = [r for r, _ in decompose(cov, seed=0, tol=tol).components]
+    for c in [cov, *comps]:
+        assert c.is_irreducible(tol) == is_irreducible(c.joint_rep(), tol)
+
+
 def test_hom_projection_lands_in_hom_and_fixes_it(tol):
     cov = _cyclic_model(3, [1, 2], 4)
     rng = np.random.default_rng(0)
@@ -156,13 +164,21 @@ def test_non_unital_components():
     assert sorted(round(r.unitaries[1][0, 0].real) for r in ones) == [-1, 1]
 
 
-def test_non_covariant_input_rejected():
+def _non_covariant():
     act = _flip_action()
     reg = regular_representation(defining_rep(act.algebra), act)
     # identity unitaries are a homomorphism but do not implement the flip
-    bad = CovariantRep(reg.base, act, [np.eye(reg.dim)] * 2)
+    return CovariantRep(reg.base, act, [np.eye(reg.dim)] * 2)
+
+
+def test_non_covariant_input_rejected():
     with pytest.raises(InvariantViolation):
-        decompose(bad)
+        decompose(_non_covariant())
+
+
+def test_non_covariant_input_gets_no_irreducibility_verdict(tol):
+    with pytest.raises(InvariantViolation):
+        _non_covariant().is_irreducible(tol)
 
 
 def test_non_multiplicative_base_fails_character_sum(tol):
