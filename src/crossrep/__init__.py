@@ -84,6 +84,7 @@ from .reps import (
     evaluate,
     hom_dim,
     hom_projection,
+    induce,
     intertwiners,
     is_irreducible,
     regular_irreducibility_criterion,

@@ -312,6 +312,12 @@ class LabelAction:
     def map_label(self, g: int, label: str) -> str:
         return self.maps[g][label]
 
+    @cached_property
+    def trivial_restriction(self) -> "LabelAction":
+        """The action of the trivial subgroup, as for :class:`GroupAction`."""
+        G = self.group
+        return restrict_action(self, Subgroup(G, (G.identity,)))[0]
+
 
 def restrict_action(action, subgroup: Subgroup):
     """Reground an action on a subgroup as an action of the subgroup itself.

@@ -1,14 +1,14 @@
 """Structure extraction for irreducible covariant representations.
 
 Given an irreducible covariant representation of a crossed product, the
-analyzer conjugates it into block-permutation canonical form: the algebra
-restriction becomes a block diagonal of translates of one irreducible
-representation, the group unitaries become block permutations, and the
-stabilizer block factors as a tensor product of two projective unitary
-representations whose 2-cocycles are extracted explicitly.  Cyclic groups
-get the sharper shift-with-corner canonical form, and crossed products by
-the permutation group on three points are classified into the four
-possible shapes.
+analyzer conjugates it onto the representation induced from its stabilizer
+block: the algebra restriction becomes a block diagonal of translates of one
+irreducible representation, the group unitaries become block permutations,
+and the stabilizer block factors as a tensor product of two projective
+unitary representations whose 2-cocycles are extracted explicitly.  Cyclic
+groups get the sharper shift-with-corner canonical form, and crossed
+products by the permutation group on three points are classified into the
+four possible shapes.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .groups import (
     S3_ETA2,
     S3_TAU,
     Subgroup,
+    coset_action,
     make_cyclic_group,
     make_symmetric_group_3,
     right_coset_reps,
@@ -48,10 +49,11 @@ from .linalg import (
 from .reps import (
     CovariantRep,
     Rep,
-    are_equivalent,
+    _equiv_irreducibles,
     covariant_equivalence,
     decompose,
     evaluate,
+    induce,
     is_irreducible,
     rep_compose,
     rep_end_dim,
@@ -73,9 +75,8 @@ __all__ = [
     "classify_s3",
 ]
 
-# spec-pinned reconstruction thresholds
+# spec-pinned reconstruction threshold
 _BLOCK_TOL = 1e-7
-_OFF_PATTERN = 1e-6
 
 
 @dataclass
@@ -114,9 +115,11 @@ class ProjectiveRep:
 class StructureReport:
     """Canonical block data of an irreducible covariant representation.
 
-    ``conjugator`` C satisfies: C* Pi(a) C is the block diagonal of the
-    coset translates of ``multiplicity`` copies of ``base_irrep``, and
-    C* Pi(U^g) C is the block permutation ``[U_j^g delta_i^{perm_g(j)}]``.
+    ``conjugator`` C carries Pi onto ``induce(psi, action, subgroup,
+    coset_reps)``: C* Pi(a) C is the block diagonal of the coset translates
+    of ``multiplicity`` copies of ``base_irrep``, and the only nonzero block
+    of C* Pi(U^g) C in column j is ``block_unitaries[g][j]`` = psi(h) in row
+    i = ``perms[g][j]``, where c_i g = h c_j.
     """
 
     subgroup: Subgroup
@@ -163,16 +166,33 @@ def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return L
 
 
-def _component_offsets(dec):
-    offsets, pos = [], 0
-    for rep, mult in dec.components:
-        offsets.append(pos)
-        pos += rep.dim * mult
-    return offsets
-
-
 def _block(M, i, j, size):
     return M[i * size : (i + 1) * size, j * size : (j + 1) * size]
+
+
+def _projective_end_dim(mats, tol: Tolerance) -> int:
+    """dim End of a projective unitary family Lambda_h over a group K:
+    |K|^-1 sum_h |tr Lambda_h|^2, the trace of the average of Ad Lambda_h.
+    An exact integer, rounded within ``rank_eps``; :class:`InvariantViolation`
+    when it is not near a positive integer."""
+    total = float(np.mean([abs(np.trace(L)) ** 2 for L in mats]))
+    count = round(total)
+    if count < 1 or abs(total - count) > tol.rank_eps * max(1.0, total):
+        raise InvariantViolation(f"projective character sum {total:.6g} is not a dimension")
+    return count
+
+
+def _check_carried(Pi: CovariantRep, C, target: CovariantRep, what: str):
+    """Raise unless C* Pi C equals ``target`` on every generator and every
+    group unitary, to the reconstruction threshold."""
+    Ch = C.conj().T
+    bound = _BLOCK_TOL * max(1.0, float(Pi.dim))
+    for label, M in Pi.base.gens.items():
+        if np.linalg.norm(Ch @ M @ C - target.base.gens[label]) > bound:
+            raise BlockStructureViolation(f"{what}: generator {label!r} is not carried")
+    for g, U in enumerate(Pi.unitaries):
+        if np.linalg.norm(Ch @ U @ C - target.unitaries[g]) > bound:
+            raise BlockStructureViolation(f"{what}: unitary {Pi.group.labels[g]} is not carried")
 
 
 @dataclass
@@ -180,7 +200,6 @@ class _Core:
     """Intermediate data shared by analyze and the cyclic refinement."""
 
     pi1: Rep
-    translates: list[Rep]
     multiplicity: int
     subgroup: Subgroup
     witnesses: dict[int, np.ndarray]
@@ -194,125 +213,59 @@ def _analyze_core(Pi: CovariantRep, seed: int, tol: Tolerance) -> _Core:
         raise NotIrreducible("covariant representation is reducible")
     if isinstance(Pi.action, GroupAction):
         dec = decompose(trivial_covariant(Pi.base, Pi.action), seed, tol)
-        components = [(c.base, m) for c, m in dec.components]
+        pi1, r = dec.components[0][0].base, dec.components[0][1]
     else:
         dec = decompose(Pi.base, seed, tol)
-        components = dec.components
-    pi1, r = components[0]
-    # pi1 and the components are irreducible leaves, so no test re-checks them
-    translates = [rep_compose(pi1, Pi.action, g) for g in range(G.order)]
+        pi1, r = dec.components[0]
 
+    # pi1 is an irreducible leaf, so no test re-checks it
     members, witnesses = [], {}
     for g in range(G.order):
-        eq = rep_equivalence(pi1, translates[g], Pi.action, tol, seed)
+        eq = rep_equivalence(pi1, rep_compose(pi1, Pi.action, g), Pi.action, tol, seed)
         if eq.equivalent:
             members.append(g)
             # W pi1 W* = pi1 o alpha_g
             witnesses[g] = eq.witness
     H = Subgroup(G, tuple(members))
     reps_list = right_coset_reps(H)
-    m = len(reps_list)
 
-    offsets = _component_offsets(dec)
-    used = set()
-    cols = []
-    for gi in reps_list:
-        target = translates[gi]
-        hit = None
-        for ci, (crep, cmult) in enumerate(components):
-            if ci in used or crep.dim != target.dim:
-                continue
-            eq = rep_equivalence(target, crep, Pi.action, tol, seed)
-            if eq.equivalent:
-                hit = (ci, cmult, eq.witness)
-                break
-        if hit is None:
-            raise BlockStructureViolation(
-                f"no component matches the translate by coset rep {gi}"
-            )
-        ci, cmult, T = hit
-        if cmult != r:
-            raise BlockStructureViolation(
-                "orbit members have different multiplicities"
-            )
-        used.add(ci)
-        d1 = pi1.dim
-        for copy in range(r):
-            iso = dec.basis_change[:, offsets[ci] + copy * d1 : offsets[ci] + (copy + 1) * d1]
-            # T target T* = component, so iso @ T compresses Pi to the translate
-            cols.append(iso @ T)
-    if len(used) != len(components):
-        raise BlockStructureViolation(
-            "restriction contains components outside the orbit of the base irrep"
-        )
-    conjugator = np.hstack(cols)
+    # C0 spans the pi1-isotypic subspace, on which Pi restricts to 1_r (x) pi1;
+    # U_c* carries it onto the isotypic subspace of pi1 o alpha_c
+    C0 = dec.basis_change[:, : r * pi1.dim]
+    conjugator = np.hstack([Pi.unitaries[c].conj().T @ C0 for c in reps_list])
     if conjugator.shape != (Pi.dim, Pi.dim):
         raise BlockStructureViolation("conjugator is not square; dimensions conflict")
-    return _Core(pi1, translates, r, H, witnesses, reps_list, conjugator)
+    defect = conjugator.conj().T @ conjugator - np.eye(Pi.dim)
+    if np.linalg.norm(defect) > _BLOCK_TOL * max(1.0, float(Pi.dim)):
+        raise BlockStructureViolation("coset translates of the isotypic subspace overlap")
+    return _Core(pi1, r, H, witnesses, reps_list, conjugator)
 
 
 def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureReport:
-    G = Pi.group
     pi1, r, H = core.pi1, core.multiplicity, core.subgroup
     reps_list, C = core.coset_reps, core.conjugator
     m = len(reps_list)
-    d1 = pi1.dim
-    block = r * d1
-    scale = max(1.0, float(Pi.dim))
+    block = r * pi1.dim
 
-    # coset block diagonal of Pi(a)
-    for label, M in Pi.base.gens.items():
-        conj = C.conj().T @ M @ C
-        want = np.zeros_like(conj)
-        for i, gi in enumerate(reps_list):
-            tw = core.translates[gi].gens[label]
-            want[i * block : (i + 1) * block, i * block : (i + 1) * block] = np.kron(
-                np.eye(r), tw
-            )
-        if np.linalg.norm(conj - want) > _BLOCK_TOL * scale:
-            raise BlockStructureViolation(
-                f"conjugated restriction is not the coset block diagonal ({label})"
-            )
-
-    perms = []
-    block_unitaries = []
-    for g in range(G.order):
-        Ug = C.conj().T @ Pi.unitaries[g] @ C
-        perm = np.full(m, -1, dtype=int)
-        blocks = []
-        off_mass = 0.0
-        for j in range(m):
-            norms = [np.linalg.norm(_block(Ug, i, j, block)) for i in range(m)]
-            i_star = int(np.argmax(norms))
-            perm[j] = i_star
-            off_mass += sum(v * v for i, v in enumerate(norms) if i != i_star)
-            blocks.append(_block(Ug, i_star, j, block))
-        if np.sqrt(off_mass) > _OFF_PATTERN * scale:
-            raise BlockStructureViolation(
-                f"Pi(U^{G.labels[g]}) has off-pattern mass in coset blocks"
-            )
-        if sorted(perm.tolist()) != list(range(m)):
-            raise BlockStructureViolation("block pattern is not a permutation")
-        perms.append(perm)
-        block_unitaries.append(blocks)
-
-    stab = {g for g in range(G.order) if perms[g][0] == 0}
-    if stab != set(H.members):
-        raise BlockStructureViolation(
-            "stabilizer read from block patterns disagrees with equivalence tests"
-        )
-    h_is_normal = all(
-        (perms[g][0] != 0) or np.array_equal(perms[g], np.arange(m))
-        for g in range(G.order)
-    )
-
+    # psi is the stabilizer block; Pi must be carried onto Ind_H^G psi
     sub_action, members = restrict_action(Pi.action, H)
     K = sub_action.group
+    C0 = C[:, :block]
     psi_base = Rep(block, {l: np.kron(np.eye(r), M) for l, M in pi1.gens.items()})
-    psi_unitaries = [block_unitaries[members[i]][0] for i in range(K.order)]
+    psi_unitaries = [C0.conj().T @ Pi.unitaries[h] @ C0 for h in members]
     psi = CovariantRep(psi_base, sub_action, psi_unitaries)
+    induced = induce(psi, Pi.action, H, reps_list)
+    _check_carried(Pi, C, induced, "conjugator")
     if not psi.is_irreducible(tol):
         raise BlockStructureViolation("stabilizer block representation is reducible")
+
+    # perms[g][j] is the i with c_i g in H c_j
+    perms = [np.argsort([j for _, j, _ in triples]) for triples in coset_action(H, reps_list)]
+    block_unitaries = [
+        [_block(U, perm[j], j, block) for j in range(m)]
+        for U, perm in zip(induced.unitaries, perms)
+    ]
+    h_is_normal = all(perm[0] != 0 or np.array_equal(perm, np.arange(m)) for perm in perms)
 
     v_mats = [core.witnesses[members[i]] for i in range(K.order)]
     lam_mats = [factor_tensor(psi_unitaries[i], v_mats[i], r, tol) for i in range(K.order)]
@@ -326,7 +279,7 @@ def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureRe
 
     v_rep = ProjectiveRep(K, v_mats, cocycle_of(v_mats))
     lambda_rep = ProjectiveRep(K, lam_mats, cocycle_of(lam_mats))
-    if not is_irreducible(Rep(r, {f"L{i}": lam_mats[i] for i in range(K.order)}), tol):
+    if _projective_end_dim(lam_mats, tol) != 1:
         raise BlockStructureViolation("tensor factor on the multiplicity space is reducible")
 
     return StructureReport(
@@ -349,10 +302,12 @@ def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureRe
 def analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> StructureReport:
     """Full canonical-form report for an irreducible covariant representation.
 
-    Decomposes the algebra restriction, finds the stabilizer subgroup of
-    the first component, builds the conjugating unitary from decomposition
-    isometries and equivalence witnesses, and extracts the permutation,
-    block-unitary, and projective tensor-factor data.
+    Decomposes the algebra restriction, finds the stabilizer subgroup H of
+    the first component pi1, and builds the conjugator from the structure
+    theorem: its coset block i is U_{c_i}* applied to the pi1-isotypic
+    subspace.  The one self-check is that the conjugator carries Pi onto
+    ``induce(report.psi, action, H, coset_reps)``; the permutation,
+    block-unitary and projective tensor-factor data are read from it.
     """
     core = _analyze_core(Pi, seed, tol)
     return _finish_report(Pi, core, tol)
@@ -385,7 +340,11 @@ def _require_cyclic(G: FiniteGroup):
 
 
 def _cyclic_canonical_form(Pi: CovariantRep, seed: int, tol: Tolerance):
-    """Analysis plus the shift-with-corner refinement of the conjugator."""
+    """Analysis in shift-with-corner form.
+
+    With coset representatives 0..m-1 the induced conjugator already has
+    identity shift blocks, and the corner is V = psi(U^m).
+    """
     G = Pi.group
     _require_cyclic(G)
     n = G.order
@@ -398,31 +357,12 @@ def _cyclic_canonical_form(Pi: CovariantRep, seed: int, tol: Tolerance):
     if core.coset_reps != list(range(m)):
         raise CanonicalFormViolation("coset representatives are not 0..m-1")
     k = n // m
-    d1 = core.pi1.dim
-    C = core.conjugator
-
-    if m > 1:
-        U1 = C.conj().T @ Pi.unitaries[1] @ C
-        # off-corner blocks commute with an irreducible, hence are phases
-        deltas = [1.0 + 0j]
-        for i in range(m - 1):
-            s = scalar_quotient(_block(U1, i, i + 1, d1), np.eye(d1), tol)
-            deltas.append(deltas[i] / s)
-        D = np.kron(np.diag(deltas), np.eye(d1))
-        C = C @ D
-    Um = C.conj().T @ Pi.unitaries[m % n] @ C
-    V = _block(Um, 0, 0, d1)
+    report = _finish_report(Pi, core, tol)
+    # the stabilizer {0, m, 2m, ...} regrounds onto Z_k with m at index 1
+    V = report.psi.unitaries[1 % k]
+    d1 = V.shape[0]
     if np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)) > _BLOCK_TOL * max(1, d1):
         raise CanonicalFormViolation("corner unitary does not satisfy V^k = 1")
-    if m > 1:
-        U1 = C.conj().T @ Pi.unitaries[1] @ C
-        for i in range(m - 1):
-            if np.linalg.norm(_block(U1, i, i + 1, d1) - np.eye(d1)) > _BLOCK_TOL * max(1, d1):
-                raise CanonicalFormViolation("refined shift blocks are not the identity")
-        if np.linalg.norm(_block(U1, m - 1, 0, d1) - V) > _BLOCK_TOL * max(1, d1):
-            raise CanonicalFormViolation("generator corner does not carry the cycle product")
-    core.conjugator = C
-    report = _finish_report(Pi, core, tol)
     return report, m, k, V
 
 
@@ -466,17 +406,14 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
         if not is_irreducible(comp, tol):
             raise CanonicalFormViolation("a diagonal fixed-point block is reducible")
         alpha_diag.append(comp)
-    minimal = True
     for i in range(len(alpha_diag)):
         for j in range(i + 1, len(alpha_diag)):
-            if alpha_diag[i].dim == alpha_diag[j].dim and are_equivalent(
-                alpha_diag[i], alpha_diag[j], tol
-            ).equivalent:
-                minimal = False
-    if not minimal:
-        raise CanonicalFormViolation(
-            "diagonal fixed-point blocks are pairwise equivalent; minimal piece is not minimal"
-        )
+            # both blocks were just tested irreducible: one intertwiner solve
+            if _equiv_irreducibles(alpha_diag[i], alpha_diag[j], tol).equivalent:
+                raise CanonicalFormViolation(
+                    "diagonal fixed-point blocks are pairwise equivalent; "
+                    "minimal piece is not minimal"
+                )
 
     return CyclicReport(
         base=report,
@@ -487,7 +424,7 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
         alpha_diag=alpha_diag,
         eta=eta,
         fixed_pt_irreps=dec.components,
-        minimal_piece_is_minimal=minimal,
+        minimal_piece_is_minimal=True,
     )
 
 
@@ -497,7 +434,8 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     The base must be r copies of one irreducible in tensor form,
     ``Psi(a) = 1_r (x) pi1(a)``; each group unitary then factors as
     ``Lambda_h (x) V^h`` and the verdict is the irreducibility of the
-    Lambda family on the multiplicity space.
+    projective Lambda family on the multiplicity space, the character sum
+    |G|^-1 sum_h |tr Lambda_h|^2 == 1.
     """
     end_dim = rep_end_dim(Psi.base, Psi.action, tol)
     r = int(round(np.sqrt(end_dim)))
@@ -513,15 +451,15 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     if rep_end_dim(pi1, Psi.action, tol) != 1:
         raise InvariantViolation("tensor base is not irreducible")
     G = Psi.group
-    lam = {}
+    lam = []
     for h in range(G.order):
         eq = rep_equivalence(pi1, rep_compose(pi1, Psi.action, h), Psi.action, tol)
         if not eq.equivalent:
             raise InvariantViolation(
                 "every group element must fix the class of the base irreducible"
             )
-        lam[f"L{h}"] = factor_tensor(Psi.unitaries[h], eq.witness, r, tol)
-    return is_irreducible(Rep(r, lam), tol)
+        lam.append(factor_tensor(Psi.unitaries[h], eq.witness, r, tol))
+    return _projective_end_dim(lam, tol) == 1
 
 
 def build_cyclic_irrep(
@@ -532,7 +470,9 @@ def build_cyclic_irrep(
     action,
     tol: Tolerance = DEFAULT_TOL,
 ) -> CovariantRep:
-    """The shift-with-corner irreducible covariant representation.
+    """The shift-with-corner irreducible covariant representation, induced
+    from H = mZ_n with psi(U^{jm}) = V^j: the generator's unitary has
+    identity shift blocks and corner V.
 
     Preconditions (each reported individually): the group is Z_{mk}; V is
     unitary with ``V^k = 1`` and conjugates ``pi1`` onto its m-th translate;
@@ -562,19 +502,11 @@ def build_cyclic_irrep(
         if rep_equivalence(pi1, rep_compose(pi1, action, j), action, tol).equivalent:
             raise InvariantViolation(f"pi1 is equivalent to its translate by {j} < m")
 
-    translates = [rep_compose(pi1, action, i) for i in range(m)]
-    gens = {}
-    for l in pi1.gens:
-        M = np.zeros((m * d1, m * d1), dtype=complex)
-        for i in range(m):
-            M[i * d1 : (i + 1) * d1, i * d1 : (i + 1) * d1] = translates[i].gens[l]
-        gens[l] = M
-    U = np.zeros((m * d1, m * d1), dtype=complex)
-    for i in range(m - 1):
-        U[i * d1 : (i + 1) * d1, (i + 1) * d1 : (i + 2) * d1] = np.eye(d1)
-    U[(m - 1) * d1 : m * d1, 0:d1] = V
-    unitaries = [np.linalg.matrix_power(U, j) for j in range(n)]
-    cov = CovariantRep(Rep(m * d1, gens), action, unitaries)
+    # Ind from H = mZ_n of psi(U^{jm}) = V^j
+    H = Subgroup(G, tuple(range(0, n, m)))
+    sub_action, _ = restrict_action(action, H)
+    psi = CovariantRep(pi1, sub_action, [np.linalg.matrix_power(V, j) for j in range(k)])
+    cov = induce(psi, action, H, list(range(m)))
     if not cov.is_irreducible(tol):
         raise InvariantViolation("constructed representation is unexpectedly reducible")
     return cov
@@ -630,22 +562,14 @@ class S3Class:
     report: StructureReport | None = None
 
 
-def _check_block_pattern(M, pattern, size, what):
-    """pattern[j] = i means block (i, j) is the identity; all else zero."""
-    want = np.zeros_like(M)
-    for j, i in enumerate(pattern):
-        want[i * size : (i + 1) * size, j * size : (j + 1) * size] = np.eye(size)
-    if np.linalg.norm(M - want) > _BLOCK_TOL * max(1.0, M.shape[0]):
-        raise BlockStructureViolation(f"{what} does not match the displayed pattern")
-
-
 def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> S3Class:
     """Classify an irreducible covariant representation over the 3-letter
     permutation group into its canonical shape.
 
     Dispatches on irreducibility of the restriction to the 3-cycle crossed
     subalgebra, then of the algebra restriction; each of the four outcomes
-    pins down one displayed block form.
+    pins down one displayed block form, and each form is an induced
+    representation that the returned conjugator carries Pi onto.
     """
     G = Pi.group
     S3 = make_symmetric_group_3()
@@ -656,7 +580,8 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
 
     U_eta = Pi.unitaries[S3_ETA]
     U_tau = Pi.unitaries[S3_TAU]
-    z3_action, _ = restrict_action(Pi.action, Subgroup(G, (S3_E, S3_ETA, S3_ETA2)))
+    z3 = Subgroup(G, (S3_E, S3_ETA, S3_ETA2))
+    z3_action, _ = restrict_action(Pi.action, z3)
     z3_cov = CovariantRep(
         Pi.base,
         z3_action,
@@ -676,15 +601,10 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         report, m, k, V = _cyclic_canonical_form(z3_cov, seed, tol)
         if m != 3:
             raise BlockStructureViolation("3-cycle restriction must split into 3 blocks")
-        C = report.conjugator
-        _check_block_pattern(
-            C.conj().T @ U_eta @ C, _eta_shift_pattern(3), report.base_irrep.dim,
-            "conjugated 3-cycle unitary",
-        )
         return S3Class(
             case="EtaTriple",
             pi1=report.base_irrep,
-            conjugator=C,
+            conjugator=report.conjugator,
             multiplicity=1,
             report=report,
         )
@@ -701,13 +621,16 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     half = dec.components[0][0].dim
     W1 = dec.basis_change[:, :half]
     Q = np.hstack([W1, U_tau @ W1])
-    if np.linalg.norm(Q.conj().T @ Q - np.eye(Pi.dim)) > _BLOCK_TOL * Pi.dim:
-        raise BlockStructureViolation("swap construction did not produce a unitary")
     pi_tilde_A = Rep(half, {l: W1.conj().T @ M @ W1 for l, M in Pi.base.gens.items()})
     eta_block = W1.conj().T @ U_eta @ W1
-    _check_block_pattern(
-        Q.conj().T @ U_tau @ Q, [1, 0], half, "conjugated transposition unitary"
+    half_cov = CovariantRep(
+        pi_tilde_A,
+        z3_action,
+        [np.eye(half, dtype=complex), eta_block, eta_block @ eta_block],
     )
+    # U_tau = U_tau*, so Q is the induced conjugator over the cosets {e, tau};
+    # on U_e the check below is Q* Q = 1
+    _check_carried(Pi, Q, induce(half_cov, Pi.action, z3, [S3_E, S3_TAU]), "swap conjugator")
 
     if rep_end_dim(pi_tilde_A, Pi.action, tol) == 1:
         eq = rep_equivalence(
@@ -725,11 +648,6 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         )
 
     # both stages split: the representation is regular
-    half_cov = CovariantRep(
-        pi_tilde_A,
-        z3_action,
-        [np.eye(half, dtype=complex), eta_block, eta_block @ eta_block],
-    )
     half_report, m, k, _ = _cyclic_canonical_form(half_cov, seed, tol)
     if m != 3:
         raise BlockStructureViolation("regular case needs a full 3-cycle orbit")
@@ -739,51 +657,13 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
             raise BlockStructureViolation(
                 "regular case requires all six translates pairwise inequivalent"
             )
-    canonical = _canonical_regular_s3(pi, Pi.action)
+    # block (i, j) of the model's U_g is the identity when g_j = g_i g
+    trivial = Subgroup(G, (G.identity,))
+    canonical = induce(trivial_covariant(pi, Pi.action), Pi.action, trivial, list(range(6)))
     # Pi is irreducible and of the same dimension, so hom_dim 1 is equivalence
     eq = covariant_equivalence(Pi, canonical, tol, seed)
     if not eq.equivalent:
         raise BlockStructureViolation("representation is not equivalent to the regular model")
     C = eq.witness.conj().T
-    _check_block_pattern(
-        C.conj().T @ U_eta @ C, _regular_pattern(S3, S3_ETA), pi.dim,
-        "conjugated 3-cycle unitary",
-    )
-    _check_block_pattern(
-        C.conj().T @ U_tau @ C, _regular_pattern(S3, S3_TAU), pi.dim,
-        "conjugated transposition unitary",
-    )
+    _check_carried(Pi, C, canonical, "regular-model conjugator")
     return S3Class(case="Regular6", pi1=pi, conjugator=C, multiplicity=1)
-
-
-def _eta_shift_pattern(m):
-    # row i has its identity in column i+1 (mod m): pattern[j] = row of 1-block
-    return [(j - 1) % m for j in range(m)]
-
-
-def _regular_pattern(G: FiniteGroup, g: int):
-    """Column j carries the identity in row i when g_j = g_i * g."""
-    pattern = [None] * G.order
-    for i in range(G.order):
-        pattern[G.mul(i, g)] = i
-    return pattern
-
-
-def _canonical_regular_s3(pi: Rep, action) -> CovariantRep:
-    G = action.group
-    n, d = G.order, pi.dim
-    translates = [rep_compose(pi, action, i) for i in range(n)]
-    gens = {}
-    for l in pi.gens:
-        M = np.zeros((n * d, n * d), dtype=complex)
-        for i in range(n):
-            M[i * d : (i + 1) * d, i * d : (i + 1) * d] = translates[i].gens[l]
-        gens[l] = M
-    unitaries = []
-    for g in range(n):
-        U = np.zeros((n * d, n * d), dtype=complex)
-        for i in range(n):
-            j = G.mul(i, g)
-            U[i * d : (i + 1) * d, j * d : (j + 1) * d] = np.eye(d)
-        unitaries.append(U)
-    return CovariantRep(Rep(n * d, gens), action, unitaries)

@@ -1,6 +1,7 @@
 """Crossed-product matrix model, twisted element arithmetic, spectral projections.
 
-The model realizes the crossed product concretely: the algebra embeds as a
+The model realizes the crossed product concretely as the defining
+representation induced from the trivial subgroup: the algebra embeds as a
 block diagonal of its translates and each group element becomes a block
 permutation unitary, so every abstract identity can be checked against
 ordinary matrix arithmetic.
@@ -14,8 +15,9 @@ import numpy as np
 
 from .algebra import AlgElement, GroupAction
 from .errors import ActionMismatch, InvariantViolation
+from .groups import Subgroup
 from .linalg import DEFAULT_TOL, Tolerance, orthonormal_span
-from .reps import CovariantRep, Rep
+from .reps import CovariantRep, Rep, defining_rep, evaluate, induce, rep_compose, trivial_covariant
 
 __all__ = [
     "CrossedElement",
@@ -114,9 +116,10 @@ def crossed_adjoint(x: CrossedElement) -> CrossedElement:
 class CrossedModel:
     """Concrete matrix realization of a crossed product.
 
-    The algebra embeds block-diagonally through its right translates and
-    the group acts by block permutations on ``|G|`` copies of the defining
-    space; the span of ``psi(a) V_g`` has dimension |G| * dim(A).
+    The defining representation induced from the trivial subgroup: the
+    algebra embeds block-diagonally through its translates and the group
+    acts by block permutations on ``|G|`` copies of the defining space; the
+    span of ``psi(a) V_g`` has dimension |G| * dim(A).
     """
 
     action: GroupAction
@@ -131,14 +134,7 @@ class CrossedModel:
 
     def psi(self, x: AlgElement) -> np.ndarray:
         """Embed an algebra element, block i carrying its g_i-translate."""
-        G = self.action.group
-        D = self.action.algebra.defining_dim
-        out = np.zeros((self.host_dim, self.host_dim), dtype=complex)
-        for i in range(G.order):
-            out[i * D : (i + 1) * D, i * D : (i + 1) * D] = (
-                self.action.apply(i, x).to_matrix()
-            )
-        return out
+        return evaluate(Rep(self.host_dim, self.psi_images), self.action.algebra, x)
 
     def defining_covariant_rep(self) -> CovariantRep:
         return CovariantRep(
@@ -149,39 +145,31 @@ class CrossedModel:
 def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> CrossedModel:
     """Construct the block-permutation matrix model of ``A x| G``.
 
-    Group elements are taken in the group's own index order with the
-    identity first; ``V_g`` sends copy i to the copy indexed by ``g_i g``.
+    :func:`induce` of the defining representation over the trivial
+    subgroup, with the group's own index order as coset representatives
+    (identity first): ``V_g`` sends copy i to the copy indexed by ``g_i g``.
     """
     G = action.group
     A = action.algebra
-    n, D = G.order, A.defining_dim
-    host = n * D
-    vg = []
-    for g in range(n):
-        V = np.zeros((host, host), dtype=complex)
-        for i in range(n):
-            j = G.mul(i, g)
-            V[i * D : (i + 1) * D, j * D : (j + 1) * D] = np.eye(D)
-        vg.append(V)
-
+    n = G.order
+    trivial = Subgroup(G, (G.identity,))
+    cov = induce(trivial_covariant(defining_rep(A), action), action, trivial, list(range(n)))
+    host, psi_images, vg = cov.dim, cov.base.gens, cov.unitaries
     labels = A.basis_labels()
-    units = A.basis_elements()
-    model = CrossedModel(action, host, {}, vg, [])
-    model.psi_images = {l: model.psi(e) for l, e in zip(labels, units)}
 
     # model invariants: covariance, homomorphism, and faithfulness of the span
     for g in range(n):
         ginv = G.inv(g)
-        for l, e in zip(labels, units):
-            lhs = vg[g] @ model.psi_images[l] @ vg[ginv]
-            rhs = model.psi(action.apply(g, e))
-            if np.linalg.norm(lhs - rhs) > tol.identity_bound(host):
+        twisted = rep_compose(cov.base, action, g)
+        for l in labels:
+            lhs = vg[g] @ psi_images[l] @ vg[ginv]
+            if np.linalg.norm(lhs - twisted.gens[l]) > tol.identity_bound(host):
                 raise InvariantViolation("model covariance V_g psi(a) V_g* failed")
         for h in range(n):
             if np.linalg.norm(vg[g] @ vg[h] - vg[G.mul(g, h)]) > tol.abs_eps * host:
                 raise InvariantViolation("model unitaries fail V_g V_h = V_gh")
-    spanning = [model.psi_images[l] @ vg[g] for g in range(n) for l in labels]
-    model.span_basis = orthonormal_span(spanning, tol)
+    spanning = [psi_images[l] @ vg[g] for g in range(n) for l in labels]
+    model = CrossedModel(action, host, psi_images, vg, orthonormal_span(spanning, tol))
     if model.span_dim != n * A.linear_dim:
         raise InvariantViolation(
             f"span dimension {model.span_dim} != |G| dim(A) = {n * A.linear_dim}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import GroupAction, LabelAction, MatAlg, StarAut
+from .algebra import GroupAction, LabelAction, MatAlg, StarAut, restrict_action
 from .analyzer import (
     classify_s3,
     cyclic_analyze,
@@ -18,7 +18,11 @@ from .analyzer import (
 from .crossed import build_crossed_model, fixed_point_algebra
 from .groups import (
     FiniteGroup,
+    S3_E,
+    S3_ETA,
+    S3_ETA2,
     S3_TAU,
+    Subgroup,
     make_cyclic_group,
     make_symmetric_group_3,
     s3_permutations,
@@ -31,12 +35,14 @@ from .reps import (
     commutant_basis,
     decompose,
     defining_rep,
+    induce,
     intertwiners,
     is_irreducible,
     rep_compose,
     rep_from_images,
     regular_representation,
     regular_irreducibility_criterion,
+    trivial_covariant,
 )
 
 OMEGA3 = np.exp(2j * np.pi / 3)
@@ -114,37 +120,16 @@ def expermutation2_example() -> Rep:
 
 def doubled_minimal_covariant() -> CovariantRep:
     """Multiplicity-two irreducible: two copies of the minimal representation
-    glued by a swap and twisted by opposite cube-root phases on the 3-cycle."""
+    glued by a swap and twisted by opposite cube-root phases on the 3-cycle.
+
+    Induced from the 3-cycle subgroup, where the minimal representation
+    carries the unitaries (omega V_eta)^j, over the cosets {e, tau}."""
     base_cov = minimal_covariant()
-    pi = base_cov.base
     act = base_cov.action
-    G = act.group
-    V_eta = base_cov.unitaries[1]
-    omega = OMEGA3
-    pi_tau = rep_compose(pi, act, S3_TAU)
-    gens = {}
-    for l in pi.gens:
-        gens[l] = np.block(
-            [
-                [pi.gens[l], np.zeros((2, 2))],
-                [np.zeros((2, 2)), pi_tau.gens[l]],
-            ]
-        )
-    Z = np.zeros((2, 2))
-    W_eta = np.block(
-        [[omega * V_eta, Z], [Z, omega**2 * V_eta @ V_eta]]
-    )
-    I2 = np.eye(2)
-    W_tau = np.block([[Z, I2], [I2, Z]])
-    unitaries = [
-        np.eye(4, dtype=complex),
-        W_eta,
-        W_eta @ W_eta,
-        W_tau,
-        W_eta @ W_tau,
-        W_eta @ W_eta @ W_tau,
-    ]
-    return CovariantRep(Rep(4, gens), act, unitaries)
+    z3 = Subgroup(act.group, (S3_E, S3_ETA, S3_ETA2))
+    V = OMEGA3 * base_cov.unitaries[S3_ETA]
+    psi = CovariantRep(base_cov.base, restrict_action(act, z3)[0], [np.eye(2), V, V @ V])
+    return induce(psi, act, z3, [S3_E, S3_TAU])
 
 
 def torus_orbit_action() -> GroupAction:
@@ -202,13 +187,12 @@ def quantum_mq(q: int):
     """
     act = rotation_action(q)
     model = build_crossed_model(act)
-    pi = rep_from_images(
-        act.algebra, lambda e: np.diag([e.blocks[j][0, 0] for j in range(q)])
-    )
-    U = np.zeros((q, q), dtype=complex)
-    for i in range(q):
-        U[i, (i + 1) % q] = 1.0
-    pair = CovariantRep(pi, act, [np.linalg.matrix_power(U, k) for k in range(q)])
+    # the evaluation at point 0 induced from the trivial subgroup: the
+    # diagonal function algebra and the cyclic shift
+    G = act.group
+    point = rep_from_images(act.algebra, lambda e: e.blocks[0])
+    trivial = Subgroup(G, (G.identity,))
+    pair = induce(trivial_covariant(point, act), act, trivial, list(range(q)))
     return act, model, pair
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "make_symmetric_group_3",
     "subgroup_closure",
     "right_coset_reps",
+    "coset_action",
     "CharacterTable",
     "character_table",
 ]
@@ -258,6 +259,23 @@ def right_coset_reps(H: Subgroup) -> list[int]:
     reps.sort()
     reps.remove(G.identity)
     return [G.identity] + reps
+
+
+def coset_action(H: Subgroup, coset_reps) -> list[list[tuple[int, int, int]]]:
+    """Right multiplication permuting the right cosets H c_j.
+
+    Entry g lists, for each i, the triple (i, j, h) with c_i g = h c_j and h
+    in H.  Raises :class:`InvariantViolation` when the representatives do
+    not tile the group.
+    """
+    G = H.parent
+    coset_of = {G.mul(h, c): (j, h) for j, c in enumerate(coset_reps) for h in H.members}
+    if len(coset_of) != G.order or len(coset_reps) * H.order != G.order:
+        raise InvariantViolation("coset representatives do not tile the group")
+    return [
+        [(i, *coset_of[G.mul(c, g)]) for i, c in enumerate(coset_reps)]
+        for g in range(G.order)
+    ]
 
 
 @dataclass

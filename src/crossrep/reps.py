@@ -11,6 +11,9 @@ structure-aware engine: Hom dimensions are character inner products
 (:func:`hom_projection`), so neither needs a Sylvester solve.  A
 representation of the algebra alone enters that engine as a covariant
 representation over the trivial subgroup (:func:`trivial_covariant`).
+
+Every block-permutation model is an induced representation Ind_H^G psi
+(:func:`induce`): the regular representation is the case H = {e}.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import AlgElement, GroupAction, LabelAction, MatAlg
 from .errors import (
@@ -29,6 +33,7 @@ from .errors import (
     LabelMismatch,
     NotIrreducible,
 )
+from .groups import Subgroup, coset_action
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -61,6 +66,7 @@ __all__ = [
     "rep_equivalence",
     "decompose",
     "decompositions_match",
+    "induce",
     "regular_representation",
     "regular_irreducibility_criterion",
 ]
@@ -586,12 +592,14 @@ def covariant_equivalence(
     return Equivalence(True, _unitarize(hom_projection(cov1, cov2, X)))
 
 
-def trivial_covariant(pi: Rep, action: GroupAction) -> CovariantRep:
+def trivial_covariant(pi: Rep, action) -> CovariantRep:
     """``pi`` as a covariant representation over the trivial subgroup, U_e = 1.
 
     Its Hom spaces are those of representations of the algebra alone, so
-    the character engine decides irreducibility and equivalence of ``pi``
-    and its translates.  ``pi`` must be labeled by the matrix units.
+    over a :class:`GroupAction` the character engine decides irreducibility
+    and equivalence of ``pi`` and its translates (``pi`` must then be
+    labeled by the matrix units).  Over either action type it is the
+    trivial psi that :func:`induce` turns into the regular representation.
     """
     return CovariantRep(pi, action.trivial_restriction, [np.eye(pi.dim, dtype=complex)])
 
@@ -620,31 +628,42 @@ def rep_equivalence(
     return _equiv_irreducibles(pi1, pi2, tol)
 
 
+def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> CovariantRep:
+    """The induced covariant representation Ind_H^G psi.
+
+    ``psi`` is covariant over ``restrict_action(action, subgroup)`` and
+    ``coset_reps`` c_0, ..., c_{m-1} represent the right cosets H c_i.  The
+    result acts on m copies of the space of ``psi``: block i of the algebra
+    carries ``psi.base o alpha_{c_i}``, and block (i, j) of U_g is psi(h)
+    when c_i g = h c_j, every other block zero.
+    """
+    if psi.group.order != subgroup.order:
+        raise InvariantViolation("psi is not a representation of the subgroup")
+    d, m = psi.dim, len(coset_reps)
+    # restrict_action regrounds the subgroup in ascending member order
+    position = {h: k for k, h in enumerate(subgroup.members)}
+    blocks = [rep_compose(psi.base, action, c) for c in coset_reps]
+    gens = {l: scipy.linalg.block_diag(*(b.gens[l] for b in blocks)) for l in psi.base.gens}
+    unitaries = []
+    for triples in coset_action(subgroup, coset_reps):
+        U = np.zeros((m * d, m * d), dtype=complex)
+        for i, j, h in triples:
+            U[i * d : (i + 1) * d, j * d : (j + 1) * d] = psi.unitaries[position[h]]
+        unitaries.append(U)
+    return CovariantRep(Rep(m * d, gens), action, unitaries)
+
+
 def regular_representation(pi: Rep, action) -> CovariantRep:
     """The covariant representation induced from ``pi`` by translation.
 
-    Acts on (group order) copies of the space of ``pi``: the algebra acts
-    diagonally through ``pi`` composed with the inverse translates, the
-    group by the left regular permutation on the copies.
+    :func:`induce` over the trivial subgroup with coset representatives
+    g_i^{-1}: block i carries ``pi`` composed with the inverse translate
+    alpha_{g_i^{-1}}, and U_g is the left regular permutation of the blocks.
     """
     G = action.group
-    n = G.order
-    d = pi.dim
-    twists = [rep_compose(pi, action, G.inv(i)) for i in range(n)]
-    gens = {}
-    for label in pi.gens:
-        M = np.zeros((n * d, n * d), dtype=complex)
-        for i in range(n):
-            M[i * d : (i + 1) * d, i * d : (i + 1) * d] = twists[i].gens[label]
-        gens[label] = M
-    unitaries = []
-    for g in range(n):
-        U = np.zeros((n * d, n * d), dtype=complex)
-        for j in range(n):
-            i = G.mul(g, j)
-            U[i * d : (i + 1) * d, j * d : (j + 1) * d] = np.eye(d)
-        unitaries.append(U)
-    return CovariantRep(Rep(n * d, gens), action, unitaries)
+    trivial = Subgroup(G, (G.identity,))
+    inverses = [G.inv(i) for i in range(G.order)]
+    return induce(trivial_covariant(pi, action), action, trivial, inverses)
 
 
 def regular_irreducibility_criterion(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import crossrep.analyzer
 from crossrep.algebra import GroupAction, MatAlg, StarAut
 from crossrep.analyzer import (
     analyze,
@@ -12,6 +13,7 @@ from crossrep.analyzer import (
     periodize,
 )
 from crossrep.errors import (
+    BlockStructureViolation,
     InvariantViolation,
     NotFactorable,
     NotIrreducible,
@@ -36,6 +38,7 @@ from crossrep.reps import (
     defining_rep,
     direct_sum_reps,
     evaluate,
+    induce,
     regular_representation,
     rep_compose,
     rep_from_images,
@@ -72,6 +75,12 @@ def _check_report_reconstruction(cov, report, tol):
     for g in range(cov.group.order):
         got = C.conj().T @ cov.unitaries[g] @ C
         assert np.linalg.norm(got - _reconstruct_unitary(report, g)) < 1e-7
+    # the report is Ind_H^G psi, carried onto cov by the conjugator
+    induced = induce(report.psi, cov.action, report.subgroup, report.coset_reps)
+    for label, M in cov.base.gens.items():
+        assert np.linalg.norm(C.conj().T @ M @ C - induced.base.gens[label]) < 1e-7
+    for g in range(cov.group.order):
+        assert np.linalg.norm(C.conj().T @ cov.unitaries[g] @ C - induced.unitaries[g]) < 1e-7
 
 
 def test_analyze_regular_free_orbit(tol):
@@ -108,6 +117,26 @@ def test_analyze_doubled_multiplicity_two(tol):
     report.lambda_rep.validate(1e-8)
     report.v_rep.validate(1e-8)
     _check_report_reconstruction(cov, report, tol)
+
+
+def test_analyze_self_check_covers_the_unitaries(monkeypatch, tol):
+    # negating one non-identity coset block of the conjugator leaves it
+    # unitary and the algebra part unchanged, but flips the sign of the
+    # blocks that U_g moves into or out of that coset
+    original = crossrep.analyzer._analyze_core
+
+    def negated(Pi, seed, tol):
+        core = original(Pi, seed, tol)
+        size = core.multiplicity * core.pi1.dim
+        core.conjugator = core.conjugator.copy()
+        core.conjugator[:, size : 2 * size] *= -1
+        return core
+
+    _, cov = cute_example()
+    assert len(analyze(cov, seed=11, tol=tol).coset_reps) == 2
+    monkeypatch.setattr(crossrep.analyzer, "_analyze_core", negated)
+    with pytest.raises(BlockStructureViolation):
+        analyze(cov, seed=11, tol=tol)
 
 
 def test_analyze_rejects_reducible(tol):
@@ -416,3 +445,20 @@ def test_psi_block_matches_corner(tol):
     report = cyclic_analyze(cov, seed=11, tol=tol)
     psi_gen = report.base.psi.unitaries[1]  # grounded generator = sigma^m
     assert np.linalg.norm(psi_gen - report.V) < 1e-7
+
+
+def test_projective_end_dim_matches_commutant(rng, tol):
+    from crossrep.analyzer import _projective_end_dim
+    from crossrep.reps import commutant_basis
+
+    # the multiplicity-space family of the doubled example is irreducible;
+    # the identity family on C^3 has the full 3 x 3 commutant
+    lam = analyze(doubled_minimal_covariant(), seed=5, tol=tol).lambda_rep.mats
+    identity = [np.eye(3, dtype=complex)] * 4
+    for mats in (lam, identity):
+        r = mats[0].shape[0]
+        expected = len(commutant_basis(Rep(r, {f"L{i}": L for i, L in enumerate(mats)}), tol))
+        assert _projective_end_dim(mats, tol) == expected
+    # unitaries that are no projective representation give no dimension
+    with pytest.raises(InvariantViolation):
+        _projective_end_dim([np.eye(2), random_unitary(2, rng), random_unitary(2, rng)], tol)
