@@ -43,18 +43,17 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
+    orthonormal_span,
     scalar_quotient,
     unitary_eigenspaces,
 )
 from .reps import (
     CovariantRep,
     Rep,
-    _equiv_irreducibles,
     covariant_equivalence,
     decompose,
     evaluate,
     induce,
-    is_irreducible,
     rep_compose,
     rep_end_dim,
     rep_equivalence,
@@ -208,9 +207,9 @@ class _Core:
 
 
 def _analyze_core(Pi: CovariantRep, seed: int, tol: Tolerance) -> _Core:
+    """Stabilizer and conjugator of a covariant representation already
+    known to be valid and irreducible."""
     G = Pi.group
-    if not Pi.is_irreducible(tol):
-        raise NotIrreducible("covariant representation is reducible")
     if isinstance(Pi.action, GroupAction):
         dec = decompose(trivial_covariant(Pi.base, Pi.action), seed, tol)
         pi1, r = dec.components[0][0].base, dec.components[0][1]
@@ -256,7 +255,8 @@ def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureRe
     psi = CovariantRep(psi_base, sub_action, psi_unitaries)
     induced = induce(psi, Pi.action, H, reps_list)
     _check_carried(Pi, C, induced, "conjugator")
-    if not psi.is_irreducible(tol):
+    # psi is covariant because Pi is and C carries Pi onto Ind psi
+    if psi.end_dim(tol) != 1:
         raise BlockStructureViolation("stabilizer block representation is reducible")
 
     # perms[g][j] is the i with c_i g in H c_j
@@ -309,8 +309,9 @@ def analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> St
     ``induce(report.psi, action, H, coset_reps)``; the permutation,
     block-unitary and projective tensor-factor data are read from it.
     """
-    core = _analyze_core(Pi, seed, tol)
-    return _finish_report(Pi, core, tol)
+    if not Pi.is_irreducible(tol):
+        raise NotIrreducible("covariant representation is reducible")
+    return _finish_report(Pi, _analyze_core(Pi, seed, tol), tol)
 
 
 @dataclass
@@ -340,7 +341,8 @@ def _require_cyclic(G: FiniteGroup):
 
 
 def _cyclic_canonical_form(Pi: CovariantRep, seed: int, tol: Tolerance):
-    """Analysis in shift-with-corner form.
+    """Analysis in shift-with-corner form of a covariant representation
+    already known to be valid and irreducible.
 
     With coset representatives 0..m-1 the induced conjugator already has
     identity shift blocks, and the corner is V = psi(U^m).
@@ -369,52 +371,48 @@ def _cyclic_canonical_form(Pi: CovariantRep, seed: int, tol: Tolerance):
 def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> CyclicReport:
     """Canonical cyclic form plus fixed-point-algebra analysis.
 
-    Requires a concrete block-algebra action (the fixed-point subalgebra
-    of an abstract generator action is not computable).
+    The restriction of pi1 to the fixed-point algebra is read from the
+    corner V: its image is the commutant of V, so the fixed-point
+    irreducibles are the compressions ``alpha_diag`` of that image to the
+    eigenspaces of V, one each.  Requires a concrete block-algebra action
+    (the fixed-point subalgebra of an abstract generator action is not
+    computable).
     """
     if not isinstance(Pi.action, GroupAction):
         raise InvariantViolation("fixed-point analysis needs a GroupAction on a MatAlg")
+    if not Pi.is_irreducible(tol):
+        raise NotIrreducible("covariant representation is reducible")
     report, m, k, V = _cyclic_canonical_form(Pi, seed, tol)
     pi1 = report.base_irrep
     d1 = pi1.dim
 
     spectrum = unitary_eigenspaces(V, tol)
     for val, _ in spectrum:
-        if abs(val**k - 1) > 1e-6:
+        if abs(val**k - 1) > tol.identity_bound(1.0):
             raise CanonicalFormViolation("corner spectrum is not inside the k-th roots")
 
+    # pi1 is irreducible and V implements alpha_m on it, so pi1(A^alpha) lies
+    # in {V}' = sum_lambda B(E_lambda); the two checks below prove equality,
+    # which makes the compressions to the eigenspaces E_lambda irreducible,
+    # pairwise inequivalent and the whole restriction multiplicity free
     basis, _ = fixed_point_algebra(Pi.action, tol)
     alg = Pi.action.algebra
     fix_images = {f"fix{i}": evaluate(pi1, alg, b) for i, b in enumerate(basis)}
-    pi1_fixed = Rep(d1, fix_images)
-
-    dec = decompose(pi1_fixed, seed, tol)
-    for _, mult in dec.components:
-        if mult != 1:
-            raise CanonicalFormViolation(
-                "restriction to the fixed-point algebra is not multiplicity free"
-            )
-    eta = len(spectrum)
-    if len(dec.components) != eta:
+    bound = tol.identity_bound(d1)
+    for M in fix_images.values():
+        if np.linalg.norm(M @ V - V @ M) > bound:
+            raise CanonicalFormViolation("a fixed-point image does not commute with the corner")
+    corner_commutant = sum(iso.shape[1] ** 2 for _, iso in spectrum)
+    span = len(orthonormal_span(list(fix_images.values()), tol))
+    if span != corner_commutant:
         raise CanonicalFormViolation(
-            f"fixed-point irreducible count {len(dec.components)} != corner spectrum size {eta}"
+            f"fixed-point images span {span} dimensions, the corner's commutant {corner_commutant}"
         )
 
-    alpha_diag = []
-    for _, iso in spectrum:
-        comp = Rep(iso.shape[1], {l: iso.conj().T @ M @ iso for l, M in fix_images.items()})
-        if not is_irreducible(comp, tol):
-            raise CanonicalFormViolation("a diagonal fixed-point block is reducible")
-        alpha_diag.append(comp)
-    for i in range(len(alpha_diag)):
-        for j in range(i + 1, len(alpha_diag)):
-            # both blocks were just tested irreducible: one intertwiner solve
-            if _equiv_irreducibles(alpha_diag[i], alpha_diag[j], tol).equivalent:
-                raise CanonicalFormViolation(
-                    "diagonal fixed-point blocks are pairwise equivalent; "
-                    "minimal piece is not minimal"
-                )
-
+    alpha_diag = [
+        Rep(iso.shape[1], {l: iso.conj().T @ M @ iso for l, M in fix_images.items()})
+        for _, iso in spectrum
+    ]
     return CyclicReport(
         base=report,
         m=m,
@@ -422,8 +420,8 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
         V=V,
         spectrum_of_V=spectrum,
         alpha_diag=alpha_diag,
-        eta=eta,
-        fixed_pt_irreps=dec.components,
+        eta=len(spectrum),
+        fixed_pt_irreps=[(block, 1) for block in sorted(alpha_diag, key=lambda r: r.dim)],
         minimal_piece_is_minimal=True,
     )
 
@@ -507,7 +505,8 @@ def build_cyclic_irrep(
     sub_action, _ = restrict_action(action, H)
     psi = CovariantRep(pi1, sub_action, [np.linalg.matrix_power(V, j) for j in range(k)])
     cov = induce(psi, action, H, list(range(m)))
-    if not cov.is_irreducible(tol):
+    # psi is covariant by the preconditions, so Ind psi is too
+    if cov.end_dim(tol) != 1:
         raise InvariantViolation("constructed representation is unexpectedly reducible")
     return cov
 
@@ -576,7 +575,7 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     if G != S3 or G.labels != S3.labels:
         raise InvariantViolation("group must be the standard 3-letter permutation group")
     if not Pi.is_irreducible(tol):
-        raise NotIrreducible("representation is reducible")
+        raise NotIrreducible("covariant representation is reducible")
 
     U_eta = Pi.unitaries[S3_ETA]
     U_tau = Pi.unitaries[S3_TAU]
@@ -588,9 +587,10 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         [np.eye(Pi.dim, dtype=complex), U_eta, U_eta @ U_eta],
     )
 
-    if z3_cov.is_irreducible(tol):
+    # z3_cov is the restriction of Pi to a subgroup, so it is covariant
+    if z3_cov.end_dim(tol) == 1:
         if rep_end_dim(Pi.base, Pi.action, tol) == 1:
-            report = analyze(Pi, seed, tol)
+            report = _finish_report(Pi, _analyze_core(Pi, seed, tol), tol)
             return S3Class(
                 case="Minimal",
                 pi1=report.base_irrep,
@@ -647,7 +647,8 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
             eta_block=eta_block,
         )
 
-    # both stages split: the representation is regular
+    # both stages split: the representation is regular; Pi = Ind half_cov is
+    # irreducible, so half_cov is too
     half_report, m, k, _ = _cyclic_canonical_form(half_cov, seed, tol)
     if m != 3:
         raise BlockStructureViolation("regular case needs a full 3-cycle orbit")

@@ -195,24 +195,19 @@ def spectral_projection(action: GroupAction, chi, x: AlgElement) -> AlgElement:
     projection is ``(dim/|G|) sum_g conj(chi(g)) alpha_g(x)`` and the
     trivial character yields the group average into the fixed-point algebra.
     """
+    return action.algebra.from_coeffs(projection_matrix(action, chi) @ x.coeffs())
+
+
+def projection_matrix(action: GroupAction, chi) -> np.ndarray:
+    """The projection as a d x d matrix on the coefficient space of A:
+    ``(dim/|G|) sum_g conj(chi(g)) M_g^T`` with ``M_g`` the coefficient
+    matrix of alpha_g, whose row i is alpha_g(e_i)."""
     chi = np.asarray(chi, dtype=complex)
     G = action.group
     if chi.shape != (G.order,):
         raise InvariantViolation("character must have one value per group element")
-    dim = chi[G.identity].real
-    out = action.algebra.zero()
-    for g in range(G.order):
-        out = out + (np.conj(chi[g]) * dim / G.order) * action.apply(g, x)
-    return out
-
-
-def projection_matrix(action: GroupAction, chi) -> np.ndarray:
-    """The projection as a d x d matrix on the coefficient space of A."""
-    cols = [
-        spectral_projection(action, chi, e).coeffs()
-        for e in action.algebra.basis_elements()
-    ]
-    return np.array(cols).T
+    weights = np.conj(chi) * chi[G.identity].real / G.order
+    return np.tensordot(weights, np.array([a.coefficient_matrix.T for a in action.auts]), axes=1)
 
 
 def fixed_point_algebra(

@@ -337,35 +337,29 @@ class CharacterTable:
                 raise InvariantViolation("off-identity column sum does not vanish")
 
 
-def _left_regular_rep(G: FiniteGroup):
-    from .reps import Rep  # deferred: reps depends on nothing here
-
-    n = G.order
-    gens = {}
-    for g in range(n):
-        M = np.zeros((n, n), dtype=complex)
-        for j in range(n):
-            M[G.mul(g, j), j] = 1.0
-        gens[G.labels[g]] = M
-    return Rep(n, gens)
-
-
 def character_table(
     G: FiniteGroup, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> CharacterTable:
-    """Character table computed by decomposing the left regular representation.
+    """Character table computed by decomposing the regular representation.
 
-    Each irrep of the group algebra appears in the regular representation
-    with multiplicity equal to its dimension; characters are read off as
-    traces of the irreducible components.
+    The regular representation is Ind_{e}^G 1: the regular representation of
+    the one-dimensional algebra under the trivial action, which the character
+    engine decomposes.  Each irrep appears in it with multiplicity equal to
+    its dimension; characters are read off as traces of the group unitaries
+    of the irreducible components.
     """
-    from .reps import decompose
+    # deferred: algebra and reps import this module
+    from .algebra import GroupAction, MatAlg, StarAut
+    from .reps import decompose, defining_rep, regular_representation
 
+    point = MatAlg([1])
+    trivial = GroupAction(G, point, [StarAut.identity(point)] * G.order)
+    regular = regular_representation(defining_rep(point), trivial)
     classes = G.conjugacy_classes()
     last_err = None
     for attempt in range(3):
         try:
-            dec = decompose(_left_regular_rep(G), seed + 17 * attempt, tol)
+            dec = decompose(regular, seed + 17 * attempt, tol)
             rows = []
             for irrep, mult in dec.components:
                 dim = irrep.dim
@@ -373,9 +367,7 @@ def character_table(
                     raise InvariantViolation(
                         f"regular multiplicity {mult} != dimension {dim}"
                     )
-                per_element = np.array(
-                    [np.trace(irrep.gens[G.labels[g]]) for g in range(G.order)]
-                )
+                per_element = np.trace(np.array(irrep.unitaries), axis1=1, axis2=2)
                 per_class = []
                 for cls in classes:
                     vals = per_element[list(cls)]

@@ -463,15 +463,20 @@ class CovariantRep:
                         f"covariance fails at element {g} on generator {label!r}"
                     )
 
-    def is_irreducible(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        """Over a :class:`GroupAction`: :meth:`validate`, then the character sum
-        ``hom_dim(self, self) == 1``, an exact integer with no rank decision.
-        Over a :class:`LabelAction`: the intertwiner solve on the joint
-        generating set."""
+    def end_dim(self, tol: Tolerance = DEFAULT_TOL) -> int:
+        """dim End(self), for a representation already known to be valid.
+
+        Over a :class:`GroupAction` the character sum ``hom_dim(self, self)``,
+        an exact integer with no rank decision; over a :class:`LabelAction`
+        the dimension of the commutant of the joint generating set."""
         if isinstance(self.action, GroupAction):
-            self.validate(tol)
-            return hom_dim(self, self, tol) == 1
-        return is_irreducible(self.joint_rep(), tol)
+            return hom_dim(self, self, tol)
+        return len(commutant_basis(self.joint_rep(), tol))
+
+    def is_irreducible(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """:meth:`validate`, then :meth:`end_dim` == 1, over either action type."""
+        self.validate(tol)
+        return self.end_dim(tol) == 1
 
 
 def _unit_pattern(algebra: MatAlg):
@@ -595,23 +600,21 @@ def covariant_equivalence(
 def trivial_covariant(pi: Rep, action) -> CovariantRep:
     """``pi`` as a covariant representation over the trivial subgroup, U_e = 1.
 
-    Its Hom spaces are those of representations of the algebra alone, so
-    over a :class:`GroupAction` the character engine decides irreducibility
-    and equivalence of ``pi`` and its translates (``pi`` must then be
-    labeled by the matrix units).  Over either action type it is the
-    trivial psi that :func:`induce` turns into the regular representation.
+    Its Hom spaces are those of representations of the algebra alone: over
+    a :class:`GroupAction` the character engine decides irreducibility and
+    equivalence of ``pi`` and its translates (``pi`` must then be labeled by
+    the matrix units), and over a :class:`LabelAction` the joint generating
+    set only gains U_e = 1, which leaves every intertwiner space unchanged.
+    Over either action type it is the trivial psi that :func:`induce` turns
+    into the regular representation.
     """
     return CovariantRep(pi, action.trivial_restriction, [np.eye(pi.dim, dtype=complex)])
 
 
 def rep_end_dim(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> int:
     """dim End(pi) for a representation of the algebra an action acts on:
-    the character sum of :func:`trivial_covariant` for a :class:`GroupAction`,
-    the commutant solve otherwise."""
-    if isinstance(action, GroupAction):
-        cov = trivial_covariant(pi, action)
-        return hom_dim(cov, cov, tol)
-    return len(commutant_basis(pi, tol))
+    :meth:`CovariantRep.end_dim` of its :func:`trivial_covariant`."""
+    return trivial_covariant(pi, action).end_dim(tol)
 
 
 def rep_equivalence(
@@ -619,13 +622,11 @@ def rep_equivalence(
 ) -> Equivalence:
     """Unitary equivalence of two irreducible representations of the algebra
     an action acts on: :func:`covariant_equivalence` of their
-    :func:`trivial_covariant` s for a :class:`GroupAction`, one intertwiner
-    solve otherwise.  Neither input is re-tested for irreducibility."""
-    if isinstance(action, GroupAction):
-        return covariant_equivalence(
-            trivial_covariant(pi1, action), trivial_covariant(pi2, action), tol, seed
-        )
-    return _equiv_irreducibles(pi1, pi2, tol)
+    :func:`trivial_covariant` s.  Neither input is re-tested for
+    irreducibility."""
+    return covariant_equivalence(
+        trivial_covariant(pi1, action), trivial_covariant(pi2, action), tol, seed
+    )
 
 
 def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> CovariantRep:

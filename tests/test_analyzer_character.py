@@ -1,10 +1,11 @@
 """The analyzer on the character engine.
 
 Over a ``GroupAction`` every irreducibility, equivalence and decomposition
-decision that ``analyze``, ``cyclic_analyze`` and ``classify_s3`` take at the
-size of the representation is a character sum or a group-and-algebra
-average.  The intertwiner solves left are the multiplicity-space family and
-the fixed-point-algebra pieces, both smaller than the representation.
+decision that ``analyze``, ``cyclic_analyze``, ``classify_s3`` and
+``character_table`` take is a character sum, a group-and-algebra average or,
+for the fixed-point pieces of ``cyclic_analyze``, the commutant of the
+corner unitary: none of them makes an intertwiner solve.  The solve route
+kept for plain ``Rep`` inputs is the reference for the fixed-point pieces.
 """
 
 import numpy as np
@@ -12,13 +13,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossrep.analyzer
 import crossrep.linalg
 import crossrep.reps
+from crossrep.algebra import GroupAction, MatAlg, StarAut
 from crossrep.analyzer import analyze, classify_s3, cyclic_analyze
-from crossrep.examples import cute_example, torus_orbit_action, torus_orbit_evaluation
-from crossrep.groups import make_symmetric_group_3
+from crossrep.crossed import fixed_point_algebra
+from crossrep.errors import CanonicalFormViolation
+from crossrep.examples import (
+    cute_example,
+    inner_z8_minimal,
+    product_cyclic_group,
+    rotation_action,
+    torus_orbit_action,
+    torus_orbit_evaluation,
+)
+from crossrep.groups import character_table, make_cyclic_group, make_symmetric_group_3
 from crossrep.linalg import random_unitary
-from crossrep.reps import Rep, evaluate, regular_representation, rep_compose
+from crossrep.reps import (
+    CovariantRep,
+    Rep,
+    are_equivalent,
+    decompose,
+    defining_rep,
+    evaluate,
+    is_irreducible,
+    regular_representation,
+    rep_compose,
+    rep_from_images,
+)
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 
 
@@ -34,7 +57,7 @@ def _torus_regular():
 
 # (analyzer, input, S3 case or None); the S3 inputs are the first crossed
 # irreducible of actions whose first component has that shape
-SOLVE_CASES = {
+ANALYZER_CASES = {
     "classify_s3 Minimal": (classify_s3, lambda: _s3_irrep("inner", 2, 0), "Minimal"),
     "classify_s3 EtaTriple": (classify_s3, lambda: _s3_irrep("permutation", 1, 0), "EtaTriple"),
     "classify_s3 TauPair": (classify_s3, lambda: _s3_irrep("permutation", 2, 0), "TauPair"),
@@ -42,12 +65,18 @@ SOLVE_CASES = {
     "cyclic_analyze cute": (cyclic_analyze, lambda: cute_example()[1], None),
     "analyze S3 regular": (analyze, _torus_regular, None),
 }
+SOLVE_CASES = {
+    **ANALYZER_CASES,
+    "character_table Z8": (character_table, lambda: make_cyclic_group(8), None),
+    "character_table S3": (character_table, make_symmetric_group_3, None),
+    "character_table Z3xZ3": (character_table, lambda: product_cyclic_group(3), None),
+}
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_CASES))
 def test_no_sylvester_solve_at_representation_size(name, monkeypatch, tol):
     analyzer, make, case = SOLVE_CASES[name]
-    Pi = make()
+    arg = make()
     sizes = []
     original = crossrep.linalg.solve_sylvester_family
 
@@ -58,10 +87,103 @@ def test_no_sylvester_solve_at_representation_size(name, monkeypatch, tol):
 
     monkeypatch.setattr(crossrep.linalg, "solve_sylvester_family", counting)
     monkeypatch.setattr(crossrep.reps, "solve_sylvester_family", counting)
-    out = analyzer(Pi, seed=3, tol=tol)
+    out = analyzer(arg, seed=3, tol=tol)
     if case is not None:
         assert out.case == case
-    assert all(Pi.dim not in pq for pq in sizes), sizes
+    assert sizes == []
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZER_CASES))
+def test_analyzer_validates_its_input_once(name, monkeypatch, tol):
+    analyzer, make, _ = ANALYZER_CASES[name]
+    Pi = make()
+    validated = []
+    original = CovariantRep.validate
+
+    def recording(self, tol=crossrep.linalg.DEFAULT_TOL):
+        # the list keeps every validated object alive, so ids stay distinct
+        validated.append(self)
+        return original(self, tol)
+
+    monkeypatch.setattr(CovariantRep, "validate", recording)
+    analyzer(Pi, seed=3, tol=tol)
+    assert sum(cov is Pi for cov in validated) == 1
+    assert len({id(cov) for cov in validated}) == len(validated)
+
+
+def _fixed_point_reference(report, action, tol):
+    """The restriction of pi1 to the fixed-point algebra decomposed by the
+    intertwiner solve, as sorted (dim, multiplicity) pairs; also checks by
+    solves that every corner-eigenspace block is irreducible and that the
+    blocks are pairwise inequivalent."""
+    basis, _ = fixed_point_algebra(action, tol)
+    pi1 = report.base.base_irrep
+    images = {f"fix{i}": evaluate(pi1, action.algebra, b) for i, b in enumerate(basis)}
+    dec = decompose(Rep(pi1.dim, images), seed=0, tol=tol)
+    blocks = report.alpha_diag
+    assert all(is_irreducible(b, tol) for b in blocks)
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            assert not are_equivalent(blocks[i], blocks[j], tol).equivalent
+    return sorted((r.dim, m) for r, m in dec.components)
+
+
+def _rotation_regular():
+    act = rotation_action(3)
+    return act, regular_representation(rep_from_images(act.algebra, lambda e: e.blocks[0]), act)
+
+
+def _inner_degenerate_corner():
+    # Ad diag(1, 1, i) on M_3: the corner has a two-dimensional eigenspace,
+    # so one fixed-point piece is two-dimensional and listed after the other
+    A = MatAlg([3])
+    powers = [np.linalg.matrix_power(np.diag([1, 1, 1j]), g) for g in range(4)]
+    act = GroupAction(make_cyclic_group(4), A, [StarAut(A, (0,), [D]) for D in powers])
+    return act, CovariantRep(defining_rep(A), act, powers)
+
+
+def _crossed(n, blocks, seed, index):
+    act = random_cyclic_action(n, blocks, np.random.default_rng(seed))
+    return act, crossed_irreps(act, seed=0)[index]
+
+
+FIXED_POINT_CASES = {
+    "cute": cute_example,
+    "inner_z8": inner_z8_minimal,
+    "inner Z4 on M3": _inner_degenerate_corner,
+    "rotation(3) regular": _rotation_regular,
+    **{f"Z6[1,1,2]#{i}": (lambda i=i: _crossed(6, [1, 1, 2], 41, i)) for i in range(4)},
+    **{f"Z4[2,2,1]#{i}": (lambda i=i: _crossed(4, [2, 2, 1], 0, i)) for i in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_POINT_CASES))
+def test_fixed_point_pieces_match_decompose_reference(name, tol):
+    act, cov = FIXED_POINT_CASES[name]()
+    report = cyclic_analyze(cov, seed=5, tol=tol)
+    got = [(r.dim, m) for r, m in report.fixed_pt_irreps]
+    assert got == sorted(got)
+    assert got == _fixed_point_reference(report, act, tol)
+    assert len(got) == report.eta
+
+
+@pytest.mark.parametrize(
+    "fixed, message",
+    [
+        (lambda alg: alg.basis_elements(), "does not commute with the corner"),
+        (lambda alg: [alg.unit()], "the corner's commutant"),
+    ],
+    ids=["whole algebra", "unit only"],
+)
+def test_fixed_point_checks_reject_a_wrong_algebra(fixed, message, monkeypatch, tol):
+    _, cov = cute_example()
+
+    def wrong(action, tol=crossrep.linalg.DEFAULT_TOL):
+        return fixed(action.algebra), None
+
+    monkeypatch.setattr(crossrep.analyzer, "fixed_point_algebra", wrong)
+    with pytest.raises(CanonicalFormViolation, match=message):
+        cyclic_analyze(cov, seed=11, tol=tol)
 
 
 def _assert_permutes_and_twists(act):

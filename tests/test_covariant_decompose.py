@@ -16,7 +16,8 @@ import crossrep.reps
 from crossrep.algebra import GroupAction, MatAlg, StarAut
 from crossrep.crossed import build_crossed_model
 from crossrep.errors import DecompositionFailed, InvariantViolation
-from crossrep.examples import first_s3_example, s3_label_action
+from crossrep.analyzer import classify_s3
+from crossrep.examples import first_s3_example, minimal_covariant, s3_label_action
 from crossrep.groups import make_cyclic_group
 from crossrep.linalg import Tolerance
 from crossrep.reps import (
@@ -179,6 +180,15 @@ def test_non_covariant_input_rejected():
 def test_non_covariant_input_gets_no_irreducibility_verdict(tol):
     with pytest.raises(InvariantViolation):
         _non_covariant().is_irreducible(tol)
+
+
+def test_label_action_non_covariant_input_gets_no_irreducibility_verdict(tol):
+    # identity unitaries are a homomorphism but do not permute the generators
+    cov = CovariantRep(minimal_covariant().base, s3_label_action(), [np.eye(2)] * 6)
+    with pytest.raises(InvariantViolation):
+        cov.is_irreducible(tol)
+    with pytest.raises(InvariantViolation):
+        classify_s3(cov, seed=0, tol=tol)
 
 
 def test_non_multiplicative_base_fails_character_sum(tol):

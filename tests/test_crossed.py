@@ -164,6 +164,41 @@ def test_projections_idempotent_orthogonal_and_exhaustive(rng, tol):
     assert total_rank == act.algebra.linear_dim
 
 
+def _projection_by_loop(action, chi):
+    """Column j is (dim/|G|) sum_g conj(chi(g)) alpha_g(e_j), one element at a time."""
+    G = action.group
+    dim = chi[G.identity].real
+    cols = []
+    for e in action.algebra.basis_elements():
+        out = action.algebra.zero()
+        for g in range(G.order):
+            out = out + (np.conj(chi[g]) * dim / G.order) * action.apply(g, e)
+        cols.append(out.coeffs())
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize(
+    "make_action",
+    [
+        lambda: random_cyclic_action(4, [2, 2, 1], np.random.default_rng(0)),
+        lambda: random_s3_action(np.random.default_rng(0), "conjugated"),
+    ],
+    ids=["Z4[2,2,1] twisted", "S3 conjugated"],
+)
+def test_projection_matrix_matches_loop_reference(make_action, rng, tol):
+    act = make_action()
+    ct = character_table(act.group, seed=0, tol=tol)
+    x = act.algebra.random_element(rng)
+    for r in range(ct.n_irreps):
+        chi = ct.char_vector(r)
+        want = _projection_by_loop(act, chi)
+        # the sum runs in another order: equal to a few ulps of complex128
+        bound = 1e-12 * max(1.0, np.linalg.norm(want))
+        assert np.linalg.norm(projection_matrix(act, chi) - want) <= bound
+        px = spectral_projection(act, chi, x).coeffs()
+        assert np.linalg.norm(px - want @ x.coeffs()) <= bound * np.linalg.norm(x.coeffs())
+
+
 def test_fixed_point_trivial_action():
     A = MatAlg([2])
     act = GroupAction(make_cyclic_group(1), A, [StarAut.identity(A)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crossrep.errors import InvariantViolation
+from crossrep.examples import product_cyclic_group
 from crossrep.groups import (
     FiniteGroup,
     S3_E,
@@ -15,6 +16,7 @@ from crossrep.groups import (
     right_coset_reps,
     subgroup_closure,
 )
+from crossrep.reps import Rep, decompose
 
 
 def test_trivial_group():
@@ -181,3 +183,38 @@ def test_validate_rejects_corrupted_table(tol):
     ct.chars[0, 1] += 0.5
     with pytest.raises(InvariantViolation):
         ct.validate(1e-8)
+
+
+def _left_regular_characters(G, seed, tol):
+    """(dim, multiplicity, per-element character) of every component of the
+    left regular representation as a plain Rep, decomposed by the
+    intertwiner solve."""
+    n = G.order
+    gens = {}
+    for g in range(n):
+        M = np.zeros((n, n), dtype=complex)
+        for j in range(n):
+            M[G.mul(g, j), j] = 1.0
+        gens[G.labels[g]] = M
+    dec = decompose(Rep(n, gens), seed, tol)
+    return [
+        (irrep.dim, mult, np.array([np.trace(irrep.gens[G.labels[g]]) for g in range(n)]))
+        for irrep, mult in dec.components
+    ]
+
+
+@pytest.mark.parametrize(
+    "G",
+    [make_cyclic_group(4), make_cyclic_group(8), make_symmetric_group_3(),
+     product_cyclic_group(2), product_cyclic_group(3)],
+    ids=["Z4", "Z8", "S3", "Z2xZ2", "Z3xZ3"],
+)
+@pytest.mark.parametrize("seed", [0, 99])
+def test_character_table_matches_left_regular_reference(G, seed, tol):
+    reference = _left_regular_characters(G, seed, tol)
+    ct = character_table(G, seed=seed, tol=tol)
+    assert all(mult == dim for dim, mult, _ in reference)
+    assert sorted(dim for dim, _, _ in reference) == ct.dims
+    rows = [ct.char_vector(r) for r in range(ct.n_irreps)]
+    for _, _, chi in reference:
+        assert sum(np.max(np.abs(row - chi)) < 1e-8 for row in rows) == 1
