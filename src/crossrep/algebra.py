@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, InvariantViolation
 from .groups import FiniteGroup, Subgroup
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, block_diag
 
 __all__ = [
     "MatAlg",
@@ -140,7 +139,7 @@ class AlgElement:
 
     def to_matrix(self) -> np.ndarray:
         """Block-diagonal embedding on the defining representation space."""
-        return scipy.linalg.block_diag(*self.blocks).astype(complex)
+        return block_diag(*self.blocks)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs()))

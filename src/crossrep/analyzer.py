@@ -50,6 +50,7 @@ from .linalg import (
 from .reps import (
     CovariantRep,
     Rep,
+    _decompose_covariant,
     covariant_equivalence,
     decompose,
     evaluate,
@@ -211,7 +212,8 @@ def _analyze_core(Pi: CovariantRep, seed: int, tol: Tolerance) -> _Core:
     known to be valid and irreducible."""
     G = Pi.group
     if isinstance(Pi.action, GroupAction):
-        dec = decompose(trivial_covariant(Pi.base, Pi.action), seed, tol)
+        # U_e = 1 over the trivial subgroup: valid because the action is
+        dec = _decompose_covariant(trivial_covariant(Pi.base, Pi.action), seed, tol)
         pi1, r = dec.components[0][0].base, dec.components[0][1]
     else:
         dec = decompose(Pi.base, seed, tol)
@@ -610,8 +612,10 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         )
 
     # the 3-cycle restriction is reducible: exactly two swapped blocks
-    z3_restriction = z3_cov if isinstance(Pi.action, GroupAction) else z3_cov.joint_rep()
-    dec = decompose(z3_restriction, seed, tol)
+    if isinstance(Pi.action, GroupAction):
+        dec = _decompose_covariant(z3_cov, seed, tol)
+    else:
+        dec = decompose(z3_cov.joint_rep(), seed, tol)
     if len(dec.components) != 2 or any(m != 1 for _, m in dec.components) or (
         dec.components[0][0].dim != dec.components[1][0].dim
     ):

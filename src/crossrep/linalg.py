@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NotUnitary
 
@@ -19,6 +18,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "nullspace",
+    "block_diag",
     "unitary_eigenspaces",
     "solve_sylvester_family",
     "orthonormal_span",
@@ -84,6 +84,17 @@ def nullspace(M, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     return [vh[j].conj() for j in range(rank, cols)]
 
 
+def block_diag(*blocks) -> np.ndarray:
+    """Complex block-diagonal matrix with the given matrices as its blocks."""
+    blocks = [as_matrix(b) for b in blocks]
+    out = np.zeros(tuple(sum(b.shape[i] for b in blocks) for i in (0, 1)), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def _cluster_unit_circle(eigs: np.ndarray, gap: float) -> list[list[int]]:
     """Group indices of unit-modulus eigenvalues whose angular distance < gap."""
     angles = np.mod(np.angle(eigs), 2 * np.pi)
@@ -111,7 +122,9 @@ def unitary_eigenspaces(
     Returns ``[(lambda_c, Q_c), ...]`` where each ``Q_c`` has orthonormal
     columns spanning the eigenspace of the cluster around ``lambda_c``.
     Eigenvalues closer than ``tol.eig_sep`` on the unit circle are merged.
-    Clusters are ordered by the angle of their eigenvalue in [0, 2*pi).
+    Clusters are ordered by the angle of their eigenvalue, counted from
+    ``-tol.eig_sep``: a cluster at 1 comes first whichever side of the
+    real axis rounding puts it on.
 
     Raises :class:`NotUnitary` when ``||U*U - 1|| > abs_eps`` (scaled by dim).
     """
@@ -119,20 +132,34 @@ def unitary_eigenspaces(
     n = U.shape[0]
     if U.shape[0] != U.shape[1]:
         raise DimensionMismatch("unitary_eigenspaces needs a square matrix")
-    defect = np.linalg.norm(U.conj().T @ U - np.eye(n))
+    I = np.eye(n)
+    defect = np.linalg.norm(U.conj().T @ U - I)
     if defect > tol.abs_eps * max(1.0, np.sqrt(n)):
         raise NotUnitary(f"matrix is not unitary: ||U*U - 1|| = {defect:.3e}")
-    # U is normal, so its complex Schur form is diagonal and the Schur basis
-    # is an orthonormal eigenbasis.
-    T, Q = scipy.linalg.schur(U, output="complex")
-    eigs = np.diag(T)
+    if n == 0:
+        return []
+    # U is normal, so for a point zeta of the circle off its spectrum the
+    # Cayley transform H = i(1+V)^-1(1-V) of V = -conj(zeta) U is Hermitian,
+    # with U's eigenvectors and eigenvalues tan(phi/2) for the eigenvalues
+    # e^{i phi} of V: a one-to-one image of the spectrum, so eigenvalues at
+    # angular distance d stay at distance >= d/2.  The angles +-arccos of
+    # the eigenvalues of (U+U*)/2 contain the spectrum, so the middle of
+    # their widest gap is at least pi/2n from it.
+    cosines = np.linalg.eigvalsh((U + U.conj().T) / 2)
+    half = np.arccos(np.clip(cosines, -1.0, 1.0))
+    angles = np.sort(np.concatenate([half, -half]))
+    gaps = np.append(angles[1:], angles[0] + 2 * np.pi) - angles
+    i = int(np.argmax(gaps))
+    V = -np.exp(-1j * (angles[i] + gaps[i] / 2)) * U
+    H = 1j * np.linalg.solve(I + V, I - V)
+    _, Q = np.linalg.eigh((H + H.conj().T) / 2)
+    # Rayleigh quotients q* U q of the eigenvectors
+    eigs = np.einsum("ij,ij->j", Q.conj(), U @ Q)
     out = []
     for cluster in _cluster_unit_circle(eigs, tol.eig_sep):
-        val = np.mean(eigs[cluster])
-        val = complex(val / abs(val))
-        iso = Q[:, sorted(cluster)]
-        out.append((val, iso))
-    out.sort(key=lambda pair: np.mod(np.angle(pair[0]), 2 * np.pi))
+        val = eigs[cluster].sum()
+        out.append((complex(val / abs(val)), Q[:, sorted(cluster)]))
+    out.sort(key=lambda pair: np.mod(np.angle(pair[0]) + tol.eig_sep, 2 * np.pi))
     return out
 
 

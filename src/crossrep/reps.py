@@ -22,7 +22,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import AlgElement, GroupAction, LabelAction, MatAlg
 from .errors import (
@@ -38,6 +37,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
+    block_diag,
     phase_normalize,
     random_hermitian,
     solve_sylvester_family,
@@ -339,7 +339,7 @@ def _collect(leaves, witness) -> IrrepDecomposition:
 
 
 def _decompose_covariant(cov: CovariantRep, seed: int, tol: Tolerance) -> IrrepDecomposition:
-    cov.validate(tol)
+    """:func:`decompose` of a covariant representation already known to be valid."""
     end_dim = hom_dim(cov, cov, tol)
     leaves = _covariant_pieces(cov, end_dim, seed, tol)
     dec = _collect(leaves, lambda a, b: covariant_equivalence(a, b, tol, seed).witness)
@@ -368,6 +368,7 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
     independent of the seed, only the basis_change varies.
     """
     if isinstance(r, CovariantRep):
+        r.validate(tol)
         return _decompose_covariant(r, seed, tol)
     leaves = _irreducible_pieces(r, seed, tol)
     return _collect(leaves, lambda a, b: _equiv_irreducibles(a, b, tol).witness)
@@ -644,7 +645,7 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
     # restrict_action regrounds the subgroup in ascending member order
     position = {h: k for k, h in enumerate(subgroup.members)}
     blocks = [rep_compose(psi.base, action, c) for c in coset_reps]
-    gens = {l: scipy.linalg.block_diag(*(b.gens[l] for b in blocks)) for l in psi.base.gens}
+    gens = {l: block_diag(*(b.gens[l] for b in blocks)) for l in psi.base.gens}
     unitaries = []
     for triples in coset_action(subgroup, coset_reps):
         U = np.zeros((m * d, m * d), dtype=complex)

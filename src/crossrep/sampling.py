@@ -12,7 +12,7 @@ import numpy as np
 from .algebra import GroupAction, MatAlg, StarAut
 from .crossed import build_crossed_model
 from .groups import make_cyclic_group, make_symmetric_group_3
-from .linalg import DEFAULT_TOL, Tolerance, random_unitary
+from .linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
 from .reps import CovariantRep, Rep, decompose, rep_from_images
 
 __all__ = [
@@ -96,10 +96,8 @@ def _s3_rep_on(dim: int, rng: np.random.Generator):
         parts.append(kind)
         left -= 2 if kind == "standard" else 1
     G = make_symmetric_group_3()
-    import scipy.linalg
-
-    eta = scipy.linalg.block_diag(*[_s3_irrep_mats(k)[0] for k in parts]).astype(complex)
-    tau = scipy.linalg.block_diag(*[_s3_irrep_mats(k)[1] for k in parts]).astype(complex)
+    eta = block_diag(*[_s3_irrep_mats(k)[0] for k in parts])
+    tau = block_diag(*[_s3_irrep_mats(k)[1] for k in parts])
     Q = random_unitary(dim, rng)
     eta, tau = Q @ eta @ Q.conj().T, Q @ tau @ Q.conj().T
     mats = [np.eye(dim, dtype=complex), eta, eta @ eta, tau, eta @ tau, eta @ eta @ tau]

@@ -108,6 +108,8 @@ def test_analyzer_validates_its_input_once(name, monkeypatch, tol):
     monkeypatch.setattr(CovariantRep, "validate", recording)
     analyzer(Pi, seed=3, tol=tol)
     assert sum(cov is Pi for cov in validated) == 1
+    # the trivial-subgroup representation of Pi.base is valid once Pi is
+    assert sum(cov.group.order == 1 for cov in validated) == 0
     assert len({id(cov) for cov in validated}) == len(validated)
 
 
@@ -254,7 +256,14 @@ def _verdicts(cov, seed, tol):
         out.update(case=verdict.case, s3_multiplicity=verdict.multiplicity)
     else:
         cyc = cyclic_analyze(cov, seed, tol)
-        out.update(m=cyc.m, k=cyc.k)
+        # the corner's eigenvalues are k-th roots of unity, e^{2 pi i j / k} as j
+        roots = [round(np.angle(v) * cyc.k / (2 * np.pi)) % cyc.k for v, _ in cyc.spectrum_of_V]
+        out.update(
+            m=cyc.m,
+            k=cyc.k,
+            corner_spectrum=roots,
+            alpha_diag_dims=[rep.dim for rep in cyc.alpha_diag],
+        )
     return out
 
 

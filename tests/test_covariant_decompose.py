@@ -9,7 +9,6 @@ stacked/Gram switch at p*q = 120.
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import crossrep.linalg
 import crossrep.reps
@@ -19,7 +18,7 @@ from crossrep.errors import DecompositionFailed, InvariantViolation
 from crossrep.analyzer import classify_s3
 from crossrep.examples import first_s3_example, minimal_covariant, s3_label_action
 from crossrep.groups import make_cyclic_group
-from crossrep.linalg import Tolerance
+from crossrep.linalg import Tolerance, block_diag
 from crossrep.reps import (
     CovariantRep,
     IrrepDecomposition,
@@ -44,7 +43,7 @@ from crossrep.sampling import (
 
 def _doubled(cov: CovariantRep) -> CovariantRep:
     base = direct_sum_reps([cov.base, cov.base])
-    return CovariantRep(base, cov.action, [scipy.linalg.block_diag(U, U) for U in cov.unitaries])
+    return CovariantRep(base, cov.action, [block_diag(U, U) for U in cov.unitaries])
 
 
 def _cyclic_model(n, blocks, seed):
@@ -71,7 +70,7 @@ def _non_unital():
     pi = defining_rep(act.algebra)
     zero = Rep(2, {l: np.zeros((2, 2)) for l in pi.gens})
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    U = scipy.linalg.block_diag(swap, swap)
+    U = block_diag(swap, swap)
     return CovariantRep(direct_sum_reps([pi, zero]), act, [np.eye(4), U])
 
 
@@ -120,9 +119,7 @@ def test_covariant_basis_change_reconstructs(cov, tol):
     pairs = [(M, lambda r, l=l: r.base.gens[l]) for l, M in cov.base.gens.items()]
     pairs += [(U, lambda r, g=g: r.unitaries[g]) for g, U in enumerate(cov.unitaries)]
     for M, image in pairs:
-        want = scipy.linalg.block_diag(
-            *[image(r) for r, m in dec.components for _ in range(m)]
-        )
+        want = block_diag(*[image(r) for r, m in dec.components for _ in range(m)])
         assert np.linalg.norm(Q.conj().T @ M @ Q - want) < 1e-7
 
 

@@ -4,6 +4,7 @@ import pytest
 from crossrep.errors import DimensionMismatch, NotUnitary
 from crossrep.linalg import (
     Tolerance,
+    block_diag,
     nullspace,
     orthonormal_span,
     phase_normalize,
@@ -57,6 +58,15 @@ def test_nullspace_residual_bound(rng, tol):
     M = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
     for v in nullspace(M, tol):
         assert np.linalg.norm(M @ v) <= tol.abs_eps * np.linalg.norm(M)
+
+
+def test_block_diag_places_rectangular_blocks():
+    a = np.array([[1.0, 2.0]])
+    b = np.array([[3j], [4.0]])
+    want = np.array([[1, 2, 0], [0, 0, 3j], [0, 0, 4]], dtype=complex)
+    got = block_diag(a, b)
+    assert got.dtype == complex and np.array_equal(got, want)
+    assert block_diag().shape == (0, 0)
 
 
 def test_unitary_eigenspaces_diagonal(tol):
