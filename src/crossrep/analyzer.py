@@ -50,15 +50,15 @@ from .linalg import (
 from .reps import (
     CovariantRep,
     Rep,
+    _block_frame,
     _decompose_covariant,
-    covariant_equivalence,
     decompose,
     evaluate,
     induce,
     rep_compose,
     rep_end_dim,
     rep_equivalence,
-    trivial_covariant,
+    rep_from_images,
 )
 
 __all__ = [
@@ -212,17 +212,19 @@ def _analyze_core(Pi: CovariantRep, seed: int, tol: Tolerance) -> _Core:
     known to be valid and irreducible."""
     G = Pi.group
     if isinstance(Pi.action, GroupAction):
-        # U_e = 1 over the trivial subgroup: valid because the action is
-        dec = _decompose_covariant(trivial_covariant(Pi.base, Pi.action), seed, tol)
-        pi1, r = dec.components[0][0].base, dec.components[0][1]
+        # C0* Pi.base C0 = 1_r (x) pi1 with pi1 the compression to block k
+        alg = Pi.action.algebra
+        k, r, C0 = _block_frame(Pi.base, alg, tol)
+        pi1 = rep_from_images(alg, lambda e: e.blocks[k])
     else:
         dec = decompose(Pi.base, seed, tol)
         pi1, r = dec.components[0]
+        C0 = dec.basis_change[:, : r * pi1.dim]
 
-    # pi1 is an irreducible leaf, so no test re-checks it
+    # pi1 is irreducible, so no test re-checks it
     members, witnesses = [], {}
     for g in range(G.order):
-        eq = rep_equivalence(pi1, rep_compose(pi1, Pi.action, g), Pi.action, tol, seed)
+        eq = rep_equivalence(pi1, rep_compose(pi1, Pi.action, g), Pi.action, tol)
         if eq.equivalent:
             members.append(g)
             # W pi1 W* = pi1 o alpha_g
@@ -232,13 +234,10 @@ def _analyze_core(Pi: CovariantRep, seed: int, tol: Tolerance) -> _Core:
 
     # C0 spans the pi1-isotypic subspace, on which Pi restricts to 1_r (x) pi1;
     # U_c* carries it onto the isotypic subspace of pi1 o alpha_c
-    C0 = dec.basis_change[:, : r * pi1.dim]
     conjugator = np.hstack([Pi.unitaries[c].conj().T @ C0 for c in reps_list])
+    # C* C = 1 is the U_e case of the carried check in _finish_report
     if conjugator.shape != (Pi.dim, Pi.dim):
         raise BlockStructureViolation("conjugator is not square; dimensions conflict")
-    defect = conjugator.conj().T @ conjugator - np.eye(Pi.dim)
-    if np.linalg.norm(defect) > _BLOCK_TOL * max(1.0, float(Pi.dim)):
-        raise BlockStructureViolation("coset translates of the isotypic subspace overlap")
     return _Core(pi1, r, H, witnesses, reps_list, conjugator)
 
 
@@ -304,8 +303,11 @@ def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureRe
 def analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> StructureReport:
     """Full canonical-form report for an irreducible covariant representation.
 
-    Decomposes the algebra restriction, finds the stabilizer subgroup H of
-    the first component pi1, and builds the conjugator from the structure
+    Over a :class:`GroupAction` pi1 is the compression to the first block k
+    the algebra restriction does not annihilate, read off its matrix units,
+    so the stabilizer H is the set of elements whose block permutation
+    fixes k; over a :class:`LabelAction` pi1 is the first component of the
+    decomposed restriction.  The conjugator comes from the structure
     theorem: its coset block i is U_{c_i}* applied to the pi1-isotypic
     subspace.  The one self-check is that the conjugator carries Pi onto
     ``induce(report.psi, action, H, coset_reps)``; the permutation,
@@ -637,9 +639,7 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     _check_carried(Pi, Q, induce(half_cov, Pi.action, z3, [S3_E, S3_TAU]), "swap conjugator")
 
     if rep_end_dim(pi_tilde_A, Pi.action, tol) == 1:
-        eq = rep_equivalence(
-            pi_tilde_A, rep_compose(pi_tilde_A, Pi.action, S3_TAU), Pi.action, tol, seed
-        )
+        eq = rep_equivalence(pi_tilde_A, rep_compose(pi_tilde_A, Pi.action, S3_TAU), Pi.action, tol)
         r = 2 if eq.equivalent else 1
         return S3Class(
             case="TauPair",
@@ -651,24 +651,15 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
             eta_block=eta_block,
         )
 
-    # both stages split: the representation is regular; Pi = Ind half_cov is
-    # irreducible, so half_cov is too
-    half_report, m, k, _ = _cyclic_canonical_form(half_cov, seed, tol)
-    if m != 3:
-        raise BlockStructureViolation("regular case needs a full 3-cycle orbit")
-    pi = half_report.base_irrep
-    for g in range(1, 6):
-        if rep_equivalence(pi, rep_compose(pi, Pi.action, g), Pi.action, tol).equivalent:
-            raise BlockStructureViolation(
-                "regular case requires all six translates pairwise inequivalent"
-            )
-    # block (i, j) of the model's U_g is the identity when g_j = g_i g
-    trivial = Subgroup(G, (G.identity,))
-    canonical = induce(trivial_covariant(pi, Pi.action), Pi.action, trivial, list(range(6)))
-    # Pi is irreducible and of the same dimension, so hom_dim 1 is equivalence
-    eq = covariant_equivalence(Pi, canonical, tol, seed)
-    if not eq.equivalent:
-        raise BlockStructureViolation("representation is not equivalent to the regular model")
-    C = eq.witness.conj().T
-    _check_carried(Pi, C, canonical, "regular-model conjugator")
-    return S3Class(case="Regular6", pi1=pi, conjugator=C, multiplicity=1)
+    # both stages split: the representation is regular, Ind_{e}^G of an
+    # irreducible of the algebra whose six translates are pairwise inequivalent
+    report = _finish_report(Pi, _analyze_core(Pi, seed, tol), tol)
+    if report.subgroup.order != 1:
+        raise BlockStructureViolation("regular case requires a trivial stabilizer")
+    return S3Class(
+        case="Regular6",
+        pi1=report.base_irrep,
+        conjugator=report.conjugator,
+        multiplicity=1,
+        report=report,
+    )

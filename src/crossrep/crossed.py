@@ -9,7 +9,7 @@ ordinary matrix arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,19 +118,16 @@ class CrossedModel:
 
     The defining representation induced from the trivial subgroup: the
     algebra embeds block-diagonally through its translates and the group
-    acts by block permutations on ``|G|`` copies of the defining space; the
-    span of ``psi(a) V_g`` has dimension |G| * dim(A).
+    acts by block permutations on ``|G|`` copies of the defining space;
+    ``span_dim``, the dimension of the span of ``psi(a) V_g``, is
+    |G| * dim(A).
     """
 
     action: GroupAction
     host_dim: int
     psi_images: dict[str, np.ndarray]
     vg: list[np.ndarray]
-    span_basis: list[np.ndarray] = field(repr=False)
-
-    @property
-    def span_dim(self) -> int:
-        return len(self.span_basis)
+    span_dim: int
 
     def psi(self, x: AlgElement) -> np.ndarray:
         """Embed an algebra element, block i carrying its g_i-translate."""
@@ -169,7 +166,7 @@ def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> Cr
             if np.linalg.norm(vg[g] @ vg[h] - vg[G.mul(g, h)]) > tol.abs_eps * host:
                 raise InvariantViolation("model unitaries fail V_g V_h = V_gh")
     spanning = [psi_images[l] @ vg[g] for g in range(n) for l in labels]
-    model = CrossedModel(action, host, psi_images, vg, orthonormal_span(spanning, tol))
+    model = CrossedModel(action, host, psi_images, vg, len(orthonormal_span(spanning, tol)))
     if model.span_dim != n * A.linear_dim:
         raise InvariantViolation(
             f"span dimension {model.span_dim} != |G| dim(A) = {n * A.linear_dim}"

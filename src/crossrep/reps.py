@@ -10,7 +10,11 @@ structure-aware engine: Hom dimensions are character inner products
 (:func:`hom_dim`) and Hom spaces are ranges of a group-and-algebra average
 (:func:`hom_projection`), so neither needs a Sylvester solve.  A
 representation of the algebra alone enters that engine as a covariant
-representation over the trivial subgroup (:func:`trivial_covariant`).
+representation over the trivial subgroup (:func:`trivial_covariant`);
+equivalence of irreducible ones is read off their matrix units instead
+(:func:`rep_equivalence`): up to a unitary, an irreducible of
+M_{n_1} + ... + M_{n_b} is the compression to one block, so its class is
+the block index.
 
 Every block-permutation model is an induced representation Ind_H^G psi
 (:func:`induce`): the regular representation is the case H = {e}.
@@ -602,12 +606,12 @@ def trivial_covariant(pi: Rep, action) -> CovariantRep:
     """``pi`` as a covariant representation over the trivial subgroup, U_e = 1.
 
     Its Hom spaces are those of representations of the algebra alone: over
-    a :class:`GroupAction` the character engine decides irreducibility and
-    equivalence of ``pi`` and its translates (``pi`` must then be labeled by
-    the matrix units), and over a :class:`LabelAction` the joint generating
-    set only gains U_e = 1, which leaves every intertwiner space unchanged.
-    Over either action type it is the trivial psi that :func:`induce` turns
-    into the regular representation.
+    a :class:`GroupAction` the character engine decides the irreducibility
+    of ``pi`` (``pi`` must then be labeled by the matrix units), and over a
+    :class:`LabelAction` the joint generating set only gains U_e = 1, which
+    leaves every intertwiner space unchanged.  Over either action type it
+    is the trivial psi that :func:`induce` turns into the regular
+    representation.
     """
     return CovariantRep(pi, action.trivial_restriction, [np.eye(pi.dim, dtype=complex)])
 
@@ -618,16 +622,53 @@ def rep_end_dim(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> int:
     return trivial_covariant(pi, action).end_dim(tol)
 
 
-def rep_equivalence(
-    pi1: Rep, pi2: Rep, action, tol: Tolerance = DEFAULT_TOL, seed: int = 0
-) -> Equivalence:
+def _block_frame(pi: Rep, algebra: MatAlg, tol: Tolerance):
+    """Read a representation of a :class:`MatAlg` off its matrix units.
+
+    Returns (k, r, C): k is the first block ``pi`` does not annihilate,
+    r = tr pi(e^k_00) is rounded to an integer within ``rank_eps``, and
+    column j n_k + i of C is pi(e^k_i0) w_j for an orthonormal basis w_j of
+    the range of pi(e^k_00).  C is an isometry with C* pi(x) C = 1_r (x) x_k.
+    """
+    labels = algebra.basis_labels()
+    if set(pi.gens) != set(labels):
+        raise LabelMismatch("representation is not labeled by the algebra's matrix units")
+    pos = 0  # position of e^k_00 in basis order
+    for k, n in enumerate(algebra.block_dims):
+        P = pi.gens[labels[pos]]
+        trace = np.trace(P).real
+        r = round(trace)
+        if r < 0 or abs(trace - r) > tol.rank_eps * max(1, pi.dim):
+            raise InvariantViolation(f"tr pi(e^{k}_00) = {trace:.6g} is not a rank")
+        if r > 0:
+            break
+        pos += n * n
+    else:
+        raise InvariantViolation("the representation annihilates the algebra")
+    w = np.linalg.eigh((P + P.conj().T) / 2)[1][:, -r:]
+    # e^k_i0 sits i n_k places after e^k_00
+    columns = np.array([pi.gens[labels[pos + i * n]] @ w for i in range(n)])
+    return k, r, columns.transpose(1, 2, 0).reshape(pi.dim, r * n)
+
+
+def rep_equivalence(pi1: Rep, pi2: Rep, action, tol: Tolerance = DEFAULT_TOL) -> Equivalence:
     """Unitary equivalence of two irreducible representations of the algebra
-    an action acts on: :func:`covariant_equivalence` of their
-    :func:`trivial_covariant` s.  Neither input is re-tested for
-    irreducibility."""
-    return covariant_equivalence(
-        trivial_covariant(pi1, action), trivial_covariant(pi2, action), tol, seed
-    )
+    an action acts on, with witness ``W pi1 W* = pi2``.
+
+    Over a :class:`GroupAction` they are equivalent exactly when their
+    :func:`_block_frame` s share the block k, and W = C2 C1*, phase-normalized;
+    a frame that is not one square copy (reducible input) raises
+    :class:`InvariantViolation`.  Over a :class:`LabelAction` it is
+    :func:`covariant_equivalence` of their :func:`trivial_covariant` s.
+    """
+    if not isinstance(action, GroupAction):
+        return covariant_equivalence(trivial_covariant(pi1, action), trivial_covariant(pi2, action), tol)
+    (k1, r1, C1), (k2, r2, C2) = (_block_frame(pi, action.algebra, tol) for pi in (pi1, pi2))
+    if (r1, r2) != (1, 1) or C1.shape[0] != C1.shape[1] or C2.shape[0] != C2.shape[1]:
+        raise InvariantViolation("reducible input: its matrix-unit frame is not one square copy")
+    if k1 != k2:
+        return Equivalence(False, None)
+    return Equivalence(True, phase_normalize(C2 @ C1.conj().T))
 
 
 def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> CovariantRep:

@@ -43,7 +43,7 @@ from crossrep.reps import (
     rep_compose,
     rep_from_images,
 )
-from crossrep.sampling import crossed_irreps, random_cyclic_action
+from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 
 
 def _reconstruct_unitary(report, g):
@@ -147,6 +147,33 @@ def test_analyze_rejects_reducible(tol):
     reg = regular_representation(pi, act)
     with pytest.raises(NotIrreducible):
         analyze(reg, seed=0, tol=tol)
+
+
+def _zero_on_the_algebra(act, signs):
+    # Pi(1) = 0 and U a sign character: a character sum of 1, but zero on
+    # the crossed product
+    base = rep_from_images(act.algebra, lambda e: np.zeros((1, 1)))
+    return CovariantRep(base, act, [s * np.eye(1) for s in signs])
+
+
+def _z2_flip():
+    A = MatAlg([1, 1])
+    flip = StarAut(A, (1, 0), [np.eye(1)] * 2)
+    return GroupAction(make_cyclic_group(2), A, [StarAut.identity(A), flip])
+
+
+@pytest.mark.parametrize(
+    "analyzer, make_action, signs",
+    [
+        (analyze, _z2_flip, [1, -1]),
+        (cyclic_analyze, _z2_flip, [1, -1]),
+        (classify_s3, lambda: random_s3_action(np.random.default_rng(0)), [1, 1, 1, -1, -1, -1]),
+    ],
+    ids=["analyze", "cyclic_analyze", "classify_s3"],
+)
+def test_analyze_rejects_zero_algebra_part(analyzer, make_action, signs, tol):
+    with pytest.raises(InvariantViolation, match="annihilates the algebra"):
+        analyzer(_zero_on_the_algebra(make_action(), signs), seed=0, tol=tol)
 
 
 def test_ergodicity_of_group_on_commutant(tol):

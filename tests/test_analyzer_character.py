@@ -249,7 +249,9 @@ POOL = _property_pool()
 
 def _verdicts(cov, seed, tol):
     report = analyze(cov, seed, tol)
-    out = {"stabilizer": report.subgroup.order, "multiplicity": report.multiplicity}
+    # the subgroup itself, not only its order: H is fixed by the first block
+    # the algebra restriction does not annihilate, whatever the gauge
+    out = {"stabilizer": report.subgroup.members, "multiplicity": report.multiplicity}
     G = cov.group
     if G.order == 6 and G.labels == make_symmetric_group_3().labels:
         verdict = classify_s3(cov, seed, tol)
@@ -284,6 +286,6 @@ def test_property_pool_covers_every_verdict(tol):
     seen = [_verdicts(cov, 0, tol) for cov in POOL.values()]
     cases = {v["case"] for v in seen if "case" in v}
     assert cases == {"Minimal", "EtaTriple", "TauPair", "Regular6"}
-    assert {v["stabilizer"] for v in seen} == {1, 2, 3, 4, 6}
+    assert {len(v["stabilizer"]) for v in seen} == {1, 2, 3, 4, 6}
     assert {v["multiplicity"] for v in seen} == {1, 2}
     assert {v["m"] for v in seen if "m" in v} == {1, 2, 4}

@@ -12,7 +12,13 @@ from crossrep.examples import (
     torus_orbit_evaluation,
 )
 from crossrep.groups import make_cyclic_group, S3_ETA, S3_TAU
-from crossrep.reps import direct_sum_reps, regular_representation, rep_compose, rep_from_images
+from crossrep.reps import (
+    CovariantRep,
+    direct_sum_reps,
+    regular_representation,
+    rep_compose,
+    rep_from_images,
+)
 from crossrep.serialize import (
     action_to_json,
     covariant_to_json,
@@ -144,6 +150,16 @@ def test_analyze_reducible_exit_4(tmp_path, capsys):
     assert "decomposition" in doc
     # the trivial and sign characters of Z2, the algebra acting by evaluation
     assert doc["decomposition"] == [{"dim": 1, "multiplicity": 1}] * 2
+
+
+def test_analyze_zero_algebra_part_exit_3(tmp_path, capsys):
+    A = MatAlg([1, 1])
+    flip = StarAut(A, (1, 0), [np.eye(1)] * 2)
+    act = GroupAction(make_cyclic_group(2), A, [StarAut.identity(A), flip])
+    base = rep_from_images(A, lambda e: np.zeros((1, 1)))
+    f = _write(tmp_path / "zero.json", covariant_to_json(CovariantRep(base, act, [[[1]], [[-1]]])))
+    assert main(["analyze", f]) == 3
+    assert "annihilates the algebra" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_action_ref_path_resolution(tmp_path, capsys):
