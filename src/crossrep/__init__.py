@@ -91,7 +91,7 @@ from .reps import (
     regular_representation,
     rep_compose,
     rep_end_dim,
-    rep_equivalence,
     rep_from_images,
+    translate_stabilizer,
     trivial_covariant,
 )

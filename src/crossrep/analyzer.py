@@ -57,8 +57,8 @@ from .reps import (
     induce,
     rep_compose,
     rep_end_dim,
-    rep_equivalence,
     rep_from_images,
+    translate_stabilizer,
 )
 
 __all__ = [
@@ -195,6 +195,15 @@ def _check_carried(Pi: CovariantRep, C, target: CovariantRep, what: str):
             raise BlockStructureViolation(f"{what}: unitary {Pi.group.labels[g]} is not carried")
 
 
+def _require_irreducible(Pi: CovariantRep, tol: Tolerance):
+    """The entry test of every analyzer.  Pi(A) = 0 makes Pi zero on A x G,
+    yet it passes the irreducibility test when U is an irrep of G."""
+    if not Pi.is_irreducible(tol):
+        raise NotIrreducible("covariant representation is reducible")
+    if all(np.linalg.norm(M) <= tol.abs_eps * max(1, Pi.dim) for M in Pi.base.gens.values()):
+        raise InvariantViolation("the representation annihilates the algebra")
+
+
 @dataclass
 class _Core:
     """Intermediate data shared by analyze and the cyclic refinement."""
@@ -210,7 +219,6 @@ class _Core:
 def _analyze_core(Pi: CovariantRep, seed: int, tol: Tolerance) -> _Core:
     """Stabilizer and conjugator of a covariant representation already
     known to be valid and irreducible."""
-    G = Pi.group
     if isinstance(Pi.action, GroupAction):
         # C0* Pi.base C0 = 1_r (x) pi1 with pi1 the compression to block k
         alg = Pi.action.algebra
@@ -221,15 +229,8 @@ def _analyze_core(Pi: CovariantRep, seed: int, tol: Tolerance) -> _Core:
         pi1, r = dec.components[0]
         C0 = dec.basis_change[:, : r * pi1.dim]
 
-    # pi1 is irreducible, so no test re-checks it
-    members, witnesses = [], {}
-    for g in range(G.order):
-        eq = rep_equivalence(pi1, rep_compose(pi1, Pi.action, g), Pi.action, tol)
-        if eq.equivalent:
-            members.append(g)
-            # W pi1 W* = pi1 o alpha_g
-            witnesses[g] = eq.witness
-    H = Subgroup(G, tuple(members))
+    witnesses = translate_stabilizer(pi1, Pi.action, tol)
+    H = Subgroup(Pi.group, tuple(witnesses))
     reps_list = right_coset_reps(H)
 
     # C0 spans the pi1-isotypic subspace, on which Pi restricts to 1_r (x) pi1;
@@ -305,16 +306,17 @@ def analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> St
 
     Over a :class:`GroupAction` pi1 is the compression to the first block k
     the algebra restriction does not annihilate, read off its matrix units,
-    so the stabilizer H is the set of elements whose block permutation
-    fixes k; over a :class:`LabelAction` pi1 is the first component of the
-    decomposed restriction.  The conjugator comes from the structure
+    and :func:`translate_stabilizer` gives H = {g : alpha_g fixes block k}
+    with the action's unitaries on block k as the ``v_rep`` witnesses; over
+    a :class:`LabelAction` pi1 is the first component of the decomposed
+    restriction.  A Pi that annihilates the algebra raises
+    :class:`InvariantViolation`.  The conjugator comes from the structure
     theorem: its coset block i is U_{c_i}* applied to the pi1-isotypic
     subspace.  The one self-check is that the conjugator carries Pi onto
     ``induce(report.psi, action, H, coset_reps)``; the permutation,
     block-unitary and projective tensor-factor data are read from it.
     """
-    if not Pi.is_irreducible(tol):
-        raise NotIrreducible("covariant representation is reducible")
+    _require_irreducible(Pi, tol)
     return _finish_report(Pi, _analyze_core(Pi, seed, tol), tol)
 
 
@@ -384,8 +386,7 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
     """
     if not isinstance(Pi.action, GroupAction):
         raise InvariantViolation("fixed-point analysis needs a GroupAction on a MatAlg")
-    if not Pi.is_irreducible(tol):
-        raise NotIrreducible("covariant representation is reducible")
+    _require_irreducible(Pi, tol)
     report, m, k, V = _cyclic_canonical_form(Pi, seed, tol)
     pi1 = report.base_irrep
     d1 = pi1.dim
@@ -452,15 +453,10 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
             raise InvariantViolation("base is not 1_r (x) pi1 in tensor form")
     if rep_end_dim(pi1, Psi.action, tol) != 1:
         raise InvariantViolation("tensor base is not irreducible")
-    G = Psi.group
-    lam = []
-    for h in range(G.order):
-        eq = rep_equivalence(pi1, rep_compose(pi1, Psi.action, h), Psi.action, tol)
-        if not eq.equivalent:
-            raise InvariantViolation(
-                "every group element must fix the class of the base irreducible"
-            )
-        lam.append(factor_tensor(Psi.unitaries[h], eq.witness, r, tol))
+    witnesses = translate_stabilizer(pi1, Psi.action, tol)
+    if len(witnesses) != Psi.group.order:
+        raise InvariantViolation("every group element must fix the class of the base irreducible")
+    lam = [factor_tensor(Psi.unitaries[h], W, r, tol) for h, W in witnesses.items()]
     return _projective_end_dim(lam, tol) == 1
 
 
@@ -500,9 +496,9 @@ def build_cyclic_irrep(
             raise InvariantViolation("V does not conjugate pi1 onto its m-th translate")
     if rep_end_dim(pi1, action, tol) != 1:
         raise InvariantViolation("pi1 must be irreducible")
-    for j in range(1, m):
-        if rep_equivalence(pi1, rep_compose(pi1, action, j), action, tol).equivalent:
-            raise InvariantViolation(f"pi1 is equivalent to its translate by {j} < m")
+    smaller = [j for j in translate_stabilizer(pi1, action, tol) if 0 < j < m]
+    if smaller:
+        raise InvariantViolation(f"pi1 is equivalent to its translate by {smaller[0]} < m")
 
     # Ind from H = mZ_n of psi(U^{jm}) = V^j
     H = Subgroup(G, tuple(range(0, n, m)))
@@ -578,8 +574,7 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     S3 = make_symmetric_group_3()
     if G != S3 or G.labels != S3.labels:
         raise InvariantViolation("group must be the standard 3-letter permutation group")
-    if not Pi.is_irreducible(tol):
-        raise NotIrreducible("covariant representation is reducible")
+    _require_irreducible(Pi, tol)
 
     U_eta = Pi.unitaries[S3_ETA]
     U_tau = Pi.unitaries[S3_TAU]
@@ -639,15 +634,15 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     _check_carried(Pi, Q, induce(half_cov, Pi.action, z3, [S3_E, S3_TAU]), "swap conjugator")
 
     if rep_end_dim(pi_tilde_A, Pi.action, tol) == 1:
-        eq = rep_equivalence(pi_tilde_A, rep_compose(pi_tilde_A, Pi.action, S3_TAU), Pi.action, tol)
-        r = 2 if eq.equivalent else 1
+        tau_witness = translate_stabilizer(pi_tilde_A, Pi.action, tol).get(S3_TAU)
+        tau_equivalent = tau_witness is not None
         return S3Class(
             case="TauPair",
             pi1=pi_tilde_A,
             conjugator=Q,
-            multiplicity=r,
-            tau_equivalent=eq.equivalent,
-            tau_witness=eq.witness,
+            multiplicity=2 if tau_equivalent else 1,
+            tau_equivalent=tau_equivalent,
+            tau_witness=tau_witness,
             eta_block=eta_block,
         )
 

@@ -10,11 +10,11 @@ structure-aware engine: Hom dimensions are character inner products
 (:func:`hom_dim`) and Hom spaces are ranges of a group-and-algebra average
 (:func:`hom_projection`), so neither needs a Sylvester solve.  A
 representation of the algebra alone enters that engine as a covariant
-representation over the trivial subgroup (:func:`trivial_covariant`);
-equivalence of irreducible ones is read off their matrix units instead
-(:func:`rep_equivalence`): up to a unitary, an irreducible of
-M_{n_1} + ... + M_{n_b} is the compression to one block, so its class is
-the block index.
+representation over the trivial subgroup (:func:`trivial_covariant`).
+Its translate stabilizer is read off the action instead
+(:func:`translate_stabilizer`): up to a unitary, an irreducible of
+M_{n_1} + ... + M_{n_b} is the compression to one block k, so the
+stabilizer is {g : alpha_g fixes k}, implemented by U^g_k.
 
 Every block-permutation model is an induced representation Ind_H^G psi
 (:func:`induce`): the regular representation is the case H = {e}.
@@ -67,7 +67,7 @@ __all__ = [
     "covariant_equivalence",
     "trivial_covariant",
     "rep_end_dim",
-    "rep_equivalence",
+    "translate_stabilizer",
     "decompose",
     "decompositions_match",
     "induce",
@@ -651,24 +651,29 @@ def _block_frame(pi: Rep, algebra: MatAlg, tol: Tolerance):
     return k, r, columns.transpose(1, 2, 0).reshape(pi.dim, r * n)
 
 
-def rep_equivalence(pi1: Rep, pi2: Rep, action, tol: Tolerance = DEFAULT_TOL) -> Equivalence:
-    """Unitary equivalence of two irreducible representations of the algebra
-    an action acts on, with witness ``W pi1 W* = pi2``.
+def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[int, np.ndarray]:
+    """The elements g whose translate ``pi o alpha_g`` is equivalent to the
+    irreducible ``pi``, mapped to witnesses W with ``W pi W* = pi o alpha_g``.
 
-    Over a :class:`GroupAction` they are equivalent exactly when their
-    :func:`_block_frame` s share the block k, and W = C2 C1*, phase-normalized;
-    a frame that is not one square copy (reducible input) raises
-    :class:`InvariantViolation`.  Over a :class:`LabelAction` it is
-    :func:`covariant_equivalence` of their :func:`trivial_covariant` s.
+    Over a :class:`GroupAction` ``pi`` is the compression to one block k up
+    to its :func:`_block_frame` C: g qualifies when alpha_g fixes block k,
+    with W = C U^g_k C* (phase-normalized) from the action's unitary on that
+    block; a frame that is not one square copy (reducible input) raises
+    :class:`InvariantViolation`.  Over a :class:`LabelAction` each translate
+    is compared by :func:`covariant_equivalence` of the trivial covariants.
     """
     if not isinstance(action, GroupAction):
-        return covariant_equivalence(trivial_covariant(pi1, action), trivial_covariant(pi2, action), tol)
-    (k1, r1, C1), (k2, r2, C2) = (_block_frame(pi, action.algebra, tol) for pi in (pi1, pi2))
-    if (r1, r2) != (1, 1) or C1.shape[0] != C1.shape[1] or C2.shape[0] != C2.shape[1]:
+        base = trivial_covariant(pi, action)
+        eqs = [
+            covariant_equivalence(base, trivial_covariant(rep_compose(pi, action, g), action), tol)
+            for g in range(action.group.order)
+        ]
+        return {g: eq.witness for g, eq in enumerate(eqs) if eq.equivalent}
+    k, r, C = _block_frame(pi, action.algebra, tol)
+    if r != 1 or C.shape[0] != C.shape[1]:
         raise InvariantViolation("reducible input: its matrix-unit frame is not one square copy")
-    if k1 != k2:
-        return Equivalence(False, None)
-    return Equivalence(True, phase_normalize(C2 @ C1.conj().T))
+    fixing = [g for g, aut in enumerate(action.auts) if aut.perm[k] == k]
+    return {g: phase_normalize(C @ action.auts[g].unitaries[k] @ C.conj().T) for g in fixing}
 
 
 def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> CovariantRep:
@@ -717,10 +722,4 @@ def regular_irreducibility_criterion(pi: Rep, action, tol: Tolerance = DEFAULT_T
     """
     if rep_end_dim(pi, action, tol) != 1:
         return False
-    G = action.group
-    for g in range(G.order):
-        if g == G.identity:
-            continue
-        if rep_equivalence(pi, rep_compose(pi, action, g), action, tol).equivalent:
-            return False
-    return True
+    return len(translate_stabilizer(pi, action, tol)) == 1

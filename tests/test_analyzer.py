@@ -25,10 +25,11 @@ from crossrep.examples import (
     inner_z8_minimal,
     minimal_covariant,
     rotation_action,
+    s3_label_action,
     torus_orbit_evaluation,
     weyl_pair_homogeneous,
 )
-from crossrep.groups import make_cyclic_group, make_symmetric_group_3
+from crossrep.groups import S3_TAU, make_cyclic_group, make_symmetric_group_3
 from crossrep.linalg import random_unitary
 from crossrep.reps import (
     CovariantRep,
@@ -149,11 +150,13 @@ def test_analyze_rejects_reducible(tol):
         analyze(reg, seed=0, tol=tol)
 
 
-def _zero_on_the_algebra(act, signs):
-    # Pi(1) = 0 and U a sign character: a character sum of 1, but zero on
-    # the crossed product
-    base = rep_from_images(act.algebra, lambda e: np.zeros((1, 1)))
-    return CovariantRep(base, act, [s * np.eye(1) for s in signs])
+def _zero_on_the_algebra(act, unitaries):
+    # Pi(A) = 0 and U an irreducible representation of G: a character sum
+    # of 1, but zero on the crossed product
+    d = len(unitaries[0])
+    labels = act.algebra.basis_labels() if isinstance(act, GroupAction) else act.maps[0]
+    base = Rep(d, {l: np.zeros((d, d)) for l in labels})
+    return CovariantRep(base, act, unitaries)
 
 
 def _z2_flip():
@@ -162,18 +165,39 @@ def _z2_flip():
     return GroupAction(make_cyclic_group(2), A, [StarAut.identity(A), flip])
 
 
+def _s3_unitaries(eta, tau):
+    # element order e, eta, eta^2, tau, eta tau, eta^2 tau
+    eta2 = eta @ eta
+    return [np.eye(len(eta)), eta, eta2, tau, eta @ tau, eta2 @ tau]
+
+
+_SIGN = _s3_unitaries(np.eye(1), -np.eye(1))
+_OMEGA = np.exp(2j * np.pi / 3)
+_STANDARD = _s3_unitaries(np.diag([_OMEGA, _OMEGA**2]), np.array([[0, 1], [1, 0]]))
+
+
 @pytest.mark.parametrize(
-    "analyzer, make_action, signs",
+    "analyzer, make_action, unitaries",
     [
-        (analyze, _z2_flip, [1, -1]),
-        (cyclic_analyze, _z2_flip, [1, -1]),
-        (classify_s3, lambda: random_s3_action(np.random.default_rng(0)), [1, 1, 1, -1, -1, -1]),
+        (analyze, _z2_flip, [np.eye(1), -np.eye(1)]),
+        (cyclic_analyze, _z2_flip, [np.eye(1), -np.eye(1)]),
+        (classify_s3, lambda: random_s3_action(np.random.default_rng(0)), _SIGN),
+        (analyze, s3_label_action, _SIGN),
+        (classify_s3, s3_label_action, _SIGN),
+        (classify_s3, s3_label_action, _STANDARD),
     ],
-    ids=["analyze", "cyclic_analyze", "classify_s3"],
+    ids=[
+        "analyze",
+        "cyclic_analyze",
+        "classify_s3",
+        "analyze label sign",
+        "classify_s3 label sign",
+        "classify_s3 label standard",
+    ],
 )
-def test_analyze_rejects_zero_algebra_part(analyzer, make_action, signs, tol):
+def test_analyze_rejects_zero_algebra_part(analyzer, make_action, unitaries, tol):
     with pytest.raises(InvariantViolation, match="annihilates the algebra"):
-        analyzer(_zero_on_the_algebra(make_action(), signs), seed=0, tol=tol)
+        analyzer(_zero_on_the_algebra(make_action(), unitaries), seed=0, tol=tol)
 
 
 def test_ergodicity_of_group_on_commutant(tol):
@@ -253,6 +277,15 @@ def test_homogeneous_irreducibility_trivial_factor_fails(tol):
     psi = CovariantRep(base, act, [np.eye(4, dtype=complex)] * 2)
     assert not homogeneous_irreducibility(psi, tol)
     assert not psi.is_irreducible(tol)
+
+
+def test_homogeneous_irreducibility_rejects_a_moved_class(tol):
+    # the Z4 generator swaps the two blocks, so it moves the class of pi1
+    act, _ = cute_example()
+    pi1 = rep_from_images(act.algebra, lambda e: e.blocks[0])
+    psi = CovariantRep(pi1, act, [np.eye(2, dtype=complex)] * 4)
+    with pytest.raises(InvariantViolation, match="fix the class"):
+        homogeneous_irreducibility(psi, tol)
 
 
 def test_cyclic_analyze_cute_example(tol):
@@ -367,6 +400,10 @@ def test_build_cyclic_irrep_precondition_failures(tol):
         build_cyclic_irrep(pi, -np.eye(1), 4, 1, act, tol)  # V^1 != 1
     with pytest.raises(InvariantViolation):
         build_cyclic_irrep(pi, np.eye(1), 3, 1, act, tol)  # 3*1 != 4
+    # every translate of the inner Z8 minimal is equivalent to it, so m = 2 is not minimal
+    z8, cov = inner_z8_minimal()
+    with pytest.raises(InvariantViolation, match="translate by 1 < m"):
+        build_cyclic_irrep(cov.base, cov.unitaries[2], 2, 4, z8, tol)
 
 
 def test_periodize_identity_case(tol):
@@ -408,11 +445,17 @@ def test_classify_regular(tol):
 
 
 def test_classify_tau_pair(tol):
-    verdict = classify_s3(doubled_minimal_covariant(), seed=1, tol=tol)
+    cov = doubled_minimal_covariant()
+    verdict = classify_s3(cov, seed=1, tol=tol)
     assert verdict.case == "TauPair"
     assert verdict.tau_equivalent is True
     assert verdict.multiplicity == 2
     assert verdict.eta_block is not None
+    # W pi1 W* = pi1 o alpha_tau
+    W, pi1 = verdict.tau_witness, verdict.pi1
+    twisted = rep_compose(pi1, cov.action, S3_TAU)
+    for l, M in pi1.gens.items():
+        assert np.linalg.norm(W @ M @ W.conj().T - twisted.gens[l]) < 1e-9
 
 
 def _three_point_action() -> GroupAction:

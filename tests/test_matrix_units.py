@@ -1,28 +1,40 @@
-"""Representations of a block algebra read off their matrix units.
+"""Translate stabilizers read off the action.
 
-An irreducible representation of M_{n_1} + ... + M_{n_b} is a block
-compression up to a unitary, so over a ``GroupAction`` ``rep_equivalence``
-compares block indices and reads its witness off the images of the matrix
-units, and ``analyze`` takes pi1 and its stabilizer from the first block
-the algebra restriction does not annihilate.  The character-engine route,
-``covariant_equivalence`` of the trivial-subgroup representations, is kept
-here as the reference.
+An irreducible representation pi of M_{n_1} + ... + M_{n_b} is a block
+compression up to a unitary, so over a ``GroupAction``
+``translate_stabilizer`` reads the block index k off the matrix units of pi
+and returns the elements whose block permutation fixes k, each with the
+action's own unitary on block k as witness; ``analyze`` takes pi1 and its
+stabilizer the same way.  The character-engine route,
+``covariant_equivalence`` of the trivial-subgroup representations of pi and
+of each translate, is kept here as the reference.
 """
 
 import numpy as np
 import pytest
 
+import crossrep.analyzer
+import crossrep.reps
 from crossrep.analyzer import analyze, cyclic_analyze
 from crossrep.errors import InvariantViolation
-from crossrep.examples import cute_example, inner_z8_minimal, torus_orbit_evaluation
+from crossrep.examples import (
+    cute_example,
+    expermutation2_example,
+    first_s3_example,
+    inner_z8_minimal,
+    minimal_example,
+    s3_label_action,
+    torus_orbit_evaluation,
+)
+from crossrep.groups import S3_E, S3_ETA, S3_ETA2, S3_TAU
 from crossrep.linalg import block_diag
 from crossrep.reps import (
     covariant_equivalence,
     direct_sum_reps,
     regular_representation,
     rep_compose,
-    rep_equivalence,
     rep_from_images,
+    translate_stabilizer,
     trivial_covariant,
 )
 from crossrep.sampling import (
@@ -42,38 +54,38 @@ ACTIONS = {
 }
 
 
-def _reference(pi1, pi2, act, tol):
-    return covariant_equivalence(trivial_covariant(pi1, act), trivial_covariant(pi2, act), tol)
+def _reference(pi, act, g, tol):
+    translate = trivial_covariant(rep_compose(pi, act, g), act)
+    return covariant_equivalence(trivial_covariant(pi, act), translate, tol)
+
+
+def _assert_witnesses(pi, act, stabilizer):
+    for g, W in stabilizer.items():
+        twisted = rep_compose(pi, act, g)
+        for l, M in pi.gens.items():
+            assert np.linalg.norm(W @ M @ W.conj().T - twisted.gens[l]) <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(ACTIONS))
-def test_rep_equivalence_matches_character_engine_reference(name, tol):
+def test_translate_stabilizer_matches_character_engine_reference(name, tol):
     act = ACTIONS[name]()
     alg = act.algebra
     rng = np.random.default_rng(3)
-    irreps = [random_block_irrep(alg, rng, k) for k in range(alg.n_blocks) for _ in range(2)]
-    seen = set()
-    for pi in irreps:
+    for pi in (random_block_irrep(alg, rng, k) for k in range(alg.n_blocks) for _ in range(2)):
+        stabilizer = translate_stabilizer(pi, act, tol)
         for g in range(act.group.order):
-            for other in (rep_compose(pi, act, g), *irreps):
-                got = rep_equivalence(pi, other, act, tol)
-                want = _reference(pi, other, act, tol)
-                assert got.equivalent == want.equivalent
-                seen.add(got.equivalent)
-                if not got.equivalent:
-                    assert got.witness is None
-                    continue
-                W, R = got.witness, want.witness
+            want = _reference(pi, act, g, tol)
+            assert (g in stabilizer) == want.equivalent
+            if want.equivalent:
+                W, R = stabilizer[g], want.witness
                 phase = np.vdot(R, W) / pi.dim
                 assert abs(abs(phase) - 1) <= 1e-10
                 assert np.linalg.norm(W - phase * R) <= 1e-10
-                for l, M in pi.gens.items():
-                    assert np.linalg.norm(W @ M @ W.conj().T - other.gens[l]) <= 1e-10
-    assert seen == {True, False}
+        _assert_witnesses(pi, act, stabilizer)
 
 
 @pytest.mark.parametrize("name", sorted(ACTIONS))
-def test_rep_equivalence_rejects_reducible_input(name, tol):
+def test_translate_stabilizer_rejects_reducible_input(name, tol):
     act = ACTIONS[name]()
     alg = act.algebra
     rng = np.random.default_rng(8)
@@ -86,9 +98,25 @@ def test_rep_equivalence_rejects_reducible_input(name, tol):
     ]
     for red in reducible:
         with pytest.raises(InvariantViolation):
-            rep_equivalence(pi, red, act, tol)
-        with pytest.raises(InvariantViolation):
-            rep_equivalence(red, pi, act, tol)
+            translate_stabilizer(red, act, tol)
+
+
+def _is_unit_multiple(W, target):
+    phase = np.vdot(target, W) / np.vdot(target, target)
+    return abs(abs(phase) - 1) <= 1e-10 and np.linalg.norm(W - phase * target) <= 1e-10
+
+
+def test_label_action_stabilizers(tol):
+    act = s3_label_action()
+    first = translate_stabilizer(first_s3_example(), act, tol)
+    assert sorted(first) == [S3_E, S3_TAU]
+    assert _is_unit_multiple(first[S3_E], np.eye(2))
+    W = first[S3_TAU]
+    assert min(np.linalg.norm(W - s * np.diag([1.0, -1.0])) for s in (1, -1)) <= 1e-10
+    assert sorted(translate_stabilizer(expermutation2_example(), act, tol)) == [S3_E, S3_ETA, S3_ETA2]
+    assert sorted(translate_stabilizer(minimal_example(), act, tol)) == list(range(6))
+    for pi in (first_s3_example(), expermutation2_example(), minimal_example()):
+        _assert_witnesses(pi, act, translate_stabilizer(pi, act, tol))
 
 
 def _crossed(make, index):
@@ -98,6 +126,35 @@ def _crossed(make, index):
 def _torus_regular():
     act, pi = torus_orbit_evaluation()
     return regular_representation(pi, act)
+
+
+# analyze inputs over Z2, Z4, S3 and Z8, with stabilizers of order 1 to 8
+FRAME_CASES = {
+    "Z2[1,1]#0": lambda: _crossed(lambda: random_cyclic_action(2, [1, 1], np.random.default_rng(1)), 0),
+    "Z4 cute": lambda: cute_example()[1],
+    "Z4[2,2,1]#4": lambda: _crossed(ACTIONS["Z4[2,2,1]"], 4),
+    "S3 regular": _torus_regular,
+    "S3-inner#4": lambda: _crossed(ACTIONS["S3 inner"], 4),
+    "Z8 inner": lambda: inner_z8_minimal()[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_analyze_reads_two_frames(name, monkeypatch, tol):
+    # one frame of Pi|_A and one of pi1, however large the group
+    Pi = FRAME_CASES[name]()
+    calls = []
+    original = crossrep.reps._block_frame
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].dim)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(crossrep.reps, "_block_frame", counting)
+    monkeypatch.setattr(crossrep.analyzer, "_block_frame", counting, raising=False)
+    report = analyze(Pi, seed=0, tol=tol)
+    assert len(calls) == 2
+    assert calls == [Pi.dim, report.base_irrep.dim]
 
 
 # (analyzer, input): stabilizers of order 1, 2, 3, 6 and 8, multiplicity
