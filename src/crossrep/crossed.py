@@ -118,9 +118,10 @@ class CrossedModel:
 
     The defining representation induced from the trivial subgroup: the
     algebra embeds block-diagonally through its translates and the group
-    acts by block permutations on ``|G|`` copies of the defining space;
-    ``span_dim``, the dimension of the span of ``psi(a) V_g``, is
-    |G| * dim(A).
+    acts by block permutations on ``|G|`` copies of the defining space.
+    ``span_dim`` is the dimension of the span of the ``psi(a) V_g``, which
+    is |G| * dim(A) for a faithful model; it is read as |G| times the rank
+    of the ``psi`` images, since no ``V_g`` with g != e has a diagonal block.
     """
 
     action: GroupAction
@@ -165,8 +166,17 @@ def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> Cr
         for h in range(n):
             if np.linalg.norm(vg[g] @ vg[h] - vg[G.mul(g, h)]) > tol.abs_eps * host:
                 raise InvariantViolation("model unitaries fail V_g V_h = V_gh")
-    spanning = [psi_images[l] @ vg[g] for g in range(n) for l in labels]
-    model = CrossedModel(action, host, psi_images, vg, len(orthonormal_span(spanning, tol)))
+    # <psi(a) V_g, psi(b) V_h> = tr(psi(a* b) V_{h g^-1}) and psi is block
+    # diagonal, so once V_g has no diagonal block for g != e the Gram matrix
+    # of {psi(e_l) V_g} is block diagonal in g with |G| copies of the Gram
+    # matrix of {psi(e_l)}
+    d = A.defining_dim
+    for g in range(n):
+        diagonal = vg[g].reshape(n, d, n, d).diagonal(axis1=0, axis2=2)
+        if g != G.identity and np.linalg.norm(diagonal) > tol.abs_eps:
+            raise InvariantViolation(f"model unitary V_{g} has a nonzero diagonal block")
+    span_dim = n * len(orthonormal_span(list(psi_images.values()), tol))
+    model = CrossedModel(action, host, psi_images, vg, span_dim)
     if model.span_dim != n * A.linear_dim:
         raise InvariantViolation(
             f"span dimension {model.span_dim} != |G| dim(A) = {n * A.linear_dim}"

@@ -247,13 +247,19 @@ def orthonormal_span(mats, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     return [vh[j].conj().reshape(shape) for j in range(int(np.sum(s > cutoff)))]
 
 
-def phase_normalize(M) -> np.ndarray:
-    """Rescale by a unit scalar so the largest-modulus entry is real positive."""
+def phase_normalize(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Rescale by a unit scalar so the pivot entry is real positive.
+
+    The pivot is the first entry, in row-major order, whose modulus is
+    within ``rank_eps`` (relative) of the largest, so rounding noise between
+    entries of tied modulus cannot move it.
+    """
     M = as_matrix(M)
-    idx = np.unravel_index(int(np.argmax(np.abs(M))), M.shape)
-    pivot = M[idx]
-    if abs(pivot) == 0:
+    moduli = np.abs(M).reshape(-1)
+    top = moduli.max()
+    if top == 0:
         return M.copy()
+    pivot = M.reshape(-1)[int(np.argmax(moduli >= (1 - tol.rank_eps) * top))]
     return M * (abs(pivot) / pivot)
 
 

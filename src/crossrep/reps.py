@@ -192,10 +192,10 @@ def is_irreducible(r: Rep, tol: Tolerance = DEFAULT_TOL) -> bool:
 Equivalence = namedtuple("Equivalence", ["equivalent", "witness"])
 
 
-def _unitarize(T: np.ndarray) -> np.ndarray:
+def _unitarize(T: np.ndarray, tol: Tolerance) -> np.ndarray:
     lam = np.trace(T.conj().T @ T).real / T.shape[1]
     U = T / np.sqrt(lam)
-    return phase_normalize(U)
+    return phase_normalize(U, tol)
 
 
 def _equiv_irreducibles(r1: Rep, r2: Rep, tol: Tolerance) -> Equivalence:
@@ -207,15 +207,15 @@ def _equiv_irreducibles(r1: Rep, r2: Rep, tol: Tolerance) -> Equivalence:
         return Equivalence(False, None)
     if len(basis) > 1:
         raise InvariantViolation("intertwiner space of irreducibles has dim > 1")
-    return Equivalence(True, _unitarize(basis[0]))
+    return Equivalence(True, _unitarize(basis[0], tol))
 
 
 def are_equivalent(r1: Rep, r2: Rep, tol: Tolerance = DEFAULT_TOL) -> Equivalence:
     """Unitary equivalence test for two irreducible representations.
 
     Returns ``(equivalent, witness)``; the witness W satisfies
-    ``W r1(x) W* = r2(x)`` and is normalized so its largest entry is real
-    positive.  Raises :class:`NotIrreducible` on reducible input.
+    ``W r1(x) W* = r2(x)`` and is normalized by :func:`phase_normalize`, so
+    its first entry of largest modulus is real positive.  Raises :class:`NotIrreducible` on reducible input.
     """
     for name, r in (("first", r1), ("second", r2)):
         if not is_irreducible(r, tol):
@@ -599,7 +599,7 @@ def covariant_equivalence(
         raise InvariantViolation("intertwiner space of irreducibles has dim > 1")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((cov2.dim, cov1.dim)) + 1j * rng.standard_normal((cov2.dim, cov1.dim))
-    return Equivalence(True, _unitarize(hom_projection(cov1, cov2, X)))
+    return Equivalence(True, _unitarize(hom_projection(cov1, cov2, X), tol))
 
 
 def trivial_covariant(pi: Rep, action) -> CovariantRep:
@@ -673,7 +673,9 @@ def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[
     if r != 1 or C.shape[0] != C.shape[1]:
         raise InvariantViolation("reducible input: its matrix-unit frame is not one square copy")
     fixing = [g for g, aut in enumerate(action.auts) if aut.perm[k] == k]
-    return {g: phase_normalize(C @ action.auts[g].unitaries[k] @ C.conj().T) for g in fixing}
+    return {
+        g: phase_normalize(C @ action.auts[g].unitaries[k] @ C.conj().T, tol) for g in fixing
+    }
 
 
 def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> CovariantRep:

@@ -45,9 +45,14 @@ from crossrep.reps import (
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 
 
-def _s3_irrep(kind, seed, index):
+def _on_block(cov, block):
+    # tr Pi(e^k_00) > 0: the algebra part does not annihilate block k
+    return np.trace(cov.base.gens[f"b{block}_00"]).real > 0.5
+
+
+def _s3_irrep(kind, seed, dim, block):
     act = random_s3_action(np.random.default_rng(seed), kind)
-    return crossed_irreps(act, seed=0)[index]
+    return next(c for c in crossed_irreps(act, seed=0) if c.dim == dim and _on_block(c, block))
 
 
 def _torus_regular():
@@ -55,12 +60,15 @@ def _torus_regular():
     return regular_representation(pi, act)
 
 
-# (analyzer, input, S3 case or None); the S3 inputs are the first crossed
-# irreducible of actions whose first component has that shape
+# (analyzer, input, S3 case or None); each S3 input is a crossed irreducible
+# picked by its dimension and a block it lives on, which fix its shape: the
+# 2-dim block of an inner action, a 6-dim one on a 3-block orbit of 2x2
+# blocks (stabilizer of order 2) and a 2-dim one on a 2-block orbit of 1x1
+# blocks (stabilizer of order 3)
 ANALYZER_CASES = {
-    "classify_s3 Minimal": (classify_s3, lambda: _s3_irrep("inner", 2, 0), "Minimal"),
-    "classify_s3 EtaTriple": (classify_s3, lambda: _s3_irrep("permutation", 1, 0), "EtaTriple"),
-    "classify_s3 TauPair": (classify_s3, lambda: _s3_irrep("permutation", 2, 0), "TauPair"),
+    "classify_s3 Minimal": (classify_s3, lambda: _s3_irrep("inner", 2, 2, 1), "Minimal"),
+    "classify_s3 EtaTriple": (classify_s3, lambda: _s3_irrep("permutation", 1, 6, 0), "EtaTriple"),
+    "classify_s3 TauPair": (classify_s3, lambda: _s3_irrep("permutation", 2, 2, 0), "TauPair"),
     "classify_s3 Regular6": (classify_s3, _torus_regular, "Regular6"),
     "cyclic_analyze cute": (cyclic_analyze, lambda: cute_example()[1], None),
     "analyze S3 regular": (analyze, _torus_regular, None),
@@ -144,9 +152,10 @@ def _inner_degenerate_corner():
     return act, CovariantRep(defining_rep(A), act, powers)
 
 
-def _crossed(n, blocks, seed, index):
+def _crossed(n, blocks, seed, block, index):
+    """The ``index``-th crossed irreducible that lives on ``block``."""
     act = random_cyclic_action(n, blocks, np.random.default_rng(seed))
-    return act, crossed_irreps(act, seed=0)[index]
+    return act, [c for c in crossed_irreps(act, seed=0) if _on_block(c, block)][index]
 
 
 FIXED_POINT_CASES = {
@@ -154,8 +163,12 @@ FIXED_POINT_CASES = {
     "inner_z8": inner_z8_minimal,
     "inner Z4 on M3": _inner_degenerate_corner,
     "rotation(3) regular": _rotation_regular,
-    **{f"Z6[1,1,2]#{i}": (lambda i=i: _crossed(6, [1, 1, 2], 41, i)) for i in range(4)},
-    **{f"Z4[2,2,1]#{i}": (lambda i=i: _crossed(4, [2, 2, 1], 0, i)) for i in range(3)},
+    # Z6: stabilizers of order 3 (blocks 0, 1) and 6 (block 2); Z4: block 2, order 4
+    **{
+        f"Z6[1,1,2]#{i}": (lambda i=i: _crossed(6, [1, 1, 2], 41, 2 * (i % 2), i // 2))
+        for i in range(4)
+    },
+    **{f"Z4[2,2,1]#{i}": (lambda i=i: _crossed(4, [2, 2, 1], 0, 2, i)) for i in range(3)},
 }
 
 

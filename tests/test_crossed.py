@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import crossrep.crossed
 from crossrep.algebra import GroupAction, MatAlg, StarAut
 from crossrep.crossed import (
     CrossedElement,
@@ -13,10 +14,11 @@ from crossrep.crossed import (
     projection_matrix,
     spectral_projection,
 )
-from crossrep.errors import ActionMismatch
+from crossrep.errors import ActionMismatch, InvariantViolation
 from crossrep.examples import cute_example, quantum_mq, rotation_action
 from crossrep.groups import character_table, make_cyclic_group
-from crossrep.reps import decompose
+from crossrep.linalg import block_diag, orthonormal_span
+from crossrep.reps import decompose, rep_from_images
 from crossrep.sampling import random_cyclic_action, random_s3_action
 
 
@@ -63,6 +65,48 @@ def test_quantum_model_contains_single_irrep(tol):
     _, model, _ = quantum_mq(3)
     dec = decompose(model.defining_covariant_rep().joint_rep(), seed=2, tol=tol)
     assert [(r.dim, m) for r, m in dec.components] == [(3, 3)]
+
+
+@pytest.mark.parametrize(
+    "make_action",
+    [
+        _flip_action,
+        lambda: random_cyclic_action(4, [2, 2, 1], np.random.default_rng(0)),
+        lambda: random_cyclic_action(6, [2, 2], np.random.default_rng(9), twist=False),
+        lambda: random_s3_action(np.random.default_rng(0), "permutation"),
+        lambda: random_s3_action(np.random.default_rng(2), "inner"),
+        lambda: random_s3_action(np.random.default_rng(5), "conjugated"),
+    ],
+    ids=["flip", "Z4[2,2,1]", "Z6[2,2] untwisted", "S3 permutation", "S3 inner", "S3 conjugated"],
+)
+def test_span_dim_matches_full_span_reference(make_action, tol):
+    model = build_crossed_model(make_action(), tol)
+    spanning = [M @ V for V in model.vg for M in model.psi_images.values()]
+    assert model.span_dim == len(orthonormal_span(spanning, tol))
+
+
+def test_model_rejects_unitaries_with_a_diagonal_block(monkeypatch, tol):
+    # over the trivial action psi = 1_2 (x) id commutes with F (x) 1, so the
+    # Fourier-conjugated model stays covariant, but its V_1 is block diagonal
+    # and the span can no longer be read off the psi images alone
+    A = MatAlg([1, 1])
+    act = GroupAction(make_cyclic_group(2), A, [StarAut.identity(A)] * 2)
+    F = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(A.defining_dim))
+    induce = crossrep.crossed.induce
+    monkeypatch.setattr(crossrep.crossed, "induce", lambda *a, **k: induce(*a, **k).conjugate(F))
+    with pytest.raises(InvariantViolation, match="diagonal block"):
+        build_crossed_model(act, tol)
+
+
+def test_model_rejects_an_unfaithful_defining_representation(monkeypatch, tol):
+    # a defining representation that annihilates block 1 of the trivial
+    # action gives a covariant model whose span misses that block
+    A = MatAlg([1, 1])
+    act = GroupAction(make_cyclic_group(2), A, [StarAut.identity(A)] * 2)
+    half = lambda alg: rep_from_images(alg, lambda e: block_diag(e.blocks[0], np.zeros((1, 1))))
+    monkeypatch.setattr(crossrep.crossed, "defining_rep", half)
+    with pytest.raises(InvariantViolation, match="span dimension 2"):
+        build_crossed_model(act, tol)
 
 
 def test_unit_element_is_neutral(rng):

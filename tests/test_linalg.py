@@ -204,6 +204,19 @@ def test_phase_normalize():
     assert N[idx].real > 0
 
 
+def test_phase_normalize_is_tie_stable(tol):
+    # two entries of equal modulus up to rounding: whichever is larger by
+    # 1e-16, the pivot is the first of them in row-major order
+    a, b = np.exp(0.3j), np.exp(1.1j)
+    up = np.nextafter(1.0, 2.0)
+    first_larger = np.array([[a * up, b], [0.5, 0.1j]])
+    second_larger = np.array([[a, b * up], [0.5, 0.1j]])
+    assert abs(abs(first_larger[0, 0]) - abs(second_larger[0, 1])) <= 1e-15
+    N1, N2 = phase_normalize(first_larger, tol), phase_normalize(second_larger, tol)
+    assert np.linalg.norm(N1 - N2) <= 1e-15
+    assert N1[0, 0].real > 0 and N1[0, 0].imag == pytest.approx(0.0, abs=1e-15)
+
+
 def test_scalar_quotient(rng, tol):
     B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     c = scalar_quotient((2 - 1j) * B, B, tol)

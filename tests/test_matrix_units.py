@@ -119,8 +119,14 @@ def test_label_action_stabilizers(tol):
         _assert_witnesses(pi, act, translate_stabilizer(pi, act, tol))
 
 
-def _crossed(make, index):
-    return crossed_irreps(make(), seed=0)[index]
+def _crossed(make, dim, block):
+    """The first crossed irreducible of dimension ``dim`` whose algebra part
+    does not annihilate ``block``; its stabilizer is that block's."""
+    return next(
+        cov
+        for cov in crossed_irreps(make(), seed=0)
+        if cov.dim == dim and np.trace(cov.base.gens[f"b{block}_00"]).real > 0.5
+    )
 
 
 def _torus_regular():
@@ -128,13 +134,14 @@ def _torus_regular():
     return regular_representation(pi, act)
 
 
-# analyze inputs over Z2, Z4, S3 and Z8, with stabilizers of order 1 to 8
+# analyze inputs over Z2, Z4, S3 and Z8, with stabilizers of order 1 to 8;
+# a crossed irreducible is picked by its dimension and a block it lives on
 FRAME_CASES = {
-    "Z2[1,1]#0": lambda: _crossed(lambda: random_cyclic_action(2, [1, 1], np.random.default_rng(1)), 0),
+    "Z2[1,1]#0": lambda: _crossed(lambda: random_cyclic_action(2, [1, 1], np.random.default_rng(1)), 2, 0),
     "Z4 cute": lambda: cute_example()[1],
-    "Z4[2,2,1]#4": lambda: _crossed(ACTIONS["Z4[2,2,1]"], 4),
+    "Z4[2,2,1]#4": lambda: _crossed(ACTIONS["Z4[2,2,1]"], 4, 0),
     "S3 regular": _torus_regular,
-    "S3-inner#4": lambda: _crossed(ACTIONS["S3 inner"], 4),
+    "S3-inner#4": lambda: _crossed(ACTIONS["S3 inner"], 4, 1),
     "Z8 inner": lambda: inner_z8_minimal()[1],
 }
 
@@ -161,12 +168,12 @@ def test_analyze_reads_two_frames(name, monkeypatch, tol):
 # one and two
 DETERMINISM_CASES = {
     "analyze S3 regular": (analyze, _torus_regular),
-    "analyze S3-perm#0": (analyze, lambda: _crossed(ACTIONS["S3 permutation"], 0)),
-    "analyze S3-perm#3": (analyze, lambda: _crossed(ACTIONS["S3 permutation"], 3)),
-    "analyze S3-inner#4": (analyze, lambda: _crossed(ACTIONS["S3 inner"], 4)),
+    "analyze S3-perm#0": (analyze, lambda: _crossed(ACTIONS["S3 permutation"], 2, 3)),
+    "analyze S3-perm#3": (analyze, lambda: _crossed(ACTIONS["S3 permutation"], 6, 0)),
+    "analyze S3-inner#4": (analyze, lambda: _crossed(ACTIONS["S3 inner"], 4, 1)),
     "cyclic_analyze cute": (cyclic_analyze, lambda: cute_example()[1]),
     "cyclic_analyze inner_z8": (cyclic_analyze, lambda: inner_z8_minimal()[1]),
-    "cyclic_analyze Z4[2,2,1]#4": (cyclic_analyze, lambda: _crossed(ACTIONS["Z4[2,2,1]"], 4)),
+    "cyclic_analyze Z4[2,2,1]#4": (cyclic_analyze, lambda: _crossed(ACTIONS["Z4[2,2,1]"], 4, 0)),
 }
 
 
@@ -185,3 +192,11 @@ def test_analyzer_draws_no_random_numbers(name, monkeypatch, tol):
     assert np.array_equal(a.conjugator, b.conjugator)
     assert all(np.array_equal(a.psi.base.gens[l], M) for l, M in b.psi.base.gens.items())
     assert all(np.array_equal(U, V) for U, V in zip(a.psi.unitaries, b.psi.unitaries))
+
+
+def test_cases_cover_stabilizer_orders_and_multiplicities(tol):
+    frame = [analyze(make(), seed=0, tol=tol) for make in FRAME_CASES.values()]
+    determinism = [analyze(make(), seed=0, tol=tol) for _, make in DETERMINISM_CASES.values()]
+    assert {r.subgroup.order for r in frame} == {1, 2, 6, 8}
+    assert {r.subgroup.order for r in determinism} == {1, 2, 3, 6, 8}
+    assert {r.multiplicity for r in frame} == {r.multiplicity for r in determinism} == {1, 2}
