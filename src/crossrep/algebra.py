@@ -9,7 +9,7 @@ inside each target block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,6 +25,13 @@ __all__ = [
     "LabelAction",
     "restrict_action",
 ]
+
+
+@lru_cache(maxsize=None)
+def _basis_labels(block_dims: tuple[int, ...]) -> tuple[str, ...]:
+    return tuple(
+        f"b{k}_{i}{j}" for k, d in enumerate(block_dims) for i in range(d) for j in range(d)
+    )
 
 
 @dataclass(frozen=True)
@@ -60,13 +67,8 @@ class MatAlg:
         return AlgElement(self, [np.eye(d, dtype=complex) for d in self.block_dims])
 
     def basis_labels(self) -> list[str]:
-        """Deterministic labels for the matrix-unit basis."""
-        out = []
-        for k, d in enumerate(self.block_dims):
-            for i in range(d):
-                for j in range(d):
-                    out.append(f"b{k}_{i}{j}")
-        return out
+        """Deterministic labels for the matrix-unit basis (a fresh list)."""
+        return list(_basis_labels(self.block_dims))
 
     def basis_elements(self) -> list["AlgElement"]:
         """Matrix units in the same order as :meth:`basis_labels`."""

@@ -51,7 +51,7 @@ from .reps import (
     CovariantRep,
     Rep,
     _block_frame,
-    _decompose_covariant,
+    _decompose,
     decompose,
     evaluate,
     induce,
@@ -609,10 +609,7 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         )
 
     # the 3-cycle restriction is reducible: exactly two swapped blocks
-    if isinstance(Pi.action, GroupAction):
-        dec = _decompose_covariant(z3_cov, seed, tol)
-    else:
-        dec = decompose(z3_cov.joint_rep(), seed, tol)
+    dec = _decompose(z3_cov, seed, tol)
     if len(dec.components) != 2 or any(m != 1 for _, m in dec.components) or (
         dec.components[0][0].dim != dec.components[1][0].dim
     ):

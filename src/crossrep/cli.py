@@ -206,9 +206,7 @@ def _cmd_analyze(args, tol) -> int:
             report = analyze(cov, args.seed, tol)
             result = {"kind": "structure-report", **structure_report_to_json(report)}
     except NotIrreducible:
-        # the character engine when the action is on a matrix algebra
-        target = cov if isinstance(cov.action, GroupAction) else cov.joint_rep()
-        dec = decompose(target, args.seed, tol)
+        dec = decompose(cov, args.seed, tol)
         _emit(
             args,
             {

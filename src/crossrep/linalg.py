@@ -77,7 +77,8 @@ def nullspace(M, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
         return []
     if rows == 0 or not np.any(M):
         return [np.eye(cols, dtype=complex)[:, j] for j in range(cols)]
-    _, s, vh = np.linalg.svd(M)
+    # only a wide M needs the rows of vh beyond its rank; U is never read
+    _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
     if s.size == 0 or s[0] <= tol.abs_eps:
         return [np.eye(cols, dtype=complex)[:, j] for j in range(cols)]
     rank = int(np.sum(s > tol.rank_eps * s[0]))

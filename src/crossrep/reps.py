@@ -5,12 +5,18 @@ set.  Every intertwiner computation first closes the generator set under
 adjoints: a one-sided relation against unitary generators does not imply
 the adjoint relation for a non-invertible intertwiner.
 
-Covariant representations over a :class:`GroupAction` have a second,
-structure-aware engine: Hom dimensions are character inner products
-(:func:`hom_dim`) and Hom spaces are ranges of a group-and-algebra average
-(:func:`hom_projection`), so neither needs a Sylvester solve.  A
-representation of the algebra alone enters that engine as a covariant
-representation over the trivial subgroup (:func:`trivial_covariant`).
+Every Hom question (irreducibility, equivalence and its witness, dim End,
+the splitting in :func:`decompose`) goes through one private oracle,
+``_hom(a, b, tol)``, which returns dim Hom(a, b) and the orthogonal
+projection onto Hom(a, b).  For covariant representations over a
+:class:`GroupAction` it is the character engine: Hom dimensions are
+character inner products (:func:`hom_dim`) and Hom spaces are ranges of a
+group-and-algebra average (:func:`hom_projection`), so neither needs a
+Sylvester solve.  For a :class:`Rep`, or a covariant representation over a
+:class:`LabelAction` through its joint generating set, it is one
+intertwiner solve.  A representation of the algebra alone enters the
+character engine as a covariant representation over the trivial subgroup
+(:func:`trivial_covariant`).
 Its translate stabilizer is read off the action instead
 (:func:`translate_stabilizer`): up to a unitary, an irreducible of
 M_{n_1} + ... + M_{n_b} is the compression to one block k, so the
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,7 +193,7 @@ def commutant_basis(r: Rep, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
 
 
 def is_irreducible(r: Rep, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return len(commutant_basis(r, tol)) == 1
+    return _hom(r, r, tol)[0] == 1
 
 
 Equivalence = namedtuple("Equivalence", ["equivalent", "witness"])
@@ -196,18 +203,6 @@ def _unitarize(T: np.ndarray, tol: Tolerance) -> np.ndarray:
     lam = np.trace(T.conj().T @ T).real / T.shape[1]
     U = T / np.sqrt(lam)
     return phase_normalize(U, tol)
-
-
-def _equiv_irreducibles(r1: Rep, r2: Rep, tol: Tolerance) -> Equivalence:
-    """Equivalence test assuming both inputs are already known irreducible."""
-    if r1.dim != r2.dim:
-        return Equivalence(False, None)
-    basis = intertwiners(r1, r2, tol)
-    if not basis:
-        return Equivalence(False, None)
-    if len(basis) > 1:
-        raise InvariantViolation("intertwiner space of irreducibles has dim > 1")
-    return Equivalence(True, _unitarize(basis[0], tol))
 
 
 def are_equivalent(r1: Rep, r2: Rep, tol: Tolerance = DEFAULT_TOL) -> Equivalence:
@@ -220,7 +215,7 @@ def are_equivalent(r1: Rep, r2: Rep, tol: Tolerance = DEFAULT_TOL) -> Equivalenc
     for name, r in (("first", r1), ("second", r2)):
         if not is_irreducible(r, tol):
             raise NotIrreducible(f"{name} representation is reducible")
-    return _equiv_irreducibles(r1, r2, tol)
+    return covariant_equivalence(r1, r2, tol)
 
 
 @dataclass
@@ -257,53 +252,27 @@ def _eigen_clusters(H: np.ndarray, tol: Tolerance):
     return [evecs[:, g] for g in groups]
 
 
-def _split_once(r: Rep, basis, seed: int, tol: Tolerance):
-    """Split the space along eigenvalue clusters of a random self-adjoint
-    commutant element; returns a list of isometries or None when the random
-    element fails to separate."""
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    S = sum(c * B for c, B in zip(coeff, basis))
-    return _eigen_clusters((S + S.conj().T) / 2, tol)
+def _pieces(r, hom, seed: int, tol: Tolerance):
+    """Depth-first refinement into irreducible (rep, isometry) leaves.
 
-
-def _irreducible_pieces(r: Rep, seed: int, tol: Tolerance):
-    """Depth-first refinement into irreducible (rep, isometry) leaves."""
-    basis = commutant_basis(r, tol)
-    if len(basis) == 1:
-        return [(r, np.eye(r.dim, dtype=complex))]
-    isometries = None
-    for attempt in range(5):
-        isometries = _split_once(r, basis, seed + attempt, tol)
-        if isometries is not None:
-            break
-    if isometries is None:
-        raise DecompositionFailed(
-            "no eigenvalue gap above eig_sep after 5 reseeded retries"
-        )
-    leaves = []
-    for Q in isometries:
-        sub = r.conjugate(Q)
-        for piece, iso in _irreducible_pieces(sub, seed, tol):
-            leaves.append((piece, Q @ iso))
-    return leaves
-
-
-def _covariant_pieces(cov: CovariantRep, end_dim: int, seed: int, tol: Tolerance):
-    """Depth-first refinement into irreducible (covariant rep, isometry)
-    leaves; ``end_dim`` is ``hom_dim(cov, cov)``, and 1 marks a leaf."""
+    ``hom`` is ``_hom(r, r)``; dim End = 1 marks a leaf.  Otherwise r is
+    split along the eigenvalue clusters of the commutant projection of a
+    random Hermitian matrix, reseeded up to 5 times when it fails to
+    separate, and each cluster is refined again.
+    """
+    end_dim, project = hom
     if end_dim == 1:
-        return [(cov, np.eye(cov.dim, dtype=complex))]
-    gens = [*cov.base.gens.values(), *cov.unitaries]
+        return [(r, np.eye(r.dim, dtype=complex))]
+    gens = (r.joint_rep() if isinstance(r, CovariantRep) else r).gens.values()
     for attempt in range(5):
         rng = np.random.default_rng(seed + attempt)
-        H = hom_projection(cov, cov, random_hermitian(cov.dim, rng))
+        H = project(random_hermitian(r.dim, rng))
         H = (H + H.conj().T) / 2
         # the eigenspaces of H are invariant only if H is in the commutant
-        bound = tol.identity_bound(cov.dim * np.linalg.norm(H))
+        bound = tol.identity_bound(r.dim * np.linalg.norm(H))
         for M in gens:
             if np.linalg.norm(H @ M - M @ H) > bound:
-                raise InvariantViolation("averaged element fails to commute with a generator")
+                raise InvariantViolation("projected element fails to commute with a generator")
         isometries = _eigen_clusters(H, tol)
         if isometries is not None:
             break
@@ -313,8 +282,8 @@ def _covariant_pieces(cov: CovariantRep, end_dim: int, seed: int, tol: Tolerance
         )
     leaves = []
     for Q in isometries:
-        sub = cov.conjugate(Q)
-        for piece, iso in _covariant_pieces(sub, hom_dim(sub, sub, tol), seed, tol):
+        sub = r.conjugate(Q)
+        for piece, iso in _pieces(sub, _hom(sub, sub, tol), seed, tol):
             leaves.append((piece, Q @ iso))
     return leaves
 
@@ -329,7 +298,7 @@ def _collect(leaves, witness) -> IrrepDecomposition:
     classes: list[tuple] = []
     for piece, iso in leaves:
         for rep, isos in classes:
-            W = witness(rep, piece) if rep.dim == piece.dim else None
+            W = witness(rep, piece)
             if W is not None:
                 # W (class rep) W* = piece, so iso @ W carries the class rep exactly
                 isos.append(iso @ W)
@@ -342,15 +311,15 @@ def _collect(leaves, witness) -> IrrepDecomposition:
     return IrrepDecomposition(components, basis_change)
 
 
-def _decompose_covariant(cov: CovariantRep, seed: int, tol: Tolerance) -> IrrepDecomposition:
-    """:func:`decompose` of a covariant representation already known to be valid."""
-    end_dim = hom_dim(cov, cov, tol)
-    leaves = _covariant_pieces(cov, end_dim, seed, tol)
+def _decompose(r, seed: int, tol: Tolerance) -> IrrepDecomposition:
+    """:func:`decompose` without validating a covariant input."""
+    hom = _hom(r, r, tol)
+    leaves = _pieces(r, hom, seed, tol)
     dec = _collect(leaves, lambda a, b: covariant_equivalence(a, b, tol, seed).witness)
     # dim End = sum of squared multiplicities, an exact check on the clustering
-    if sum(m * m for _, m in dec.components) != end_dim:
+    if sum(m * m for _, m in dec.components) != hom[0]:
         raise InvariantViolation(
-            f"multiplicities {[m for _, m in dec.components]} do not match dim End = {end_dim}"
+            f"multiplicities {[m for _, m in dec.components]} do not match dim End = {hom[0]}"
         )
     return dec
 
@@ -358,14 +327,15 @@ def _decompose_covariant(cov: CovariantRep, seed: int, tol: Tolerance) -> IrrepD
 def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposition:
     """Decompose into irreducibles by random commutant splitting.
 
-    A :class:`Rep` is split along a random element of its commutant from
-    the intertwiner solve, and each piece is tested for irreducibility by
-    another solve.  A :class:`CovariantRep` over a :class:`GroupAction` is
-    validated once and split along a random Hermitian element P(X) of
-    :func:`hom_projection`; a cluster whose character sum :func:`hom_dim`
-    exceeds 1 is split again, leaves are matched by character sums and
-    carried onto each other by the unitarized P12(X).  Its components are
-    covariant representations.
+    The input is a :class:`Rep` or a :class:`CovariantRep` over either
+    action type; a covariant input is validated once.  Every Hom space is
+    read through one oracle, :func:`_hom`: the input is split along the
+    eigenspaces of the commutant projection P(X) of a random Hermitian X,
+    a piece with dim End > 1 is split again, and leaves are matched by
+    dim Hom and carried onto each other by the unitarized P12(X) of
+    :func:`covariant_equivalence`.  The squared multiplicities must sum to
+    dim End of the input, else :class:`InvariantViolation`.  Components
+    have the input's type.
 
     Components are grouped by unitary equivalence and ordered by
     (dimension, first occurrence); the multiset of components is
@@ -373,9 +343,7 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
     """
     if isinstance(r, CovariantRep):
         r.validate(tol)
-        return _decompose_covariant(r, seed, tol)
-    leaves = _irreducible_pieces(r, seed, tol)
-    return _collect(leaves, lambda a, b: _equiv_irreducibles(a, b, tol).witness)
+    return _decompose(r, seed, tol)
 
 
 def decompositions_match(
@@ -383,16 +351,11 @@ def decompositions_match(
 ) -> bool:
     """Equality of decompositions as multisets of equivalence classes.
 
-    Components are irreducible, so covariant ones are compared by
-    :func:`hom_dim` and :class:`Rep` ones by a single intertwiner solve.
+    Components are irreducible, so two are equivalent when dim Hom = 1.
     """
 
     def same(a, b) -> bool:
-        if a.dim != b.dim:
-            return False
-        if isinstance(a, CovariantRep):
-            return hom_dim(a, b, tol) == 1
-        return _equiv_irreducibles(a, b, tol).equivalent
+        return a.dim == b.dim and _hom(a, b, tol)[0] == 1
 
     if d1.total_dim != d2.total_dim:
         return False
@@ -469,14 +432,10 @@ class CovariantRep:
                     )
 
     def end_dim(self, tol: Tolerance = DEFAULT_TOL) -> int:
-        """dim End(self), for a representation already known to be valid.
-
-        Over a :class:`GroupAction` the character sum ``hom_dim(self, self)``,
-        an exact integer with no rank decision; over a :class:`LabelAction`
-        the dimension of the commutant of the joint generating set."""
-        if isinstance(self.action, GroupAction):
-            return hom_dim(self, self, tol)
-        return len(commutant_basis(self.joint_rep(), tol))
+        """dim End(self), for a representation already known to be valid:
+        the dimension :func:`_hom` reads, over a :class:`GroupAction` an exact
+        character sum with no rank decision."""
+        return _hom(self, self, tol)[0]
 
     def is_irreducible(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """:meth:`validate`, then :meth:`end_dim` == 1, over either action type."""
@@ -484,26 +443,32 @@ class CovariantRep:
         return self.end_dim(tol) == 1
 
 
-def _unit_pattern(algebra: MatAlg):
+@lru_cache(maxsize=None)
+def _unit_pattern(block_dims: tuple[int, ...]):
     """For the matrix units e^k_ij in basis order: the weights 1/n_k, the
-    position of e^k_ji, and the mask of the diagonal units e^k_ii."""
+    position of e^k_ji, and the mask of the diagonal units e^k_ii.  Cached
+    per block-dims tuple, so the arrays are read-only."""
     weights, transpose, diagonal = [], [], []
     pos = 0
-    for n in algebra.block_dims:
+    for n in block_dims:
         for i in range(n):
             for j in range(n):
                 weights.append(1.0 / n)
                 transpose.append(pos + j * n + i)
                 diagonal.append(i == j)
         pos += n * n
-    return np.array(weights), transpose, np.array(diagonal)
+    tables = np.array(weights), np.array(transpose), np.array(diagonal)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
 
 
 def _common_algebra(cov1: CovariantRep, cov2: CovariantRep) -> MatAlg:
     for cov in (cov1, cov2):
         if not isinstance(cov.action, GroupAction):
             raise TypeError(
-                "the character engine needs a GroupAction; decompose cov.joint_rep() instead"
+                "the character engine needs a GroupAction; decompose, covariant_equivalence "
+                "and end_dim also take a LabelAction"
             )
     if cov1.action.algebra != cov2.action.algebra or cov1.group != cov2.group:
         raise ActionMismatch("covariant representations over different actions")
@@ -528,7 +493,7 @@ def covariant_character(cov: CovariantRep) -> np.ndarray:
     U = np.array(cov.unitaries)
     # tr(U_g pi(e)) = sum_ab U_g[a, b] pi(e)[b, a]
     chi = U.reshape(len(U), -1) @ units.transpose(0, 2, 1).reshape(len(units), -1).T
-    _, _, diagonal = _unit_pattern(cov.action.algebra)
+    _, _, diagonal = _unit_pattern(cov.action.algebra.block_dims)
     rest = np.trace(U, axis1=1, axis2=2) - chi[:, diagonal].sum(axis=1)
     return np.column_stack([chi, rest])
 
@@ -543,7 +508,7 @@ def hom_dim(cov1: CovariantRep, cov2: CovariantRep, tol: Tolerance = DEFAULT_TOL
     within ``rank_eps`` of its scale; :class:`InvariantViolation` when it is
     not near a nonnegative integer.
     """
-    weights = np.append(_unit_pattern(_common_algebra(cov1, cov2))[0], 1.0)
+    weights = np.append(_unit_pattern(_common_algebra(cov1, cov2).block_dims)[0], 1.0)
     terms = weights * covariant_character(cov2) * covariant_character(cov1).conj()
     total = terms.sum() / len(terms)
     count = round(total.real)
@@ -564,7 +529,7 @@ def hom_projection(cov1: CovariantRep, cov2: CovariantRep, X) -> np.ndarray:
     normalizes pi(A).  Costs O((|G| + dim A) d^3).
     """
     alg = _common_algebra(cov1, cov2)
-    weights, transpose, diagonal = _unit_pattern(alg)
+    weights, transpose, diagonal = _unit_pattern(alg.block_dims)
     labels = alg.basis_labels()
     units1, units2 = _unit_images(cov1, labels), _unit_images(cov2, labels)
     X = as_matrix(X)
@@ -576,30 +541,52 @@ def hom_projection(cov1: CovariantRep, cov2: CovariantRep, X) -> np.ndarray:
     return (U2 @ Y @ U1.conj().transpose(0, 2, 1)).mean(axis=0)
 
 
-def covariant_equivalence(
-    cov1: CovariantRep, cov2: CovariantRep, tol: Tolerance = DEFAULT_TOL, seed: int = 0
-) -> Equivalence:
-    """Unitary equivalence of two covariant representations known to be irreducible.
+def _hom(a, b, tol: Tolerance):
+    """The one Hom oracle: (dim Hom(a, b), P) with P(X) the orthogonal
+    (Frobenius) projection of a ``b.dim`` x ``a.dim`` matrix onto Hom(a, b).
 
-    Over a :class:`GroupAction` the verdict is the character sum
-    ``hom_dim(cov1, cov2) == 1`` and the witness is the unitarized P12(X)
-    of a random X drawn from ``seed``; over a :class:`LabelAction` both come
-    from one intertwiner solve on the joint generating sets.  The witness W
+    Covariant representations over a :class:`GroupAction` are read by the
+    character engine, :func:`hom_dim` with :func:`hom_projection`, and need
+    no solve.  A :class:`Rep`, or a covariant representation over a
+    :class:`LabelAction` through its :meth:`~CovariantRep.joint_rep`, takes
+    one :func:`intertwiners` solve, and P(X) = sum_B <B, X> B over its
+    orthonormal basis.
+    """
+    if isinstance(a, CovariantRep):
+        if isinstance(a.action, GroupAction):
+            return hom_dim(a, b, tol), lambda X: hom_projection(a, b, X)
+        a, b = a.joint_rep(), b.joint_rep()
+    basis = intertwiners(a, b, tol)
+
+    def project(X):
+        X = as_matrix(X)
+        return sum((np.vdot(B, X) * B for B in basis), np.zeros((b.dim, a.dim), dtype=complex))
+
+    return len(basis), project
+
+
+def covariant_equivalence(cov1, cov2, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> Equivalence:
+    """Unitary equivalence of two representations known to be irreducible.
+
+    ``cov1`` and ``cov2`` are both :class:`CovariantRep` s, over either
+    action type, or both :class:`Rep` s.  The verdict is dim Hom = 1 as
+    :func:`_hom` reads it (a character sum over a :class:`GroupAction`, one
+    intertwiner solve otherwise) and the witness is the unitarized
+    projection P12(X) of a random X drawn from ``seed``.  The witness W
     satisfies ``W Pi1 W* = Pi2``.  Neither input is re-tested for
     irreducibility.
     """
     if cov1.dim != cov2.dim:
         return Equivalence(False, None)
-    if not isinstance(cov1.action, GroupAction):
-        return _equiv_irreducibles(cov1.joint_rep(), cov2.joint_rep(), tol)
-    count = hom_dim(cov1, cov2, tol)
+    count, project = _hom(cov1, cov2, tol)
     if count == 0:
         return Equivalence(False, None)
     if count > 1:
         raise InvariantViolation("intertwiner space of irreducibles has dim > 1")
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((cov2.dim, cov1.dim)) + 1j * rng.standard_normal((cov2.dim, cov1.dim))
-    return Equivalence(True, _unitarize(hom_projection(cov1, cov2, X), tol))
+    shape = (cov2.dim, cov1.dim)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Equivalence(True, _unitarize(project(X), tol))
 
 
 def trivial_covariant(pi: Rep, action) -> CovariantRep:

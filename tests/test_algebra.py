@@ -22,6 +22,14 @@ def test_matalg_dimensions():
     assert len(A.basis_labels()) == A.linear_dim
 
 
+def test_basis_labels_are_a_fresh_list_each_call():
+    A = MatAlg([2, 1])
+    labels = A.basis_labels()
+    assert labels == ["b0_00", "b0_01", "b0_10", "b0_11", "b1_00"]
+    labels.append("x")
+    assert MatAlg([2, 1]).basis_labels() == labels[:-1]
+
+
 def test_matalg_rejects_bad_dims():
     with pytest.raises(InvariantViolation):
         MatAlg([])

@@ -7,6 +7,7 @@ from crossrep.algebra import GroupAction, MatAlg, StarAut
 from crossrep.cli import main
 from crossrep.examples import (
     expermutation2_example,
+    first_s3_example,
     rotation_action,
     s3_label_action,
     torus_orbit_evaluation,
@@ -150,6 +151,15 @@ def test_analyze_reducible_exit_4(tmp_path, capsys):
     assert "decomposition" in doc
     # the trivial and sign characters of Z2, the algebra acting by evaluation
     assert doc["decomposition"] == [{"dim": 1, "multiplicity": 1}] * 2
+
+
+def test_analyze_reducible_label_action_exit_4(tmp_path, capsys):
+    reg = regular_representation(first_s3_example(), s3_label_action())
+    f = _write(tmp_path / "red.json", covariant_to_json(reg))
+    assert main(["analyze", f]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    # the two swapped halves of the 12-dim regular representation
+    assert doc["decomposition"] == [{"dim": 6, "multiplicity": 1}] * 2
 
 
 def test_analyze_zero_algebra_part_exit_3(tmp_path, capsys):

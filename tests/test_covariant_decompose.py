@@ -21,6 +21,7 @@ from crossrep.groups import make_cyclic_group
 from crossrep.linalg import Tolerance, block_diag
 from crossrep.reps import (
     CovariantRep,
+    Equivalence,
     IrrepDecomposition,
     Rep,
     decompose,
@@ -142,6 +143,18 @@ def test_is_irreducible_matches_joint_route(cov, tol):
         assert c.is_irreducible(tol) == is_irreducible(c.joint_rep(), tol)
 
 
+def test_hom_oracle_routes_agree(cov, tol):
+    # the solve route on the joint generating set projects onto the same
+    # space as the character engine, orthogonally
+    comp = decompose(cov, seed=0, tol=tol).components[0][0]
+    rng = np.random.default_rng(3)
+    for a, b in [(cov, cov), (comp, cov)]:
+        X = rng.standard_normal((b.dim, a.dim)) + 1j * rng.standard_normal((b.dim, a.dim))
+        dim, project = crossrep.reps._hom(a.joint_rep(), b.joint_rep(), tol)
+        assert dim == hom_dim(a, b, tol)
+        assert np.linalg.norm(project(X) - hom_projection(a, b, X)) < 1e-8 * np.linalg.norm(X)
+
+
 def test_hom_projection_lands_in_hom_and_fixes_it(tol):
     cov = _cyclic_model(3, [1, 2], 4)
     rng = np.random.default_rng(0)
@@ -211,10 +224,43 @@ def test_no_eigenvalue_gap_raises():
         decompose(cov, seed=0, tol=Tolerance(eig_sep=1e6))
 
 
-def test_label_action_covariant_needs_joint_rep():
+def test_label_action_covariant_decomposes_like_joint_rep(tol):
     reg = regular_representation(first_s3_example(), s3_label_action())
-    with pytest.raises(TypeError):
-        decompose(reg)
+    dec = decompose(reg, seed=0, tol=tol)
+    joint = decompose(reg.joint_rep(), seed=0, tol=tol)
+    assert all(isinstance(r, CovariantRep) for r, _ in dec.components)
+    assert [(r.dim, m) for r, m in dec.components] == [(r.dim, m) for r, m in joint.components]
+    Q = dec.basis_change
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(reg.dim)) < 1e-9
+
+
+def test_rep_decomposition_certified_by_end_dim(monkeypatch, tol):
+    # with every pair of leaves reported inequivalent, two copies of one
+    # irreducible come back as two classes: 1 + 1 != dim End = 4
+    pi = first_s3_example()
+    monkeypatch.setattr(
+        crossrep.reps, "covariant_equivalence", lambda *args, **kwargs: Equivalence(False, None)
+    )
+    with pytest.raises(InvariantViolation, match="dim End = 4"):
+        decompose(direct_sum_reps([pi, pi]), seed=0, tol=tol)
+
+
+def test_split_element_must_commute(monkeypatch, tol):
+    # a projection that returns X unchanged gives a split element outside the commutant
+    monkeypatch.setattr(crossrep.reps, "hom_projection", lambda cov1, cov2, X: X)
+    with pytest.raises(InvariantViolation, match="fails to commute"):
+        decompose(_doubled(_s3_regular("permutation", 8)), seed=0, tol=tol)
+
+
+def test_unit_tables_are_cached_and_read_only():
+    tables = crossrep.reps._unit_pattern((2, 1))
+    assert crossrep.reps._unit_pattern((2, 1)) is tables
+    assert not any(a.flags.writeable for a in tables)
+    weights, transpose, diagonal = tables
+    assert weights.tolist() == [0.5, 0.5, 0.5, 0.5, 1.0]
+    # e^0_01 and e^0_10 sit at positions 1 and 2
+    assert transpose.tolist() == [0, 2, 1, 3, 4]
+    assert diagonal.tolist() == [True, False, False, True, True]
 
 
 def test_crossed_irreps_makes_no_sylvester_solve(monkeypatch, tol):

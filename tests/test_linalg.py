@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,21 @@ def test_nullspace_rank_one(tol):
     assert len(basis) == 1
     v = basis[0]
     assert abs(abs(np.vdot(v, np.array([1, -1]) / np.sqrt(2))) - 1) < 1e-12
+
+
+def test_nullspace_of_a_tall_matrix_allocates_no_left_factor(rng, tol):
+    # a 4000 x 4000 complex U would take 256 MB, 40x the input
+    tall = rng.standard_normal((4000, 90)) + 1j * rng.standard_normal((4000, 90))
+    M = tall @ rng.standard_normal((90, 100))  # rank 90
+    tracemalloc.start()
+    try:
+        basis = nullspace(M, tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * M.nbytes
+    assert len(basis) == 10
+    assert max(np.linalg.norm(M @ v) for v in basis) < 1e-9 * np.linalg.norm(M)
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4), (2, 6)])
