@@ -35,7 +35,7 @@ from .groups import (
     S3_TAU,
     Subgroup,
     coset_action,
-    make_cyclic_group,
+    is_standard_cyclic,
     make_symmetric_group_3,
     right_coset_reps,
 )
@@ -44,14 +44,12 @@ from .linalg import (
     Tolerance,
     as_matrix,
     orthonormal_span,
-    scalar_quotient,
     unitary_eigenspaces,
 )
 from .reps import (
     CovariantRep,
     Rep,
     _block_frame,
-    _decompose,
     decompose,
     evaluate,
     induce,
@@ -182,6 +180,23 @@ def _projective_end_dim(mats, tol: Tolerance) -> int:
     return count
 
 
+def _cocycle(K: FiniteGroup, mats, tol: Tolerance, c=None) -> np.ndarray:
+    """The 2-cocycle M_ab = c(a, b) M_a M_b of a projective unitary family,
+    c(a, b) = tr((M_a M_b)* M_ab) / d unless ``c`` is given, checked one
+    batch per a against the bound and ValueError of :func:`scalar_quotient`."""
+    M = np.array(mats)
+    d = M.shape[1]
+    out = np.empty((K.order, K.order), dtype=complex)
+    for a in range(K.order):
+        products, targets = M[a] @ M, M[K.table[a]]
+        row = np.einsum("bij,bij->b", products.conj(), targets) / d if c is None else c[a]
+        residuals = np.linalg.norm(targets - row[:, None, None] * products, axis=(1, 2))
+        if np.any(residuals > tol.identity_bound(np.linalg.norm(targets, axis=(1, 2)))):
+            raise ValueError("matrices are not scalar multiples of each other")
+        out[a] = row
+    return out
+
+
 def _check_carried(Pi: CovariantRep, C, target: CovariantRep, what: str):
     """Raise unless C* Pi C equals ``target`` on every generator and every
     group unitary, to the reconstruction threshold."""
@@ -272,15 +287,11 @@ def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureRe
     v_mats = [core.witnesses[members[i]] for i in range(K.order)]
     lam_mats = [factor_tensor(psi_unitaries[i], v_mats[i], r, tol) for i in range(K.order)]
 
-    def cocycle_of(mats):
-        c = np.ones((K.order, K.order), dtype=complex)
-        for a in range(K.order):
-            for b in range(K.order):
-                c[a, b] = scalar_quotient(mats[K.mul(a, b)], mats[a] @ mats[b], tol)
-        return c
-
-    v_rep = ProjectiveRep(K, v_mats, cocycle_of(v_mats))
-    lambda_rep = ProjectiveRep(K, lam_mats, cocycle_of(lam_mats))
+    c_v = _cocycle(K, v_mats, tol)
+    v_rep = ProjectiveRep(K, v_mats, c_v)
+    # psi_h = Lambda_h (x) V_h is a genuine representation, so Lambda's
+    # cocycle is the inverse, conj(c_V), of V's
+    lambda_rep = ProjectiveRep(K, lam_mats, _cocycle(K, lam_mats, tol, c_v.conj()))
     if _projective_end_dim(lam_mats, tol) != 1:
         raise BlockStructureViolation("tensor factor on the multiplicity space is reducible")
 
@@ -342,7 +353,7 @@ class CyclicReport:
 
 
 def _require_cyclic(G: FiniteGroup):
-    if not np.array_equal(G.table, make_cyclic_group(G.order).table):
+    if not is_standard_cyclic(G):
         raise InvariantViolation("group must be Z_n in standard form")
 
 
@@ -561,97 +572,74 @@ class S3Class:
     report: StructureReport | None = None
 
 
+# Pi = Ind_H^G(Lambda (x) V), Lambda an r-dim irreducible projective rep of H;
+# S3 has trivial Schur multiplier, so these (|H|, r) are the only ones
+_S3_CASES = {(6, 1): "Minimal", (3, 1): "TauPair", (6, 2): "TauPair", (2, 1): "EtaTriple",
+             (1, 1): "Regular6"}
+
+
 def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> S3Class:
     """Classify an irreducible covariant representation over the 3-letter
     permutation group into its canonical shape.
 
-    Dispatches on irreducibility of the restriction to the 3-cycle crossed
-    subalgebra, then of the algebra restriction; each of the four outcomes
-    pins down one displayed block form, and each form is an induced
-    representation that the returned conjugator carries Pi onto.
+    The case is read off (|H|, r), the stabilizer order and multiplicity
+    of one structure core: Minimal (6, 1), TauPair (3, 1) or (6, 2),
+    EtaTriple (2, 1), Regular6 (1, 1); any other pair raises
+    :class:`BlockStructureViolation`.  EtaTriple reports the cyclic form
+    of the restriction to the 3-cycle subgroup.  For TauPair the first
+    eigenvector e1 of the 3-cycle's factor Lambda_eta gives the half
+    W1 = C0 (e1 (x) 1) of the pi1-isotypic frame C0, and Q = [W1, U_tau W1]
+    carries Pi onto the representation induced over the cosets {e, tau}.
+    Over a :class:`GroupAction` no random numbers are drawn.
     """
     G = Pi.group
     S3 = make_symmetric_group_3()
     if G != S3 or G.labels != S3.labels:
         raise InvariantViolation("group must be the standard 3-letter permutation group")
     _require_irreducible(Pi, tol)
-
+    core = _analyze_core(Pi, seed, tol)
+    pi1, r = core.pi1, core.multiplicity
+    case = _S3_CASES.get((core.subgroup.order, r))
+    if case is None:
+        raise BlockStructureViolation(f"no S3 case has |H| = {core.subgroup.order} and r = {r}")
     U_eta = Pi.unitaries[S3_ETA]
-    U_tau = Pi.unitaries[S3_TAU]
     z3 = Subgroup(G, (S3_E, S3_ETA, S3_ETA2))
     z3_action, _ = restrict_action(Pi.action, z3)
-    z3_cov = CovariantRep(
-        Pi.base,
-        z3_action,
-        [np.eye(Pi.dim, dtype=complex), U_eta, U_eta @ U_eta],
-    )
 
-    # z3_cov is the restriction of Pi to a subgroup, so it is covariant
-    if z3_cov.end_dim(tol) == 1:
-        if rep_end_dim(Pi.base, Pi.action, tol) == 1:
-            report = _finish_report(Pi, _analyze_core(Pi, seed, tol), tol)
-            return S3Class(
-                case="Minimal",
-                pi1=report.base_irrep,
-                conjugator=report.conjugator,
-                multiplicity=report.multiplicity,
-                report=report,
-            )
-        report, m, k, V = _cyclic_canonical_form(z3_cov, seed, tol)
-        if m != 3:
-            raise BlockStructureViolation("3-cycle restriction must split into 3 blocks")
-        return S3Class(
-            case="EtaTriple",
-            pi1=report.base_irrep,
-            conjugator=report.conjugator,
-            multiplicity=1,
-            report=report,
-        )
+    def over_z3(base: Rep, X) -> CovariantRep:
+        return CovariantRep(base, z3_action, [np.eye(base.dim, dtype=complex), X, X @ X])
 
-    # the 3-cycle restriction is reducible: exactly two swapped blocks
-    dec = _decompose(z3_cov, seed, tol)
-    if len(dec.components) != 2 or any(m != 1 for _, m in dec.components) or (
-        dec.components[0][0].dim != dec.components[1][0].dim
-    ):
-        raise BlockStructureViolation(
-            "3-cycle restriction must split into two inequivalent halves"
-        )
-    half = dec.components[0][0].dim
-    W1 = dec.basis_change[:, :half]
-    Q = np.hstack([W1, U_tau @ W1])
-    pi_tilde_A = Rep(half, {l: W1.conj().T @ M @ W1 for l, M in Pi.base.gens.items()})
+    if case != "TauPair":
+        if case == "EtaTriple":
+            # z3 meets H trivially, so by Mackey the restriction to z3 is
+            # Ind_{e}^{z3} pi1, irreducible: no 3-cycle fixes the class of pi1
+            report, m, _, _ = _cyclic_canonical_form(over_z3(Pi.base, U_eta), seed, tol)
+            if m != 3:
+                raise BlockStructureViolation("3-cycle restriction must split into 3 blocks")
+        else:
+            report = _finish_report(Pi, core, tol)
+        return S3Class(case, report.base_irrep, report.conjugator, 1, report=report)
+
+    # eta is in H, so C0* U_eta C0 = Lambda_eta (x) V_eta; the eigenvectors
+    # of Lambda_eta split the frame into the two halves that tau swaps
+    C0 = core.conjugator[:, : r * pi1.dim]
+    lam_eta = factor_tensor(C0.conj().T @ U_eta @ C0, core.witnesses[S3_ETA], r, tol)
+    spectrum = unitary_eigenspaces(lam_eta, tol)
+    if len(spectrum) != r or any(iso.shape[1] != 1 for _, iso in spectrum):
+        raise BlockStructureViolation("the 3-cycle factor must have simple eigenvalues")
+    W1 = C0 @ np.kron(spectrum[0][1], np.eye(pi1.dim))
+    Q = np.hstack([W1, Pi.unitaries[S3_TAU] @ W1])
     eta_block = W1.conj().T @ U_eta @ W1
-    half_cov = CovariantRep(
-        pi_tilde_A,
-        z3_action,
-        [np.eye(half, dtype=complex), eta_block, eta_block @ eta_block],
-    )
     # U_tau = U_tau*, so Q is the induced conjugator over the cosets {e, tau};
     # on U_e the check below is Q* Q = 1
-    _check_carried(Pi, Q, induce(half_cov, Pi.action, z3, [S3_E, S3_TAU]), "swap conjugator")
-
-    if rep_end_dim(pi_tilde_A, Pi.action, tol) == 1:
-        tau_witness = translate_stabilizer(pi_tilde_A, Pi.action, tol).get(S3_TAU)
-        tau_equivalent = tau_witness is not None
-        return S3Class(
-            case="TauPair",
-            pi1=pi_tilde_A,
-            conjugator=Q,
-            multiplicity=2 if tau_equivalent else 1,
-            tau_equivalent=tau_equivalent,
-            tau_witness=tau_witness,
-            eta_block=eta_block,
-        )
-
-    # both stages split: the representation is regular, Ind_{e}^G of an
-    # irreducible of the algebra whose six translates are pairwise inequivalent
-    report = _finish_report(Pi, _analyze_core(Pi, seed, tol), tol)
-    if report.subgroup.order != 1:
-        raise BlockStructureViolation("regular case requires a trivial stabilizer")
+    _check_carried(Pi, Q, induce(over_z3(pi1, eta_block), Pi.action, z3, [S3_E, S3_TAU]), "swap conjugator")
+    tau_witness = core.witnesses.get(S3_TAU)
     return S3Class(
-        case="Regular6",
-        pi1=report.base_irrep,
-        conjugator=report.conjugator,
-        multiplicity=1,
-        report=report,
+        case="TauPair",
+        pi1=pi1,
+        conjugator=Q,
+        multiplicity=r,
+        tau_equivalent=tau_witness is not None,
+        tau_witness=tau_witness,
+        eta_block=eta_block,
     )

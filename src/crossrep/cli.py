@@ -11,8 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .algebra import GroupAction
 from .analyzer import analyze, classify_s3, cyclic_analyze
@@ -24,7 +22,7 @@ from .errors import (
     SchemaError,
 )
 from .examples import run_all_examples
-from .groups import make_cyclic_group, make_symmetric_group_3
+from .groups import is_standard_cyclic, make_symmetric_group_3
 from .linalg import Tolerance
 from .reps import are_equivalent, decompose
 from .serialize import (
@@ -197,9 +195,7 @@ def _cmd_analyze(args, tol) -> int:
         if G == make_symmetric_group_3():
             verdict = classify_s3(cov, args.seed, tol)
             result = {"kind": "s3-class", **s3_class_to_json(verdict)}
-        elif np.array_equal(G.table, make_cyclic_group(G.order).table) and isinstance(
-            cov.action, GroupAction
-        ):
+        elif is_standard_cyclic(G) and isinstance(cov.action, GroupAction):
             report = cyclic_analyze(cov, args.seed, tol)
             result = {"kind": "cyclic-report", **cyclic_report_to_json(report)}
         else:

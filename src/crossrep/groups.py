@@ -13,6 +13,7 @@ __all__ = [
     "FiniteGroup",
     "Subgroup",
     "make_cyclic_group",
+    "is_standard_cyclic",
     "make_symmetric_group_3",
     "subgroup_closure",
     "right_coset_reps",
@@ -156,12 +157,21 @@ class Subgroup:
         return FiniteGroup(table, identity=pos[self.parent.identity], labels=labels), members
 
 
+def _cyclic_table(n: int) -> np.ndarray:
+    idx = np.arange(n)
+    return (idx[:, None] + idx[None, :]) % n
+
+
 def make_cyclic_group(n: int) -> FiniteGroup:
     """Z_n with table (i + j) mod n."""
     if n < 1:
         raise ValueError("group order must be at least 1")
-    idx = np.arange(n)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n, identity=0)
+    return FiniteGroup(_cyclic_table(n), identity=0)
+
+
+def is_standard_cyclic(G: FiniteGroup) -> bool:
+    """Whether G is Z_n in standard form, the table of :func:`make_cyclic_group`."""
+    return np.array_equal(G.table, _cyclic_table(G.order))
 
 
 def _perm_compose(p, q):

@@ -48,9 +48,9 @@ class Tolerance:
         if not self.abs_eps < self.eig_sep:
             raise ValueError("abs_eps must be smaller than eig_sep")
 
-    def identity_bound(self, scale: float) -> float:
-        """Largest residual accepted for a matrix identity at magnitude ``scale``."""
-        return 1e3 * self.abs_eps * max(1.0, scale)
+    def identity_bound(self, scale: float | np.ndarray) -> float | np.ndarray:
+        """Largest residual accepted for a matrix identity at magnitude ``scale`` (elementwise)."""
+        return 1e3 * self.abs_eps * np.maximum(1.0, scale)
 
 
 DEFAULT_TOL = Tolerance()

@@ -509,7 +509,9 @@ def hom_dim(cov1: CovariantRep, cov2: CovariantRep, tol: Tolerance = DEFAULT_TOL
     not near a nonnegative integer.
     """
     weights = np.append(_unit_pattern(_common_algebra(cov1, cov2).block_dims)[0], 1.0)
-    terms = weights * covariant_character(cov2) * covariant_character(cov1).conj()
+    chi1 = covariant_character(cov1)
+    chi2 = chi1 if cov2 is cov1 else covariant_character(cov2)
+    terms = weights * chi2 * chi1.conj()
     total = terms.sum() / len(terms)
     count = round(total.real)
     scale = np.abs(terms).sum() / len(terms)

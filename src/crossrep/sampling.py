@@ -185,7 +185,6 @@ def crossed_irreps(
     action: GroupAction,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-    limit: int | None = None,
 ) -> list[CovariantRep]:
     """Every irreducible covariant representation of the crossed product.
 
@@ -222,4 +221,4 @@ def crossed_irreps(
             raise InvariantViolation(f"an induced representation of dim {cov.dim} is reducible")
     if sum(cov.dim**2 for cov in irreps) != G.order * A.linear_dim:
         raise InvariantViolation("irreducible dimensions fail sum dim^2 = |G| dim A")
-    return irreps[:limit]
+    return irreps

@@ -29,7 +29,7 @@ from crossrep.examples import (
     torus_orbit_evaluation,
     weyl_pair_homogeneous,
 )
-from crossrep.groups import S3_TAU, make_cyclic_group, make_symmetric_group_3
+from crossrep.groups import S3_TAU, FiniteGroup, make_cyclic_group, make_symmetric_group_3
 from crossrep.linalg import random_unitary
 from crossrep.reps import (
     CovariantRep,
@@ -430,6 +430,16 @@ def test_periodize_rejects_nonscalar_power(tol):
         periodize(defining_rep(A), U, act, tol)
 
 
+def test_periodize_rejects_a_cyclic_group_not_in_standard_form(tol):
+    # Z4 with the element of order 2 at index 1
+    perm = np.array([0, 2, 1, 3])
+    table = perm[make_cyclic_group(4).table[np.ix_(perm, perm)]]
+    A = MatAlg([1])
+    act = GroupAction(FiniteGroup(table, identity=0), A, [StarAut.identity(A)] * 4)
+    with pytest.raises(InvariantViolation, match="standard form"):
+        periodize(defining_rep(A), np.eye(1), act, tol)
+
+
 def test_classify_minimal(tol):
     verdict = classify_s3(minimal_covariant(), seed=1, tol=tol)
     assert verdict.case == "Minimal"
@@ -532,3 +542,40 @@ def test_projective_end_dim_matches_commutant(rng, tol):
     # unitaries that are no projective representation give no dimension
     with pytest.raises(InvariantViolation):
         _projective_end_dim([np.eye(2), random_unitary(2, rng), random_unitary(2, rng)], tol)
+
+
+def _scalar_quotient_cocycle(K, mats, tol):
+    """Reference: one scalar_quotient per pair, M_ab = c(a, b) M_a M_b."""
+    from crossrep.linalg import scalar_quotient
+
+    return np.array(
+        [[scalar_quotient(mats[K.mul(a, b)], mats[a] @ mats[b], tol) for b in range(K.order)]
+         for a in range(K.order)]
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_report_cocycles_match_the_scalar_quotient_reference(q, tol):
+    report = analyze(weyl_pair_homogeneous(q), seed=0, tol=tol)
+    K = report.subgroup_group
+    for proj in (report.v_rep, report.lambda_rep):
+        want = _scalar_quotient_cocycle(K, proj.mats, tol)
+        assert np.max(np.abs(proj.cocycle - want)) < 1e-12
+        proj.validate(1e-8)
+    # the Weyl pair is projective, not linear: the cocycle is nontrivial
+    assert np.max(np.abs(report.v_rep.cocycle - 1)) > 0.5
+
+
+def test_cocycle_rejects_a_family_that_is_not_projective(rng, tol):
+    from crossrep.analyzer import _cocycle
+
+    K = make_cyclic_group(3)
+    mats = [np.eye(2, dtype=complex), random_unitary(2, rng), random_unitary(2, rng)]
+    with pytest.raises(ValueError, match="not scalar multiples"):
+        _cocycle(K, mats, tol)
+    # a genuine representation passes, with the cocycle 1 computed or given
+    Z = np.diag([1.0, np.exp(2j * np.pi / 3)])
+    powers = [np.linalg.matrix_power(Z, j) for j in range(3)]
+    assert np.allclose(_cocycle(K, powers, tol), 1.0)
+    with pytest.raises(ValueError, match="not scalar multiples"):
+        _cocycle(K, powers, tol, np.full((3, 3), 1j))

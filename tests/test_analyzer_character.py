@@ -101,6 +101,21 @@ def test_no_sylvester_solve_at_representation_size(name, monkeypatch, tol):
     assert sizes == []
 
 
+@pytest.mark.parametrize("name", [n for n in sorted(ANALYZER_CASES) if n.startswith("classify_s3")])
+def test_classify_s3_draws_no_random_numbers(name, monkeypatch, tol):
+    analyzer, make, case = ANALYZER_CASES[name]
+    Pi = make()
+    assert isinstance(Pi.action, GroupAction)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random number was drawn")
+
+    monkeypatch.setattr(crossrep.linalg, "random_hermitian", refuse)
+    monkeypatch.setattr(crossrep.reps, "random_hermitian", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert analyzer(Pi, seed=3, tol=tol).case == case
+
+
 @pytest.mark.parametrize("name", sorted(ANALYZER_CASES))
 def test_analyzer_validates_its_input_once(name, monkeypatch, tol):
     analyzer, make, _ = ANALYZER_CASES[name]
@@ -295,10 +310,26 @@ def test_verdicts_invariant_under_conjugation_and_seed(name, w_seed, seed):
     assert _verdicts(cov.conjugate(W), seed, tol) == _verdicts(cov, 0, tol)
 
 
+# Pi = Ind_H^G(Lambda (x) V) with Lambda an r-dimensional irreducible
+# projective representation of H; S3 has trivial Schur multiplier, so
+# (|H|, r) fixes the S3 shape
+S3_SHAPES = {
+    (6, 1): ("Minimal", 1),
+    (3, 1): ("TauPair", 1),
+    (6, 2): ("TauPair", 2),
+    (2, 1): ("EtaTriple", 1),
+    (1, 1): ("Regular6", 1),
+}
+
+
 def test_property_pool_covers_every_verdict(tol):
     seen = [_verdicts(cov, 0, tol) for cov in POOL.values()]
-    cases = {v["case"] for v in seen if "case" in v}
-    assert cases == {"Minimal", "EtaTriple", "TauPair", "Regular6"}
+    s3 = [v for v in seen if "case" in v]
+    shapes = {(len(v["stabilizer"]), v["multiplicity"]) for v in s3}
+    assert shapes == set(S3_SHAPES)
+    for v in s3:
+        shape = (len(v["stabilizer"]), v["multiplicity"])
+        assert (v["case"], v["s3_multiplicity"]) == S3_SHAPES[shape]
     assert {len(v["stabilizer"]) for v in seen} == {1, 2, 3, 4, 6}
     assert {v["multiplicity"] for v in seen} == {1, 2}
     assert {v["m"] for v in seen if "m" in v} == {1, 2, 4}

@@ -131,14 +131,6 @@ def test_crossed_irreps_rejects_a_missing_component(monkeypatch, tol):
         crossed_irreps(ACTIONS["S3 inner"](), seed=0, tol=tol)
 
 
-def test_crossed_irreps_limit_keeps_the_order(tol):
-    act = ACTIONS["Z6[1,1,2]"]()
-    full = crossed_irreps(act, seed=0, tol=tol)
-    head = crossed_irreps(act, seed=0, tol=tol, limit=3)
-    assert len(head) == 3
-    assert all(hom_dim(a, b, tol) == 1 for a, b in zip(head, full))
-
-
 _small_actions = st.one_of(
     st.builds(
         lambda n, dims, twist, seed: random_cyclic_action(

@@ -11,6 +11,7 @@ from crossrep.groups import (
     S3_TAU,
     Subgroup,
     character_table,
+    is_standard_cyclic,
     make_cyclic_group,
     make_symmetric_group_3,
     right_coset_reps,
@@ -27,6 +28,16 @@ def test_trivial_group():
 def test_z2_table():
     G = make_cyclic_group(2)
     assert G.table.tolist() == [[0, 1], [1, 0]]
+
+
+def test_standard_cyclic_is_the_table_of_make_cyclic_group():
+    assert all(is_standard_cyclic(make_cyclic_group(n)) for n in range(1, 7))
+    # Z4 with the element of order 2 at index 1 is cyclic, but not standard
+    perm = np.array([0, 2, 1, 3])
+    z4 = FiniteGroup(perm[make_cyclic_group(4).table[np.ix_(perm, perm)]], identity=0)
+    assert z4.cyclic_generator() is not None
+    for G in (z4, product_cyclic_group(2), make_symmetric_group_3()):
+        assert not is_standard_cyclic(G)
 
 
 def test_z4_inverse():
