@@ -48,11 +48,14 @@ from .linalg import (
 )
 from .reps import (
     CovariantRep,
+    ProjectiveRep,
     Rep,
     _block_frame,
+    _cocycle,
     decompose,
     evaluate,
     induce,
+    is_irreducible,
     rep_compose,
     rep_end_dim,
     rep_from_images,
@@ -75,38 +78,6 @@ __all__ = [
 
 # spec-pinned reconstruction threshold
 _BLOCK_TOL = 1e-7
-
-
-@dataclass
-class ProjectiveRep:
-    """Unitaries multiplying up to a scalar: ``mats[gh] = c(g,h) mats[g] mats[h]``."""
-
-    group: FiniteGroup
-    mats: list[np.ndarray]
-    cocycle: np.ndarray
-
-    def validate(self, threshold: float = 1e-8):
-        G = self.group
-        n = G.order
-        if np.max(np.abs(np.abs(self.cocycle) - 1.0)) > threshold:
-            raise InvariantViolation("cocycle values must have modulus 1")
-        for g in range(n):
-            for h in range(n):
-                lhs = self.mats[G.mul(g, h)]
-                rhs = self.cocycle[g, h] * self.mats[g] @ self.mats[h]
-                if np.linalg.norm(lhs - rhs) > threshold * max(1, lhs.shape[0]):
-                    raise InvariantViolation(
-                        f"projective relation fails at pair ({g},{h})"
-                    )
-        for g in range(n):
-            for h in range(n):
-                for k in range(n):
-                    lhs = self.cocycle[g, h] * self.cocycle[G.mul(g, h), k]
-                    rhs = self.cocycle[h, k] * self.cocycle[g, G.mul(h, k)]
-                    if abs(lhs - rhs) > threshold:
-                        raise InvariantViolation(
-                            f"2-cocycle identity fails at ({g},{h},{k})"
-                        )
 
 
 @dataclass
@@ -152,49 +123,13 @@ def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if W.shape != (r * d, r * d):
         raise NotFactorable(f"W must be {r * d} x {r * d}")
     K = W @ np.kron(np.eye(r), V.conj().T)
-    L = np.empty((r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            L[i, j] = np.trace(K[i * d : (i + 1) * d, j * d : (j + 1) * d]) / d
+    L = K.reshape(r, d, r, d).trace(axis1=1, axis2=3) / d
     scale = max(1.0, float(np.linalg.norm(W)))
     if np.linalg.norm(W - np.kron(L, V)) > _BLOCK_TOL * scale:
         raise NotFactorable("operator is not a Kronecker multiple of V")
     if np.linalg.norm(L.conj().T @ L - np.eye(r)) > _BLOCK_TOL * max(1, r):
         raise NotFactorable("extracted factor is not unitary")
     return L
-
-
-def _block(M, i, j, size):
-    return M[i * size : (i + 1) * size, j * size : (j + 1) * size]
-
-
-def _projective_end_dim(mats, tol: Tolerance) -> int:
-    """dim End of a projective unitary family Lambda_h over a group K:
-    |K|^-1 sum_h |tr Lambda_h|^2, the trace of the average of Ad Lambda_h.
-    An exact integer, rounded within ``rank_eps``; :class:`InvariantViolation`
-    when it is not near a positive integer."""
-    total = float(np.mean([abs(np.trace(L)) ** 2 for L in mats]))
-    count = round(total)
-    if count < 1 or abs(total - count) > tol.rank_eps * max(1.0, total):
-        raise InvariantViolation(f"projective character sum {total:.6g} is not a dimension")
-    return count
-
-
-def _cocycle(K: FiniteGroup, mats, tol: Tolerance, c=None) -> np.ndarray:
-    """The 2-cocycle M_ab = c(a, b) M_a M_b of a projective unitary family,
-    c(a, b) = tr((M_a M_b)* M_ab) / d unless ``c`` is given, checked one
-    batch per a against the bound and ValueError of :func:`scalar_quotient`."""
-    M = np.array(mats)
-    d = M.shape[1]
-    out = np.empty((K.order, K.order), dtype=complex)
-    for a in range(K.order):
-        products, targets = M[a] @ M, M[K.table[a]]
-        row = np.einsum("bij,bij->b", products.conj(), targets) / d if c is None else c[a]
-        residuals = np.linalg.norm(targets - row[:, None, None] * products, axis=(1, 2))
-        if np.any(residuals > tol.identity_bound(np.linalg.norm(targets, axis=(1, 2)))):
-            raise ValueError("matrices are not scalar multiples of each other")
-        out[a] = row
-    return out
 
 
 def _check_carried(Pi: CovariantRep, C, target: CovariantRep, what: str):
@@ -271,16 +206,14 @@ def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureRe
     psi_unitaries = [C0.conj().T @ Pi.unitaries[h] @ C0 for h in members]
     psi = CovariantRep(psi_base, sub_action, psi_unitaries)
     induced = induce(psi, Pi.action, H, reps_list)
+    # End psi = End Lambda, which the check on Lambda below decides
     _check_carried(Pi, C, induced, "conjugator")
-    # psi is covariant because Pi is and C carries Pi onto Ind psi
-    if psi.end_dim(tol) != 1:
-        raise BlockStructureViolation("stabilizer block representation is reducible")
 
     # perms[g][j] is the i with c_i g in H c_j
     perms = [np.argsort([j for _, j, _ in triples]) for triples in coset_action(H, reps_list)]
+    # column j of U_g has the one nonzero block (perm[j], j)
     block_unitaries = [
-        [_block(U, perm[j], j, block) for j in range(m)]
-        for U, perm in zip(induced.unitaries, perms)
+        list(U.reshape(m, block, m, block)[perm, :, np.arange(m)]) for U, perm in zip(induced.unitaries, perms)
     ]
     h_is_normal = all(perm[0] != 0 or np.array_equal(perm, np.arange(m)) for perm in perms)
 
@@ -292,7 +225,7 @@ def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureRe
     # psi_h = Lambda_h (x) V_h is a genuine representation, so Lambda's
     # cocycle is the inverse, conj(c_V), of V's
     lambda_rep = ProjectiveRep(K, lam_mats, _cocycle(K, lam_mats, tol, c_v.conj()))
-    if _projective_end_dim(lam_mats, tol) != 1:
+    if not is_irreducible(lambda_rep, tol):
         raise BlockStructureViolation("tensor factor on the multiplicity space is reducible")
 
     return StructureReport(
@@ -357,9 +290,9 @@ def _require_cyclic(G: FiniteGroup):
         raise InvariantViolation("group must be Z_n in standard form")
 
 
-def _cyclic_canonical_form(Pi: CovariantRep, seed: int, tol: Tolerance):
+def _cyclic_canonical_form(Pi: CovariantRep, core: _Core, tol: Tolerance):
     """Analysis in shift-with-corner form of a covariant representation
-    already known to be valid and irreducible.
+    already known to be valid and irreducible, from its structure core.
 
     With coset representatives 0..m-1 the induced conjugator already has
     identity shift blocks, and the corner is V = psi(U^m).
@@ -367,7 +300,6 @@ def _cyclic_canonical_form(Pi: CovariantRep, seed: int, tol: Tolerance):
     G = Pi.group
     _require_cyclic(G)
     n = G.order
-    core = _analyze_core(Pi, seed, tol)
     if core.multiplicity != 1:
         raise CanonicalFormViolation(
             f"cyclic multiplicity must be one, got {core.multiplicity}"
@@ -398,7 +330,7 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
     if not isinstance(Pi.action, GroupAction):
         raise InvariantViolation("fixed-point analysis needs a GroupAction on a MatAlg")
     _require_irreducible(Pi, tol)
-    report, m, k, V = _cyclic_canonical_form(Pi, seed, tol)
+    report, m, k, V = _cyclic_canonical_form(Pi, _analyze_core(Pi, seed, tol), tol)
     pi1 = report.base_irrep
     d1 = pi1.dim
 
@@ -449,7 +381,7 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     ``Psi(a) = 1_r (x) pi1(a)``; each group unitary then factors as
     ``Lambda_h (x) V^h`` and the verdict is the irreducibility of the
     projective Lambda family on the multiplicity space, the character sum
-    |G|^-1 sum_h |tr Lambda_h|^2 == 1.
+    |G|^-1 sum_h |tr Lambda_h|^2 == 1 that :func:`is_irreducible` reads.
     """
     end_dim = rep_end_dim(Psi.base, Psi.action, tol)
     r = int(round(np.sqrt(end_dim)))
@@ -468,7 +400,7 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     if len(witnesses) != Psi.group.order:
         raise InvariantViolation("every group element must fix the class of the base irreducible")
     lam = [factor_tensor(Psi.unitaries[h], W, r, tol) for h, W in witnesses.items()]
-    return _projective_end_dim(lam, tol) == 1
+    return is_irreducible(ProjectiveRep(Psi.group, lam, _cocycle(Psi.group, lam, tol)), tol)
 
 
 def build_cyclic_irrep(
@@ -612,10 +544,13 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     if case != "TauPair":
         if case == "EtaTriple":
             # z3 meets H trivially, so by Mackey the restriction to z3 is
-            # Ind_{e}^{z3} pi1, irreducible: no 3-cycle fixes the class of pi1
-            report, m, _, _ = _cyclic_canonical_form(over_z3(Pi.base, U_eta), seed, tol)
-            if m != 3:
-                raise BlockStructureViolation("3-cycle restriction must split into 3 blocks")
+            # Ind_{e}^{z3} pi1, irreducible: no 3-cycle fixes the class of pi1.
+            # Its core is Pi's frame C0 with stabilizer {e} and cosets e, eta, eta^2
+            z3_cov = over_z3(Pi.base, U_eta)
+            C = np.hstack([U.conj().T @ core.conjugator[:, : pi1.dim] for U in z3_cov.unitaries])
+            trivial = Subgroup(z3_action.group, (0,))
+            z3_core = _Core(pi1, 1, trivial, {0: core.witnesses[S3_E]}, [0, 1, 2], C)
+            report = _cyclic_canonical_form(z3_cov, z3_core, tol)[0]
         else:
             report = _finish_report(Pi, core, tol)
         return S3Class(case, report.base_irrep, report.conjugator, 1, report=report)

@@ -40,9 +40,10 @@ class FiniteGroup:
             raise InvariantViolation("Cayley table rows are not permutations")
         if not np.all(np.sort(table, axis=0) == rng[:, None]):
             raise InvariantViolation("Cayley table columns are not permutations")
-        # associativity: (g_i g_j) g_k == g_i (g_j g_k) for all triples
-        if not np.array_equal(table[table, :], table[:, table]):
-            raise InvariantViolation("Cayley table is not associative")
+        # associativity, one i at a time: (g_i g_j) g_k == g_i (g_j g_k)
+        for row in table:
+            if not np.array_equal(table[row], row[table]):
+                raise InvariantViolation("Cayley table is not associative")
         if identity is None:
             hits = [i for i in range(n) if np.all(table[i] == rng)]
             if not hits:
@@ -50,12 +51,11 @@ class FiniteGroup:
             identity = hits[0]
         if not (np.all(table[identity] == rng) and np.all(table[:, identity] == rng)):
             raise InvariantViolation("declared identity is not neutral")
-        inverse = np.empty(n, dtype=int)
-        for i in range(n):
-            js = np.nonzero(table[i] == identity)[0]
-            if len(js) != 1 or table[js[0], i] != identity:
-                raise InvariantViolation(f"element {i} has no two-sided inverse")
-            inverse[i] = js[0]
+        # each row of a Latin square holds the identity exactly once
+        inverse = np.argmax(table == identity, axis=1)
+        missing = np.flatnonzero(table[inverse, rng] != identity)
+        if len(missing):
+            raise InvariantViolation(f"element {missing[0]} has no two-sided inverse")
         self.order = n
         self.table = table
         self.identity = int(identity)
@@ -129,15 +129,12 @@ class Subgroup:
     def __post_init__(self):
         members = tuple(sorted(self.members))
         object.__setattr__(self, "members", members)
-        sset = set(members)
-        if self.parent.identity not in sset:
+        if self.parent.identity not in members:
             raise InvariantViolation("subgroup must contain the identity")
-        for a in members:
-            if self.parent.inv(a) not in sset:
-                raise InvariantViolation("subgroup is not closed under inverses")
-            for b in members:
-                if self.parent.mul(a, b) not in sset:
-                    raise InvariantViolation("subgroup is not closed under the table")
+        # a subset of a finite group closed under the product holds the inverses
+        m = np.array(members, dtype=int)
+        if not np.isin(self.parent.table[np.ix_(m, m)], m).all():
+            raise InvariantViolation("subgroup is not closed under the table")
 
     @property
     def order(self) -> int:
@@ -150,9 +147,9 @@ class Subgroup:
         {0, m, 2m, ...} of Z_n regrounds exactly onto Z_{n/m}.
         """
         members = list(self.members)
-        pos = {g: i for i, g in enumerate(members)}
-        k = len(members)
-        table = [[pos[self.parent.mul(members[i], members[j])] for j in range(k)] for i in range(k)]
+        pos = np.empty(self.parent.order, dtype=int)
+        pos[members] = np.arange(len(members))
+        table = pos[self.parent.table[np.ix_(members, members)]]
         labels = [self.parent.labels[g] for g in members]
         return FiniteGroup(table, identity=pos[self.parent.identity], labels=labels), members
 
@@ -224,7 +221,8 @@ def make_symmetric_group_3() -> FiniteGroup:
 
 
 def subgroup_closure(G: FiniteGroup, gens) -> Subgroup:
-    """Smallest subgroup of G containing ``gens``."""
+    """Smallest subgroup of G containing ``gens``: the closure under the
+    product, which in a finite group holds the inverses too."""
     gens = list(gens)
     if not gens:
         raise ValueError("generator list must be nonempty")
@@ -235,19 +233,9 @@ def subgroup_closure(G: FiniteGroup, gens) -> Subgroup:
         if g in members:
             continue
         members.add(g)
+        # each product of two members is queued when the later one joins
         frontier.extend(G.mul(g, h) for h in list(members))
         frontier.extend(G.mul(h, g) for h in list(members))
-        frontier.append(G.inv(g))
-    # close under products until stable (cheap at order <= 64)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(members):
-            for b in list(members):
-                c = G.mul(a, b)
-                if c not in members:
-                    members.add(c)
-                    changed = True
     return Subgroup(G, tuple(sorted(members)))
 
 
@@ -258,17 +246,10 @@ def right_coset_reps(H: Subgroup) -> list[int]:
     the representatives tile the parent group.
     """
     G = H.parent
-    seen = set()
-    reps = []
-    for g in range(G.order):
-        if g in seen:
-            continue
-        coset = sorted(G.mul(h, g) for h in H.members)
-        seen |= set(coset)
-        reps.append(G.identity if G.identity in coset else coset[0])
-    reps.sort()
-    reps.remove(G.identity)
-    return [G.identity] + reps
+    # column g of the H rows of the table is the coset Hg
+    firsts = set(G.table[list(H.members)].min(axis=0).tolist())
+    firsts.discard(H.members[0])
+    return [G.identity] + sorted(firsts)
 
 
 def coset_action(H: Subgroup, coset_reps) -> list[list[tuple[int, int, int]]]:
@@ -352,19 +333,15 @@ def character_table(
 ) -> CharacterTable:
     """Character table computed by decomposing the regular representation.
 
-    The regular representation is Ind_{e}^G 1: the regular representation of
-    the one-dimensional algebra under the trivial action, which the character
-    engine decomposes.  Each irrep appears in it with multiplicity equal to
-    its dimension; characters are read off as traces of the group unitaries
-    of the irreducible components.
+    The regular representation is the twisted regular representation with
+    the trivial cocycle, which the projective character engine decomposes.
+    Each irrep appears in it with multiplicity equal to its dimension;
+    characters are read off as traces of the irreducible components.
     """
-    # deferred: algebra and reps import this module
-    from .algebra import GroupAction, MatAlg, StarAut
-    from .reps import decompose, defining_rep, regular_representation
+    # deferred: reps imports this module
+    from .reps import _twisted_regular, decompose
 
-    point = MatAlg([1])
-    trivial = GroupAction(G, point, [StarAut.identity(point)] * G.order)
-    regular = regular_representation(defining_rep(point), trivial)
+    regular = _twisted_regular(G, np.ones((G.order, G.order)))
     classes = G.conjugacy_classes()
     last_err = None
     for attempt in range(3):
@@ -377,7 +354,7 @@ def character_table(
                     raise InvariantViolation(
                         f"regular multiplicity {mult} != dimension {dim}"
                     )
-                per_element = np.trace(np.array(irrep.unitaries), axis1=1, axis2=2)
+                per_element = np.trace(np.array(irrep.mats), axis1=1, axis2=2)
                 per_class = []
                 for cls in classes:
                     vals = per_element[list(cls)]

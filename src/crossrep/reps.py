@@ -14,8 +14,11 @@ character inner products (:func:`hom_dim`) and Hom spaces are ranges of a
 group-and-algebra average (:func:`hom_projection`), so neither needs a
 Sylvester solve.  For a :class:`Rep`, or a covariant representation over a
 :class:`LabelAction` through its joint generating set, it is one
-intertwiner solve.  A representation of the algebra alone enters the
-character engine as a covariant representation over the trivial subgroup
+intertwiner solve.  For a :class:`ProjectiveRep` of a group K it is the
+projective character engine: dim Hom = |K|^-1 sum_h conj(tr L1_h) tr L2_h
+and P(X) = |K|^-1 sum_h L2_h X L1_h*, for two families with one cocycle.
+A representation of the algebra alone enters the character engine as a
+covariant representation over the trivial subgroup
 (:func:`trivial_covariant`).
 Its translate stabilizer is read off the action instead
 (:func:`translate_stabilizer`): up to a unitary, an irreducible of
@@ -43,7 +46,7 @@ from .errors import (
     LabelMismatch,
     NotIrreducible,
 )
-from .groups import Subgroup, coset_action
+from .groups import FiniteGroup, Subgroup, coset_action
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -56,6 +59,7 @@ from .linalg import (
 
 __all__ = [
     "Rep",
+    "ProjectiveRep",
     "CovariantRep",
     "IrrepDecomposition",
     "Equivalence",
@@ -95,11 +99,6 @@ class Rep:
                 raise DimensionMismatch(f"generator {label!r} is not {dim}x{dim}")
             self.gens[label] = M
 
-    def star_closed(self) -> list[np.ndarray]:
-        """Generator images followed by their adjoints."""
-        mats = list(self.gens.values())
-        return mats + [M.conj().T for M in mats]
-
     def conjugate(self, Q) -> "Rep":
         """The representation x -> Q* pi(x) Q for an isometry or unitary Q."""
         Q = as_matrix(Q)
@@ -107,6 +106,65 @@ class Rep:
 
     def __repr__(self):
         return f"Rep(dim={self.dim}, gens={list(self.gens)!r})"
+
+
+class ProjectiveRep(Rep):
+    """Unitaries multiplying up to a scalar: ``mats[gh] = c(g,h) mats[g] mats[h]``.
+
+    A :class:`Rep` with generator g = ``mats[g]``: :func:`_hom` reads its Hom
+    spaces, :func:`decompose` splits it, and its pieces keep the cocycle.
+    """
+
+    def __init__(self, group: FiniteGroup, mats, cocycle):
+        super().__init__(np.shape(mats[0])[0], dict(enumerate(mats)))
+        self.group = group
+        self.mats = list(self.gens.values())
+        self.cocycle = np.asarray(cocycle)
+
+    def conjugate(self, Q) -> "ProjectiveRep":
+        return ProjectiveRep(self.group, list(super().conjugate(Q).gens.values()), self.cocycle)
+
+    def validate(self, threshold: float = 1e-8):
+        T, c = self.group.table, self.cocycle
+        M = np.array(self.mats)
+        if np.max(np.abs(np.abs(c) - 1.0)) > threshold:
+            raise InvariantViolation("cocycle values must have modulus 1")
+        # row g: M[gh] - c(g, h) M[g] M[h] over every h
+        for g in range(len(T)):
+            residuals = np.linalg.norm(M[T[g]] - c[g][:, None, None] * (M[g] @ M), axis=(1, 2))
+            bad = np.flatnonzero(residuals > threshold * max(1, self.dim))
+            if len(bad):
+                raise InvariantViolation(f"projective relation fails at pair ({g},{bad[0]})")
+        # row g: c(g, h) c(gh, k) - c(h, k) c(g, hk) over every (h, k)
+        for g in range(len(T)):
+            bad = np.argwhere(np.abs(c[g][:, None] * c[T[g]] - c * c[g][T]) > threshold)
+            if len(bad):
+                h, k = bad[0]
+                raise InvariantViolation(f"2-cocycle identity fails at ({g},{h},{k})")
+
+
+def _cocycle(K: FiniteGroup, mats, tol: Tolerance, c=None) -> np.ndarray:
+    """The 2-cocycle M_ab = c(a, b) M_a M_b of a projective unitary family,
+    c(a, b) = tr((M_a M_b)* M_ab) / d unless ``c`` is given, checked one
+    batch per a against the bound and ValueError of :func:`scalar_quotient`."""
+    M = np.array(mats)
+    d = M.shape[1]
+    out = np.empty((K.order, K.order), dtype=complex)
+    for a in range(K.order):
+        products, targets = M[a] @ M, M[K.table[a]]
+        row = np.einsum("bij,bij->b", products.conj(), targets) / d if c is None else c[a]
+        residuals = np.linalg.norm(targets - row[:, None, None] * products, axis=(1, 2))
+        if np.any(residuals > tol.identity_bound(np.linalg.norm(targets, axis=(1, 2)))):
+            raise ValueError("matrices are not scalar multiples of each other")
+        out[a] = row
+    return out
+
+
+def _twisted_regular(K: FiniteGroup, c) -> ProjectiveRep:
+    """The twisted regular representation L_a delta_x = c(a, x) delta_{ax}
+    of K, which carries the cocycle conj(c)."""
+    L = c[:, None, :] * (K.table[:, None, :] == np.arange(K.order)[:, None])
+    return ProjectiveRep(K, L, c.conj())
 
 
 def defining_rep(algebra: MatAlg) -> Rep:
@@ -504,14 +562,18 @@ def hom_dim(cov1: CovariantRep, cov2: CovariantRep, tol: Tolerance = DEFAULT_TOL
         |G|^-1 sum_g [ sum_k n_k^-1 sum_ij chi2(g, e^k_ij) conj(chi1(g, e^k_ij))
                        + chi2(g, 1 - pi2(1)) conj(chi1(g, 1 - pi1(1))) ],
 
-    the trace of :func:`hom_projection`.  The sum is rounded to an integer
-    within ``rank_eps`` of its scale; :class:`InvariantViolation` when it is
-    not near a nonnegative integer.
+    the trace of :func:`hom_projection`, rounded by :func:`_character_dim`.
     """
     weights = np.append(_unit_pattern(_common_algebra(cov1, cov2).block_dims)[0], 1.0)
     chi1 = covariant_character(cov1)
     chi2 = chi1 if cov2 is cov1 else covariant_character(cov2)
-    terms = weights * chi2 * chi1.conj()
+    return _character_dim(weights * chi2 * chi1.conj(), tol)
+
+
+def _character_dim(terms: np.ndarray, tol: Tolerance) -> int:
+    """The character sum |G|^-1 sum of ``terms``, one row per group element,
+    rounded to a dimension within ``rank_eps`` of the mean of |terms|;
+    :class:`InvariantViolation` when it is not near a nonnegative integer."""
     total = terms.sum() / len(terms)
     count = round(total.real)
     scale = np.abs(terms).sum() / len(terms)
@@ -552,8 +614,20 @@ def _hom(a, b, tol: Tolerance):
     no solve.  A :class:`Rep`, or a covariant representation over a
     :class:`LabelAction` through its :meth:`~CovariantRep.joint_rep`, takes
     one :func:`intertwiners` solve, and P(X) = sum_B <B, X> B over its
-    orthonormal basis.
+    orthonormal basis.  Two :class:`ProjectiveRep` s with one cocycle are
+    read by projective characters, with P(X) = |K|^-1 sum_h L2_h X L1_h*;
+    different cocycles raise :class:`ActionMismatch`.
     """
+    if isinstance(a, ProjectiveRep):
+        c1, c2 = a.cocycle, b.cocycle
+        if c1 is not c2 and not (
+            c1.shape == c2.shape and np.allclose(c1, c2, rtol=0, atol=tol.identity_bound(1.0))
+        ):
+            raise ActionMismatch("projective representations with different cocycles")
+        L1, L2 = np.array(a.mats), np.array(b.mats)
+        count = _character_dim(np.trace(L2, axis1=1, axis2=2) * np.trace(L1, axis1=1, axis2=2).conj(), tol)
+        L1h = L1.conj().transpose(0, 2, 1)
+        return count, lambda X: (L2 @ as_matrix(X) @ L1h).mean(axis=0)
     if isinstance(a, CovariantRep):
         if isinstance(a.action, GroupAction):
             return hom_dim(a, b, tol), lambda X: hom_projection(a, b, X)

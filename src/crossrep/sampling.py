@@ -13,7 +13,7 @@ from .algebra import GroupAction, MatAlg, StarAut, restrict_action
 from .errors import InvariantViolation
 from .groups import Subgroup, make_cyclic_group, make_symmetric_group_3, right_coset_reps
 from .linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
-from .reps import CovariantRep, Rep, decompose, induce, regular_representation, rep_from_images
+from .reps import CovariantRep, Rep, _cocycle, _decompose, _twisted_regular, induce, rep_from_images
 
 __all__ = [
     "random_cyclic_action",
@@ -188,20 +188,23 @@ def crossed_irreps(
 ) -> list[CovariantRep]:
     """Every irreducible covariant representation of the crossed product.
 
-    Mackey's construction, one G-orbit of blocks at a time: with k the
-    smallest block of the orbit, H = {g : alpha_g fixes block k} and pi_k
-    the compression to block k, the irreducibles supported on the orbit are
-    Ind_H^G psi for the components psi of the H-regular representation
-    Ind_{e}^H pi_k, which :func:`decompose` splits on the character engine
-    at host dimension |H| n_k.  Distinct orbits give inequivalent results,
-    and every irreducible arises this way.
+    Mackey's construction with multipliers, one G-orbit of blocks at a
+    time: with k the smallest block of the orbit, H = {g : alpha_g fixes
+    block k}, pi_k the compression to block k and V_h = U^h_k the action's
+    unitaries on block k, of cocycle c_V, the irreducibles supported on the
+    orbit are Ind_H^G psi with psi_h = Lambda_h (x) V_h on 1_r (x) pi_k, for
+    the irreducible projective representations Lambda of H with cocycle
+    omega = conj(c_V).  :func:`decompose` splits them out of the twisted
+    regular representation L_a delta_x = c_V(a, x) delta_{ax}, of dimension
+    |H|.  Distinct orbits give inequivalent results, and every irreducible
+    arises this way.
 
     Certified by ``end_dim() == 1`` on each result (a character sum) and by
     the Wedderburn count sum dim^2 = |G| dim A, :class:`InvariantViolation`
-    otherwise.  The induced results are not re-validated: ``decompose``
-    validates the H-regular representation and induction preserves
+    otherwise.  The results are not re-validated: L passes one cocycle
+    residual check, so each psi is covariant, and induction preserves
     covariance.  Ordered by dimension, stably, then by orbit (smallest
-    block first), then in ``decompose``'s order of the psi.
+    block first), then in ``decompose``'s order of the Lambda.
     """
     G, A = action.group, action.algebra
     irreps, covered = [], set()
@@ -210,10 +213,19 @@ def crossed_irreps(
             continue
         covered.update(aut.perm[k] for aut in action.auts)
         H = Subgroup(G, tuple(g for g, aut in enumerate(action.auts) if aut.perm[k] == k))
-        pi_k = rep_from_images(A, lambda e: e.blocks[k])
-        regular = regular_representation(pi_k, restrict_action(action, H)[0])
+        sub_action, members = restrict_action(action, H)
+        K = sub_action.group
+        V = np.array([action.auts[h].unitaries[k] for h in members])
+        # L carries omega = conj(c_V), so psi_h = Lambda_h (x) V_h is a genuine representation
+        twisted = _twisted_regular(K, _cocycle(K, V, tol))
+        _cocycle(K, twisted.mats, tol, twisted.cocycle)
+        units = np.array([e.blocks[k] for e in A.basis_elements()])
         coset_reps = right_coset_reps(H)
-        for psi, _ in decompose(regular, seed, tol).components:
+        for lam, _ in _decompose(twisted, seed, tol).components:
+            d = lam.dim * A.block_dims[k]
+            base = np.einsum("ij,lab->liajb", np.eye(lam.dim), units).reshape(-1, d, d)
+            unitaries = np.einsum("hij,hab->hiajb", np.array(lam.mats), V).reshape(-1, d, d)
+            psi = CovariantRep(Rep(d, dict(zip(A.basis_labels(), base))), sub_action, unitaries)
             irreps.append(induce(psi, action, H, coset_reps))
     irreps.sort(key=lambda cov: cov.dim)
     for cov in irreps:

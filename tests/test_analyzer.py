@@ -528,20 +528,37 @@ def test_psi_block_matches_corner(tol):
 
 
 def test_projective_end_dim_matches_commutant(rng, tol):
-    from crossrep.analyzer import _projective_end_dim
-    from crossrep.reps import commutant_basis
+    from crossrep.reps import ProjectiveRep, _hom, commutant_basis
 
     # the multiplicity-space family of the doubled example is irreducible;
     # the identity family on C^3 has the full 3 x 3 commutant
-    lam = analyze(doubled_minimal_covariant(), seed=5, tol=tol).lambda_rep.mats
-    identity = [np.eye(3, dtype=complex)] * 4
-    for mats in (lam, identity):
-        r = mats[0].shape[0]
-        expected = len(commutant_basis(Rep(r, {f"L{i}": L for i, L in enumerate(mats)}), tol))
-        assert _projective_end_dim(mats, tol) == expected
+    lam = analyze(doubled_minimal_covariant(), seed=5, tol=tol).lambda_rep
+    identity = ProjectiveRep(make_cyclic_group(4), [np.eye(3, dtype=complex)] * 4, np.ones((4, 4)))
+    for proj in (lam, identity):
+        expected = len(commutant_basis(Rep(proj.dim, {f"L{i}": L for i, L in enumerate(proj.mats)}), tol))
+        assert _hom(proj, proj, tol)[0] == expected
     # unitaries that are no projective representation give no dimension
+    mats = [np.eye(2), random_unitary(2, rng), random_unitary(2, rng)]
+    bogus = ProjectiveRep(make_cyclic_group(3), mats, np.ones((3, 3)))
     with pytest.raises(InvariantViolation):
-        _projective_end_dim([np.eye(2), random_unitary(2, rng), random_unitary(2, rng)], tol)
+        _hom(bogus, bogus, tol)
+
+
+def test_lambda_irreducibility_is_asked_of_the_projective_rep(monkeypatch, tol):
+    from crossrep.reps import ProjectiveRep
+
+    asked = []
+
+    def reducible(r, tol):
+        asked.append(r)
+        return False
+
+    monkeypatch.setattr(crossrep.analyzer, "is_irreducible", reducible)
+    with pytest.raises(BlockStructureViolation, match="multiplicity space is reducible"):
+        analyze(doubled_minimal_covariant(), seed=5, tol=tol)
+    [lam] = asked
+    assert isinstance(lam, ProjectiveRep) and lam.dim == 2
+    assert len(lam.mats) == lam.group.order == 6
 
 
 def _scalar_quotient_cocycle(K, mats, tol):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import crossrep.analyzer
 import crossrep.linalg
 import crossrep.reps
-from crossrep.algebra import GroupAction, MatAlg, StarAut
+from crossrep.algebra import GroupAction, MatAlg, StarAut, restrict_action
 from crossrep.analyzer import analyze, classify_s3, cyclic_analyze
 from crossrep.crossed import fixed_point_algebra
 from crossrep.errors import CanonicalFormViolation
@@ -28,7 +28,15 @@ from crossrep.examples import (
     torus_orbit_action,
     torus_orbit_evaluation,
 )
-from crossrep.groups import character_table, make_cyclic_group, make_symmetric_group_3
+from crossrep.groups import (
+    S3_E,
+    S3_ETA,
+    S3_ETA2,
+    Subgroup,
+    character_table,
+    make_cyclic_group,
+    make_symmetric_group_3,
+)
 from crossrep.linalg import random_unitary
 from crossrep.reps import (
     CovariantRep,
@@ -114,6 +122,39 @@ def test_classify_s3_draws_no_random_numbers(name, monkeypatch, tol):
     monkeypatch.setattr(crossrep.reps, "random_hermitian", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     assert analyzer(Pi, seed=3, tol=tol).case == case
+
+
+def test_eta_triple_reads_one_structure_core(monkeypatch, tol):
+    # the 3-cycle restriction reuses Pi's frame, stabilizer witness and conjugator
+    Pi = ANALYZER_CASES["classify_s3 EtaTriple"][1]()
+    calls = {"_analyze_core": 0, "_block_frame": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # reference: the Z3 restriction analysed from scratch
+    U_eta = Pi.unitaries[S3_ETA]
+    z3_action, _ = restrict_action(Pi.action, Subgroup(Pi.group, (S3_E, S3_ETA, S3_ETA2)))
+    z3_cov = CovariantRep(Pi.base, z3_action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
+    analyzer = crossrep.analyzer
+    want = analyzer._cyclic_canonical_form(z3_cov, analyzer._analyze_core(z3_cov, 3, tol), tol)[0]
+
+    monkeypatch.setattr(analyzer, "_analyze_core", counted("_analyze_core", analyzer._analyze_core))
+    frame = counted("_block_frame", crossrep.reps._block_frame)
+    monkeypatch.setattr(analyzer, "_block_frame", frame)
+    monkeypatch.setattr(crossrep.reps, "_block_frame", frame)
+    verdict = classify_s3(Pi, seed=3, tol=tol)
+    assert verdict.case == "EtaTriple" and verdict.report.index == 3
+    assert calls == {"_analyze_core": 1, "_block_frame": 2}
+    got = verdict.report
+    assert got.coset_reps == want.coset_reps and got.subgroup.members == want.subgroup.members
+    for a, b in [(got.conjugator, want.conjugator), (got.v_rep.mats, want.v_rep.mats),
+                 (got.lambda_rep.mats, want.lambda_rep.mats), (got.psi.unitaries, want.psi.unitaries)]:
+        assert np.max(np.abs(np.array(a) - np.array(b))) < 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZER_CASES))

@@ -1,10 +1,10 @@
 """Crossed-product irreducibles from Mackey's construction.
 
 ``crossed_irreps`` induces each irreducible from the stabilizer H of one
-block k: Ind_H^G psi for the components psi of the H-regular representation
-of the block-k compression.  The reference is the host-size route, the
-decomposition of the defining representation of the crossed-product matrix
-model, kept only here.
+block k: Ind_H^G psi with psi_h = Lambda_h (x) V_h, for the components
+Lambda of the |H|-dimensional twisted regular representation of H.  The
+reference is the host-size route, the decomposition of the defining
+representation of the crossed-product matrix model, kept only here.
 """
 
 import json
@@ -16,15 +16,35 @@ from hypothesis import strategies as st
 
 import crossrep.crossed
 import crossrep.sampling
-from crossrep.algebra import restrict_action
-from crossrep.analyzer import analyze
+from crossrep.algebra import GroupAction, StarAut, restrict_action
+from crossrep.analyzer import analyze, factor_tensor
 from crossrep.crossed import build_crossed_model
 from crossrep.errors import InvariantViolation
+from crossrep.examples import weyl_pair_homogeneous
 from crossrep.groups import Subgroup
-from crossrep.linalg import block_diag
-from crossrep.reps import CovariantRep, Rep, decompose, direct_sum_reps, hom_dim
+from crossrep.linalg import DEFAULT_TOL, block_diag, random_unitary
+from crossrep.reps import (
+    CovariantRep,
+    ProjectiveRep,
+    Rep,
+    _cocycle,
+    _hom,
+    decompose,
+    direct_sum_reps,
+    hom_dim,
+    is_irreducible,
+)
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 from crossrep.serialize import covariant_from_json, covariant_to_json
+
+
+def _rephased(act, rng):
+    """The same action with each block unitary times a random phase per
+    group element: the automorphisms stay, the cocycle moves by a coboundary."""
+    phases = np.exp(2j * np.pi * rng.random(act.group.order))
+    auts = [StarAut(act.algebra, a.perm, [z * U for U in a.unitaries]) for z, a in zip(phases, act.auts)]
+    return GroupAction(act.group, act.algebra, auts)
+
 
 ACTIONS = {
     "Z2[1,1]": lambda: random_cyclic_action(2, [1, 1], np.random.default_rng(1)),
@@ -40,7 +60,11 @@ ACTIONS = {
     "S3 permutation": lambda: random_s3_action(np.random.default_rng(0), "permutation"),
     "S3 inner": lambda: random_s3_action(np.random.default_rng(2), "inner"),
     "S3 conjugated": lambda: random_s3_action(np.random.default_rng(5), "conjugated"),
+    "Weyl q=2": lambda: weyl_pair_homogeneous(2).action,
+    "Weyl q=3": lambda: weyl_pair_homogeneous(3).action,
+    "Weyl q=3 rephased": lambda: _rephased(weyl_pair_homogeneous(3).action, np.random.default_rng(3)),
 }
+WEYL = [name for name in ACTIONS if name.startswith("Weyl")]
 
 
 def _host_model_irreps(act):
@@ -119,16 +143,92 @@ def test_crossed_irreps_rejects_a_reducible_induction(monkeypatch, tol):
 
 
 def test_crossed_irreps_rejects_a_missing_component(monkeypatch, tol):
-    decompose_ = crossrep.sampling.decompose
+    decompose_ = crossrep.sampling._decompose
 
     def drop_last(*args, **kwargs):
         dec = decompose_(*args, **kwargs)
         dec.components = dec.components[:-1]
         return dec
 
-    monkeypatch.setattr(crossrep.sampling, "decompose", drop_last)
+    monkeypatch.setattr(crossrep.sampling, "_decompose", drop_last)
     with pytest.raises(InvariantViolation, match="dim A"):
         crossed_irreps(ACTIONS["S3 inner"](), seed=0, tol=tol)
+
+
+def test_crossed_irreps_checks_the_twisted_regular_relation(monkeypatch, tol):
+    twisted_regular = crossrep.sampling._twisted_regular
+
+    def wrong_cocycle(K, c):
+        # L_a delta_x = conj(c(a, x)) delta_{ax} carries c, not the conj(c) claimed
+        L = twisted_regular(K, c.conj())
+        return ProjectiveRep(K, L.mats, c.conj())
+
+    monkeypatch.setattr(crossrep.sampling, "_twisted_regular", wrong_cocycle)
+    with pytest.raises(ValueError, match="not scalar multiples"):
+        crossed_irreps(ACTIONS["Weyl q=3"](), seed=0, tol=tol)
+
+
+def test_crossed_irreps_splits_only_twisted_regular_representations(monkeypatch, tol):
+    decompose_ = crossrep.sampling._decompose
+    seen = []
+
+    def record(r, *args, **kwargs):
+        seen.append(r)
+        return decompose_(r, *args, **kwargs)
+
+    monkeypatch.setattr(crossrep.sampling, "_decompose", record)
+    for make in ACTIONS.values():
+        act = make()
+        # one split per orbit, of dimension |H| for its smallest block k
+        orders, covered = [], set()
+        for k in range(act.algebra.n_blocks):
+            if k not in covered:
+                covered.update(aut.perm[k] for aut in act.auts)
+                orders.append(sum(aut.perm[k] == k for aut in act.auts))
+        seen.clear()
+        crossed_irreps(act, seed=0, tol=tol)
+        assert all(type(r) is ProjectiveRep for r in seen)
+        assert [r.dim for r in seen] == orders
+
+
+@pytest.mark.parametrize("name", WEYL)
+def test_weyl_irreducibles_carry_an_irreducible_lambda_of_inverse_cocycle(name, tol):
+    act = ACTIONS[name]()
+    irreps = crossed_irreps(act, seed=0, tol=tol)
+    # Z_q x Z_q with the Weyl cocycle has one irreducible projective class
+    assert len(irreps) == 1
+    for cov in irreps:
+        report = analyze(cov, seed=0, tol=tol)
+        assert is_irreducible(report.lambda_rep, tol)
+        assert np.max(np.abs(report.lambda_rep.cocycle - report.v_rep.cocycle.conj())) < 1e-12
+        assert np.max(np.abs(report.v_rep.cocycle - 1)) > 0.5
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+def test_each_result_is_labelled_by_its_lambda_class(q, seed):
+    # a Weyl-pair action in a random gauge with random phases: omega is
+    # nontrivial and moved by a coboundary
+    rng = np.random.default_rng(seed)
+    weyl = weyl_pair_homogeneous(q).action
+    W = random_unitary(q, rng)
+    auts = [StarAut(weyl.algebra, a.perm, [W @ U @ W.conj().T for U in a.unitaries]) for a in weyl.auts]
+    act = _rephased(GroupAction(weyl.group, weyl.algebra, auts), rng)
+    tol = DEFAULT_TOL
+    for cov in crossed_irreps(act, seed=0, tol=tol):
+        k, H, psi = _stabilizer_block(cov, tol)
+        K = psi.group
+        # psi_h = Lambda_h (x) V_h with the action's own V_h
+        V = [act.auts[h].unitaries[k] for h in H.members]
+        r = psi.dim // act.algebra.block_dims[k]
+        lam_mats = [factor_tensor(U, Vh, r, tol) for U, Vh in zip(psi.unitaries, V)]
+        lam = ProjectiveRep(K, lam_mats, _cocycle(K, V, tol).conj())
+        report = analyze(cov, seed=0, tol=tol)
+        # the analyzer's witnesses are mu_h V_h, so mu_h times its Lambda_h pairs with V_h
+        mu = [np.trace(Vh.conj().T @ Wh) / len(Vh) for Vh, Wh in zip(V, report.v_rep.mats)]
+        theirs = ProjectiveRep(K, [m * L for m, L in zip(mu, report.lambda_rep.mats)], lam.cocycle)
+        assert _hom(lam, theirs, tol)[0] == 1
+        assert _hom(lam, lam, tol)[0] == 1
 
 
 _small_actions = st.one_of(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,38 @@ def test_subgroup_validation():
     G = make_cyclic_group(4)
     with pytest.raises(InvariantViolation):
         Subgroup(G, (0, 1))  # not closed
+
+
+def test_subgroup_with_inverses_but_not_closed_is_rejected():
+    # {0, 1, 3} holds the identity and every inverse, but 1 + 1 = 2 is missing
+    with pytest.raises(InvariantViolation, match="not closed"):
+        Subgroup(make_cyclic_group(4), (0, 1, 3))
+    assert Subgroup(make_cyclic_group(4), (0, 2)).members == (0, 2)
+
+
+def test_non_associative_loop_with_inverses_is_rejected():
+    # a Latin square with identity 0 in which every element is its own
+    # inverse; of order 5 it cannot be a group, and row 0 is associative
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    with pytest.raises(InvariantViolation, match="not associative"):
+        FiniteGroup(loop)
+
+
+def test_associativity_check_needs_no_cubic_array():
+    tracemalloc.start()
+    try:
+        make_cyclic_group(256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an n^3 index array alone is 256^3 * 8 bytes = 134 MB
+    assert peak < 16e6
 
 
 def test_subgroup_closure_eta():

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from crossrep.algebra import MatAlg, StarAut, GroupAction
-from crossrep.errors import LabelMismatch, NotIrreducible
+from crossrep.errors import ActionMismatch, InvariantViolation, LabelMismatch, NotIrreducible
 from crossrep.examples import (
     cute_example,
     expermutation2_example,
@@ -12,9 +14,12 @@ from crossrep.examples import (
     torus_orbit_evaluation,
 )
 from crossrep.groups import make_cyclic_group, S3_ETA, S3_TAU
+from crossrep.linalg import block_diag, random_unitary
 from crossrep.reps import (
     CovariantRep,
+    ProjectiveRep,
     Rep,
+    _hom,
     are_equivalent,
     commutant_basis,
     decompose,
@@ -288,3 +293,109 @@ def test_evaluate_is_linear_extension(rng, tol):
     pi = defining_rep(A)
     x = A.random_element(rng)
     assert np.allclose(evaluate(pi, A, x), x.to_matrix())
+
+
+def _weyl_lambda(q, tol):
+    """The q-dimensional multiplicity factor of the Weyl pair: an irreducible
+    projective representation of Z_q x Z_q with a nontrivial cocycle."""
+    from crossrep.analyzer import analyze
+    from crossrep.examples import weyl_pair_homogeneous
+
+    return analyze(weyl_pair_homogeneous(q), seed=0, tol=tol).lambda_rep
+
+
+def _z3_characters(ks):
+    w = np.exp(2j * np.pi / 3)
+    mats = [np.diag([w ** (j * k) for k in ks]) for j in range(3)]
+    return ProjectiveRep(make_cyclic_group(3), mats, np.ones((3, 3)))
+
+
+def _projective_pairs(rng, tol):
+    lam = _weyl_lambda(3, tol)
+    double = ProjectiveRep(lam.group, [block_diag(L, L) for L in lam.mats], lam.cocycle)
+    return [
+        (lam, lam.conjugate(random_unitary(3, rng)), 1),
+        (lam, double, 2),
+        (double, double.conjugate(random_unitary(6, rng)), 4),
+        (_z3_characters([0, 1]), _z3_characters([1, 1, 2]), 2),
+        (_z3_characters([0]), _z3_characters([1, 2]), 0),
+    ]
+
+
+def test_projective_hom_matches_the_intertwiner_solve(rng, tol):
+    for a, b, want in _projective_pairs(rng, tol):
+        count, project = _hom(a, b, tol)
+        basis = intertwiners(Rep(a.dim, dict(enumerate(a.mats))), Rep(b.dim, dict(enumerate(b.mats))), tol)
+        assert count == len(basis) == want
+        X = rng.standard_normal((b.dim, a.dim)) + 1j * rng.standard_normal((b.dim, a.dim))
+        solved = sum((np.vdot(B, X) * B for B in basis), np.zeros((b.dim, a.dim), dtype=complex))
+        assert np.max(np.abs(project(X) - solved)) < 1e-10
+
+
+def test_projective_hom_needs_one_cocycle(tol):
+    # the q = 3 Weyl cocycle takes values off the real line, so conj moves it
+    lam = _weyl_lambda(3, tol)
+    with pytest.raises(ActionMismatch):
+        _hom(lam, ProjectiveRep(lam.group, lam.mats, lam.cocycle.conj()), tol)
+    with pytest.raises(ActionMismatch):
+        _hom(_z3_characters([0, 1]), lam, tol)
+
+
+def test_decompose_splits_a_projective_rep_into_projective_pieces(rng, tol):
+    lam = _weyl_lambda(2, tol)
+    double = ProjectiveRep(lam.group, [block_diag(L, L) for L in lam.mats], lam.cocycle)
+    dec = decompose(double.conjugate(random_unitary(4, rng)), seed=0, tol=tol)
+    assert [(r.dim, m) for r, m in dec.components] == [(2, 2)]
+    piece = dec.components[0][0]
+    assert isinstance(piece, ProjectiveRep) and piece.cocycle is lam.cocycle
+    piece.validate(1e-8)
+    assert _hom(piece, lam, tol)[0] == 1
+
+
+def _first_failing_pair(proj, threshold):
+    """Reference: the pair loop of the projective relation, in order."""
+    G = proj.group
+    for g in range(G.order):
+        for h in range(G.order):
+            lhs = proj.mats[G.mul(g, h)]
+            rhs = proj.cocycle[g, h] * proj.mats[g] @ proj.mats[h]
+            if np.linalg.norm(lhs - rhs) > threshold * max(1, lhs.shape[0]):
+                return g, h
+    return None
+
+
+def test_projective_validate_names_the_first_failing_pair(rng, tol):
+    lam = _weyl_lambda(3, tol)
+    lam.validate(1e-8)
+    mats = list(lam.mats)
+    mats[4] = mats[4] + 1e-4 * random_unitary(3, rng)
+    bad = ProjectiveRep(lam.group, mats, lam.cocycle)
+    pair = _first_failing_pair(bad, 1e-8)
+    assert pair is not None and pair[0] > 0
+    with pytest.raises(InvariantViolation, match=re.escape(f"pair ({pair[0]},{pair[1]})")):
+        bad.validate(1e-8)
+
+
+def test_projective_validate_rejects_a_cocycle_off_the_unit_circle(tol):
+    lam = _weyl_lambda(3, tol)
+    c = lam.cocycle.copy()
+    c[2, 5] *= 1 + 1e-6
+    with pytest.raises(InvariantViolation, match="modulus 1"):
+        ProjectiveRep(lam.group, lam.mats, c).validate(1e-8)
+
+
+def test_projective_validate_names_the_first_failing_triple():
+    # zero matrices satisfy every pair relation, so only the identity decides
+    K = make_cyclic_group(3)
+    c = np.ones((3, 3), dtype=complex)
+    c[1, 2] = 1j
+    T = K.table
+    triple = next(
+        (g, h, k)
+        for g in range(3)
+        for h in range(3)
+        for k in range(3)
+        if abs(c[g, h] * c[T[g, h], k] - c[h, k] * c[g, T[h, k]]) > 1e-8
+    )
+    with pytest.raises(InvariantViolation, match=re.escape(f"({triple[0]},{triple[1]},{triple[2]})")):
+        ProjectiveRep(K, [np.zeros((1, 1))] * 3, c).validate(1e-8)
