@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .groups import FiniteGroup, Subgroup
-from .linalg import DEFAULT_TOL, Tolerance, block_diag
+from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, block_diag
 
 __all__ = [
     "MatAlg",
@@ -268,17 +268,15 @@ class GroupAction:
     def validate(self, tol: Tolerance = DEFAULT_TOL):
         G = self.group
         d = self.algebra.linear_dim
-        # the map alpha_g alpha_h has row matrix images[h] @ images[g]
-        images = [a.coefficient_matrix for a in self.auts]
+        # alpha_g alpha_h has row matrix images[h] @ images[g], so T_gh = T_g T_h for the transposes
+        transposed = np.array([a.coefficient_matrix.T for a in self.auts])
         bound = tol.identity_bound(d)
-        if np.linalg.norm(images[G.identity] - np.eye(d)) > bound:
+        if np.linalg.norm(transposed[G.identity] - np.eye(d)) > bound:
             raise InvariantViolation("identity element does not act trivially")
-        for g in range(G.order):
-            for h in range(G.order):
-                if np.linalg.norm(images[h] @ images[g] - images[G.mul(g, h)]) > bound:
-                    raise InvariantViolation(
-                        f"action is not a homomorphism at pair ({g},{h})"
-                    )
+        bad = np.argwhere(_relation_residuals(transposed, G.table) > bound)
+        if len(bad):
+            g, h = bad[0]
+            raise InvariantViolation(f"action is not a homomorphism at pair ({g},{h})")
 
 
 class LabelAction:
@@ -292,21 +290,18 @@ class LabelAction:
         maps = [dict(m) for m in maps]
         if len(maps) != group.order:
             raise InvariantViolation("need one label map per group element")
-        labels = set(maps[group.identity])
+        labels = list(maps[group.identity])
         for g, m in enumerate(maps):
-            if set(m) != labels or set(m.values()) != labels:
+            if set(m) != set(labels) or set(m.values()) != set(labels):
                 raise InvariantViolation("label maps must be bijections on one label set")
-        for l, target in maps[group.identity].items():
-            if l != target:
-                raise InvariantViolation("identity element must fix every label")
-        for g in range(group.order):
-            for h in range(group.order):
-                gh = group.mul(g, h)
-                for l in labels:
-                    if maps[g][maps[h][l]] != maps[gh][l]:
-                        raise InvariantViolation(
-                            f"label maps are not a homomorphism at ({g},{h})"
-                        )
+        # the label maps as permutation matrices, which multiply like the group
+        perms = np.array([np.eye(len(labels))[:, [labels.index(m[l]) for l in labels]] for m in maps])
+        if np.any(perms[group.identity] != np.eye(len(labels))):
+            raise InvariantViolation("identity element must fix every label")
+        bad = np.argwhere(_relation_residuals(perms, group.table) > 0)
+        if len(bad):
+            g, h = bad[0]
+            raise InvariantViolation(f"label maps are not a homomorphism at ({g},{h})")
         self.group = group
         self.maps = maps
 

@@ -52,11 +52,12 @@ from .reps import (
     Rep,
     _block_frame,
     _cocycle,
+    _covariance_residuals,
+    _tensor_psi,
     decompose,
     evaluate,
     induce,
     is_irreducible,
-    rep_compose,
     rep_end_dim,
     rep_from_images,
     translate_stabilizer,
@@ -115,34 +116,38 @@ def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Read from the block pattern of ``W (1 (x) V)*``: each d x d block of
     that product is a scalar multiple of the identity, and the scalars
-    assemble L.  Raises :class:`NotFactorable` when the residual exceeds
-    the 1e-7 reconstruction threshold.
+    assemble L.  Stacks of W and V factor pairwise in one batch.  Raises
+    :class:`NotFactorable` when a residual exceeds the 1e-7 threshold.
     """
-    W, V = as_matrix(W), as_matrix(V)
-    d = V.shape[0]
-    if W.shape != (r * d, r * d):
+    W, V = np.asarray(W, dtype=complex), np.asarray(V, dtype=complex)
+    d = V.shape[-1]
+    if W.shape[-2:] != (r * d, r * d):
         raise NotFactorable(f"W must be {r * d} x {r * d}")
-    K = W @ np.kron(np.eye(r), V.conj().T)
-    L = K.reshape(r, d, r, d).trace(axis1=1, axis2=3) / d
-    scale = max(1.0, float(np.linalg.norm(W)))
-    if np.linalg.norm(W - np.kron(L, V)) > _BLOCK_TOL * scale:
+    # block (i, j) of W (1 (x) V)* is W_ij V*, whose trace over d is L_ij
+    L = np.einsum("...iajb,...ab->...ij", W.reshape(*W.shape[:-2], r, d, r, d), V.conj()) / d
+    kron = np.einsum("...ij,...ab->...iajb", L, V).reshape(W.shape)
+    scale = np.maximum(1.0, np.linalg.norm(W, axis=(-2, -1)))
+    if np.any(np.linalg.norm(W - kron, axis=(-2, -1)) > _BLOCK_TOL * scale):
         raise NotFactorable("operator is not a Kronecker multiple of V")
-    if np.linalg.norm(L.conj().T @ L - np.eye(r)) > _BLOCK_TOL * max(1, r):
+    defect = np.swapaxes(L.conj(), -2, -1) @ L - np.eye(r)
+    if np.any(np.linalg.norm(defect, axis=(-2, -1)) > _BLOCK_TOL * max(1, r)):
         raise NotFactorable("extracted factor is not unitary")
     return L
 
 
 def _check_carried(Pi: CovariantRep, C, target: CovariantRep, what: str):
     """Raise unless C* Pi C equals ``target`` on every generator and every
-    group unitary, to the reconstruction threshold."""
+    group unitary, to the reconstruction threshold, naming the first miss."""
     Ch = C.conj().T
     bound = _BLOCK_TOL * max(1.0, float(Pi.dim))
-    for label, M in Pi.base.gens.items():
-        if np.linalg.norm(Ch @ M @ C - target.base.gens[label]) > bound:
-            raise BlockStructureViolation(f"{what}: generator {label!r} is not carried")
-    for g, U in enumerate(Pi.unitaries):
-        if np.linalg.norm(Ch @ U @ C - target.unitaries[g]) > bound:
-            raise BlockStructureViolation(f"{what}: unitary {Pi.group.labels[g]} is not carried")
+    labels = list(Pi.base.gens)
+    for names, mats, wanted in (
+        ([f"generator {l!r}" for l in labels], [Pi.base.gens[l] for l in labels], [target.base.gens[l] for l in labels]),
+        ([f"unitary {g}" for g in Pi.group.labels], Pi.unitaries, target.unitaries),
+    ):
+        bad = np.flatnonzero(np.linalg.norm(Ch @ np.array(mats) @ C - np.array(wanted), axis=(1, 2)) > bound)
+        if len(bad):
+            raise BlockStructureViolation(f"{what}: {names[bad[0]]} is not carried")
 
 
 def _require_irreducible(Pi: CovariantRep, tol: Tolerance):
@@ -198,13 +203,14 @@ def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureRe
     m = len(reps_list)
     block = r * pi1.dim
 
-    # psi is the stabilizer block; Pi must be carried onto Ind_H^G psi
+    # psi_h = Lambda_h (x) V_h from the factors of C0* U_h C0; Pi must be carried onto Ind_H^G psi
     sub_action, members = restrict_action(Pi.action, H)
     K = sub_action.group
     C0 = C[:, :block]
-    psi_base = Rep(block, {l: np.kron(np.eye(r), M) for l, M in pi1.gens.items()})
-    psi_unitaries = [C0.conj().T @ Pi.unitaries[h] @ C0 for h in members]
-    psi = CovariantRep(psi_base, sub_action, psi_unitaries)
+    v_mats = np.array([core.witnesses[h] for h in members])
+    compressed = C0.conj().T @ np.array([Pi.unitaries[h] for h in members]) @ C0
+    lam_mats = factor_tensor(compressed, v_mats, r, tol)
+    psi = _tensor_psi(lam_mats, v_mats, pi1, sub_action)
     induced = induce(psi, Pi.action, H, reps_list)
     # End psi = End Lambda, which the check on Lambda below decides
     _check_carried(Pi, C, induced, "conjugator")
@@ -216,9 +222,6 @@ def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureRe
         list(U.reshape(m, block, m, block)[perm, :, np.arange(m)]) for U, perm in zip(induced.unitaries, perms)
     ]
     h_is_normal = all(perm[0] != 0 or np.array_equal(perm, np.arange(m)) for perm in perms)
-
-    v_mats = [core.witnesses[members[i]] for i in range(K.order)]
-    lam_mats = [factor_tensor(psi_unitaries[i], v_mats[i], r, tol) for i in range(K.order)]
 
     c_v = _cocycle(K, v_mats, tol)
     v_rep = ProjectiveRep(K, v_mats, c_v)
@@ -346,12 +349,11 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
     basis, _ = fixed_point_algebra(Pi.action, tol)
     alg = Pi.action.algebra
     fix_images = {f"fix{i}": evaluate(pi1, alg, b) for i, b in enumerate(basis)}
-    bound = tol.identity_bound(d1)
-    for M in fix_images.values():
-        if np.linalg.norm(M @ V - V @ M) > bound:
-            raise CanonicalFormViolation("a fixed-point image does not commute with the corner")
+    images = np.array(list(fix_images.values()))
+    if np.any(np.linalg.norm(images @ V - V @ images, axis=(1, 2)) > tol.identity_bound(d1)):
+        raise CanonicalFormViolation("a fixed-point image does not commute with the corner")
     corner_commutant = sum(iso.shape[1] ** 2 for _, iso in spectrum)
-    span = len(orthonormal_span(list(fix_images.values()), tol))
+    span = len(orthonormal_span(images, tol))
     if span != corner_commutant:
         raise CanonicalFormViolation(
             f"fixed-point images span {span} dimensions, the corner's commutant {corner_commutant}"
@@ -399,7 +401,7 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     witnesses = translate_stabilizer(pi1, Psi.action, tol)
     if len(witnesses) != Psi.group.order:
         raise InvariantViolation("every group element must fix the class of the base irreducible")
-    lam = [factor_tensor(Psi.unitaries[h], W, r, tol) for h, W in witnesses.items()]
+    lam = factor_tensor(np.array(Psi.unitaries), np.array(list(witnesses.values())), r, tol)
     return is_irreducible(ProjectiveRep(Psi.group, lam, _cocycle(Psi.group, lam, tol)), tol)
 
 
@@ -433,10 +435,8 @@ def build_cyclic_irrep(
         raise InvariantViolation("corner matrix is not unitary")
     if np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)) > _BLOCK_TOL * max(1, d1):
         raise InvariantViolation("V^k != 1")
-    twisted = rep_compose(pi1, action, m % n)
-    for l, M in pi1.gens.items():
-        if np.linalg.norm(V @ M @ V.conj().T - twisted.gens[l]) > _BLOCK_TOL * max(1, d1):
-            raise InvariantViolation("V does not conjugate pi1 onto its m-th translate")
+    if np.any(_covariance_residuals(V, pi1, action, m % n) > _BLOCK_TOL * max(1, d1)):
+        raise InvariantViolation("V does not conjugate pi1 onto its m-th translate")
     if rep_end_dim(pi1, action, tol) != 1:
         raise InvariantViolation("pi1 must be irreducible")
     smaller = [j for j in translate_stabilizer(pi1, action, tol) if 0 < j < m]
@@ -468,10 +468,8 @@ def periodize(base: Rep, U, action, tol: Tolerance = DEFAULT_TOL) -> CovariantRe
     d = base.dim
     if U.shape != (d, d):
         raise InvariantViolation("unitary must act on the space of the base rep")
-    twisted = rep_compose(base, action, 1 % n)
-    for l, M in base.gens.items():
-        if np.linalg.norm(U @ M @ U.conj().T - twisted.gens[l]) > _BLOCK_TOL * max(1, d):
-            raise InvariantViolation("U does not implement the generating automorphism")
+    if np.any(_covariance_residuals(U, base, action, 1 % n) > _BLOCK_TOL * max(1, d)):
+        raise InvariantViolation("U does not implement the generating automorphism")
     Un = np.linalg.matrix_power(U, n)
     lam = complex(np.trace(Un) / d)
     if np.linalg.norm(Un - lam * np.eye(d)) > tol.abs_eps * max(1, d):

@@ -16,8 +16,8 @@ import numpy as np
 from .algebra import AlgElement, GroupAction
 from .errors import ActionMismatch, InvariantViolation
 from .groups import Subgroup
-from .linalg import DEFAULT_TOL, Tolerance, orthonormal_span
-from .reps import CovariantRep, Rep, defining_rep, evaluate, induce, rep_compose, trivial_covariant
+from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, orthonormal_span
+from .reps import CovariantRep, Rep, defining_rep, evaluate, induce, trivial_covariant
 
 __all__ = [
     "CrossedElement",
@@ -153,19 +153,11 @@ def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> Cr
     trivial = Subgroup(G, (G.identity,))
     cov = induce(trivial_covariant(defining_rep(A), action), action, trivial, list(range(n)))
     host, psi_images, vg = cov.dim, cov.base.gens, cov.unitaries
-    labels = A.basis_labels()
 
-    # model invariants: covariance, homomorphism, and faithfulness of the span
-    for g in range(n):
-        ginv = G.inv(g)
-        twisted = rep_compose(cov.base, action, g)
-        for l in labels:
-            lhs = vg[g] @ psi_images[l] @ vg[ginv]
-            if np.linalg.norm(lhs - twisted.gens[l]) > tol.identity_bound(host):
-                raise InvariantViolation("model covariance V_g psi(a) V_g* failed")
-        for h in range(n):
-            if np.linalg.norm(vg[g] @ vg[h] - vg[G.mul(g, h)]) > tol.abs_eps * host:
-                raise InvariantViolation("model unitaries fail V_g V_h = V_gh")
+    # model invariants: validate, V_g V_h = V_gh to abs_eps * host for permutations, a faithful span
+    cov.validate(tol)
+    if np.any(_relation_residuals(vg, G.table) > tol.abs_eps * host):
+        raise InvariantViolation("model unitaries fail V_g V_h = V_gh")
     # <psi(a) V_g, psi(b) V_h> = tr(psi(a* b) V_{h g^-1}) and psi is block
     # diagonal, so once V_g has no diagonal block for g != e the Gram matrix
     # of {psi(e_l) V_g} is block diagonal in g with |G| copies of the Gram

@@ -31,6 +31,7 @@ from .linalg import DEFAULT_TOL
 from .reps import (
     CovariantRep,
     Rep,
+    _tensor_psi,
     are_equivalent,
     commutant_basis,
     decompose,
@@ -230,15 +231,9 @@ def weyl_pair_homogeneous(q: int = 2) -> CovariantRep:
         ) @ np.linalg.matrix_power(V, b)
 
     auts = [StarAut(A, (0,), [weyl(a, b)]) for a in range(q) for b in range(q)]
-    act = GroupAction(G, A, auts)
-    base = rep_from_images(A, lambda e: np.kron(np.eye(q), e.blocks[0]))
-    unitaries = []
-    for a in range(q):
-        for b in range(q):
-            first = np.linalg.matrix_power(V, a) @ np.linalg.matrix_power(U, b)
-            second = np.linalg.matrix_power(U, a) @ np.linalg.matrix_power(V, b)
-            unitaries.append(np.kron(first, second))
-    return CovariantRep(base, act, unitaries)
+    first = [np.linalg.matrix_power(V, a) @ np.linalg.matrix_power(U, b) for a in range(q) for b in range(q)]
+    second = [np.linalg.matrix_power(U, a) @ np.linalg.matrix_power(V, b) for a in range(q) for b in range(q)]
+    return _tensor_psi(first, second, defining_rep(A), GroupAction(G, A, auts))
 
 
 def inner_z8_minimal() -> tuple[GroupAction, CovariantRep]:
@@ -280,7 +275,6 @@ def run_s3_example1(tol=DEFAULT_TOL):
 
 def run_minimal(tol=DEFAULT_TOL):
     cov = minimal_covariant()
-    cov.validate(tol)
     verdict = classify_s3(cov, seed=7, tol=tol)
     return {
         "irreducible": _row(True, is_irreducible(cov.base, tol)),
@@ -318,7 +312,6 @@ def run_torus1(tol=DEFAULT_TOL):
 
 def run_cute(tol=DEFAULT_TOL):
     act, cov = cute_example()
-    cov.validate(tol)
     report = cyclic_analyze(cov, seed=11, tol=tol)
     basis, _ = fixed_point_algebra(act, tol)
     pi1 = report.base.base_irrep
@@ -338,7 +331,6 @@ def run_cute(tol=DEFAULT_TOL):
 
 def run_s3_multiplicity_two(tol=DEFAULT_TOL):
     cov = doubled_minimal_covariant()
-    cov.validate(tol)
     verdict = classify_s3(cov, seed=5, tol=tol)
     return {
         "irreducible": _row(True, cov.is_irreducible(tol)),
@@ -362,7 +354,6 @@ def run_quantum_mq(q: int, tol=DEFAULT_TOL):
 
 def run_quantum_weyl(tol=DEFAULT_TOL):
     psi = weyl_pair_homogeneous(2)
-    psi.validate(tol)
     return {
         "homogeneous_irreducible": _row(True, homogeneous_irreducibility(psi, tol)),
         "joint_irreducible": _row(True, psi.is_irreducible(tol)),

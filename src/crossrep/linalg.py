@@ -236,6 +236,19 @@ def solve_sylvester_family(
     return [v.reshape((p, q), order="F") for v in vecs]
 
 
+def _relation_residuals(M, table, c=None) -> np.ndarray:
+    """R[g, h] = ||M[gh] - c(g, h) M[g] M[h]|| (Frobenius) over a Cayley
+    table, c = 1 unless given: one batched product per row g, O(|G| d^2)
+    memory.  The first failing pair is ``np.argwhere(R > bound)[0]``."""
+    M = np.asarray(M)
+    R = np.empty(np.shape(table))
+    for g, row in enumerate(table):
+        D = M[g] @ M if c is None else c[g][:, None, None] * (M[g] @ M)
+        D -= M[row]
+        R[g] = np.linalg.norm(D, axis=(1, 2))
+    return R
+
+
 def orthonormal_span(mats, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal (Frobenius) basis of the linear span of ``mats``."""
     mats = [as_matrix(m) for m in mats]

@@ -50,6 +50,7 @@ from .groups import FiniteGroup, Subgroup, coset_action
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _relation_residuals,
     as_matrix,
     block_diag,
     phase_normalize,
@@ -126,15 +127,12 @@ class ProjectiveRep(Rep):
 
     def validate(self, threshold: float = 1e-8):
         T, c = self.group.table, self.cocycle
-        M = np.array(self.mats)
         if np.max(np.abs(np.abs(c) - 1.0)) > threshold:
             raise InvariantViolation("cocycle values must have modulus 1")
-        # row g: M[gh] - c(g, h) M[g] M[h] over every h
-        for g in range(len(T)):
-            residuals = np.linalg.norm(M[T[g]] - c[g][:, None, None] * (M[g] @ M), axis=(1, 2))
-            bad = np.flatnonzero(residuals > threshold * max(1, self.dim))
-            if len(bad):
-                raise InvariantViolation(f"projective relation fails at pair ({g},{bad[0]})")
+        bad = np.argwhere(_relation_residuals(self.mats, T, c) > threshold * max(1, self.dim))
+        if len(bad):
+            g, h = bad[0]
+            raise InvariantViolation(f"projective relation fails at pair ({g},{h})")
         # row g: c(g, h) c(gh, k) - c(h, k) c(g, hk) over every (h, k)
         for g in range(len(T)):
             bad = np.argwhere(np.abs(c[g][:, None] * c[T[g]] - c * c[g][T]) > threshold)
@@ -148,16 +146,13 @@ def _cocycle(K: FiniteGroup, mats, tol: Tolerance, c=None) -> np.ndarray:
     c(a, b) = tr((M_a M_b)* M_ab) / d unless ``c`` is given, checked one
     batch per a against the bound and ValueError of :func:`scalar_quotient`."""
     M = np.array(mats)
-    d = M.shape[1]
-    out = np.empty((K.order, K.order), dtype=complex)
-    for a in range(K.order):
-        products, targets = M[a] @ M, M[K.table[a]]
-        row = np.einsum("bij,bij->b", products.conj(), targets) / d if c is None else c[a]
-        residuals = np.linalg.norm(targets - row[:, None, None] * products, axis=(1, 2))
-        if np.any(residuals > tol.identity_bound(np.linalg.norm(targets, axis=(1, 2)))):
-            raise ValueError("matrices are not scalar multiples of each other")
-        out[a] = row
-    return out
+    if c is None:
+        c = np.array([np.einsum("bij,bij->b", (M[a] @ M).conj(), M[row]) for a, row in enumerate(K.table)])
+        c /= M.shape[1]
+    norms = np.linalg.norm(M, axis=(1, 2))
+    if np.any(_relation_residuals(M, K.table, c) > tol.identity_bound(norms[K.table])):
+        raise ValueError("matrices are not scalar multiples of each other")
+    return c
 
 
 def _twisted_regular(K: FiniteGroup, c) -> ProjectiveRep:
@@ -213,6 +208,14 @@ def rep_compose(rep: Rep, action, g: int) -> Rep:
     if isinstance(action, LabelAction):
         return Rep(rep.dim, {l: rep.gens[action.map_label(g, l)] for l in rep.gens})
     raise TypeError(f"unsupported action type {type(action)!r}")
+
+
+def _covariance_residuals(U, pi: Rep, action, g: int) -> np.ndarray:
+    """||U pi(x) U* - pi(alpha_g(x))|| over the generators x of ``pi``, in
+    label order: U implements alpha_g on ``pi`` when every one vanishes."""
+    twisted = rep_compose(pi, action, g).gens
+    M = np.array(list(pi.gens.values()))
+    return np.linalg.norm(U @ M @ U.conj().T - np.array([twisted[l] for l in pi.gens]), axis=(1, 2))
 
 
 def direct_sum_reps(parts: list[Rep]) -> Rep:
@@ -321,16 +324,15 @@ def _pieces(r, hom, seed: int, tol: Tolerance):
     end_dim, project = hom
     if end_dim == 1:
         return [(r, np.eye(r.dim, dtype=complex))]
-    gens = (r.joint_rep() if isinstance(r, CovariantRep) else r).gens.values()
+    gens = np.array(list((r.joint_rep() if isinstance(r, CovariantRep) else r).gens.values()))
     for attempt in range(5):
         rng = np.random.default_rng(seed + attempt)
         H = project(random_hermitian(r.dim, rng))
         H = (H + H.conj().T) / 2
         # the eigenspaces of H are invariant only if H is in the commutant
         bound = tol.identity_bound(r.dim * np.linalg.norm(H))
-        for M in gens:
-            if np.linalg.norm(H @ M - M @ H) > bound:
-                raise InvariantViolation("projected element fails to commute with a generator")
+        if np.any(np.linalg.norm(H @ gens - gens @ H, axis=(1, 2)) > bound):
+            raise InvariantViolation("projected element fails to commute with a generator")
         isometries = _eigen_clusters(H, tol)
         if isometries is not None:
             break
@@ -472,22 +474,23 @@ class CovariantRep:
         return CovariantRep(self.base.conjugate(Q), self.action, [Qh @ U @ Q for U in self.unitaries])
 
     def validate(self, tol: Tolerance = DEFAULT_TOL):
-        G = self.group
+        """Check U_g U_h = U_gh, U_g* U_g = 1 and covariance within
+        ``identity_bound(dim)``, naming the first failing pair, element or generator."""
+        U = np.array(self.unitaries)
         bound = tol.identity_bound(self.dim)
-        for g in range(G.order):
-            for h in range(G.order):
-                delta = self.unitaries[g] @ self.unitaries[h] - self.unitaries[G.mul(g, h)]
-                if np.linalg.norm(delta) > bound:
-                    raise InvariantViolation(f"unitaries fail homomorphism at ({g},{h})")
-        for g in range(G.order):
-            Ug = self.unitaries[g]
-            twisted = rep_compose(self.base, self.action, g)
-            for label, M in self.base.gens.items():
-                delta = Ug @ M @ Ug.conj().T - twisted.gens[label]
-                if np.linalg.norm(delta) > bound:
-                    raise InvariantViolation(
-                        f"covariance fails at element {g} on generator {label!r}"
-                    )
+        bad = np.argwhere(_relation_residuals(U, self.group.table) > bound)
+        if len(bad):
+            g, h = bad[0]
+            raise InvariantViolation(f"unitaries fail homomorphism at ({g},{h})")
+        defects = np.linalg.norm(U.conj().transpose(0, 2, 1) @ U - np.eye(self.dim), axis=(1, 2))
+        bad = np.flatnonzero(defects > bound)
+        if len(bad):
+            raise InvariantViolation(f"the unitary of element {bad[0]} fails U*U = 1")
+        for g in range(len(U)):
+            bad = np.flatnonzero(_covariance_residuals(U[g], self.base, self.action, g) > bound)
+            if len(bad):
+                label = list(self.base.gens)[bad[0]]
+                raise InvariantViolation(f"covariance fails at element {g} on generator {label!r}")
 
     def end_dim(self, tol: Tolerance = DEFAULT_TOL) -> int:
         """dim End(self), for a representation already known to be valid:
@@ -739,6 +742,17 @@ def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[
     return {
         g: phase_normalize(C @ action.auts[g].unitaries[k] @ C.conj().T, tol) for g in fixing
     }
+
+
+def _tensor_psi(lam, V, pi1: Rep, action) -> CovariantRep:
+    """The stabilizer block of the structure theorem, psi_h = Lambda_h (x) V_h
+    on 1_r (x) pi1, over the restricted ``action`` of H; ``lam`` and ``V``
+    are stacks over the members of H."""
+    lam, units = np.asarray(lam), np.array(list(pi1.gens.values()))
+    d = lam.shape[1] * pi1.dim
+    base = np.einsum("ij,lab->liajb", np.eye(lam.shape[1]), units).reshape(-1, d, d)
+    unitaries = np.einsum("hij,hab->hiajb", lam, np.asarray(V)).reshape(-1, d, d)
+    return CovariantRep(Rep(d, dict(zip(pi1.gens, base))), action, unitaries)
 
 
 def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> CovariantRep:

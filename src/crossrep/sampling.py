@@ -13,7 +13,7 @@ from .algebra import GroupAction, MatAlg, StarAut, restrict_action
 from .errors import InvariantViolation
 from .groups import Subgroup, make_cyclic_group, make_symmetric_group_3, right_coset_reps
 from .linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
-from .reps import CovariantRep, Rep, _cocycle, _decompose, _twisted_regular, induce, rep_from_images
+from .reps import CovariantRep, Rep, _cocycle, _decompose, _tensor_psi, _twisted_regular, induce, rep_from_images
 
 __all__ = [
     "random_cyclic_action",
@@ -219,13 +219,10 @@ def crossed_irreps(
         # L carries omega = conj(c_V), so psi_h = Lambda_h (x) V_h is a genuine representation
         twisted = _twisted_regular(K, _cocycle(K, V, tol))
         _cocycle(K, twisted.mats, tol, twisted.cocycle)
-        units = np.array([e.blocks[k] for e in A.basis_elements()])
+        pi_k = rep_from_images(A, lambda e: e.blocks[k])
         coset_reps = right_coset_reps(H)
         for lam, _ in _decompose(twisted, seed, tol).components:
-            d = lam.dim * A.block_dims[k]
-            base = np.einsum("ij,lab->liajb", np.eye(lam.dim), units).reshape(-1, d, d)
-            unitaries = np.einsum("hij,hab->hiajb", np.array(lam.mats), V).reshape(-1, d, d)
-            psi = CovariantRep(Rep(d, dict(zip(A.basis_labels(), base))), sub_action, unitaries)
+            psi = _tensor_psi(lam.mats, V, pi_k, sub_action)
             irreps.append(induce(psi, action, H, coset_reps))
     irreps.sort(key=lambda cov: cov.dim)
     for cov in irreps:

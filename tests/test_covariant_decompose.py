@@ -7,6 +7,9 @@ generating set, on inputs whose joint solve sits on both sides of the
 stacked/Gram switch at p*q = 120.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from crossrep.algebra import GroupAction, MatAlg, StarAut
 from crossrep.crossed import build_crossed_model
 from crossrep.errors import DecompositionFailed, InvariantViolation
 from crossrep.analyzer import classify_s3
+from crossrep.cli import main
 from crossrep.examples import first_s3_example, minimal_covariant, s3_label_action
 from crossrep.groups import make_cyclic_group
 from crossrep.linalg import Tolerance, block_diag
@@ -40,6 +44,7 @@ from crossrep.sampling import (
     random_cyclic_action,
     random_s3_action,
 )
+from crossrep.serialize import covariant_to_json
 
 
 def _doubled(cov: CovariantRep) -> CovariantRep:
@@ -173,6 +178,28 @@ def test_non_unital_components():
     ones = [r for r, _ in dec.components if r.dim == 1]
     assert all(np.allclose(M, 0) for r in ones for M in r.base.gens.values())
     assert sorted(round(r.unitaries[1][0, 0].real) for r in ones) == [-1, 1]
+
+
+def _non_unitary():
+    """:func:`_non_unital` with U_1 = S swap S^-1 on the annihilated C^2: an
+    involution, so U is a homomorphism and covariant, but not unitary."""
+    cov = _non_unital()
+    S = np.array([[1, 0.5], [0, 1]])
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    U = block_diag(swap, S @ swap @ np.linalg.inv(S))
+    return CovariantRep(cov.base, cov.action, [np.eye(4), U])
+
+
+def test_non_unitary_input_rejected(tmp_path, capsys, tol):
+    cov = _non_unitary()
+    checks = [cov.validate, cov.is_irreducible, lambda tol: decompose(cov, seed=0, tol=tol)]
+    for check in checks:
+        with pytest.raises(InvariantViolation, match=re.escape("element 1 fails U*U = 1")):
+            check(tol)
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps(covariant_to_json(cov)))
+    assert main(["analyze", str(path)]) == 3
+    assert "U*U = 1" in json.loads(capsys.readouterr().err)["error"]
 
 
 def _non_covariant():

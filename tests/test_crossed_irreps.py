@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 import crossrep.crossed
 import crossrep.sampling
 from crossrep.algebra import GroupAction, StarAut, restrict_action
-from crossrep.analyzer import analyze, factor_tensor
+from crossrep.analyzer import analyze, classify_s3, cyclic_analyze, factor_tensor
 from crossrep.crossed import build_crossed_model
 from crossrep.errors import InvariantViolation
 from crossrep.examples import weyl_pair_homogeneous
-from crossrep.groups import Subgroup
+from crossrep.groups import Subgroup, is_standard_cyclic
 from crossrep.linalg import DEFAULT_TOL, block_diag, random_unitary
 from crossrep.reps import (
     CovariantRep,
@@ -35,7 +35,13 @@ from crossrep.reps import (
     is_irreducible,
 )
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
-from crossrep.serialize import covariant_from_json, covariant_to_json
+from crossrep.serialize import (
+    covariant_from_json,
+    covariant_to_json,
+    cyclic_report_to_json,
+    s3_class_to_json,
+    structure_report_to_json,
+)
 
 
 def _rephased(act, rng):
@@ -256,3 +262,21 @@ def test_crossed_irreps_survive_a_json_round_trip(act):
         loaded = covariant_from_json(json.loads(json.dumps(covariant_to_json(cov))))
         assert loaded.dim == cov.dim
         assert hom_dim(cov, loaded) == 1
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(act=_small_actions)
+def test_reports_of_crossed_irreps_dump_as_finite_json(act):
+    for cov in crossed_irreps(act, seed=0):
+        report = analyze(cov, seed=0)
+        # psi is built as Lambda (x) V from the factors of the compressed stabilizer block
+        C0 = report.conjugator[:, : report.multiplicity * report.base_irrep.dim]
+        compressed = [C0.conj().T @ cov.unitaries[h] @ C0 for h in report.subgroup_members]
+        assert np.max(np.abs(np.array(report.psi.unitaries) - compressed)) < 1e-12
+        docs = [structure_report_to_json(report)]
+        if is_standard_cyclic(act.group):
+            docs.append(cyclic_report_to_json(cyclic_analyze(cov, seed=0)))
+        else:
+            docs.append(s3_class_to_json(classify_s3(cov, seed=0)))
+        for doc in docs:
+            json.dumps(doc, allow_nan=False)
