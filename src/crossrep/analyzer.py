@@ -23,7 +23,6 @@ from .errors import (
     BlockStructureViolation,
     CanonicalFormViolation,
     InvariantViolation,
-    NotFactorable,
     NotIrreducible,
     NotScalarPower,
 )
@@ -37,7 +36,6 @@ from .groups import (
     coset_action,
     is_standard_cyclic,
     make_symmetric_group_3,
-    right_coset_reps,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -47,19 +45,20 @@ from .linalg import (
     unitary_eigenspaces,
 )
 from .reps import (
+    _BLOCK_TOL,
     CovariantRep,
     ProjectiveRep,
     Rep,
-    _block_frame,
-    _cocycle,
+    _check_carried,
     _covariance_residuals,
-    _tensor_psi,
+    _mackey_orbit,
+    _orbit_frames,
     decompose,
     evaluate,
+    factor_tensor,
     induce,
     is_irreducible,
     rep_end_dim,
-    rep_from_images,
     translate_stabilizer,
 )
 
@@ -76,10 +75,6 @@ __all__ = [
     "periodize",
     "classify_s3",
 ]
-
-# spec-pinned reconstruction threshold
-_BLOCK_TOL = 1e-7
-
 
 @dataclass
 class StructureReport:
@@ -111,45 +106,6 @@ class StructureReport:
         return len(self.coset_reps)
 
 
-def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The r x r unitary L with ``W = kron(L, V)``, for a known unitary V.
-
-    Read from the block pattern of ``W (1 (x) V)*``: each d x d block of
-    that product is a scalar multiple of the identity, and the scalars
-    assemble L.  Stacks of W and V factor pairwise in one batch.  Raises
-    :class:`NotFactorable` when a residual exceeds the 1e-7 threshold.
-    """
-    W, V = np.asarray(W, dtype=complex), np.asarray(V, dtype=complex)
-    d = V.shape[-1]
-    if W.shape[-2:] != (r * d, r * d):
-        raise NotFactorable(f"W must be {r * d} x {r * d}")
-    # block (i, j) of W (1 (x) V)* is W_ij V*, whose trace over d is L_ij
-    L = np.einsum("...iajb,...ab->...ij", W.reshape(*W.shape[:-2], r, d, r, d), V.conj()) / d
-    kron = np.einsum("...ij,...ab->...iajb", L, V).reshape(W.shape)
-    scale = np.maximum(1.0, np.linalg.norm(W, axis=(-2, -1)))
-    if np.any(np.linalg.norm(W - kron, axis=(-2, -1)) > _BLOCK_TOL * scale):
-        raise NotFactorable("operator is not a Kronecker multiple of V")
-    defect = np.swapaxes(L.conj(), -2, -1) @ L - np.eye(r)
-    if np.any(np.linalg.norm(defect, axis=(-2, -1)) > _BLOCK_TOL * max(1, r)):
-        raise NotFactorable("extracted factor is not unitary")
-    return L
-
-
-def _check_carried(Pi: CovariantRep, C, target: CovariantRep, what: str):
-    """Raise unless C* Pi C equals ``target`` on every generator and every
-    group unitary, to the reconstruction threshold, naming the first miss."""
-    Ch = C.conj().T
-    bound = _BLOCK_TOL * max(1.0, float(Pi.dim))
-    labels = list(Pi.base.gens)
-    for names, mats, wanted in (
-        ([f"generator {l!r}" for l in labels], [Pi.base.gens[l] for l in labels], [target.base.gens[l] for l in labels]),
-        ([f"unitary {g}" for g in Pi.group.labels], Pi.unitaries, target.unitaries),
-    ):
-        bad = np.flatnonzero(np.linalg.norm(Ch @ np.array(mats) @ C - np.array(wanted), axis=(1, 2)) > bound)
-        if len(bad):
-            raise BlockStructureViolation(f"{what}: {names[bad[0]]} is not carried")
-
-
 def _require_irreducible(Pi: CovariantRep, tol: Tolerance):
     """The entry test of every analyzer.  Pi(A) = 0 makes Pi zero on A x G,
     yet it passes the irreducibility test when U is an irrep of G."""
@@ -159,112 +115,72 @@ def _require_irreducible(Pi: CovariantRep, tol: Tolerance):
         raise InvariantViolation("the representation annihilates the algebra")
 
 
-@dataclass
-class _Core:
-    """Intermediate data shared by analyze and the cyclic refinement."""
-
-    pi1: Rep
-    multiplicity: int
-    subgroup: Subgroup
-    witnesses: dict[int, np.ndarray]
-    coset_reps: list[int]
-    conjugator: np.ndarray
-
-
-def _analyze_core(Pi: CovariantRep, seed: int, tol: Tolerance) -> _Core:
-    """Stabilizer and conjugator of a covariant representation already
-    known to be valid and irreducible."""
+def _orbit(Pi: CovariantRep, seed: int, tol: Tolerance):
+    """The one-component Mackey read-off of a valid irreducible Pi, at its
+    orbit frame, or over a :class:`LabelAction` at the isotypic frame of
+    the first component pi1 of the restriction with its translate witnesses."""
     if isinstance(Pi.action, GroupAction):
-        # C0* Pi.base C0 = 1_r (x) pi1 with pi1 the compression to block k
-        alg = Pi.action.algebra
-        k, r, C0 = _block_frame(Pi.base, alg, tol)
-        pi1 = rep_from_images(alg, lambda e: e.blocks[k])
+        pi1, witnesses, C0 = _orbit_frames(Pi, tol)[0]
     else:
         dec = decompose(Pi.base, seed, tol)
         pi1, r = dec.components[0]
-        C0 = dec.basis_change[:, : r * pi1.dim]
+        C0, witnesses = dec.basis_change[:, : r * pi1.dim], translate_stabilizer(pi1, Pi.action, tol)
+    return _mackey_orbit(Pi.action, pi1, witnesses, (Pi, C0), seed, tol)
 
-    witnesses = translate_stabilizer(pi1, Pi.action, tol)
-    H = Subgroup(Pi.group, tuple(witnesses))
-    reps_list = right_coset_reps(H)
 
-    # C0 spans the pi1-isotypic subspace, on which Pi restricts to 1_r (x) pi1;
-    # U_c* carries it onto the isotypic subspace of pi1 o alpha_c
-    conjugator = np.hstack([Pi.unitaries[c].conj().T @ C0 for c in reps_list])
-    # C* C = 1 is the U_e case of the carried check in _finish_report
-    if conjugator.shape != (Pi.dim, Pi.dim):
+def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
+    """The structure report of an irreducible Pi, read off its one orbit
+    component: the conjugator must carry Pi onto Ind_H^G psi, and the
+    permutation and block-unitary data are read from the induced form."""
+    # End psi = End Lambda, which decides the one class and copy below
+    if not is_irreducible(orbit.lam, tol):
+        raise BlockStructureViolation("tensor factor on the multiplicity space is reducible")
+    [(_, psi, induced, [C])] = orbit.classes
+    # C* C = 1 is the U_e case of the carried check
+    if C.shape != (Pi.dim, Pi.dim):
         raise BlockStructureViolation("conjugator is not square; dimensions conflict")
-    return _Core(pi1, r, H, witnesses, reps_list, conjugator)
+    _check_carried(Pi, C, [induced], "conjugator")
 
-
-def _finish_report(Pi: CovariantRep, core: _Core, tol: Tolerance) -> StructureReport:
-    pi1, r, H = core.pi1, core.multiplicity, core.subgroup
-    reps_list, C = core.coset_reps, core.conjugator
-    m = len(reps_list)
-    block = r * pi1.dim
-
-    # psi_h = Lambda_h (x) V_h from the factors of C0* U_h C0; Pi must be carried onto Ind_H^G psi
-    sub_action, members = restrict_action(Pi.action, H)
-    K = sub_action.group
-    C0 = C[:, :block]
-    v_mats = np.array([core.witnesses[h] for h in members])
-    compressed = C0.conj().T @ np.array([Pi.unitaries[h] for h in members]) @ C0
-    lam_mats = factor_tensor(compressed, v_mats, r, tol)
-    psi = _tensor_psi(lam_mats, v_mats, pi1, sub_action)
-    induced = induce(psi, Pi.action, H, reps_list)
-    # End psi = End Lambda, which the check on Lambda below decides
-    _check_carried(Pi, C, induced, "conjugator")
-
+    H, reps_list = orbit.subgroup, orbit.coset_reps
+    m, block = len(reps_list), psi.dim
     # perms[g][j] is the i with c_i g in H c_j
     perms = [np.argsort([j for _, j, _ in triples]) for triples in coset_action(H, reps_list)]
     # column j of U_g has the one nonzero block (perm[j], j)
     block_unitaries = [
         list(U.reshape(m, block, m, block)[perm, :, np.arange(m)]) for U, perm in zip(induced.unitaries, perms)
     ]
-    h_is_normal = all(perm[0] != 0 or np.array_equal(perm, np.arange(m)) for perm in perms)
-
-    c_v = _cocycle(K, v_mats, tol)
-    v_rep = ProjectiveRep(K, v_mats, c_v)
-    # psi_h = Lambda_h (x) V_h is a genuine representation, so Lambda's
-    # cocycle is the inverse, conj(c_V), of V's
-    lambda_rep = ProjectiveRep(K, lam_mats, _cocycle(K, lam_mats, tol, c_v.conj()))
-    if not is_irreducible(lambda_rep, tol):
-        raise BlockStructureViolation("tensor factor on the multiplicity space is reducible")
-
     return StructureReport(
         subgroup=H,
-        subgroup_group=K,
-        subgroup_members=members,
+        subgroup_group=orbit.action.group,
+        subgroup_members=orbit.members,
         coset_reps=reps_list,
-        base_irrep=pi1,
-        multiplicity=r,
+        base_irrep=orbit.pi,
+        multiplicity=orbit.lam.dim,
         perms=perms,
         block_unitaries=block_unitaries,
         psi=psi,
-        lambda_rep=lambda_rep,
-        v_rep=v_rep,
+        lambda_rep=orbit.lam,
+        v_rep=ProjectiveRep(orbit.action.group, orbit.V, orbit.cocycle),
         conjugator=C,
-        h_is_normal=h_is_normal,
+        h_is_normal=all(perm[0] != 0 or np.array_equal(perm, np.arange(m)) for perm in perms),
     )
 
 
 def analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> StructureReport:
     """Full canonical-form report for an irreducible covariant representation.
 
-    Over a :class:`GroupAction` pi1 is the compression to the first block k
-    the algebra restriction does not annihilate, read off its matrix units,
-    and :func:`translate_stabilizer` gives H = {g : alpha_g fixes block k}
-    with the action's unitaries on block k as the ``v_rep`` witnesses; over
-    a :class:`LabelAction` pi1 is the first component of the decomposed
-    restriction.  A Pi that annihilates the algebra raises
-    :class:`InvariantViolation`.  The conjugator comes from the structure
-    theorem: its coset block i is U_{c_i}* applied to the pi1-isotypic
-    subspace.  The one self-check is that the conjugator carries Pi onto
-    ``induce(report.psi, action, H, coset_reps)``; the permutation,
-    block-unitary and projective tensor-factor data are read from it.
+    The one-component case of the read-off :func:`~crossrep.reps.decompose`
+    makes per orbit.  Over a :class:`GroupAction` pi1 is the compression to
+    the first block k that Pi does not annihilate, H = {g : alpha_g fixes
+    block k} and the action's unitaries on block k are the ``v_rep``
+    witnesses; over a :class:`LabelAction` pi1 is the first component of
+    the decomposed restriction.  A Pi that annihilates the algebra raises
+    :class:`InvariantViolation`.  The conjugator's coset block i is
+    U_{c_i}* applied to the pi1-isotypic subspace; the one self-check is
+    that it carries Pi onto ``induce(report.psi, action, H, coset_reps)``.
     """
     _require_irreducible(Pi, tol)
-    return _finish_report(Pi, _analyze_core(Pi, seed, tol), tol)
+    return _report(Pi, _orbit(Pi, seed, tol), tol)
 
 
 @dataclass
@@ -293,9 +209,9 @@ def _require_cyclic(G: FiniteGroup):
         raise InvariantViolation("group must be Z_n in standard form")
 
 
-def _cyclic_canonical_form(Pi: CovariantRep, core: _Core, tol: Tolerance):
+def _cyclic_canonical_form(Pi: CovariantRep, orbit, tol: Tolerance):
     """Analysis in shift-with-corner form of a covariant representation
-    already known to be valid and irreducible, from its structure core.
+    already known to be valid and irreducible, from its :func:`_orbit`.
 
     With coset representatives 0..m-1 the induced conjugator already has
     identity shift blocks, and the corner is V = psi(U^m).
@@ -303,15 +219,13 @@ def _cyclic_canonical_form(Pi: CovariantRep, core: _Core, tol: Tolerance):
     G = Pi.group
     _require_cyclic(G)
     n = G.order
-    if core.multiplicity != 1:
-        raise CanonicalFormViolation(
-            f"cyclic multiplicity must be one, got {core.multiplicity}"
-        )
-    m = len(core.coset_reps)
-    if core.coset_reps != list(range(m)):
+    if orbit.lam.dim != 1:
+        raise CanonicalFormViolation(f"cyclic multiplicity must be one, got {orbit.lam.dim}")
+    m = len(orbit.coset_reps)
+    if orbit.coset_reps != list(range(m)):
         raise CanonicalFormViolation("coset representatives are not 0..m-1")
     k = n // m
-    report = _finish_report(Pi, core, tol)
+    report = _report(Pi, orbit, tol)
     # the stabilizer {0, m, 2m, ...} regrounds onto Z_k with m at index 1
     V = report.psi.unitaries[1 % k]
     d1 = V.shape[0]
@@ -333,7 +247,7 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
     if not isinstance(Pi.action, GroupAction):
         raise InvariantViolation("fixed-point analysis needs a GroupAction on a MatAlg")
     _require_irreducible(Pi, tol)
-    report, m, k, V = _cyclic_canonical_form(Pi, _analyze_core(Pi, seed, tol), tol)
+    report, m, k, V = _cyclic_canonical_form(Pi, _orbit(Pi, seed, tol), tol)
     pi1 = report.base_irrep
     d1 = pi1.dim
 
@@ -401,8 +315,8 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     witnesses = translate_stabilizer(pi1, Psi.action, tol)
     if len(witnesses) != Psi.group.order:
         raise InvariantViolation("every group element must fix the class of the base irreducible")
-    lam = factor_tensor(np.array(Psi.unitaries), np.array(list(witnesses.values())), r, tol)
-    return is_irreducible(ProjectiveRep(Psi.group, lam, _cocycle(Psi.group, lam, tol)), tol)
+    # the identity is the frame of 1_r (x) pi1, and Lambda its tensor factor
+    return is_irreducible(_mackey_orbit(Psi.action, pi1, witnesses, (Psi, np.eye(Psi.dim)), 0, tol).lam, tol)
 
 
 def build_cyclic_irrep(
@@ -513,7 +427,7 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     permutation group into its canonical shape.
 
     The case is read off (|H|, r), the stabilizer order and multiplicity
-    of one structure core: Minimal (6, 1), TauPair (3, 1) or (6, 2),
+    of one :func:`_orbit`: Minimal (6, 1), TauPair (3, 1) or (6, 2),
     EtaTriple (2, 1), Regular6 (1, 1); any other pair raises
     :class:`BlockStructureViolation`.  EtaTriple reports the cyclic form
     of the restriction to the 3-cycle subgroup.  For TauPair the first
@@ -527,46 +441,42 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     if G != S3 or G.labels != S3.labels:
         raise InvariantViolation("group must be the standard 3-letter permutation group")
     _require_irreducible(Pi, tol)
-    core = _analyze_core(Pi, seed, tol)
-    pi1, r = core.pi1, core.multiplicity
-    case = _S3_CASES.get((core.subgroup.order, r))
+    orbit = _orbit(Pi, seed, tol)
+    pi1, r, H = orbit.pi, orbit.lam.dim, orbit.subgroup
+    case = _S3_CASES.get((H.order, r))
     if case is None:
-        raise BlockStructureViolation(f"no S3 case has |H| = {core.subgroup.order} and r = {r}")
-    U_eta = Pi.unitaries[S3_ETA]
+        raise BlockStructureViolation(f"no S3 case has |H| = {H.order} and r = {r}")
     z3 = Subgroup(G, (S3_E, S3_ETA, S3_ETA2))
-    z3_action, _ = restrict_action(Pi.action, z3)
-
-    def over_z3(base: Rep, X) -> CovariantRep:
-        return CovariantRep(base, z3_action, [np.eye(base.dim, dtype=complex), X, X @ X])
-
+    V = dict(zip(orbit.members, orbit.V))
+    # the class isometry's first coset block, U_e* C0, is the pi1-isotypic frame C0
+    C0 = orbit.classes[0].isometries[0][:, : r * pi1.dim]
     if case != "TauPair":
         if case == "EtaTriple":
             # z3 meets H trivially, so by Mackey the restriction to z3 is
             # Ind_{e}^{z3} pi1, irreducible: no 3-cycle fixes the class of pi1.
-            # Its core is Pi's frame C0 with stabilizer {e} and cosets e, eta, eta^2
-            z3_cov = over_z3(Pi.base, U_eta)
-            C = np.hstack([U.conj().T @ core.conjugator[:, : pi1.dim] for U in z3_cov.unitaries])
-            trivial = Subgroup(z3_action.group, (0,))
-            z3_core = _Core(pi1, 1, trivial, {0: core.witnesses[S3_E]}, [0, 1, 2], C)
-            report = _cyclic_canonical_form(z3_cov, z3_core, tol)[0]
+            # Its orbit is read at Pi's frame C0 with stabilizer {e}
+            U_eta = Pi.unitaries[S3_ETA]
+            z3_action = restrict_action(Pi.action, z3)[0]
+            z3_cov = CovariantRep(Pi.base, z3_action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
+            z3_orbit = _mackey_orbit(z3_action, pi1, {0: V[S3_E]}, (z3_cov, C0), seed, tol)
+            report = _cyclic_canonical_form(z3_cov, z3_orbit, tol)[0]
         else:
-            report = _finish_report(Pi, core, tol)
+            report = _report(Pi, orbit, tol)
         return S3Class(case, report.base_irrep, report.conjugator, 1, report=report)
 
     # eta is in H, so C0* U_eta C0 = Lambda_eta (x) V_eta; the eigenvectors
-    # of Lambda_eta split the frame into the two halves that tau swaps
-    C0 = core.conjugator[:, : r * pi1.dim]
-    lam_eta = factor_tensor(C0.conj().T @ U_eta @ C0, core.witnesses[S3_ETA], r, tol)
-    spectrum = unitary_eigenspaces(lam_eta, tol)
+    # of Lambda_eta split the frame into the two halves that tau swaps, and
+    # the first half W1 is a frame of Pi with stabilizer z3
+    spectrum = unitary_eigenspaces(orbit.lam.mats[orbit.members.index(S3_ETA)], tol)
     if len(spectrum) != r or any(iso.shape[1] != 1 for _, iso in spectrum):
         raise BlockStructureViolation("the 3-cycle factor must have simple eigenvalues")
     W1 = C0 @ np.kron(spectrum[0][1], np.eye(pi1.dim))
-    Q = np.hstack([W1, Pi.unitaries[S3_TAU] @ W1])
-    eta_block = W1.conj().T @ U_eta @ W1
-    # U_tau = U_tau*, so Q is the induced conjugator over the cosets {e, tau};
+    z3_orbit = _mackey_orbit(Pi.action, pi1, {h: V[h] for h in z3.members}, (Pi, W1), seed, tol)
+    # Q is the induced conjugator over the cosets {e, tau}, [W1, U_tau* W1];
     # on U_e the check below is Q* Q = 1
-    _check_carried(Pi, Q, induce(over_z3(pi1, eta_block), Pi.action, z3, [S3_E, S3_TAU]), "swap conjugator")
-    tau_witness = core.witnesses.get(S3_TAU)
+    [(_, psi, induced, [Q])] = z3_orbit.classes
+    _check_carried(Pi, Q, [induced], "swap conjugator")
+    tau_witness = V.get(S3_TAU)
     return S3Class(
         case="TauPair",
         pi1=pi1,
@@ -574,5 +484,5 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         multiplicity=r,
         tau_equivalent=tau_witness is not None,
         tau_witness=tau_witness,
-        eta_block=eta_block,
+        eta_block=psi.unitaries[1],
     )

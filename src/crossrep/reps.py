@@ -5,28 +5,15 @@ set.  Every intertwiner computation first closes the generator set under
 adjoints: a one-sided relation against unitary generators does not imply
 the adjoint relation for a non-invertible intertwiner.
 
-Every Hom question (irreducibility, equivalence and its witness, dim End,
-the splitting in :func:`decompose`) goes through one private oracle,
-``_hom(a, b, tol)``, which returns dim Hom(a, b) and the orthogonal
-projection onto Hom(a, b).  For covariant representations over a
-:class:`GroupAction` it is the character engine: Hom dimensions are
-character inner products (:func:`hom_dim`) and Hom spaces are ranges of a
-group-and-algebra average (:func:`hom_projection`), so neither needs a
-Sylvester solve.  For a :class:`Rep`, or a covariant representation over a
-:class:`LabelAction` through its joint generating set, it is one
-intertwiner solve.  For a :class:`ProjectiveRep` of a group K it is the
-projective character engine: dim Hom = |K|^-1 sum_h conj(tr L1_h) tr L2_h
-and P(X) = |K|^-1 sum_h L2_h X L1_h*, for two families with one cocycle.
-A representation of the algebra alone enters the character engine as a
-covariant representation over the trivial subgroup
-(:func:`trivial_covariant`).
-Its translate stabilizer is read off the action instead
-(:func:`translate_stabilizer`): up to a unitary, an irreducible of
-M_{n_1} + ... + M_{n_b} is the compression to one block k, so the
-stabilizer is {g : alpha_g fixes k}, implemented by U^g_k.
-
-Every block-permutation model is an induced representation Ind_H^G psi
-(:func:`induce`): the regular representation is the case H = {e}.
+Every Hom question goes through one private oracle, ``_hom(a, b, tol)``:
+character sums over a :class:`GroupAction` (:func:`hom_dim`) or for a
+:class:`ProjectiveRep`, one intertwiner solve otherwise.  The structure
+theorem is read off in one place, ``_mackey_orbit``: an irreducible of
+M_{n_1} + ... + M_{n_b} is the compression to one block k up to a unitary,
+its stabilizer is {g : alpha_g fixes k} (:func:`translate_stabilizer`), and
+a covariant representation over the orbit of k is a sum of
+Ind_H^G(Lambda (x) V) (:func:`induce`).  :func:`decompose`, the analyzer
+and ``crossed_irreps`` all go through it.
 """
 
 from __future__ import annotations
@@ -37,16 +24,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgElement, GroupAction, LabelAction, MatAlg
+from .algebra import AlgElement, GroupAction, LabelAction, MatAlg, restrict_action
 from .errors import (
     ActionMismatch,
+    BlockStructureViolation,
     DecompositionFailed,
     DimensionMismatch,
     InvariantViolation,
     LabelMismatch,
+    NotFactorable,
     NotIrreducible,
 )
-from .groups import FiniteGroup, Subgroup, coset_action
+from .groups import FiniteGroup, Subgroup, coset_action, right_coset_reps
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -162,6 +151,15 @@ def _twisted_regular(K: FiniteGroup, c) -> ProjectiveRep:
     return ProjectiveRep(K, L, c.conj())
 
 
+def _monomial_residuals(M, table: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """:func:`_relation_residuals` of a family M_a delta_x = d(a, x) delta_{ax}
+    from the one nonzero entry d(a, x) of each column, O(|K|^3) scalars:
+    (M_a M_b) delta_x = d(a, bx) d(b, x) delta_{abx}."""
+    n = len(table)
+    d = np.asarray(M)[np.arange(n)[:, None], table, np.arange(n)]
+    return np.array([np.linalg.norm(d[row] - c[a][:, None] * d[a][table] * d, axis=1) for a, row in enumerate(table)])
+
+
 def defining_rep(algebra: MatAlg) -> Rep:
     """The block-diagonal inclusion of the algebra, one generator per matrix unit."""
     gens = {
@@ -221,19 +219,9 @@ def _covariance_residuals(U, pi: Rep, action, g: int) -> np.ndarray:
 def direct_sum_reps(parts: list[Rep]) -> Rep:
     """Block-diagonal direct sum; all parts must share generator labels."""
     labels = list(parts[0].gens)
-    for p in parts:
-        if list(p.gens) != labels:
-            raise LabelMismatch("direct summands must share generator labels")
-    dim = sum(p.dim for p in parts)
-    gens = {}
-    for l in labels:
-        M = np.zeros((dim, dim), dtype=complex)
-        pos = 0
-        for p in parts:
-            M[pos : pos + p.dim, pos : pos + p.dim] = p.gens[l]
-            pos += p.dim
-        gens[l] = M
-    return Rep(dim, gens)
+    if any(list(p.gens) != labels for p in parts):
+        raise LabelMismatch("direct summands must share generator labels")
+    return Rep(sum(p.dim for p in parts), {l: block_diag(*(p.gens[l] for p in parts)) for l in labels})
 
 
 def intertwiners(r1: Rep, r2: Rep, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
@@ -285,9 +273,9 @@ class IrrepDecomposition:
 
     ``basis_change`` is a unitary Q with ``Q* pi(x) Q`` block diagonal,
     blocks ordered class by class, each class repeated multiplicity times,
-    every copy exactly equal to the class representative.  Components are
-    :class:`CovariantRep` s when a covariant representation was decomposed
-    and :class:`Rep` s otherwise.
+    every copy exactly equal to the class representative.  Components have
+    the input's type; over a :class:`GroupAction` they are ordered by
+    (dimension, orbit, Lambda class), otherwise by (dimension, first occurrence).
     """
 
     components: list[tuple[Rep | CovariantRep, int]]
@@ -302,15 +290,9 @@ def _eigen_clusters(H: np.ndarray, tol: Tolerance):
     """Orthonormal bases of the eigenspaces of a Hermitian matrix, merging
     eigenvalues closer than eig_sep; None when everything is one cluster."""
     evals, evecs = np.linalg.eigh(H)
-    groups = [[0]]
-    for i in range(1, len(evals)):
-        if evals[i] - evals[groups[-1][-1]] < tol.eig_sep:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    if len(groups) < 2:
-        return None
-    return [evecs[:, g] for g in groups]
+    # a cluster ends where the gap to the next eigenvalue reaches eig_sep
+    cuts = np.flatnonzero(np.diff(evals) >= tol.eig_sep) + 1
+    return np.split(evecs, cuts, axis=1) if len(cuts) else None
 
 
 def _pieces(r, hom, seed: int, tol: Tolerance):
@@ -348,13 +330,10 @@ def _pieces(r, hom, seed: int, tol: Tolerance):
     return leaves
 
 
-def _collect(leaves, witness) -> IrrepDecomposition:
-    """Group irreducible (rep, isometry) leaves into equivalence classes.
-
-    ``witness(a, b)`` is a unitary W with ``W a W* = b``, or None when the
-    two are inequivalent.  Classes are ordered by (dimension, first
-    occurrence).
-    """
+def _collect(leaves, witness) -> list[tuple]:
+    """Group irreducible (rep, isometry) leaves into (class representative,
+    [isometry per copy]) classes, in order of first occurrence; ``witness(a, b)``
+    is a unitary W with ``W a W* = b``, or None when they are inequivalent."""
     classes: list[tuple] = []
     for piece, iso in leaves:
         for rep, isos in classes:
@@ -365,45 +344,60 @@ def _collect(leaves, witness) -> IrrepDecomposition:
                 break
         else:
             classes.append((piece, [iso]))
+    return classes
+
+
+def _assemble(classes, end_dim: int) -> IrrepDecomposition:
+    """(class representative, [isometry per copy]) classes, stably ordered
+    by dimension; their squared multiplicities must sum to ``end_dim``."""
     classes.sort(key=lambda cls: cls[0].dim)
-    components = [(rep, len(isos)) for rep, isos in classes]
-    basis_change = np.hstack([iso for _, isos in classes for iso in isos])
-    return IrrepDecomposition(components, basis_change)
+    multiplicities = [len(isos) for _, isos in classes]
+    if sum(m * m for m in multiplicities) != end_dim:
+        raise InvariantViolation(f"multiplicities {multiplicities} do not match dim End = {end_dim}")
+    basis_change = np.hstack([Q for _, isos in classes for Q in isos])
+    return IrrepDecomposition([(rep, len(isos)) for rep, isos in classes], basis_change)
 
 
 def _decompose(r, seed: int, tol: Tolerance) -> IrrepDecomposition:
-    """:func:`decompose` without validating a covariant input."""
+    """:func:`decompose` by random commutant splitting, without validating
+    a covariant input."""
     hom = _hom(r, r, tol)
-    leaves = _pieces(r, hom, seed, tol)
-    dec = _collect(leaves, lambda a, b: covariant_equivalence(a, b, tol, seed).witness)
-    # dim End = sum of squared multiplicities, an exact check on the clustering
-    if sum(m * m for _, m in dec.components) != hom[0]:
-        raise InvariantViolation(
-            f"multiplicities {[m for _, m in dec.components]} do not match dim End = {hom[0]}"
-        )
-    return dec
+    classes = _collect(_pieces(r, hom, seed, tol), lambda a, b: covariant_equivalence(a, b, tol, seed).witness)
+    return _assemble(classes, hom[0])
 
 
 def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposition:
-    """Decompose into irreducibles by random commutant splitting.
+    """Decompose into irreducibles; a covariant input is validated once.
 
-    The input is a :class:`Rep` or a :class:`CovariantRep` over either
-    action type; a covariant input is validated once.  Every Hom space is
-    read through one oracle, :func:`_hom`: the input is split along the
-    eigenspaces of the commutant projection P(X) of a random Hermitian X,
-    a piece with dim End > 1 is split again, and leaves are matched by
-    dim Hom and carried onto each other by the unitarized P12(X) of
-    :func:`covariant_equivalence`.  The squared multiplicities must sum to
-    dim End of the input, else :class:`InvariantViolation`.  Components
-    have the input's type.
-
-    Components are grouped by unitary equivalence and ordered by
-    (dimension, first occurrence); the multiset of components is
-    independent of the seed, only the basis_change varies.
+    A covariant Pi over a :class:`GroupAction` is read off its matrix-unit
+    frames (:func:`_orbit_frames`): per orbit of blocks, the r-dimensional
+    Lambda with C* Pi(U_h) C = Lambda_h (x) V_h on the frame C is split, and
+    each copy of a class lambda is a copy of Ind_H^G(lambda (x) V); the
+    basis change must carry Pi onto the components, ordered by (dimension,
+    orbit, Lambda class).  Any other input is split along the eigenspaces
+    of the commutant projection of a random Hermitian X (:func:`_hom`),
+    pieces with dim End > 1 again, and leaves are matched by
+    :func:`covariant_equivalence`, ordered by (dimension, first occurrence).
+    Either way the squared multiplicities must sum to dim End, else
+    :class:`InvariantViolation`; the multiset of components does not
+    depend on the seed.
     """
     if isinstance(r, CovariantRep):
         r.validate(tol)
-    return _decompose(r, seed, tol)
+    if not isinstance(r, CovariantRep) or not isinstance(r.action, GroupAction):
+        return _decompose(r, seed, tol)
+    end_dim = hom_dim(r, r, tol)
+    classes, covered = [], 0
+    for pi1, witnesses, C in _orbit_frames(r, tol):
+        orbit = _mackey_orbit(r.action, pi1, witnesses, (r, C), seed, tol)
+        covered += C.shape[1] * len(orbit.coset_reps)
+        classes += [(cls.induced, cls.isometries) for cls in orbit.classes]
+    # sum r n_k [G:H] + dim(1 - Pi(1)) = dim Pi, sum m^2 = dim End Pi, and Pi carried
+    if covered != r.dim:
+        raise InvariantViolation(f"orbit frames cover {covered} of {r.dim} dimensions")
+    dec = _assemble(classes, end_dim)
+    _check_carried(r, dec.basis_change, [rep for rep, isos in classes for _ in isos], "basis change")
+    return dec
 
 
 def decompositions_match(
@@ -413,20 +407,12 @@ def decompositions_match(
 
     Components are irreducible, so two are equivalent when dim Hom = 1.
     """
-
-    def same(a, b) -> bool:
-        return a.dim == b.dim and _hom(a, b, tol)[0] == 1
-
     if d1.total_dim != d2.total_dim:
         return False
-    remaining = list(range(len(d2.components)))
+    remaining = list(d2.components)
     for rep1, m1 in d1.components:
-        found = None
-        for j in remaining:
-            rep2, m2 = d2.components[j]
-            if m1 == m2 and same(rep1, rep2):
-                found = j
-                break
+        same = (c for c in remaining if c[1] == m1 and c[0].dim == rep1.dim and _hom(rep1, c[0], tol)[0] == 1)
+        found = next(same, None)
         if found is None:
             return False
         remaining.remove(found)
@@ -461,10 +447,8 @@ class CovariantRep:
 
     def joint_rep(self) -> Rep:
         """Algebra generators and group unitaries as one generating set."""
-        gens = dict(self.base.gens)
-        for g in range(self.group.order):
-            gens[f"U[{self.group.labels[g]}]"] = self.unitaries[g]
-        return Rep(self.dim, gens)
+        unitaries = {f"U[{label}]": U for label, U in zip(self.group.labels, self.unitaries)}
+        return Rep(self.dim, {**self.base.gens, **unitaries})
 
     def conjugate(self, Q) -> "CovariantRep":
         """The covariant representation Q* Pi Q on the range of an isometry Q
@@ -536,10 +520,10 @@ def _common_algebra(cov1: CovariantRep, cov2: CovariantRep) -> MatAlg:
     return cov1.action.algebra
 
 
-def _unit_images(cov: CovariantRep, labels) -> np.ndarray:
-    if set(cov.base.gens) != set(labels):
-        raise LabelMismatch("base representation is not labeled by the algebra's matrix units")
-    return np.array([cov.base.gens[l] for l in labels])
+def _unit_images(rep: Rep, labels) -> np.ndarray:
+    if set(rep.gens) != set(labels):
+        raise LabelMismatch("representation is not labeled by the algebra's matrix units")
+    return np.array([rep.gens[l] for l in labels])
 
 
 def covariant_character(cov: CovariantRep) -> np.ndarray:
@@ -550,7 +534,7 @@ def covariant_character(cov: CovariantRep) -> np.ndarray:
     algebra annihilates (zero when pi is unital).
     """
     labels = cov.action.algebra.basis_labels()
-    units = _unit_images(cov, labels)
+    units = _unit_images(cov.base, labels)
     U = np.array(cov.unitaries)
     # tr(U_g pi(e)) = sum_ab U_g[a, b] pi(e)[b, a]
     chi = U.reshape(len(U), -1) @ units.transpose(0, 2, 1).reshape(len(units), -1).T
@@ -598,7 +582,7 @@ def hom_projection(cov1: CovariantRep, cov2: CovariantRep, X) -> np.ndarray:
     alg = _common_algebra(cov1, cov2)
     weights, transpose, diagonal = _unit_pattern(alg.block_dims)
     labels = alg.basis_labels()
-    units1, units2 = _unit_images(cov1, labels), _unit_images(cov2, labels)
+    units1, units2 = _unit_images(cov1.base, labels), _unit_images(cov2.base, labels)
     X = as_matrix(X)
     Y = np.tensordot(weights, units2 @ X @ units1[transpose], axes=1)
     rest1 = np.eye(cov1.dim) - units1[diagonal].sum(axis=0)
@@ -688,33 +672,43 @@ def rep_end_dim(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> int:
     return trivial_covariant(pi, action).end_dim(tol)
 
 
-def _block_frame(pi: Rep, algebra: MatAlg, tol: Tolerance):
-    """Read a representation of a :class:`MatAlg` off its matrix units.
+def _ranks(P: np.ndarray, tol: Tolerance) -> list[int]:
+    """The ranks tr P of a stack of projections, each rounded to an integer
+    within ``rank_eps`` of their dimension, else :class:`InvariantViolation`."""
+    traces = np.trace(P, axis1=1, axis2=2).real
+    ranks = np.round(traces).astype(int)
+    bad = np.flatnonzero((ranks < 0) | (np.abs(traces - ranks) > tol.rank_eps * max(1, P.shape[1])))
+    if len(bad):
+        raise InvariantViolation(f"projection trace {traces[bad[0]]:.6g} is not a rank")
+    return ranks.tolist()
 
-    Returns (k, r, C): k is the first block ``pi`` does not annihilate,
-    r = tr pi(e^k_00) is rounded to an integer within ``rank_eps``, and
-    column j n_k + i of C is pi(e^k_i0) w_j for an orthonormal basis w_j of
-    the range of pi(e^k_00).  C is an isometry with C* pi(x) C = 1_r (x) x_k.
-    """
+
+def _frame_ranks(pi: Rep, algebra: MatAlg, tol: Tolerance) -> list[int]:
+    """r_k = tr pi(e^k_00) for every block k, by :func:`_ranks`."""
+    starts = np.cumsum([0, *(n * n for n in algebra.block_dims[:-1])])
+    return _ranks(_unit_images(pi, algebra.basis_labels())[starts], tol)
+
+
+def _block_frame(pi: Rep, algebra: MatAlg, k: int, r: int) -> np.ndarray:
+    """The matrix-unit frame C of a representation of a :class:`MatAlg` at
+    block k of rank r = tr pi(e^k_00) > 0: column j n_k + i is
+    pi(e^k_i0) w_j for an orthonormal basis w_j of the range of pi(e^k_00),
+    so C* pi(x) C = 1_r (x) x_k and C C* = pi(1_k)."""
     labels = algebra.basis_labels()
-    if set(pi.gens) != set(labels):
-        raise LabelMismatch("representation is not labeled by the algebra's matrix units")
-    pos = 0  # position of e^k_00 in basis order
-    for k, n in enumerate(algebra.block_dims):
-        P = pi.gens[labels[pos]]
-        trace = np.trace(P).real
-        r = round(trace)
-        if r < 0 or abs(trace - r) > tol.rank_eps * max(1, pi.dim):
-            raise InvariantViolation(f"tr pi(e^{k}_00) = {trace:.6g} is not a rank")
-        if r > 0:
-            break
-        pos += n * n
-    else:
-        raise InvariantViolation("the representation annihilates the algebra")
+    n = algebra.block_dims[k]
+    pos = sum(d * d for d in algebra.block_dims[:k])  # position of e^k_00 in basis order
+    P = pi.gens[labels[pos]]
     w = np.linalg.eigh((P + P.conj().T) / 2)[1][:, -r:]
     # e^k_i0 sits i n_k places after e^k_00
     columns = np.array([pi.gens[labels[pos + i * n]] @ w for i in range(n)])
-    return k, r, columns.transpose(1, 2, 0).reshape(pi.dim, r * n)
+    return columns.transpose(1, 2, 0).reshape(pi.dim, r * n)
+
+
+def _block_stabilizer(action: GroupAction, k: int, tol: Tolerance) -> tuple[Rep, dict[int, np.ndarray]]:
+    """The compression pi_k to block k and its stabilizer {h : alpha_h fixes
+    block k}, mapped to the action's own unitaries U^h_k, phase-normalized."""
+    pi_k = rep_from_images(action.algebra, lambda e: e.blocks[k])
+    return pi_k, {g: phase_normalize(aut.unitaries[k], tol) for g, aut in enumerate(action.auts) if aut.perm[k] == k}
 
 
 def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[int, np.ndarray]:
@@ -722,9 +716,8 @@ def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[
     irreducible ``pi``, mapped to witnesses W with ``W pi W* = pi o alpha_g``.
 
     Over a :class:`GroupAction` ``pi`` is the compression to one block k up
-    to its :func:`_block_frame` C: g qualifies when alpha_g fixes block k,
-    with W = C U^g_k C* (phase-normalized) from the action's unitary on that
-    block; a frame that is not one square copy (reducible input) raises
+    to its :func:`_block_frame` C, and W = C U^g_k C* for the g fixing k; a
+    frame that is not one square copy (reducible input) raises
     :class:`InvariantViolation`.  Over a :class:`LabelAction` each translate
     is compared by :func:`covariant_equivalence` of the trivial covariants.
     """
@@ -735,13 +728,12 @@ def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[
             for g in range(action.group.order)
         ]
         return {g: eq.witness for g, eq in enumerate(eqs) if eq.equivalent}
-    k, r, C = _block_frame(pi, action.algebra, tol)
-    if r != 1 or C.shape[0] != C.shape[1]:
+    ranks = _frame_ranks(pi, action.algebra, tol)
+    k = int(np.argmax(ranks))
+    if sum(ranks) != 1 or pi.dim != action.algebra.block_dims[k]:
         raise InvariantViolation("reducible input: its matrix-unit frame is not one square copy")
-    fixing = [g for g, aut in enumerate(action.auts) if aut.perm[k] == k]
-    return {
-        g: phase_normalize(C @ action.auts[g].unitaries[k] @ C.conj().T, tol) for g in fixing
-    }
+    C = _block_frame(pi, action.algebra, k, 1)
+    return {g: phase_normalize(C @ V @ C.conj().T, tol) for g, V in _block_stabilizer(action, k, tol)[1].items()}
 
 
 def _tensor_psi(lam, V, pi1: Rep, action) -> CovariantRep:
@@ -778,6 +770,124 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
             U[i * d : (i + 1) * d, j * d : (j + 1) * d] = psi.unitaries[position[h]]
         unitaries.append(U)
     return CovariantRep(Rep(m * d, gens), action, unitaries)
+
+
+# spec-pinned reconstruction threshold
+_BLOCK_TOL = 1e-7
+
+
+def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The r x r unitary L with ``W = kron(L, V)``, for a known unitary V.
+
+    Read from the block pattern of ``W (1 (x) V)*``: each d x d block of
+    that product is a scalar multiple of the identity, and the scalars
+    assemble L.  Stacks of W and V factor pairwise in one batch.  Raises
+    :class:`NotFactorable` when a residual exceeds the 1e-7 threshold.
+    """
+    W, V = np.asarray(W, dtype=complex), np.asarray(V, dtype=complex)
+    d = V.shape[-1]
+    if W.shape[-2:] != (r * d, r * d):
+        raise NotFactorable(f"W must be {r * d} x {r * d}")
+    # block (i, j) of W (1 (x) V)* is W_ij V*, whose trace over d is L_ij
+    L = np.einsum("...iajb,...ab->...ij", W.reshape(*W.shape[:-2], r, d, r, d), V.conj()) / d
+    kron = np.einsum("...ij,...ab->...iajb", L, V).reshape(W.shape)
+    scale = np.maximum(1.0, np.linalg.norm(W, axis=(-2, -1)))
+    if np.any(np.linalg.norm(W - kron, axis=(-2, -1)) > _BLOCK_TOL * scale):
+        raise NotFactorable("operator is not a Kronecker multiple of V")
+    defect = np.swapaxes(L.conj(), -2, -1) @ L - np.eye(r)
+    if np.any(np.linalg.norm(defect, axis=(-2, -1)) > _BLOCK_TOL * max(1, r)):
+        raise NotFactorable("extracted factor is not unitary")
+    return L
+
+
+def _check_carried(Pi: CovariantRep, C, parts: list[CovariantRep], what: str):
+    """Raise unless C* Pi C equals the block diagonal of ``parts`` on every
+    generator and every group unitary, to the reconstruction threshold,
+    naming the first miss."""
+    Ch = C.conj().T
+    bound = _BLOCK_TOL * max(1.0, float(Pi.dim))
+    labels = list(Pi.base.gens)
+    for names, mats, wanted in (
+        ([f"generator {l!r}" for l in labels], [Pi.base.gens[l] for l in labels],
+         [block_diag(*(p.base.gens[l] for p in parts)) for l in labels]),
+        ([f"unitary {g}" for g in Pi.group.labels], Pi.unitaries,
+         [block_diag(*(p.unitaries[g] for p in parts)) for g in range(Pi.group.order)]),
+    ):
+        bad = np.flatnonzero(np.linalg.norm(Ch @ np.array(mats) @ C - np.array(wanted), axis=(1, 2)) > bound)
+        if len(bad):
+            raise BlockStructureViolation(f"{what}: {names[bad[0]]} is not carried")
+
+
+_Orbit = namedtuple("_Orbit", ["subgroup", "action", "members", "V", "cocycle", "coset_reps", "pi", "lam", "classes"])
+_Class = namedtuple("_Class", ["lam", "psi", "induced", "isometries"])
+
+
+def _mackey_orbit(action, pi1: Rep, witnesses: dict, frame, seed: int, tol: Tolerance) -> _Orbit:
+    """Mackey's read-off over one orbit (the little-group method with multipliers).
+
+    ``witnesses`` maps each h of the stabilizer H of ``pi1`` to V_h with
+    V_h pi1 V_h* = pi1 o alpha_h, of cocycle c_V.  Each irreducible lambda in
+    Lambda, of cocycle conj(c_V), gives one class Ind_H^G(lambda (x) V).  With
+    ``frame`` None Lambda is the twisted regular L_a delta_x = c_V(a, x) delta_{ax};
+    for ``frame`` (Pi, C), C* Pi(x) C = 1_r (x) pi1(x), it is the :func:`factor_tensor`
+    of C* Pi(U_h) C against V_h, and each copy Q of a class gives the isometry
+    [U_c* C (Q (x) 1)] over the coset representatives c, carrying Pi onto its Ind.
+    """
+    H = Subgroup(action.group, tuple(witnesses))
+    sub_action, members = restrict_action(action, H)
+    K = sub_action.group
+    V = np.array([witnesses[h] for h in members])
+    c_V = _cocycle(K, V, tol)
+    if frame is None:
+        # L carries conj(c_V); each L_a is monomial, so its relation is read
+        # entrywise against the bound of _cocycle
+        lam = _twisted_regular(K, c_V)
+        norms = np.linalg.norm(np.array(lam.mats), axis=(1, 2))
+        if np.any(_monomial_residuals(lam.mats, K.table, lam.cocycle) > tol.identity_bound(norms[K.table])):
+            raise ValueError("matrices are not scalar multiples of each other")
+    else:
+        Pi, C = frame
+        compressed = C.conj().T @ np.array([Pi.unitaries[h] for h in members]) @ C
+        lam_mats = factor_tensor(compressed, V, C.shape[1] // pi1.dim, tol)
+        # C* Pi(U_h) C = Lambda_h (x) V_h is a genuine representation, so Lambda carries conj(c_V)
+        lam = ProjectiveRep(K, lam_mats, _cocycle(K, lam_mats, tol, c_V.conj()))
+    coset_reps = right_coset_reps(H)
+    dec, pos, classes = _decompose(lam, seed, tol), 0, []
+    for rep, m in dec.components:
+        psi = _tensor_psi(rep.mats, V, pi1, sub_action)
+        isometries = []
+        for _ in range(m if frame is not None else 0):
+            W = C @ np.kron(dec.basis_change[:, pos : pos + rep.dim], np.eye(pi1.dim))
+            isometries.append(np.hstack([Pi.unitaries[c].conj().T @ W for c in coset_reps]))
+            pos += rep.dim
+        classes.append(_Class(rep, psi, induce(psi, action, H, coset_reps), isometries))
+    return _Orbit(H, sub_action, members, V, c_V, coset_reps, pi1, lam, classes)
+
+
+def _orbit_blocks(action: GroupAction) -> list[int]:
+    """The smallest block k of each orbit {alpha_g(k)}: no alpha_g moves k lower."""
+    return [k for k in range(action.algebra.n_blocks) if min(aut.perm[k] for aut in action.auts) == k]
+
+
+def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
+    """(pi1, witnesses, C) of :func:`_mackey_orbit` for Pi over a :class:`GroupAction`:
+    pi_k and its :func:`_block_frame` per orbit whose smallest block k has r_k > 0,
+    then pi1 = 0, V_g = 1 at the range of 1 - Pi(1), which U commutes with."""
+    action, A = Pi.action, Pi.action.algebra
+    labels = A.basis_labels()
+    ranks = _frame_ranks(Pi.base, A, tol)
+    frames = [
+        (*_block_stabilizer(action, k, tol), _block_frame(Pi.base, A, k, ranks[k]))
+        for k in _orbit_blocks(action)
+        if ranks[k]
+    ]
+    rest = np.eye(Pi.dim) - _unit_images(Pi.base, labels)[_unit_pattern(A.block_dims)[2]].sum(axis=0)
+    [a] = _ranks(rest[None], tol)
+    if a:
+        B = np.linalg.eigh((rest + rest.conj().T) / 2)[1][:, -a:]
+        zero = Rep(1, {l: np.zeros((1, 1)) for l in labels})
+        frames.append((zero, {g: np.eye(1) for g in range(Pi.group.order)}, B))
+    return frames
 
 
 def regular_representation(pi: Rep, action) -> CovariantRep:

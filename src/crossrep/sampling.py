@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import GroupAction, MatAlg, StarAut, restrict_action
+from .algebra import GroupAction, MatAlg, StarAut
 from .errors import InvariantViolation
-from .groups import Subgroup, make_cyclic_group, make_symmetric_group_3, right_coset_reps
+from .groups import make_cyclic_group, make_symmetric_group_3
 from .linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
-from .reps import CovariantRep, Rep, _cocycle, _decompose, _tensor_psi, _twisted_regular, induce, rep_from_images
+from .reps import CovariantRep, Rep, _block_stabilizer, _mackey_orbit, _orbit_blocks, rep_from_images
 
 __all__ = [
     "random_cyclic_action",
@@ -188,43 +188,22 @@ def crossed_irreps(
 ) -> list[CovariantRep]:
     """Every irreducible covariant representation of the crossed product.
 
-    Mackey's construction with multipliers, one G-orbit of blocks at a
-    time: with k the smallest block of the orbit, H = {g : alpha_g fixes
-    block k}, pi_k the compression to block k and V_h = U^h_k the action's
-    unitaries on block k, of cocycle c_V, the irreducibles supported on the
-    orbit are Ind_H^G psi with psi_h = Lambda_h (x) V_h on 1_r (x) pi_k, for
-    the irreducible projective representations Lambda of H with cocycle
-    omega = conj(c_V).  :func:`decompose` splits them out of the twisted
-    regular representation L_a delta_x = c_V(a, x) delta_{ax}, of dimension
-    |H|.  Distinct orbits give inequivalent results, and every irreducible
-    arises this way.
-
-    Certified by ``end_dim() == 1`` on each result (a character sum) and by
-    the Wedderburn count sum dim^2 = |G| dim A, :class:`InvariantViolation`
-    otherwise.  The results are not re-validated: L passes one cocycle
-    residual check, so each psi is covariant, and induction preserves
-    covariance.  Ordered by dimension, stably, then by orbit (smallest
-    block first), then in ``decompose``'s order of the Lambda.
+    Mackey's construction with multipliers, one orbit of blocks at a time:
+    with k the smallest block of the orbit, H = {g : alpha_g fixes k} and
+    V_h = U^h_k of cocycle c_V, the irreducibles over the orbit are
+    Ind_H^G(Lambda (x) V) on 1 (x) pi_k, one per irreducible Lambda of H with
+    cocycle conj(c_V) in the |H|-dimensional twisted regular representation
+    L_a delta_x = c_V(a, x) delta_{ax} (the read-off that ``decompose`` and
+    the analyzer share).  Certified by ``end_dim() == 1`` on each result and
+    by the Wedderburn count sum dim^2 = |G| dim A, :class:`InvariantViolation`
+    otherwise; L passes one cocycle residual check, so the results are
+    covariant and not re-validated.  Ordered by dimension, stably, then by
+    orbit (smallest block first), then in ``decompose``'s order of the Lambda.
     """
     G, A = action.group, action.algebra
-    irreps, covered = [], set()
-    for k in range(A.n_blocks):
-        if k in covered:
-            continue
-        covered.update(aut.perm[k] for aut in action.auts)
-        H = Subgroup(G, tuple(g for g, aut in enumerate(action.auts) if aut.perm[k] == k))
-        sub_action, members = restrict_action(action, H)
-        K = sub_action.group
-        V = np.array([action.auts[h].unitaries[k] for h in members])
-        # L carries omega = conj(c_V), so psi_h = Lambda_h (x) V_h is a genuine representation
-        twisted = _twisted_regular(K, _cocycle(K, V, tol))
-        _cocycle(K, twisted.mats, tol, twisted.cocycle)
-        pi_k = rep_from_images(A, lambda e: e.blocks[k])
-        coset_reps = right_coset_reps(H)
-        for lam, _ in _decompose(twisted, seed, tol).components:
-            psi = _tensor_psi(lam.mats, V, pi_k, sub_action)
-            irreps.append(induce(psi, action, H, coset_reps))
-    irreps.sort(key=lambda cov: cov.dim)
+    blocks = _orbit_blocks(action)
+    orbits = [_mackey_orbit(action, *_block_stabilizer(action, k, tol), None, seed, tol) for k in blocks]
+    irreps = sorted((cls.induced for orbit in orbits for cls in orbit.classes), key=lambda cov: cov.dim)
     for cov in irreps:
         if cov.end_dim(tol) != 1:
             raise InvariantViolation(f"an induced representation of dim {cov.dim} is reducible")

@@ -124,18 +124,19 @@ def test_analyze_self_check_covers_the_unitaries(monkeypatch, tol):
     # negating one non-identity coset block of the conjugator leaves it
     # unitary and the algebra part unchanged, but flips the sign of the
     # blocks that U_g moves into or out of that coset
-    original = crossrep.analyzer._analyze_core
+    original = crossrep.analyzer._mackey_orbit
 
-    def negated(Pi, seed, tol):
-        core = original(Pi, seed, tol)
-        size = core.multiplicity * core.pi1.dim
-        core.conjugator = core.conjugator.copy()
-        core.conjugator[:, size : 2 * size] *= -1
-        return core
+    def negated(*args, **kwargs):
+        orbit = original(*args, **kwargs)
+        [cls] = orbit.classes
+        size = cls.psi.dim
+        C = cls.isometries[0].copy()
+        C[:, size : 2 * size] *= -1
+        return orbit._replace(classes=[cls._replace(isometries=[C])])
 
     _, cov = cute_example()
     assert len(analyze(cov, seed=11, tol=tol).coset_reps) == 2
-    monkeypatch.setattr(crossrep.analyzer, "_analyze_core", negated)
+    monkeypatch.setattr(crossrep.analyzer, "_mackey_orbit", negated)
     with pytest.raises(BlockStructureViolation):
         analyze(cov, seed=11, tol=tol)
 
@@ -584,7 +585,7 @@ def test_report_cocycles_match_the_scalar_quotient_reference(q, tol):
 
 
 def test_cocycle_rejects_a_family_that_is_not_projective(rng, tol):
-    from crossrep.analyzer import _cocycle
+    from crossrep.reps import _cocycle
 
     K = make_cyclic_group(3)
     mats = [np.eye(2, dtype=complex), random_unitary(2, rng), random_unitary(2, rng)]

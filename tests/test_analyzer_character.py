@@ -127,7 +127,7 @@ def test_classify_s3_draws_no_random_numbers(name, monkeypatch, tol):
 def test_eta_triple_reads_one_structure_core(monkeypatch, tol):
     # the 3-cycle restriction reuses Pi's frame, stabilizer witness and conjugator
     Pi = ANALYZER_CASES["classify_s3 EtaTriple"][1]()
-    calls = {"_analyze_core": 0, "_block_frame": 0}
+    calls = {"_mackey_orbit": 0, "_block_frame": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -141,15 +141,17 @@ def test_eta_triple_reads_one_structure_core(monkeypatch, tol):
     z3_action, _ = restrict_action(Pi.action, Subgroup(Pi.group, (S3_E, S3_ETA, S3_ETA2)))
     z3_cov = CovariantRep(Pi.base, z3_action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
     analyzer = crossrep.analyzer
-    want = analyzer._cyclic_canonical_form(z3_cov, analyzer._analyze_core(z3_cov, 3, tol), tol)[0]
+    want = analyzer._cyclic_canonical_form(z3_cov, analyzer._orbit(z3_cov, 3, tol), tol)[0]
 
-    monkeypatch.setattr(analyzer, "_analyze_core", counted("_analyze_core", analyzer._analyze_core))
+    orbit = counted("_mackey_orbit", crossrep.reps._mackey_orbit)
     frame = counted("_block_frame", crossrep.reps._block_frame)
-    monkeypatch.setattr(analyzer, "_block_frame", frame)
     monkeypatch.setattr(crossrep.reps, "_block_frame", frame)
+    for module in (analyzer, crossrep.reps):
+        monkeypatch.setattr(module, "_mackey_orbit", orbit)
     verdict = classify_s3(Pi, seed=3, tol=tol)
     assert verdict.case == "EtaTriple" and verdict.report.index == 3
-    assert calls == {"_analyze_core": 1, "_block_frame": 2}
+    # one frame, read for Pi; one read-off for Pi and one for its restriction
+    assert calls == {"_mackey_orbit": 2, "_block_frame": 1}
     got = verdict.report
     assert got.coset_reps == want.coset_reps and got.subgroup.members == want.subgroup.members
     for a, b in [(got.conjugator, want.conjugator), (got.v_rep.mats, want.v_rep.mats),

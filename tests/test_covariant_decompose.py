@@ -7,8 +7,11 @@ generating set, on inputs whose joint solve sits on both sides of the
 stacked/Gram switch at p*q = 120.
 """
 
+import importlib.util
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,11 +25,12 @@ from crossrep.analyzer import classify_s3
 from crossrep.cli import main
 from crossrep.examples import first_s3_example, minimal_covariant, s3_label_action
 from crossrep.groups import make_cyclic_group
-from crossrep.linalg import Tolerance, block_diag
+from crossrep.linalg import Tolerance, block_diag, random_unitary
 from crossrep.reps import (
     CovariantRep,
     Equivalence,
     IrrepDecomposition,
+    ProjectiveRep,
     Rep,
     decompose,
     decompositions_match,
@@ -238,14 +242,16 @@ def test_non_multiplicative_base_fails_character_sum(tol):
 
 
 def test_merged_clusters_are_split_again(tol):
-    # a wide eig_sep merges eigenvalues of inequivalent pieces into one
-    # cluster, whose character sum sends it through another split
+    # a wide eig_sep merges eigenvalues of inequivalent pieces of the
+    # orbit frames' Lambda (dimension 6 and 3) into one cluster, whose
+    # character sum sends it through another split
     cov = CASES["Z6[1,2] model (18)"]()
     wide = decompose(cov, seed=0, tol=Tolerance(eig_sep=0.5))
     assert _shape(wide) == _shape(decompose(cov, seed=0, tol=tol))
 
 
 def test_no_eigenvalue_gap_raises():
+    # the orbit frame's Lambda has dimension 6 and dim End 12
     cov = _doubled(_s3_regular("permutation", 8))
     with pytest.raises(DecompositionFailed):
         decompose(cov, seed=0, tol=Tolerance(eig_sep=1e6))
@@ -273,8 +279,14 @@ def test_rep_decomposition_certified_by_end_dim(monkeypatch, tol):
 
 
 def test_split_element_must_commute(monkeypatch, tol):
-    # a projection that returns X unchanged gives a split element outside the commutant
-    monkeypatch.setattr(crossrep.reps, "hom_projection", lambda cov1, cov2, X: X)
+    # a projection that returns X unchanged gives a split element outside
+    # the commutant of the 6-dimensional Lambda split at the orbit frame
+    hom = crossrep.reps._hom
+
+    def unprojected(a, b, tol):
+        return hom(a, b, tol)[0], lambda X: X
+
+    monkeypatch.setattr(crossrep.reps, "_hom", unprojected)
     with pytest.raises(InvariantViolation, match="fails to commute"):
         decompose(_doubled(_s3_regular("permutation", 8)), seed=0, tol=tol)
 
@@ -304,3 +316,89 @@ def test_crossed_irreps_makes_no_sylvester_solve(monkeypatch, tol):
     irreps = crossed_irreps(act, seed=0, tol=tol)
     assert sum(c.dim**2 for c in irreps) == 6 * act.algebra.linear_dim
     assert calls == []
+
+
+def _ladder_model(i):
+    """The defining crossed-product model of action i of the benchmark's
+    enumerate ladder (13 actions, host 12-36), built by its input module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_ladder_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return build_crossed_model(inputs.to_action(inputs.enumerate_actions(7)[i])).defining_covariant_rep()
+
+
+# every input is a covariant representation over a GroupAction
+FRAME_CASES = {**CASES, **{f"ladder#{i}": lambda i=i: _ladder_model(i) for i in range(13)}}
+
+
+def _gauged(cov, seed):
+    return cov.conjugate(random_unitary(cov.dim, np.random.default_rng(seed)))
+
+
+def _assert_certified(cov, dec, tol):
+    assert sum(m * m for _, m in dec.components) == hom_dim(cov, cov, tol)
+    Q = dec.basis_change
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(cov.dim)) < 1e-7
+    parts = [r for r, m in dec.components for _ in range(m)]
+    for l, M in cov.base.gens.items():
+        assert np.linalg.norm(Q.conj().T @ M @ Q - block_diag(*(r.base.gens[l] for r in parts))) < 1e-7
+    for g, U in enumerate(cov.unitaries):
+        assert np.linalg.norm(Q.conj().T @ U @ Q - block_diag(*(r.unitaries[g] for r in parts))) < 1e-7
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_frame_decompose_matches_the_joint_reference(name, tol):
+    # the Sylvester solve on the joint generating set, in a random gauge
+    cov = _gauged(FRAME_CASES[name](), 11)
+    dec = decompose(cov, seed=0, tol=tol)
+    as_joint = IrrepDecomposition([(r.joint_rep(), m) for r, m in dec.components], dec.basis_change)
+    assert decompositions_match(as_joint, decompose(cov.joint_rep(), seed=0, tol=tol), tol)
+    _assert_certified(cov, dec, tol)
+
+
+def test_host_108_model_matches_the_host_size_split(tol):
+    # the joint solve at host 108 needs a 108^2 x 108^2 Gram matrix, so the
+    # reference is the commutant split at host size, reps._decompose
+    act = random_cyclic_action(12, [3, 3, 3], np.random.default_rng(1))
+    cov = _gauged(build_crossed_model(act).defining_covariant_rep(), 5)
+    dec = decompose(cov, seed=0, tol=tol)
+    assert decompositions_match(dec, crossrep.reps._decompose(cov, 0, tol), tol)
+    _assert_certified(cov, dec, tol)
+
+
+def _split_sizes(cov, tol):
+    """The frame rank r of each orbit with r > 0, then dim(1 - Pi(1)) if > 0."""
+    A = cov.action.algebra
+    ranks = crossrep.reps._frame_ranks(cov.base, A, tol)
+    # the smallest block of each orbit {alpha_g(k)}, in increasing order
+    covered, smallest = set(), []
+    for k in range(A.n_blocks):
+        if k not in covered:
+            covered.update(aut.perm[k] for aut in cov.action.auts)
+            smallest.append(k)
+    rest = cov.dim - sum(r * n for r, n in zip(ranks, A.block_dims))
+    return [ranks[k] for k in smallest if ranks[k]] + ([rest] if rest else [])
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_no_host_size_split(name, monkeypatch, tol):
+    # every random split runs on a Lambda of one orbit (or of the annihilated
+    # subspace), never on the covariant input itself
+    cov = FRAME_CASES[name]()
+    splits, pieces = [], []
+    decompose_, pieces_ = crossrep.reps._decompose, crossrep.reps._pieces
+
+    def record_split(r, *args):
+        splits.append(r)
+        return decompose_(r, *args)
+
+    def record_piece(r, *args):
+        pieces.append((r, splits[-1].dim))
+        return pieces_(r, *args)
+
+    monkeypatch.setattr(crossrep.reps, "_decompose", record_split)
+    monkeypatch.setattr(crossrep.reps, "_pieces", record_piece)
+    decompose(cov, seed=0, tol=tol)
+    assert [r.dim for r in splits] == _split_sizes(cov, tol)
+    assert pieces and all(type(r) is ProjectiveRep and r.dim <= size for r, size in pieces)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossrep.crossed
+import crossrep.reps
 import crossrep.sampling
 from crossrep.algebra import GroupAction, StarAut, restrict_action
 from crossrep.analyzer import analyze, classify_s3, cyclic_analyze, factor_tensor
@@ -29,7 +30,6 @@ from crossrep.reps import (
     Rep,
     _cocycle,
     _hom,
-    decompose,
     direct_sum_reps,
     hom_dim,
     is_irreducible,
@@ -74,8 +74,10 @@ WEYL = [name for name in ACTIONS if name.startswith("Weyl")]
 
 
 def _host_model_irreps(act):
+    # the commutant split at host size, not decompose's frame route, which
+    # shares its Mackey read-off with crossed_irreps
     model = build_crossed_model(act).defining_covariant_rep()
-    return [rep for rep, _ in decompose(model, seed=0).components]
+    return [rep for rep, _ in crossrep.reps._decompose(model, 0, DEFAULT_TOL).components]
 
 
 @pytest.mark.parametrize("name", sorted(ACTIONS))
@@ -136,53 +138,53 @@ def test_crossed_irreps_never_builds_the_host_model(monkeypatch, tol):
 
 
 def test_crossed_irreps_rejects_a_reducible_induction(monkeypatch, tol):
-    induce = crossrep.sampling.induce
+    induce = crossrep.reps.induce
 
     def doubled(*args, **kwargs):
         cov = induce(*args, **kwargs)
         base = direct_sum_reps([cov.base, cov.base])
         return CovariantRep(base, cov.action, [block_diag(U, U) for U in cov.unitaries])
 
-    monkeypatch.setattr(crossrep.sampling, "induce", doubled)
+    monkeypatch.setattr(crossrep.reps, "induce", doubled)
     with pytest.raises(InvariantViolation, match="is reducible"):
         crossed_irreps(ACTIONS["Z4[2,2,1]"](), seed=0, tol=tol)
 
 
 def test_crossed_irreps_rejects_a_missing_component(monkeypatch, tol):
-    decompose_ = crossrep.sampling._decompose
+    decompose_ = crossrep.reps._decompose
 
     def drop_last(*args, **kwargs):
         dec = decompose_(*args, **kwargs)
         dec.components = dec.components[:-1]
         return dec
 
-    monkeypatch.setattr(crossrep.sampling, "_decompose", drop_last)
+    monkeypatch.setattr(crossrep.reps, "_decompose", drop_last)
     with pytest.raises(InvariantViolation, match="dim A"):
         crossed_irreps(ACTIONS["S3 inner"](), seed=0, tol=tol)
 
 
 def test_crossed_irreps_checks_the_twisted_regular_relation(monkeypatch, tol):
-    twisted_regular = crossrep.sampling._twisted_regular
+    twisted_regular = crossrep.reps._twisted_regular
 
     def wrong_cocycle(K, c):
         # L_a delta_x = conj(c(a, x)) delta_{ax} carries c, not the conj(c) claimed
         L = twisted_regular(K, c.conj())
         return ProjectiveRep(K, L.mats, c.conj())
 
-    monkeypatch.setattr(crossrep.sampling, "_twisted_regular", wrong_cocycle)
+    monkeypatch.setattr(crossrep.reps, "_twisted_regular", wrong_cocycle)
     with pytest.raises(ValueError, match="not scalar multiples"):
         crossed_irreps(ACTIONS["Weyl q=3"](), seed=0, tol=tol)
 
 
 def test_crossed_irreps_splits_only_twisted_regular_representations(monkeypatch, tol):
-    decompose_ = crossrep.sampling._decompose
+    decompose_ = crossrep.reps._decompose
     seen = []
 
     def record(r, *args, **kwargs):
         seen.append(r)
         return decompose_(r, *args, **kwargs)
 
-    monkeypatch.setattr(crossrep.sampling, "_decompose", record)
+    monkeypatch.setattr(crossrep.reps, "_decompose", record)
     for make in ACTIONS.values():
         act = make()
         # one split per orbit, of dimension |H| for its smallest block k

@@ -148,17 +148,23 @@ FRAME_CASES = {
 
 @pytest.mark.parametrize("name", sorted(FRAME_CASES))
 def test_analyze_reads_two_frames(name, monkeypatch, tol):
-    # one frame of Pi|_A and one of pi1, however large the group
+    # one frame of Pi|_A and one Mackey read-off of pi1's stabilizer block,
+    # however large the group
     Pi = FRAME_CASES[name]()
     calls = []
-    original = crossrep.reps._block_frame
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].dim)
-        return original(*args, **kwargs)
+    def counting(fn, dim_of):
+        def wrapper(*args, **kwargs):
+            calls.append(dim_of(args))
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(crossrep.reps, "_block_frame", counting)
-    monkeypatch.setattr(crossrep.analyzer, "_block_frame", counting, raising=False)
+        return wrapper
+
+    frame = counting(crossrep.reps._block_frame, lambda args: args[0].dim)
+    orbit = counting(crossrep.reps._mackey_orbit, lambda args: args[1].dim)
+    monkeypatch.setattr(crossrep.reps, "_block_frame", frame)
+    for module in (crossrep.reps, crossrep.analyzer):
+        monkeypatch.setattr(module, "_mackey_orbit", orbit)
     report = analyze(Pi, seed=0, tol=tol)
     assert len(calls) == 2
     assert calls == [Pi.dim, report.base_irrep.dim]

@@ -4,7 +4,8 @@
 and ``LabelAction`` read every residual ||M_gh - c(g, h) M_g M_h|| in one
 batch per row g.  Corrupting one matrix (or one label map) at a random
 index must make each raise at the first failing pair that a plain loop over
-(g, h), g outer, finds; the uncorrupted inputs must pass.
+(g, h), g outer, finds; the uncorrupted inputs must pass.  The monomial
+twisted regular representation reads the same residuals entrywise.
 """
 
 import re
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 from crossrep.algebra import GroupAction, LabelAction, StarAut
 from crossrep.analyzer import analyze
 from crossrep.errors import InvariantViolation
-from crossrep.examples import s3_label_action
-from crossrep.linalg import DEFAULT_TOL, random_unitary
-from crossrep.reps import CovariantRep, ProjectiveRep
+from crossrep.examples import product_cyclic_group, s3_label_action
+from crossrep.groups import make_cyclic_group, make_symmetric_group_3
+from crossrep.linalg import DEFAULT_TOL, _relation_residuals, random_unitary
+from crossrep.reps import CovariantRep, ProjectiveRep, _monomial_residuals, _twisted_regular
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 
 _actions = st.one_of(
@@ -135,3 +137,30 @@ def test_label_action_names_the_first_failing_pair(g, swap):
         0,
     )
     _raises_at(lambda: LabelAction(act.group, maps), pair)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    group=st.sampled_from(["Z5", "Z8", "S3", "Z3xZ3"]),
+    corrupt=st.sampled_from(["none", "cocycle", "claimed"]),
+    seed=st.integers(0, 2**16),
+)
+def test_monomial_residuals_match_the_dense_reference(group, corrupt, seed):
+    # c(a, b) = mu_a mu_b / mu_ab is a 2-cocycle, so L carries conj(c) exactly;
+    # a corrupted entry of c, or of the claimed cocycle, breaks some relations
+    K = {"Z5": lambda: make_cyclic_group(5), "Z8": lambda: make_cyclic_group(8),
+         "S3": make_symmetric_group_3, "Z3xZ3": lambda: product_cyclic_group(3)}[group]()
+    rng = np.random.default_rng(seed)
+    mu = np.exp(2j * np.pi * rng.random(K.order))
+    c = mu[:, None] * mu[None, :] / mu[K.table]
+    a, b = rng.integers(K.order, size=2)
+    phase = np.exp(2j * np.pi * rng.uniform(0.1, 0.9))
+    if corrupt == "cocycle":
+        c[a, b] *= phase
+    L = _twisted_regular(K, c)
+    omega = L.cocycle.copy()
+    if corrupt == "claimed":
+        omega[a, b] *= phase
+    dense = _relation_residuals(np.array(L.mats), K.table, omega)
+    assert np.allclose(_monomial_residuals(L.mats, K.table, omega), dense, rtol=0, atol=1e-12)
+    assert (dense.max() > 1e-3) == (corrupt != "none")

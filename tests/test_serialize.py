@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossrep.crossed import CrossedElement, build_crossed_model, element_to_matrix
 from crossrep.errors import SchemaError
@@ -11,7 +13,9 @@ from crossrep.examples import (
     rotation_action,
     s3_label_action,
 )
+from crossrep.algebra import GroupAction, LabelAction
 from crossrep.reps import decompose
+from crossrep.sampling import random_cyclic_action, random_s3_action
 from crossrep.serialize import (
     action_from_json,
     action_to_json,
@@ -134,3 +138,42 @@ def test_covariant_decomposition_components_keep_their_unitaries(tol):
     assert (comp["dim"], comp["multiplicity"]) == (3, 3)
     back = covariant_from_json(comp["irrep"])
     assert np.allclose(back.unitaries[1], dec.components[0][0].unitaries[1])
+
+
+def _relabelled(act: LabelAction, names) -> LabelAction:
+    rename = dict(zip(sorted(act.maps[0]), names))
+    return LabelAction(act.group, [{rename[l]: rename[m[l]] for l in m} for m in act.maps])
+
+
+_actions = st.one_of(
+    st.builds(
+        lambda n, dims, seed: random_cyclic_action(n, dims, np.random.default_rng(seed)),
+        st.sampled_from([2, 3, 4, 6]),
+        st.sampled_from([[1], [2], [3], [1, 2], [2, 2], [1, 1, 2]]),
+        st.integers(0, 2**16),
+    ),
+    st.builds(
+        lambda kind, seed: random_s3_action(np.random.default_rng(seed), kind),
+        st.sampled_from(["permutation", "inner", "conjugated"]),
+        st.integers(0, 2**16),
+    ),
+    st.builds(
+        lambda names: _relabelled(s3_label_action(), names),
+        st.lists(st.text(min_size=1, max_size=6), min_size=3, max_size=3, unique=True),
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(act=_actions)
+def test_action_roundtrip_is_exact_and_finite(act):
+    again = action_from_json(json.loads(json.dumps(action_to_json(act), allow_nan=False)))
+    assert type(again) is type(act)
+    assert np.array_equal(again.group.table, act.group.table) and again.group.labels == act.group.labels
+    if isinstance(act, GroupAction):
+        assert again.algebra == act.algebra
+        for a, b in zip(again.auts, act.auts):
+            assert tuple(a.perm) == tuple(b.perm)
+            assert all(np.array_equal(U, V) for U, V in zip(a.unitaries, b.unitaries))
+    else:
+        assert again.maps == act.maps
