@@ -57,7 +57,6 @@ from .reps import (
     evaluate,
     factor_tensor,
     induce,
-    is_irreducible,
     rep_end_dim,
     translate_stabilizer,
 )
@@ -132,8 +131,9 @@ def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
     """The structure report of an irreducible Pi, read off its one orbit
     component: the conjugator must carry Pi onto Ind_H^G psi, and the
     permutation and block-unitary data are read from the induced form."""
-    # End psi = End Lambda, which decides the one class and copy below
-    if not is_irreducible(orbit.lam, tol):
+    # End psi = End Lambda = 1: the orbit's decomposition of Lambda, whose
+    # squared multiplicities sum to dim End Lambda, has one class and copy
+    if [len(cls.isometries) for cls in orbit.classes] != [1]:
         raise BlockStructureViolation("tensor factor on the multiplicity space is reducible")
     [(_, psi, induced, [C])] = orbit.classes
     # C* C = 1 is the U_e case of the carried check
@@ -297,7 +297,7 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     ``Psi(a) = 1_r (x) pi1(a)``; each group unitary then factors as
     ``Lambda_h (x) V^h`` and the verdict is the irreducibility of the
     projective Lambda family on the multiplicity space, the character sum
-    |G|^-1 sum_h |tr Lambda_h|^2 == 1 that :func:`is_irreducible` reads.
+    |G|^-1 sum_h |tr Lambda_h|^2 == 1, read off the decomposition of Lambda.
     """
     end_dim = rep_end_dim(Psi.base, Psi.action, tol)
     r = int(round(np.sqrt(end_dim)))
@@ -316,7 +316,8 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     if len(witnesses) != Psi.group.order:
         raise InvariantViolation("every group element must fix the class of the base irreducible")
     # the identity is the frame of 1_r (x) pi1, and Lambda its tensor factor
-    return is_irreducible(_mackey_orbit(Psi.action, pi1, witnesses, (Psi, np.eye(Psi.dim)), 0, tol).lam, tol)
+    orbit = _mackey_orbit(Psi.action, pi1, witnesses, (Psi, np.eye(Psi.dim)), 0, tol)
+    return [len(cls.isometries) for cls in orbit.classes] == [1]
 
 
 def build_cyclic_irrep(

@@ -302,12 +302,6 @@ class CharacterTable:
         """Character values of irrep r indexed by group element."""
         return self.chars[r, self.class_of]
 
-    def trivial_index(self) -> int:
-        for r in range(self.n_irreps):
-            if np.allclose(self.chars[r], 1.0, atol=1e-8):
-                return r
-        raise InvariantViolation("character table has no trivial character")
-
     def validate(self, tol: float = 1e-8):
         G = self.group
         if sum(d * d for d in self.dims) != G.order:

@@ -164,27 +164,6 @@ def unitary_eigenspaces(
     return out
 
 
-def _sylvester_gram(pairs, p: int, q: int) -> np.ndarray:
-    """Gram matrix sum_i K_i* K_i of the constraints vec(T R_i - L_i T)."""
-    N = np.zeros((p * q, p * q), dtype=complex)
-    Ip, Iq = np.eye(p), np.eye(q)
-    for L, R in pairs:
-        Rc, Rt = R.conj(), R.T
-        N += np.kron(Rc @ Rt, Ip)
-        N += np.kron(Iq, L.conj().T @ L)
-        N -= np.kron(Rc, L)
-        N -= np.kron(Rt, L.conj().T)
-    return N
-
-
-# above this many host-space dimensions the stacked SVD is replaced by a
-# Gram-matrix eigendecomposition (same nullspace, one O((pq)^3) solve)
-_STACK_LIMIT = 120
-# the Gram route squares the condition number, so singular values below
-# sqrt(machine eps) are noise; its rank cutoff is floored accordingly
-_GRAM_FLOOR = 1e-6
-
-
 def solve_sylvester_family(
     pairs,
     dims: tuple[int, int] | None = None,
@@ -196,6 +175,10 @@ def solve_sylvester_family(
     and every ``R_i`` q x q, and the solutions T are p x q.  For an empty
     family ``dims=(p, q)`` must be given and the full matrix-unit basis is
     returned.
+
+    Rank is decided as :func:`nullspace` decides it for the stacked
+    constraints K: T -> (T R_i - L_i T)_i, at ``rank_eps`` times the
+    largest singular value of K, or ``abs_eps`` for that value itself.
     """
     pairs = [(as_matrix(L), as_matrix(R)) for L, R in pairs]
     if not pairs:
@@ -219,21 +202,38 @@ def solve_sylvester_family(
     if dims is not None and dims != (p, q):
         raise DimensionMismatch(f"declared dims {dims} do not match pairs ({p},{q})")
 
-    if p * q <= _STACK_LIMIT:
-        Ip, Iq = np.eye(p), np.eye(q)
-        blocks = [np.kron(R.T, Ip) - np.kron(Iq, L) for L, R in pairs]
-        vecs = nullspace(np.vstack(blocks), tol)
-    else:
-        N = _sylvester_gram(pairs, p, q)
-        evals, evecs = np.linalg.eigh(N)
-        svals = np.sqrt(np.clip(evals, 0.0, None))
-        if svals[-1] <= tol.abs_eps:
-            cutoff = np.inf  # the whole system is zero at tolerance
-        else:
-            cutoff = max(tol.rank_eps, _GRAM_FLOOR) * svals[-1]
-        vecs = [evecs[:, j] for j in range(len(svals)) if svals[j] <= cutoff]
-    # vec is column-major so that vec(T R) = (R^T (x) I) vec(T)
-    return [v.reshape((p, q), order="F") for v in vecs]
+    n, pq = len(pairs), p * q
+    if pq == 0:
+        return []
+    Ls, Rs = np.array([L for L, _ in pairs]), np.array([R for _, R in pairs])
+    # N = sum_i K_i* K_i for K_i = R_i^T (x) 1 - 1 (x) L_i on the column-major
+    # vec(T), so that vec(T R) = (R^T (x) 1) vec(T): N = A (x) 1 + 1 (x) B - C - C*
+    # with A = sum_i conj(R_i) R_i^T, B = sum_i L_i* L_i, C = sum_i conj(R_i) (x) L_i
+    N = (Rs.conj().reshape(n, q * q).T @ Ls.reshape(n, p * p)).reshape(q, q, p, p)
+    N = np.negative(N.transpose(0, 2, 1, 3), order="C").reshape(pq, pq)
+    N += N.conj().T
+    N4 = N.reshape(q, p, q, p)  # einsum returns writable views of its diagonals
+    np.einsum("abcb->acb", N4)[...] += np.einsum("iab,icb->ac", Rs.conj(), Rs)[:, :, None]
+    np.einsum("abad->abd", N4)[...] += np.einsum("iba,ibc->ac", Ls.conj(), Ls)
+    evals, evecs = np.linalg.eigh(N)
+    del N, N4
+    # N and its eigenvalues are accurate to eps pq sum_i (|L_i| + |R_i|)^2:
+    # the eigenvectors up to that, or up to rank_eps^2 times the top
+    # eigenvalue, are candidates, decided by their exact residuals T R_i - L_i T
+    scale = np.linalg.norm(Ls, axis=(1, 2)) + np.linalg.norm(Rs, axis=(1, 2))
+    noise = np.finfo(float).eps * pq * np.sum(scale**2)
+    V = evecs[:, evals <= max(tol.rank_eps**2 * evals[-1], noise)]
+    Ts = V.T.reshape(-1, q, p).transpose(0, 2, 1)
+    G = np.zeros((V.shape[1],) * 2, dtype=complex)
+    for L, R in pairs:
+        E = (Ts @ R - L @ Ts).reshape(len(Ts), pq)
+        G += E.conj() @ E.T
+    resid, W = np.linalg.eigh(G)
+    # sigma_max(K)^2 is the top eigenvalue of N, unless that is noise as well,
+    # when every direction is a candidate; at most abs_eps, every T solves
+    top = resid[-1] if V.shape[1] == pq else evals[-1]
+    vecs = evecs if top <= tol.abs_eps**2 else V @ W[:, resid <= tol.rank_eps**2 * top]
+    return [v.reshape((p, q), order="F") for v in vecs.T]
 
 
 def _relation_residuals(M, table, c=None) -> np.ndarray:

@@ -546,20 +546,33 @@ def test_projective_end_dim_matches_commutant(rng, tol):
 
 
 def test_lambda_irreducibility_is_asked_of_the_projective_rep(monkeypatch, tol):
+    # past the entry test, Psi (+) Psi is 1_2 (x) Psi: its Lambda is the Weyl
+    # factor doubled, and the orbit's decomposition of Lambda rejects it
+    psi = weyl_pair_homogeneous(2)
+    double = CovariantRep(
+        direct_sum_reps([psi.base, psi.base]),
+        psi.action,
+        [np.kron(np.eye(2), U) for U in psi.unitaries],
+    )
+    monkeypatch.setattr(crossrep.analyzer, "_require_irreducible", lambda Pi, tol: None)
+    with pytest.raises(BlockStructureViolation, match="multiplicity space is reducible"):
+        analyze(double, seed=0, tol=tol)
+
+
+def test_lambda_is_decided_by_one_projective_hom(monkeypatch, tol):
     from crossrep.reps import ProjectiveRep
 
-    asked = []
+    original, asked = crossrep.reps._hom, []
 
-    def reducible(r, tol):
-        asked.append(r)
-        return False
+    def counting(a, b, tol):
+        if isinstance(a, ProjectiveRep):
+            asked.append(a)
+        return original(a, b, tol)
 
-    monkeypatch.setattr(crossrep.analyzer, "is_irreducible", reducible)
-    with pytest.raises(BlockStructureViolation, match="multiplicity space is reducible"):
-        analyze(doubled_minimal_covariant(), seed=5, tol=tol)
+    monkeypatch.setattr(crossrep.reps, "_hom", counting)
+    analyze(weyl_pair_homogeneous(2), seed=0, tol=tol)
     [lam] = asked
-    assert isinstance(lam, ProjectiveRep) and lam.dim == 2
-    assert len(lam.mats) == lam.group.order == 6
+    assert lam.dim == 2 and len(lam.mats) == lam.group.order == 4
 
 
 def _scalar_quotient_cocycle(K, mats, tol):

@@ -138,6 +138,19 @@ def test_analyze_cyclic_dispatch(tmp_path, capsys):
     assert doc["result"]["m"] == 2 and doc["result"]["k"] == 2
 
 
+def test_analyze_generic_dispatch(tmp_path, capsys):
+    from crossrep.examples import weyl_pair_homogeneous
+
+    # Z2 x Z2 is neither S3 nor a standard cyclic group
+    f = _write(tmp_path / "weyl.json", covariant_to_json(weyl_pair_homogeneous(2)))
+    assert main(["analyze", f]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["kind"] == "structure-report"
+    assert result["multiplicity_r"] == 2
+    assert result["subgroup_members"] == [0, 1, 2, 3]
+    assert result["index_m"] == 1
+
+
 def test_analyze_reducible_exit_4(tmp_path, capsys):
     A = MatAlg([1, 1, 1])
     flip = StarAut(A, (1, 0, 2), [np.eye(1)] * 3)

@@ -3,8 +3,9 @@
 ``decompose(cov)`` on a covariant representation over a ``GroupAction``
 splits along averaged commutant elements and counts with character sums;
 these tests hold it against the intertwiner-solve route on the joint
-generating set, on inputs whose joint solve sits on both sides of the
-stacked/Gram switch at p*q = 120.
+generating set, on inputs whose joint solve sits on both sides of
+p*q = 120, where that solve used to switch from a stacked SVD to a Gram
+eigendecomposition.
 """
 
 import importlib.util
@@ -84,8 +85,8 @@ def _non_unital():
     return CovariantRep(direct_sum_reps([pi, zero]), act, [np.eye(4), U])
 
 
-# the joint commutant solve has p*q = dim^2: dims 4, 6 and 9 take its
-# stacked route, dims 12 and 18 its Gram route
+# the joint commutant solve has p*q = dim^2: dims 4, 6 and 9 sit below
+# the old stacked/Gram switch at p*q = 120, dims 12 and 18 above it
 CASES = {
     "non-unital (4)": _non_unital,
     "Z2[1,2] model (6)": lambda: _cyclic_model(2, [1, 2], 3),

@@ -198,13 +198,76 @@ def test_sylvester_residual_property(rng, tol):
 
 
 def test_sylvester_gram_path_commutant_of_unitary(rng, tol):
-    # 21x21 forces the Gram route; the commutant of one unitary with
-    # distinct eigenvalues has dimension 21 (all diagonal in its eigenbasis)
+    # p*q = 441, above the old stacked/Gram switch at 120; the commutant of
+    # one unitary with distinct eigenvalues has dimension 21 (all diagonal
+    # in its eigenbasis)
     U = random_unitary(21, rng)
     basis = solve_sylvester_family([(U, U)], tol=tol)
     assert len(basis) == 21
     for T in basis:
         assert np.linalg.norm(T @ U - U @ T) < 1e-7
+
+
+def _stacked_dim(pairs, tol):
+    """Reference: the nullspace of the stacked constraints R_i^T (x) 1 - 1 (x) L_i."""
+    p, q = pairs[0][0].shape[0], pairs[0][1].shape[0]
+    K = np.vstack([np.kron(R.T, np.eye(p)) - np.kron(np.eye(q), L) for L, R in pairs])
+    return len(nullspace(K, tol))
+
+
+def _gauged_sum(irreps, mults, scale, rng):
+    """(+)_i pi_i^{m_i} at ``scale`` in a random unitary gauge, as a list of
+    generator matrices; each pi_i is a list of matrices."""
+    mats = [block_diag(*(pi[j] for pi, m in zip(irreps, mults) for _ in range(m))) for j in range(len(irreps[0]))]
+    U = random_unitary(len(mats[0]), rng)
+    return [scale * U @ M @ U.conj().T for M in mats]
+
+
+def test_sylvester_dimension_across_the_size_range(rng, tol):
+    # Hom((+)_i pi_i^{m_i}, (+)_i pi_i^{m'_i}) has dimension sum_i m_i m'_i;
+    # p*q runs from 1 past the old stacked/Gram switch at 120 to 200
+    cases = [(np.array([1]), np.array([1]), np.array([1]))]
+    while len(cases) < 60:
+        k = rng.integers(1, 4)
+        dims, m, m2 = rng.integers(1, 5, size=k), rng.integers(0, 4, size=k), rng.integers(0, 4, size=k)
+        if 0 < (dims @ m) * (dims @ m2) <= 200:
+            cases.append((dims, m, m2))
+    sizes = []
+    for dims, m, m2 in cases:
+        gens = rng.integers(1, 4)
+        irreps = [[rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(gens)] for d in dims]
+        scale = 10.0 ** rng.uniform(-3, 3)
+        A, B = _gauged_sum(irreps, m, scale, rng), _gauged_sum(irreps, m2, scale, rng)
+        pairs = [pair for X, Y in zip(A, B) for pair in ((Y, X), (Y.conj().T, X.conj().T))]
+        basis = solve_sylvester_family(pairs, tol=tol)
+        case = f"dims {dims}, m {m}, m' {m2}, scale {scale:.1e}"
+        assert len(basis) == m @ m2 == _stacked_dim(pairs, tol), case
+        for T in basis:
+            assert max(np.linalg.norm(T @ X - Y @ T) for X, Y in zip(A, B)) <= 1e-8 * scale, case
+        sizes.append(int(dims @ m) * int(dims @ m2))
+    assert min(sizes) == 1 and max(sizes) > 120 and any(60 < s <= 120 for s in sizes)
+
+
+@pytest.mark.parametrize("p", [10, 11, 12])
+def test_sylvester_near_degenerate_diagonal(p, tol):
+    # diag(0..p-1) against the same with 1e-6 added to its first entry: the
+    # 1e-6 residual is far above rank_eps * sigma_max, so the (0, 0)
+    # direction is no solution at any size
+    a = np.arange(p, dtype=complex)
+    b = a.copy()
+    b[0] += 1e-6
+    pairs = [(np.diag(a), np.diag(b))]
+    assert len(solve_sylvester_family(pairs, tol=tol)) == p - 1 == _stacked_dim(pairs, tol)
+
+
+def test_sylvester_system_zero_at_tolerance_is_solved_by_everything(tol):
+    # a largest singular value below abs_eps makes every T a solution
+    basis = solve_sylvester_family([(np.array([[1e-10]]), np.array([[0.0]]))], tol=tol)
+    assert len(basis) == 1 and abs(abs(basis[0][0, 0]) - 1) < 1e-12
+
+
+def test_sylvester_zero_dimensional_system(tol):
+    assert solve_sylvester_family([(np.zeros((0, 0)), np.eye(2))], tol=tol) == []
 
 
 def test_orthonormal_span(rng, tol):
