@@ -29,8 +29,10 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _basis_labels(block_dims: tuple[int, ...]) -> tuple[str, ...]:
+    # b{k}_{i}{j} is unique up to n_k = 11; at 12 e_{1,11} and e_{11,1} would both be b0_111
     return tuple(
-        f"b{k}_{i}{j}" for k, d in enumerate(block_dims) for i in range(d) for j in range(d)
+        f"b{k}_{i}_{j}" if d > 11 else f"b{k}_{i}{j}"
+        for k, d in enumerate(block_dims) for i in range(d) for j in range(d)
     )
 
 

@@ -110,7 +110,7 @@ def _require_irreducible(Pi: CovariantRep, tol: Tolerance):
     yet it passes the irreducibility test when U is an irrep of G."""
     if not Pi.is_irreducible(tol):
         raise NotIrreducible("covariant representation is reducible")
-    if all(np.linalg.norm(M) <= tol.abs_eps * max(1, Pi.dim) for M in Pi.base.gens.values()):
+    if np.all(np.linalg.norm(Pi.base.stack, axis=(1, 2)) <= tol.abs_eps * max(1, Pi.dim)):
         raise InvariantViolation("the representation annihilates the algebra")
 
 
@@ -262,8 +262,8 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
     # pairwise inequivalent and the whole restriction multiplicity free
     basis, _ = fixed_point_algebra(Pi.action, tol)
     alg = Pi.action.algebra
-    fix_images = {f"fix{i}": evaluate(pi1, alg, b) for i, b in enumerate(basis)}
-    images = np.array(list(fix_images.values()))
+    fixed = Rep(d1, [evaluate(pi1, alg, b) for b in basis], [f"fix{i}" for i in range(len(basis))])
+    images = fixed.stack
     if np.any(np.linalg.norm(images @ V - V @ images, axis=(1, 2)) > tol.identity_bound(d1)):
         raise CanonicalFormViolation("a fixed-point image does not commute with the corner")
     corner_commutant = sum(iso.shape[1] ** 2 for _, iso in spectrum)
@@ -273,10 +273,7 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
             f"fixed-point images span {span} dimensions, the corner's commutant {corner_commutant}"
         )
 
-    alpha_diag = [
-        Rep(iso.shape[1], {l: iso.conj().T @ M @ iso for l, M in fix_images.items()})
-        for _, iso in spectrum
-    ]
+    alpha_diag = [fixed.conjugate(iso) for _, iso in spectrum]
     return CyclicReport(
         base=report,
         m=m,
@@ -306,10 +303,10 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     if Psi.dim % r != 0:
         raise InvariantViolation("multiplicity does not divide the dimension")
     d1 = Psi.dim // r
-    pi1 = Rep(d1, {l: M[:d1, :d1] for l, M in Psi.base.gens.items()})
-    for l, M in Psi.base.gens.items():
-        if np.linalg.norm(M - np.kron(np.eye(r), pi1.gens[l])) > _BLOCK_TOL * max(1.0, Psi.dim):
-            raise InvariantViolation("base is not 1_r (x) pi1 in tensor form")
+    pi1 = Rep(d1, Psi.base.stack[:, :d1, :d1], Psi.base.labels)
+    residuals = np.linalg.norm(Psi.base.stack - np.kron(np.eye(r), pi1.stack), axis=(1, 2))
+    if np.any(residuals > _BLOCK_TOL * max(1.0, Psi.dim)):
+        raise InvariantViolation("base is not 1_r (x) pi1 in tensor form")
     if rep_end_dim(pi1, Psi.action, tol) != 1:
         raise InvariantViolation("tensor base is not irreducible")
     witnesses = translate_stabilizer(pi1, Psi.action, tol)
@@ -425,7 +422,8 @@ _S3_CASES = {(6, 1): "Minimal", (3, 1): "TauPair", (6, 2): "TauPair", (2, 1): "E
 
 def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> S3Class:
     """Classify an irreducible covariant representation over the 3-letter
-    permutation group into its canonical shape.
+    permutation group, recognized by its Cayley table alone (labels are
+    never read), into its canonical shape.
 
     The case is read off (|H|, r), the stabilizer order and multiplicity
     of one :func:`_orbit`: Minimal (6, 1), TauPair (3, 1) or (6, 2),
@@ -438,8 +436,7 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     Over a :class:`GroupAction` no random numbers are drawn.
     """
     G = Pi.group
-    S3 = make_symmetric_group_3()
-    if G != S3 or G.labels != S3.labels:
+    if G != make_symmetric_group_3():
         raise InvariantViolation("group must be the standard 3-letter permutation group")
     _require_irreducible(Pi, tol)
     orbit = _orbit(Pi, seed, tol)

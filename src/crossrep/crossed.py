@@ -127,7 +127,7 @@ class CrossedModel:
     action: GroupAction
     host_dim: int
     psi_images: dict[str, np.ndarray]
-    vg: list[np.ndarray]
+    vg: np.ndarray
     span_dim: int
 
     def psi(self, x: AlgElement) -> np.ndarray:
@@ -152,7 +152,7 @@ def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> Cr
     n = G.order
     trivial = Subgroup(G, (G.identity,))
     cov = induce(trivial_covariant(defining_rep(A), action), action, trivial, list(range(n)))
-    host, psi_images, vg = cov.dim, cov.base.gens, cov.unitaries
+    host, psi_images, vg = cov.dim, dict(cov.base.gens), cov.unitaries
 
     # model invariants: validate, V_g V_h = V_gh to abs_eps * host for permutations, a faithful span
     cov.validate(tol)

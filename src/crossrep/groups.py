@@ -348,7 +348,7 @@ def character_table(
                     raise InvariantViolation(
                         f"regular multiplicity {mult} != dimension {dim}"
                     )
-                per_element = np.trace(np.array(irrep.mats), axis1=1, axis2=2)
+                per_element = np.trace(irrep.mats, axis1=1, axis2=2)
                 per_class = []
                 for cls in classes:
                     vals = per_element[list(cls)]

@@ -86,13 +86,17 @@ def nullspace(M, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
 
 
 def block_diag(*blocks) -> np.ndarray:
-    """Complex block-diagonal matrix with the given matrices as its blocks."""
-    blocks = [as_matrix(b) for b in blocks]
-    out = np.zeros(tuple(sum(b.shape[i] for b in blocks) for i in (0, 1)), dtype=complex)
+    """Complex block-diagonal matrix with the given matrices as its blocks;
+    stacks of matrices broadcast over their leading axes."""
+    blocks = [np.asarray(b, dtype=complex) for b in blocks]
+    if any(b.ndim < 2 for b in blocks):
+        raise DimensionMismatch("block_diag needs matrices or stacks of matrices")
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    out = np.zeros(lead + tuple(sum(b.shape[i] for b in blocks) for i in (-2, -1)), dtype=complex)
     r = c = 0
     for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
+        out[..., r : r + b.shape[-2], c : c + b.shape[-1]] = b
+        r, c = r + b.shape[-2], c + b.shape[-1]
     return out
 
 

@@ -1,9 +1,11 @@
 """Intertwiners, commutants, equivalence, decomposition, regular representations.
 
 A representation is stored as the matrix images of a labeled generator
-set.  Every intertwiner computation first closes the generator set under
-adjoints: a one-sided relation against unitary generators does not imply
-the adjoint relation for a non-invertible intertwiner.
+set in one complex (n, d, d) stack, as are the matrices of a projective
+representation and the unitaries of a covariant one.  Every intertwiner
+computation first closes the generator set under adjoints: a one-sided
+relation against unitary generators does not imply the adjoint relation for
+a non-invertible intertwiner.
 
 Every Hom question goes through one private oracle, ``_hom(a, b, tol)``:
 character sums over a :class:`GroupAction` (:func:`hom_dim`) or for a
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -78,21 +81,28 @@ __all__ = [
 
 
 class Rep:
-    """Matrix images of a *-closed generating set, keyed by label."""
+    """Matrix images of a *-closed generating set: ``stack[i]`` is the image
+    of ``labels[i]`` and ``gens`` the read-only label -> image view of it.
 
-    def __init__(self, dim: int, gens):
+    ``gens`` maps labels to images, or with ``labels`` given it is the
+    (n, dim, dim) stack of their images.
+    """
+
+    def __init__(self, dim: int, gens, labels=None):
         self.dim = int(dim)
-        self.gens = {}
-        for label, M in gens.items():
-            M = as_matrix(M)
-            if M.shape != (self.dim, self.dim):
+        if labels is None:
+            labels, gens = tuple(gens), list(gens.values())
+        self.labels = tuple(labels)
+        for label, M in zip(self.labels, gens):
+            if np.shape(M) != (self.dim, self.dim):
                 raise DimensionMismatch(f"generator {label!r} is not {dim}x{dim}")
-            self.gens[label] = M
+        self.stack = np.asarray(gens, dtype=complex).reshape(len(self.labels), self.dim, self.dim)
+        self.gens = MappingProxyType(dict(zip(self.labels, self.stack)))
 
     def conjugate(self, Q) -> "Rep":
         """The representation x -> Q* pi(x) Q for an isometry or unitary Q."""
         Q = as_matrix(Q)
-        return Rep(Q.shape[1], {l: Q.conj().T @ M @ Q for l, M in self.gens.items()})
+        return Rep(Q.shape[1], Q.conj().T @ self.stack @ Q, self.labels)
 
     def __repr__(self):
         return f"Rep(dim={self.dim}, gens={list(self.gens)!r})"
@@ -106,13 +116,13 @@ class ProjectiveRep(Rep):
     """
 
     def __init__(self, group: FiniteGroup, mats, cocycle):
-        super().__init__(np.shape(mats[0])[0], dict(enumerate(mats)))
+        super().__init__(np.shape(mats[0])[0], mats, range(len(mats)))
         self.group = group
-        self.mats = list(self.gens.values())
+        self.mats = self.stack
         self.cocycle = np.asarray(cocycle)
 
     def conjugate(self, Q) -> "ProjectiveRep":
-        return ProjectiveRep(self.group, list(super().conjugate(Q).gens.values()), self.cocycle)
+        return ProjectiveRep(self.group, super().conjugate(Q).stack, self.cocycle)
 
     def validate(self, threshold: float = 1e-8):
         T, c = self.group.table, self.cocycle
@@ -134,7 +144,7 @@ def _cocycle(K: FiniteGroup, mats, tol: Tolerance, c=None) -> np.ndarray:
     """The 2-cocycle M_ab = c(a, b) M_a M_b of a projective unitary family,
     c(a, b) = tr((M_a M_b)* M_ab) / d unless ``c`` is given, checked one
     batch per a against the bound and ValueError of :func:`scalar_quotient`."""
-    M = np.array(mats)
+    M = np.asarray(mats)
     if c is None:
         c = np.array([np.einsum("bij,bij->b", (M[a] @ M).conj(), M[row]) for a, row in enumerate(K.table)])
         c /= M.shape[1]
@@ -162,32 +172,22 @@ def _monomial_residuals(M, table: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def defining_rep(algebra: MatAlg) -> Rep:
     """The block-diagonal inclusion of the algebra, one generator per matrix unit."""
-    gens = {
-        label: e.to_matrix()
-        for label, e in zip(algebra.basis_labels(), algebra.basis_elements())
-    }
-    return Rep(algebra.defining_dim, gens)
+    return rep_from_images(algebra, AlgElement.to_matrix)
 
 
 def rep_from_images(algebra: MatAlg, image_of) -> Rep:
     """Build a basis-labeled representation from a map on algebra elements."""
-    images = {
-        label: image_of(e)
-        for label, e in zip(algebra.basis_labels(), algebra.basis_elements())
-    }
-    dims = {M.shape[0] for M in images.values()}
+    images = [image_of(e) for e in algebra.basis_elements()]
+    dims = {np.shape(M)[0] for M in images}
     if len(dims) != 1:
         raise DimensionMismatch("images have inconsistent dimensions")
-    return Rep(dims.pop(), images)
+    return Rep(dims.pop(), images, algebra.basis_labels())
 
 
 def evaluate(rep: Rep, algebra: MatAlg, x: AlgElement) -> np.ndarray:
-    """Extend a basis-labeled representation linearly to an arbitrary element."""
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for label, coeff in zip(algebra.basis_labels(), x.coeffs()):
-        if coeff != 0:
-            out += coeff * rep.gens[label]
-    return out
+    """Extend a basis-labeled representation linearly to an arbitrary element,
+    one contraction of its coefficients with the matrix-unit images."""
+    return np.tensordot(x.coeffs(), _unit_images(rep, algebra.basis_labels()), axes=1)
 
 
 def rep_compose(rep: Rep, action, g: int) -> Rep:
@@ -200,28 +200,26 @@ def rep_compose(rep: Rep, action, g: int) -> Rep:
     """
     if isinstance(action, GroupAction):
         labels = action.algebra.basis_labels()
-        units = np.array([rep.gens[l] for l in labels])
-        images = np.tensordot(action.aut(g).coefficient_matrix, units, axes=1)
-        return Rep(rep.dim, dict(zip(labels, images)))
+        images = np.tensordot(action.aut(g).coefficient_matrix, _unit_images(rep, labels), axes=1)
+        return Rep(rep.dim, images, labels)
     if isinstance(action, LabelAction):
-        return Rep(rep.dim, {l: rep.gens[action.map_label(g, l)] for l in rep.gens})
+        return Rep(rep.dim, _unit_images(rep, [action.map_label(g, l) for l in rep.labels]), rep.labels)
     raise TypeError(f"unsupported action type {type(action)!r}")
 
 
 def _covariance_residuals(U, pi: Rep, action, g: int) -> np.ndarray:
     """||U pi(x) U* - pi(alpha_g(x))|| over the generators x of ``pi``, in
     label order: U implements alpha_g on ``pi`` when every one vanishes."""
-    twisted = rep_compose(pi, action, g).gens
-    M = np.array(list(pi.gens.values()))
-    return np.linalg.norm(U @ M @ U.conj().T - np.array([twisted[l] for l in pi.gens]), axis=(1, 2))
+    twisted = _unit_images(rep_compose(pi, action, g), pi.labels)
+    return np.linalg.norm(U @ pi.stack @ U.conj().T - twisted, axis=(1, 2))
 
 
 def direct_sum_reps(parts: list[Rep]) -> Rep:
     """Block-diagonal direct sum; all parts must share generator labels."""
-    labels = list(parts[0].gens)
-    if any(list(p.gens) != labels for p in parts):
+    labels = parts[0].labels
+    if any(p.labels != labels for p in parts):
         raise LabelMismatch("direct summands must share generator labels")
-    return Rep(sum(p.dim for p in parts), {l: block_diag(*(p.gens[l] for p in parts)) for l in labels})
+    return Rep(sum(p.dim for p in parts), block_diag(*(p.stack for p in parts)), labels)
 
 
 def intertwiners(r1: Rep, r2: Rep, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
@@ -230,10 +228,8 @@ def intertwiners(r1: Rep, r2: Rep, tol: Tolerance = DEFAULT_TOL) -> list[np.ndar
         raise LabelMismatch("representations do not share generator labels")
     labels = sorted(r1.gens)
     pairs = []
-    for l in labels:
-        A, B = r1.gens[l], r2.gens[l]
-        pairs.append((B, A))
-        pairs.append((B.conj().T, A.conj().T))
+    for A, B in zip(_unit_images(r1, labels), _unit_images(r2, labels)):
+        pairs += [(B, A), (B.conj().T, A.conj().T)]
     return solve_sylvester_family(pairs, dims=(r2.dim, r1.dim), tol=tol)
 
 
@@ -306,7 +302,7 @@ def _pieces(r, hom, seed: int, tol: Tolerance):
     end_dim, project = hom
     if end_dim == 1:
         return [(r, np.eye(r.dim, dtype=complex))]
-    gens = np.array(list((r.joint_rep() if isinstance(r, CovariantRep) else r).gens.values()))
+    gens = (r.joint_rep() if isinstance(r, CovariantRep) else r).stack
     for attempt in range(5):
         rng = np.random.default_rng(seed + attempt)
         H = project(random_hermitian(r.dim, rng))
@@ -422,20 +418,19 @@ def decompositions_match(
 class CovariantRep:
     """A representation of an algebra together with implementing unitaries.
 
-    ``unitaries[g]`` is the image of the canonical unitary of group element
-    g; they form a homomorphism and conjugate the base representation
-    according to the action.
+    ``unitaries``, one (|G|, dim, dim) stack, holds at g the image of the
+    canonical unitary of group element g; they form a homomorphism and
+    conjugate the base representation according to the action.
     """
 
     def __init__(self, base: Rep, action, unitaries):
         self.base = base
         self.action = action
-        self.unitaries = [as_matrix(U) for U in unitaries]
-        if len(self.unitaries) != action.group.order:
+        if len(unitaries) != action.group.order:
             raise InvariantViolation("need one unitary per group element")
-        for U in self.unitaries:
-            if U.shape != (base.dim, base.dim):
-                raise DimensionMismatch("unitary does not act on the base space")
+        if any(np.shape(U) != (base.dim, base.dim) for U in unitaries):
+            raise DimensionMismatch("unitary does not act on the base space")
+        self.unitaries = np.asarray(unitaries, dtype=complex)
 
     @property
     def dim(self) -> int:
@@ -447,20 +442,19 @@ class CovariantRep:
 
     def joint_rep(self) -> Rep:
         """Algebra generators and group unitaries as one generating set."""
-        unitaries = {f"U[{label}]": U for label, U in zip(self.group.labels, self.unitaries)}
-        return Rep(self.dim, {**self.base.gens, **unitaries})
+        labels = self.base.labels + tuple(f"U[{label}]" for label in self.group.labels)
+        return Rep(self.dim, np.concatenate([self.base.stack, self.unitaries]), labels)
 
     def conjugate(self, Q) -> "CovariantRep":
         """The covariant representation Q* Pi Q on the range of an isometry Q
         whose range is invariant (or a unitary Q)."""
         Q = as_matrix(Q)
-        Qh = Q.conj().T
-        return CovariantRep(self.base.conjugate(Q), self.action, [Qh @ U @ Q for U in self.unitaries])
+        return CovariantRep(self.base.conjugate(Q), self.action, Q.conj().T @ self.unitaries @ Q)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL):
         """Check U_g U_h = U_gh, U_g* U_g = 1 and covariance within
         ``identity_bound(dim)``, naming the first failing pair, element or generator."""
-        U = np.array(self.unitaries)
+        U = self.unitaries
         bound = tol.identity_bound(self.dim)
         bad = np.argwhere(_relation_residuals(U, self.group.table) > bound)
         if len(bad):
@@ -473,7 +467,7 @@ class CovariantRep:
         for g in range(len(U)):
             bad = np.flatnonzero(_covariance_residuals(U[g], self.base, self.action, g) > bound)
             if len(bad):
-                label = list(self.base.gens)[bad[0]]
+                label = self.base.labels[bad[0]]
                 raise InvariantViolation(f"covariance fails at element {g} on generator {label!r}")
 
     def end_dim(self, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -521,8 +515,13 @@ def _common_algebra(cov1: CovariantRep, cov2: CovariantRep) -> MatAlg:
 
 
 def _unit_images(rep: Rep, labels) -> np.ndarray:
-    if set(rep.gens) != set(labels):
-        raise LabelMismatch("representation is not labeled by the algebra's matrix units")
+    """The images of ``labels`` as one stack: the stored stack when they are
+    in ``rep``'s own label order, reordered otherwise."""
+    labels = tuple(labels)
+    if labels == rep.labels:
+        return rep.stack
+    if len(labels) != len(rep.labels) or set(labels) != set(rep.labels):
+        raise LabelMismatch("representation is not labeled by the expected generators")
     return np.array([rep.gens[l] for l in labels])
 
 
@@ -535,7 +534,7 @@ def covariant_character(cov: CovariantRep) -> np.ndarray:
     """
     labels = cov.action.algebra.basis_labels()
     units = _unit_images(cov.base, labels)
-    U = np.array(cov.unitaries)
+    U = cov.unitaries
     # tr(U_g pi(e)) = sum_ab U_g[a, b] pi(e)[b, a]
     chi = U.reshape(len(U), -1) @ units.transpose(0, 2, 1).reshape(len(units), -1).T
     _, _, diagonal = _unit_pattern(cov.action.algebra.block_dims)
@@ -588,8 +587,7 @@ def hom_projection(cov1: CovariantRep, cov2: CovariantRep, X) -> np.ndarray:
     rest1 = np.eye(cov1.dim) - units1[diagonal].sum(axis=0)
     rest2 = np.eye(cov2.dim) - units2[diagonal].sum(axis=0)
     Y += rest2 @ X @ rest1
-    U1, U2 = np.array(cov1.unitaries), np.array(cov2.unitaries)
-    return (U2 @ Y @ U1.conj().transpose(0, 2, 1)).mean(axis=0)
+    return (cov2.unitaries @ Y @ cov1.unitaries.conj().transpose(0, 2, 1)).mean(axis=0)
 
 
 def _hom(a, b, tol: Tolerance):
@@ -611,7 +609,7 @@ def _hom(a, b, tol: Tolerance):
             c1.shape == c2.shape and np.allclose(c1, c2, rtol=0, atol=tol.identity_bound(1.0))
         ):
             raise ActionMismatch("projective representations with different cocycles")
-        L1, L2 = np.array(a.mats), np.array(b.mats)
+        L1, L2 = a.mats, b.mats
         count = _character_dim(np.trace(L2, axis1=1, axis2=2) * np.trace(L1, axis1=1, axis2=2).conj(), tol)
         L1h = L1.conj().transpose(0, 2, 1)
         return count, lambda X: (L2 @ as_matrix(X) @ L1h).mean(axis=0)
@@ -694,13 +692,13 @@ def _block_frame(pi: Rep, algebra: MatAlg, k: int, r: int) -> np.ndarray:
     block k of rank r = tr pi(e^k_00) > 0: column j n_k + i is
     pi(e^k_i0) w_j for an orthonormal basis w_j of the range of pi(e^k_00),
     so C* pi(x) C = 1_r (x) x_k and C C* = pi(1_k)."""
-    labels = algebra.basis_labels()
+    units = _unit_images(pi, algebra.basis_labels())
     n = algebra.block_dims[k]
     pos = sum(d * d for d in algebra.block_dims[:k])  # position of e^k_00 in basis order
-    P = pi.gens[labels[pos]]
+    P = units[pos]
     w = np.linalg.eigh((P + P.conj().T) / 2)[1][:, -r:]
     # e^k_i0 sits i n_k places after e^k_00
-    columns = np.array([pi.gens[labels[pos + i * n]] @ w for i in range(n)])
+    columns = units[pos : pos + n * n : n] @ w
     return columns.transpose(1, 2, 0).reshape(pi.dim, r * n)
 
 
@@ -740,11 +738,11 @@ def _tensor_psi(lam, V, pi1: Rep, action) -> CovariantRep:
     """The stabilizer block of the structure theorem, psi_h = Lambda_h (x) V_h
     on 1_r (x) pi1, over the restricted ``action`` of H; ``lam`` and ``V``
     are stacks over the members of H."""
-    lam, units = np.asarray(lam), np.array(list(pi1.gens.values()))
+    lam = np.asarray(lam)
     d = lam.shape[1] * pi1.dim
-    base = np.einsum("ij,lab->liajb", np.eye(lam.shape[1]), units).reshape(-1, d, d)
+    base = np.einsum("ij,lab->liajb", np.eye(lam.shape[1]), pi1.stack).reshape(-1, d, d)
     unitaries = np.einsum("hij,hab->hiajb", lam, np.asarray(V)).reshape(-1, d, d)
-    return CovariantRep(Rep(d, dict(zip(pi1.gens, base))), action, unitaries)
+    return CovariantRep(Rep(d, base, pi1.labels), action, unitaries)
 
 
 def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> CovariantRep:
@@ -758,18 +756,14 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
     """
     if psi.group.order != subgroup.order:
         raise InvariantViolation("psi is not a representation of the subgroup")
-    d, m = psi.dim, len(coset_reps)
-    # restrict_action regrounds the subgroup in ascending member order
-    position = {h: k for k, h in enumerate(subgroup.members)}
-    blocks = [rep_compose(psi.base, action, c) for c in coset_reps]
-    gens = {l: block_diag(*(b.gens[l] for b in blocks)) for l in psi.base.gens}
-    unitaries = []
-    for triples in coset_action(subgroup, coset_reps):
-        U = np.zeros((m * d, m * d), dtype=complex)
-        for i, j, h in triples:
-            U[i * d : (i + 1) * d, j * d : (j + 1) * d] = psi.unitaries[position[h]]
-        unitaries.append(U)
-    return CovariantRep(Rep(m * d, gens), action, unitaries)
+    d, m, labels = psi.dim, len(coset_reps), psi.base.labels
+    blocks = [_unit_images(rep_compose(psi.base, action, c), labels) for c in coset_reps]
+    # (g, i) -> (j, h) with c_i g = h c_j; restrict_action regrounds the
+    # subgroup in ascending member order, so h is psi's element searchsorted(h)
+    i, j, h = np.array(coset_action(subgroup, coset_reps)).transpose(2, 0, 1)
+    U = np.zeros((action.group.order, m, d, m, d), dtype=complex)
+    U[np.arange(len(U))[:, None], i, :, j, :] = psi.unitaries[np.searchsorted(subgroup.members, h)]
+    return CovariantRep(Rep(m * d, block_diag(*blocks), labels), action, U.reshape(-1, m * d, m * d))
 
 
 # spec-pinned reconstruction threshold
@@ -806,14 +800,13 @@ def _check_carried(Pi: CovariantRep, C, parts: list[CovariantRep], what: str):
     naming the first miss."""
     Ch = C.conj().T
     bound = _BLOCK_TOL * max(1.0, float(Pi.dim))
-    labels = list(Pi.base.gens)
+    labels = Pi.base.labels
     for names, mats, wanted in (
-        ([f"generator {l!r}" for l in labels], [Pi.base.gens[l] for l in labels],
-         [block_diag(*(p.base.gens[l] for p in parts)) for l in labels]),
-        ([f"unitary {g}" for g in Pi.group.labels], Pi.unitaries,
-         [block_diag(*(p.unitaries[g] for p in parts)) for g in range(Pi.group.order)]),
+        ([f"generator {l!r}" for l in labels], Pi.base.stack,
+         block_diag(*(_unit_images(p.base, labels) for p in parts))),
+        ([f"unitary {g}" for g in Pi.group.labels], Pi.unitaries, block_diag(*(p.unitaries for p in parts))),
     ):
-        bad = np.flatnonzero(np.linalg.norm(Ch @ np.array(mats) @ C - np.array(wanted), axis=(1, 2)) > bound)
+        bad = np.flatnonzero(np.linalg.norm(Ch @ mats @ C - wanted, axis=(1, 2)) > bound)
         if len(bad):
             raise BlockStructureViolation(f"{what}: {names[bad[0]]} is not carried")
 
@@ -842,12 +835,12 @@ def _mackey_orbit(action, pi1: Rep, witnesses: dict, frame, seed: int, tol: Tole
         # L carries conj(c_V); each L_a is monomial, so its relation is read
         # entrywise against the bound of _cocycle
         lam = _twisted_regular(K, c_V)
-        norms = np.linalg.norm(np.array(lam.mats), axis=(1, 2))
+        norms = np.linalg.norm(lam.mats, axis=(1, 2))
         if np.any(_monomial_residuals(lam.mats, K.table, lam.cocycle) > tol.identity_bound(norms[K.table])):
             raise ValueError("matrices are not scalar multiples of each other")
     else:
         Pi, C = frame
-        compressed = C.conj().T @ np.array([Pi.unitaries[h] for h in members]) @ C
+        compressed = C.conj().T @ Pi.unitaries[members] @ C
         lam_mats = factor_tensor(compressed, V, C.shape[1] // pi1.dim, tol)
         # C* Pi(U_h) C = Lambda_h (x) V_h is a genuine representation, so Lambda carries conj(c_V)
         lam = ProjectiveRep(K, lam_mats, _cocycle(K, lam_mats, tol, c_V.conj()))
@@ -885,7 +878,7 @@ def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
     [a] = _ranks(rest[None], tol)
     if a:
         B = np.linalg.eigh((rest + rest.conj().T) / 2)[1][:, -a:]
-        zero = Rep(1, {l: np.zeros((1, 1)) for l in labels})
+        zero = Rep(1, np.zeros((len(labels), 1, 1)), labels)
         frames.append((zero, {g: np.eye(1) for g in range(Pi.group.order)}, B))
     return frames
 

@@ -30,6 +30,17 @@ def test_basis_labels_are_a_fresh_list_each_call():
     assert MatAlg([2, 1]).basis_labels() == labels[:-1]
 
 
+def test_basis_labels_unique_from_dimension_12():
+    # up to dimension 11 the labels keep the b{k}_{i}{j} form stored files use
+    small = MatAlg([11, 3])
+    assert small.basis_labels() == [
+        f"b{k}_{i}{j}" for k, d in enumerate((11, 3)) for i in range(d) for j in range(d)
+    ]
+    labels = MatAlg([12, 2]).basis_labels()
+    assert len(set(labels)) == len(labels) == 144 + 4
+    assert {"b0_1_11", "b0_11_1", "b0_1_10", "b0_11_0", "b1_01"} <= set(labels)
+
+
 def test_matalg_rejects_bad_dims():
     with pytest.raises(InvariantViolation):
         MatAlg([])

@@ -127,6 +127,23 @@ def test_analyze_s3_regular(tmp_path, capsys):
     assert doc["result"]["case"] == "Regular6"
 
 
+def test_analyze_s3_without_group_labels(tmp_path, capsys):
+    from crossrep.sampling import crossed_irreps, random_s3_action
+
+    # group labels are optional in JSON; the S3 case is chosen by the table
+    cov = crossed_irreps(random_s3_action(np.random.default_rng(3), "permutation"))[0]
+    doc = covariant_to_json(cov)
+    labeled = _write(tmp_path / "labeled.json", doc)
+    del doc["action_ref"]["group"]["labels"]
+    unlabeled = _write(tmp_path / "unlabeled.json", doc)
+    kinds = []
+    for f in (labeled, unlabeled):
+        assert main(["analyze", f]) == 0
+        kinds.append(json.loads(capsys.readouterr().out)["result"])
+    assert kinds[0]["kind"] == kinds[1]["kind"] == "s3-class"
+    assert kinds[0]["case"] == kinds[1]["case"]
+
+
 def test_analyze_cyclic_dispatch(tmp_path, capsys):
     from crossrep.examples import cute_example
 

@@ -125,6 +125,13 @@ def test_analyze_recovers_the_inducing_data(name, tol):
         assert hom_dim(report.psi, psi, tol) == 1
 
 
+def test_blocks_of_dimension_12_have_distinct_unit_labels(tol):
+    # b{k}_{i}{j} read e_{1,11} and e_{11,1} both as b0_111
+    act = random_cyclic_action(2, [12], np.random.default_rng(0))
+    assert build_crossed_model(act, tol).span_dim == 288
+    assert [cov.dim for cov in crossed_irreps(act, tol=tol)] == [12, 12]
+
+
 def test_crossed_irreps_never_builds_the_host_model(monkeypatch, tol):
     def refuse(*args, **kwargs):
         raise AssertionError("crossed_irreps built the host-size model")
