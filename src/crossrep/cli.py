@@ -138,7 +138,9 @@ def _cmd_build_crossed(args, tol) -> int:
     model = build_crossed_model(action, tol)
     doc = {**_header(args), "model": model_to_json(model)}
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2))
+        # compact, so json runs its C encoder: any indent selects the pure-Python
+        # one, which builds a string per float and line before joining them
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     _emit(
         args,
         {

@@ -122,22 +122,34 @@ class CrossedModel:
     ``span_dim`` is the dimension of the span of the ``psi(a) V_g``, which
     is |G| * dim(A) for a faithful model; it is read as |G| times the rank
     of the ``psi`` images, since no ``V_g`` with g != e has a diagonal block.
+    ``defining`` is that representation; ``psi_images`` and ``vg`` are views of it.
     """
 
-    action: GroupAction
-    host_dim: int
-    psi_images: dict[str, np.ndarray]
-    vg: np.ndarray
+    defining: CovariantRep
     span_dim: int
+
+    @property
+    def action(self) -> GroupAction:
+        return self.defining.action
+
+    @property
+    def host_dim(self) -> int:
+        return self.defining.dim
+
+    @property
+    def psi_images(self):
+        return self.defining.base.gens
+
+    @property
+    def vg(self) -> np.ndarray:
+        return self.defining.unitaries
 
     def psi(self, x: AlgElement) -> np.ndarray:
         """Embed an algebra element, block i carrying its g_i-translate."""
-        return evaluate(Rep(self.host_dim, self.psi_images), self.action.algebra, x)
+        return evaluate(self.defining.base, self.action.algebra, x)
 
     def defining_covariant_rep(self) -> CovariantRep:
-        return CovariantRep(
-            Rep(self.host_dim, self.psi_images), self.action, self.vg
-        )
+        return self.defining
 
 
 def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> CrossedModel:
@@ -152,7 +164,7 @@ def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> Cr
     n = G.order
     trivial = Subgroup(G, (G.identity,))
     cov = induce(trivial_covariant(defining_rep(A), action), action, trivial, list(range(n)))
-    host, psi_images, vg = cov.dim, dict(cov.base.gens), cov.unitaries
+    host, vg = cov.dim, cov.unitaries
 
     # model invariants: validate, V_g V_h = V_gh to abs_eps * host for permutations, a faithful span
     cov.validate(tol)
@@ -167,8 +179,7 @@ def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> Cr
         diagonal = vg[g].reshape(n, d, n, d).diagonal(axis1=0, axis2=2)
         if g != G.identity and np.linalg.norm(diagonal) > tol.abs_eps:
             raise InvariantViolation(f"model unitary V_{g} has a nonzero diagonal block")
-    span_dim = n * len(orthonormal_span(list(psi_images.values()), tol))
-    model = CrossedModel(action, host, psi_images, vg, span_dim)
+    model = CrossedModel(cov, n * len(orthonormal_span(list(cov.base.stack), tol)))
     if model.span_dim != n * A.linear_dim:
         raise InvariantViolation(
             f"span dimension {model.span_dim} != |G| dim(A) = {n * A.linear_dim}"

@@ -52,7 +52,7 @@ def complex_to_json(z) -> list[float]:
 
 def matrix_to_json(M) -> list:
     M = np.asarray(M, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in M]
+    return np.stack((M.real, M.imag), axis=-1).tolist()
 
 
 def _expect(cond: bool, message: str):
@@ -62,19 +62,19 @@ def _expect(cond: bool, message: str):
 
 def matrix_from_json(obj) -> np.ndarray:
     _expect(isinstance(obj, list) and obj, "matrix must be a nonempty list of rows")
-    rows = len(obj)
     _expect(all(isinstance(r, list) for r in obj), "matrix rows must be lists")
     cols = len(obj[0])
     _expect(all(len(r) == cols for r in obj), "matrix rows have unequal lengths")
-    out = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(obj):
-        for j, z in enumerate(row):
-            _expect(
-                isinstance(z, list) and len(z) == 2,
-                "matrix entries must be [re, im] pairs",
-            )
-            out[i, j] = complex(float(z[0]), float(z[1]))
-    return out
+    cells = np.array(obj, dtype=object)
+    _expect(cells.shape == (len(obj), cols, 2), "matrix entries must be [re, im] pairs")
+    # bool is an int subclass that numpy would silently read as 0 or 1
+    _expect(set(map(type, cells.flat)) <= {int, float}, "matrix entries must be finite numbers")
+    try:
+        parts = cells.astype(float)
+    except OverflowError:
+        parts = np.full(1, np.inf)
+    _expect(np.isfinite(parts).all(), "matrix entries must be finite numbers")
+    return parts.view(complex)[..., 0]
 
 
 def group_to_json(G: FiniteGroup) -> dict:
@@ -235,14 +235,15 @@ def crossed_element_from_json(obj, action=None) -> CrossedElement:
 
 
 def model_to_json(model: CrossedModel) -> dict:
-    G = model.action.group
+    # the top-level fields share the defining representation's lists: each matrix converts once
+    rep = covariant_to_json(model.defining_covariant_rep())
     return {
-        "action": action_to_json(model.action),
+        "action": rep["action_ref"],
         "host_dim": model.host_dim,
         "span_dim": model.span_dim,
-        "psi": {l: matrix_to_json(M) for l, M in sorted(model.psi_images.items())},
-        "vg": {str(g): matrix_to_json(model.vg[g]) for g in range(G.order)},
-        "defining_rep": covariant_to_json(model.defining_covariant_rep()),
+        "psi": rep["generators"],
+        "vg": rep["unitaries"],
+        "defining_rep": rep,
     }
 
 
@@ -264,7 +265,7 @@ def _projective_to_json(p: ProjectiveRep) -> dict:
     return {
         "group_order": p.group.order,
         "mats": {str(g): matrix_to_json(M) for g, M in enumerate(p.mats)},
-        "cocycle": [[complex_to_json(z) for z in row] for row in p.cocycle],
+        "cocycle": matrix_to_json(p.cocycle),
     }
 
 

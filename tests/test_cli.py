@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from crossrep.algebra import GroupAction, MatAlg, StarAut
 from crossrep.cli import main
+from crossrep.crossed import build_crossed_model
 from crossrep.examples import (
     expermutation2_example,
     first_s3_example,
@@ -20,9 +22,11 @@ from crossrep.reps import (
     rep_compose,
     rep_from_images,
 )
+from crossrep.sampling import random_cyclic_action
 from crossrep.serialize import (
     action_to_json,
     covariant_to_json,
+    model_to_json,
     rep_to_json,
 )
 
@@ -32,15 +36,23 @@ def _write(path, obj):
     return str(path)
 
 
-@pytest.fixture
-def flip_action_file(tmp_path):
+def _flip_action():
     A = MatAlg([1, 1])
-    act = GroupAction(
+    return GroupAction(
         make_cyclic_group(2),
         A,
         [StarAut.identity(A), StarAut(A, (1, 0), [np.eye(1)] * 2)],
     )
-    return _write(tmp_path / "flip.json", action_to_json(act))
+
+
+def _z6_action():
+    # Z6 on blocks [3, 3]: host dimension 36
+    return random_cyclic_action(6, [3, 3], np.random.default_rng(0))
+
+
+@pytest.fixture
+def flip_action_file(tmp_path):
+    return _write(tmp_path / "flip.json", action_to_json(_flip_action()))
 
 
 def test_build_crossed_flip(tmp_path, capsys, flip_action_file):
@@ -73,6 +85,32 @@ def test_build_crossed_rotation_q3(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["result"]["span_dim"] == 9
+
+
+@pytest.mark.parametrize(
+    "make_action", [_flip_action, lambda: rotation_action(3), _z6_action], ids=["flip", "rotation3", "z6-host36"]
+)
+def test_build_crossed_writes_the_model_on_one_line(tmp_path, capsys, make_action):
+    act = make_action()
+    out = tmp_path / "model.json"
+    assert main(["build-crossed", "--action", _write(tmp_path / "a.json", action_to_json(act)), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "\n" not in text
+    want = json.loads(json.dumps(model_to_json(build_crossed_model(act)), sort_keys=True, indent=2))
+    assert json.loads(text)["model"] == want
+
+
+def test_build_crossed_host_36_stays_small_in_memory(tmp_path, capsys):
+    action_file = _write(tmp_path / "a.json", action_to_json(_z6_action()))
+    tracemalloc.start()
+    try:
+        code = main(["build-crossed", "--action", action_file, "--out", str(tmp_path / "model.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # load, build and write together; an indented dump of the same model peaks near 27 MB
+    assert peak < 12 * 2**20
 
 
 def test_build_crossed_algebra_mismatch(tmp_path, capsys, flip_action_file):
@@ -220,6 +258,13 @@ def test_schema_error_exit_2(tmp_path, capsys):
     bad.write_text("{nope")
     assert main(["decompose", str(bad)]) == 2
     assert main(["decompose", str(tmp_path / "missing.json")]) == 2
+
+
+def test_non_finite_matrix_entry_exit_2(tmp_path, capsys):
+    f = tmp_path / "nan.json"
+    f.write_text(json.dumps({"dim": 1, "generators": {"a": [[[float("nan"), 0.0]]]}}))
+    assert main(["decompose", str(f)]) == 2
+    assert "finite numbers" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_invariant_error_exit_3(tmp_path, capsys):

@@ -36,8 +36,12 @@ from crossrep.serialize import (
 
 def test_matrix_roundtrip(rng):
     M = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    N = matrix_from_json(json.loads(json.dumps(matrix_to_json(M))))
-    assert np.allclose(M, N)
+    M[0, 0] = complex(-0.0, 0.0)
+    doc = matrix_to_json(M)
+    assert doc == [[[z.real, z.imag] for z in row] for row in M.tolist()]
+    N = matrix_from_json(json.loads(json.dumps(doc)))
+    assert np.array_equal(M, N) and np.signbit(N[0, 0].real)
+    assert np.array_equal(matrix_from_json([[[1, 2], [3, 4]]]), np.array([[1 + 2j, 3 + 4j]]))
 
 
 def test_matrix_schema_errors():
@@ -47,6 +51,26 @@ def test_matrix_schema_errors():
         matrix_from_json([[[1, 0]], [[1, 0], [0, 0]]])  # ragged rows
     with pytest.raises(SchemaError):
         matrix_from_json([])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[["x", 0]]],
+        [[[True, 0]]],
+        [[[None, 0]]],
+        [[[float("nan"), 0]]],
+        [[[float("inf"), 0]]],
+        [[[0, float("-inf")]]],
+        [[[10**400, 0]]],
+        [[[1, 0, 0]]],
+        [[[1, 0]], [[1, 0], [0, 0]]],
+    ],
+    ids=["string", "bool", "null", "nan", "inf", "-inf", "huge-int", "three-element", "ragged"],
+)
+def test_matrix_bad_entries_are_schema_errors(obj):
+    with pytest.raises(SchemaError):
+        matrix_from_json(obj)
 
 
 def test_group_roundtrip():
@@ -128,6 +152,15 @@ def test_model_json_contains_contract_fields():
     assert doc["span_dim"] == 4
     assert set(doc["vg"]) == {"0", "1"}
     assert "defining_rep" in doc and "unitaries" in doc["defining_rep"]
+
+
+def test_model_json_defining_rep_is_psi_and_vg():
+    model = build_crossed_model(rotation_action(3))
+    doc = json.loads(json.dumps(model_to_json(model)))
+    rep = doc["defining_rep"]
+    assert rep["generators"] == doc["psi"] and rep["unitaries"] == doc["vg"]
+    assert rep["action_ref"] == doc["action"] and rep["dim"] == doc["host_dim"]
+    assert model.defining_covariant_rep() is model.defining_covariant_rep()
 
 
 def test_covariant_decomposition_components_keep_their_unitaries(tol):
