@@ -8,13 +8,14 @@ inside each target block.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, coset_action, right_coset_reps
 from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, block_diag
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "StarAut",
     "GroupAction",
     "LabelAction",
+    "Restriction",
     "restrict_action",
 ]
 
@@ -233,16 +235,70 @@ class StarAut:
         return self.induced_equal(StarAut.identity(self.parent), tol)
 
 
-class GroupAction:
+Restriction = namedtuple("Restriction", ["subgroup", "action", "members", "coset_reps", "coset_table"])
+Restriction.__doc__ = """What an action restricts to on a subgroup H: H itself, the action of H
+regrounded as a group (``members[i]`` is the parent index of its element
+i), the right coset representatives of :func:`right_coset_reps` and their
+:meth:`~_Action.coset_table`."""
+
+
+class _Action:
+    """What :class:`GroupAction` and :class:`LabelAction` share: a group, and
+    the data that depends on the action alone, computed once per instance.
+
+    An action is immutable after construction, so such data never goes
+    stale; it is computed on first use, its arrays are read-only and it is
+    shared by every caller.
+    """
+
+    def _once(self, key, build):
+        """``build()``, computed on the first call with ``key`` and kept."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def restriction(self, members) -> Restriction:
+        """The :class:`Restriction` to the subgroup with these members."""
+        members = tuple(sorted(int(m) for m in members))
+        return self._once(("restriction", members), lambda: self._restrict(members))
+
+    def _restrict(self, members) -> Restriction:
+        H = Subgroup(self.group, members)
+        K, members = H.as_group()
+        reps = tuple(right_coset_reps(H))
+        return Restriction(H, self._regrounded(K, members), tuple(members), reps, self.coset_table(H, reps))
+
+    def coset_table(self, subgroup: Subgroup, coset_reps) -> np.ndarray:
+        """:func:`coset_action` as one read-only (|G|, m, 3) array: row g
+        holds the triples (i, j, h) with c_i g = h c_j."""
+        reps = tuple(int(c) for c in coset_reps)
+
+        def build():
+            table = np.array(coset_action(subgroup, reps))
+            table.setflags(write=False)
+            return table
+
+        return self._once(("cosets", subgroup.members, reps), build)
+
+    @property
+    def trivial_restriction(self):
+        """The action of the trivial subgroup, shared by every representation
+        of the algebra alone that enters the character engine."""
+        return self.restriction((self.group.identity,)).action
+
+
+class GroupAction(_Action):
     """A finite group acting on a block algebra by *-automorphisms.
 
     Validates that the identity acts trivially and that composition of the
     induced maps follows the Cayley table (stored unitaries are only
     determined up to a block phase, so the check is on induced maps).
+    ``auts`` is a tuple: the action is immutable.
     """
 
     def __init__(self, group: FiniteGroup, algebra: MatAlg, auts, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
-        auts = list(auts)
+        auts = tuple(auts)
         if len(auts) != group.order:
             raise InvariantViolation("need one automorphism per group element")
         for a in auts:
@@ -260,32 +316,36 @@ class GroupAction:
     def apply(self, g: int, x: AlgElement) -> AlgElement:
         return self.auts[g].apply(x)
 
-    @cached_property
-    def trivial_restriction(self) -> "GroupAction":
-        """The action of the trivial subgroup, built once and shared by every
-        representation of the algebra alone that enters the character engine."""
-        G = self.group
-        return restrict_action(self, Subgroup(G, (G.identity,)))[0]
+    def _regrounded(self, K: FiniteGroup, members) -> "GroupAction":
+        return GroupAction(K, self.algebra, [self.auts[m] for m in members], validate=False)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL):
+        """Check that the identity acts trivially and T_s T_h = T_sh for the
+        coefficient matrices T of the generators s in ``group.generators``
+        and every h, within ``identity_bound(dim A)``, naming the first
+        failing pair.  Every g is a word in the generators, so by induction on
+        its length T_g T_h = T_gh then holds on all of G."""
         G = self.group
+        S = list(G.generators)
         d = self.algebra.linear_dim
         # alpha_g alpha_h has row matrix images[h] @ images[g], so T_gh = T_g T_h for the transposes
         transposed = np.array([a.coefficient_matrix.T for a in self.auts])
         bound = tol.identity_bound(d)
         if np.linalg.norm(transposed[G.identity] - np.eye(d)) > bound:
             raise InvariantViolation("identity element does not act trivially")
-        bad = np.argwhere(_relation_residuals(transposed, G.table) > bound)
+        bad = np.argwhere(_relation_residuals(transposed, G.table, rows=S) > bound)
         if len(bad):
-            g, h = bad[0]
-            raise InvariantViolation(f"action is not a homomorphism at pair ({g},{h})")
+            i, h = bad[0]
+            raise InvariantViolation(f"action is not a homomorphism at pair ({S[i]},{h})")
 
 
-class LabelAction:
+class LabelAction(_Action):
     """A group acting by permuting the labels of an abstract generator set.
 
     Used for algebras given only through generator images (free-group
     style examples): element g sends generator label l to ``maps[g][l]``.
+    The maps must multiply like the group, which is checked on the
+    generators of ``group.generators`` as :meth:`GroupAction.validate` is.
     """
 
     def __init__(self, group: FiniteGroup, maps):
@@ -300,32 +360,29 @@ class LabelAction:
         perms = np.array([np.eye(len(labels))[:, [labels.index(m[l]) for l in labels]] for m in maps])
         if np.any(perms[group.identity] != np.eye(len(labels))):
             raise InvariantViolation("identity element must fix every label")
-        bad = np.argwhere(_relation_residuals(perms, group.table) > 0)
+        S = list(group.generators)
+        bad = np.argwhere(_relation_residuals(perms, group.table, rows=S) > 0)
         if len(bad):
-            g, h = bad[0]
-            raise InvariantViolation(f"label maps are not a homomorphism at ({g},{h})")
+            i, h = bad[0]
+            raise InvariantViolation(f"label maps are not a homomorphism at ({S[i]},{h})")
         self.group = group
-        self.maps = maps
+        self.maps = tuple(maps)
 
     def map_label(self, g: int, label: str) -> str:
         return self.maps[g][label]
 
-    @cached_property
-    def trivial_restriction(self) -> "LabelAction":
-        """The action of the trivial subgroup, as for :class:`GroupAction`."""
-        G = self.group
-        return restrict_action(self, Subgroup(G, (G.identity,)))[0]
+    def _regrounded(self, K: FiniteGroup, members) -> "LabelAction":
+        return LabelAction(K, [self.maps[m] for m in members])
 
 
 def restrict_action(action, subgroup: Subgroup):
     """Reground an action on a subgroup as an action of the subgroup itself.
 
     Returns ``(restricted_action, members)`` where ``members[i]`` is the
-    parent-group index of element i of the regrounded group.
+    parent-group index of element i of the regrounded group; the restricted
+    action is the one :meth:`~_Action.restriction` keeps.
     """
-    K, members = subgroup.as_group()
-    if isinstance(action, GroupAction):
-        return GroupAction(K, action.algebra, [action.auts[m] for m in members], validate=False), members
-    if isinstance(action, LabelAction):
-        return LabelAction(K, [action.maps[m] for m in members]), members
-    raise TypeError(f"unsupported action type {type(action)!r}")
+    if not isinstance(action, _Action):
+        raise TypeError(f"unsupported action type {type(action)!r}")
+    found = action.restriction(subgroup.members)
+    return found.action, list(found.members)

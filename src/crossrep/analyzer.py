@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GroupAction, restrict_action
+from .algebra import GroupAction
 from .crossed import fixed_point_algebra
 from .errors import (
     BlockStructureViolation,
@@ -33,7 +33,6 @@ from .groups import (
     S3_ETA2,
     S3_TAU,
     Subgroup,
-    coset_action,
     is_standard_cyclic,
     make_symmetric_group_3,
 )
@@ -53,6 +52,7 @@ from .reps import (
     _covariance_residuals,
     _mackey_orbit,
     _orbit_frames,
+    _witness_stack,
     decompose,
     evaluate,
     factor_tensor,
@@ -123,7 +123,8 @@ def _orbit(Pi: CovariantRep, seed: int, tol: Tolerance):
     else:
         dec = decompose(Pi.base, seed, tol)
         pi1, r = dec.components[0]
-        C0, witnesses = dec.basis_change[:, : r * pi1.dim], translate_stabilizer(pi1, Pi.action, tol)
+        C0 = dec.basis_change[:, : r * pi1.dim]
+        witnesses = _witness_stack(Pi.action, translate_stabilizer(pi1, Pi.action, tol), tol)
     return _mackey_orbit(Pi.action, pi1, witnesses, (Pi, C0), seed, tol)
 
 
@@ -141,19 +142,18 @@ def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
         raise BlockStructureViolation("conjugator is not square; dimensions conflict")
     _check_carried(Pi, C, [induced], "conjugator")
 
-    H, reps_list = orbit.subgroup, orbit.coset_reps
-    m, block = len(reps_list), psi.dim
+    m, block = len(orbit.coset_reps), psi.dim
     # perms[g][j] is the i with c_i g in H c_j
-    perms = [np.argsort([j for _, j, _ in triples]) for triples in coset_action(H, reps_list)]
+    perms = list(np.argsort(orbit.coset_table[:, :, 1], axis=1))
     # column j of U_g has the one nonzero block (perm[j], j)
     block_unitaries = [
         list(U.reshape(m, block, m, block)[perm, :, np.arange(m)]) for U, perm in zip(induced.unitaries, perms)
     ]
     return StructureReport(
-        subgroup=H,
+        subgroup=orbit.subgroup,
         subgroup_group=orbit.action.group,
-        subgroup_members=orbit.members,
-        coset_reps=reps_list,
+        subgroup_members=list(orbit.members),
+        coset_reps=list(orbit.coset_reps),
         base_irrep=orbit.pi,
         multiplicity=orbit.lam.dim,
         perms=perms,
@@ -222,7 +222,7 @@ def _cyclic_canonical_form(Pi: CovariantRep, orbit, tol: Tolerance):
     if orbit.lam.dim != 1:
         raise CanonicalFormViolation(f"cyclic multiplicity must be one, got {orbit.lam.dim}")
     m = len(orbit.coset_reps)
-    if orbit.coset_reps != list(range(m)):
+    if orbit.coset_reps != tuple(range(m)):
         raise CanonicalFormViolation("coset representatives are not 0..m-1")
     k = n // m
     report = _report(Pi, orbit, tol)
@@ -313,7 +313,8 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     if len(witnesses) != Psi.group.order:
         raise InvariantViolation("every group element must fix the class of the base irreducible")
     # the identity is the frame of 1_r (x) pi1, and Lambda its tensor factor
-    orbit = _mackey_orbit(Psi.action, pi1, witnesses, (Psi, np.eye(Psi.dim)), 0, tol)
+    stab = _witness_stack(Psi.action, witnesses, tol)
+    orbit = _mackey_orbit(Psi.action, pi1, stab, (Psi, np.eye(Psi.dim)), 0, tol)
     return [len(cls.isometries) for cls in orbit.classes] == [1]
 
 
@@ -356,10 +357,9 @@ def build_cyclic_irrep(
         raise InvariantViolation(f"pi1 is equivalent to its translate by {smaller[0]} < m")
 
     # Ind from H = mZ_n of psi(U^{jm}) = V^j
-    H = Subgroup(G, tuple(range(0, n, m)))
-    sub_action, _ = restrict_action(action, H)
-    psi = CovariantRep(pi1, sub_action, [np.linalg.matrix_power(V, j) for j in range(k)])
-    cov = induce(psi, action, H, list(range(m)))
+    restricted = action.restriction(range(0, n, m))
+    psi = CovariantRep(pi1, restricted.action, [np.linalg.matrix_power(V, j) for j in range(k)])
+    cov = induce(psi, action, restricted.subgroup, list(range(m)))
     # psi is covariant by the preconditions, so Ind psi is too
     if cov.end_dim(tol) != 1:
         raise InvariantViolation("constructed representation is unexpectedly reducible")
@@ -444,7 +444,7 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     case = _S3_CASES.get((H.order, r))
     if case is None:
         raise BlockStructureViolation(f"no S3 case has |H| = {H.order} and r = {r}")
-    z3 = Subgroup(G, (S3_E, S3_ETA, S3_ETA2))
+    z3 = Pi.action.restriction((S3_E, S3_ETA, S3_ETA2))
     V = dict(zip(orbit.members, orbit.V))
     # the class isometry's first coset block, U_e* C0, is the pi1-isotypic frame C0
     C0 = orbit.classes[0].isometries[0][:, : r * pi1.dim]
@@ -454,9 +454,9 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
             # Ind_{e}^{z3} pi1, irreducible: no 3-cycle fixes the class of pi1.
             # Its orbit is read at Pi's frame C0 with stabilizer {e}
             U_eta = Pi.unitaries[S3_ETA]
-            z3_action = restrict_action(Pi.action, z3)[0]
-            z3_cov = CovariantRep(Pi.base, z3_action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
-            z3_orbit = _mackey_orbit(z3_action, pi1, {0: V[S3_E]}, (z3_cov, C0), seed, tol)
+            z3_cov = CovariantRep(Pi.base, z3.action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
+            stab = _witness_stack(z3.action, {0: V[S3_E]}, tol)
+            z3_orbit = _mackey_orbit(z3.action, pi1, stab, (z3_cov, C0), seed, tol)
             report = _cyclic_canonical_form(z3_cov, z3_orbit, tol)[0]
         else:
             report = _report(Pi, orbit, tol)
@@ -469,7 +469,8 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     if len(spectrum) != r or any(iso.shape[1] != 1 for _, iso in spectrum):
         raise BlockStructureViolation("the 3-cycle factor must have simple eigenvalues")
     W1 = C0 @ np.kron(spectrum[0][1], np.eye(pi1.dim))
-    z3_orbit = _mackey_orbit(Pi.action, pi1, {h: V[h] for h in z3.members}, (Pi, W1), seed, tol)
+    stab = _witness_stack(Pi.action, {h: V[h] for h in z3.members}, tol)
+    z3_orbit = _mackey_orbit(Pi.action, pi1, stab, (Pi, W1), seed, tol)
     # Q is the induced conjugator over the cosets {e, tau}, [W1, U_tau* W1];
     # on U_e the check below is Q* Q = 1
     [(_, psi, induced, [Q])] = z3_orbit.classes

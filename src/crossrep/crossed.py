@@ -15,7 +15,6 @@ import numpy as np
 
 from .algebra import AlgElement, GroupAction
 from .errors import ActionMismatch, InvariantViolation
-from .groups import Subgroup
 from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, orthonormal_span
 from .reps import CovariantRep, Rep, defining_rep, evaluate, induce, trivial_covariant
 
@@ -162,7 +161,7 @@ def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> Cr
     G = action.group
     A = action.algebra
     n = G.order
-    trivial = Subgroup(G, (G.identity,))
+    trivial = action.restriction((G.identity,)).subgroup
     cov = induce(trivial_covariant(defining_rep(A), action), action, trivial, list(range(n)))
     host, vg = cov.dim, cov.unitaries
 
@@ -222,23 +221,27 @@ def projection_matrix(action: GroupAction, chi) -> np.ndarray:
 
 def fixed_point_algebra(
     action: GroupAction, tol: Tolerance = DEFAULT_TOL
-) -> tuple[list[AlgElement], Rep]:
+) -> tuple[tuple[AlgElement, ...], Rep]:
     """Basis of the fixed-point subalgebra and its defining inclusion.
 
     The basis spans ``{x : alpha_g(x) = x for all g}``, computed as the
     range of the trivial-character projection and re-orthonormalized.  The
     returned representation packages the basis images on the defining
     space so the decomposition engine can enumerate the irreducibles.
+    Both depend on the action alone: they are computed once per ``tol``
+    and shared, with read-only arrays.
     """
-    G = action.group
-    P = projection_matrix(action, np.ones(G.order))
-    # alpha_g preserves the Frobenius inner product, so P is an orthogonal
-    # projection and its range is read off the eigenvectors at eigenvalue 1
-    evals, evecs = np.linalg.eigh((P + P.conj().T) / 2)
-    basis = [
-        action.algebra.from_coeffs(evecs[:, j])
-        for j in range(len(evals))
-        if evals[j] > 0.5
-    ]
-    gens = {f"fix{i}": b.to_matrix() for i, b in enumerate(basis)}
-    return basis, Rep(action.algebra.defining_dim, gens)
+
+    def build():
+        P = projection_matrix(action, np.ones(action.group.order))
+        # alpha_g preserves the Frobenius inner product, so P is an orthogonal
+        # projection and its range is read off the eigenvectors at eigenvalue 1
+        evals, evecs = np.linalg.eigh((P + P.conj().T) / 2)
+        basis = tuple(action.algebra.from_coeffs(evecs[:, j]) for j in range(len(evals)) if evals[j] > 0.5)
+        d = action.algebra.defining_dim
+        images = np.array([b.to_matrix() for b in basis]).reshape(-1, d, d)
+        for a in (images, *(block for b in basis for block in b.blocks)):
+            a.setflags(write=False)
+        return basis, Rep(d, images, [f"fix{i}" for i in range(len(basis))])
+
+    return action._once(("fixed_point_algebra", tol), build)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -28,10 +29,12 @@ class FiniteGroup:
 
     ``table[i, j]`` is the index of ``g_i * g_j``.  Construction validates
     the Latin-square property, associativity, and the identity/inverse data.
+    A group is immutable: its table and inverses are read-only copies and its
+    labels a tuple, so data derived from it can be computed once and shared.
     """
 
     def __init__(self, table, identity=None, labels=None):
-        table = np.asarray(table, dtype=int)
+        table = np.array(table, dtype=int)
         n = table.shape[0]
         if table.shape != (n, n):
             raise InvariantViolation("Cayley table must be square")
@@ -56,13 +59,27 @@ class FiniteGroup:
         missing = np.flatnonzero(table[inverse, rng] != identity)
         if len(missing):
             raise InvariantViolation(f"element {missing[0]} has no two-sided inverse")
+        for a in (table, inverse):
+            a.setflags(write=False)
         self.order = n
         self.table = table
         self.identity = int(identity)
         self.inverse = inverse
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
+        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise InvariantViolation("label count does not match group order")
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set S, greedy in index order: an element joins S when
+        it lies outside the subgroup the earlier ones generate, so each one at
+        least doubles that subgroup and |S| <= log2 |G|.  Empty for |G| = 1."""
+        gens, members = [], {self.identity}
+        for g in range(self.order):
+            if g not in members:
+                gens.append(g)
+                members = set(subgroup_closure(self, gens).members)
+        return tuple(gens)
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -208,11 +225,13 @@ def s3_permutations() -> list[tuple[int, ...]]:
     return list(_s3_perms())
 
 
+@cache
 def make_symmetric_group_3() -> FiniteGroup:
     """The permutation group on three points, generated by tau and eta.
 
     Elements are ordered e, eta, eta^2, tau, eta*tau, eta^2*tau; the
-    generators satisfy tau^2 = eta^3 = e and tau eta tau = eta^2.
+    generators satisfy tau^2 = eta^3 = e and tau eta tau = eta^2.  Every
+    call returns the one shared (immutable) instance.
     """
     perms = _s3_perms()
     index = {p: i for i, p in enumerate(perms)}
@@ -221,21 +240,19 @@ def make_symmetric_group_3() -> FiniteGroup:
 
 
 def subgroup_closure(G: FiniteGroup, gens) -> Subgroup:
-    """Smallest subgroup of G containing ``gens``: the closure under the
-    product, which in a finite group holds the inverses too."""
-    gens = list(gens)
+    """Smallest subgroup of G containing ``gens``: the words in ``gens``,
+    read off by right multiplication from the identity, which in a finite
+    group hold the inverses too (s^-1 is a power of s)."""
+    gens = [int(g) for g in gens]
     if not gens:
         raise ValueError("generator list must be nonempty")
     members = {G.identity}
-    frontier = list(gens)
+    frontier = [G.identity]
     while frontier:
-        g = frontier.pop()
-        if g in members:
-            continue
-        members.add(g)
-        # each product of two members is queued when the later one joins
-        frontier.extend(G.mul(g, h) for h in list(members))
-        frontier.extend(G.mul(h, g) for h in list(members))
+        for y in G.table[frontier.pop(), gens].tolist():
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
     return Subgroup(G, tuple(sorted(members)))
 
 

@@ -76,11 +76,11 @@ def nullspace(M, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     if cols == 0:
         return []
     if rows == 0 or not np.any(M):
-        return [np.eye(cols, dtype=complex)[:, j] for j in range(cols)]
+        return list(np.eye(cols, dtype=complex))
     # only a wide M needs the rows of vh beyond its rank; U is never read
     _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
     if s.size == 0 or s[0] <= tol.abs_eps:
-        return [np.eye(cols, dtype=complex)[:, j] for j in range(cols)]
+        return list(np.eye(cols, dtype=complex))
     rank = int(np.sum(s > tol.rank_eps * s[0]))
     return [vh[j].conj() for j in range(rank, cols)]
 
@@ -183,19 +183,13 @@ def solve_sylvester_family(
     Rank is decided as :func:`nullspace` decides it for the stacked
     constraints K: T -> (T R_i - L_i T)_i, at ``rank_eps`` times the
     largest singular value of K, or ``abs_eps`` for that value itself.
+    When every T solves, the basis is the matrix units E_ij, i outer.
     """
     pairs = [(as_matrix(L), as_matrix(R)) for L, R in pairs]
     if not pairs:
         if dims is None:
             raise DimensionMismatch("empty constraint family needs explicit dims")
-        p, q = dims
-        units = []
-        for i in range(p):
-            for j in range(q):
-                E = np.zeros((p, q), dtype=complex)
-                E[i, j] = 1.0
-                units.append(E)
-        return units
+        return _matrix_units(*dims)
     p = pairs[0][0].shape[0]
     q = pairs[0][1].shape[0]
     for L, R in pairs:
@@ -210,6 +204,12 @@ def solve_sylvester_family(
     if pq == 0:
         return []
     Ls, Rs = np.array([L for L, _ in pairs]), np.array([R for _, R in pairs])
+    # T R_i - L_i T is unchanged when L_i and R_i shift by one scalar mu_i;
+    # mu_i = (tr L_i + tr R_i) / (p + q) minimizes ||L_i - mu_i||^2 + ||R_i - mu_i||^2,
+    # so the noise bound below follows K_i, not the scalar part of the pair
+    mu = (np.trace(Ls, axis1=1, axis2=2) + np.trace(Rs, axis1=1, axis2=2)) / (p + q)
+    Ls = Ls - mu[:, None, None] * np.eye(p)
+    Rs = Rs - mu[:, None, None] * np.eye(q)
     # N = sum_i K_i* K_i for K_i = R_i^T (x) 1 - 1 (x) L_i on the column-major
     # vec(T), so that vec(T R) = (R^T (x) 1) vec(T): N = A (x) 1 + 1 (x) B - C - C*
     # with A = sum_i conj(R_i) R_i^T, B = sum_i L_i* L_i, C = sum_i conj(R_i) (x) L_i
@@ -219,37 +219,49 @@ def solve_sylvester_family(
     N4 = N.reshape(q, p, q, p)  # einsum returns writable views of its diagonals
     np.einsum("abcb->acb", N4)[...] += np.einsum("iab,icb->ac", Rs.conj(), Rs)[:, :, None]
     np.einsum("abad->abd", N4)[...] += np.einsum("iba,ibc->ac", Ls.conj(), Ls)
-    evals, evecs = np.linalg.eigh(N)
-    del N, N4
-    # N and its eigenvalues are accurate to eps pq sum_i (|L_i| + |R_i|)^2:
-    # the eigenvectors up to that, or up to rank_eps^2 times the top
-    # eigenvalue, are candidates, decided by their exact residuals T R_i - L_i T
+    # N and its eigenvalues are accurate to eps pq sum_i (|L_i| + |R_i|)^2
     scale = np.linalg.norm(Ls, axis=(1, 2)) + np.linalg.norm(Rs, axis=(1, 2))
     noise = np.finfo(float).eps * pq * np.sum(scale**2)
+    # sigma_max(K)^2 <= tr N = sum_i ||K_i||^2: within abs_eps^2, every T
+    # solves, decided without an eigensolve (a scalar family has N = 0)
+    if np.trace(N).real + noise <= tol.abs_eps**2:
+        return _matrix_units(p, q)
+    evals, evecs = np.linalg.eigh(N)
+    del N, N4
+    # the eigenvectors up to the noise, or up to rank_eps^2 times the top
+    # eigenvalue, are candidates, decided by their exact residuals T R_i - L_i T
     V = evecs[:, evals <= max(tol.rank_eps**2 * evals[-1], noise)]
     Ts = V.T.reshape(-1, q, p).transpose(0, 2, 1)
     G = np.zeros((V.shape[1],) * 2, dtype=complex)
-    for L, R in pairs:
+    for L, R in zip(Ls, Rs):
         E = (Ts @ R - L @ Ts).reshape(len(Ts), pq)
         G += E.conj() @ E.T
     resid, W = np.linalg.eigh(G)
     # sigma_max(K)^2 is the top eigenvalue of N, unless that is noise as well,
     # when every direction is a candidate; at most abs_eps, every T solves
     top = resid[-1] if V.shape[1] == pq else evals[-1]
-    vecs = evecs if top <= tol.abs_eps**2 else V @ W[:, resid <= tol.rank_eps**2 * top]
-    return [v.reshape((p, q), order="F") for v in vecs.T]
+    if top <= tol.abs_eps**2:
+        return _matrix_units(p, q)
+    return [v.reshape((p, q), order="F") for v in (V @ W[:, resid <= tol.rank_eps**2 * top]).T]
 
 
-def _relation_residuals(M, table, c=None) -> np.ndarray:
-    """R[g, h] = ||M[gh] - c(g, h) M[g] M[h]|| (Frobenius) over a Cayley
-    table, c = 1 unless given: one batched product per row g, O(|G| d^2)
-    memory.  The first failing pair is ``np.argwhere(R > bound)[0]``."""
+def _matrix_units(p: int, q: int) -> list[np.ndarray]:
+    """The p x q matrix units E_ij, i outer: an orthonormal basis of every T."""
+    return list(np.eye(p * q, dtype=complex).reshape(p * q, p, q))
+
+
+def _relation_residuals(M, table, c=None, rows=None) -> np.ndarray:
+    """R[i, h] = ||M[gh] - c(g, h) M[g] M[h]|| (Frobenius) for g = rows[i]
+    over a Cayley table, every g unless ``rows`` is given and c = 1 unless
+    given: one batched product per row g, O(|G| d^2) memory.  The first
+    failing pair is (rows[i], h) for ``i, h = np.argwhere(R > bound)[0]``."""
     M = np.asarray(M)
-    R = np.empty(np.shape(table))
-    for g, row in enumerate(table):
+    rows = range(len(table)) if rows is None else rows
+    R = np.empty((len(rows), len(table)))
+    for i, g in enumerate(rows):
         D = M[g] @ M if c is None else c[g][:, None, None] * (M[g] @ M)
-        D -= M[row]
-        R[g] = np.linalg.norm(D, axis=(1, 2))
+        D -= M[table[g]]
+        R[i] = np.linalg.norm(D, axis=(1, 2))
     return R
 
 

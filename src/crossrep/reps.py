@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import AlgElement, GroupAction, LabelAction, MatAlg, restrict_action
+from .algebra import AlgElement, GroupAction, LabelAction, MatAlg
 from .errors import (
     ActionMismatch,
     BlockStructureViolation,
@@ -38,7 +38,7 @@ from .errors import (
     NotFactorable,
     NotIrreducible,
 )
-from .groups import FiniteGroup, Subgroup, coset_action, right_coset_reps
+from .groups import FiniteGroup, Subgroup
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -452,23 +452,30 @@ class CovariantRep:
         return CovariantRep(self.base.conjugate(Q), self.action, Q.conj().T @ self.unitaries @ Q)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL):
-        """Check U_g U_h = U_gh, U_g* U_g = 1 and covariance within
-        ``identity_bound(dim)``, naming the first failing pair, element or generator."""
-        U = self.unitaries
+        """Check U_e = 1, and U_s U_h = U_sh, U_s* U_s = 1 and covariance for
+        the generators s in ``group.generators`` and every h, within
+        ``identity_bound(dim)``, naming the first failing pair, element or
+        generator.  Every g is a word in the generators, so by induction on
+        its length U is then a unitary homomorphism implementing the action
+        on all of G."""
+        G, U = self.group, self.unitaries
+        S = list(G.generators)
         bound = tol.identity_bound(self.dim)
-        bad = np.argwhere(_relation_residuals(U, self.group.table) > bound)
+        if np.linalg.norm(U[G.identity] - np.eye(self.dim)) > bound:
+            raise InvariantViolation(f"the unitary of the identity element {G.identity} is not 1")
+        bad = np.argwhere(_relation_residuals(U, G.table, rows=S) > bound)
         if len(bad):
-            g, h = bad[0]
-            raise InvariantViolation(f"unitaries fail homomorphism at ({g},{h})")
-        defects = np.linalg.norm(U.conj().transpose(0, 2, 1) @ U - np.eye(self.dim), axis=(1, 2))
+            i, h = bad[0]
+            raise InvariantViolation(f"unitaries fail homomorphism at ({S[i]},{h})")
+        defects = np.linalg.norm(U[S].conj().transpose(0, 2, 1) @ U[S] - np.eye(self.dim), axis=(1, 2))
         bad = np.flatnonzero(defects > bound)
         if len(bad):
-            raise InvariantViolation(f"the unitary of element {bad[0]} fails U*U = 1")
-        for g in range(len(U)):
-            bad = np.flatnonzero(_covariance_residuals(U[g], self.base, self.action, g) > bound)
+            raise InvariantViolation(f"the unitary of element {S[bad[0]]} fails U*U = 1")
+        for s in S:
+            bad = np.flatnonzero(_covariance_residuals(U[s], self.base, self.action, s) > bound)
             if len(bad):
                 label = self.base.labels[bad[0]]
-                raise InvariantViolation(f"covariance fails at element {g} on generator {label!r}")
+                raise InvariantViolation(f"covariance fails at element {s} on generator {label!r}")
 
     def end_dim(self, tol: Tolerance = DEFAULT_TOL) -> int:
         """dim End(self), for a representation already known to be valid:
@@ -702,11 +709,37 @@ def _block_frame(pi: Rep, algebra: MatAlg, k: int, r: int) -> np.ndarray:
     return columns.transpose(1, 2, 0).reshape(pi.dim, r * n)
 
 
-def _block_stabilizer(action: GroupAction, k: int, tol: Tolerance) -> tuple[Rep, dict[int, np.ndarray]]:
-    """The compression pi_k to block k and its stabilizer {h : alpha_h fixes
-    block k}, mapped to the action's own unitaries U^h_k, phase-normalized."""
-    pi_k = rep_from_images(action.algebra, lambda e: e.blocks[k])
-    return pi_k, {g: phase_normalize(aut.unitaries[k], tol) for g, aut in enumerate(action.auts) if aut.perm[k] == k}
+_Witnesses = namedtuple("_Witnesses", ["members", "V", "cocycle"])
+
+
+def _witness_stack(action, witnesses: dict, tol: Tolerance) -> _Witnesses:
+    """A stabilizer H's witnesses {h: V_h} stacked over the sorted members of
+    H, with their cocycle c_V (:func:`_cocycle`)."""
+    members = tuple(sorted(witnesses))
+    V = np.array([witnesses[h] for h in members])
+    return _Witnesses(members, V, _cocycle(action.restriction(members).action.group, V, tol))
+
+
+def _block_stabilizer(action: GroupAction, k: int, tol: Tolerance) -> tuple[Rep, _Witnesses]:
+    """The compression pi_k to block k and the :func:`_witness_stack` of its
+    stabilizer {h : alpha_h fixes block k}, witnessed by the action's own
+    unitaries U^h_k, phase-normalized.  They depend on the action alone, so
+    they are computed once per (k, tol) and their arrays are read-only."""
+
+    def build():
+        units = rep_from_images(action.algebra, lambda e: e.blocks[k]).stack
+        units.setflags(write=False)
+        pi_k = Rep(units.shape[1], units, action.algebra.basis_labels())
+        stab = _witness_stack(
+            action,
+            {g: phase_normalize(aut.unitaries[k], tol) for g, aut in enumerate(action.auts) if aut.perm[k] == k},
+            tol,
+        )
+        for a in stab[1:]:
+            a.setflags(write=False)
+        return pi_k, stab
+
+    return action._once(("block_stabilizer", k, tol), build)
 
 
 def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[int, np.ndarray]:
@@ -731,7 +764,8 @@ def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[
     if sum(ranks) != 1 or pi.dim != action.algebra.block_dims[k]:
         raise InvariantViolation("reducible input: its matrix-unit frame is not one square copy")
     C = _block_frame(pi, action.algebra, k, 1)
-    return {g: phase_normalize(C @ V @ C.conj().T, tol) for g, V in _block_stabilizer(action, k, tol)[1].items()}
+    stab = _block_stabilizer(action, k, tol)[1]
+    return {g: phase_normalize(C @ V @ C.conj().T, tol) for g, V in zip(stab.members, stab.V)}
 
 
 def _tensor_psi(lam, V, pi1: Rep, action) -> CovariantRep:
@@ -760,7 +794,7 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
     blocks = [_unit_images(rep_compose(psi.base, action, c), labels) for c in coset_reps]
     # (g, i) -> (j, h) with c_i g = h c_j; restrict_action regrounds the
     # subgroup in ascending member order, so h is psi's element searchsorted(h)
-    i, j, h = np.array(coset_action(subgroup, coset_reps)).transpose(2, 0, 1)
+    i, j, h = action.coset_table(subgroup, coset_reps).transpose(2, 0, 1)
     U = np.zeros((action.group.order, m, d, m, d), dtype=complex)
     U[np.arange(len(U))[:, None], i, :, j, :] = psi.unitaries[np.searchsorted(subgroup.members, h)]
     return CovariantRep(Rep(m * d, block_diag(*blocks), labels), action, U.reshape(-1, m * d, m * d))
@@ -811,26 +845,27 @@ def _check_carried(Pi: CovariantRep, C, parts: list[CovariantRep], what: str):
             raise BlockStructureViolation(f"{what}: {names[bad[0]]} is not carried")
 
 
-_Orbit = namedtuple("_Orbit", ["subgroup", "action", "members", "V", "cocycle", "coset_reps", "pi", "lam", "classes"])
+_Orbit = namedtuple(
+    "_Orbit", ["subgroup", "action", "members", "V", "cocycle", "coset_reps", "coset_table", "pi", "lam", "classes"]
+)
 _Class = namedtuple("_Class", ["lam", "psi", "induced", "isometries"])
 
 
-def _mackey_orbit(action, pi1: Rep, witnesses: dict, frame, seed: int, tol: Tolerance) -> _Orbit:
+def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol: Tolerance) -> _Orbit:
     """Mackey's read-off over one orbit (the little-group method with multipliers).
 
-    ``witnesses`` maps each h of the stabilizer H of ``pi1`` to V_h with
-    V_h pi1 V_h* = pi1 o alpha_h, of cocycle c_V.  Each irreducible lambda in
+    ``witnesses`` (:func:`_witness_stack`) holds for each h of the stabilizer
+    H of ``pi1`` a V_h with V_h pi1 V_h* = pi1 o alpha_h, and their cocycle
+    c_V; H, its action and its cosets are read from ``action.restriction``.
+    Each irreducible lambda in
     Lambda, of cocycle conj(c_V), gives one class Ind_H^G(lambda (x) V).  With
     ``frame`` None Lambda is the twisted regular L_a delta_x = c_V(a, x) delta_{ax};
     for ``frame`` (Pi, C), C* Pi(x) C = 1_r (x) pi1(x), it is the :func:`factor_tensor`
     of C* Pi(U_h) C against V_h, and each copy Q of a class gives the isometry
     [U_c* C (Q (x) 1)] over the coset representatives c, carrying Pi onto its Ind.
     """
-    H = Subgroup(action.group, tuple(witnesses))
-    sub_action, members = restrict_action(action, H)
-    K = sub_action.group
-    V = np.array([witnesses[h] for h in members])
-    c_V = _cocycle(K, V, tol)
+    H, sub_action, members, coset_reps, coset_table = action.restriction(witnesses.members)
+    K, V, c_V = sub_action.group, witnesses.V, witnesses.cocycle
     if frame is None:
         # L carries conj(c_V); each L_a is monomial, so its relation is read
         # entrywise against the bound of _cocycle
@@ -840,11 +875,10 @@ def _mackey_orbit(action, pi1: Rep, witnesses: dict, frame, seed: int, tol: Tole
             raise ValueError("matrices are not scalar multiples of each other")
     else:
         Pi, C = frame
-        compressed = C.conj().T @ Pi.unitaries[members] @ C
+        compressed = C.conj().T @ Pi.unitaries[list(members)] @ C
         lam_mats = factor_tensor(compressed, V, C.shape[1] // pi1.dim, tol)
         # C* Pi(U_h) C = Lambda_h (x) V_h is a genuine representation, so Lambda carries conj(c_V)
         lam = ProjectiveRep(K, lam_mats, _cocycle(K, lam_mats, tol, c_V.conj()))
-    coset_reps = right_coset_reps(H)
     dec, pos, classes = _decompose(lam, seed, tol), 0, []
     for rep, m in dec.components:
         psi = _tensor_psi(rep.mats, V, pi1, sub_action)
@@ -854,7 +888,7 @@ def _mackey_orbit(action, pi1: Rep, witnesses: dict, frame, seed: int, tol: Tole
             isometries.append(np.hstack([Pi.unitaries[c].conj().T @ W for c in coset_reps]))
             pos += rep.dim
         classes.append(_Class(rep, psi, induce(psi, action, H, coset_reps), isometries))
-    return _Orbit(H, sub_action, members, V, c_V, coset_reps, pi1, lam, classes)
+    return _Orbit(H, sub_action, members, V, c_V, coset_reps, coset_table, pi1, lam, classes)
 
 
 def _orbit_blocks(action: GroupAction) -> list[int]:
@@ -879,7 +913,7 @@ def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
     if a:
         B = np.linalg.eigh((rest + rest.conj().T) / 2)[1][:, -a:]
         zero = Rep(1, np.zeros((len(labels), 1, 1)), labels)
-        frames.append((zero, {g: np.eye(1) for g in range(Pi.group.order)}, B))
+        frames.append((zero, _witness_stack(action, {g: np.eye(1) for g in range(Pi.group.order)}, tol), B))
     return frames
 
 
@@ -891,9 +925,8 @@ def regular_representation(pi: Rep, action) -> CovariantRep:
     alpha_{g_i^{-1}}, and U_g is the left regular permutation of the blocks.
     """
     G = action.group
-    trivial = Subgroup(G, (G.identity,))
-    inverses = [G.inv(i) for i in range(G.order)]
-    return induce(trivial_covariant(pi, action), action, trivial, inverses)
+    trivial = action.restriction((G.identity,)).subgroup
+    return induce(trivial_covariant(pi, action), action, trivial, G.inverse)
 
 
 def regular_irreducibility_criterion(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -65,16 +65,18 @@ def matrix_from_json(obj) -> np.ndarray:
     _expect(all(isinstance(r, list) for r in obj), "matrix rows must be lists")
     cols = len(obj[0])
     _expect(all(len(r) == cols for r in obj), "matrix rows have unequal lengths")
-    cells = np.array(obj, dtype=object)
-    _expect(cells.shape == (len(obj), cols, 2), "matrix entries must be [re, im] pairs")
-    # bool is an int subclass that numpy would silently read as 0 or 1
-    _expect(set(map(type, cells.flat)) <= {int, float}, "matrix entries must be finite numbers")
+    cells = [z for r in obj for z in r]
+    _expect(cols and all(type(z) is list and len(z) == 2 for z in cells), "matrix entries must be [re, im] pairs")
+    parts = [t for z in cells for t in z]
+    # types are checked on the flat list before numpy reads it: bool is an
+    # int subclass and a numeric string parses, both silently
+    _expect(set(map(type, parts)) <= {int, float}, "matrix entries must be finite numbers")
     try:
-        parts = cells.astype(float)
+        values = np.array(parts, dtype=float)
     except OverflowError:
-        parts = np.full(1, np.inf)
-    _expect(np.isfinite(parts).all(), "matrix entries must be finite numbers")
-    return parts.view(complex)[..., 0]
+        values = np.full(1, np.inf)
+    _expect(np.isfinite(values).all(), "matrix entries must be finite numbers")
+    return values.view(complex).reshape(len(obj), cols)
 
 
 def group_to_json(G: FiniteGroup) -> dict:

@@ -303,3 +303,43 @@ def test_scalar_quotient(rng, tol):
     assert abs(c - (2 - 1j)) < 1e-10
     with pytest.raises(ValueError):
         scalar_quotient(B + np.eye(3), B, tol)
+
+
+def test_sylvester_scalar_family_is_decided_from_n_alone(tol, monkeypatch):
+    # every pair (c 1, c 1) shifts to (0, 0): N = 0 decides that all p*q =
+    # 1296 directions solve, with no eigensolve of N
+    from crossrep.reps import Rep, intertwiners
+
+    pi = Rep(36, {"x": 2 * np.eye(36), "y": 1j * np.eye(36)})
+    pairs = [(M, M) for X in pi.stack for M in (X, X.conj().T)]
+    want = _stacked_dim(pairs, tol)
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    basis = intertwiners(pi, pi, tol)
+    assert len(basis) == want == 36 * 36
+    assert all(T.shape == (36, 36) for T in basis) and np.array_equal(basis[37], np.eye(36 * 36)[37].reshape(36, 36))
+
+
+def test_sylvester_shift_keeps_the_solution_space(rng, tol):
+    # a family with a large scalar part: T R_i - L_i T is unchanged by it
+    for shift in (0.0, 1e3, 1e3j):
+        U = random_unitary(6, rng)
+        D = U @ np.diag([1, 1, 2, 3, 3, 3]).astype(complex) @ U.conj().T
+        pairs = [(D + shift * np.eye(6), D + shift * np.eye(6))]
+        basis = solve_sylvester_family(pairs, tol=tol)
+        assert len(basis) == 4 + 1 + 9 == _stacked_dim(pairs, tol)
+        for T in basis:
+            assert np.linalg.norm(T @ D - D @ T) < 1e-8 * (1 + abs(shift))
+
+
+@pytest.mark.parametrize("M", [np.zeros((3, 200)), np.full((3, 200), 1e-12)], ids=["zero", "below-abs_eps"])
+def test_nullspace_of_everything_holds_one_identity(M, tol):
+    # the basis vectors are rows of one identity, not views that each keep
+    # an identity of their own alive (200 of them would be 128 MB)
+    tracemalloc.start()
+    try:
+        basis = nullspace(M, tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 200 and np.array_equal(np.array(basis), np.eye(200))
+    assert peak < 3 * np.eye(200, dtype=complex).nbytes
