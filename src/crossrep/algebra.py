@@ -24,7 +24,6 @@ __all__ = [
     "StarAut",
     "GroupAction",
     "LabelAction",
-    "Restriction",
     "restrict_action",
 ]
 
@@ -235,11 +234,12 @@ class StarAut:
         return self.induced_equal(StarAut.identity(self.parent), tol)
 
 
-Restriction = namedtuple("Restriction", ["subgroup", "action", "members", "coset_reps", "coset_table"])
-Restriction.__doc__ = """What an action restricts to on a subgroup H: H itself, the action of H
+_Restriction = namedtuple("_Restriction", ["subgroup", "action", "members", "coset_reps", "coset_table"])
+_Restriction.__doc__ = """What an action restricts to on a subgroup H: H itself, the action of H
 regrounded as a group (``members[i]`` is the parent index of its element
 i), the right coset representatives of :func:`right_coset_reps` and their
-:meth:`~_Action.coset_table`."""
+:func:`coset_action` as one read-only (|G|, m, 3) array: row g holds the
+triples (i, j, h) with c_i g = h c_j."""
 
 
 class _Action:
@@ -258,28 +258,19 @@ class _Action:
             memo[key] = build()
         return memo[key]
 
-    def restriction(self, members) -> Restriction:
-        """The :class:`Restriction` to the subgroup with these members."""
+    def restriction(self, members) -> _Restriction:
+        """The restriction to the subgroup with these members (see
+        :func:`restrict_action`), with its right cosets."""
         members = tuple(sorted(int(m) for m in members))
         return self._once(("restriction", members), lambda: self._restrict(members))
 
-    def _restrict(self, members) -> Restriction:
+    def _restrict(self, members) -> _Restriction:
         H = Subgroup(self.group, members)
         K, members = H.as_group()
         reps = tuple(right_coset_reps(H))
-        return Restriction(H, self._regrounded(K, members), tuple(members), reps, self.coset_table(H, reps))
-
-    def coset_table(self, subgroup: Subgroup, coset_reps) -> np.ndarray:
-        """:func:`coset_action` as one read-only (|G|, m, 3) array: row g
-        holds the triples (i, j, h) with c_i g = h c_j."""
-        reps = tuple(int(c) for c in coset_reps)
-
-        def build():
-            table = np.array(coset_action(subgroup, reps))
-            table.setflags(write=False)
-            return table
-
-        return self._once(("cosets", subgroup.members, reps), build)
+        table = np.array(coset_action(H, reps))
+        table.setflags(write=False)
+        return _Restriction(H, self._regrounded(K, members), tuple(members), reps, table)
 
     @property
     def trivial_restriction(self):
@@ -319,18 +310,29 @@ class GroupAction(_Action):
     def _regrounded(self, K: FiniteGroup, members) -> "GroupAction":
         return GroupAction(K, self.algebra, [self.auts[m] for m in members], validate=False)
 
+    @cached_property
+    def coefficient_spread(self) -> float:
+        """The largest l1 norm of the coefficients of alpha_g(e) over the
+        matrix units e, over every g: the most a defect at each matrix unit can
+        add up to on an image alpha_g(e)."""
+        return float(max(np.abs(a.coefficient_matrix).sum(axis=1).max() for a in self.auts))
+
     def validate(self, tol: Tolerance = DEFAULT_TOL):
         """Check that the identity acts trivially and T_s T_h = T_sh for the
         coefficient matrices T of the generators s in ``group.generators``
-        and every h, within ``identity_bound(dim A)``, naming the first
-        failing pair.  Every g is a word in the generators, so by induction on
-        its length T_g T_h = T_gh then holds on all of G."""
+        and every h, naming the first failing pair.  Every g is a word
+        s_1 ... s_l in the generators, so by induction on l T_g T_h = T_gh
+        then holds on all of G.  The T are unitary, so defects of size beta at
+        the generators add up to at most (2l - 1) beta along a word: the
+        generators are held to ``identity_bound(dim A)`` divided by 2L - 1, L
+        the group's :attr:`~crossrep.groups.FiniteGroup.word_length`, and
+        every pair (g, h) stays within ``identity_bound(dim A)``."""
         G = self.group
         S = list(G.generators)
         d = self.algebra.linear_dim
         # alpha_g alpha_h has row matrix images[h] @ images[g], so T_gh = T_g T_h for the transposes
         transposed = np.array([a.coefficient_matrix.T for a in self.auts])
-        bound = tol.identity_bound(d)
+        bound = tol.identity_bound(d) / max(1, 2 * G.word_length - 1)
         if np.linalg.norm(transposed[G.identity] - np.eye(d)) > bound:
             raise InvariantViolation("identity element does not act trivially")
         bad = np.argwhere(_relation_residuals(transposed, G.table, rows=S) > bound)
@@ -345,8 +347,12 @@ class LabelAction(_Action):
     Used for algebras given only through generator images (free-group
     style examples): element g sends generator label l to ``maps[g][l]``.
     The maps must multiply like the group, which is checked on the
-    generators of ``group.generators`` as :meth:`GroupAction.validate` is.
+    generators of ``group.generators`` as :meth:`GroupAction.validate` is,
+    exactly: permutation matrices multiply without rounding.  Each alpha_g
+    sends a label to one label, so :attr:`coefficient_spread` is 1.
     """
+
+    coefficient_spread = 1.0
 
     def __init__(self, group: FiniteGroup, maps):
         maps = [dict(m) for m in maps]
@@ -380,7 +386,7 @@ def restrict_action(action, subgroup: Subgroup):
 
     Returns ``(restricted_action, members)`` where ``members[i]`` is the
     parent-group index of element i of the regrounded group; the restricted
-    action is the one :meth:`~_Action.restriction` keeps.
+    action is built once per action and subgroup and shared.
     """
     if not isinstance(action, _Action):
         raise TypeError(f"unsupported action type {type(action)!r}")

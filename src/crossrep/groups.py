@@ -81,6 +81,18 @@ class FiniteGroup:
                 members = set(subgroup_closure(self, gens).members)
         return tuple(gens)
 
+    @cached_property
+    def word_length(self) -> int:
+        """The largest, over g, of the length of the shortest word
+        s_1 ... s_l = g in :attr:`generators`: the depth of a breadth-first
+        walk by right multiplication from the identity.  0 for |G| = 1."""
+        gens, seen, frontier, depth = list(self.generators), {self.identity}, [self.identity], 0
+        while len(seen) < self.order:
+            frontier = [y for y in dict.fromkeys(self.table[frontier][:, gens].ravel().tolist()) if y not in seen]
+            seen.update(frontier)
+            depth += 1
+        return depth
+
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 

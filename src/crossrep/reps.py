@@ -38,7 +38,7 @@ from .errors import (
     NotFactorable,
     NotIrreducible,
 )
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, coset_action
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -453,14 +453,24 @@ class CovariantRep:
 
     def validate(self, tol: Tolerance = DEFAULT_TOL):
         """Check U_e = 1, and U_s U_h = U_sh, U_s* U_s = 1 and covariance for
-        the generators s in ``group.generators`` and every h, within
-        ``identity_bound(dim)``, naming the first failing pair, element or
-        generator.  Every g is a word in the generators, so by induction on
-        its length U is then a unitary homomorphism implementing the action
-        on all of G."""
+        the generators s in ``group.generators`` and every h, naming the first
+        failing pair, element or generator.  Every g is a word s_1 ... s_l in
+        the generators, so by induction on l U is then a unitary homomorphism
+        implementing the action on all of G.
+
+        Along a word, defects of size beta at the generators add up, to first
+        order, to at most (2l - 1) beta in U_g U_h = U_gh, (3l - 2) beta in
+        U_g* U_g = 1 and l (w + 2p) beta in covariance, where w is the
+        action's :attr:`~crossrep.algebra.GroupAction.coefficient_spread` and
+        p the largest norm of a generator of the base.  So the generators are
+        held to ``identity_bound(dim)`` divided by L max(3, w + 2p), L the
+        group's :attr:`~crossrep.groups.FiniteGroup.word_length`, and every
+        pair (g, h) stays within ``identity_bound(dim)``."""
         G, U = self.group, self.unitaries
         S = list(G.generators)
-        bound = tol.identity_bound(self.dim)
+        p = float(np.linalg.norm(self.base.stack, axis=(1, 2)).max(initial=0.0))
+        spread = max(3.0, self.action.coefficient_spread + 2 * p)
+        bound = tol.identity_bound(self.dim) / (max(1, G.word_length) * spread)
         if np.linalg.norm(U[G.identity] - np.eye(self.dim)) > bound:
             raise InvariantViolation(f"the unitary of the identity element {G.identity} is not 1")
         bad = np.argwhere(_relation_residuals(U, G.table, rows=S) > bound)
@@ -792,9 +802,13 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
         raise InvariantViolation("psi is not a representation of the subgroup")
     d, m, labels = psi.dim, len(coset_reps), psi.base.labels
     blocks = [_unit_images(rep_compose(psi.base, action, c), labels) for c in coset_reps]
-    # (g, i) -> (j, h) with c_i g = h c_j; restrict_action regrounds the
-    # subgroup in ascending member order, so h is psi's element searchsorted(h)
-    i, j, h = action.coset_table(subgroup, coset_reps).transpose(2, 0, 1)
+    # (g, i) -> (j, h) with c_i g = h c_j, kept by the restriction for its own
+    # representatives; restrict_action regrounds the subgroup in ascending
+    # member order, so h is psi's element searchsorted(h)
+    found = action.restriction(subgroup.members)
+    reps = tuple(int(c) for c in coset_reps)
+    table = found.coset_table if reps == found.coset_reps else np.array(coset_action(subgroup, reps))
+    i, j, h = table.transpose(2, 0, 1)
     U = np.zeros((action.group.order, m, d, m, d), dtype=complex)
     U[np.arange(len(U))[:, None], i, :, j, :] = psi.unitaries[np.searchsorted(subgroup.members, h)]
     return CovariantRep(Rep(m * d, block_diag(*blocks), labels), action, U.reshape(-1, m * d, m * d))

@@ -4,7 +4,9 @@
 check their relations only for the generators s of ``group.generators``:
 U_e = 1, U_s U_h = U_sh for every h, U_s* U_s = 1 and covariance at s.
 Every g is a word in the generators, so a defect at any element, generator
-or not, must still be caught.
+or not, must still be caught; and since small defects add up along a word,
+the generators are held to a bound divided by the longest word, so that
+every pair keeps the bound of a check over all of G x G.
 """
 
 import math
@@ -25,8 +27,8 @@ from crossrep.groups import (
     make_symmetric_group_3,
     subgroup_closure,
 )
-from crossrep.linalg import DEFAULT_TOL, random_unitary
-from crossrep.reps import CovariantRep, regular_representation
+from crossrep.linalg import DEFAULT_TOL, _relation_residuals, random_unitary
+from crossrep.reps import CovariantRep, Rep, regular_representation
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 
 GROUPS = {
@@ -50,6 +52,19 @@ def test_generators_generate_the_group(name):
             assert S[k] not in subgroup_closure(G, S[:k]).members
     else:
         assert S == ()
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_word_length_is_the_longest_shortest_word(name):
+    G = GROUPS[name]()
+    reached, words, length = {G.identity}, {G.identity}, 0
+    while len(reached) < G.order:
+        words = {int(G.table[w, s]) for w in words for s in G.generators}
+        length += 1
+        reached |= words
+    assert G.word_length == length
+    if name.startswith("Z") and "x" not in name:
+        assert G.word_length == G.order - 1  # S = {1}
 
 
 def test_generators_of_a_relabelled_group():
@@ -187,3 +202,49 @@ def test_defect_only_the_second_generator_sees_is_caught():
     U[odd] = U[odd] @ W
     with pytest.raises(InvariantViolation, match=rf"homomorphism at \({S3_TAU},"):
         CovariantRep(cov.base, act, U).validate(DEFAULT_TOL)
+
+
+def _drift(n):
+    """min(h, n - h): how far h is from the identity of Z_n, either way round."""
+    h = np.arange(n)
+    return np.minimum(h, n - h)
+
+
+@pytest.mark.parametrize("kind", ["phase", "modulus"])
+def test_defect_that_adds_up_along_words_is_caught(kind):
+    # Z64 on C, U_h = omega^h times a drift of delta per step: every generator
+    # pair (1, h) is off by at most 2 delta, within identity_bound(1) = 1e-6,
+    # but (32, 32) is off by 64 delta, which a check over all of G x G refuses
+    G, delta = make_cyclic_group(64), 4e-7
+    A = MatAlg([1])
+    act = GroupAction(G, A, [StarAut.identity(A)] * 64)
+    omega = np.exp(2j * np.pi * np.arange(64) / 64)
+    drift = np.exp(1j * delta * _drift(64)) if kind == "phase" else 1 + delta * _drift(64)
+    base = Rep(1, np.ones((1, 1, 1)), A.basis_labels())
+    U = (omega * drift)[:, None, None]
+    bound = DEFAULT_TOL.identity_bound(1)
+    every_pair = _relation_residuals(U, G.table)
+    assert every_pair[list(G.generators)].max() < bound < every_pair[32, 32]
+    with pytest.raises(InvariantViolation):
+        CovariantRep(base, act, U).validate(DEFAULT_TOL)
+    CovariantRep(base, act, omega[:, None, None]).validate(DEFAULT_TOL)
+
+
+def test_automorphism_defect_that_adds_up_along_words_is_caught():
+    # Z64 on M2 by Ad diag(1, omega^h e^{i delta min(h, 64 - h)}): the generator
+    # rows are within identity_bound(4), the pair (32, 32) is not
+    G, delta = make_cyclic_group(64), 1e-6
+    A = MatAlg([2])
+    omega = np.exp(2j * np.pi * np.arange(64) / 64)
+
+    def action(drift):
+        return [StarAut(A, (0,), [np.diag([1, w * np.exp(1j * t)])]) for w, t in zip(omega, drift)]
+
+    auts = action(delta * _drift(64))
+    T = np.array([a.coefficient_matrix.T for a in auts])
+    every_pair = _relation_residuals(T, G.table)
+    bound = DEFAULT_TOL.identity_bound(A.linear_dim)
+    assert every_pair[list(G.generators)].max() < bound < every_pair[32, 32]
+    with pytest.raises(InvariantViolation, match="homomorphism"):
+        GroupAction(G, A, auts)
+    GroupAction(G, A, action(np.zeros(64)))
