@@ -44,7 +44,6 @@ from .linalg import (
     unitary_eigenspaces,
 )
 from .reps import (
-    _BLOCK_TOL,
     CovariantRep,
     ProjectiveRep,
     Rep,
@@ -140,7 +139,7 @@ def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
     # C* C = 1 is the U_e case of the carried check
     if C.shape != (Pi.dim, Pi.dim):
         raise BlockStructureViolation("conjugator is not square; dimensions conflict")
-    _check_carried(Pi, C, [induced], "conjugator")
+    _check_carried(Pi, C, [induced], "conjugator", tol)
 
     m, block = len(orbit.coset_reps), psi.dim
     # perms[g][j] is the i with c_i g in H c_j
@@ -229,7 +228,7 @@ def _cyclic_canonical_form(Pi: CovariantRep, orbit, tol: Tolerance):
     # the stabilizer {0, m, 2m, ...} regrounds onto Z_k with m at index 1
     V = report.psi.unitaries[1 % k]
     d1 = V.shape[0]
-    if np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)) > _BLOCK_TOL * max(1, d1):
+    if np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)) > tol.reconstruction_bound(d1):
         raise CanonicalFormViolation("corner unitary does not satisfy V^k = 1")
     return report, m, k, V
 
@@ -305,7 +304,7 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     d1 = Psi.dim // r
     pi1 = Rep(d1, Psi.base.stack[:, :d1, :d1], Psi.base.labels)
     residuals = np.linalg.norm(Psi.base.stack - np.kron(np.eye(r), pi1.stack), axis=(1, 2))
-    if np.any(residuals > _BLOCK_TOL * max(1.0, Psi.dim)):
+    if np.any(residuals > tol.reconstruction_bound(Psi.dim)):
         raise InvariantViolation("base is not 1_r (x) pi1 in tensor form")
     if rep_end_dim(pi1, Psi.action, tol) != 1:
         raise InvariantViolation("tensor base is not irreducible")
@@ -346,9 +345,9 @@ def build_cyclic_irrep(
         raise InvariantViolation("corner unitary must act on the space of pi1")
     if np.linalg.norm(V.conj().T @ V - np.eye(d1)) > tol.identity_bound(d1):
         raise InvariantViolation("corner matrix is not unitary")
-    if np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)) > _BLOCK_TOL * max(1, d1):
+    if np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)) > tol.reconstruction_bound(d1):
         raise InvariantViolation("V^k != 1")
-    if np.any(_covariance_residuals(V, pi1, action, m % n) > _BLOCK_TOL * max(1, d1)):
+    if np.any(_covariance_residuals(V, pi1, action, m % n) > tol.reconstruction_bound(d1)):
         raise InvariantViolation("V does not conjugate pi1 onto its m-th translate")
     if rep_end_dim(pi1, action, tol) != 1:
         raise InvariantViolation("pi1 must be irreducible")
@@ -380,7 +379,7 @@ def periodize(base: Rep, U, action, tol: Tolerance = DEFAULT_TOL) -> CovariantRe
     d = base.dim
     if U.shape != (d, d):
         raise InvariantViolation("unitary must act on the space of the base rep")
-    if np.any(_covariance_residuals(U, base, action, 1 % n) > _BLOCK_TOL * max(1, d)):
+    if np.any(_covariance_residuals(U, base, action, 1 % n) > tol.reconstruction_bound(d)):
         raise InvariantViolation("U does not implement the generating automorphism")
     Un = np.linalg.matrix_power(U, n)
     lam = complex(np.trace(Un) / d)
@@ -474,7 +473,7 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     # Q is the induced conjugator over the cosets {e, tau}, [W1, U_tau* W1];
     # on U_e the check below is Q* Q = 1
     [(_, psi, induced, [Q])] = z3_orbit.classes
-    _check_carried(Pi, Q, [induced], "swap conjugator")
+    _check_carried(Pi, Q, [induced], "swap conjugator", tol)
     tau_witness = V.get(S3_TAU)
     return S3Class(
         case="TauPair",

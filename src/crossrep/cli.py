@@ -23,7 +23,7 @@ from .errors import (
 )
 from .examples import run_all_examples
 from .groups import is_standard_cyclic, make_symmetric_group_3
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .reps import are_equivalent, decompose
 from .serialize import (
     action_from_json,
@@ -53,9 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
         "models, equivalence, decomposition, structure reports.",
     )
     p.add_argument("--seed", type=int, default=42, help="seed for randomized splits")
-    p.add_argument("--abs-eps", type=float, default=1e-9)
-    p.add_argument("--rank-eps", type=float, default=1e-8)
-    p.add_argument("--eig-sep", type=float, default=1e-6)
+    p.add_argument("--abs-eps", type=float, default=DEFAULT_TOL.abs_eps)
+    p.add_argument("--rank-eps", type=float, default=DEFAULT_TOL.rank_eps)
+    p.add_argument("--eig-sep", type=float, default=DEFAULT_TOL.eig_sep)
     p.add_argument("--format", choices=["json", "text"], default="json")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -165,10 +165,16 @@ def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> Cr
     cov = induce(trivial_covariant(defining_rep(A), action), action, trivial, list(range(n)))
     host, vg = cov.dim, cov.unitaries
 
-    # model invariants: validate, V_g V_h = V_gh to abs_eps * host for permutations, a faithful span
+    # model invariants: validate, V_g V_h = V_gh to abs_eps * host for permutations, a faithful span.
+    # The V_g are unitary, so as in GroupAction.validate defects at the generator
+    # rows add up to at most 2L - 1 times along a word: every pair keeps abs_eps * host
     cov.validate(tol)
-    if np.any(_relation_residuals(vg, G.table) > tol.abs_eps * host):
-        raise InvariantViolation("model unitaries fail V_g V_h = V_gh")
+    S = list(G.generators)
+    bound = tol.abs_eps * host / max(1, 2 * G.word_length - 1)
+    bad = np.argwhere(_relation_residuals(vg, G.table, rows=S) > bound)
+    if len(bad):
+        i, h = bad[0]
+        raise InvariantViolation(f"model unitaries fail V_g V_h = V_gh at pair ({S[i]},{h})")
     # <psi(a) V_g, psi(b) V_h> = tr(psi(a* b) V_{h g^-1}) and psi is block
     # diagonal, so once V_g has no diagonal block for g != e the Gram matrix
     # of {psi(e_l) V_g} is block diagonal in g with |G| copies of the Gram

@@ -262,10 +262,8 @@ def run_s3_example1(tol=DEFAULT_TOL):
     witness_ok = False
     if eq_tau.witness is not None:
         D = np.diag([1.0, -1.0])
-        witness_ok = bool(
-            np.linalg.norm(eq_tau.witness - D) < 1e-7
-            or np.linalg.norm(eq_tau.witness + D) < 1e-7
-        )
+        bound = tol.reconstruction_bound(1)
+        witness_ok = bool(np.linalg.norm(eq_tau.witness - D) < bound or np.linalg.norm(eq_tau.witness + D) < bound)
     return {
         "tau_equivalent": _row(True, eq_tau.equivalent),
         "eta_equivalent": _row(False, eq_eta.equivalent),
@@ -364,9 +362,7 @@ def run_inner_z8(tol=DEFAULT_TOL):
     act, cov = inner_z8_minimal()
     report = cyclic_analyze(cov, seed=13, tol=tol)
     vals = sorted(np.angle(v) for v, _ in report.spectrum_of_V)
-    ratio_is_minus_one = bool(
-        abs(np.exp(1j * (vals[1] - vals[0])) + 1) < 1e-9
-    )
+    ratio_is_minus_one = bool(abs(np.exp(1j * (vals[1] - vals[0])) + 1) < tol.abs_eps)
     return {
         "m": _row(1, report.m),
         "spectrum_size": _row(2, len(report.spectrum_of_V)),

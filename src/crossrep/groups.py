@@ -331,7 +331,7 @@ class CharacterTable:
         """Character values of irrep r indexed by group element."""
         return self.chars[r, self.class_of]
 
-    def validate(self, tol: float = 1e-8):
+    def validate(self, tol: float = DEFAULT_TOL.rank_eps):
         G = self.group
         if sum(d * d for d in self.dims) != G.order:
             raise InvariantViolation("sum of squared dimensions != |G|")
@@ -381,25 +381,20 @@ def character_table(
                 per_class = []
                 for cls in classes:
                     vals = per_element[list(cls)]
-                    if np.max(np.abs(vals - vals[0])) > 1e-7 * max(1, dim):
+                    if np.max(np.abs(vals - vals[0])) > tol.reconstruction_bound(dim):
                         raise InvariantViolation("character not constant on a class")
                     per_class.append(np.mean(vals))
                 rows.append((dim, np.array(per_class)))
-            rows.sort(
-                key=lambda r: (
-                    r[0],
-                    tuple(
-                        (round(z.real, 8) + 0.0, round(z.imag, 8) + 0.0) for z in r[1]
-                    ),
-                )
-            )
+            # compared on the rank_eps grid, so rounding noise below it does not decide the order
+            grid = tol.rank_eps
+            rows.sort(key=lambda r: (r[0], tuple((round(z.real / grid), round(z.imag / grid)) for z in r[1])))
             table = CharacterTable(
                 group=G,
                 classes=classes,
                 chars=np.array([r[1] for r in rows]),
                 dims=[r[0] for r in rows],
             )
-            table.validate()
+            table.validate(tol.rank_eps)
             return table
         except (InvariantViolation, DecompositionFailed) as err:  # retry reseeded
             last_err = err

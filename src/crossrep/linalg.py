@@ -36,6 +36,9 @@ class Tolerance:
     abs_eps   absolute comparison threshold for matrix identities
     rank_eps  relative singular-value cutoff for rank decisions
     eig_sep   angular gap below which unitary eigenvalues are one cluster
+
+    Every numerical tolerance in the package is one of these or is derived
+    from them by :meth:`identity_bound` or :meth:`reconstruction_bound`.
     """
 
     abs_eps: float = 1e-9
@@ -51,6 +54,14 @@ class Tolerance:
     def identity_bound(self, scale: float | np.ndarray) -> float | np.ndarray:
         """Largest residual accepted for a matrix identity at magnitude ``scale`` (elementwise)."""
         return 1e3 * self.abs_eps * np.maximum(1.0, scale)
+
+    def reconstruction_bound(self, scale: float | np.ndarray) -> float | np.ndarray:
+        """The bound of acceptance criterion 7 (every report reconstructs its
+        input), ``identity_bound(scale) / 10``, 1e-7 max(1, scale) at the
+        default ``abs_eps``: the largest residual accepted where a canonical
+        form must reconstruct its input, as a Kronecker factor, a carried
+        block form, V^k = 1 or the covariance of a corner."""
+        return self.identity_bound(scale) / 10
 
 
 DEFAULT_TOL = Tolerance()

@@ -124,7 +124,7 @@ class ProjectiveRep(Rep):
     def conjugate(self, Q) -> "ProjectiveRep":
         return ProjectiveRep(self.group, super().conjugate(Q).stack, self.cocycle)
 
-    def validate(self, threshold: float = 1e-8):
+    def validate(self, threshold: float = DEFAULT_TOL.rank_eps):
         T, c = self.group.table, self.cocycle
         if np.max(np.abs(np.abs(c) - 1.0)) > threshold:
             raise InvariantViolation("cocycle values must have modulus 1")
@@ -392,7 +392,7 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
     if covered != r.dim:
         raise InvariantViolation(f"orbit frames cover {covered} of {r.dim} dimensions")
     dec = _assemble(classes, end_dim)
-    _check_carried(r, dec.basis_change, [rep for rep, isos in classes for _ in isos], "basis change")
+    _check_carried(r, dec.basis_change, [rep for rep, isos in classes for _ in isos], "basis change", tol)
     return dec
 
 
@@ -576,12 +576,17 @@ def hom_dim(cov1: CovariantRep, cov2: CovariantRep, tol: Tolerance = DEFAULT_TOL
 def _character_dim(terms: np.ndarray, tol: Tolerance) -> int:
     """The character sum |G|^-1 sum of ``terms``, one row per group element,
     rounded to a dimension within ``rank_eps`` of the mean of |terms|;
-    :class:`InvariantViolation` when it is not near a nonnegative integer."""
+    :class:`InvariantViolation`, naming the sum, its distance to the nearest
+    integer and the bound, when it is not near a nonnegative integer."""
     total = terms.sum() / len(terms)
     count = round(total.real)
-    scale = np.abs(terms).sum() / len(terms)
-    if count < 0 or abs(total - count) > tol.rank_eps * max(1.0, scale):
-        raise InvariantViolation(f"character sum {total:.6g} is not a dimension")
+    distance = abs(total - count)
+    bound = tol.rank_eps * max(1.0, np.abs(terms).sum() / len(terms))
+    if count < 0 or distance > bound:
+        raise InvariantViolation(
+            f"character sum {total:.12g} is not a dimension: {distance:.3e} from {count}, "
+            f"bound rank_eps*scale = {bound:.3e}"
+        )
     return count
 
 
@@ -689,12 +694,18 @@ def rep_end_dim(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> int:
 
 def _ranks(P: np.ndarray, tol: Tolerance) -> list[int]:
     """The ranks tr P of a stack of projections, each rounded to an integer
-    within ``rank_eps`` of their dimension, else :class:`InvariantViolation`."""
+    within ``rank_eps`` of their dimension, else :class:`InvariantViolation`
+    naming the trace, its distance to the rank and the bound."""
     traces = np.trace(P, axis1=1, axis2=2).real
     ranks = np.round(traces).astype(int)
-    bad = np.flatnonzero((ranks < 0) | (np.abs(traces - ranks) > tol.rank_eps * max(1, P.shape[1])))
+    bound = tol.rank_eps * max(1, P.shape[1])
+    bad = np.flatnonzero((ranks < 0) | (np.abs(traces - ranks) > bound))
     if len(bad):
-        raise InvariantViolation(f"projection trace {traces[bad[0]]:.6g} is not a rank")
+        t, rank = traces[bad[0]], ranks[bad[0]]
+        raise InvariantViolation(
+            f"projection trace {t:.12g} is not a rank: {abs(t - rank):.3e} from {rank}, "
+            f"bound rank_eps*dim = {bound:.3e}"
+        )
     return ranks.tolist()
 
 
@@ -814,17 +825,16 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
     return CovariantRep(Rep(m * d, block_diag(*blocks), labels), action, U.reshape(-1, m * d, m * d))
 
 
-# spec-pinned reconstruction threshold
-_BLOCK_TOL = 1e-7
-
-
 def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The r x r unitary L with ``W = kron(L, V)``, for a known unitary V.
+    """The exactly unitary r x r L with ``W = kron(L, V)``, for a known unitary V.
 
     Read from the block pattern of ``W (1 (x) V)*``: each d x d block of
     that product is a scalar multiple of the identity, and the scalars
     assemble L.  Stacks of W and V factor pairwise in one batch.  Raises
-    :class:`NotFactorable` when a residual exceeds the 1e-7 threshold.
+    :class:`NotFactorable` when the Kronecker residual exceeds
+    ``tol.reconstruction_bound(|W|)`` or the unitarity defect of L exceeds
+    ``tol.reconstruction_bound(r)``; otherwise returns the nearest unitary
+    to L, so no check downstream sees the defect the policy accepted.
     """
     W, V = np.asarray(W, dtype=complex), np.asarray(V, dtype=complex)
     d = V.shape[-1]
@@ -833,21 +843,22 @@ def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     # block (i, j) of W (1 (x) V)* is W_ij V*, whose trace over d is L_ij
     L = np.einsum("...iajb,...ab->...ij", W.reshape(*W.shape[:-2], r, d, r, d), V.conj()) / d
     kron = np.einsum("...ij,...ab->...iajb", L, V).reshape(W.shape)
-    scale = np.maximum(1.0, np.linalg.norm(W, axis=(-2, -1)))
-    if np.any(np.linalg.norm(W - kron, axis=(-2, -1)) > _BLOCK_TOL * scale):
+    bound = tol.reconstruction_bound(np.linalg.norm(W, axis=(-2, -1)))
+    if np.any(np.linalg.norm(W - kron, axis=(-2, -1)) > bound):
         raise NotFactorable("operator is not a Kronecker multiple of V")
     defect = np.swapaxes(L.conj(), -2, -1) @ L - np.eye(r)
-    if np.any(np.linalg.norm(defect, axis=(-2, -1)) > _BLOCK_TOL * max(1, r)):
+    if np.any(np.linalg.norm(defect, axis=(-2, -1)) > tol.reconstruction_bound(r)):
         raise NotFactorable("extracted factor is not unitary")
-    return L
+    u, _, vh = np.linalg.svd(L)
+    return u @ vh
 
 
-def _check_carried(Pi: CovariantRep, C, parts: list[CovariantRep], what: str):
+def _check_carried(Pi: CovariantRep, C, parts: list[CovariantRep], what: str, tol: Tolerance):
     """Raise unless C* Pi C equals the block diagonal of ``parts`` on every
-    generator and every group unitary, to the reconstruction threshold,
+    generator and every group unitary, to ``tol.reconstruction_bound(dim Pi)``,
     naming the first miss."""
     Ch = C.conj().T
-    bound = _BLOCK_TOL * max(1.0, float(Pi.dim))
+    bound = tol.reconstruction_bound(Pi.dim)
     labels = Pi.base.labels
     for names, mats, wanted in (
         ([f"generator {l!r}" for l in labels], Pi.base.stack,

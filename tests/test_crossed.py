@@ -98,6 +98,28 @@ def test_model_rejects_unitaries_with_a_diagonal_block(monkeypatch, tol):
         build_crossed_model(act, tol)
 
 
+def test_model_rejects_a_non_generator_unitary_off_by_1e_7(monkeypatch, tol):
+    # V_2 of Z4 is not a generator: it is off by 1e-7, within what validate
+    # allows, but the model's own relation check on the generator rows holds
+    # every pair to abs_eps * host and names the first failing pair
+    A = MatAlg([1, 1])
+    act = GroupAction(make_cyclic_group(4), A, [StarAut.identity(A)] * 4)
+    assert act.group.generators == (1,)
+    induce = crossrep.crossed.induce
+
+    def perturbed(*a, **k):
+        cov = induce(*a, **k)
+        U = cov.unitaries.copy()
+        U[2, 0, 7] += 1e-7
+        bad = type(cov)(cov.base, cov.action, U)
+        bad.validate(tol)
+        return bad
+
+    monkeypatch.setattr(crossrep.crossed, "induce", perturbed)
+    with pytest.raises(InvariantViolation, match=r"V_g V_h = V_gh at pair \(1,1\)"):
+        build_crossed_model(act, tol)
+
+
 def test_model_rejects_an_unfaithful_defining_representation(monkeypatch, tol):
     # a defining representation that annihilates block 1 of the trivial
     # action gives a covariant model whose span misses that block

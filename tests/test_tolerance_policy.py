@@ -1,0 +1,392 @@
+"""Every threshold reads the :class:`Tolerance` it is given.
+
+One pair of tests per threshold site: a residual the default tolerance
+refuses is accepted under a loosened ``Tolerance``, and a residual the
+default accepts is refused under a tightened one.  Each input is built so
+that only the site under test sees its residual; where the size of the
+residual does not follow from the construction, the test measures it.
+Then noisy-input regressions: a Λ the policy accepted is returned exactly
+unitary, so no stricter check downstream refuses what ``validate`` passed.
+"""
+
+import numpy as np
+import pytest
+
+import crossrep.cli
+import crossrep.examples
+import crossrep.reps
+from crossrep.analyzer import (
+    _cyclic_canonical_form,
+    _orbit,
+    build_cyclic_irrep,
+    classify_s3,
+    cyclic_analyze,
+    factor_tensor,
+    homogeneous_irreducibility,
+    periodize,
+)
+from crossrep.errors import (
+    BlockStructureViolation,
+    CanonicalFormViolation,
+    DecompositionFailed,
+    InvariantViolation,
+    NotFactorable,
+)
+from crossrep.examples import inner_z8_minimal, run_inner_z8, run_s3_example1, weyl_pair_homogeneous
+from crossrep.groups import character_table, make_symmetric_group_3
+from crossrep.linalg import DEFAULT_TOL, Tolerance, random_unitary
+from crossrep.reps import (
+    CovariantRep,
+    Equivalence,
+    IrrepDecomposition,
+    ProjectiveRep,
+    Rep,
+    _character_dim,
+    _check_carried,
+    _covariance_residuals,
+    _ranks,
+)
+from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
+
+LOOSE = Tolerance(abs_eps=1e-7, rank_eps=1e-6, eig_sep=1e-4)
+TIGHT = Tolerance(abs_eps=1e-11, rank_eps=1e-10)
+
+# the functions the monkeypatched tests wrap, read before any patch
+_DECOMPOSE = crossrep.reps.decompose
+_ARE_EQUIVALENT = crossrep.examples.are_equivalent
+
+
+def test_reconstruction_bound_is_the_criterion_7_bound():
+    assert DEFAULT_TOL.reconstruction_bound(1) == pytest.approx(1e-7, rel=1e-12)
+    assert DEFAULT_TOL.reconstruction_bound(5.0) == pytest.approx(5e-7, rel=1e-12)
+    assert DEFAULT_TOL.reconstruction_bound(0.5) == DEFAULT_TOL.reconstruction_bound(1)
+    assert LOOSE.reconstruction_bound(2) == pytest.approx(2e-5, rel=1e-12)
+    np.testing.assert_allclose(DEFAULT_TOL.reconstruction_bound(np.array([0.0, 3.0])), [1e-7, 3e-7], rtol=1e-12)
+
+
+def _refused(run, tol, error):
+    with pytest.raises(error):
+        run(tol)
+
+
+# ---------------------------------------------------------------------------
+# factor_tensor
+
+
+def _kronecker_site(eps):
+    # an off-Kronecker part with zero trace against V in each block leaves L
+    # exactly unitary, so only the Kronecker residual, eps, is off
+    rng = np.random.default_rng(3)
+    L, V = random_unitary(2, rng), random_unitary(2, rng)
+    W = np.kron(L, V) + eps * np.kron(np.eye(2), np.diag([1, -1]) @ V) / 2
+    return lambda tol: factor_tensor(W, V, 2, tol)
+
+
+def _unitarity_site(eps):
+    # W = (1 + eps) L (x) V is an exact Kronecker product of a non-unitary factor
+    rng = np.random.default_rng(4)
+    L, V = random_unitary(2, rng), random_unitary(2, rng)
+    W = np.kron((1 + eps) * L, V)
+    return lambda tol: factor_tensor(W, V, 2, tol)
+
+
+@pytest.mark.parametrize("site", [_kronecker_site, _unitarity_site])
+def test_factor_tensor_follows_the_tolerance(site):
+    # reconstruction_bound(2): 2e-7 at the default, 2e-5 loosened, 2e-9 tightened
+    _refused(site(1e-6), DEFAULT_TOL, NotFactorable)
+    L = site(1e-6)(LOOSE)
+    site(1e-8)(DEFAULT_TOL)
+    _refused(site(1e-8), TIGHT, NotFactorable)
+    # what the loosened policy accepted is returned exactly unitary
+    assert np.linalg.norm(L.conj().T @ L - np.eye(2)) < 1e-14
+
+
+def test_factor_tensor_returns_the_nearest_unitary_of_a_stack():
+    rng = np.random.default_rng(5)
+    Ls = np.array([random_unitary(3, rng) for _ in range(4)])
+    V = np.array([random_unitary(2, rng) for _ in range(4)])
+    scaled = Ls * (1 + 1e-9 * np.arange(4))[:, None, None]
+    W = np.einsum("hij,hab->hiajb", scaled, V).reshape(4, 6, 6)
+    got = factor_tensor(W, V, 3, DEFAULT_TOL)
+    np.testing.assert_allclose(got, Ls, atol=1e-14)
+    assert np.max(np.linalg.norm(got.conj().transpose(0, 2, 1) @ got - np.eye(3), axis=(1, 2))) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# _check_carried
+
+
+def _carried_site(eps):
+    _, Pi = inner_z8_minimal()
+    stack = Pi.base.stack.copy()
+    stack[0] += eps * np.array([[0, 1], [1, 0]]) / np.sqrt(2)
+    part = CovariantRep(Rep(Pi.dim, stack, Pi.base.labels), Pi.action, Pi.unitaries)
+    return lambda tol: _check_carried(Pi, np.eye(Pi.dim), [part], "identity frame", tol)
+
+
+def test_check_carried_follows_the_tolerance():
+    # residual eps against reconstruction_bound(dim 2)
+    _refused(_carried_site(1e-6), DEFAULT_TOL, BlockStructureViolation)
+    _carried_site(1e-6)(LOOSE)
+    _carried_site(1e-8)(DEFAULT_TOL)
+    _refused(_carried_site(1e-8), TIGHT, BlockStructureViolation)
+
+
+# ---------------------------------------------------------------------------
+# analyzer: V^k = 1 in the cyclic form and in build_cyclic_irrep
+
+
+def _drifted_z8(eps):
+    # U_j = e^{ij eps} U0^j: a phase drift that only the corner relation V^8 = 1 sees
+    act, cov = inner_z8_minimal()
+    U = cov.unitaries * np.exp(1j * eps * np.arange(8))[:, None, None]
+    return CovariantRep(cov.base, act, U)
+
+
+def _canonical_form_site(eps):
+    Pi = _drifted_z8(eps)
+    return lambda tol: _cyclic_canonical_form(Pi, _orbit(Pi, 0, tol), tol)
+
+
+def test_cyclic_canonical_form_corner_power_follows_the_tolerance():
+    # ||V^8 - 1|| = |e^{8i eps} - 1| sqrt(2) against reconstruction_bound(2)
+    _refused(_canonical_form_site(5e-8), DEFAULT_TOL, CanonicalFormViolation)
+    _canonical_form_site(5e-8)(LOOSE)
+    _canonical_form_site(3e-10)(DEFAULT_TOL)
+    _refused(_canonical_form_site(3e-10), TIGHT, CanonicalFormViolation)
+
+
+def _corner_power_site(eps):
+    act, cov = inner_z8_minimal()
+    V = np.exp(1j * eps) * cov.unitaries[1]
+    return lambda tol: build_cyclic_irrep(cov.base, V, 1, 8, act, tol)
+
+
+def test_build_cyclic_irrep_corner_power_follows_the_tolerance():
+    _refused(_corner_power_site(1e-7), DEFAULT_TOL, InvariantViolation)
+    _corner_power_site(1e-7)(LOOSE)
+    _corner_power_site(1e-9)(DEFAULT_TOL)
+    _refused(_corner_power_site(1e-9), TIGHT, InvariantViolation)
+
+
+# ---------------------------------------------------------------------------
+# analyzer: covariance in build_cyclic_irrep and periodize
+
+
+def _rotated_corner(eps):
+    # W U0 W* with W = exp(i eps X) keeps V^8 = 1 and unitarity exact and
+    # moves only the covariance V pi V* = pi o alpha_1
+    act, cov = inner_z8_minimal()
+    W = np.cos(eps) * np.eye(2) + 1j * np.sin(eps) * np.array([[0, 1], [1, 0]])
+    V = W @ cov.unitaries[1] @ W.conj().T
+    return act, cov.base, V, _covariance_residuals(V, cov.base, act, 1).max()
+
+
+def test_build_cyclic_irrep_covariance_follows_the_tolerance():
+    act, pi1, V, resid = _rotated_corner(1e-6)
+    assert DEFAULT_TOL.reconstruction_bound(2) < resid < LOOSE.reconstruction_bound(2)
+    with pytest.raises(InvariantViolation, match="m-th translate"):
+        build_cyclic_irrep(pi1, V, 1, 8, act, DEFAULT_TOL)
+    build_cyclic_irrep(pi1, V, 1, 8, act, LOOSE)
+    act, pi1, V, resid = _rotated_corner(1e-8)
+    assert TIGHT.reconstruction_bound(2) < resid < DEFAULT_TOL.reconstruction_bound(2)
+    build_cyclic_irrep(pi1, V, 1, 8, act, DEFAULT_TOL)
+    with pytest.raises(InvariantViolation, match="m-th translate"):
+        build_cyclic_irrep(pi1, V, 1, 8, act, TIGHT)
+
+
+def test_periodize_covariance_follows_the_tolerance():
+    act, base, U, resid = _rotated_corner(1e-6)
+    assert DEFAULT_TOL.reconstruction_bound(2) < resid < LOOSE.reconstruction_bound(2)
+    with pytest.raises(InvariantViolation, match="generating automorphism"):
+        periodize(base, U, act, DEFAULT_TOL)
+    periodize(base, U, act, LOOSE)
+    act, base, U, resid = _rotated_corner(1e-8)
+    assert TIGHT.reconstruction_bound(2) < resid < DEFAULT_TOL.reconstruction_bound(2)
+    periodize(base, U, act, DEFAULT_TOL)
+    with pytest.raises(InvariantViolation, match="generating automorphism"):
+        periodize(base, U, act, TIGHT)
+
+
+# ---------------------------------------------------------------------------
+# analyzer: the tensor form 1_r (x) pi1 of homogeneous_irreducibility
+
+
+def _homogeneous_site(eps):
+    # a traceless perturbation across the two copies leaves every character,
+    # so every dimension, unchanged, and moves only the tensor-form residual eps
+    psi = weyl_pair_homogeneous(2)
+    stack = psi.base.stack.copy()
+    stack[0, 0, 2] += eps / np.sqrt(2)
+    stack[0, 2, 0] += eps / np.sqrt(2)
+    Psi = CovariantRep(Rep(psi.dim, stack, psi.base.labels), psi.action, psi.unitaries)
+    return lambda tol: homogeneous_irreducibility(Psi, tol)
+
+
+def test_homogeneous_tensor_form_follows_the_tolerance():
+    # residual eps against reconstruction_bound(dim 4)
+    with pytest.raises(InvariantViolation, match="tensor form"):
+        _homogeneous_site(2e-6)(DEFAULT_TOL)
+    assert _homogeneous_site(2e-6)(LOOSE)
+    assert _homogeneous_site(1e-8)(DEFAULT_TOL)
+    with pytest.raises(InvariantViolation, match="tensor form"):
+        _homogeneous_site(1e-8)(TIGHT)
+
+
+# ---------------------------------------------------------------------------
+# groups.character_table: the class check and the table's validate
+
+
+def _shifted_components(monkeypatch, elements, eps):
+    """Make ``decompose`` shift the trace of the first one-dimensional
+    component by eps at each of ``elements``."""
+
+    def shifted(rep, seed, tol):
+        dec = _DECOMPOSE(rep, seed, tol)
+        (first, m), *rest = dec.components
+        mats = first.mats.copy()
+        mats[list(elements)] += eps
+        return IrrepDecomposition([(ProjectiveRep(first.group, mats, first.cocycle), m), *rest], dec.basis_change)
+
+    monkeypatch.setattr(crossrep.reps, "decompose", shifted)
+
+
+def test_character_table_class_check_follows_the_tolerance(monkeypatch):
+    # one transposition's character moves by eps: the class is no longer
+    # constant to within reconstruction_bound(1)
+    G = make_symmetric_group_3()
+    _shifted_components(monkeypatch, [3], 1e-6)
+    with pytest.raises(DecompositionFailed, match="not constant on a class"):
+        character_table(G, tol=DEFAULT_TOL)
+    character_table(G, tol=LOOSE)
+    _shifted_components(monkeypatch, [3], 1e-9)
+    character_table(G, tol=DEFAULT_TOL)
+    with pytest.raises(DecompositionFailed, match="not constant on a class"):
+        character_table(G, tol=TIGHT)
+
+
+def test_character_table_validate_reads_rank_eps(monkeypatch):
+    # the whole transposition class moves by eps, so only orthogonality,
+    # checked at rank_eps |G|, sees it
+    G = make_symmetric_group_3()
+    _shifted_components(monkeypatch, [3, 4, 5], 1e-6)
+    with pytest.raises(DecompositionFailed, match="orthogonality"):
+        character_table(G, tol=DEFAULT_TOL)
+    character_table(G, tol=LOOSE)
+    # orthogonality moves by about 3e-9: within 6e-8 at the default, past 6e-10 tightened
+    _shifted_components(monkeypatch, [3, 4, 5], 1e-8 / 6)
+    character_table(G, tol=DEFAULT_TOL)
+    with pytest.raises(DecompositionFailed, match="orthogonality"):
+        character_table(G, tol=TIGHT)
+
+
+# ---------------------------------------------------------------------------
+# examples: the witness check and the ratio check
+
+
+def _witness_rows(monkeypatch, eps):
+    def perturbed(r1, r2, tol):
+        eq = _ARE_EQUIVALENT(r1, r2, tol)
+        return eq if eq.witness is None else Equivalence(True, eq.witness + eps * np.eye(2) / np.sqrt(2))
+
+    monkeypatch.setattr(crossrep.examples, "are_equivalent", perturbed)
+
+
+def test_example_witness_check_follows_the_tolerance(monkeypatch):
+    # the witness is diag(1, -1) up to eps, against reconstruction_bound(1)
+    _witness_rows(monkeypatch, 1e-6)
+    assert not run_s3_example1(DEFAULT_TOL)["tau_witness_is_diag_1_-1"]["pass"]
+    assert run_s3_example1(LOOSE)["tau_witness_is_diag_1_-1"]["pass"]
+    _witness_rows(monkeypatch, 1e-8)
+    assert run_s3_example1(DEFAULT_TOL)["tau_witness_is_diag_1_-1"]["pass"]
+    assert not run_s3_example1(TIGHT)["tau_witness_is_diag_1_-1"]["pass"]
+
+
+class _Spectrum:
+    m = 1
+
+    def __init__(self, eps):
+        self.spectrum_of_V = [(1.0, None), (np.exp(1j * (np.pi + eps)), None)]
+
+
+def test_example_ratio_check_reads_abs_eps(monkeypatch):
+    # eigenvalue ratio -e^{i eps}: "minus one" exactly when eps < abs_eps
+    monkeypatch.setattr(crossrep.examples, "cyclic_analyze", lambda cov, seed, tol: _Spectrum(1e-8))
+    assert not run_inner_z8(DEFAULT_TOL)["spectrum_is_coset"]["computed"]
+    assert run_inner_z8(LOOSE)["spectrum_is_coset"]["computed"]
+    monkeypatch.setattr(crossrep.examples, "cyclic_analyze", lambda cov, seed, tol: _Spectrum(1e-10))
+    assert run_inner_z8(DEFAULT_TOL)["spectrum_is_coset"]["computed"]
+    assert not run_inner_z8(TIGHT)["spectrum_is_coset"]["computed"]
+
+
+# ---------------------------------------------------------------------------
+# the CLI writes its defaults once, from DEFAULT_TOL
+
+
+def test_cli_tolerance_defaults_read_default_tol(monkeypatch):
+    args = crossrep.cli.build_parser().parse_args(["verify-examples"])
+    assert (args.abs_eps, args.rank_eps, args.eig_sep) == (1e-9, 1e-8, 1e-6)
+    monkeypatch.setattr(crossrep.cli, "DEFAULT_TOL", LOOSE)
+    args = crossrep.cli.build_parser().parse_args(["verify-examples"])
+    assert (args.abs_eps, args.rank_eps, args.eig_sep) == (1e-7, 1e-6, 1e-4)
+
+
+# ---------------------------------------------------------------------------
+# _character_dim and _ranks name their margin
+
+
+def test_character_dim_names_the_sum_its_distance_and_the_bound():
+    with pytest.raises(InvariantViolation) as err:
+        _character_dim(np.array([1 + 2e-8, 1 + 2e-8 + 1e-20j]), DEFAULT_TOL)
+    message = str(err.value)
+    assert "character sum 1.00000002+" in message
+    assert "2.000e-08 from 1" in message
+    assert "bound rank_eps*scale = 1.000e-08" in message
+
+
+def test_ranks_names_the_trace_its_distance_and_the_bound():
+    P = np.diag([1 + 3e-8, 0.0])[None]
+    with pytest.raises(InvariantViolation) as err:
+        _ranks(P, DEFAULT_TOL)
+    message = str(err.value)
+    assert "projection trace 1.00000003 is not a rank" in message
+    assert "3.000e-08 from 1" in message
+    assert "bound rank_eps*dim = 2.000e-08" in message
+
+
+# ---------------------------------------------------------------------------
+# noisy-input regressions at the default tolerance
+
+
+def _noisy(cov, delta, rng):
+    S = cov.base.stack
+    noise = delta * (rng.standard_normal(S.shape) + 1j * rng.standard_normal(S.shape))
+    return CovariantRep(Rep(cov.dim, S + noise, cov.base.labels), cov.action, cov.unitaries)
+
+
+def test_cyclic_analyze_accepts_what_validate_accepts():
+    # base generators off by delta = 1e-9, U exact: every input passes
+    # validate, and the corner V = Lambda (x) V_h is unitary to rounding
+    irreps = crossed_irreps(random_cyclic_action(8, [3], np.random.default_rng(1)))
+    for i, cov in enumerate(irreps):
+        for draw in range(3):
+            Pi = _noisy(cov, 1e-9, np.random.default_rng([i, draw]))
+            Pi.validate(DEFAULT_TOL)
+            report = cyclic_analyze(Pi, tol=DEFAULT_TOL)
+            assert np.linalg.norm(report.V.conj().T @ report.V - np.eye(len(report.V))) < 1e-13
+
+
+def test_classify_s3_accepts_what_validate_accepts():
+    for kind in ("permutation", "inner", "conjugated"):
+        irreps = crossed_irreps(random_s3_action(np.random.default_rng(2), kind))
+        for i, cov in enumerate(irreps):
+            for draw in range(2):
+                Pi = _noisy(cov, 1e-9, np.random.default_rng([i, draw, 7]))
+                Pi.validate(DEFAULT_TOL)
+                classify_s3(Pi, tol=DEFAULT_TOL)
+
+
+def test_cyclic_analyze_accepts_noise_the_loosened_tolerance_admits():
+    irreps = crossed_irreps(random_cyclic_action(8, [2, 1, 1], np.random.default_rng(1)))
+    for i, cov in enumerate(irreps):
+        cyclic_analyze(_noisy(cov, 1e-7, np.random.default_rng([i, 3])), tol=LOOSE)
