@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .groups import FiniteGroup, Subgroup, coset_action, right_coset_reps
-from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, block_diag
+from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, _require, block_diag
 
 __all__ = [
     "MatAlg",
@@ -177,8 +177,8 @@ class StarAut:
             d = parent.block_dims[i]
             if u.shape != (d, d):
                 raise DimensionMismatch("unitary shape does not match target block")
-            if np.linalg.norm(u.conj().T @ u - np.eye(d)) > tol.abs_eps * max(1, d):
-                raise InvariantViolation("block unitary fails the unitarity check")
+            _require(np.linalg.norm(u.conj().T @ u - np.eye(d)), tol.abs_eps * max(1, d),
+                     f"block unitary fails the unitarity check at block {i}")
         self.parent = parent
         self.perm = perm
         self.inv_perm = tuple(np.argsort(perm))
@@ -333,12 +333,9 @@ class GroupAction(_Action):
         # alpha_g alpha_h has row matrix images[h] @ images[g], so T_gh = T_g T_h for the transposes
         transposed = np.array([a.coefficient_matrix.T for a in self.auts])
         bound = tol.identity_bound(d) / max(1, 2 * G.word_length - 1)
-        if np.linalg.norm(transposed[G.identity] - np.eye(d)) > bound:
-            raise InvariantViolation("identity element does not act trivially")
-        bad = np.argwhere(_relation_residuals(transposed, G.table, rows=S) > bound)
-        if len(bad):
-            i, h = bad[0]
-            raise InvariantViolation(f"action is not a homomorphism at pair ({S[i]},{h})")
+        _require(np.linalg.norm(transposed[G.identity] - np.eye(d)), bound, "identity element does not act trivially")
+        _require(_relation_residuals(transposed, G.table, rows=S), bound,
+                 "action is not a homomorphism at pair ({},{})", names=S)
 
 
 class LabelAction(_Action):
@@ -367,10 +364,8 @@ class LabelAction(_Action):
         if np.any(perms[group.identity] != np.eye(len(labels))):
             raise InvariantViolation("identity element must fix every label")
         S = list(group.generators)
-        bad = np.argwhere(_relation_residuals(perms, group.table, rows=S) > 0)
-        if len(bad):
-            i, h = bad[0]
-            raise InvariantViolation(f"label maps are not a homomorphism at ({S[i]},{h})")
+        _require(_relation_residuals(perms, group.table, rows=S), 0.0,
+                 "label maps are not a homomorphism at ({},{})", names=S)
         self.group = group
         self.maps = tuple(maps)
 

@@ -39,6 +39,7 @@ from .groups import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _require,
     as_matrix,
     orthonormal_span,
     unitary_eigenspaces,
@@ -228,8 +229,8 @@ def _cyclic_canonical_form(Pi: CovariantRep, orbit, tol: Tolerance):
     # the stabilizer {0, m, 2m, ...} regrounds onto Z_k with m at index 1
     V = report.psi.unitaries[1 % k]
     d1 = V.shape[0]
-    if np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)) > tol.reconstruction_bound(d1):
-        raise CanonicalFormViolation("corner unitary does not satisfy V^k = 1")
+    _require(np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)), tol.reconstruction_bound(d1),
+             "corner unitary does not satisfy V^k = 1", CanonicalFormViolation)
     return report, m, k, V
 
 
@@ -251,9 +252,8 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
     d1 = pi1.dim
 
     spectrum = unitary_eigenspaces(V, tol)
-    for val, _ in spectrum:
-        if abs(val**k - 1) > tol.identity_bound(1.0):
-            raise CanonicalFormViolation("corner spectrum is not inside the k-th roots")
+    _require(np.abs(np.array([val for val, _ in spectrum]) ** k - 1), tol.identity_bound(1.0),
+             "corner spectrum is not inside the k-th roots at cluster {}", CanonicalFormViolation)
 
     # pi1 is irreducible and V implements alpha_m on it, so pi1(A^alpha) lies
     # in {V}' = sum_lambda B(E_lambda); the two checks below prove equality,
@@ -263,8 +263,8 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
     alg = Pi.action.algebra
     fixed = Rep(d1, [evaluate(pi1, alg, b) for b in basis], [f"fix{i}" for i in range(len(basis))])
     images = fixed.stack
-    if np.any(np.linalg.norm(images @ V - V @ images, axis=(1, 2)) > tol.identity_bound(d1)):
-        raise CanonicalFormViolation("a fixed-point image does not commute with the corner")
+    _require(np.linalg.norm(images @ V - V @ images, axis=(1, 2)), tol.identity_bound(d1),
+             "a fixed-point image does not commute with the corner at {}", CanonicalFormViolation, fixed.labels)
     corner_commutant = sum(iso.shape[1] ** 2 for _, iso in spectrum)
     span = len(orthonormal_span(images, tol))
     if span != corner_commutant:
@@ -303,9 +303,9 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
         raise InvariantViolation("multiplicity does not divide the dimension")
     d1 = Psi.dim // r
     pi1 = Rep(d1, Psi.base.stack[:, :d1, :d1], Psi.base.labels)
-    residuals = np.linalg.norm(Psi.base.stack - np.kron(np.eye(r), pi1.stack), axis=(1, 2))
-    if np.any(residuals > tol.reconstruction_bound(Psi.dim)):
-        raise InvariantViolation("base is not 1_r (x) pi1 in tensor form")
+    _require(np.linalg.norm(Psi.base.stack - np.kron(np.eye(r), pi1.stack), axis=(1, 2)),
+             tol.reconstruction_bound(Psi.dim), "base is not 1_r (x) pi1 in tensor form at generator {!r}",
+             names=Psi.base.labels)
     if rep_end_dim(pi1, Psi.action, tol) != 1:
         raise InvariantViolation("tensor base is not irreducible")
     witnesses = translate_stabilizer(pi1, Psi.action, tol)
@@ -343,12 +343,10 @@ def build_cyclic_irrep(
     d1 = pi1.dim
     if V.shape != (d1, d1):
         raise InvariantViolation("corner unitary must act on the space of pi1")
-    if np.linalg.norm(V.conj().T @ V - np.eye(d1)) > tol.identity_bound(d1):
-        raise InvariantViolation("corner matrix is not unitary")
-    if np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)) > tol.reconstruction_bound(d1):
-        raise InvariantViolation("V^k != 1")
-    if np.any(_covariance_residuals(V, pi1, action, m % n) > tol.reconstruction_bound(d1)):
-        raise InvariantViolation("V does not conjugate pi1 onto its m-th translate")
+    _require(np.linalg.norm(V.conj().T @ V - np.eye(d1)), tol.identity_bound(d1), "corner matrix is not unitary")
+    _require(np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)), tol.reconstruction_bound(d1), "V^k != 1")
+    _require(_covariance_residuals(V, pi1, action, m % n), tol.reconstruction_bound(d1),
+             "V does not conjugate pi1 onto its m-th translate at generator {!r}", names=pi1.labels)
     if rep_end_dim(pi1, action, tol) != 1:
         raise InvariantViolation("pi1 must be irreducible")
     smaller = [j for j in translate_stabilizer(pi1, action, tol) if 0 < j < m]
@@ -379,12 +377,12 @@ def periodize(base: Rep, U, action, tol: Tolerance = DEFAULT_TOL) -> CovariantRe
     d = base.dim
     if U.shape != (d, d):
         raise InvariantViolation("unitary must act on the space of the base rep")
-    if np.any(_covariance_residuals(U, base, action, 1 % n) > tol.reconstruction_bound(d)):
-        raise InvariantViolation("U does not implement the generating automorphism")
+    _require(_covariance_residuals(U, base, action, 1 % n), tol.reconstruction_bound(d),
+             "U does not implement the generating automorphism at generator {!r}", names=base.labels)
     Un = np.linalg.matrix_power(U, n)
     lam = complex(np.trace(Un) / d)
-    if np.linalg.norm(Un - lam * np.eye(d)) > tol.abs_eps * max(1, d):
-        raise NotScalarPower("U^n is not a scalar multiple of the identity")
+    _require(np.linalg.norm(Un - lam * np.eye(d)), tol.abs_eps * max(1, d),
+             "U^n is not a scalar multiple of the identity", NotScalarPower)
     mu = np.exp(1j * np.angle(lam) / n)
     Vp = np.conj(mu) * U
     return CovariantRep(base, action, [np.linalg.matrix_power(Vp, j) for j in range(n)])

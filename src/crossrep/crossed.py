@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AlgElement, GroupAction
 from .errors import ActionMismatch, InvariantViolation
-from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, orthonormal_span
+from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, _require, orthonormal_span
 from .reps import CovariantRep, Rep, defining_rep, evaluate, induce, trivial_covariant
 
 __all__ = [
@@ -171,19 +171,16 @@ def build_crossed_model(action: GroupAction, tol: Tolerance = DEFAULT_TOL) -> Cr
     cov.validate(tol)
     S = list(G.generators)
     bound = tol.abs_eps * host / max(1, 2 * G.word_length - 1)
-    bad = np.argwhere(_relation_residuals(vg, G.table, rows=S) > bound)
-    if len(bad):
-        i, h = bad[0]
-        raise InvariantViolation(f"model unitaries fail V_g V_h = V_gh at pair ({S[i]},{h})")
+    _require(_relation_residuals(vg, G.table, rows=S), bound,
+             "model unitaries fail V_g V_h = V_gh at pair ({},{})", names=S)
     # <psi(a) V_g, psi(b) V_h> = tr(psi(a* b) V_{h g^-1}) and psi is block
     # diagonal, so once V_g has no diagonal block for g != e the Gram matrix
     # of {psi(e_l) V_g} is block diagonal in g with |G| copies of the Gram
     # matrix of {psi(e_l)}
     d = A.defining_dim
-    for g in range(n):
-        diagonal = vg[g].reshape(n, d, n, d).diagonal(axis1=0, axis2=2)
-        if g != G.identity and np.linalg.norm(diagonal) > tol.abs_eps:
-            raise InvariantViolation(f"model unitary V_{g} has a nonzero diagonal block")
+    diagonals = np.linalg.norm(vg.reshape(n, n, d, n, d).diagonal(axis1=1, axis2=3).reshape(n, -1), axis=1)
+    diagonals[G.identity] = 0.0  # V_e = 1 is all diagonal
+    _require(diagonals, tol.abs_eps, "model unitary V_{} has a nonzero diagonal block")
     model = CrossedModel(cov, n * len(orthonormal_span(list(cov.base.stack), tol)))
     if model.span_dim != n * A.linear_dim:
         raise InvariantViolation(

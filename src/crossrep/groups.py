@@ -8,7 +8,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import DecompositionFailed, InvariantViolation
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, _require
 
 __all__ = [
     "FiniteGroup",
@@ -28,9 +28,14 @@ class FiniteGroup:
     """A finite group as an index set {0..n-1} with a Cayley table.
 
     ``table[i, j]`` is the index of ``g_i * g_j``.  Construction validates
-    the Latin-square property, associativity, and the identity/inverse data.
+    the Latin-square property, the identity and associativity.
     A group is immutable: its table and inverses are read-only copies and its
     labels a tuple, so data derived from it can be computed once and shared.
+
+    ``generators`` is a generating set S, greedy in index order: an element
+    joins S when it lies outside the subgroup the earlier ones generate, so
+    each one at least doubles that subgroup and |S| <= log2 |G|.  Empty for
+    |G| = 1.
     """
 
     def __init__(self, table, identity=None, labels=None):
@@ -43,10 +48,6 @@ class FiniteGroup:
             raise InvariantViolation("Cayley table rows are not permutations")
         if not np.all(np.sort(table, axis=0) == rng[:, None]):
             raise InvariantViolation("Cayley table columns are not permutations")
-        # associativity, one i at a time: (g_i g_j) g_k == g_i (g_j g_k)
-        for row in table:
-            if not np.array_equal(table[row], row[table]):
-                raise InvariantViolation("Cayley table is not associative")
         if identity is None:
             hits = [i for i in range(n) if np.all(table[i] == rng)]
             if not hits:
@@ -54,32 +55,31 @@ class FiniteGroup:
             identity = hits[0]
         if not (np.all(table[identity] == rng) and np.all(table[:, identity] == rng)):
             raise InvariantViolation("declared identity is not neutral")
-        # each row of a Latin square holds the identity exactly once
+        identity = int(identity)
+        gens, members = [], {identity}
+        for g in range(n):
+            if g not in members:
+                gens.append(g)
+                members = _words(table, identity, gens)
+        # Light's test: the left nucleus {s : (s x) y = s (x y) for all x, y}
+        # holds the identity and is closed under products, so it is all of G
+        # once it holds the generators; row s reads (s x) y = s (x y) at once
+        for s in gens:
+            if not np.array_equal(table[table[s]], table[s][table]):
+                raise InvariantViolation("Cayley table is not associative")
+        # each row of a Latin square holds the identity exactly once, and in
+        # a group that one-sided inverse is two-sided
         inverse = np.argmax(table == identity, axis=1)
-        missing = np.flatnonzero(table[inverse, rng] != identity)
-        if len(missing):
-            raise InvariantViolation(f"element {missing[0]} has no two-sided inverse")
         for a in (table, inverse):
             a.setflags(write=False)
         self.order = n
         self.table = table
-        self.identity = int(identity)
+        self.identity = identity
         self.inverse = inverse
+        self.generators = tuple(gens)
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise InvariantViolation("label count does not match group order")
-
-    @cached_property
-    def generators(self) -> tuple[int, ...]:
-        """A generating set S, greedy in index order: an element joins S when
-        it lies outside the subgroup the earlier ones generate, so each one at
-        least doubles that subgroup and |S| <= log2 |G|.  Empty for |G| = 1."""
-        gens, members = [], {self.identity}
-        for g in range(self.order):
-            if g not in members:
-                gens.append(g)
-                members = set(subgroup_closure(self, gens).members)
-        return tuple(gens)
 
     @cached_property
     def word_length(self) -> int:
@@ -251,21 +251,25 @@ def make_symmetric_group_3() -> FiniteGroup:
     return FiniteGroup(table, identity=0, labels=S3_LABELS)
 
 
-def subgroup_closure(G: FiniteGroup, gens) -> Subgroup:
-    """Smallest subgroup of G containing ``gens``: the words in ``gens``,
-    read off by right multiplication from the identity, which in a finite
-    group hold the inverses too (s^-1 is a power of s)."""
-    gens = [int(g) for g in gens]
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    members = {G.identity}
-    frontier = [G.identity]
+def _words(table: np.ndarray, identity: int, gens: list[int]) -> set[int]:
+    """The words in ``gens``, read off a Cayley table by right
+    multiplication from the identity."""
+    members, frontier = {identity}, [identity]
     while frontier:
-        for y in G.table[frontier.pop(), gens].tolist():
+        for y in table[frontier.pop(), gens].tolist():
             if y not in members:
                 members.add(y)
                 frontier.append(y)
-    return Subgroup(G, tuple(sorted(members)))
+    return members
+
+
+def subgroup_closure(G: FiniteGroup, gens) -> Subgroup:
+    """Smallest subgroup of G containing ``gens``: the words in ``gens``,
+    which in a finite group hold the inverses too (s^-1 is a power of s)."""
+    gens = [int(g) for g in gens]
+    if not gens:
+        raise ValueError("generator list must be nonempty")
+    return Subgroup(G, tuple(sorted(_words(G.table, G.identity, gens))))
 
 
 def right_coset_reps(H: Subgroup) -> list[int]:
@@ -336,19 +340,14 @@ class CharacterTable:
         if sum(d * d for d in self.dims) != G.order:
             raise InvariantViolation("sum of squared dimensions != |G|")
         sizes = np.array([len(c) for c in self.classes])
-        # column orthogonality: sum_r chi_r(g) conj(chi_r(h))
-        for cg in range(len(self.classes)):
-            for ch in range(len(self.classes)):
-                s = np.sum(self.chars[:, cg] * np.conj(self.chars[:, ch]))
-                want = G.order / sizes[cg] if cg == ch else 0.0
-                if abs(s - want) > tol * G.order:
-                    raise InvariantViolation("character orthogonality fails")
-        dims = np.array(self.dims)
-        for c in range(len(self.classes)):
-            if self.classes[c][0] == G.identity and len(self.classes[c]) == 1:
-                continue
-            if abs(np.sum(self.chars[:, c] * dims)) > tol * G.order:
-                raise InvariantViolation("off-identity column sum does not vanish")
+        # column orthogonality: sum_r chi_r(g) conj(chi_r(h)) = |G| / |class of g| or 0
+        gram = self.chars.T @ self.chars.conj()
+        _require(np.abs(gram - np.diag(G.order / sizes)), tol * G.order,
+                 "character orthogonality fails at classes ({},{})")
+        # the regular character sum_r dim_r chi_r vanishes off the identity class
+        sums = np.abs(np.array(self.dims) @ self.chars)
+        sums[self.class_of[G.identity]] = 0.0
+        _require(sums, tol * G.order, "off-identity column sum does not vanish at class {}")
 
 
 def character_table(
@@ -364,7 +363,7 @@ def character_table(
     # deferred: reps imports this module
     from .reps import _twisted_regular, decompose
 
-    regular = _twisted_regular(G, np.ones((G.order, G.order)))
+    regular = _twisted_regular(G, np.ones((G.order, G.order)), tol)
     classes = G.conjugacy_classes()
     last_err = None
     for attempt in range(3):
@@ -381,8 +380,8 @@ def character_table(
                 per_class = []
                 for cls in classes:
                     vals = per_element[list(cls)]
-                    if np.max(np.abs(vals - vals[0])) > tol.reconstruction_bound(dim):
-                        raise InvariantViolation("character not constant on a class")
+                    _require(np.abs(vals - vals[0]), tol.reconstruction_bound(dim),
+                             "character not constant on a class at element {}", names=cls)
                     per_class.append(np.mean(vals))
                 rows.append((dim, np.array(per_class)))
             # compared on the rank_eps grid, so rounding noise below it does not decide the order

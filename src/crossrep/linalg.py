@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnitary
+from .errors import DimensionMismatch, InvariantViolation, NotUnitary
 
 __all__ = [
     "Tolerance",
@@ -65,6 +65,25 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def _require(residuals, bound, message: str, error=InvariantViolation, names=None):
+    """Raise ``error`` unless every residual is within ``bound``, which
+    broadcasts against them.  The first residual above it (or NaN), in
+    row-major order, is named: ``message`` is formatted with its index, the
+    first axis relabelled by ``names`` when given, and followed by
+    ``: residual <r> > bound <b>``."""
+    within = residuals <= bound
+    # two scalars compare to one bool, which needs no array reduction
+    if np.count_nonzero(within) == within.size if isinstance(within, np.ndarray) else within:
+        return
+    over = ~np.asarray(within)
+    index = tuple(int(i) for i in np.argwhere(over)[0])
+    r = np.broadcast_to(residuals, over.shape)[index]
+    b = np.broadcast_to(bound, over.shape)[index]
+    if names is not None and index:
+        index = (names[index[0]], *index[1:])
+    raise error(f"{message.format(*index)}: residual {r:.3e} > bound {b:.3e}")
 
 
 def as_matrix(m) -> np.ndarray:
@@ -136,7 +155,9 @@ def unitary_eigenspaces(
     """Clustered spectral decomposition of a unitary matrix.
 
     Returns ``[(lambda_c, Q_c), ...]`` where each ``Q_c`` has orthonormal
-    columns spanning the eigenspace of the cluster around ``lambda_c``.
+    columns spanning the eigenspace of the cluster around ``lambda_c``; a
+    one-column ``Q_c`` is :func:`phase_normalize` d, so it does not depend
+    on rounding in the eigensolver.
     Eigenvalues closer than ``tol.eig_sep`` on the unit circle are merged.
     Clusters are ordered by the angle of their eigenvalue, counted from
     ``-tol.eig_sep``: a cluster at 1 comes first whichever side of the
@@ -149,9 +170,8 @@ def unitary_eigenspaces(
     if U.shape[0] != U.shape[1]:
         raise DimensionMismatch("unitary_eigenspaces needs a square matrix")
     I = np.eye(n)
-    defect = np.linalg.norm(U.conj().T @ U - I)
-    if defect > tol.abs_eps * max(1.0, np.sqrt(n)):
-        raise NotUnitary(f"matrix is not unitary: ||U*U - 1|| = {defect:.3e}")
+    _require(np.linalg.norm(U.conj().T @ U - I), tol.abs_eps * max(1.0, np.sqrt(n)),
+             "matrix is not unitary, ||U*U - 1||", NotUnitary)
     if n == 0:
         return []
     # U is normal, so for a point zeta of the circle off its spectrum the
@@ -174,7 +194,9 @@ def unitary_eigenspaces(
     out = []
     for cluster in _cluster_unit_circle(eigs, tol.eig_sep):
         val = eigs[cluster].sum()
-        out.append((complex(val / abs(val)), Q[:, sorted(cluster)]))
+        basis = Q[:, sorted(cluster)]
+        # a one-dimensional eigenspace has one basis up to a phase: fix it
+        out.append((complex(val / abs(val)), phase_normalize(basis, tol) if len(cluster) == 1 else basis))
     out.sort(key=lambda pair: np.mod(np.angle(pair[0]) + tol.eig_sep, 2 * np.pi))
     return out
 
@@ -264,8 +286,8 @@ def _matrix_units(p: int, q: int) -> list[np.ndarray]:
 def _relation_residuals(M, table, c=None, rows=None) -> np.ndarray:
     """R[i, h] = ||M[gh] - c(g, h) M[g] M[h]|| (Frobenius) for g = rows[i]
     over a Cayley table, every g unless ``rows`` is given and c = 1 unless
-    given: one batched product per row g, O(|G| d^2) memory.  The first
-    failing pair is (rows[i], h) for ``i, h = np.argwhere(R > bound)[0]``."""
+    given: one batched product per row g, O(|G| d^2) memory.
+    :func:`_require` with ``names=rows`` names the first failing pair."""
     M = np.asarray(M)
     rows = range(len(table)) if rows is None else rows
     R = np.empty((len(rows), len(table)))

@@ -43,6 +43,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _relation_residuals,
+    _require,
     as_matrix,
     block_diag,
     phase_normalize,
@@ -126,48 +127,49 @@ class ProjectiveRep(Rep):
 
     def validate(self, threshold: float = DEFAULT_TOL.rank_eps):
         T, c = self.group.table, self.cocycle
-        if np.max(np.abs(np.abs(c) - 1.0)) > threshold:
-            raise InvariantViolation("cocycle values must have modulus 1")
-        bad = np.argwhere(_relation_residuals(self.mats, T, c) > threshold * max(1, self.dim))
-        if len(bad):
-            g, h = bad[0]
-            raise InvariantViolation(f"projective relation fails at pair ({g},{h})")
-        # row g: c(g, h) c(gh, k) - c(h, k) c(g, hk) over every (h, k)
-        for g in range(len(T)):
-            bad = np.argwhere(np.abs(c[g][:, None] * c[T[g]] - c * c[g][T]) > threshold)
-            if len(bad):
-                h, k = bad[0]
-                raise InvariantViolation(f"2-cocycle identity fails at ({g},{h},{k})")
+        _require(np.abs(np.abs(c) - 1.0), threshold, "cocycle values must have modulus 1 at ({},{})")
+        _require(_relation_residuals(self.mats, T, c), threshold * max(1, self.dim),
+                 "projective relation fails at pair ({},{})")
+        for g, defects in enumerate(_cocycle_defects(c, T)):
+            _require(defects, threshold, f"2-cocycle identity fails at ({g},{{}},{{}})")
+
+
+def _cocycle_defects(c, table):
+    """Row by row g of a Cayley table, the defects |c(g, h) c(gh, k) - c(h, k)
+    c(g, hk)| of the 2-cocycle identity of c over every (h, k)."""
+    for g, row in enumerate(table):
+        yield np.abs(c[g][:, None] * c[row] - c * c[g][table])
 
 
 def _cocycle(K: FiniteGroup, mats, tol: Tolerance, c=None) -> np.ndarray:
     """The 2-cocycle M_ab = c(a, b) M_a M_b of a projective unitary family,
     c(a, b) = tr((M_a M_b)* M_ab) / d unless ``c`` is given, checked one
-    batch per a against the bound and ValueError of :func:`scalar_quotient`."""
+    batch per a at ``identity_bound(|M_ab|)``, naming the first failing pair."""
     M = np.asarray(mats)
     if c is None:
         c = np.array([np.einsum("bij,bij->b", (M[a] @ M).conj(), M[row]) for a, row in enumerate(K.table)])
         c /= M.shape[1]
     norms = np.linalg.norm(M, axis=(1, 2))
-    if np.any(_relation_residuals(M, K.table, c) > tol.identity_bound(norms[K.table])):
-        raise ValueError("matrices are not scalar multiples of each other")
+    _require(_relation_residuals(M, K.table, c), tol.identity_bound(norms[K.table]),
+             "matrices are not scalar multiples of each other at pair ({},{})")
     return c
 
 
-def _twisted_regular(K: FiniteGroup, c) -> ProjectiveRep:
+def _twisted_regular(K: FiniteGroup, c, tol: Tolerance) -> ProjectiveRep:
     """The twisted regular representation L_a delta_x = c(a, x) delta_{ax}
-    of K, which carries the cocycle conj(c)."""
+    of K, which carries the cocycle conj(c).
+
+    L_a L_b delta_x = c(a, bx) c(b, x) delta_{abx}, so for unimodular c the
+    relation L_ab = conj(c)(a, b) L_a L_b at (a, b) is the 2-cocycle
+    identity of c at (a, b, x) over every x: it is checked there, at the
+    ``identity_bound(|L_ab|)`` = ``identity_bound(sqrt|K|)`` of
+    :func:`_cocycle`, naming the first failing pair."""
+    bound = tol.identity_bound(np.sqrt(K.order))
+    for a, defects in enumerate(_cocycle_defects(c, K.table)):
+        _require(np.linalg.norm(defects, axis=1), bound,
+                 f"matrices are not scalar multiples of each other at pair ({a},{{}})")
     L = c[:, None, :] * (K.table[:, None, :] == np.arange(K.order)[:, None])
     return ProjectiveRep(K, L, c.conj())
-
-
-def _monomial_residuals(M, table: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """:func:`_relation_residuals` of a family M_a delta_x = d(a, x) delta_{ax}
-    from the one nonzero entry d(a, x) of each column, O(|K|^3) scalars:
-    (M_a M_b) delta_x = d(a, bx) d(b, x) delta_{abx}."""
-    n = len(table)
-    d = np.asarray(M)[np.arange(n)[:, None], table, np.arange(n)]
-    return np.array([np.linalg.norm(d[row] - c[a][:, None] * d[a][table] * d, axis=1) for a, row in enumerate(table)])
 
 
 def defining_rep(algebra: MatAlg) -> Rep:
@@ -302,15 +304,15 @@ def _pieces(r, hom, seed: int, tol: Tolerance):
     end_dim, project = hom
     if end_dim == 1:
         return [(r, np.eye(r.dim, dtype=complex))]
-    gens = (r.joint_rep() if isinstance(r, CovariantRep) else r).stack
+    gens = r.joint_rep() if isinstance(r, CovariantRep) else r
     for attempt in range(5):
         rng = np.random.default_rng(seed + attempt)
         H = project(random_hermitian(r.dim, rng))
         H = (H + H.conj().T) / 2
         # the eigenspaces of H are invariant only if H is in the commutant
-        bound = tol.identity_bound(r.dim * np.linalg.norm(H))
-        if np.any(np.linalg.norm(H @ gens - gens @ H, axis=(1, 2)) > bound):
-            raise InvariantViolation("projected element fails to commute with a generator")
+        _require(np.linalg.norm(H @ gens.stack - gens.stack @ H, axis=(1, 2)),
+                 tol.identity_bound(r.dim * np.linalg.norm(H)),
+                 "projected element fails to commute with a generator, {!r}", names=gens.labels)
         isometries = _eigen_clusters(H, tol)
         if isometries is not None:
             break
@@ -471,21 +473,14 @@ class CovariantRep:
         p = float(np.linalg.norm(self.base.stack, axis=(1, 2)).max(initial=0.0))
         spread = max(3.0, self.action.coefficient_spread + 2 * p)
         bound = tol.identity_bound(self.dim) / (max(1, G.word_length) * spread)
-        if np.linalg.norm(U[G.identity] - np.eye(self.dim)) > bound:
-            raise InvariantViolation(f"the unitary of the identity element {G.identity} is not 1")
-        bad = np.argwhere(_relation_residuals(U, G.table, rows=S) > bound)
-        if len(bad):
-            i, h = bad[0]
-            raise InvariantViolation(f"unitaries fail homomorphism at ({S[i]},{h})")
-        defects = np.linalg.norm(U[S].conj().transpose(0, 2, 1) @ U[S] - np.eye(self.dim), axis=(1, 2))
-        bad = np.flatnonzero(defects > bound)
-        if len(bad):
-            raise InvariantViolation(f"the unitary of element {S[bad[0]]} fails U*U = 1")
+        _require(np.linalg.norm(U[G.identity] - np.eye(self.dim)), bound,
+                 f"the unitary of the identity element {G.identity} is not 1")
+        _require(_relation_residuals(U, G.table, rows=S), bound, "unitaries fail homomorphism at ({},{})", names=S)
+        _require(np.linalg.norm(U[S].conj().transpose(0, 2, 1) @ U[S] - np.eye(self.dim), axis=(1, 2)), bound,
+                 "the unitary of element {} fails U*U = 1", names=S)
         for s in S:
-            bad = np.flatnonzero(_covariance_residuals(U[s], self.base, self.action, s) > bound)
-            if len(bad):
-                label = self.base.labels[bad[0]]
-                raise InvariantViolation(f"covariance fails at element {s} on generator {label!r}")
+            _require(_covariance_residuals(U[s], self.base, self.action, s), bound,
+                     f"covariance fails at element {s} on generator {{!r}}", names=self.base.labels)
 
     def end_dim(self, tol: Tolerance = DEFAULT_TOL) -> int:
         """dim End(self), for a representation already known to be valid:
@@ -843,12 +838,11 @@ def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     # block (i, j) of W (1 (x) V)* is W_ij V*, whose trace over d is L_ij
     L = np.einsum("...iajb,...ab->...ij", W.reshape(*W.shape[:-2], r, d, r, d), V.conj()) / d
     kron = np.einsum("...ij,...ab->...iajb", L, V).reshape(W.shape)
-    bound = tol.reconstruction_bound(np.linalg.norm(W, axis=(-2, -1)))
-    if np.any(np.linalg.norm(W - kron, axis=(-2, -1)) > bound):
-        raise NotFactorable("operator is not a Kronecker multiple of V")
+    _require(np.linalg.norm(W - kron, axis=(-2, -1)), tol.reconstruction_bound(np.linalg.norm(W, axis=(-2, -1))),
+             "operator is not a Kronecker multiple of V", NotFactorable)
     defect = np.swapaxes(L.conj(), -2, -1) @ L - np.eye(r)
-    if np.any(np.linalg.norm(defect, axis=(-2, -1)) > tol.reconstruction_bound(r)):
-        raise NotFactorable("extracted factor is not unitary")
+    _require(np.linalg.norm(defect, axis=(-2, -1)), tol.reconstruction_bound(r),
+             "extracted factor is not unitary", NotFactorable)
     u, _, vh = np.linalg.svd(L)
     return u @ vh
 
@@ -858,16 +852,14 @@ def _check_carried(Pi: CovariantRep, C, parts: list[CovariantRep], what: str, to
     generator and every group unitary, to ``tol.reconstruction_bound(dim Pi)``,
     naming the first miss."""
     Ch = C.conj().T
-    bound = tol.reconstruction_bound(Pi.dim)
     labels = Pi.base.labels
     for names, mats, wanted in (
         ([f"generator {l!r}" for l in labels], Pi.base.stack,
          block_diag(*(_unit_images(p.base, labels) for p in parts))),
         ([f"unitary {g}" for g in Pi.group.labels], Pi.unitaries, block_diag(*(p.unitaries for p in parts))),
     ):
-        bad = np.flatnonzero(np.linalg.norm(Ch @ mats @ C - wanted, axis=(1, 2)) > bound)
-        if len(bad):
-            raise BlockStructureViolation(f"{what}: {names[bad[0]]} is not carried")
+        _require(np.linalg.norm(Ch @ mats @ C - wanted, axis=(1, 2)), tol.reconstruction_bound(Pi.dim),
+                 f"{what}: {{}} is not carried", BlockStructureViolation, names)
 
 
 _Orbit = namedtuple(
@@ -892,12 +884,7 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
     H, sub_action, members, coset_reps, coset_table = action.restriction(witnesses.members)
     K, V, c_V = sub_action.group, witnesses.V, witnesses.cocycle
     if frame is None:
-        # L carries conj(c_V); each L_a is monomial, so its relation is read
-        # entrywise against the bound of _cocycle
-        lam = _twisted_regular(K, c_V)
-        norms = np.linalg.norm(lam.mats, axis=(1, 2))
-        if np.any(_monomial_residuals(lam.mats, K.table, lam.cocycle) > tol.identity_bound(norms[K.table])):
-            raise ValueError("matrices are not scalar multiples of each other")
+        lam = _twisted_regular(K, c_V, tol)
     else:
         Pi, C = frame
         compressed = C.conj().T @ Pi.unitaries[list(members)] @ C

@@ -602,11 +602,11 @@ def test_cocycle_rejects_a_family_that_is_not_projective(rng, tol):
 
     K = make_cyclic_group(3)
     mats = [np.eye(2, dtype=complex), random_unitary(2, rng), random_unitary(2, rng)]
-    with pytest.raises(ValueError, match="not scalar multiples"):
+    with pytest.raises(InvariantViolation, match="not scalar multiples"):
         _cocycle(K, mats, tol)
     # a genuine representation passes, with the cocycle 1 computed or given
     Z = np.diag([1.0, np.exp(2j * np.pi / 3)])
     powers = [np.linalg.matrix_power(Z, j) for j in range(3)]
     assert np.allclose(_cocycle(K, powers, tol), 1.0)
-    with pytest.raises(ValueError, match="not scalar multiples"):
+    with pytest.raises(InvariantViolation, match="not scalar multiples"):
         _cocycle(K, powers, tol, np.full((3, 3), 1j))

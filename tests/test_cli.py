@@ -240,6 +240,34 @@ def test_analyze_zero_algebra_part_exit_3(tmp_path, capsys):
     assert "annihilates the algebra" in json.loads(capsys.readouterr().err)["error"]
 
 
+def _phase_drift_covariant(delta):
+    """Z2 acting on M16 by Ad(u), u = diag(1^8, -1^8), with the defining
+    representation and U_1 = e^{i delta} u.  The phase cancels in covariance
+    and in every character sum, so the input passes ``validate``; it stays
+    in Lambda_1 = e^{i delta}, off the relation Lambda_1^2 = 1 by 2 sin delta."""
+    A = MatAlg([16])
+    u = np.diag([1.0] * 8 + [-1.0] * 8)
+    act = GroupAction(make_cyclic_group(2), A, [StarAut.identity(A), StarAut(A, [0], [u])])
+    return CovariantRep(rep_from_images(A, lambda e: e.to_matrix()), act, [np.eye(16), np.exp(1j * delta) * u])
+
+
+def test_analyze_phase_drift_is_an_invariant_failure_with_its_margin(tmp_path, capsys):
+    cov = _phase_drift_covariant(6e-7)
+    cov.validate()
+    assert main(["analyze", _write(tmp_path / "drift.json", covariant_to_json(cov))]) == 3
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["exit"] == 3
+    assert doc["error"] == (
+        "matrices are not scalar multiples of each other at pair (1,1): residual 1.200e-06 > bound 1.000e-06"
+    )
+    # at half the drift the pair passes, and the corner V = e^{i delta} u of
+    # the cyclic form is refused, off V^2 = 1 by 2 sin delta |1_16|
+    assert main(["analyze", _write(tmp_path / "half.json", covariant_to_json(_phase_drift_covariant(3e-7)))]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "corner unitary does not satisfy V^k = 1: residual 2.400e-06 > bound 1.600e-06"
+    )
+
+
 def test_action_ref_path_resolution(tmp_path, capsys):
     from crossrep.examples import cute_example
 

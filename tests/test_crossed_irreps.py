@@ -171,15 +171,18 @@ def test_crossed_irreps_rejects_a_missing_component(monkeypatch, tol):
 
 
 def test_crossed_irreps_checks_the_twisted_regular_relation(monkeypatch, tol):
-    twisted_regular = crossrep.reps._twisted_regular
+    block_stabilizer = crossrep.sampling._block_stabilizer
 
-    def wrong_cocycle(K, c):
-        # L_a delta_x = conj(c(a, x)) delta_{ax} carries c, not the conj(c) claimed
-        L = twisted_regular(K, c.conj())
-        return ProjectiveRep(K, L.mats, c.conj())
+    def wrong_cocycle(action, k, tol):
+        # c_V with one entry off by a phase is no 2-cocycle, so the twisted
+        # regular L of c_V fails its relation
+        pi_k, stab = block_stabilizer(action, k, tol)
+        c = stab.cocycle.copy()
+        c[1, 1] *= 1j
+        return pi_k, stab._replace(cocycle=c)
 
-    monkeypatch.setattr(crossrep.reps, "_twisted_regular", wrong_cocycle)
-    with pytest.raises(ValueError, match="not scalar multiples"):
+    monkeypatch.setattr(crossrep.sampling, "_block_stabilizer", wrong_cocycle)
+    with pytest.raises(InvariantViolation, match=r"not scalar multiples of each other at pair \(\d+,\d+\): residual"):
         crossed_irreps(ACTIONS["Weyl q=3"](), seed=0, tol=tol)
 
 

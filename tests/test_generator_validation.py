@@ -28,7 +28,7 @@ from crossrep.groups import (
     subgroup_closure,
 )
 from crossrep.linalg import DEFAULT_TOL, _relation_residuals, random_unitary
-from crossrep.reps import CovariantRep, Rep, regular_representation
+from crossrep.reps import CovariantRep, Rep, defining_rep, regular_representation
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 
 GROUPS = {
@@ -248,3 +248,16 @@ def test_automorphism_defect_that_adds_up_along_words_is_caught():
     with pytest.raises(InvariantViolation, match="homomorphism"):
         GroupAction(G, A, auts)
     GroupAction(G, A, action(np.zeros(64)))
+
+
+def test_validate_refuses_a_nan_unitary():
+    # a NaN compares false with every bound, so it must be refused as not
+    # within it: past validate, the character sum cannot round it
+    A = MatAlg([2])
+    u = np.diag([1.0, -1.0])
+    act = GroupAction(make_cyclic_group(2), A, [StarAut.identity(A), StarAut(A, [0], [u])])
+    U1 = u.astype(complex)
+    U1[0, 0] = np.nan
+    cov = CovariantRep(defining_rep(A), act, [np.eye(2), U1])
+    with pytest.raises(InvariantViolation, match=r"homomorphism at \(1,0\): residual nan"):
+        cov.validate(DEFAULT_TOL)

@@ -101,6 +101,68 @@ def test_non_associative_loop_with_inverses_is_rejected():
         FiniteGroup(loop)
 
 
+def _direct_product(T1, T2):
+    n2 = len(T2)
+    return (T1[:, None, :, None] * n2 + T2[None, :, None, :]).reshape(len(T1) * n2, -1)
+
+
+def _dihedral_4():
+    # the symmetries of a square as permutations of its corners, identity first
+    r, f = (1, 2, 3, 0), (0, 3, 2, 1)
+    perms = [(0, 1, 2, 3)]
+    for p in perms:
+        for s in (r, f):
+            q = tuple(p[s[i]] for i in range(4))
+            if q not in perms:
+                perms.append(q)
+    return np.array([[perms.index(tuple(p[q[i]] for i in range(4))) for q in perms] for p in perms])
+
+
+def _switched(T, rng):
+    """T with two nonzero symbols a, b exchanged along one cycle of their
+    cells (row to the b in that row, column to the a in that column) that
+    avoids row 0 and column 0, when the drawn one does: again a Latin square
+    with identity 0, and the cells holding 0 do not move."""
+    n = len(T)
+    a, b = (int(v) for v in rng.choice(np.arange(1, n), 2, replace=False))
+    x, y = (int(v) for v in rng.choice(np.argwhere(T == a)))
+    cycle = []
+    while (x, y) not in cycle:
+        cycle.append((x, y))
+        y = int(np.flatnonzero(T[x] == b)[0])
+        cycle.append((x, y))
+        x = int(np.flatnonzero(T[:, y] == a)[0])
+    if any(0 in cell for cell in cycle):
+        return T
+    out = T.copy()
+    for cell in cycle:
+        out[cell] = a + b - T[cell]
+    return out
+
+
+def test_lights_test_refuses_exactly_the_non_associative_loops():
+    # loops of order 6-8: group tables with the identity row and column kept
+    # and up to three symbol-cycle switches inside them, against the O(n^3)
+    # reference (g_x g_y) g_z = g_x (g_y g_z) over every triple
+    z = lambda n: np.array(make_cyclic_group(n).table)
+    groups = [z(6), np.array(make_symmetric_group_3().table), z(7), z(8), _direct_product(z(2), z(4)),
+              _direct_product(z(2), _direct_product(z(2), z(2))), _dihedral_4()]
+    rng = np.random.default_rng(0)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        T = groups[int(rng.integers(len(groups)))]
+        for _ in range(int(rng.integers(4))):
+            T = _switched(T, rng)
+        associative = np.array_equal(T[T], T[:, T])
+        seen[associative] += 1
+        if associative:
+            assert FiniteGroup(T).order == len(T)
+        else:
+            with pytest.raises(InvariantViolation, match="not associative"):
+                FiniteGroup(T)
+    assert min(seen.values()) >= 50, seen
+
+
 def test_associativity_check_needs_no_cubic_array():
     tracemalloc.start()
     try:

@@ -3,13 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossrep.errors import DimensionMismatch, NotUnitary
+from crossrep.errors import DimensionMismatch, InvariantViolation, NotFactorable, NotUnitary
 from crossrep.linalg import (
     Tolerance,
+    _require,
     block_diag,
     nullspace,
     orthonormal_span,
     phase_normalize,
+    random_hermitian,
     random_unitary,
     scalar_quotient,
     solve_sylvester_family,
@@ -134,6 +136,28 @@ def test_unitary_eigenspaces_reassembly(n, rng, tol):
     U = random_unitary(n, rng)
     acc = sum(v * (iso @ iso.conj().T) for v, iso in unitary_eigenspaces(U, tol))
     assert np.linalg.norm(acc - U) < 1e-8
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_unitary_eigenspaces_fix_the_phase_of_one_dimensional_eigenspaces(seed, tol):
+    # simple eigenvalues next to a repeated one, and a perturbation of V by
+    # exp(i 1e-15 H) that no eigenvalue gap notices
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    angles = np.append(rng.uniform(-np.pi, np.pi, size=n - 2), [0.5, 0.5])
+    W = random_unitary(n, rng)
+    V = W @ np.diag(np.exp(1j * angles)) @ W.conj().T
+    evals, Q = np.linalg.eigh(random_hermitian(n, rng))
+    nearby = V @ Q @ np.diag(np.exp(1e-15j * evals)) @ Q.conj().T
+    spaces, moved = unitary_eigenspaces(V, tol), unitary_eigenspaces(nearby, tol)
+    assert [iso.shape for _, iso in spaces] == [iso.shape for _, iso in moved]
+    columns = [(iso, other) for (_, iso), (_, other) in zip(spaces, moved) if iso.shape[1] == 1]
+    assert len(columns) == n - 2
+    for iso, other in columns:
+        moduli = np.abs(iso[:, 0])
+        pivot = iso[int(np.argmax(moduli >= (1 - tol.rank_eps) * moduli.max())), 0]
+        assert pivot.real > 0 and abs(pivot.imag) <= 1e-15 * abs(pivot)
+        assert np.abs(iso - other).max() < 1e-12
 
 
 def test_unitary_eigenspaces_rejects_nonunitary(tol):
@@ -343,3 +367,49 @@ def test_nullspace_of_everything_holds_one_identity(M, tol):
         tracemalloc.stop()
     assert len(basis) == 200 and np.array_equal(np.array(basis), np.eye(200))
     assert peak < 3 * np.eye(200, dtype=complex).nbytes
+
+
+def test_require_passes_within_the_bound():
+    _require(np.array([[0.0, 1.0], [1.0, 0.5]]), 1.0, "never raised")
+    _require(0.0, 0.0, "never raised")
+    _require(np.zeros((0, 3)), 1.0, "never raised")
+
+
+def test_require_names_the_first_failing_index_in_row_major_order():
+    residuals = np.zeros((3, 4))
+    residuals[2, 0] = 5.0
+    residuals[1, 3] = 2.0
+    with pytest.raises(InvariantViolation, match=r"^fails at \(1,3\): residual 2\.000e\+00 > bound 1\.000e\+00$"):
+        _require(residuals, 1.0, "fails at ({},{})")
+
+
+def test_require_relabels_the_first_axis_by_names():
+    residuals = np.array([[0.0, 0.0], [0.0, 3e-6]])
+    with pytest.raises(InvariantViolation, match=r"^pair \(7,1\): residual 3\.000e-06 > bound 1\.000e-06$"):
+        _require(residuals, 1e-6, "pair ({},{})", names=[4, 7])
+    with pytest.raises(InvariantViolation, match=r"^generator 'b': residual"):
+        _require(np.array([0.0, 1.0]), 0.5, "generator {!r}", names=("a", "b"))
+
+
+def test_require_reads_a_zero_dimensional_residual_with_its_error_type():
+    with pytest.raises(NotFactorable, match=r"^not a product: residual 1\.500e-03 > bound 1\.000e-03$"):
+        _require(np.float64(1.5e-3), 1e-3, "not a product", NotFactorable)
+    # a message without a placeholder ignores the index of an array
+    with pytest.raises(NotFactorable, match=r"^not a product: residual 2\.000e\+00"):
+        _require(np.array([0.0, 2.0]), 1.0, "not a product", NotFactorable)
+
+
+def test_require_broadcasts_an_array_bound():
+    residuals = np.array([[1.0, 1.0], [1.0, 1.0]])
+    # the bound of each column: only the second column fails, first in row 0
+    with pytest.raises(InvariantViolation, match=r"^\(0,1\): residual 1\.000e\+00 > bound 5\.000e-01$"):
+        _require(residuals, np.array([2.0, 0.5]), "({},{})")
+    # an array bound against a scalar residual names the bound's index
+    with pytest.raises(InvariantViolation, match=r"^at 2: residual 1\.000e\+00 > bound 1\.000e-01$"):
+        _require(1.0, np.array([3.0, 2.0, 0.1]), "at {}")
+
+
+def test_require_refuses_a_nan_residual():
+    # NaN compares false with every bound, so "not within" refuses it
+    with pytest.raises(InvariantViolation, match=r"^at 1: residual nan > bound 1\.000e\+00$"):
+        _require(np.array([0.0, np.nan, 2.0]), 1.0, "at {}")
