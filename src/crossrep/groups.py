@@ -7,7 +7,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DecompositionFailed, InvariantViolation
+from .errors import InvariantViolation
 from .linalg import DEFAULT_TOL, Tolerance, _require
 
 __all__ = [
@@ -353,48 +353,32 @@ class CharacterTable:
 def character_table(
     G: FiniteGroup, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> CharacterTable:
-    """Character table computed by decomposing the regular representation.
+    """Character table read from the irreducibles of the regular representation,
+    one per class (``reps._projective_irreps`` with the trivial cocycle).
 
-    The regular representation is the twisted regular representation with
-    the trivial cocycle, which the projective character engine decomposes.
-    Each irrep appears in it with multiplicity equal to its dimension;
-    characters are read off as traces of the irreducible components.
+    Characters are their traces, which must be constant on each conjugacy
+    class; :meth:`CharacterTable.validate` certifies sum dim^2 = |G| and
+    orthogonality.  Either failure raises :class:`InvariantViolation`.
     """
     # deferred: reps imports this module
-    from .reps import _twisted_regular, decompose
+    from .reps import _projective_irreps
 
-    regular = _twisted_regular(G, np.ones((G.order, G.order)), tol)
     classes = G.conjugacy_classes()
-    last_err = None
-    for attempt in range(3):
-        try:
-            dec = decompose(regular, seed + 17 * attempt, tol)
-            rows = []
-            for irrep, mult in dec.components:
-                dim = irrep.dim
-                if mult != dim:
-                    raise InvariantViolation(
-                        f"regular multiplicity {mult} != dimension {dim}"
-                    )
-                per_element = np.trace(irrep.mats, axis1=1, axis2=2)
-                per_class = []
-                for cls in classes:
-                    vals = per_element[list(cls)]
-                    _require(np.abs(vals - vals[0]), tol.reconstruction_bound(dim),
-                             "character not constant on a class at element {}", names=cls)
-                    per_class.append(np.mean(vals))
-                rows.append((dim, np.array(per_class)))
-            # compared on the rank_eps grid, so rounding noise below it does not decide the order
-            grid = tol.rank_eps
-            rows.sort(key=lambda r: (r[0], tuple((round(z.real / grid), round(z.imag / grid)) for z in r[1])))
-            table = CharacterTable(
-                group=G,
-                classes=classes,
-                chars=np.array([r[1] for r in rows]),
-                dims=[r[0] for r in rows],
-            )
-            table.validate(tol.rank_eps)
-            return table
-        except (InvariantViolation, DecompositionFailed) as err:  # retry reseeded
-            last_err = err
-    raise DecompositionFailed(f"character table failed after retries: {last_err}")
+    rows = []
+    for irrep in _projective_irreps(G, np.ones((G.order, G.order)), seed, tol):
+        chi = np.trace(irrep.mats, axis1=1, axis2=2)
+        for cls in classes:
+            _require(np.abs(chi[list(cls)] - chi[cls[0]]), tol.reconstruction_bound(irrep.dim),
+                     "character not constant on a class at element {}", names=cls)
+        rows.append((irrep.dim, np.array([chi[list(cls)].mean() for cls in classes])))
+    # compared on the rank_eps grid, so rounding noise below it does not decide the order
+    grid = tol.rank_eps
+    rows.sort(key=lambda r: (r[0], tuple((round(z.real / grid), round(z.imag / grid)) for z in r[1])))
+    table = CharacterTable(
+        group=G,
+        classes=classes,
+        chars=np.array([r[1] for r in rows]),
+        dims=[r[0] for r in rows],
+    )
+    table.validate(tol.rank_eps)
+    return table

@@ -14,8 +14,9 @@ theorem is read off in one place, ``_mackey_orbit``: an irreducible of
 M_{n_1} + ... + M_{n_b} is the compression to one block k up to a unitary,
 its stabilizer is {g : alpha_g fixes k} (:func:`translate_stabilizer`), and
 a covariant representation over the orbit of k is a sum of
-Ind_H^G(Lambda (x) V) (:func:`induce`).  :func:`decompose`, the analyzer
-and ``crossed_irreps`` all go through it.
+Ind_H^G(Lambda (x) V) (:func:`induce`).  :func:`decompose` and the
+analyzer go through it; ``crossed_irreps`` and ``character_table`` take
+their irreducible Lambda from ``_projective_irreps``.
 """
 
 from __future__ import annotations
@@ -155,23 +156,6 @@ def _cocycle(K: FiniteGroup, mats, tol: Tolerance, c=None) -> np.ndarray:
     return c
 
 
-def _twisted_regular(K: FiniteGroup, c, tol: Tolerance) -> ProjectiveRep:
-    """The twisted regular representation L_a delta_x = c(a, x) delta_{ax}
-    of K, which carries the cocycle conj(c).
-
-    L_a L_b delta_x = c(a, bx) c(b, x) delta_{abx}, so for unimodular c the
-    relation L_ab = conj(c)(a, b) L_a L_b at (a, b) is the 2-cocycle
-    identity of c at (a, b, x) over every x: it is checked there, at the
-    ``identity_bound(|L_ab|)`` = ``identity_bound(sqrt|K|)`` of
-    :func:`_cocycle`, naming the first failing pair."""
-    bound = tol.identity_bound(np.sqrt(K.order))
-    for a, defects in enumerate(_cocycle_defects(c, K.table)):
-        _require(np.linalg.norm(defects, axis=1), bound,
-                 f"matrices are not scalar multiples of each other at pair ({a},{{}})")
-    L = c[:, None, :] * (K.table[:, None, :] == np.arange(K.order)[:, None])
-    return ProjectiveRep(K, L, c.conj())
-
-
 def defining_rep(algebra: MatAlg) -> Rep:
     """The block-diagonal inclusion of the algebra, one generator per matrix unit."""
     return rep_from_images(algebra, AlgElement.to_matrix)
@@ -291,6 +275,53 @@ def _eigen_clusters(H: np.ndarray, tol: Tolerance):
     # a cluster ends where the gap to the next eigenvalue reaches eig_sep
     cuts = np.flatnonzero(np.diff(evals) >= tol.eig_sep) + 1
     return np.split(evecs, cuts, axis=1) if len(cuts) else None
+
+
+def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[ProjectiveRep]:
+    """One irreducible per class of projective representations of K with
+    cocycle conj(c), split from the twisted regular representation
+    L_a delta_x = c(a, x) delta_{ax} without forming it.
+
+    L's relation L_ab = conj(c)(a, b) L_a L_b is the 2-cocycle identity of
+    c at (a, b, x) over every x, checked at the ``identity_bound(sqrt|K|)``
+    of :func:`_cocycle`, naming the first failing pair.  At (a, x, b) it
+    makes the right translations R_b delta_x = c(x, b) delta_{xb}, which
+    span L's commutant (Karpilovsky 1985), commute with L.  So L splits
+    along the eigenspaces Q of Y + Y*, Y = sum_b z_b R_b for z drawn from
+    ``seed``, into leaves lambda_a = Q* L_a Q read from the permuted rows
+    (L_a Q)[ax] = c(a, x) Q[x].  A leaf whose range is not invariant raises
+    :class:`InvariantViolation` naming a; a reducible leaf reseeds the
+    split, up to 5 times, then :class:`DecompositionFailed`.  Characters
+    separate the classes (Cheng 2015): a leaf is kept, in order of first
+    occurrence, unless its character inner product with a kept one is 1.
+    """
+    n = K.order
+    for a, defects in enumerate(_cocycle_defects(c, K.table)):
+        _require(np.linalg.norm(defects, axis=1), tol.identity_bound(np.sqrt(n)),
+                 f"matrices are not scalar multiples of each other at pair ({a},{{}})")
+    # source[a, y] = a^-1 y and weights[a, y] = c(a, a^-1 y): row y of L_a
+    source, cocycle = K.table[K.inverse], c.conj()
+    weights = np.take_along_axis(c, source, axis=1)
+    for attempt in range(5):
+        rng = np.random.default_rng(seed + attempt)
+        # Y[y, x] = z_b c(x, b) at b = x^-1 y, so Y transposed reads like L
+        YT = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[source] * weights
+        classes = []
+        for Q in _eigen_clusters(YT.T + YT.conj(), tol) or [np.eye(n)]:
+            if Q.shape[1] ** 2 > n:
+                break  # no irreducible of K has dimension above sqrt|K|
+            LQ = weights[..., None] * Q[source]
+            lam = Q.conj().T @ LQ
+            _require(np.linalg.norm(LQ - Q @ lam, axis=(1, 2)), tol.identity_bound(np.sqrt(Q.shape[1])),
+                     "split leaf is not invariant under L at element {}")
+            chi = np.trace(lam, axis1=1, axis2=2)
+            if _character_dim(np.abs(chi) ** 2, tol) != 1:
+                break
+            if all(_character_dim(kept.conj() * chi, tol) != 1 for _, kept in classes):
+                classes.append((ProjectiveRep(K, lam, cocycle), chi))
+        else:
+            return [rep for rep, _ in classes]
+    raise DecompositionFailed("a split leaf is reducible after 5 reseeded retries")
 
 
 def _pieces(r, hom, seed: int, tol: Tolerance):
@@ -874,28 +905,24 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
     ``witnesses`` (:func:`_witness_stack`) holds for each h of the stabilizer
     H of ``pi1`` a V_h with V_h pi1 V_h* = pi1 o alpha_h, and their cocycle
     c_V; H, its action and its cosets are read from ``action.restriction``.
-    Each irreducible lambda in
-    Lambda, of cocycle conj(c_V), gives one class Ind_H^G(lambda (x) V).  With
-    ``frame`` None Lambda is the twisted regular L_a delta_x = c_V(a, x) delta_{ax};
-    for ``frame`` (Pi, C), C* Pi(x) C = 1_r (x) pi1(x), it is the :func:`factor_tensor`
-    of C* Pi(U_h) C against V_h, and each copy Q of a class gives the isometry
-    [U_c* C (Q (x) 1)] over the coset representatives c, carrying Pi onto its Ind.
+    With ``frame`` (Pi, C), C* Pi(x) C = 1_r (x) pi1(x), Lambda is the
+    :func:`factor_tensor` of C* Pi(U_h) C against V_h, of cocycle conj(c_V).
+    Each irreducible lambda in Lambda gives one class Ind_H^G(lambda (x) V),
+    and each copy Q of it the isometry [U_c* C (Q (x) 1)] over the coset
+    representatives c, carrying Pi onto its Ind.
     """
     H, sub_action, members, coset_reps, coset_table = action.restriction(witnesses.members)
     K, V, c_V = sub_action.group, witnesses.V, witnesses.cocycle
-    if frame is None:
-        lam = _twisted_regular(K, c_V, tol)
-    else:
-        Pi, C = frame
-        compressed = C.conj().T @ Pi.unitaries[list(members)] @ C
-        lam_mats = factor_tensor(compressed, V, C.shape[1] // pi1.dim, tol)
-        # C* Pi(U_h) C = Lambda_h (x) V_h is a genuine representation, so Lambda carries conj(c_V)
-        lam = ProjectiveRep(K, lam_mats, _cocycle(K, lam_mats, tol, c_V.conj()))
+    Pi, C = frame
+    compressed = C.conj().T @ Pi.unitaries[list(members)] @ C
+    lam_mats = factor_tensor(compressed, V, C.shape[1] // pi1.dim, tol)
+    # C* Pi(U_h) C = Lambda_h (x) V_h is a genuine representation, so Lambda carries conj(c_V)
+    lam = ProjectiveRep(K, lam_mats, _cocycle(K, lam_mats, tol, c_V.conj()))
     dec, pos, classes = _decompose(lam, seed, tol), 0, []
     for rep, m in dec.components:
         psi = _tensor_psi(rep.mats, V, pi1, sub_action)
         isometries = []
-        for _ in range(m if frame is not None else 0):
+        for _ in range(m):
             W = C @ np.kron(dec.basis_change[:, pos : pos + rep.dim], np.eye(pi1.dim))
             isometries.append(np.hstack([Pi.unitaries[c].conj().T @ W for c in coset_reps]))
             pos += rep.dim

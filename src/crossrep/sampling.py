@@ -13,7 +13,8 @@ from .algebra import GroupAction, MatAlg, StarAut
 from .errors import InvariantViolation
 from .groups import make_cyclic_group, make_symmetric_group_3
 from .linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
-from .reps import CovariantRep, Rep, _block_stabilizer, _mackey_orbit, _orbit_blocks, rep_from_images
+from .reps import (CovariantRep, Rep, _block_stabilizer, _orbit_blocks, _projective_irreps, _tensor_psi, induce,
+                   rep_from_images)
 
 __all__ = [
     "random_cyclic_action",
@@ -191,19 +192,22 @@ def crossed_irreps(
     Mackey's construction with multipliers, one orbit of blocks at a time:
     with k the smallest block of the orbit, H = {g : alpha_g fixes k} and
     V_h = U^h_k of cocycle c_V, the irreducibles over the orbit are
-    Ind_H^G(Lambda (x) V) on 1 (x) pi_k, one per irreducible Lambda of H with
-    cocycle conj(c_V) in the |H|-dimensional twisted regular representation
-    L_a delta_x = c_V(a, x) delta_{ax} (the read-off that ``decompose`` and
-    the analyzer share).  Certified by ``end_dim() == 1`` on each result and
-    by the Wedderburn count sum dim^2 = |G| dim A, :class:`InvariantViolation`
-    otherwise; L passes one cocycle residual check, so the results are
-    covariant and not re-validated.  Ordered by dimension, stably, then by
-    orbit (smallest block first), then in ``decompose``'s order of the Lambda.
+    Ind_H^G(lambda (x) V) on 1 (x) pi_k, one per class of irreducible lambda
+    of H with cocycle conj(c_V) (``reps._projective_irreps``).  Certified by
+    ``end_dim() == 1`` on each result and by the Wedderburn count sum dim^2 =
+    |G| dim A, :class:`InvariantViolation` otherwise; c_V passes one cocycle
+    residual check, so the results are covariant and not re-validated.
+    Ordered by dimension, stably, then by orbit (smallest block first), then
+    in the order the split first meets each class.
     """
     G, A = action.group, action.algebra
-    blocks = _orbit_blocks(action)
-    orbits = [_mackey_orbit(action, *_block_stabilizer(action, k, tol), None, seed, tol) for k in blocks]
-    irreps = sorted((cls.induced for orbit in orbits for cls in orbit.classes), key=lambda cov: cov.dim)
+    irreps = []
+    for k in _orbit_blocks(action):
+        pi_k, stab = _block_stabilizer(action, k, tol)
+        H, sub_action, _, coset_reps, _ = action.restriction(stab.members)
+        for lam in _projective_irreps(sub_action.group, stab.cocycle, seed, tol):
+            irreps.append(induce(_tensor_psi(lam.mats, stab.V, pi_k, sub_action), action, H, coset_reps))
+    irreps.sort(key=lambda cov: cov.dim)
     for cov in irreps:
         if cov.end_dim(tol) != 1:
             raise InvariantViolation(f"an induced representation of dim {cov.dim} is reducible")

@@ -60,6 +60,13 @@ def _expect(cond: bool, message: str):
         raise SchemaError(message)
 
 
+def _expect_ints(values, lo: int, hi: float, message: str) -> list[int]:
+    """``values`` when it is a nonempty list of ints in [lo, hi), else :class:`SchemaError`:
+    bool is an int subclass, and int() would truncate 1.5 and parse "1"."""
+    _expect(isinstance(values, list) and values and all(type(v) is int and lo <= v < hi for v in values), message)
+    return values
+
+
 def matrix_from_json(obj) -> np.ndarray:
     _expect(isinstance(obj, list) and obj, "matrix must be a nonempty list of rows")
     _expect(all(isinstance(r, list) for r in obj), "matrix rows must be lists")
@@ -91,10 +98,14 @@ def group_to_json(G: FiniteGroup) -> dict:
 def group_from_json(obj) -> FiniteGroup:
     _expect(isinstance(obj, dict), "group must be an object")
     _expect("table" in obj, "group needs a Cayley table")
+    table, identity = obj["table"], obj.get("identity")
+    _expect(isinstance(table, list) and table, "Cayley table must be a nonempty list of rows")
+    for row in table:
+        _expect_ints(row, 0, len(table), f"Cayley table entries must be integers in [0, {len(table)})")
+    if identity is not None:
+        _expect_ints([identity], 0, len(table), f"identity must be an integer in [0, {len(table)})")
     try:
-        return FiniteGroup(
-            obj["table"], identity=obj.get("identity"), labels=obj.get("labels")
-        )
+        return FiniteGroup(table, identity=identity, labels=obj.get("labels"))
     except (TypeError, ValueError) as err:
         raise SchemaError(f"bad group data: {err}") from err
 
@@ -105,10 +116,7 @@ def algebra_to_json(A: MatAlg) -> dict:
 
 def algebra_from_json(obj) -> MatAlg:
     _expect(isinstance(obj, dict) and "blocks" in obj, "algebra needs a blocks list")
-    _expect(
-        isinstance(obj["blocks"], list) and obj["blocks"], "blocks must be nonempty"
-    )
-    return MatAlg(obj["blocks"])
+    return MatAlg(_expect_ints(obj["blocks"], 1, np.inf, "blocks must be a nonempty list of positive integers"))
 
 
 def staraut_to_json(a: StarAut) -> dict:
@@ -123,9 +131,9 @@ def staraut_from_json(obj, algebra: MatAlg) -> StarAut:
         isinstance(obj, dict) and "perm" in obj and "unitaries" in obj,
         "automorphism needs perm and unitaries",
     )
-    return StarAut(
-        algebra, obj["perm"], [matrix_from_json(u) for u in obj["unitaries"]]
-    )
+    perm = _expect_ints(obj["perm"], 0, algebra.n_blocks, f"perm entries must be integers in [0, {algebra.n_blocks})")
+    _expect(isinstance(obj["unitaries"], list), "automorphism unitaries must be a list")
+    return StarAut(algebra, perm, [matrix_from_json(u) for u in obj["unitaries"]])
 
 
 def action_to_json(action) -> dict:
@@ -150,15 +158,17 @@ def action_from_json(obj):
     if "auts" in obj:
         _expect("algebra" in obj, "matrix-algebra action needs an algebra")
         A = algebra_from_json(obj["algebra"])
+        _expect(isinstance(obj["auts"], dict), "auts must be an object")
         auts = []
         for g in range(G.order):
             _expect(str(g) in obj["auts"], f"missing automorphism for element {g}")
             auts.append(staraut_from_json(obj["auts"][str(g)], A))
         return GroupAction(G, A, auts)
     if "maps" in obj:
+        _expect(isinstance(obj["maps"], dict), "maps must be an object")
         maps = []
         for g in range(G.order):
-            _expect(str(g) in obj["maps"], f"missing label map for element {g}")
+            _expect(isinstance(obj["maps"].get(str(g)), dict), f"label map for element {g} must be an object")
             maps.append(dict(obj["maps"][str(g)]))
         return LabelAction(G, maps)
     raise SchemaError("action needs either auts or maps")
@@ -176,8 +186,10 @@ def rep_from_json(obj) -> Rep:
         isinstance(obj, dict) and "dim" in obj and "generators" in obj,
         "representation needs dim and generators",
     )
+    [dim] = _expect_ints([obj["dim"]], 1, np.inf, "dim must be a positive integer")
+    _expect(isinstance(obj["generators"], dict), "generators must be an object")
     gens = {l: matrix_from_json(M) for l, M in obj["generators"].items()}
-    return Rep(int(obj["dim"]), gens)
+    return Rep(dim, gens)
 
 
 def covariant_to_json(cov: CovariantRep) -> dict:
@@ -198,7 +210,7 @@ def covariant_from_json(obj, action=None) -> CovariantRep:
             "inline action required (path references are resolved by the CLI)",
         )
         action = action_from_json(obj["action_ref"])
-    _expect("unitaries" in obj, "covariant representation needs unitaries")
+    _expect(isinstance(obj.get("unitaries"), dict), "covariant representation needs a unitaries object")
     unitaries = []
     for g in range(action.group.order):
         _expect(str(g) in obj["unitaries"], f"missing unitary for element {g}")

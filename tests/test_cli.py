@@ -295,6 +295,19 @@ def test_non_finite_matrix_entry_exit_2(tmp_path, capsys):
     assert "finite numbers" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_malformed_integer_fields_exit_2(tmp_path, capsys):
+    # "x" and 1.5 used to reach int(): an internal error (exit 5) and a
+    # silent truncation to a block of dimension 1 (exit 0)
+    rep = _write(tmp_path / "rep.json", {"dim": "x", "generators": {"a": [[[1.0, 0.0]]]}})
+    assert main(["decompose", rep]) == 2
+    assert "dim must be a positive integer" in json.loads(capsys.readouterr().err)["error"]
+    doc = action_to_json(_flip_action())
+    doc["algebra"]["blocks"] = [1.5, 1]
+    action = _write(tmp_path / "action.json", doc)
+    assert main(["build-crossed", "--action", action, "--out", str(tmp_path / "m.json")]) == 2
+    assert "blocks must be a nonempty list of positive integers" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_invariant_error_exit_3(tmp_path, capsys):
     # a 3-cycle cannot generate a Z_2 action: homomorphism check fails
     A = MatAlg([1, 1, 1])

@@ -8,6 +8,7 @@ representation of the crossed-product matrix model, kept only here.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from crossrep.algebra import GroupAction, StarAut, restrict_action
 from crossrep.analyzer import analyze, classify_s3, cyclic_analyze, factor_tensor
 from crossrep.crossed import build_crossed_model
 from crossrep.errors import InvariantViolation
-from crossrep.examples import weyl_pair_homogeneous
-from crossrep.groups import Subgroup, is_standard_cyclic
+from crossrep.examples import product_cyclic_group, weyl_pair_homogeneous
+from crossrep.groups import Subgroup, is_standard_cyclic, make_cyclic_group, make_symmetric_group_3
 from crossrep.linalg import DEFAULT_TOL, block_diag, random_unitary
 from crossrep.reps import (
     CovariantRep,
@@ -30,6 +31,7 @@ from crossrep.reps import (
     Rep,
     _cocycle,
     _hom,
+    _projective_irreps,
     direct_sum_reps,
     hom_dim,
     is_irreducible,
@@ -80,18 +82,93 @@ def _host_model_irreps(act):
     return [rep for rep, _ in crossrep.reps._decompose(model, 0, DEFAULT_TOL).components]
 
 
-@pytest.mark.parametrize("name", sorted(ACTIONS))
-def test_crossed_irreps_match_host_model_reference(name, tol):
-    act = ACTIONS[name]()
-    got = crossed_irreps(act, seed=0, tol=tol)
-    want = _host_model_irreps(act)
+def _assert_one_to_one(got, want, tol):
     counts = np.array(
         [[hom_dim(a, b, tol) if a.dim == b.dim else 0 for b in want] for a in got]
     )
     # a permutation matrix: every result matches exactly one reference irreducible
     assert counts.shape == (len(want), len(want))
     assert (counts.sum(axis=0) == 1).all() and (counts.sum(axis=1) == 1).all()
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_crossed_irreps_match_host_model_reference(name, tol):
+    act = ACTIONS[name]()
+    got = crossed_irreps(act, seed=0, tol=tol)
+    _assert_one_to_one(got, _host_model_irreps(act), tol)
     assert [c.dim for c in got] == sorted(c.dim for c in got)
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_crossed_irreps_at_two_seeds_match_one_to_one(name, tol):
+    act = ACTIONS[name]()
+    _assert_one_to_one(crossed_irreps(act, seed=0, tol=tol), crossed_irreps(act, seed=7, tol=tol), tol)
+
+
+def test_crossed_irreps_of_z128_stay_small_in_memory(tol):
+    # the stabilizer is all of Z128: its dense twisted regular representation
+    # alone would hold 128^3 complex entries, 32 MB
+    act = random_cyclic_action(128, [2], np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        irreps = crossed_irreps(act, tol=tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(cov.dim**2 for cov in irreps) == 128 * 4
+    assert peak < 64 * 2**20
+
+
+def _weyl_cocycle(q):
+    # c(x, y) = w^(b_x a_y) at x = (a_x, b_x): a bilinear 2-cocycle of
+    # Z_q x Z_q, not symmetric, whose projective irreducibles form one class
+    a, b = np.divmod(np.arange(q * q), q)
+    return np.exp(2j * np.pi / q) ** np.outer(b, a)
+
+
+SPLITS = {
+    "Z8": (lambda: make_cyclic_group(8), None, [1] * 8),
+    "Z3xZ3": (lambda: product_cyclic_group(3), None, [1] * 9),
+    "S3": (make_symmetric_group_3, None, [1, 1, 2]),
+    "Z2xZ2 Weyl": (lambda: product_cyclic_group(2), _weyl_cocycle(2), [2]),
+    "Z3xZ3 Weyl": (lambda: product_cyclic_group(3), _weyl_cocycle(3), [3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLITS))
+def test_projective_irreps_keep_inequivalent_leaves_of_equal_dimension_apart(name, tol):
+    make, c, dims = SPLITS[name]
+    K = make()
+    irreps = _projective_irreps(K, np.ones((K.order, K.order)) if c is None else c, 0, tol)
+    assert sorted(r.dim for r in irreps) == dims
+    # one irreducible per class: dim Hom is 1 on the diagonal and 0 off it
+    counts = [[_hom(a, b, tol)[0] for b in irreps] for a in irreps]
+    assert counts == np.eye(len(irreps), dtype=int).tolist()
+
+
+def test_projective_irreps_refuse_a_leaf_whose_range_is_not_invariant(monkeypatch, tol):
+    eigen_clusters = crossrep.reps._eigen_clusters
+    rotated = []
+
+    def rotate_first(H, tol):
+        # mix a column of the second cluster into the first: an orthonormal
+        # frame whose range is no longer invariant under L
+        clusters = eigen_clusters(H, tol)
+        first = clusters[0].copy()
+        first[:, 0] = (first[:, 0] + clusters[1][:, 0]) / np.sqrt(2)
+        rotated.append(first)
+        return [first, *clusters[1:]]
+
+    monkeypatch.setattr(crossrep.reps, "_eigen_clusters", rotate_first)
+    K = make_cyclic_group(5)
+    with pytest.raises(InvariantViolation, match="not invariant under L at element") as err:
+        _projective_irreps(K, np.ones((5, 5)), 0, tol)
+    # the dense reference L_a delta_x = delta_{ax} names the same element
+    [Q] = rotated
+    L = (K.table[:, None, :] == np.arange(5)[:, None]).astype(complex)
+    residuals = np.linalg.norm(L @ Q - Q @ (Q.conj().T @ L @ Q), axis=(1, 2))
+    a = int(np.argmax(residuals > tol.identity_bound(np.sqrt(Q.shape[1]))))
+    assert f"at element {a}: residual {residuals[a]:.3e}" in str(err.value)
 
 
 def _stabilizer_block(cov, tol):
@@ -145,27 +222,25 @@ def test_crossed_irreps_never_builds_the_host_model(monkeypatch, tol):
 
 
 def test_crossed_irreps_rejects_a_reducible_induction(monkeypatch, tol):
-    induce = crossrep.reps.induce
+    induce = crossrep.sampling.induce
 
     def doubled(*args, **kwargs):
         cov = induce(*args, **kwargs)
         base = direct_sum_reps([cov.base, cov.base])
         return CovariantRep(base, cov.action, [block_diag(U, U) for U in cov.unitaries])
 
-    monkeypatch.setattr(crossrep.reps, "induce", doubled)
+    monkeypatch.setattr(crossrep.sampling, "induce", doubled)
     with pytest.raises(InvariantViolation, match="is reducible"):
         crossed_irreps(ACTIONS["Z4[2,2,1]"](), seed=0, tol=tol)
 
 
 def test_crossed_irreps_rejects_a_missing_component(monkeypatch, tol):
-    decompose_ = crossrep.reps._decompose
+    projective_irreps = crossrep.sampling._projective_irreps
 
     def drop_last(*args, **kwargs):
-        dec = decompose_(*args, **kwargs)
-        dec.components = dec.components[:-1]
-        return dec
+        return projective_irreps(*args, **kwargs)[:-1]
 
-    monkeypatch.setattr(crossrep.reps, "_decompose", drop_last)
+    monkeypatch.setattr(crossrep.sampling, "_projective_irreps", drop_last)
     with pytest.raises(InvariantViolation, match="dim A"):
         crossed_irreps(ACTIONS["S3 inner"](), seed=0, tol=tol)
 
@@ -187,17 +262,18 @@ def test_crossed_irreps_checks_the_twisted_regular_relation(monkeypatch, tol):
 
 
 def test_crossed_irreps_splits_only_twisted_regular_representations(monkeypatch, tol):
-    decompose_ = crossrep.reps._decompose
+    projective_irreps = crossrep.sampling._projective_irreps
     seen = []
 
-    def record(r, *args, **kwargs):
-        seen.append(r)
-        return decompose_(r, *args, **kwargs)
+    def record(K, c, *args, **kwargs):
+        seen.append((K, c))
+        return projective_irreps(K, c, *args, **kwargs)
 
-    monkeypatch.setattr(crossrep.reps, "_decompose", record)
+    monkeypatch.setattr(crossrep.sampling, "_projective_irreps", record)
     for make in ACTIONS.values():
         act = make()
-        # one split per orbit, of dimension |H| for its smallest block k
+        # one split per orbit, of the twisted regular representation of order
+        # |H| for its smallest block k
         orders, covered = [], set()
         for k in range(act.algebra.n_blocks):
             if k not in covered:
@@ -205,8 +281,8 @@ def test_crossed_irreps_splits_only_twisted_regular_representations(monkeypatch,
                 orders.append(sum(aut.perm[k] == k for aut in act.auts))
         seen.clear()
         crossed_irreps(act, seed=0, tol=tol)
-        assert all(type(r) is ProjectiveRep for r in seen)
-        assert [r.dim for r in seen] == orders
+        assert [K.order for K, _ in seen] == orders
+        assert all(np.shape(c) == (K.order, K.order) for K, c in seen)
 
 
 @pytest.mark.parametrize("name", WEYL)

@@ -272,6 +272,17 @@ def test_character_table_seed_independent_content(tol):
     assert np.allclose(a.chars, b.chars, atol=1e-7)
 
 
+@pytest.mark.parametrize(
+    "G",
+    [make_cyclic_group(8), make_symmetric_group_3(), product_cyclic_group(2), product_cyclic_group(3)],
+    ids=["Z8", "S3", "Z2xZ2", "Z3xZ3"],
+)
+def test_character_table_at_two_seeds_agrees_to_rounding(G, tol):
+    a, b = character_table(G, seed=0, tol=tol), character_table(G, seed=7, tol=tol)
+    assert a.dims == b.dims
+    assert np.max(np.abs(a.chars - b.chars)) < 1e-12
+
+
 def test_character_table_row_orthogonality_values(tol):
     # explicit statement: sum_r chi_r(g) conj(chi_r(h)) = |G|/C(g) on a class
     ct = character_table(make_symmetric_group_3(), seed=3, tol=tol)

@@ -5,8 +5,9 @@ and ``LabelAction`` read every residual ||M_gh - c(g, h) M_g M_h|| in one
 batch per row g.  Corrupting one matrix (or one label map) at a random
 index must make each raise at the first failing pair that a plain loop over
 (g, h), g outer, finds; the uncorrupted inputs must pass.  The monomial
-twisted regular representation reads the same relations off the 2-cocycle
-identity of its cocycle, and refuses exactly where the dense residuals do.
+twisted regular representation, split without being formed, reads the same
+relations off the 2-cocycle identity of its cocycle, and refuses exactly
+where the dense residuals do.
 """
 
 import re
@@ -18,11 +19,11 @@ from hypothesis import strategies as st
 
 from crossrep.algebra import GroupAction, LabelAction, StarAut
 from crossrep.analyzer import analyze
-from crossrep.errors import InvariantViolation
+from crossrep.errors import DecompositionFailed, InvariantViolation
 from crossrep.examples import product_cyclic_group, s3_label_action
 from crossrep.groups import make_cyclic_group, make_symmetric_group_3
 from crossrep.linalg import DEFAULT_TOL, _relation_residuals, random_unitary
-from crossrep.reps import CovariantRep, ProjectiveRep, _twisted_regular
+from crossrep.reps import CovariantRep, ProjectiveRep, _hom, _projective_irreps
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 
 _actions = st.one_of(
@@ -166,8 +167,18 @@ def test_twisted_regular_refuses_where_the_dense_reference_does(group, corrupt, 
     if corrupt == "cocycle":
         assert len(bad)
     if not len(bad):
-        assert np.array_equal(_twisted_regular(K, c, DEFAULT_TOL).mats, L)
+        try:
+            irreps = _projective_irreps(K, c, seed, DEFAULT_TOL)
+        except (InvariantViolation, DecompositionFailed) as err:
+            # a near-cocycle passes the relation check; its split may still
+            # refuse leaves that are only nearly invariant
+            assert corrupt == "near" and "scalar multiples" not in str(err)
+            return
+        # one irreducible per class, each dim-many times in the dense reference
+        regular = ProjectiveRep(K, L, c.conj())
+        assert sum(r.dim**2 for r in irreps) == K.order
+        assert all(_hom(r, regular, DEFAULT_TOL)[0] == r.dim for r in irreps)
         return
     pair = f"pair ({bad[0][0]},{bad[0][1]}): residual {dense[tuple(bad[0])]:.3e}"
     with pytest.raises(InvariantViolation, match=re.escape(pair)):
-        _twisted_regular(K, c, DEFAULT_TOL)
+        _projective_irreps(K, c, seed, DEFAULT_TOL)

@@ -92,6 +92,71 @@ def test_group_with_bad_table_is_invariant_failure():
         group_from_json({"order": 2})
 
 
+_REP = {"dim": 1, "generators": {"a": [[[1.0, 0.0]]]}}
+_FLIP = {
+    "group": {"order": 2, "table": [[0, 1], [1, 0]], "identity": 0},
+    "algebra": {"blocks": [1, 1]},
+    "auts": {str(g): {"perm": perm, "unitaries": [[[[1.0, 0.0]]]] * 2} for g, perm in enumerate([[0, 1], [1, 0]])},
+}
+_COVARIANT = {**_REP, "action_ref": _FLIP, "unitaries": {"0": [[[1.0, 0.0]]], "1": [[[1.0, 0.0]]]}}
+
+
+def _with(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "load, doc",
+    [
+        (rep_from_json, _with(_REP, ["dim"], "x")),
+        (rep_from_json, _with(_REP, ["dim"], 1.5)),
+        (rep_from_json, _with(_REP, ["dim"], True)),
+        (rep_from_json, _with(_REP, ["dim"], 0)),
+        (rep_from_json, _with(_REP, ["generators"], [])),
+        (action_from_json, _with(_FLIP, ["algebra", "blocks"], ["a", 1])),
+        (action_from_json, _with(_FLIP, ["algebra", "blocks"], [1.5, 1])),
+        (action_from_json, _with(_FLIP, ["algebra", "blocks"], [0, 1])),
+        (action_from_json, _with(_FLIP, ["auts", "1", "perm"], "ab")),
+        (action_from_json, _with(_FLIP, ["auts", "1", "perm"], [1, 2])),
+        (action_from_json, _with(_FLIP, ["auts", "1", "perm"], [1.0, 0])),
+        (action_from_json, _with(_FLIP, ["auts", "1", "unitaries"], 5)),
+        (action_from_json, _with(_FLIP, ["auts"], [])),
+        (action_from_json, _with(_FLIP, ["group", "identity"], "0")),
+        (action_from_json, _with(_FLIP, ["group", "identity"], 7)),
+        (action_from_json, _with(_FLIP, ["group", "identity"], False)),
+        (action_from_json, _with(_FLIP, ["group", "table"], [[0.4, 1.2], [1.0, 0.0]])),
+        (action_from_json, _with(_FLIP, ["group", "table"], [[0, 5], [1, 0]])),
+        (action_from_json, _with(_FLIP, ["group", "table"], "ab")),
+        (action_from_json, {"group": _FLIP["group"], "maps": []}),
+        (action_from_json, {"group": _FLIP["group"], "maps": {"0": {"a": "a"}, "1": [["a", "a"]]}}),
+        (covariant_from_json, _with(_COVARIANT, ["unitaries"], [[[[1.0, 0.0]]]] * 2)),
+    ],
+    ids=[
+        "dim-string", "dim-float", "dim-bool", "dim-zero", "generators-list",
+        "blocks-string", "blocks-float", "blocks-zero",
+        "perm-string", "perm-out-of-range", "perm-float", "unitaries-number", "auts-list",
+        "identity-string", "identity-out-of-range", "identity-bool",
+        "table-floats", "table-out-of-range", "table-string",
+        "maps-list", "map-list", "covariant-unitaries-list",
+    ],
+)
+def test_loaders_refuse_malformed_integer_and_object_fields(load, doc):
+    with pytest.raises(SchemaError):
+        load(doc)
+
+
+def test_loader_fixtures_are_well_formed():
+    assert rep_from_json(_REP).dim == 1
+    assert action_from_json(_FLIP).algebra.block_dims == (1, 1)
+    assert covariant_from_json(_COVARIANT).dim == 1
+
+
 def test_matalg_action_roundtrip(rng):
     act = rotation_action(3)
     again = action_from_json(json.loads(json.dumps(action_to_json(act))))

@@ -28,7 +28,6 @@ from crossrep.analyzer import (
 from crossrep.errors import (
     BlockStructureViolation,
     CanonicalFormViolation,
-    DecompositionFailed,
     InvariantViolation,
     NotFactorable,
 )
@@ -38,7 +37,6 @@ from crossrep.linalg import DEFAULT_TOL, Tolerance, random_unitary
 from crossrep.reps import (
     CovariantRep,
     Equivalence,
-    IrrepDecomposition,
     ProjectiveRep,
     Rep,
     _character_dim,
@@ -52,7 +50,7 @@ LOOSE = Tolerance(abs_eps=1e-7, rank_eps=1e-6, eig_sep=1e-4)
 TIGHT = Tolerance(abs_eps=1e-11, rank_eps=1e-10)
 
 # the functions the monkeypatched tests wrap, read before any patch
-_DECOMPOSE = crossrep.reps.decompose
+_PROJECTIVE_IRREPS = crossrep.reps._projective_irreps
 _ARE_EQUIVALENT = crossrep.examples.are_equivalent
 
 
@@ -238,17 +236,18 @@ def test_homogeneous_tensor_form_follows_the_tolerance():
 
 
 def _shifted_components(monkeypatch, elements, eps):
-    """Make ``decompose`` shift the trace of the first one-dimensional
-    component by eps at each of ``elements``."""
+    """Make ``_projective_irreps`` shift the character of its first
+    one-dimensional irreducible by eps at each of ``elements``."""
 
-    def shifted(rep, seed, tol):
-        dec = _DECOMPOSE(rep, seed, tol)
-        (first, m), *rest = dec.components
-        mats = first.mats.copy()
+    def shifted(K, c, seed, tol):
+        irreps = _PROJECTIVE_IRREPS(K, c, seed, tol)
+        i = next(i for i, rep in enumerate(irreps) if rep.dim == 1)
+        mats = irreps[i].mats.copy()
         mats[list(elements)] += eps
-        return IrrepDecomposition([(ProjectiveRep(first.group, mats, first.cocycle), m), *rest], dec.basis_change)
+        irreps[i] = ProjectiveRep(K, mats, irreps[i].cocycle)
+        return irreps
 
-    monkeypatch.setattr(crossrep.reps, "decompose", shifted)
+    monkeypatch.setattr(crossrep.reps, "_projective_irreps", shifted)
 
 
 def test_character_table_class_check_follows_the_tolerance(monkeypatch):
@@ -256,12 +255,14 @@ def test_character_table_class_check_follows_the_tolerance(monkeypatch):
     # constant to within reconstruction_bound(1)
     G = make_symmetric_group_3()
     _shifted_components(monkeypatch, [3], 1e-6)
-    with pytest.raises(DecompositionFailed, match="not constant on a class"):
+    with pytest.raises(InvariantViolation, match="not constant on a class"):
         character_table(G, tol=DEFAULT_TOL)
     character_table(G, tol=LOOSE)
-    _shifted_components(monkeypatch, [3], 1e-9)
+    # twice the tightened bound of 1e-9: a shift of exactly 1e-9 lands on
+    # that bound, where the rounding of the traces decides
+    _shifted_components(monkeypatch, [3], 2e-9)
     character_table(G, tol=DEFAULT_TOL)
-    with pytest.raises(DecompositionFailed, match="not constant on a class"):
+    with pytest.raises(InvariantViolation, match="not constant on a class"):
         character_table(G, tol=TIGHT)
 
 
@@ -270,13 +271,13 @@ def test_character_table_validate_reads_rank_eps(monkeypatch):
     # checked at rank_eps |G|, sees it
     G = make_symmetric_group_3()
     _shifted_components(monkeypatch, [3, 4, 5], 1e-6)
-    with pytest.raises(DecompositionFailed, match="orthogonality"):
+    with pytest.raises(InvariantViolation, match="orthogonality"):
         character_table(G, tol=DEFAULT_TOL)
     character_table(G, tol=LOOSE)
     # orthogonality moves by about 3e-9: within 6e-8 at the default, past 6e-10 tightened
     _shifted_components(monkeypatch, [3, 4, 5], 1e-8 / 6)
     character_table(G, tol=DEFAULT_TOL)
-    with pytest.raises(DecompositionFailed, match="orthogonality"):
+    with pytest.raises(InvariantViolation, match="orthogonality"):
         character_table(G, tol=TIGHT)
 
 
