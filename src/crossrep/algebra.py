@@ -173,6 +173,8 @@ class StarAut:
             if parent.block_dims[j] != parent.block_dims[i]:
                 raise InvariantViolation("perm maps blocks of unequal dimension")
         unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
+        if len(unitaries) != parent.n_blocks:
+            raise DimensionMismatch(f"need one unitary per block, got {len(unitaries)} for {parent.n_blocks}")
         for i, u in enumerate(unitaries):
             d = parent.block_dims[i]
             if u.shape != (d, d):

@@ -8,6 +8,7 @@ mutate their arguments.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class Tolerance:
 
     abs_eps   absolute comparison threshold for matrix identities
     rank_eps  relative singular-value cutoff for rank decisions
-    eig_sep   angular gap below which unitary eigenvalues are one cluster
+    eig_sep   gap below which eigenvalues, on the line or the unit circle, are one cluster
 
     Every numerical tolerance in the package is one of these or is derived
     from them by :meth:`identity_bound` or :meth:`reconstruction_bound`.
@@ -86,6 +87,33 @@ def _require(residuals, bound, message: str, error=InvariantViolation, names=Non
     raise error(f"{message.format(*index)}: residual {r:.3e} > bound {b:.3e}")
 
 
+def _integer(value, bound: float, what: str, unit: str, scale: str) -> int:
+    """A scalar rounded to a nonnegative integer within ``bound``, else (also
+    when NaN or infinite) :class:`InvariantViolation` naming the value, its
+    distance to the integer and the bound, ``rank_eps*<scale>``."""
+    finite = cmath.isfinite(value)  # a bound read off an infinite scale is infinite too
+    count = round(value.real) if finite else 0
+    distance = abs(value - count)
+    if not (finite and count >= 0 and distance <= bound):
+        raise InvariantViolation(f"{what} {value:.12g} is not a {unit}: {distance:.3e} from {count}, "
+                                 f"bound rank_eps*{scale} = {bound:.3e}")
+    return count
+
+
+def _cuts(values: np.ndarray, gap: float) -> np.ndarray:
+    """The positions in the sorted ``values`` where a cluster starts: a
+    cluster ends where the gap to the next value reaches ``gap``."""
+    return np.flatnonzero(np.diff(values) >= gap) + 1
+
+
+def _rank(s: np.ndarray, tol: Tolerance) -> int:
+    """The number of descending singular values ``s`` above ``rank_eps``
+    times the largest, or none when the largest is at most ``abs_eps``."""
+    if s.size == 0 or s[0] <= tol.abs_eps:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_eps * s[0]))
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-d complex array without copying when possible."""
     a = np.asarray(m, dtype=complex)
@@ -97,22 +125,15 @@ def as_matrix(m) -> np.ndarray:
 def nullspace(M, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the right nullspace of ``M``.
 
-    Rank is decided at ``tol.rank_eps`` relative to the largest singular
-    value; a matrix whose largest singular value is below ``abs_eps`` is
-    treated as zero outright (relative thresholds are meaningless there).
+    Rank is decided by :func:`_rank`; a matrix of rank 0 (largest singular
+    value at most ``abs_eps``) has the standard basis as its nullspace basis.
     """
     M = as_matrix(M)
     rows, cols = M.shape
-    if cols == 0:
-        return []
-    if rows == 0 or not np.any(M):
-        return list(np.eye(cols, dtype=complex))
     # only a wide M needs the rows of vh beyond its rank; U is never read
     _, s, vh = np.linalg.svd(M, full_matrices=rows < cols)
-    if s.size == 0 or s[0] <= tol.abs_eps:
-        return list(np.eye(cols, dtype=complex))
-    rank = int(np.sum(s > tol.rank_eps * s[0]))
-    return [vh[j].conj() for j in range(rank, cols)]
+    rank = _rank(s, tol)
+    return [vh[j].conj() for j in range(rank, cols)] if rank else list(np.eye(cols, dtype=complex))
 
 
 def block_diag(*blocks) -> np.ndarray:
@@ -134,18 +155,10 @@ def _cluster_unit_circle(eigs: np.ndarray, gap: float) -> list[list[int]]:
     """Group indices of unit-modulus eigenvalues whose angular distance < gap."""
     angles = np.mod(np.angle(eigs), 2 * np.pi)
     order = np.argsort(angles, kind="stable")
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and angles[idx] - angles[clusters[-1][-1]] < gap:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
+    clusters = [cluster.tolist() for cluster in np.split(order, _cuts(angles[order], gap))]
     # the circle wraps: the last cluster may continue into the first
-    if len(clusters) > 1:
-        first, last = clusters[0], clusters[-1]
-        if angles[first[0]] + 2 * np.pi - angles[last[-1]] < gap:
-            clusters[0] = last + first
-            clusters.pop()
+    if len(clusters) > 1 and angles[order[0]] + 2 * np.pi - angles[order[-1]] < gap:
+        clusters[0] = clusters.pop() + clusters[0]
     return clusters
 
 
@@ -299,15 +312,15 @@ def _relation_residuals(M, table, c=None, rows=None) -> np.ndarray:
 
 
 def orthonormal_span(mats, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of the linear span of ``mats``."""
+    """Orthonormal (Frobenius) basis of the linear span of ``mats``, of the
+    dimension :func:`_rank` decides: none when the family is within ``abs_eps`` of 0."""
     mats = [as_matrix(m) for m in mats]
     if not mats:
         return []
     shape = mats[0].shape
     stacked = np.array([m.reshape(-1) for m in mats])
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    cutoff = tol.rank_eps * s[0] if s.size and s[0] > 0 else 0.0
-    return [vh[j].conj().reshape(shape) for j in range(int(np.sum(s > cutoff)))]
+    return [vh[j].conj().reshape(shape) for j in range(_rank(s, tol))]
 
 
 def phase_normalize(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -43,6 +43,8 @@ from .groups import FiniteGroup, Subgroup, coset_action
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _cuts,
+    _integer,
     _relation_residuals,
     _require,
     as_matrix,
@@ -272,8 +274,7 @@ def _eigen_clusters(H: np.ndarray, tol: Tolerance):
     """Orthonormal bases of the eigenspaces of a Hermitian matrix, merging
     eigenvalues closer than eig_sep; None when everything is one cluster."""
     evals, evecs = np.linalg.eigh(H)
-    # a cluster ends where the gap to the next eigenvalue reaches eig_sep
-    cuts = np.flatnonzero(np.diff(evals) >= tol.eig_sep) + 1
+    cuts = _cuts(evals, tol.eig_sep)
     return np.split(evecs, cuts, axis=1) if len(cuts) else None
 
 
@@ -290,7 +291,9 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
     along the eigenspaces Q of Y + Y*, Y = sum_b z_b R_b for z drawn from
     ``seed``, into leaves lambda_a = Q* L_a Q read from the permuted rows
     (L_a Q)[ax] = c(a, x) Q[x].  A leaf whose range is not invariant raises
-    :class:`InvariantViolation` naming a; a reducible leaf reseeds the
+    :class:`InvariantViolation` naming a, and a reducible leaf is refined by
+    :func:`_pieces`.  No irreducible of K has dimension above sqrt|K|, so a
+    wider cluster, whose gather would cost |K|^2 d memory, reseeds the
     split, up to 5 times, then :class:`DecompositionFailed`.  Characters
     separate the classes (Cheng 2015): a leaf is kept, in order of first
     occurrence, unless its character inner product with a kept one is 1.
@@ -306,22 +309,26 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
         rng = np.random.default_rng(seed + attempt)
         # Y[y, x] = z_b c(x, b) at b = x^-1 y, so Y transposed reads like L
         YT = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[source] * weights
-        classes = []
-        for Q in _eigen_clusters(YT.T + YT.conj(), tol) or [np.eye(n)]:
-            if Q.shape[1] ** 2 > n:
-                break  # no irreducible of K has dimension above sqrt|K|
-            LQ = weights[..., None] * Q[source]
-            lam = Q.conj().T @ LQ
-            _require(np.linalg.norm(LQ - Q @ lam, axis=(1, 2)), tol.identity_bound(np.sqrt(Q.shape[1])),
-                     "split leaf is not invariant under L at element {}")
-            chi = np.trace(lam, axis1=1, axis2=2)
-            if _character_dim(np.abs(chi) ** 2, tol) != 1:
-                break
+        clusters = _eigen_clusters(YT.T + YT.conj(), tol) or [np.eye(n)]
+        if all(Q.shape[1] ** 2 <= n for Q in clusters):
+            break
+    else:
+        raise DecompositionFailed("a split cluster is wider than sqrt|K| after 5 reseeded retries: too large to gather")
+    classes = []
+    for Q in clusters:
+        LQ = weights[..., None] * Q[source]
+        lam = Q.conj().T @ LQ
+        _require(np.linalg.norm(LQ - Q @ lam, axis=(1, 2)), tol.identity_bound(np.sqrt(Q.shape[1])),
+                 "split leaf is not invariant under L at element {}")
+        leaves = [lam]
+        if _character_dim(np.abs(np.trace(lam, axis1=1, axis2=2)) ** 2, tol) != 1:
+            leaf = ProjectiveRep(K, lam, cocycle)
+            leaves = [piece.mats for piece, _ in _pieces(leaf, _hom(leaf, leaf, tol), seed, tol)]
+        for mats in leaves:
+            chi = np.trace(mats, axis1=1, axis2=2)
             if all(_character_dim(kept.conj() * chi, tol) != 1 for _, kept in classes):
-                classes.append((ProjectiveRep(K, lam, cocycle), chi))
-        else:
-            return [rep for rep, _ in classes]
-    raise DecompositionFailed("a split leaf is reducible after 5 reseeded retries")
+                classes.append((ProjectiveRep(K, mats, cocycle), chi))
+    return [rep for rep, _ in classes]
 
 
 def _pieces(r, hom, seed: int, tol: Tolerance):
@@ -601,19 +608,9 @@ def hom_dim(cov1: CovariantRep, cov2: CovariantRep, tol: Tolerance = DEFAULT_TOL
 
 def _character_dim(terms: np.ndarray, tol: Tolerance) -> int:
     """The character sum |G|^-1 sum of ``terms``, one row per group element,
-    rounded to a dimension within ``rank_eps`` of the mean of |terms|;
-    :class:`InvariantViolation`, naming the sum, its distance to the nearest
-    integer and the bound, when it is not near a nonnegative integer."""
-    total = terms.sum() / len(terms)
-    count = round(total.real)
-    distance = abs(total - count)
+    rounded by :func:`_integer` to a dimension within ``rank_eps`` of the mean of |terms|."""
     bound = tol.rank_eps * max(1.0, np.abs(terms).sum() / len(terms))
-    if count < 0 or distance > bound:
-        raise InvariantViolation(
-            f"character sum {total:.12g} is not a dimension: {distance:.3e} from {count}, "
-            f"bound rank_eps*scale = {bound:.3e}"
-        )
-    return count
+    return _integer(terms.sum() / len(terms), bound, "character sum", "dimension", "scale")
 
 
 def hom_projection(cov1: CovariantRep, cov2: CovariantRep, X) -> np.ndarray:
@@ -653,10 +650,11 @@ def _hom(a, b, tol: Tolerance):
     """
     if isinstance(a, ProjectiveRep):
         c1, c2 = a.cocycle, b.cocycle
-        if c1 is not c2 and not (
-            c1.shape == c2.shape and np.allclose(c1, c2, rtol=0, atol=tol.identity_bound(1.0))
-        ):
-            raise ActionMismatch("projective representations with different cocycles")
+        if c1 is not c2:
+            if c1.shape != c2.shape:
+                raise ActionMismatch("projective representations with different cocycles")
+            _require(np.abs(c1 - c2), tol.identity_bound(1.0),
+                     "projective representations with different cocycles at pair ({},{})", ActionMismatch)
         L1, L2 = a.mats, b.mats
         count = _character_dim(np.trace(L2, axis1=1, axis2=2) * np.trace(L1, axis1=1, axis2=2).conj(), tol)
         L1h = L1.conj().transpose(0, 2, 1)
@@ -719,20 +717,11 @@ def rep_end_dim(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def _ranks(P: np.ndarray, tol: Tolerance) -> list[int]:
-    """The ranks tr P of a stack of projections, each rounded to an integer
-    within ``rank_eps`` of their dimension, else :class:`InvariantViolation`
-    naming the trace, its distance to the rank and the bound."""
-    traces = np.trace(P, axis1=1, axis2=2).real
-    ranks = np.round(traces).astype(int)
+    """The ranks tr P of a stack of projections, each rounded by
+    :func:`_integer` within ``rank_eps`` of their dimension."""
     bound = tol.rank_eps * max(1, P.shape[1])
-    bad = np.flatnonzero((ranks < 0) | (np.abs(traces - ranks) > bound))
-    if len(bad):
-        t, rank = traces[bad[0]], ranks[bad[0]]
-        raise InvariantViolation(
-            f"projection trace {t:.12g} is not a rank: {abs(t - rank):.3e} from {rank}, "
-            f"bound rank_eps*dim = {bound:.3e}"
-        )
-    return ranks.tolist()
+    traces = np.trace(P, axis1=1, axis2=2).real.tolist()
+    return [_integer(t, bound, "projection trace", "rank", "dim") for t in traces]
 
 
 def _frame_ranks(pi: Rep, algebra: MatAlg, tol: Tolerance) -> list[int]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .algebra import GroupAction, MatAlg, StarAut
 from .errors import InvariantViolation
-from .groups import make_cyclic_group, make_symmetric_group_3
+from .groups import Subgroup, coset_action, make_cyclic_group, make_symmetric_group_3, right_coset_reps
 from .linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
 from .reps import (CovariantRep, Rep, _block_stabilizer, _orbit_blocks, _projective_irreps, _tensor_psi, induce,
                    rep_from_images)
@@ -126,35 +126,24 @@ def random_s3_action(rng: np.random.Generator, kind: str | None = None) -> Group
         return GroupAction(G, A, auts)
 
     # orbit sizes are the subgroup indices: 1, 2, 3 or 6
-    sizes = [1, 2, 3, 6]
     subgroup_members = {1: list(range(6)), 2: [0, 1, 2], 3: [0, 3], 6: [0]}
     n_orbits = int(rng.integers(1, 3))
     blocks, orbits = [], []
     for _ in range(n_orbits):
-        size = int(rng.choice(sizes))
+        size = int(rng.choice(list(subgroup_members)))
         d = int(rng.integers(1, 3))
-        # coset space of the stabilizer subgroup
-        members = subgroup_members[size]
-        cosets = []
-        seen = set()
-        for g in range(6):
-            cs = frozenset(G.mul(h, g) for h in members)
-            if cs not in seen:
-                seen.add(cs)
-                cosets.append(cs)
-        start = len(blocks)
+        # one block per right coset H c_j of the stabilizer subgroup H
+        H = Subgroup(G, subgroup_members[size])
+        orbits.append((len(blocks), coset_action(H, right_coset_reps(H))))
         blocks.extend([d] * size)
-        orbits.append((start, cosets))
     A = MatAlg(blocks)
     auts = []
     for g in range(6):
-        ginv = G.inv(g)
         perm = [None] * A.n_blocks
-        for start, cosets in orbits:
-            for j, cs in enumerate(cosets):
-                # alpha_g(f)(Hx) = f(Hxg), so source block j lands on Hx g^{-1}
-                target = frozenset(G.mul(x, ginv) for x in cs)
-                perm[start + j] = start + cosets.index(target)
+        for start, table in orbits:
+            # alpha_g(f)(Hx) = f(Hxg), so source block j lands on H c_j g^{-1}
+            for j, target, _ in table[G.inv(g)]:
+                perm[start + j] = start + target
         auts.append(
             StarAut(A, perm, [np.eye(A.block_dims[i], dtype=complex) for i in range(A.n_blocks)])
         )

@@ -132,8 +132,12 @@ def staraut_from_json(obj, algebra: MatAlg) -> StarAut:
         "automorphism needs perm and unitaries",
     )
     perm = _expect_ints(obj["perm"], 0, algebra.n_blocks, f"perm entries must be integers in [0, {algebra.n_blocks})")
-    _expect(isinstance(obj["unitaries"], list), "automorphism unitaries must be a list")
-    return StarAut(algebra, perm, [matrix_from_json(u) for u in obj["unitaries"]])
+    _expect(isinstance(obj["unitaries"], list) and len(obj["unitaries"]) == algebra.n_blocks,
+            f"automorphism unitaries must be a list of {algebra.n_blocks}, one per block")
+    unitaries = [matrix_from_json(u) for u in obj["unitaries"]]
+    for i, (u, d) in enumerate(zip(unitaries, algebra.block_dims)):
+        _expect(u.shape == (d, d), f"block unitary {i} must be {d}x{d}")
+    return StarAut(algebra, perm, unitaries)
 
 
 def action_to_json(action) -> dict:
@@ -189,6 +193,8 @@ def rep_from_json(obj) -> Rep:
     [dim] = _expect_ints([obj["dim"]], 1, np.inf, "dim must be a positive integer")
     _expect(isinstance(obj["generators"], dict), "generators must be an object")
     gens = {l: matrix_from_json(M) for l, M in obj["generators"].items()}
+    for l, M in gens.items():
+        _expect(M.shape == (dim, dim), f"generator {l!r} must be {dim}x{dim}")
     return Rep(dim, gens)
 
 
@@ -215,6 +221,7 @@ def covariant_from_json(obj, action=None) -> CovariantRep:
     for g in range(action.group.order):
         _expect(str(g) in obj["unitaries"], f"missing unitary for element {g}")
         unitaries.append(matrix_from_json(obj["unitaries"][str(g)]))
+        _expect(unitaries[-1].shape == (base.dim, base.dim), f"unitary {g} must be {base.dim}x{base.dim}")
     return CovariantRep(base, action, unitaries)
 
 

@@ -102,6 +102,9 @@ def test_staraut_rejects_bad_data(rng):
         StarAut(A, (1, 0), [np.eye(2), np.eye(1)])  # unequal block dims
     with pytest.raises(InvariantViolation):
         StarAut(A, (0, 1), [np.array([[1, 1], [0, 1]]), np.eye(1)])  # not unitary
+    for unitaries in ([np.eye(2)], [np.eye(2), np.eye(1), np.eye(1)]):
+        with pytest.raises(DimensionMismatch, match="one unitary per block"):
+            StarAut(A, (0, 1), unitaries)
 
 
 def test_group_action_validates_composition():

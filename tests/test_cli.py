@@ -308,6 +308,19 @@ def test_malformed_integer_fields_exit_2(tmp_path, capsys):
     assert "blocks must be a nonempty list of positive integers" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_malformed_matrix_counts_and_shapes_exit_2(tmp_path, capsys):
+    # a short unitaries list was an IndexError (exit 5), a wrong shape a
+    # DimensionMismatch (exit 3): both are malformed input
+    doc = action_to_json(_flip_action())
+    doc["auts"]["1"]["unitaries"] = doc["auts"]["1"]["unitaries"][:1]
+    action = _write(tmp_path / "short.json", doc)
+    assert main(["build-crossed", "--action", action, "--out", str(tmp_path / "m.json")]) == 2
+    assert "one per block" in json.loads(capsys.readouterr().err)["error"]
+    rep = _write(tmp_path / "rep.json", {"dim": 1, "generators": {"a": [[[1.0, 0.0], [0.0, 0.0]]] * 2}})
+    assert main(["decompose", rep]) == 2
+    assert "generator 'a' must be 1x1" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_invariant_error_exit_3(tmp_path, capsys):
     # a 3-cycle cannot generate a Z_2 action: homomorphism check fails
     A = MatAlg([1, 1, 1])

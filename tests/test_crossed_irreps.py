@@ -23,8 +23,8 @@ from crossrep.analyzer import analyze, classify_s3, cyclic_analyze, factor_tenso
 from crossrep.crossed import build_crossed_model
 from crossrep.errors import InvariantViolation
 from crossrep.examples import product_cyclic_group, weyl_pair_homogeneous
-from crossrep.groups import Subgroup, is_standard_cyclic, make_cyclic_group, make_symmetric_group_3
-from crossrep.linalg import DEFAULT_TOL, block_diag, random_unitary
+from crossrep.groups import Subgroup, character_table, is_standard_cyclic, make_cyclic_group, make_symmetric_group_3
+from crossrep.linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
 from crossrep.reps import (
     CovariantRep,
     ProjectiveRep,
@@ -32,6 +32,7 @@ from crossrep.reps import (
     _cocycle,
     _hom,
     _projective_irreps,
+    decompose,
     direct_sum_reps,
     hom_dim,
     is_irreducible,
@@ -117,6 +118,43 @@ def test_crossed_irreps_of_z128_stay_small_in_memory(tol):
         tracemalloc.stop()
     assert sum(cov.dim**2 for cov in irreps) == 128 * 4
     assert peak < 64 * 2**20
+
+
+COARSE = {
+    "Z32[1] eig_sep 0.1": (32, [1], 0.1),
+    "Z32[1] eig_sep 0.5": (32, [1], 0.5),
+    "Z16[2] eig_sep 0.5": (16, [2], 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COARSE))
+def test_crossed_irreps_refine_a_reducible_leaf_at_a_coarse_eig_sep(name, monkeypatch):
+    # at this gap, inequivalent leaves of the split share a cluster: the
+    # reducible leaf is refined, where the whole split used to be redrawn
+    n, blocks, eig_sep = COARSE[name]
+    tol = Tolerance(eig_sep=eig_sep)
+    act = random_cyclic_action(n, blocks, np.random.default_rng(0))
+    refined, pieces = [], crossrep.reps._pieces
+
+    def counted(r, *args):
+        refined.append(r.dim)
+        return pieces(r, *args)
+
+    monkeypatch.setattr(crossrep.reps, "_pieces", counted)
+    got = crossed_irreps(act, seed=0, tol=tol)
+    monkeypatch.undo()
+    assert refined
+    model = build_crossed_model(act, tol).defining_covariant_rep()
+    _assert_one_to_one(got, [rep for rep, _ in decompose(model, 0, tol).components], tol)
+
+
+def test_character_table_refines_a_reducible_leaf_at_a_coarse_eig_sep():
+    G = make_cyclic_group(12)
+    coarse, exact = character_table(G, tol=Tolerance(eig_sep=0.5)), character_table(G)
+    assert coarse.dims == exact.dims == [1] * 12
+    # |<chi, chi'>| is a permutation matrix: every row of one table is one row of the other
+    overlap = np.abs(coarse.chars @ exact.chars.conj().T) / G.order
+    assert np.allclose(overlap @ overlap.T, np.eye(12)) and np.allclose(overlap.sum(axis=0), 1)
 
 
 def _weyl_cocycle(q):

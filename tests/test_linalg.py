@@ -5,6 +5,7 @@ import pytest
 
 from crossrep.errors import DimensionMismatch, InvariantViolation, NotFactorable, NotUnitary
 from crossrep.linalg import (
+    _cluster_unit_circle,
     Tolerance,
     _require,
     block_diag,
@@ -35,6 +36,13 @@ def test_nullspace_zero_matrix_is_everything(tol):
     assert len(basis) == 2
     G = np.array([[np.vdot(a, b) for b in basis] for a in basis])
     assert np.allclose(G, np.eye(2))
+
+
+def test_orthonormal_span_treats_a_family_within_abs_eps_as_zero(tol):
+    # the zero rule of nullspace: the span used to keep one direction here
+    assert orthonormal_span([1e-12 * np.eye(2)], tol) == []
+    assert len(nullspace(1e-12 * np.eye(2), tol)) == 2
+    assert len(orthonormal_span([1e-6 * np.eye(2), 2e-6 * np.eye(2)], tol)) == 1
 
 
 def test_nullspace_rank_one(tol):
@@ -122,6 +130,38 @@ def test_unitary_eigenspaces_merges_close_values():
     U = np.diag([1.0, np.exp(1e-4j), np.exp(1j)])
     es = unitary_eigenspaces(U, tol)
     assert sorted(iso.shape[1] for _, iso in es) == [1, 2]
+
+
+def _loop_clusters(eigs, gap):
+    """The one-index-at-a-time loop that _cluster_unit_circle replaced, kept as its reference."""
+    angles = np.mod(np.angle(eigs), 2 * np.pi)
+    clusters = []
+    for idx in np.argsort(angles, kind="stable"):
+        if clusters and angles[idx] - angles[clusters[-1][-1]] < gap:
+            clusters[-1].append(int(idx))
+        else:
+            clusters.append([int(idx)])
+    if len(clusters) > 1:
+        first, last = clusters[0], clusters[-1]
+        if angles[first[0]] + 2 * np.pi - angles[last[-1]] < gap:
+            clusters[0] = last + first
+            clusters.pop()
+    return clusters
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cluster_unit_circle_matches_the_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    gap = 10.0 ** rng.uniform(-4, -1)
+    # clusters of spread about a gap around random centres and around angle 0,
+    # with -gap/4 and gap/4 (the last two) one cluster across the wrap
+    centres = np.append(0.0, rng.uniform(-np.pi, np.pi, rng.integers(1, 6)))
+    angles = np.concatenate([c + gap * rng.uniform(-2, 2, rng.integers(1, 5)) for c in centres] + [[-gap / 4, gap / 4]])
+    eigs = np.exp(1j * angles)
+    got = _cluster_unit_circle(eigs, gap)
+    assert got == _loop_clusters(eigs, gap)
+    assert all(type(i) is int for cluster in got for i in cluster)
+    assert any({len(angles) - 2, len(angles) - 1} <= set(cluster) for cluster in got)
 
 
 def test_unitary_eigenspaces_wraparound_cluster():

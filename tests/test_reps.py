@@ -335,8 +335,13 @@ def test_projective_hom_matches_the_intertwiner_solve(rng, tol):
 def test_projective_hom_needs_one_cocycle(tol):
     # the q = 3 Weyl cocycle takes values off the real line, so conj moves it
     lam = _weyl_lambda(3, tol)
-    with pytest.raises(ActionMismatch):
-        _hom(lam, ProjectiveRep(lam.group, lam.mats, lam.cocycle.conj()), tol)
+    moved = ProjectiveRep(lam.group, lam.mats, lam.cocycle.conj())
+    with pytest.raises(ActionMismatch) as err:
+        _hom(lam, moved, tol)
+    # the first pair in row-major order off by more than identity_bound(1), and its residual
+    gap = np.abs(lam.cocycle - moved.cocycle)
+    a, b = np.argwhere(gap > tol.identity_bound(1.0))[0]
+    assert f"different cocycles at pair ({a},{b}): residual {gap[a, b]:.3e} > bound 1.000e-06" in str(err.value)
     with pytest.raises(ActionMismatch):
         _hom(_z3_characters([0, 1]), lam, tol)
 

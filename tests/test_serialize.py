@@ -98,6 +98,7 @@ _FLIP = {
     "algebra": {"blocks": [1, 1]},
     "auts": {str(g): {"perm": perm, "unitaries": [[[[1.0, 0.0]]]] * 2} for g, perm in enumerate([[0, 1], [1, 0]])},
 }
+_I2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 _COVARIANT = {**_REP, "action_ref": _FLIP, "unitaries": {"0": [[[1.0, 0.0]]], "1": [[[1.0, 0.0]]]}}
 
 
@@ -136,6 +137,11 @@ def _with(doc, path, value):
         (action_from_json, {"group": _FLIP["group"], "maps": []}),
         (action_from_json, {"group": _FLIP["group"], "maps": {"0": {"a": "a"}, "1": [["a", "a"]]}}),
         (covariant_from_json, _with(_COVARIANT, ["unitaries"], [[[[1.0, 0.0]]]] * 2)),
+        (action_from_json, _with(_FLIP, ["auts", "1", "unitaries"], [[[[1.0, 0.0]]]])),
+        (action_from_json, _with(_FLIP, ["auts", "1", "unitaries"], [[[[1.0, 0.0]]]] * 3)),
+        (action_from_json, _with(_FLIP, ["auts", "1", "unitaries"], [_I2, [[[1.0, 0.0]]]])),
+        (rep_from_json, _with(_REP, ["generators", "a"], _I2)),
+        (covariant_from_json, _with(_COVARIANT, ["unitaries", "1"], _I2)),
     ],
     ids=[
         "dim-string", "dim-float", "dim-bool", "dim-zero", "generators-list",
@@ -144,6 +150,8 @@ def _with(doc, path, value):
         "identity-string", "identity-out-of-range", "identity-bool",
         "table-floats", "table-out-of-range", "table-string",
         "maps-list", "map-list", "covariant-unitaries-list",
+        "aut-unitaries-too-few", "aut-unitaries-too-many", "block-unitary-shape",
+        "generator-shape", "covariant-unitary-shape",
     ],
 )
 def test_loaders_refuse_malformed_integer_and_object_fields(load, doc):

@@ -32,7 +32,7 @@ from crossrep.errors import (
     NotFactorable,
 )
 from crossrep.examples import inner_z8_minimal, run_inner_z8, run_s3_example1, weyl_pair_homogeneous
-from crossrep.groups import character_table, make_symmetric_group_3
+from crossrep.groups import character_table, make_cyclic_group, make_symmetric_group_3
 from crossrep.linalg import DEFAULT_TOL, Tolerance, random_unitary
 from crossrep.reps import (
     CovariantRep,
@@ -43,6 +43,8 @@ from crossrep.reps import (
     _check_carried,
     _covariance_residuals,
     _ranks,
+    hom_dim,
+    is_irreducible,
 )
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 
@@ -353,6 +355,23 @@ def test_ranks_names_the_trace_its_distance_and_the_bound():
     assert "projection trace 1.00000003 is not a rank" in message
     assert "3.000e-08 from 1" in message
     assert "bound rank_eps*dim = 2.000e-08" in message
+
+
+def test_a_nan_or_infinite_sum_is_not_an_integer():
+    # round() of NaN used to raise a bare ValueError, which the CLI reported as exit 5
+    cov = crossed_irreps(random_cyclic_action(3, [1], np.random.default_rng(0)))[0]
+    U = cov.unitaries.copy()
+    U[1, 0, 0] = np.nan
+    bad = CovariantRep(cov.base, cov.action, U)
+    with pytest.raises(InvariantViolation, match="character sum nan.* is not a dimension"):
+        hom_dim(bad, bad)
+    lam = ProjectiveRep(make_cyclic_group(2), [np.eye(1), np.full((1, 1), np.nan)], np.ones((2, 2)))
+    with pytest.raises(InvariantViolation, match="is not a dimension"):
+        is_irreducible(lam)
+    with pytest.raises(InvariantViolation, match="character sum inf"):
+        _character_dim(np.array([np.inf, 1.0]), DEFAULT_TOL)
+    with pytest.raises(InvariantViolation, match="projection trace nan is not a rank"):
+        _ranks(np.diag([np.nan, 0.0])[None], DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
