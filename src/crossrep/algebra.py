@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .groups import FiniteGroup, Subgroup, coset_action, right_coset_reps
+from .groups import FiniteGroup, Subgroup, coset_action, make_cyclic_group, right_coset_reps
 from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, _require, block_diag
 
 __all__ = [
@@ -338,6 +338,15 @@ class GroupAction(_Action):
         _require(np.linalg.norm(transposed[G.identity] - np.eye(d)), bound, "identity element does not act trivially")
         _require(_relation_residuals(transposed, G.table, rows=S), bound,
                  "action is not a homomorphism at pair ({},{})", names=S)
+
+
+def _cyclic_action(sigma: StarAut, n: int) -> GroupAction:
+    """Z_n acting by the powers of ``sigma``, whose order must divide n:
+    element j acts by sigma^j."""
+    auts = [StarAut.identity(sigma.parent)]
+    for _ in range(n - 1):
+        auts.append(sigma.compose(auts[-1]))
+    return GroupAction(make_cyclic_group(n), sigma.parent, auts)
 
 
 class LabelAction(_Action):

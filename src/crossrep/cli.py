@@ -108,7 +108,7 @@ def _load_json(path: str):
         raise SchemaError(f"invalid JSON in {path}: {err}") from err
 
 
-def _load_covariant(path: str):
+def _load_covariant(path: str, tol: Tolerance):
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise SchemaError("covariant representation must be a JSON object")
@@ -116,8 +116,8 @@ def _load_covariant(path: str):
     ref = obj.get("action_ref")
     if isinstance(ref, str):
         ref_path = Path(path).parent / ref
-        action = action_from_json(_load_json(str(ref_path)))
-    return covariant_from_json(obj, action=action)
+        action = action_from_json(_load_json(str(ref_path)), tol)
+    return covariant_from_json(obj, action=action, tol=tol)
 
 
 def _emit(args, payload: dict) -> None:
@@ -128,7 +128,7 @@ def _emit(args, payload: dict) -> None:
 
 
 def _cmd_build_crossed(args, tol) -> int:
-    action = action_from_json(_load_json(args.action))
+    action = action_from_json(_load_json(args.action), tol)
     if not isinstance(action, GroupAction):
         raise SchemaError("build-crossed needs a matrix-algebra action")
     if args.algebra is not None:
@@ -191,7 +191,7 @@ def _cmd_decompose(args, tol) -> int:
 
 
 def _cmd_analyze(args, tol) -> int:
-    cov = _load_covariant(args.covrep)
+    cov = _load_covariant(args.covrep, tol)
     G = cov.group
     try:
         if G == make_symmetric_group_3():

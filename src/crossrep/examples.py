@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import GroupAction, LabelAction, MatAlg, StarAut, restrict_action
+from .algebra import GroupAction, LabelAction, MatAlg, StarAut, _cyclic_action, restrict_action
 from .analyzer import (
     classify_s3,
     cyclic_analyze,
@@ -157,11 +157,7 @@ def cute_example() -> tuple[GroupAction, CovariantRep]:
     minimal: the order-four automorphism swaps two 2x2 blocks with a flip."""
     A = MatAlg([2, 2])
     W = np.array([[0, 1], [1, 0]], dtype=complex)
-    sigma = StarAut(A, (1, 0), [W, np.eye(2)])
-    auts = [StarAut.identity(A)]
-    for _ in range(3):
-        auts.append(sigma.compose(auts[-1]))
-    act = GroupAction(make_cyclic_group(4), A, auts)
+    act = _cyclic_action(StarAut(A, (1, 0), [W, np.eye(2)]), 4)
     U = np.zeros((4, 4), dtype=complex)
     U[0:2, 2:4] = W
     U[2:4, 0:2] = np.eye(2)
@@ -173,11 +169,7 @@ def rotation_action(q: int) -> GroupAction:
     """Z_q rotating the q points underlying the diagonal algebra C^q."""
     A = MatAlg([1] * q)
     perm = [(j - 1) % q for j in range(q)]
-    sigma = StarAut(A, perm, [np.eye(1)] * q)
-    auts = [StarAut.identity(A)]
-    for _ in range(q - 1):
-        auts.append(sigma.compose(auts[-1]))
-    return GroupAction(make_cyclic_group(q), A, auts)
+    return _cyclic_action(StarAut(A, perm, [np.eye(1)] * q), q)
 
 
 def quantum_mq(q: int):
@@ -199,13 +191,8 @@ def quantum_mq(q: int):
 
 def product_cyclic_group(q: int) -> FiniteGroup:
     """Z_q x Z_q with index (a, b) -> a*q + b."""
-    n = q * q
-    table = np.empty((n, n), dtype=int)
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    table[a * q + b, c * q + d] = ((a + c) % q) * q + (b + d) % q
+    a, b = np.divmod(np.arange(q * q), q)
+    table = (a[:, None] + a) % q * q + (b[:, None] + b) % q
     labels = [f"({a},{b})" for a in range(q) for b in range(q)]
     return FiniteGroup(table, identity=0, labels=labels)
 

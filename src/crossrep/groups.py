@@ -205,26 +205,9 @@ def _perm_compose(p, q):
     return tuple(p[q[x]] for x in range(len(p)))
 
 
-# permutations of {0,1,2}; eta is the 3-cycle 0->1->2->0, tau swaps 0 and 1
-_S3_PERMS = None
-
-
-def _s3_perms():
-    global _S3_PERMS
-    if _S3_PERMS is None:
-        e = (0, 1, 2)
-        eta = (1, 2, 0)
-        tau = (1, 0, 2)
-        eta2 = _perm_compose(eta, eta)
-        _S3_PERMS = [
-            e,
-            eta,
-            eta2,
-            tau,
-            _perm_compose(eta, tau),
-            _perm_compose(eta2, tau),
-        ]
-    return _S3_PERMS
+# permutations of {0,1,2} in the order e, eta, eta^2, tau, eta*tau, eta^2*tau:
+# eta is the 3-cycle 0->1->2->0, tau swaps 0 and 1
+_S3_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1))
 
 
 # fixed element indices of make_symmetric_group_3()
@@ -234,7 +217,7 @@ S3_LABELS = ["e", "eta", "eta^2", "tau", "eta*tau", "eta^2*tau"]
 
 def s3_permutations() -> list[tuple[int, ...]]:
     """The underlying point permutations, indexed like make_symmetric_group_3()."""
-    return list(_s3_perms())
+    return list(_S3_PERMS)
 
 
 @cache
@@ -245,9 +228,8 @@ def make_symmetric_group_3() -> FiniteGroup:
     generators satisfy tau^2 = eta^3 = e and tau eta tau = eta^2.  Every
     call returns the one shared (immutable) instance.
     """
-    perms = _s3_perms()
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[_perm_compose(p, q)] for q in perms] for p in perms]
+    index = {p: i for i, p in enumerate(_S3_PERMS)}
+    table = [[index[_perm_compose(p, q)] for q in _S3_PERMS] for p in _S3_PERMS]
     return FiniteGroup(table, identity=0, labels=S3_LABELS)
 
 
@@ -354,7 +336,8 @@ def character_table(
     G: FiniteGroup, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> CharacterTable:
     """Character table read from the irreducibles of the regular representation,
-    one per class (``reps._projective_irreps`` with the trivial cocycle).
+    one per class (``reps._projective_irreps`` with the trivial cocycle), in
+    its order, which no seed changes.
 
     Characters are their traces, which must be constant on each conjugacy
     class; :meth:`CharacterTable.validate` certifies sum dim^2 = |G| and
@@ -364,21 +347,14 @@ def character_table(
     from .reps import _projective_irreps
 
     classes = G.conjugacy_classes()
-    rows = []
-    for irrep in _projective_irreps(G, np.ones((G.order, G.order)), seed, tol):
+    irreps = _projective_irreps(G, np.ones((G.order, G.order)), seed, tol)
+    chars = []
+    for irrep in irreps:
         chi = np.trace(irrep.mats, axis1=1, axis2=2)
         for cls in classes:
             _require(np.abs(chi[list(cls)] - chi[cls[0]]), tol.reconstruction_bound(irrep.dim),
                      "character not constant on a class at element {}", names=cls)
-        rows.append((irrep.dim, np.array([chi[list(cls)].mean() for cls in classes])))
-    # compared on the rank_eps grid, so rounding noise below it does not decide the order
-    grid = tol.rank_eps
-    rows.sort(key=lambda r: (r[0], tuple((round(z.real / grid), round(z.imag / grid)) for z in r[1])))
-    table = CharacterTable(
-        group=G,
-        classes=classes,
-        chars=np.array([r[1] for r in rows]),
-        dims=[r[0] for r in rows],
-    )
+        chars.append([chi[list(cls)].mean() for cls in classes])
+    table = CharacterTable(group=G, classes=classes, chars=np.array(chars), dims=[irrep.dim for irrep in irreps])
     table.validate(tol.rank_eps)
     return table

@@ -258,8 +258,8 @@ class IrrepDecomposition:
     ``basis_change`` is a unitary Q with ``Q* pi(x) Q`` block diagonal,
     blocks ordered class by class, each class repeated multiplicity times,
     every copy exactly equal to the class representative.  Components have
-    the input's type; over a :class:`GroupAction` they are ordered by
-    (dimension, orbit, Lambda class), otherwise by (dimension, first occurrence).
+    the input's type; over a :class:`GroupAction` they are ordered, with no
+    seed, by (dimension, orbit, character of lambda), otherwise by (dimension, first occurrence).
     """
 
     components: list[tuple[Rep | CovariantRep, int]]
@@ -276,6 +276,15 @@ def _eigen_clusters(H: np.ndarray, tol: Tolerance):
     evals, evecs = np.linalg.eigh(H)
     cuts = _cuts(evals, tol.eig_sep)
     return np.split(evecs, cuts, axis=1) if len(cuts) else None
+
+
+def _character_key(rep: ProjectiveRep, tol: Tolerance) -> tuple:
+    """The one order of projective irreducibles of one cocycle: dimension,
+    then chi(h) = tr lambda_h, real and imaginary part, over the elements h
+    in index order on the ``rank_eps`` grid.  Characters are constant on
+    classes, so this is the order over classes by their smallest member."""
+    chi = np.trace(rep.mats, axis1=1, axis2=2) / tol.rank_eps
+    return rep.dim, *np.rint(np.column_stack([chi.real, chi.imag])).ravel().tolist()
 
 
 def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[ProjectiveRep]:
@@ -295,8 +304,8 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
     :func:`_pieces`.  No irreducible of K has dimension above sqrt|K|, so a
     wider cluster, whose gather would cost |K|^2 d memory, reseeds the
     split, up to 5 times, then :class:`DecompositionFailed`.  Characters
-    separate the classes (Cheng 2015): a leaf is kept, in order of first
-    occurrence, unless its character inner product with a kept one is 1.
+    separate the classes (Cheng 2015): a leaf is kept unless its character
+    inner product with a kept one is 1; kept ones come in :func:`_character_key` order.
     """
     n = K.order
     for a, defects in enumerate(_cocycle_defects(c, K.table)):
@@ -328,7 +337,7 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
             chi = np.trace(mats, axis1=1, axis2=2)
             if all(_character_dim(kept.conj() * chi, tol) != 1 for _, kept in classes):
                 classes.append((ProjectiveRep(K, mats, cocycle), chi))
-    return [rep for rep, _ in classes]
+    return sorted((rep for rep, _ in classes), key=lambda rep: _character_key(rep, tol))
 
 
 def _pieces(r, hom, seed: int, tol: Tolerance):
@@ -409,11 +418,11 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
     frames (:func:`_orbit_frames`): per orbit of blocks, the r-dimensional
     Lambda with C* Pi(U_h) C = Lambda_h (x) V_h on the frame C is split, and
     each copy of a class lambda is a copy of Ind_H^G(lambda (x) V); the
-    basis change must carry Pi onto the components, ordered by (dimension,
-    orbit, Lambda class).  Any other input is split along the eigenspaces
-    of the commutant projection of a random Hermitian X (:func:`_hom`),
-    pieces with dim End > 1 again, and leaves are matched by
-    :func:`covariant_equivalence`, ordered by (dimension, first occurrence).
+    basis change must carry Pi onto the components, ordered with no seed
+    by (dimension, orbit, character of lambda).  Any other input is split
+    along the eigenspaces of the commutant projection of a random Hermitian
+    X (:func:`_hom`), pieces with dim End > 1 again, and leaves are matched
+    by :func:`covariant_equivalence`, ordered by (dimension, first occurrence).
     Either way the squared multiplicities must sum to dim End, else
     :class:`InvariantViolation`; the multiset of components does not
     depend on the seed.
@@ -898,7 +907,7 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
     :func:`factor_tensor` of C* Pi(U_h) C against V_h, of cocycle conj(c_V).
     Each irreducible lambda in Lambda gives one class Ind_H^G(lambda (x) V),
     and each copy Q of it the isometry [U_c* C (Q (x) 1)] over the coset
-    representatives c, carrying Pi onto its Ind.
+    representatives c, carrying Pi onto its Ind, in :func:`_character_key` order.
     """
     H, sub_action, members, coset_reps, coset_table = action.restriction(witnesses.members)
     K, V, c_V = sub_action.group, witnesses.V, witnesses.cocycle
@@ -916,6 +925,7 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
             isometries.append(np.hstack([Pi.unitaries[c].conj().T @ W for c in coset_reps]))
             pos += rep.dim
         classes.append(_Class(rep, psi, induce(psi, action, H, coset_reps), isometries))
+    classes.sort(key=lambda cls: _character_key(cls.lam, tol))
     return _Orbit(H, sub_action, members, V, c_V, coset_reps, coset_table, pi1, lam, classes)
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import GroupAction, MatAlg, StarAut
+from .algebra import GroupAction, MatAlg, StarAut, _cyclic_action
 from .errors import InvariantViolation
-from .groups import Subgroup, coset_action, make_cyclic_group, make_symmetric_group_3, right_coset_reps
+from .groups import Subgroup, coset_action, make_symmetric_group_3, right_coset_reps
 from .linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
 from .reps import (CovariantRep, Rep, _block_stabilizer, _orbit_blocks, _projective_irreps, _tensor_psi, induce,
                    rep_from_images)
@@ -68,11 +68,7 @@ def random_cyclic_action(
             else:
                 for j in range(L):
                     unitaries[cycle[j]] = np.eye(d, dtype=complex)
-    sigma = StarAut(A, perm, unitaries)
-    auts = [StarAut.identity(A)]
-    for _ in range(n - 1):
-        auts.append(sigma.compose(auts[-1]))
-    return GroupAction(make_cyclic_group(n), A, auts)
+    return _cyclic_action(StarAut(A, perm, unitaries), n)
 
 
 def _s3_irrep_mats(kind: str):
@@ -186,8 +182,9 @@ def crossed_irreps(
     ``end_dim() == 1`` on each result and by the Wedderburn count sum dim^2 =
     |G| dim A, :class:`InvariantViolation` otherwise; c_V passes one cocycle
     residual check, so the results are covariant and not re-validated.
-    Ordered by dimension, stably, then by orbit (smallest block first), then
-    in the order the split first meets each class.
+    Ordered with no seed by dimension, then orbit (smallest block first),
+    then the character of lambda, as :func:`~crossrep.reps.decompose` orders
+    the crossed model's defining representation.
     """
     G, A = action.group, action.algebra
     irreps = []

@@ -3,7 +3,9 @@
 Complex numbers serialize as two-element ``[re, im]`` arrays; matrices as
 row-major nested arrays of those pairs.  Loaders validate shapes and raise
 :class:`SchemaError` on malformed input so the CLI can map them to a
-dedicated exit code.
+dedicated exit code.  The loaders that build an automorphism or an action
+check it at the :class:`~crossrep.linalg.Tolerance` they are given, so the
+CLI's tolerance flags reach load-time validation.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .analyzer import CyclicReport, ProjectiveRep, S3Class, StructureReport
 from .crossed import CrossedElement, CrossedModel
 from .errors import SchemaError
 from .groups import FiniteGroup
+from .linalg import DEFAULT_TOL, Tolerance
 from .reps import CovariantRep, IrrepDecomposition, Rep
 
 __all__ = [
@@ -119,6 +122,16 @@ def algebra_from_json(obj) -> MatAlg:
     return MatAlg(_expect_ints(obj["blocks"], 1, np.inf, "blocks must be a nonempty list of positive integers"))
 
 
+def _blocks_from_json(obj, algebra: MatAlg, what: str) -> list[np.ndarray]:
+    """One d x d matrix per block of ``algebra``, else :class:`SchemaError` naming ``what``."""
+    n = algebra.n_blocks
+    _expect(isinstance(obj, list) and len(obj) == n, f"{what} must be a list of {n}, one per block")
+    blocks = [matrix_from_json(b) for b in obj]
+    for i, (b, d) in enumerate(zip(blocks, algebra.block_dims)):
+        _expect(b.shape == (d, d), f"{what}: block {i} must be {d}x{d}")
+    return blocks
+
+
 def staraut_to_json(a: StarAut) -> dict:
     return {
         "perm": list(a.perm),
@@ -126,18 +139,13 @@ def staraut_to_json(a: StarAut) -> dict:
     }
 
 
-def staraut_from_json(obj, algebra: MatAlg) -> StarAut:
+def staraut_from_json(obj, algebra: MatAlg, tol: Tolerance = DEFAULT_TOL) -> StarAut:
     _expect(
         isinstance(obj, dict) and "perm" in obj and "unitaries" in obj,
         "automorphism needs perm and unitaries",
     )
     perm = _expect_ints(obj["perm"], 0, algebra.n_blocks, f"perm entries must be integers in [0, {algebra.n_blocks})")
-    _expect(isinstance(obj["unitaries"], list) and len(obj["unitaries"]) == algebra.n_blocks,
-            f"automorphism unitaries must be a list of {algebra.n_blocks}, one per block")
-    unitaries = [matrix_from_json(u) for u in obj["unitaries"]]
-    for i, (u, d) in enumerate(zip(unitaries, algebra.block_dims)):
-        _expect(u.shape == (d, d), f"block unitary {i} must be {d}x{d}")
-    return StarAut(algebra, perm, unitaries)
+    return StarAut(algebra, perm, _blocks_from_json(obj["unitaries"], algebra, "automorphism unitaries"), tol)
 
 
 def action_to_json(action) -> dict:
@@ -156,7 +164,7 @@ def action_to_json(action) -> dict:
     raise SchemaError(f"unsupported action type {type(action)!r}")
 
 
-def action_from_json(obj):
+def action_from_json(obj, tol: Tolerance = DEFAULT_TOL):
     _expect(isinstance(obj, dict) and "group" in obj, "action needs a group")
     G = group_from_json(obj["group"])
     if "auts" in obj:
@@ -166,8 +174,8 @@ def action_from_json(obj):
         auts = []
         for g in range(G.order):
             _expect(str(g) in obj["auts"], f"missing automorphism for element {g}")
-            auts.append(staraut_from_json(obj["auts"][str(g)], A))
-        return GroupAction(G, A, auts)
+            auts.append(staraut_from_json(obj["auts"][str(g)], A, tol))
+        return GroupAction(G, A, auts, tol)
     if "maps" in obj:
         _expect(isinstance(obj["maps"], dict), "maps must be an object")
         maps = []
@@ -207,7 +215,7 @@ def covariant_to_json(cov: CovariantRep) -> dict:
     return out
 
 
-def covariant_from_json(obj, action=None) -> CovariantRep:
+def covariant_from_json(obj, action=None, tol: Tolerance = DEFAULT_TOL) -> CovariantRep:
     base = rep_from_json(obj)
     if action is None:
         _expect("action_ref" in obj, "covariant representation needs action_ref")
@@ -215,7 +223,7 @@ def covariant_from_json(obj, action=None) -> CovariantRep:
             isinstance(obj["action_ref"], dict),
             "inline action required (path references are resolved by the CLI)",
         )
-        action = action_from_json(obj["action_ref"])
+        action = action_from_json(obj["action_ref"], tol)
     _expect(isinstance(obj.get("unitaries"), dict), "covariant representation needs a unitaries object")
     unitaries = []
     for g in range(action.group.order):
@@ -240,18 +248,16 @@ def crossed_element_from_json(obj, action=None) -> CrossedElement:
     if action is None:
         _expect("action_ref" in obj, "crossed element needs action_ref")
         action = action_from_json(obj["action_ref"])
+    _expect(isinstance(obj["coeffs"], dict), "coeffs must be an object")
+    A = action.algebra
     coeffs = []
     for g in range(action.group.order):
         entry = obj["coeffs"].get(str(g))
         if entry is None:
-            coeffs.append(action.algebra.zero())
+            coeffs.append(A.zero())
         else:
-            _expect("blocks" in entry, "coefficient needs blocks")
-            coeffs.append(
-                AlgElement(
-                    action.algebra, [matrix_from_json(b) for b in entry["blocks"]]
-                )
-            )
+            _expect(isinstance(entry, dict) and "blocks" in entry, f"coefficient {g} must be an object with blocks")
+            coeffs.append(AlgElement(A, _blocks_from_json(entry["blocks"], A, f"coefficient {g} blocks")))
     return CrossedElement(action, coeffs)
 
 

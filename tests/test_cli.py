@@ -15,6 +15,7 @@ from crossrep.examples import (
     torus_orbit_evaluation,
 )
 from crossrep.groups import make_cyclic_group, S3_ETA, S3_TAU
+from crossrep.linalg import Tolerance
 from crossrep.reps import (
     CovariantRep,
     direct_sum_reps,
@@ -111,6 +112,27 @@ def test_build_crossed_host_36_stays_small_in_memory(tmp_path, capsys):
     assert code == 0
     # load, build and write together; an indented dump of the same model peaks near 27 MB
     assert peak < 12 * 2**20
+
+
+def test_build_crossed_validates_the_action_at_the_flag_tolerance(tmp_path, capsys):
+    # Z2 on M2 whose block unitary misses U*U = 1 by 1e-8, and by 1e-10
+    A, loose = MatAlg([2]), Tolerance(1e-7, 1e-6, 1e-4)
+    for delta, name in ((5e-9, "coarse"), (5e-11, "fine")):
+        aut = StarAut(A, [0], [np.diag([1 + delta, 1])], loose)
+        act = GroupAction(make_cyclic_group(2), A, [StarAut.identity(A), aut], loose)
+        _write(tmp_path / f"{name}.json", action_to_json(act))
+
+    def build(name, *flags):
+        action = str(tmp_path / f"{name}.json")
+        return main([*flags, "build-crossed", "--action", action, "--out", str(tmp_path / "m.json")])
+
+    assert build("coarse") == 3
+    assert "bound 2.000e-09" in json.loads(capsys.readouterr().err)["error"]
+    assert build("coarse", "--abs-eps", "1e-7", "--rank-eps", "1e-6", "--eig-sep", "1e-4") == 0
+    assert build("fine") == 0
+    capsys.readouterr()
+    assert build("fine", "--abs-eps", "1e-12", "--rank-eps", "1e-10") == 3
+    assert "bound 2.000e-12" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_build_crossed_algebra_mismatch(tmp_path, capsys, flip_action_file):

@@ -74,6 +74,21 @@ ACTIONS = {
     "Weyl q=3 rephased": lambda: _rephased(weyl_pair_homogeneous(3).action, np.random.default_rng(3)),
 }
 WEYL = [name for name in ACTIONS if name.startswith("Weyl")]
+# ACTIONS and a random cyclic and S3 set, for the order of the irreducibles
+ORDER = {
+    **ACTIONS,
+    **{
+        f"Z{n}{blocks} seed {s}": lambda n=n, blocks=blocks, s=s: random_cyclic_action(
+            n, blocks, np.random.default_rng(s)
+        )
+        for n, blocks, s in [(8, [3], 0), (6, [1, 1, 2], 1), (5, [2, 2], 0), (7, [1, 1], 1), (8, [2, 1, 1], 2)]
+    },
+    **{
+        f"S3 {kind} seed {s}": lambda kind=kind, s=s: random_s3_action(np.random.default_rng(s), kind)
+        for kind in ("permutation", "inner", "conjugated")
+        for s in (1, 3)
+    },
+}
 
 
 def _host_model_irreps(act):
@@ -100,10 +115,34 @@ def test_crossed_irreps_match_host_model_reference(name, tol):
     assert [c.dim for c in got] == sorted(c.dim for c in got)
 
 
-@pytest.mark.parametrize("name", sorted(ACTIONS))
+def _assert_by_position(got, want, tol):
+    assert [a.dim for a in got] == [b.dim for b in want]
+    assert all(hom_dim(a, b, tol) == 1 for a, b in zip(got, want))
+
+
+def _model_irreps(act, seed, tol):
+    model = build_crossed_model(act, tol).defining_covariant_rep()
+    return [rep for rep, _ in decompose(model, seed, tol).components]
+
+
+@pytest.mark.parametrize("name", sorted(ORDER))
 def test_crossed_irreps_at_two_seeds_match_one_to_one(name, tol):
-    act = ACTIONS[name]()
-    _assert_one_to_one(crossed_irreps(act, seed=0, tol=tol), crossed_irreps(act, seed=7, tol=tol), tol)
+    # and position by position: no seed enters the order
+    act = ORDER[name]()
+    _assert_by_position(crossed_irreps(act, seed=0, tol=tol), crossed_irreps(act, seed=7, tol=tol), tol)
+
+
+@pytest.mark.parametrize("name", sorted(ORDER))
+def test_decompose_of_the_model_at_two_seeds_agrees_by_position(name, tol):
+    act = ORDER[name]()
+    _assert_by_position(_model_irreps(act, 0, tol), _model_irreps(act, 7, tol), tol)
+
+
+@pytest.mark.parametrize("name", sorted(ORDER))
+def test_crossed_irreps_agree_by_position_with_decompose_of_the_model(name, tol):
+    # both order by (dimension, orbit, character of lambda)
+    act = ORDER[name]()
+    _assert_by_position(crossed_irreps(act, seed=0, tol=tol), _model_irreps(act, 0, tol), tol)
 
 
 def test_crossed_irreps_of_z128_stay_small_in_memory(tol):

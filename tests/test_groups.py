@@ -274,13 +274,19 @@ def test_character_table_seed_independent_content(tol):
 
 @pytest.mark.parametrize(
     "G",
-    [make_cyclic_group(8), make_symmetric_group_3(), product_cyclic_group(2), product_cyclic_group(3)],
-    ids=["Z8", "S3", "Z2xZ2", "Z3xZ3"],
+    [make_cyclic_group(8), make_symmetric_group_3(), product_cyclic_group(2), product_cyclic_group(3),
+     make_cyclic_group(12), product_cyclic_group(4)],
+    ids=["Z8", "S3", "Z2xZ2", "Z3xZ3", "Z12", "Z4xZ4"],
 )
 def test_character_table_at_two_seeds_agrees_to_rounding(G, tol):
     a, b = character_table(G, seed=0, tol=tol), character_table(G, seed=7, tol=tol)
     assert a.dims == b.dims
     assert np.max(np.abs(a.chars - b.chars)) < 1e-12
+    # the rows come in the order of the irreducibles, which is the order of
+    # (dimension, characters over the classes) on the rank_eps grid
+    grid = np.rint(a.chars / tol.rank_eps)
+    keys = [(d, *np.column_stack([row.real, row.imag]).ravel()) for d, row in zip(a.dims, grid)]
+    assert keys == sorted(keys)
 
 
 def test_character_table_row_orthogonality_values(tol):

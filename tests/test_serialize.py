@@ -13,7 +13,9 @@ from crossrep.examples import (
     rotation_action,
     s3_label_action,
 )
-from crossrep.algebra import GroupAction, LabelAction
+from crossrep.algebra import GroupAction, LabelAction, MatAlg
+from crossrep.errors import InvariantViolation
+from crossrep.linalg import DEFAULT_TOL, Tolerance
 from crossrep.reps import decompose
 from crossrep.sampling import random_cyclic_action, random_s3_action
 from crossrep.serialize import (
@@ -31,6 +33,7 @@ from crossrep.serialize import (
     model_to_json,
     rep_from_json,
     rep_to_json,
+    staraut_from_json,
 )
 
 
@@ -142,6 +145,11 @@ def _with(doc, path, value):
         (action_from_json, _with(_FLIP, ["auts", "1", "unitaries"], [_I2, [[[1.0, 0.0]]]])),
         (rep_from_json, _with(_REP, ["generators", "a"], _I2)),
         (covariant_from_json, _with(_COVARIANT, ["unitaries", "1"], _I2)),
+        (crossed_element_from_json, {"action_ref": _FLIP, "coeffs": []}),
+        (crossed_element_from_json, {"action_ref": _FLIP, "coeffs": {"0": 5}}),
+        (crossed_element_from_json, {"action_ref": _FLIP, "coeffs": {"0": {"blocks": 5}}}),
+        (crossed_element_from_json, {"action_ref": _FLIP, "coeffs": {"0": {"blocks": [[[[1.0, 0.0]]]]}}}),
+        (crossed_element_from_json, {"action_ref": _FLIP, "coeffs": {"0": {"blocks": [_I2, [[[1.0, 0.0]]]]}}}),
     ],
     ids=[
         "dim-string", "dim-float", "dim-bool", "dim-zero", "generators-list",
@@ -152,11 +160,52 @@ def _with(doc, path, value):
         "maps-list", "map-list", "covariant-unitaries-list",
         "aut-unitaries-too-few", "aut-unitaries-too-many", "block-unitary-shape",
         "generator-shape", "covariant-unitary-shape",
+        "coeffs-list", "coefficient-number", "coefficient-blocks-number", "coefficient-too-few-blocks",
+        "coefficient-block-shape",
     ],
 )
 def test_loaders_refuse_malformed_integer_and_object_fields(load, doc):
     with pytest.raises(SchemaError):
         load(doc)
+
+
+def _drift_action(u):
+    """Z2 on M2 whose nontrivial automorphism is Ad(u)."""
+    one = matrix_to_json(np.eye(2))
+    return {**_FLIP, "algebra": {"blocks": [2]},
+            "auts": {"0": {"perm": [0], "unitaries": [one]}, "1": {"perm": [0], "unitaries": [matrix_to_json(u)]}}}
+
+
+_LOADERS = {
+    "staraut": lambda doc, tol: staraut_from_json(doc["auts"]["1"], MatAlg([2]), tol),
+    "action": lambda doc, tol: action_from_json(doc, tol),
+    "covariant": lambda doc, tol: covariant_from_json(
+        {"dim": 2, "generators": {"a": _I2}, "action_ref": doc, "unitaries": {"0": _I2, "1": _I2}}, tol=tol
+    ),
+}
+# (u past the default bound and within a loosened one, u within the default
+# bound and past a tightened one, the default bound, the tightened bound):
+# diag(1 + delta, 1) misses U*U = 1 by 2 delta, and diag(1, -e^{i eps})
+# misses Ad(u)^2 = id by about 2.8 eps
+_DEFECTS = {
+    "unitarity": (np.diag([1 + 5e-9, 1]), np.diag([1 + 5e-11, 1]), "2.000e-09", "2.000e-12"),
+    "homomorphism": (np.diag([1, -np.exp(5e-6j)]), np.diag([1, -np.exp(5e-8j)]), "4.000e-06", "4.000e-09"),
+}
+
+
+@pytest.mark.parametrize(
+    "loader, defect",
+    [("staraut", "unitarity"), ("action", "unitarity"), ("covariant", "unitarity"),
+     ("action", "homomorphism"), ("covariant", "homomorphism")],
+)
+def test_loaders_validate_at_the_tolerance_they_are_given(loader, defect):
+    load, (coarse, fine, default_bound, tight_bound) = _LOADERS[loader], _DEFECTS[defect]
+    with pytest.raises(InvariantViolation, match=f"bound {default_bound}"):
+        load(_drift_action(coarse), DEFAULT_TOL)
+    load(_drift_action(coarse), Tolerance(1e-7, 1e-6, 1e-4))
+    load(_drift_action(fine), DEFAULT_TOL)
+    with pytest.raises(InvariantViolation, match=f"bound {tight_bound}"):
+        load(_drift_action(fine), Tolerance(1e-12, 1e-10))
 
 
 def test_loader_fixtures_are_well_formed():
