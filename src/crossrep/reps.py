@@ -97,10 +97,13 @@ class Rep:
         if labels is None:
             labels, gens = tuple(gens), list(gens.values())
         self.labels = tuple(labels)
-        for label, M in zip(self.labels, gens):
-            if np.shape(M) != (self.dim, self.dim):
-                raise DimensionMismatch(f"generator {label!r} is not {dim}x{dim}")
-        self.stack = np.asarray(gens, dtype=complex).reshape(len(self.labels), self.dim, self.dim)
+        shape = (len(self.labels), self.dim, self.dim)
+        # a stacked array is checked once by its shape, anything else image by image
+        if not (isinstance(gens, np.ndarray) and gens.shape == shape):
+            for label, M in zip(self.labels, gens):
+                if np.shape(M) != (self.dim, self.dim):
+                    raise DimensionMismatch(f"generator {label!r} is not {dim}x{dim}")
+        self.stack = np.asarray(gens, dtype=complex).reshape(shape)
         self.gens = MappingProxyType(dict(zip(self.labels, self.stack)))
 
     def conjugate(self, Q) -> "Rep":
@@ -305,7 +308,9 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
     wider cluster, whose gather would cost |K|^2 d memory, reseeds the
     split, up to 5 times, then :class:`DecompositionFailed`.  Characters
     separate the classes (Cheng 2015): a leaf is kept unless its character
-    inner product with a kept one is 1; kept ones come in :func:`_character_key` order.
+    inner product with a kept one is 1, the inner products of every pair of
+    leaves read from one product and rounded by :func:`_character_dims`;
+    kept ones come in :func:`_character_key` order.
     """
     n = K.order
     for a, defects in enumerate(_cocycle_defects(c, K.table)):
@@ -323,21 +328,32 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
             break
     else:
         raise DecompositionFailed("a split cluster is wider than sqrt|K| after 5 reseeded retries: too large to gather")
-    classes = []
+    leaves = []
     for Q in clusters:
         LQ = weights[..., None] * Q[source]
         lam = Q.conj().T @ LQ
         _require(np.linalg.norm(LQ - Q @ lam, axis=(1, 2)), tol.identity_bound(np.sqrt(Q.shape[1])),
                  "split leaf is not invariant under L at element {}")
-        leaves = [lam]
-        if _character_dim(np.abs(np.trace(lam, axis1=1, axis2=2)) ** 2, tol) != 1:
+        if _character_dim(np.abs(np.trace(lam, axis1=1, axis2=2)) ** 2, tol) == 1:
+            leaves.append(lam)
+        else:
             leaf = ProjectiveRep(K, lam, cocycle)
-            leaves = [piece.mats for piece, _ in _pieces(leaf, _hom(leaf, leaf, tol), seed, tol)]
-        for mats in leaves:
-            chi = np.trace(mats, axis1=1, axis2=2)
-            if all(_character_dim(kept.conj() * chi, tol) != 1 for _, kept in classes):
-                classes.append((ProjectiveRep(K, mats, cocycle), chi))
-    return sorted((rep for rep, _ in classes), key=lambda rep: _character_key(rep, tol))
+            leaves += [piece.mats for piece, _ in _pieces(leaf, _hom(leaf, leaf, tol), seed, tol)]
+    # every pair of leaf characters in one product: means[j, i] = <chi_j, chi_i>
+    chi = np.array([np.trace(mats, axis1=1, axis2=2) for mats in leaves])
+    means = chi.conj() @ chi.T / n
+    dims, bounds = _character_dims(means, np.abs(chi) @ np.abs(chi).T / n, tol)
+    kept, table = [], dims.tolist()
+    for i in range(len(leaves)):
+        # the pairs with kept leaves are decided up to the first match; the
+        # first of them that is no dimension is refused
+        first = next((j for j in kept if table[j][i] in (1, -1)), None)
+        if first is None:
+            kept.append(i)
+        elif table[first][i] < 0:
+            _sum_dim(means[first, i], bounds[first, i])
+    classes = [ProjectiveRep(K, leaves[i], cocycle) for i in kept]
+    return sorted(classes, key=lambda rep: _character_key(rep, tol))
 
 
 def _pieces(r, hom, seed: int, tol: Tolerance):
@@ -475,10 +491,11 @@ class CovariantRep:
     def __init__(self, base: Rep, action, unitaries):
         self.base = base
         self.action = action
-        if len(unitaries) != action.group.order:
-            raise InvariantViolation("need one unitary per group element")
-        if any(np.shape(U) != (base.dim, base.dim) for U in unitaries):
-            raise DimensionMismatch("unitary does not act on the base space")
+        if not (isinstance(unitaries, np.ndarray) and unitaries.shape == (action.group.order, base.dim, base.dim)):
+            if len(unitaries) != action.group.order:
+                raise InvariantViolation("need one unitary per group element")
+            if any(np.shape(U) != (base.dim, base.dim) for U in unitaries):
+                raise DimensionMismatch("unitary does not act on the base space")
         self.unitaries = np.asarray(unitaries, dtype=complex)
 
     @property
@@ -589,16 +606,24 @@ def covariant_character(cov: CovariantRep) -> np.ndarray:
 
     Row g holds chi(g, .) on the matrix units in ``basis_labels()`` order,
     followed by tr(U_g (1 - pi(1))), the character of the subspace the
-    algebra annihilates (zero when pi is unital).
+    algebra annihilates (zero when pi is unital).  The one-member case of
+    the stacked ``_characters``, which ``crossed_irreps`` reads for every
+    irreducible of one (orbit, dimension) at once.
     """
-    labels = cov.action.algebra.basis_labels()
-    units = _unit_images(cov.base, labels)
-    U = cov.unitaries
+    return _characters(cov.base, cov.unitaries[None], cov.action.algebra)[0]
+
+
+def _characters(base: Rep, U: np.ndarray, algebra: MatAlg) -> np.ndarray:
+    """:func:`covariant_character` of T covariant representations that share
+    ``base``, from their (T, |G|, d, d) stack ``U`` of unitaries, in one
+    product: a (T, |G|, units + 1) array."""
+    units = _unit_images(base, algebra.basis_labels())
     # tr(U_g pi(e)) = sum_ab U_g[a, b] pi(e)[b, a]
-    chi = U.reshape(len(U), -1) @ units.transpose(0, 2, 1).reshape(len(units), -1).T
-    _, _, diagonal = _unit_pattern(cov.action.algebra.block_dims)
-    rest = np.trace(U, axis1=1, axis2=2) - chi[:, diagonal].sum(axis=1)
-    return np.column_stack([chi, rest])
+    chi = U.reshape(-1, U[0, 0].size) @ units.transpose(0, 2, 1).reshape(len(units), -1).T
+    chi = chi.reshape(*U.shape[:2], len(units))
+    _, _, diagonal = _unit_pattern(algebra.block_dims)
+    rest = np.trace(U, axis1=2, axis2=3) - chi[..., diagonal].sum(axis=-1)
+    return np.concatenate([chi, rest[..., None]], axis=-1)
 
 
 def hom_dim(cov1: CovariantRep, cov2: CovariantRep, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -619,7 +644,24 @@ def _character_dim(terms: np.ndarray, tol: Tolerance) -> int:
     """The character sum |G|^-1 sum of ``terms``, one row per group element,
     rounded by :func:`_integer` to a dimension within ``rank_eps`` of the mean of |terms|."""
     bound = tol.rank_eps * max(1.0, np.abs(terms).sum() / len(terms))
-    return _integer(terms.sum() / len(terms), bound, "character sum", "dimension", "scale")
+    return _sum_dim(terms.sum() / len(terms), bound)
+
+
+def _sum_dim(mean, bound: float) -> int:
+    """One character sum rounded to a dimension within ``bound`` by :func:`_integer`."""
+    return _integer(mean, bound, "character sum", "dimension", "scale")
+
+
+def _character_dims(means: np.ndarray, scales: np.ndarray, tol: Tolerance):
+    """Many character sums at once, rounded by the rule of :func:`_character_dim`:
+    ``means[i]`` is a sum |G|^-1 sum of terms and ``scales[i]`` the mean of
+    their moduli.  Returns (dims, bounds); a sum that is no dimension within
+    its bound reads -1 in dims, and ``_sum_dim(means[i], bounds[i])`` names it."""
+    bounds = tol.rank_eps * np.maximum(1.0, scales)
+    counts = np.rint(means.real)
+    with np.errstate(invalid="ignore"):  # an infinite sum is a NaN distance, which fails its bound
+        within = (counts >= 0) & (np.abs(means - counts) <= bounds)
+    return np.where(within, counts, -1).astype(int), bounds
 
 
 def hom_projection(cov1: CovariantRep, cov2: CovariantRep, X) -> np.ndarray:
@@ -813,15 +855,24 @@ def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[
     return {g: phase_normalize(C @ V @ C.conj().T, tol) for g, V in zip(stab.members, stab.V)}
 
 
+def _tensor_stack(lams, V, pi1: Rep) -> tuple[Rep, np.ndarray]:
+    """The stabilizer blocks of the structure theorem for T classes of one
+    dimension r at once: the shared base 1_r (x) pi1 and the (T, |H|, d, d)
+    stack psi_h = Lambda_h (x) V_h, from the (T, |H|, r, r) stack ``lams``
+    and the stack ``V`` over the members of H."""
+    lams = np.asarray(lams)
+    r = lams.shape[2]
+    d = r * pi1.dim
+    base = np.einsum("ij,lab->liajb", np.eye(r), pi1.stack).reshape(-1, d, d)
+    unitaries = np.einsum("thij,hab->thiajb", lams, np.asarray(V)).reshape(len(lams), -1, d, d)
+    return Rep(d, base, pi1.labels), unitaries
+
+
 def _tensor_psi(lam, V, pi1: Rep, action) -> CovariantRep:
-    """The stabilizer block of the structure theorem, psi_h = Lambda_h (x) V_h
-    on 1_r (x) pi1, over the restricted ``action`` of H; ``lam`` and ``V``
-    are stacks over the members of H."""
-    lam = np.asarray(lam)
-    d = lam.shape[1] * pi1.dim
-    base = np.einsum("ij,lab->liajb", np.eye(lam.shape[1]), pi1.stack).reshape(-1, d, d)
-    unitaries = np.einsum("hij,hab->hiajb", lam, np.asarray(V)).reshape(-1, d, d)
-    return CovariantRep(Rep(d, base, pi1.labels), action, unitaries)
+    """The stabilizer block psi_h = Lambda_h (x) V_h on 1_r (x) pi1 of one
+    class, over the restricted ``action`` of H: :func:`_tensor_stack` of one."""
+    base, unitaries = _tensor_stack(np.asarray(lam)[None], V, pi1)
+    return CovariantRep(base, action, unitaries[0])
 
 
 def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> CovariantRep:
@@ -831,12 +882,22 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
     ``coset_reps`` c_0, ..., c_{m-1} represent the right cosets H c_i.  The
     result acts on m copies of the space of ``psi``: block i of the algebra
     carries ``psi.base o alpha_{c_i}``, and block (i, j) of U_g is psi(h)
-    when c_i g = h c_j, every other block zero.
+    when c_i g = h c_j, every other block zero.  The one-psi case of
+    ``_induce_stack``, which ``crossed_irreps`` calls once per (orbit,
+    dimension).
     """
     if psi.group.order != subgroup.order:
         raise InvariantViolation("psi is not a representation of the subgroup")
-    d, m, labels = psi.dim, len(coset_reps), psi.base.labels
-    blocks = [_unit_images(rep_compose(psi.base, action, c), labels) for c in coset_reps]
+    return _induce_stack(psi.base, psi.unitaries[None], action, subgroup, coset_reps)[0]
+
+
+def _induce_stack(base: Rep, unitaries: np.ndarray, action, subgroup: Subgroup, coset_reps) -> list[CovariantRep]:
+    """:func:`induce` of T psi's that share ``base``, from their (T, |H|, d, d)
+    stack of unitaries: the block images base o alpha_{c_i} and the coset
+    table are computed once, every U_g of the stack is filled in one
+    assignment, and the T results share one read-only induced base."""
+    d, m, labels = base.dim, len(coset_reps), base.labels
+    blocks = [_unit_images(rep_compose(base, action, c), labels) for c in coset_reps]
     # (g, i) -> (j, h) with c_i g = h c_j, kept by the restriction for its own
     # representatives; restrict_action regrounds the subgroup in ascending
     # member order, so h is psi's element searchsorted(h)
@@ -844,9 +905,13 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
     reps = tuple(int(c) for c in coset_reps)
     table = found.coset_table if reps == found.coset_reps else np.array(coset_action(subgroup, reps))
     i, j, h = table.transpose(2, 0, 1)
-    U = np.zeros((action.group.order, m, d, m, d), dtype=complex)
-    U[np.arange(len(U))[:, None], i, :, j, :] = psi.unitaries[np.searchsorted(subgroup.members, h)]
-    return CovariantRep(Rep(m * d, block_diag(*blocks), labels), action, U.reshape(-1, m * d, m * d))
+    T, n = len(unitaries), action.group.order
+    U = np.zeros((T, n, m, d, m, d), dtype=complex)
+    psi = unitaries[:, np.searchsorted(subgroup.members, h)]
+    U[np.arange(T)[:, None, None], np.arange(n)[:, None], i, :, j, :] = psi
+    induced = Rep(m * d, block_diag(*blocks), labels)
+    induced.stack.setflags(write=False)  # shared by the whole stack
+    return [CovariantRep(induced, action, u) for u in U.reshape(T, n, m * d, m * d)]
 
 
 def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

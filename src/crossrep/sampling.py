@@ -7,14 +7,16 @@ in downstream identities point at the code under test, not the fixtures.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 from .algebra import GroupAction, MatAlg, StarAut, _cyclic_action
 from .errors import InvariantViolation
 from .groups import Subgroup, coset_action, make_symmetric_group_3, right_coset_reps
 from .linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
-from .reps import (CovariantRep, Rep, _block_stabilizer, _orbit_blocks, _projective_irreps, _tensor_psi, induce,
-                   rep_from_images)
+from .reps import (CovariantRep, Rep, _block_stabilizer, _characters, _character_dims, _induce_stack, _orbit_blocks,
+                   _projective_irreps, _sum_dim, _tensor_stack, _unit_pattern, rep_from_images)
 
 __all__ = [
     "random_cyclic_action",
@@ -167,6 +169,24 @@ def random_block_irrep(
     return rep_from_images(algebra, lambda e: Q @ e.blocks[block] @ Q.conj().T)
 
 
+def _require_irreducible(stack: list[CovariantRep], tol: Tolerance):
+    """Raise :class:`InvariantViolation` unless dim End = 1 on every member
+    of ``stack``, by the character sum of :meth:`CovariantRep.end_dim`,
+    read for the members that share a base in one product."""
+    A = stack[0].action.algebra
+    weights = np.append(_unit_pattern(A.block_dims)[0], 1.0)
+    for _, shared in groupby(stack, lambda cov: id(cov.base)):
+        shared = list(shared)
+        chi = _characters(shared[0].base, np.array([cov.unitaries for cov in shared]), A)
+        # dim End = |G|^-1 sum_g [sum_k n_k^-1 sum_ij |chi(g, e^k_ij)|^2 + |chi(g, 1 - pi(1))|^2]
+        means = (weights * np.abs(chi) ** 2).sum(axis=(1, 2)) / chi.shape[1]
+        dims, bounds = _character_dims(means, means, tol)
+        misses = np.flatnonzero(dims != 1)
+        if misses.size:
+            _sum_dim(means[misses[0]], bounds[misses[0]])  # names a sum that is no dimension
+            raise InvariantViolation(f"an induced representation of dim {shared[misses[0]].dim} is reducible")
+
+
 def crossed_irreps(
     action: GroupAction,
     seed: int = 0,
@@ -178,25 +198,30 @@ def crossed_irreps(
     with k the smallest block of the orbit, H = {g : alpha_g fixes k} and
     V_h = U^h_k of cocycle c_V, the irreducibles over the orbit are
     Ind_H^G(lambda (x) V) on 1 (x) pi_k, one per class of irreducible lambda
-    of H with cocycle conj(c_V) (``reps._projective_irreps``).  Certified by
-    ``end_dim() == 1`` on each result and by the Wedderburn count sum dim^2 =
-    |G| dim A, :class:`InvariantViolation` otherwise; c_V passes one cocycle
-    residual check, so the results are covariant and not re-validated.
-    Ordered with no seed by dimension, then orbit (smallest block first),
-    then the character of lambda, as :func:`~crossrep.reps.decompose` orders
-    the crossed model's defining representation.
+    of H with cocycle conj(c_V) (``reps._projective_irreps``).  The classes
+    of one dimension r are built in one stacked pass: the base 1_r (x) pi_k
+    once, every lambda (x) V in one product and every induction in one
+    ``reps._induce_stack``.  Certified by dim End = 1 on each result, the
+    character sum of ``end_dim`` read for a whole stack at once, and by the
+    Wedderburn count sum dim^2 = |G| dim A, :class:`InvariantViolation`
+    otherwise; c_V passes one cocycle residual check, so the results are
+    covariant and not re-validated.  Ordered with no seed by dimension, then
+    orbit (smallest block first), then the character of lambda, as
+    :func:`~crossrep.reps.decompose` orders the crossed model's defining
+    representation.
     """
     G, A = action.group, action.algebra
     irreps = []
     for k in _orbit_blocks(action):
         pi_k, stab = _block_stabilizer(action, k, tol)
         H, sub_action, _, coset_reps, _ = action.restriction(stab.members)
-        for lam in _projective_irreps(sub_action.group, stab.cocycle, seed, tol):
-            irreps.append(induce(_tensor_psi(lam.mats, stab.V, pi_k, sub_action), action, H, coset_reps))
+        # the classes come in _character_key order, dimension first
+        for _, same in groupby(_projective_irreps(sub_action.group, stab.cocycle, seed, tol), lambda lam: lam.dim):
+            base, unitaries = _tensor_stack([lam.mats for lam in same], stab.V, pi_k)
+            stack = _induce_stack(base, unitaries, action, H, coset_reps)
+            _require_irreducible(stack, tol)
+            irreps += stack
     irreps.sort(key=lambda cov: cov.dim)
-    for cov in irreps:
-        if cov.end_dim(tol) != 1:
-            raise InvariantViolation(f"an induced representation of dim {cov.dim} is reducible")
     if sum(cov.dim**2 for cov in irreps) != G.order * A.linear_dim:
         raise InvariantViolation("irreducible dimensions fail sum dim^2 = |G| dim A")
     return irreps

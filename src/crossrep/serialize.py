@@ -243,11 +243,11 @@ def crossed_element_to_json(x: CrossedElement) -> dict:
     }
 
 
-def crossed_element_from_json(obj, action=None) -> CrossedElement:
+def crossed_element_from_json(obj, action=None, tol: Tolerance = DEFAULT_TOL) -> CrossedElement:
     _expect(isinstance(obj, dict) and "coeffs" in obj, "crossed element needs coeffs")
     if action is None:
         _expect("action_ref" in obj, "crossed element needs action_ref")
-        action = action_from_json(obj["action_ref"])
+        action = action_from_json(obj["action_ref"], tol)
     _expect(isinstance(obj["coeffs"], dict), "coeffs must be an object")
     A = action.algebra
     coeffs = []

@@ -29,12 +29,16 @@ from crossrep.reps import (
     CovariantRep,
     ProjectiveRep,
     Rep,
+    _block_stabilizer,
     _cocycle,
     _hom,
+    _orbit_blocks,
     _projective_irreps,
+    _tensor_psi,
     decompose,
     direct_sum_reps,
     hom_dim,
+    induce,
     is_irreducible,
 )
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
@@ -143,6 +147,29 @@ def test_crossed_irreps_agree_by_position_with_decompose_of_the_model(name, tol)
     # both order by (dimension, orbit, character of lambda)
     act = ORDER[name]()
     _assert_by_position(crossed_irreps(act, seed=0, tol=tol), _model_irreps(act, 0, tol), tol)
+
+
+def _one_at_a_time(act, seed, tol):
+    """The irreducibles built one class at a time: one psi and one induce each."""
+    irreps = []
+    for k in _orbit_blocks(act):
+        pi_k, stab = _block_stabilizer(act, k, tol)
+        H, sub_action, _, coset_reps, _ = act.restriction(stab.members)
+        for lam in _projective_irreps(sub_action.group, stab.cocycle, seed, tol):
+            irreps.append(induce(_tensor_psi(lam.mats, stab.V, pi_k, sub_action), act, H, coset_reps))
+    return sorted(irreps, key=lambda cov: cov.dim)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(ORDER))
+def test_stacked_build_matches_one_induction_per_class_array_for_array(name, seed, tol):
+    act = ORDER[name]()
+    got, want = crossed_irreps(act, seed=seed, tol=tol), _one_at_a_time(act, seed, tol)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.base.labels == b.base.labels
+        assert np.array_equal(a.base.stack, b.base.stack)
+        assert np.array_equal(a.unitaries, b.unitaries)
 
 
 def test_crossed_irreps_of_z128_stay_small_in_memory(tol):
@@ -299,14 +326,20 @@ def test_crossed_irreps_never_builds_the_host_model(monkeypatch, tol):
 
 
 def test_crossed_irreps_rejects_a_reducible_induction(monkeypatch, tol):
-    induce = crossrep.sampling.induce
+    # only the last member of a stack of two or more is doubled, so a
+    # certificate that reads stack[0] alone lets it through; Z4[2,2,1]
+    # builds a stack of two irreducibles of dim 4 and one of four of dim 1
+    induce_stack = crossrep.sampling._induce_stack
 
-    def doubled(*args, **kwargs):
-        cov = induce(*args, **kwargs)
-        base = direct_sum_reps([cov.base, cov.base])
-        return CovariantRep(base, cov.action, [block_diag(U, U) for U in cov.unitaries])
+    def doubled_last(*args, **kwargs):
+        stack = induce_stack(*args, **kwargs)
+        if len(stack) > 1:
+            cov = stack[-1]
+            base = direct_sum_reps([cov.base, cov.base])
+            stack[-1] = CovariantRep(base, cov.action, [block_diag(U, U) for U in cov.unitaries])
+        return stack
 
-    monkeypatch.setattr(crossrep.sampling, "induce", doubled)
+    monkeypatch.setattr(crossrep.sampling, "_induce_stack", doubled_last)
     with pytest.raises(InvariantViolation, match="is reducible"):
         crossed_irreps(ACTIONS["Z4[2,2,1]"](), seed=0, tol=tol)
 

@@ -71,6 +71,23 @@ def test_wrong_shape_or_count_of_unitaries_raises():
         CovariantRep(cov.base, act, good[:-1])
 
 
+def test_a_wrongly_shaped_stacked_array_still_raises():
+    # a stacked array of the right (n, d, d) shape is checked once by its
+    # shape; any other goes through the per-image loop and its errors
+    with pytest.raises(DimensionMismatch, match="'x'"):
+        Rep(2, np.zeros((2, 2, 3)), ["x", "y"])
+    with pytest.raises(DimensionMismatch, match="'x'"):
+        Rep(2, np.zeros((2, 1, 1), dtype=complex), ["x", "y"])
+    act, cov = cute_example()
+    n, d = act.group.order, cov.dim
+    for shape in ((n, d + 1, d + 1), (n, d, d + 1), (n, d)):
+        with pytest.raises(DimensionMismatch):
+            CovariantRep(cov.base, act, np.zeros(shape, dtype=complex))
+    with pytest.raises(InvariantViolation):
+        CovariantRep(cov.base, act, np.zeros((n - 1, d, d), dtype=complex))
+    assert np.array_equal(CovariantRep(cov.base, act, np.array(cov.unitaries)).unitaries, cov.unitaries)
+
+
 def test_block_diag_of_stacks_is_blockwise(rng):
     a = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
     b = rng.standard_normal((4, 1, 1))

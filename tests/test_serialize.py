@@ -182,6 +182,7 @@ _LOADERS = {
     "covariant": lambda doc, tol: covariant_from_json(
         {"dim": 2, "generators": {"a": _I2}, "action_ref": doc, "unitaries": {"0": _I2, "1": _I2}}, tol=tol
     ),
+    "crossed element": lambda doc, tol: crossed_element_from_json({"action_ref": doc, "coeffs": {}}, tol=tol),
 }
 # (u past the default bound and within a loosened one, u within the default
 # bound and past a tightened one, the default bound, the tightened bound):
@@ -195,8 +196,8 @@ _DEFECTS = {
 
 @pytest.mark.parametrize(
     "loader, defect",
-    [("staraut", "unitarity"), ("action", "unitarity"), ("covariant", "unitarity"),
-     ("action", "homomorphism"), ("covariant", "homomorphism")],
+    [("staraut", "unitarity"), ("action", "unitarity"), ("covariant", "unitarity"), ("crossed element", "unitarity"),
+     ("action", "homomorphism"), ("covariant", "homomorphism"), ("crossed element", "homomorphism")],
 )
 def test_loaders_validate_at_the_tolerance_they_are_given(loader, defect):
     load, (coarse, fine, default_bound, tight_bound) = _LOADERS[loader], _DEFECTS[defect]

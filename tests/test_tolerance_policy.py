@@ -40,9 +40,11 @@ from crossrep.reps import (
     ProjectiveRep,
     Rep,
     _character_dim,
+    _character_dims,
     _check_carried,
     _covariance_residuals,
     _ranks,
+    _sum_dim,
     hom_dim,
     is_irreducible,
 )
@@ -345,6 +347,22 @@ def test_character_dim_names_the_sum_its_distance_and_the_bound():
     assert "character sum 1.00000002+" in message
     assert "2.000e-08 from 1" in message
     assert "bound rank_eps*scale = 1.000e-08" in message
+
+
+def test_character_dims_round_each_sum_as_character_dim_does():
+    # rows: a dimension, just within and just past the bound, a negative
+    # sum, NaN and infinity; -1 marks a sum _character_dim refuses
+    rows = np.array([[2.0, 0.0], [1 + 0.9e-8, 1.0], [1 + 2.5e-8, 1.0], [-1.0, -1.0], [np.nan, 1.0], [np.inf, 1.0]])
+    want = []
+    for terms in rows:
+        try:
+            want.append(_character_dim(terms, DEFAULT_TOL))
+        except InvariantViolation:
+            want.append(-1)
+    dims, bounds = _character_dims(rows.mean(axis=1), np.abs(rows).mean(axis=1), DEFAULT_TOL)
+    assert dims.tolist() == want == [1, 1, -1, -1, -1, -1]
+    with pytest.raises(InvariantViolation, match="character sum 1.0000000125 is not a dimension"):
+        _sum_dim(rows[2].mean(), bounds[2])
 
 
 def test_ranks_names_the_trace_its_distance_and_the_bound():
