@@ -46,13 +46,24 @@ _EXIT_NOT_IRREDUCIBLE = 4
 _EXIT_INTERNAL = 5
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds its generators with non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="crossrep",
         description="Crossed products of block C*-algebras by finite groups: "
         "models, equivalence, decomposition, structure reports.",
     )
-    p.add_argument("--seed", type=int, default=42, help="seed for randomized splits")
+    p.add_argument("--seed", type=_seed, default=42, help="seed for randomized splits, a non-negative integer")
     p.add_argument("--abs-eps", type=float, default=DEFAULT_TOL.abs_eps)
     p.add_argument("--rank-eps", type=float, default=DEFAULT_TOL.rank_eps)
     p.add_argument("--eig-sep", type=float, default=DEFAULT_TOL.eig_sep)

@@ -103,7 +103,7 @@ def _integer(value, bound: float, what: str, unit: str, scale: str) -> int:
 def _cuts(values: np.ndarray, gap: float) -> np.ndarray:
     """The positions in the sorted ``values`` where a cluster starts: a
     cluster ends where the gap to the next value reaches ``gap``."""
-    return np.flatnonzero(np.diff(values) >= gap) + 1
+    return np.flatnonzero(values[1:] - values[:-1] >= gap) + 1
 
 
 def _rank(s: np.ndarray, tol: Tolerance) -> int:

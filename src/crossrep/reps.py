@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -86,7 +86,8 @@ __all__ = [
 
 class Rep:
     """Matrix images of a *-closed generating set: ``stack[i]`` is the image
-    of ``labels[i]`` and ``gens`` the read-only label -> image view of it.
+    of ``labels[i]`` and ``gens`` the read-only label -> image view of it,
+    built on first use.
 
     ``gens`` maps labels to images, or with ``labels`` given it is the
     (n, dim, dim) stack of their images.
@@ -104,7 +105,10 @@ class Rep:
                 if np.shape(M) != (self.dim, self.dim):
                     raise DimensionMismatch(f"generator {label!r} is not {dim}x{dim}")
         self.stack = np.asarray(gens, dtype=complex).reshape(shape)
-        self.gens = MappingProxyType(dict(zip(self.labels, self.stack)))
+
+    @cached_property
+    def gens(self):
+        return MappingProxyType(dict(zip(self.labels, self.stack)))
 
     def conjugate(self, Q) -> "Rep":
         """The representation x -> Q* pi(x) Q for an isometry or unitary Q."""
@@ -136,15 +140,21 @@ class ProjectiveRep(Rep):
         _require(np.abs(np.abs(c) - 1.0), threshold, "cocycle values must have modulus 1 at ({},{})")
         _require(_relation_residuals(self.mats, T, c), threshold * max(1, self.dim),
                  "projective relation fails at pair ({},{})")
-        for g, defects in enumerate(_cocycle_defects(c, T)):
-            _require(defects, threshold, f"2-cocycle identity fails at ({g},{{}},{{}})")
+        n = len(T)
+        for rows in _blocks(n, n):
+            _require(_cocycle_defects(c, T, rows).reshape(-1, n, n), threshold,
+                     "2-cocycle identity fails at ({},{},{})", names=np.arange(n)[rows].reshape(-1))
 
 
-def _cocycle_defects(c, table):
-    """Row by row g of a Cayley table, the defects |c(g, h) c(gh, k) - c(h, k)
-    c(g, hk)| of the 2-cocycle identity of c over every (h, k)."""
-    for g, row in enumerate(table):
-        yield np.abs(c[g][:, None] * c[row] - c * c[g][table])
+def _cocycle_defects(c, table, rows) -> np.ndarray:
+    """The defects |c(g, h) c(gh, k) - c(h, k) c(g, hk)| of the 2-cocycle
+    identity of c over a Cayley table, for the rows g of one
+    :func:`_blocks` block and every (h, k): a (rows, |K|, |K|) array, or
+    (|K|, |K|) for a block of one row."""
+    cg = c[rows]
+    # c(g, hk): a row is gathered alone, which numpy does faster than with an ellipsis
+    ghk = cg[table] if cg.ndim == 1 else cg[:, table]
+    return np.abs(cg[..., None] * c[table[rows]] - c * ghk)
 
 
 def _cocycle(K: FiniteGroup, mats, tol: Tolerance, c=None) -> np.ndarray:
@@ -189,12 +199,21 @@ def rep_compose(rep: Rep, action, g: int) -> Rep:
     stack with the coefficient matrix of alpha_g; for a :class:`LabelAction`
     the generator labels are permuted.
     """
+    labels, images = _composed_images(rep, action, [g])
+    return Rep(rep.dim, images[0], labels)
+
+
+def _composed_images(rep: Rep, action, gs) -> tuple[tuple, np.ndarray]:
+    """The generator images of ``x -> rep(alpha_g(x))`` for each g in ``gs``:
+    their labels and one (len(gs), n, dim, dim) stack, over a
+    :class:`GroupAction` one contraction with the stacked coefficient
+    matrices of the alpha_g, in the algebra's basis order."""
     if isinstance(action, GroupAction):
-        labels = action.algebra.basis_labels()
-        images = np.tensordot(action.aut(g).coefficient_matrix, _unit_images(rep, labels), axes=1)
-        return Rep(rep.dim, images, labels)
+        labels = tuple(action.algebra.basis_labels())
+        coefficients = np.array([action.aut(g).coefficient_matrix for g in gs])
+        return labels, np.tensordot(coefficients, _unit_images(rep, labels), axes=1)
     if isinstance(action, LabelAction):
-        return Rep(rep.dim, _unit_images(rep, [action.map_label(g, l) for l in rep.labels]), rep.labels)
+        return rep.labels, np.array([_unit_images(rep, [action.map_label(g, l) for l in rep.labels]) for g in gs])
     raise TypeError(f"unsupported action type {type(action)!r}")
 
 
@@ -277,17 +296,38 @@ def _eigen_clusters(H: np.ndarray, tol: Tolerance):
     """Orthonormal bases of the eigenspaces of a Hermitian matrix, merging
     eigenvalues closer than eig_sep; None when everything is one cluster."""
     evals, evecs = np.linalg.eigh(H)
-    cuts = _cuts(evals, tol.eig_sep)
-    return np.split(evecs, cuts, axis=1) if len(cuts) else None
+    cuts = _cuts(evals, tol.eig_sep).tolist()
+    return [evecs[:, a:b] for a, b in zip([0, *cuts], [*cuts, len(evals)])] if cuts else None
 
 
-def _character_key(rep: ProjectiveRep, tol: Tolerance) -> tuple:
-    """The one order of projective irreducibles of one cocycle: dimension,
-    then chi(h) = tr lambda_h, real and imaginary part, over the elements h
-    in index order on the ``rank_eps`` grid.  Characters are constant on
-    classes, so this is the order over classes by their smallest member."""
-    chi = np.trace(rep.mats, axis1=1, axis2=2) / tol.rank_eps
-    return rep.dim, *np.rint(np.column_stack([chi.real, chi.imag])).ravel().tolist()
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _blocks(count: int, n: int) -> list:
+    """``range(count)`` in consecutive blocks of max(1, 2^14 // n^2) items,
+    sized from the order n of a group alone: a block of rows (or leaves) of
+    (n, n) arrays then holds about 2^14 entries (per unit of leaf width),
+    one block for n <= 8.  A block is the slice of its items; from n = 128
+    on, where a block holds one item, it is that item's index, so the item
+    is read without a leading axis, as a loop over items reads it: at
+    n = 256 a product of shapes (1, n, 1) and (1, n, n) page-faults about
+    2.6 MB a call, one of shapes (n, 1) and (n, n) none."""
+    size = max(1, _BLOCK_ENTRIES // (n * n))
+    if size == 1:
+        return list(range(count))
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _character_keys(dims, chi: np.ndarray, tol: Tolerance) -> list[tuple]:
+    """The one order of projective irreducibles of one cocycle, as sort keys
+    of the irreducibles with these dimensions and rows of characters: the
+    dimension, then chi(h) = tr lambda_h, real and imaginary part, over the
+    elements h in index order on the ``rank_eps`` grid.  Characters are
+    constant on classes, so this is the order over classes by their
+    smallest member."""
+    chi = chi / tol.rank_eps
+    grid = np.rint(np.stack([chi.real, chi.imag], axis=-1)).reshape(len(chi), -1).tolist()
+    return [(dim, *row) for dim, row in zip(dims, grid)]
 
 
 def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[ProjectiveRep]:
@@ -303,22 +343,35 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
     along the eigenspaces Q of Y + Y*, Y = sum_b z_b R_b for z drawn from
     ``seed``, into leaves lambda_a = Q* L_a Q read from the permuted rows
     (L_a Q)[ax] = c(a, x) Q[x].  A leaf whose range is not invariant raises
-    :class:`InvariantViolation` naming a, and a reducible leaf is refined by
-    :func:`_pieces`.  No irreducible of K has dimension above sqrt|K|, so a
-    wider cluster, whose gather would cost |K|^2 d memory, reseeds the
-    split, up to 5 times, then :class:`DecompositionFailed`.  Characters
-    separate the classes (Cheng 2015): a leaf is kept unless its character
-    inner product with a kept one is 1, the inner products of every pair of
-    leaves read from one product and rounded by :func:`_character_dims`;
-    kept ones come in :func:`_character_key` order.
+    :class:`InvariantViolation` naming a, and a reducible leaf (dim End
+    = |K|^-1 sum_a |tr lambda_a|^2 above 1) is refined by :func:`_pieces`.
+    No irreducible of K has dimension above sqrt|K|, so a wider cluster,
+    whose gather would cost |K|^2 d memory, reseeds the split, up to 5
+    times, then :class:`DecompositionFailed`.  Characters separate the
+    classes (Cheng 2015): a leaf is kept unless its character inner product
+    with a kept one is 1, the inner products of every pair of leaves read
+    from one product and rounded by :func:`_character_dims`; kept ones come
+    in :func:`_character_keys` order, read from the same characters.
+
+    Each step is a fixed number of array passes over the :func:`_blocks` of
+    |K|: the identity is checked over blocks of rows a, the leaves are
+    gathered and checked over blocks of clusters of one width, narrowest
+    first, and every leaf's dim End is rounded in one :func:`_character_dims`.
+    One failure is named as a loop over the rows, then over the leaves,
+    would name it, with the same residual.  Where several leaves fail, the
+    one named may differ from such a loop's: invariance is checked for
+    every leaf before any leaf's dim End, and in width order.
     """
-    n = K.order
-    for a, defects in enumerate(_cocycle_defects(c, K.table)):
-        _require(np.linalg.norm(defects, axis=1), tol.identity_bound(np.sqrt(n)),
-                 f"matrices are not scalar multiples of each other at pair ({a},{{}})")
+    n, T = K.order, K.table
+    for rows in _blocks(n, n):
+        # held until the next block is computed: freed before it, the pages of
+        # every row are returned and faulted in again (twice the faults at |K| = 256)
+        defects = _cocycle_defects(c, T, rows)
+        _require(np.linalg.norm(defects, axis=-1).reshape(-1, n), tol.identity_bound(np.sqrt(n)),
+                 "matrices are not scalar multiples of each other at pair ({},{})", names=np.arange(n)[rows].reshape(-1))
     # source[a, y] = a^-1 y and weights[a, y] = c(a, a^-1 y): row y of L_a
-    source, cocycle = K.table[K.inverse], c.conj()
-    weights = np.take_along_axis(c, source, axis=1)
+    source, cocycle = T[K.inverse], c.conj()
+    weights = c[np.arange(n)[:, None], source]
     for attempt in range(5):
         rng = np.random.default_rng(seed + attempt)
         # Y[y, x] = z_b c(x, b) at b = x^-1 y, so Y transposed reads like L
@@ -328,19 +381,41 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
             break
     else:
         raise DecompositionFailed("a split cluster is wider than sqrt|K| after 5 reseeded retries: too large to gather")
-    leaves = []
-    for Q in clusters:
-        LQ = weights[..., None] * Q[source]
-        lam = Q.conj().T @ LQ
-        _require(np.linalg.norm(LQ - Q @ lam, axis=(1, 2)), tol.identity_bound(np.sqrt(Q.shape[1])),
-                 "split leaf is not invariant under L at element {}")
-        if _character_dim(np.abs(np.trace(lam, axis1=1, axis2=2)) ** 2, tol) == 1:
-            leaves.append(lam)
-        else:
-            leaf = ProjectiveRep(K, lam, cocycle)
-            leaves += [piece.mats for piece, _ in _pieces(leaf, _hom(leaf, leaf, tol), seed, tol)]
+    widths = [Q.shape[1] for Q in clusters]
+    lams, chi = [None] * len(clusters), np.empty((len(clusters), n), dtype=complex)
+    for w in sorted(set(widths)):
+        same = np.flatnonzero(np.array(widths) == w)
+        for block in _blocks(len(same), n):
+            members = same[block].reshape(-1)
+            Q = np.array([clusters[i] for i in members]) if isinstance(block, slice) else clusters[members[0]]
+            # LQ[l, a] = L_a Q_l and lam[l, a] = Q_l* L_a Q_l for the leaves l of the block
+            LQ = weights[..., None] * np.take(Q, source, axis=-2)
+            lam = Q.conj().swapaxes(-2, -1)[..., None, :, :] @ LQ
+            residuals = np.linalg.norm(LQ - Q[..., None, :, :] @ lam, axis=(-2, -1))
+            _require(residuals.reshape(-1, n), tol.identity_bound(np.sqrt(w)),
+                     "split leaf is not invariant under L at element {1}")
+            lam = lam.reshape(-1, n, w, w)
+            chi[members] = np.trace(lam, axis1=2, axis2=3)
+            for i, mats in zip(members, lam):
+                lams[i] = mats
+    # dim End of every leaf, by the rule of _character_dim on the terms |chi(a)|^2
+    ends = (np.abs(chi) ** 2).sum(axis=1) / n
+    dims, bounds = _character_dims(ends, ends, tol)
+    if (dims < 0).any():
+        i = int(np.argmax(dims < 0))
+        _sum_dim(ends[i], bounds[i])
+    leaves, characters = [], []
+    for i, mats in enumerate(lams):
+        if dims[i] == 1:
+            leaves.append(mats)
+            characters.append(chi[i])
+            continue
+        leaf = ProjectiveRep(K, mats, cocycle)
+        for piece, _ in _pieces(leaf, _hom(leaf, leaf, tol), seed, tol):
+            leaves.append(piece.mats)
+            characters.append(np.trace(piece.mats, axis1=1, axis2=2))
     # every pair of leaf characters in one product: means[j, i] = <chi_j, chi_i>
-    chi = np.array([np.trace(mats, axis1=1, axis2=2) for mats in leaves])
+    chi = np.array(characters)
     means = chi.conj() @ chi.T / n
     dims, bounds = _character_dims(means, np.abs(chi) @ np.abs(chi).T / n, tol)
     kept, table = [], dims.tolist()
@@ -352,8 +427,8 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
             kept.append(i)
         elif table[first][i] < 0:
             _sum_dim(means[first, i], bounds[first, i])
-    classes = [ProjectiveRep(K, leaves[i], cocycle) for i in kept]
-    return sorted(classes, key=lambda rep: _character_key(rep, tol))
+    keys = _character_keys([len(leaves[i][0]) for i in kept], chi[kept], tol)
+    return [ProjectiveRep(K, leaves[i], cocycle) for _, i in sorted(zip(keys, kept))]
 
 
 def _pieces(r, hom, seed: int, tol: Tolerance):
@@ -893,11 +968,17 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
 
 def _induce_stack(base: Rep, unitaries: np.ndarray, action, subgroup: Subgroup, coset_reps) -> list[CovariantRep]:
     """:func:`induce` of T psi's that share ``base``, from their (T, |H|, d, d)
-    stack of unitaries: the block images base o alpha_{c_i} and the coset
-    table are computed once, every U_g of the stack is filled in one
-    assignment, and the T results share one read-only induced base."""
+    stack of unitaries, in a fixed number of array passes: the block images
+    base o alpha_{c_i} of every coset are one contraction
+    (:func:`_composed_images`) and fill the block diagonal in one
+    assignment, the coset table is read once, and every U_g of the stack is
+    filled in one assignment.  The T results share one read-only induced
+    base, and their unitaries are the members, in order, of one
+    (T, |G|, m d, m d) array, which ``sampling._require_irreducible`` reads."""
     d, m, labels = base.dim, len(coset_reps), base.labels
-    blocks = [_unit_images(rep_compose(base, action, c), labels) for c in coset_reps]
+    composed, images = _composed_images(base, action, coset_reps)
+    if composed != labels:
+        images = images[:, [composed.index(label) for label in labels]]
     # (g, i) -> (j, h) with c_i g = h c_j, kept by the restriction for its own
     # representatives; restrict_action regrounds the subgroup in ascending
     # member order, so h is psi's element searchsorted(h)
@@ -905,13 +986,15 @@ def _induce_stack(base: Rep, unitaries: np.ndarray, action, subgroup: Subgroup, 
     reps = tuple(int(c) for c in coset_reps)
     table = found.coset_table if reps == found.coset_reps else np.array(coset_action(subgroup, reps))
     i, j, h = table.transpose(2, 0, 1)
-    T, n = len(unitaries), action.group.order
-    U = np.zeros((T, n, m, d, m, d), dtype=complex)
+    T, n, cosets = len(unitaries), action.group.order, np.arange(m)
+    U = np.zeros((T, n, m * d, m * d), dtype=complex)
     psi = unitaries[:, np.searchsorted(subgroup.members, h)]
-    U[np.arange(T)[:, None, None], np.arange(n)[:, None], i, :, j, :] = psi
-    induced = Rep(m * d, block_diag(*blocks), labels)
-    induced.stack.setflags(write=False)  # shared by the whole stack
-    return [CovariantRep(induced, action, u) for u in U.reshape(T, n, m * d, m * d)]
+    U.reshape(T, n, m, d, m, d)[np.arange(T)[:, None, None], np.arange(n)[:, None], i, :, j, :] = psi
+    stack = np.zeros((len(labels), m * d, m * d), dtype=complex)
+    stack.reshape(-1, m, d, m, d)[:, cosets, :, cosets, :] = images
+    stack.setflags(write=False)  # shared by the whole stack
+    induced = Rep(m * d, stack, labels)
+    return [CovariantRep(induced, action, u) for u in U]
 
 
 def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -972,7 +1055,7 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
     :func:`factor_tensor` of C* Pi(U_h) C against V_h, of cocycle conj(c_V).
     Each irreducible lambda in Lambda gives one class Ind_H^G(lambda (x) V),
     and each copy Q of it the isometry [U_c* C (Q (x) 1)] over the coset
-    representatives c, carrying Pi onto its Ind, in :func:`_character_key` order.
+    representatives c, carrying Pi onto its Ind, in :func:`_character_keys` order.
     """
     H, sub_action, members, coset_reps, coset_table = action.restriction(witnesses.members)
     K, V, c_V = sub_action.group, witnesses.V, witnesses.cocycle
@@ -982,15 +1065,21 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
     # C* Pi(U_h) C = Lambda_h (x) V_h is a genuine representation, so Lambda carries conj(c_V)
     lam = ProjectiveRep(K, lam_mats, _cocycle(K, lam_mats, tol, c_V.conj()))
     dec, pos, classes = _decompose(lam, seed, tol), 0, []
+    D, r, p = C.shape[0], len(dec.basis_change), pi1.dim
+    # carried[c, :, j, b] = U_c* C (Q (x) 1) at column (j, b), for every coset representative c in one product
+    W = np.einsum("xib,ij->xjb", C.reshape(D, r, p), dec.basis_change).reshape(D, r * p)
+    carried = (Pi.unitaries[list(coset_reps)].conj().transpose(0, 2, 1) @ W).reshape(-1, D, r, p)
     for rep, m in dec.components:
         psi = _tensor_psi(rep.mats, V, pi1, sub_action)
         isometries = []
         for _ in range(m):
-            W = C @ np.kron(dec.basis_change[:, pos : pos + rep.dim], np.eye(pi1.dim))
-            isometries.append(np.hstack([Pi.unitaries[c].conj().T @ W for c in coset_reps]))
+            # the copy's columns, side by side over the coset representatives
+            isometries.append(carried[:, :, pos : pos + rep.dim].transpose(1, 0, 2, 3).reshape(D, -1))
             pos += rep.dim
         classes.append(_Class(rep, psi, induce(psi, action, H, coset_reps), isometries))
-    classes.sort(key=lambda cls: _character_key(cls.lam, tol))
+    keys = _character_keys([cls.lam.dim for cls in classes],
+                           np.array([np.trace(cls.lam.mats, axis1=1, axis2=2) for cls in classes]), tol)
+    classes = [cls for _, cls in sorted(zip(keys, classes), key=lambda pair: pair[0])]
     return _Orbit(H, sub_action, members, V, c_V, coset_reps, coset_table, pi1, lam, classes)
 
 

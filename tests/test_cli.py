@@ -18,6 +18,7 @@ from crossrep.groups import make_cyclic_group, S3_ETA, S3_TAU
 from crossrep.linalg import Tolerance
 from crossrep.reps import (
     CovariantRep,
+    Rep,
     direct_sum_reps,
     regular_representation,
     rep_compose,
@@ -368,6 +369,18 @@ def test_reports_embed_seed_and_tolerances(tmp_path, capsys):
     assert doc["tolerances"]["abs_eps"] == 1e-10
     assert doc["version"]
     assert doc["tool"] == "crossrep"
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7", "x", "1.5"])
+def test_a_seed_that_is_no_non_negative_integer_is_a_usage_error(tmp_path, capsys, seed):
+    # numpy refused -1 inside the split of a reducible representation: an
+    # internal error (exit 5) instead of a usage error
+    f = _write(tmp_path / "red.json", rep_to_json(Rep(2, {"a": np.diag([1.0, 2.0])})))
+    with pytest.raises(SystemExit) as err:
+        main(["--seed", seed, "decompose", f])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert main(["--seed", "0", "decompose", f]) == 0
 
 
 def test_json_output_is_byte_identical(tmp_path, capsys):
