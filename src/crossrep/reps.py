@@ -143,18 +143,23 @@ class ProjectiveRep(Rep):
         n = len(T)
         for rows in _blocks(n, n):
             _require(_cocycle_defects(c, T, rows).reshape(-1, n, n), threshold,
-                     "2-cocycle identity fails at ({},{},{})", names=np.arange(n)[rows].reshape(-1))
+                     "2-cocycle identity fails at ({},{},{})", names=np.arange(n)[rows])
 
 
-def _cocycle_defects(c, table, rows) -> np.ndarray:
+def _cocycle_defects(c, table, rows: slice) -> np.ndarray:
     """The defects |c(g, h) c(gh, k) - c(h, k) c(g, hk)| of the 2-cocycle
     identity of c over a Cayley table, for the rows g of one
-    :func:`_blocks` block and every (h, k): a (rows, |K|, |K|) array, or
-    (|K|, |K|) for a block of one row."""
-    cg = c[rows]
-    # c(g, hk): a row is gathered alone, which numpy does faster than with an ellipsis
-    ghk = cg[table] if cg.ndim == 1 else cg[:, table]
-    return np.abs(cg[..., None] * c[table[rows]] - c * ghk)
+    :func:`_blocks` block and every (h, k), shaped as :func:`_block` reads
+    the block: (rows, |K|, |K|), or (|K|, |K|) for one row."""
+    cg = _block(c, rows)
+    # in place, two fresh arrays a block rather than five (a tenth of the page
+    # faults at |K| = 256), each product in its written operand order: numpy's
+    # complex product is not bitwise commutative
+    defects, ghk = c[_block(table, rows)], cg[..., table]
+    np.multiply(cg[..., None], defects, out=defects)
+    np.multiply(c, ghk, out=ghk)
+    defects -= ghk
+    return np.abs(defects)
 
 
 def _cocycle(K: FiniteGroup, mats, tol: Tolerance, c=None) -> np.ndarray:
@@ -197,23 +202,23 @@ def rep_compose(rep: Rep, action, g: int) -> Rep:
     For a :class:`GroupAction` the rep must be labeled by the algebra's
     matrix-unit basis, and the images are one contraction of the generator
     stack with the coefficient matrix of alpha_g; for a :class:`LabelAction`
-    the generator labels are permuted.
+    the generator labels are permuted.  The result keeps ``rep``'s label
+    order.
     """
-    labels, images = _composed_images(rep, action, [g])
-    return Rep(rep.dim, images[0], labels)
+    return Rep(rep.dim, _composed_images(rep, action, [g])[0], rep.labels)
 
 
-def _composed_images(rep: Rep, action, gs) -> tuple[tuple, np.ndarray]:
-    """The generator images of ``x -> rep(alpha_g(x))`` for each g in ``gs``:
-    their labels and one (len(gs), n, dim, dim) stack, over a
+def _composed_images(rep: Rep, action, gs) -> np.ndarray:
+    """The generator images of ``x -> rep(alpha_g(x))`` for each g in ``gs``,
+    in ``rep``'s label order: one (len(gs), n, dim, dim) stack, over a
     :class:`GroupAction` one contraction with the stacked coefficient
-    matrices of the alpha_g, in the algebra's basis order."""
+    matrices of the alpha_g."""
     if isinstance(action, GroupAction):
-        labels = tuple(action.algebra.basis_labels())
+        basis = tuple(action.algebra.basis_labels())
         coefficients = np.array([action.aut(g).coefficient_matrix for g in gs])
-        return labels, np.tensordot(coefficients, _unit_images(rep, labels), axes=1)
+        return _relabelled(np.tensordot(coefficients, _unit_images(rep, basis), axes=1), basis, rep.labels)
     if isinstance(action, LabelAction):
-        return rep.labels, np.array([_unit_images(rep, [action.map_label(g, l) for l in rep.labels]) for g in gs])
+        return np.array([_unit_images(rep, [action.map_label(g, l) for l in rep.labels]) for g in gs])
     raise TypeError(f"unsupported action type {type(action)!r}")
 
 
@@ -303,19 +308,21 @@ def _eigen_clusters(H: np.ndarray, tol: Tolerance):
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _blocks(count: int, n: int) -> list:
-    """``range(count)`` in consecutive blocks of max(1, 2^14 // n^2) items,
+def _blocks(count: int, n: int) -> list[slice]:
+    """``range(count)`` in consecutive slices of max(1, 2^14 // n^2) items,
     sized from the order n of a group alone: a block of rows (or leaves) of
     (n, n) arrays then holds about 2^14 entries (per unit of leaf width),
-    one block for n <= 8.  A block is the slice of its items; from n = 128
-    on, where a block holds one item, it is that item's index, so the item
-    is read without a leading axis, as a loop over items reads it: at
-    n = 256 a product of shapes (1, n, 1) and (1, n, n) page-faults about
-    2.6 MB a call, one of shapes (n, 1) and (n, n) none."""
+    one block for n <= 8 and one item a block from n = 128 on."""
     size = max(1, _BLOCK_ENTRIES // (n * n))
-    if size == 1:
-        return list(range(count))
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _block(a, block: slice):
+    """The items ``block`` of ``a``; a block of one item is that item, read
+    without a leading axis as a loop over items reads it: with the axis, a
+    first crossed_irreps over Z128 takes nine times the page faults and
+    a third more time."""
+    return a[block.start] if block.stop - block.start == 1 else a[block]
 
 
 def _character_keys(dims, chi: np.ndarray, tol: Tolerance) -> list[tuple]:
@@ -365,10 +372,10 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
     n, T = K.order, K.table
     for rows in _blocks(n, n):
         # held until the next block is computed: freed before it, the pages of
-        # every row are returned and faulted in again (twice the faults at |K| = 256)
+        # every row are returned and faulted in again (20 times the faults at |K| = 256)
         defects = _cocycle_defects(c, T, rows)
         _require(np.linalg.norm(defects, axis=-1).reshape(-1, n), tol.identity_bound(np.sqrt(n)),
-                 "matrices are not scalar multiples of each other at pair ({},{})", names=np.arange(n)[rows].reshape(-1))
+                 "matrices are not scalar multiples of each other at pair ({},{})", names=np.arange(n)[rows])
     # source[a, y] = a^-1 y and weights[a, y] = c(a, a^-1 y): row y of L_a
     source, cocycle = T[K.inverse], c.conj()
     weights = c[np.arange(n)[:, None], source]
@@ -381,13 +388,13 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
             break
     else:
         raise DecompositionFailed("a split cluster is wider than sqrt|K| after 5 reseeded retries: too large to gather")
-    widths = [Q.shape[1] for Q in clusters]
+    widths = np.array([Q.shape[1] for Q in clusters])
     lams, chi = [None] * len(clusters), np.empty((len(clusters), n), dtype=complex)
-    for w in sorted(set(widths)):
-        same = np.flatnonzero(np.array(widths) == w)
+    for w in sorted(set(widths.tolist())):
+        same = np.flatnonzero(widths == w)
+        frames = [clusters[i] for i in same]
         for block in _blocks(len(same), n):
-            members = same[block].reshape(-1)
-            Q = np.array([clusters[i] for i in members]) if isinstance(block, slice) else clusters[members[0]]
+            members, Q = same[block], np.array(_block(frames, block))
             # LQ[l, a] = L_a Q_l and lam[l, a] = Q_l* L_a Q_l for the leaves l of the block
             LQ = weights[..., None] * np.take(Q, source, axis=-2)
             lam = Q.conj().swapaxes(-2, -1)[..., None, :, :] @ LQ
@@ -668,12 +675,20 @@ def _common_algebra(cov1: CovariantRep, cov2: CovariantRep) -> MatAlg:
 def _unit_images(rep: Rep, labels) -> np.ndarray:
     """The images of ``labels`` as one stack: the stored stack when they are
     in ``rep``'s own label order, reordered otherwise."""
+    return _relabelled(rep.stack, rep.labels, labels)
+
+
+def _relabelled(images: np.ndarray, have: tuple, labels) -> np.ndarray:
+    """The images of ``labels`` from ``images``, whose axis -3 holds the
+    images of the labels ``have``: ``images`` itself when the orders agree,
+    reordered otherwise."""
     labels = tuple(labels)
-    if labels == rep.labels:
-        return rep.stack
-    if len(labels) != len(rep.labels) or set(labels) != set(rep.labels):
+    if labels == have:
+        return images
+    if len(labels) != len(have) or set(labels) != set(have):
         raise LabelMismatch("representation is not labeled by the expected generators")
-    return np.array([rep.gens[l] for l in labels])
+    index = {label: i for i, label in enumerate(have)}
+    return images[..., [index[label] for label in labels], :, :]
 
 
 def covariant_character(cov: CovariantRep) -> np.ndarray:
@@ -973,12 +988,9 @@ def _induce_stack(base: Rep, unitaries: np.ndarray, action, subgroup: Subgroup, 
     (:func:`_composed_images`) and fill the block diagonal in one
     assignment, the coset table is read once, and every U_g of the stack is
     filled in one assignment.  The T results share one read-only induced
-    base, and their unitaries are the members, in order, of one
-    (T, |G|, m d, m d) array, which ``sampling._require_irreducible`` reads."""
+    base."""
     d, m, labels = base.dim, len(coset_reps), base.labels
-    composed, images = _composed_images(base, action, coset_reps)
-    if composed != labels:
-        images = images[:, [composed.index(label) for label in labels]]
+    images = _composed_images(base, action, coset_reps)
     # (g, i) -> (j, h) with c_i g = h c_j, kept by the restriction for its own
     # representatives; restrict_action regrounds the subgroup in ascending
     # member order, so h is psi's element searchsorted(h)
@@ -1077,9 +1089,7 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
             isometries.append(carried[:, :, pos : pos + rep.dim].transpose(1, 0, 2, 3).reshape(D, -1))
             pos += rep.dim
         classes.append(_Class(rep, psi, induce(psi, action, H, coset_reps), isometries))
-    keys = _character_keys([cls.lam.dim for cls in classes],
-                           np.array([np.trace(cls.lam.mats, axis1=1, axis2=2) for cls in classes]), tol)
-    classes = [cls for _, cls in sorted(zip(keys, classes), key=lambda pair: pair[0])]
+    classes.sort(key=lambda cls: _character_keys([cls.lam.dim], np.trace(cls.lam.mats, axis1=1, axis2=2)[None], tol)[0])
     return _Orbit(H, sub_action, members, V, c_V, coset_reps, coset_table, pi1, lam, classes)
 
 

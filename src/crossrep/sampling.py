@@ -172,19 +172,12 @@ def random_block_irrep(
 def _require_irreducible(stack: list[CovariantRep], tol: Tolerance):
     """Raise :class:`InvariantViolation` unless dim End = 1 on every member
     of ``stack``, by the character sum of :meth:`CovariantRep.end_dim`,
-    read for the members that share a base in one product.  Members that
-    are all views of one (T, |G|, D, D) array of T unitary stacks, as
-    ``reps._induce_stack`` returns them, are read from that array; any
-    other run of members is stacked first."""
+    read for the members that share a base in one product."""
     A = stack[0].action.algebra
     weights = np.append(_unit_pattern(A.block_dims)[0], 1.0)
     for _, shared in groupby(stack, lambda cov: id(cov.base)):
         shared = list(shared)
-        U = shared[0].unitaries.base
-        if not (isinstance(U, np.ndarray) and U.shape == (len(shared), *shared[0].unitaries.shape)
-                and all(cov.unitaries.base is U for cov in shared)):
-            U = np.array([cov.unitaries for cov in shared])
-        chi = _characters(shared[0].base, U, A)
+        chi = _characters(shared[0].base, np.array([cov.unitaries for cov in shared]), A)
         # dim End = |G|^-1 sum_g [sum_k n_k^-1 sum_ij |chi(g, e^k_ij)|^2 + |chi(g, 1 - pi(1))|^2]
         means = (weights * np.abs(chi) ** 2).sum(axis=(1, 2)) / chi.shape[1]
         dims, bounds = _character_dims(means, means, tol)
@@ -207,19 +200,18 @@ def crossed_irreps(
     Ind_H^G(lambda (x) V) on 1 (x) pi_k, one per class of irreducible lambda
     of H with cocycle conj(c_V) (``reps._projective_irreps``, which splits
     the twisted regular representation block by block, one block when
-    |H| <= 8).  The classes of one dimension r are
-    built in one stacked pass: the base 1_r (x) pi_k once, every
-    lambda (x) V in one product and every induction in one
-    ``reps._induce_stack``, which composes the base with every coset
-    representative in one contraction and fills one (T, |G|, D, D) array of
-    unitaries.  Certified by dim End = 1 on each result, the character sum
-    of ``end_dim`` read from that array for a whole stack at once, and by
-    the Wedderburn count sum dim^2 = |G| dim A, :class:`InvariantViolation`
-    otherwise; c_V passes one cocycle residual check, so the results are
-    covariant and not re-validated.  Ordered with no seed by dimension, then
-    orbit (smallest block first), then the character of lambda, as
-    :func:`~crossrep.reps.decompose` orders the crossed model's defining
-    representation.
+    |H| <= 8).  The classes of one dimension r are built in one stacked
+    pass: the base 1_r (x) pi_k once, every lambda (x) V in one product and
+    every induction in one ``reps._induce_stack``, which composes the base
+    with every coset representative in one contraction and fills every U_g
+    of the stack in one assignment.  Certified by dim End = 1 on each
+    result, the character sum of ``end_dim`` read for a whole stack at
+    once, and by the Wedderburn count sum dim^2 = |G| dim A,
+    :class:`InvariantViolation` otherwise; c_V passes one cocycle residual
+    check, so the results are covariant and not re-validated.  Ordered with
+    no seed by dimension, then orbit (smallest block first), then the
+    character of lambda, as :func:`~crossrep.reps.decompose` orders the
+    crossed model's defining representation.
     """
     G, A = action.group, action.algebra
     irreps = []

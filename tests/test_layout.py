@@ -154,6 +154,7 @@ def test_sorted_labels_give_the_same_results(eleven_blocks, tol):
         sorted_cov = CovariantRep(_sorted_roundtrip(cov.base), act, cov.unitaries)
         for g in range(act.group.order):
             want, got = rep_compose(cov.base, act, g), rep_compose(sorted_cov.base, act, g)
+            assert got.labels == sorted_cov.base.labels
             assert all(np.array_equal(got.gens[l], M) for l, M in want.gens.items())
         assert hom_dim(sorted_cov, sorted_cov, tol) == hom_dim(cov, sorted_cov, tol) == 1
         want, got = analyze(cov, tol=tol), analyze(sorted_cov, tol=tol)

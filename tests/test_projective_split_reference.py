@@ -29,7 +29,7 @@ from crossrep.errors import DecompositionFailed, InvariantViolation
 from crossrep.examples import product_cyclic_group
 from crossrep.groups import FiniteGroup, make_cyclic_group, make_symmetric_group_3
 from crossrep.linalg import DEFAULT_TOL, _require
-from crossrep.reps import (ProjectiveRep, _blocks, _character_dim, _character_dims, _hom, _pieces,
+from crossrep.reps import (ProjectiveRep, _block, _blocks, _character_dim, _character_dims, _hom, _pieces,
                            _projective_irreps, _sum_dim)
 
 TOL = DEFAULT_TOL
@@ -250,6 +250,15 @@ def test_the_rotated_leaves_above_sit_where_their_cases_say(monkeypatch, group, 
     assert seen == [widths]
     blocks = _blocks(len(widths), K.order)
     assert blocks == ([slice(4 * i, 4 * i + 4) for i in range(16)] if K.order == 64 else [slice(0, len(widths))])
+
+
+def test_a_block_of_one_item_is_read_without_a_leading_axis():
+    # every block is a slice; from |K| = 128 on each holds one item
+    assert _blocks(3, 128) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert _blocks(5, 64) == [slice(0, 4), slice(4, 5)]
+    a = np.arange(12).reshape(3, 4)
+    assert _block(a, slice(1, 2)).shape == (4,)
+    assert _block(a, slice(0, 2)).shape == (2, 4)
 
 
 @pytest.mark.parametrize(
