@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import DimensionMismatch, InvariantViolation, LabelMismatch
 from .groups import FiniteGroup, Subgroup, coset_action, make_cyclic_group, right_coset_reps
 from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, _require, block_diag
 
@@ -381,6 +381,8 @@ class LabelAction(_Action):
         self.maps = tuple(maps)
 
     def map_label(self, g: int, label: str) -> str:
+        if label not in self.maps[g]:
+            raise LabelMismatch(f"generator {label!r} is not a label the action maps")
         return self.maps[g][label]
 
     def _regrounded(self, K: FiniteGroup, members) -> "LabelAction":

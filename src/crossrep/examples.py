@@ -31,7 +31,7 @@ from .linalg import DEFAULT_TOL
 from .reps import (
     CovariantRep,
     Rep,
-    _tensor_psi,
+    _tensor_stack,
     are_equivalent,
     commutant_basis,
     decompose,
@@ -90,7 +90,6 @@ def minimal_covariant() -> CovariantRep:
     lam = OMEGA3
     U_eta = lam**2 * np.diag([1.0, lam**2])
     U_tau = pi.gens["U3"]
-    G = make_symmetric_group_3()
     unitaries = [
         np.eye(2, dtype=complex),
         U_eta,
@@ -220,7 +219,8 @@ def weyl_pair_homogeneous(q: int = 2) -> CovariantRep:
     auts = [StarAut(A, (0,), [weyl(a, b)]) for a in range(q) for b in range(q)]
     first = [np.linalg.matrix_power(V, a) @ np.linalg.matrix_power(U, b) for a in range(q) for b in range(q)]
     second = [np.linalg.matrix_power(U, a) @ np.linalg.matrix_power(V, b) for a in range(q) for b in range(q)]
-    return _tensor_psi(first, second, defining_rep(A), GroupAction(G, A, auts))
+    base, unitaries = _tensor_stack([first], second, defining_rep(A))
+    return CovariantRep(base, GroupAction(G, A, auts), unitaries[0])
 
 
 def inner_z8_minimal() -> tuple[GroupAction, CovariantRep]:

@@ -80,6 +80,8 @@ class FiniteGroup:
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise InvariantViolation("label count does not match group order")
+        if len(set(self.labels)) != n:
+            raise InvariantViolation("group labels must be distinct")
 
     @cached_property
     def word_length(self) -> int:

@@ -15,8 +15,12 @@ M_{n_1} + ... + M_{n_b} is the compression to one block k up to a unitary,
 its stabilizer is {g : alpha_g fixes k} (:func:`translate_stabilizer`), and
 a covariant representation over the orbit of k is a sum of
 Ind_H^G(Lambda (x) V) (:func:`induce`).  :func:`decompose` and the
-analyzer go through it; ``crossed_irreps`` and ``character_table`` take
-their irreducible Lambda from ``_projective_irreps``.
+analyzer go through it.  The construction runs forward in one place too,
+``_orbit_irreps``: over the orbit of block k, one Ind_H^G(lambda (x) V)
+per class lambda that ``_projective_irreps`` splits from the twisted
+regular representation of H, each certified by dim End = 1 (``_end_dims``).
+``crossed_irreps`` is a loop of it over the orbits, and ``character_table``
+takes its classes from ``_projective_irreps`` with the trivial cocycle.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from types import MappingProxyType
 
 import numpy as np
@@ -363,7 +368,7 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
     Each step is a fixed number of array passes over the :func:`_blocks` of
     |K|: the identity is checked over blocks of rows a, the leaves are
     gathered and checked over blocks of clusters of one width, narrowest
-    first, and every leaf's dim End is rounded in one :func:`_character_dims`.
+    first, and every leaf's dim End is rounded in one :func:`_end_dims`.
     One failure is named as a loop over the rows, then over the leaves,
     would name it, with the same residual.  Where several leaves fail, the
     one named may differ from such a loop's: invariance is checked for
@@ -406,11 +411,7 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
             for i, mats in zip(members, lam):
                 lams[i] = mats
     # dim End of every leaf, by the rule of _character_dim on the terms |chi(a)|^2
-    ends = (np.abs(chi) ** 2).sum(axis=1) / n
-    dims, bounds = _character_dims(ends, ends, tol)
-    if (dims < 0).any():
-        i = int(np.argmax(dims < 0))
-        _sum_dim(ends[i], bounds[i])
+    dims = _end_dims(chi, 1.0, tol)
     leaves, characters = [], []
     for i, mats in enumerate(lams):
         if dims[i] == 1:
@@ -697,7 +698,7 @@ def covariant_character(cov: CovariantRep) -> np.ndarray:
     Row g holds chi(g, .) on the matrix units in ``basis_labels()`` order,
     followed by tr(U_g (1 - pi(1))), the character of the subspace the
     algebra annihilates (zero when pi is unital).  The one-member case of
-    the stacked ``_characters``, which ``crossed_irreps`` reads for every
+    the stacked ``_characters``, which ``_orbit_irreps`` reads for every
     irreducible of one (orbit, dimension) at once.
     """
     return _characters(cov.base, cov.unitaries[None], cov.action.algebra)[0]
@@ -752,6 +753,22 @@ def _character_dims(means: np.ndarray, scales: np.ndarray, tol: Tolerance):
     with np.errstate(invalid="ignore"):  # an infinite sum is a NaN distance, which fails its bound
         within = (counts >= 0) & (np.abs(means - counts) <= bounds)
     return np.where(within, counts, -1).astype(int), bounds
+
+
+def _end_dims(chi: np.ndarray, weights, tol: Tolerance, reducible: str | None = None) -> np.ndarray:
+    """dim End of each member t of a stack from its characters chi[t, g, ...]:
+    the sums |G|^-1 sum_g sum_u w_u |chi(g, u)|^2 with ``weights`` w, rounded
+    by :func:`_character_dims`.  The first sum that is no dimension is named
+    by :func:`_sum_dim`.  With ``reducible`` every sum must be 1: the first
+    that is not is named by :func:`_sum_dim` if it is no dimension, else
+    :class:`InvariantViolation` with the message ``reducible``."""
+    ends = (weights * np.abs(chi) ** 2).sum(axis=tuple(range(1, chi.ndim))) / chi.shape[1]
+    dims, bounds = _character_dims(ends, ends, tol)
+    misses = np.flatnonzero(dims < 0 if reducible is None else dims != 1)
+    if misses.size:
+        _sum_dim(ends[misses[0]], bounds[misses[0]])  # raises unless the sum is a dimension
+        raise InvariantViolation(reducible)
+    return dims
 
 
 def hom_projection(cov1: CovariantRep, cov2: CovariantRep, X) -> np.ndarray:
@@ -958,13 +975,6 @@ def _tensor_stack(lams, V, pi1: Rep) -> tuple[Rep, np.ndarray]:
     return Rep(d, base, pi1.labels), unitaries
 
 
-def _tensor_psi(lam, V, pi1: Rep, action) -> CovariantRep:
-    """The stabilizer block psi_h = Lambda_h (x) V_h on 1_r (x) pi1 of one
-    class, over the restricted ``action`` of H: :func:`_tensor_stack` of one."""
-    base, unitaries = _tensor_stack(np.asarray(lam)[None], V, pi1)
-    return CovariantRep(base, action, unitaries[0])
-
-
 def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> CovariantRep:
     """The induced covariant representation Ind_H^G psi.
 
@@ -973,7 +983,7 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
     result acts on m copies of the space of ``psi``: block i of the algebra
     carries ``psi.base o alpha_{c_i}``, and block (i, j) of U_g is psi(h)
     when c_i g = h c_j, every other block zero.  The one-psi case of
-    ``_induce_stack``, which ``crossed_irreps`` calls once per (orbit,
+    ``_induce_stack``, which ``_orbit_irreps`` calls once per (orbit,
     dimension).
     """
     if psi.group.order != subgroup.order:
@@ -1082,7 +1092,8 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
     W = np.einsum("xib,ij->xjb", C.reshape(D, r, p), dec.basis_change).reshape(D, r * p)
     carried = (Pi.unitaries[list(coset_reps)].conj().transpose(0, 2, 1) @ W).reshape(-1, D, r, p)
     for rep, m in dec.components:
-        psi = _tensor_psi(rep.mats, V, pi1, sub_action)
+        base, unitaries = _tensor_stack(rep.mats[None], V, pi1)
+        psi = CovariantRep(base, sub_action, unitaries[0])
         isometries = []
         for _ in range(m):
             # the copy's columns, side by side over the coset representatives
@@ -1096,6 +1107,41 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
 def _orbit_blocks(action: GroupAction) -> list[int]:
     """The smallest block k of each orbit {alpha_g(k)}: no alpha_g moves k lower."""
     return [k for k in range(action.algebra.n_blocks) if min(aut.perm[k] for aut in action.auts) == k]
+
+
+def _orbit_irreps(action: GroupAction, k: int, seed: int, tol: Tolerance) -> list[CovariantRep]:
+    """Every irreducible over the orbit of block k, built and certified:
+    Mackey's construction with multipliers read forward.
+
+    With H = {g : alpha_g fixes k} and V_h = U^h_k of cocycle c_V
+    (:func:`_block_stabilizer`), one Ind_H^G(lambda (x) V) on 1 (x) pi_k per
+    class of irreducible lambda of H with cocycle conj(c_V)
+    (:func:`_projective_irreps`).  The classes of one dimension r are one
+    stack: the base 1_r (x) pi_k and every lambda (x) V in one
+    :func:`_tensor_stack`, every induction in one :func:`_induce_stack`.
+    Each member is certified by dim End = 1, the character sum of
+    :meth:`CovariantRep.end_dim` read by :func:`_end_dims` for the members
+    that share a base in one product, :class:`InvariantViolation` naming
+    the dimension of the first that fails.  c_V passes one cocycle
+    residual check, so the results are covariant and not re-validated.  In
+    :func:`_character_keys` order, dimension first.
+    """
+    pi_k, stab = _block_stabilizer(action, k, tol)
+    H, sub_action, _, coset_reps, _ = action.restriction(stab.members)
+    weights = np.append(_unit_pattern(action.algebra.block_dims)[0], 1.0)
+    irreps = []
+    # the classes come in _character_keys order, dimension first
+    for _, same in groupby(_projective_irreps(sub_action.group, stab.cocycle, seed, tol), lambda lam: lam.dim):
+        base, unitaries = _tensor_stack([lam.mats for lam in same], stab.V, pi_k)
+        stack = _induce_stack(base, unitaries, action, H, coset_reps)
+        for _, shared in groupby(stack, lambda cov: id(cov.base)):
+            shared = list(shared)
+            chi = _characters(shared[0].base, np.array([cov.unitaries for cov in shared]), action.algebra)
+            # dim End = |G|^-1 sum_g [sum_k n_k^-1 sum_ij |chi(g, e^k_ij)|^2 + |chi(g, 1 - pi(1))|^2];
+            # members that share a base share its dimension
+            _end_dims(chi, weights, tol, f"an induced representation of dim {shared[0].dim} is reducible")
+        irreps += stack
+    return irreps
 
 
 def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:

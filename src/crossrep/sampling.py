@@ -7,16 +7,13 @@ in downstream identities point at the code under test, not the fixtures.
 
 from __future__ import annotations
 
-from itertools import groupby
-
 import numpy as np
 
 from .algebra import GroupAction, MatAlg, StarAut, _cyclic_action
 from .errors import InvariantViolation
 from .groups import Subgroup, coset_action, make_symmetric_group_3, right_coset_reps
 from .linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
-from .reps import (CovariantRep, Rep, _block_stabilizer, _characters, _character_dims, _induce_stack, _orbit_blocks,
-                   _projective_irreps, _sum_dim, _tensor_stack, _unit_pattern, rep_from_images)
+from .reps import CovariantRep, Rep, _orbit_blocks, _orbit_irreps, rep_from_images
 
 __all__ = [
     "random_cyclic_action",
@@ -94,7 +91,6 @@ def _s3_rep_on(dim: int, rng: np.random.Generator):
         kind = str(rng.choice(opts))
         parts.append(kind)
         left -= 2 if kind == "standard" else 1
-    G = make_symmetric_group_3()
     eta = block_diag(*[_s3_irrep_mats(k)[0] for k in parts])
     tau = block_diag(*[_s3_irrep_mats(k)[1] for k in parts])
     Q = random_unitary(dim, rng)
@@ -169,24 +165,6 @@ def random_block_irrep(
     return rep_from_images(algebra, lambda e: Q @ e.blocks[block] @ Q.conj().T)
 
 
-def _require_irreducible(stack: list[CovariantRep], tol: Tolerance):
-    """Raise :class:`InvariantViolation` unless dim End = 1 on every member
-    of ``stack``, by the character sum of :meth:`CovariantRep.end_dim`,
-    read for the members that share a base in one product."""
-    A = stack[0].action.algebra
-    weights = np.append(_unit_pattern(A.block_dims)[0], 1.0)
-    for _, shared in groupby(stack, lambda cov: id(cov.base)):
-        shared = list(shared)
-        chi = _characters(shared[0].base, np.array([cov.unitaries for cov in shared]), A)
-        # dim End = |G|^-1 sum_g [sum_k n_k^-1 sum_ij |chi(g, e^k_ij)|^2 + |chi(g, 1 - pi(1))|^2]
-        means = (weights * np.abs(chi) ** 2).sum(axis=(1, 2)) / chi.shape[1]
-        dims, bounds = _character_dims(means, means, tol)
-        misses = np.flatnonzero(dims != 1)
-        if misses.size:
-            _sum_dim(means[misses[0]], bounds[misses[0]])  # names a sum that is no dimension
-            raise InvariantViolation(f"an induced representation of dim {shared[misses[0]].dim} is reducible")
-
-
 def crossed_irreps(
     action: GroupAction,
     seed: int = 0,
@@ -195,36 +173,18 @@ def crossed_irreps(
     """Every irreducible covariant representation of the crossed product.
 
     Mackey's construction with multipliers, one orbit of blocks at a time:
-    with k the smallest block of the orbit, H = {g : alpha_g fixes k} and
-    V_h = U^h_k of cocycle c_V, the irreducibles over the orbit are
-    Ind_H^G(lambda (x) V) on 1 (x) pi_k, one per class of irreducible lambda
-    of H with cocycle conj(c_V) (``reps._projective_irreps``, which splits
-    the twisted regular representation block by block, one block when
-    |H| <= 8).  The classes of one dimension r are built in one stacked
-    pass: the base 1_r (x) pi_k once, every lambda (x) V in one product and
-    every induction in one ``reps._induce_stack``, which composes the base
-    with every coset representative in one contraction and fills every U_g
-    of the stack in one assignment.  Certified by dim End = 1 on each
-    result, the character sum of ``end_dim`` read for a whole stack at
-    once, and by the Wedderburn count sum dim^2 = |G| dim A,
-    :class:`InvariantViolation` otherwise; c_V passes one cocycle residual
-    check, so the results are covariant and not re-validated.  Ordered with
-    no seed by dimension, then orbit (smallest block first), then the
-    character of lambda, as :func:`~crossrep.reps.decompose` orders the
-    crossed model's defining representation.
+    ``reps._orbit_irreps`` builds the irreducibles over the orbit of its
+    smallest block k, Ind_H^G(lambda (x) V) on 1 (x) pi_k for H the
+    stabilizer of k, V_h = U^h_k and one lambda per class of irreducible
+    projective representations of H with cocycle conj(c_V), and certifies
+    each by dim End = 1.  The whole list is certified by the Wedderburn
+    count sum dim^2 = |G| dim A, :class:`InvariantViolation` otherwise.
+    Ordered with no seed by dimension, then orbit (smallest block first),
+    then the character of lambda, as :func:`~crossrep.reps.decompose`
+    orders the crossed model's defining representation.
     """
-    G, A = action.group, action.algebra
-    irreps = []
-    for k in _orbit_blocks(action):
-        pi_k, stab = _block_stabilizer(action, k, tol)
-        H, sub_action, _, coset_reps, _ = action.restriction(stab.members)
-        # the classes come in _character_keys order, dimension first
-        for _, same in groupby(_projective_irreps(sub_action.group, stab.cocycle, seed, tol), lambda lam: lam.dim):
-            base, unitaries = _tensor_stack([lam.mats for lam in same], stab.V, pi_k)
-            stack = _induce_stack(base, unitaries, action, H, coset_reps)
-            _require_irreducible(stack, tol)
-            irreps += stack
+    irreps = [cov for k in _orbit_blocks(action) for cov in _orbit_irreps(action, k, seed, tol)]
     irreps.sort(key=lambda cov: cov.dim)
-    if sum(cov.dim**2 for cov in irreps) != G.order * A.linear_dim:
+    if sum(cov.dim**2 for cov in irreps) != action.group.order * action.algebra.linear_dim:
         raise InvariantViolation("irreducible dimensions fail sum dim^2 = |G| dim A")
     return irreps

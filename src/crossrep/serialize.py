@@ -101,14 +101,18 @@ def group_to_json(G: FiniteGroup) -> dict:
 def group_from_json(obj) -> FiniteGroup:
     _expect(isinstance(obj, dict), "group must be an object")
     _expect("table" in obj, "group needs a Cayley table")
-    table, identity = obj["table"], obj.get("identity")
+    table, identity, labels = obj["table"], obj.get("identity"), obj.get("labels")
     _expect(isinstance(table, list) and table, "Cayley table must be a nonempty list of rows")
     for row in table:
         _expect_ints(row, 0, len(table), f"Cayley table entries must be integers in [0, {len(table)})")
     if identity is not None:
         _expect_ints([identity], 0, len(table), f"identity must be an integer in [0, {len(table)})")
+    if labels is not None:
+        # tuple() of a string would split it into characters
+        distinct = isinstance(labels, list) and set(map(type, labels)) <= {str} and len(set(labels)) == len(labels)
+        _expect(distinct and len(labels) == len(table), f"labels must be a list of {len(table)} distinct strings")
     try:
-        return FiniteGroup(table, identity=identity, labels=obj.get("labels"))
+        return FiniteGroup(table, identity=identity, labels=labels)
     except (TypeError, ValueError) as err:
         raise SchemaError(f"bad group data: {err}") from err
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -610,3 +612,37 @@ def test_cocycle_rejects_a_family_that_is_not_projective(rng, tol):
     assert np.allclose(_cocycle(K, powers, tol), 1.0)
     with pytest.raises(InvariantViolation, match="not scalar multiples"):
         _cocycle(K, powers, tol, np.full((3, 3), 1j))
+
+
+def _flip():
+    A = MatAlg([1, 1])
+    return GroupAction(make_cyclic_group(2), A, [StarAut.identity(A), StarAut(A, (1, 0), [np.eye(1)] * 2)])
+
+
+def _first_block(action):
+    return rep_from_images(action.algebra, lambda e: e.blocks[0])
+
+
+REFUSALS = {
+    # the regular representation of a free orbit is pi_0 + pi_1 on the algebra: dim End = 2
+    "homogeneous_irreducibility of a base whose commutant is no square": (
+        lambda: homogeneous_irreducibility(regular_representation(_first_block(_flip()), _flip())),
+        "base commutant is not a full matrix algebra"),
+    "build_cyclic_irrep with a wrongly sized corner": (
+        lambda: build_cyclic_irrep(_first_block(_flip()), np.eye(2), 2, 1, _flip()),
+        "corner unitary must act on the space of pi1"),
+    # V = 1 conjugates pi1 onto its translate by m = 2 = 0 in Z2, and V^1 = 1
+    "build_cyclic_irrep of a reducible pi1": (
+        lambda: build_cyclic_irrep(defining_rep(MatAlg([1, 1])), np.eye(2), 2, 1, _flip()),
+        "pi1 must be irreducible"),
+    "periodize with a wrongly sized unitary": (
+        lambda: periodize(_first_block(_flip()), np.eye(3), _flip()),
+        "unitary must act on the space of the base rep"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_public_refusals_raise_their_typed_error(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        call()

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossrep.algebra import GroupAction, MatAlg, StarAut
+from crossrep.algebra import GroupAction, LabelAction, MatAlg, StarAut
 from crossrep.cli import main
 from crossrep.crossed import build_crossed_model
 from crossrep.examples import (
@@ -251,6 +251,35 @@ def test_analyze_reducible_label_action_exit_4(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     # the two swapped halves of the 12-dim regular representation
     assert doc["decomposition"] == [{"dim": 6, "multiplicity": 1}] * 2
+
+
+def _swap_ab_covariant(generators, U1):
+    # Z2 swapping the labels a and b on two diagonal projections
+    act = LabelAction(make_cyclic_group(2), [{"a": "a", "b": "b"}, {"a": "b", "b": "a"}])
+    base = Rep(2, dict(zip(generators, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])))
+    return CovariantRep(base, act, [np.eye(2), np.asarray(U1, dtype=complex)])
+
+
+def test_analyze_unmapped_label_exit_3(tmp_path, capsys):
+    # generator c is not a label of the action: a LabelMismatch, as over a
+    # GroupAction, not a KeyError (exit 5)
+    f = _write(tmp_path / "unmapped.json", covariant_to_json(_swap_ab_covariant(["a", "c"], np.diag([1.0, -1.0]))))
+    assert main(["analyze", f]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "generator 'c' is not a label the action maps", "exit": 3}
+
+
+@pytest.mark.parametrize("labels", [["x", "x"], "ab"])
+def test_group_labels_that_are_not_distinct_strings_exit_2(tmp_path, capsys, labels):
+    # ["x", "x"] named both unitaries U[x]; "ab" was split into characters
+    # the swap is covariant and irreducible under the default labels
+    doc = covariant_to_json(_swap_ab_covariant(["a", "b"], [[0, 1], [1, 0]]))
+    assert main(["analyze", _write(tmp_path / "swap.json", doc)]) == 0
+    capsys.readouterr()
+    doc["action_ref"]["group"]["labels"] = labels
+    f = _write(tmp_path / "labels.json", doc)
+    assert main(["analyze", f]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "labels must be a list of 2 distinct strings"
 
 
 def test_analyze_zero_algebra_part_exit_3(tmp_path, capsys):

@@ -34,7 +34,7 @@ from crossrep.reps import (
     _hom,
     _orbit_blocks,
     _projective_irreps,
-    _tensor_psi,
+    _tensor_stack,
     decompose,
     direct_sum_reps,
     hom_dim,
@@ -156,7 +156,8 @@ def _one_at_a_time(act, seed, tol):
         pi_k, stab = _block_stabilizer(act, k, tol)
         H, sub_action, _, coset_reps, _ = act.restriction(stab.members)
         for lam in _projective_irreps(sub_action.group, stab.cocycle, seed, tol):
-            irreps.append(induce(_tensor_psi(lam.mats, stab.V, pi_k, sub_action), act, H, coset_reps))
+            base, unitaries = _tensor_stack(lam.mats[None], stab.V, pi_k)
+            irreps.append(induce(CovariantRep(base, sub_action, unitaries[0]), act, H, coset_reps))
     return sorted(irreps, key=lambda cov: cov.dim)
 
 
@@ -170,6 +171,25 @@ def test_stacked_build_matches_one_induction_per_class_array_for_array(name, see
         assert a.base.labels == b.base.labels
         assert np.array_equal(a.base.stack, b.base.stack)
         assert np.array_equal(a.unitaries, b.unitaries)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_cyclic_action(8, [2, 1, 1], np.random.default_rng(0)),
+    lambda: random_s3_action(np.random.default_rng(0), "conjugated"),
+], ids=["Z8[2,1,1] seed 0", "S3 conjugated seed 0"])
+def test_every_irreducible_of_a_stacked_build_passes_the_per_irreducible_checks(make):
+    # the irreducibles of one (orbit, dimension) are built and certified in
+    # one stacked pass: recheck each through the public end_dim and the Wedderburn count
+    act = make()
+    irreps = crossed_irreps(act)
+    assert all(cov.end_dim() == 1 for cov in irreps)
+    assert sum(cov.dim**2 for cov in irreps) == act.group.order * act.algebra.linear_dim
+
+
+def test_the_split_of_an_order_64_group_takes_several_blocks():
+    # 4 rows and 4 leaves a block at |K| = 64: the multi-block path
+    assert len(crossed_irreps(random_cyclic_action(64, [1], np.random.default_rng(0)))) == 64
+    assert len(character_table(make_cyclic_group(64)).dims) == 64
 
 
 def test_crossed_irreps_of_z128_stay_small_in_memory(tol):
@@ -329,7 +349,7 @@ def test_crossed_irreps_rejects_a_reducible_induction(monkeypatch, tol):
     # only the last member of a stack of two or more is doubled, so a
     # certificate that reads stack[0] alone lets it through; Z4[2,2,1]
     # builds a stack of two irreducibles of dim 4 and one of four of dim 1
-    induce_stack = crossrep.sampling._induce_stack
+    induce_stack = crossrep.reps._induce_stack
 
     def doubled_last(*args, **kwargs):
         stack = induce_stack(*args, **kwargs)
@@ -339,24 +359,24 @@ def test_crossed_irreps_rejects_a_reducible_induction(monkeypatch, tol):
             stack[-1] = CovariantRep(base, cov.action, [block_diag(U, U) for U in cov.unitaries])
         return stack
 
-    monkeypatch.setattr(crossrep.sampling, "_induce_stack", doubled_last)
+    monkeypatch.setattr(crossrep.reps, "_induce_stack", doubled_last)
     with pytest.raises(InvariantViolation, match="is reducible"):
         crossed_irreps(ACTIONS["Z4[2,2,1]"](), seed=0, tol=tol)
 
 
 def test_crossed_irreps_rejects_a_missing_component(monkeypatch, tol):
-    projective_irreps = crossrep.sampling._projective_irreps
+    projective_irreps = crossrep.reps._projective_irreps
 
     def drop_last(*args, **kwargs):
         return projective_irreps(*args, **kwargs)[:-1]
 
-    monkeypatch.setattr(crossrep.sampling, "_projective_irreps", drop_last)
+    monkeypatch.setattr(crossrep.reps, "_projective_irreps", drop_last)
     with pytest.raises(InvariantViolation, match="dim A"):
         crossed_irreps(ACTIONS["S3 inner"](), seed=0, tol=tol)
 
 
 def test_crossed_irreps_checks_the_twisted_regular_relation(monkeypatch, tol):
-    block_stabilizer = crossrep.sampling._block_stabilizer
+    block_stabilizer = crossrep.reps._block_stabilizer
 
     def wrong_cocycle(action, k, tol):
         # c_V with one entry off by a phase is no 2-cocycle, so the twisted
@@ -366,20 +386,20 @@ def test_crossed_irreps_checks_the_twisted_regular_relation(monkeypatch, tol):
         c[1, 1] *= 1j
         return pi_k, stab._replace(cocycle=c)
 
-    monkeypatch.setattr(crossrep.sampling, "_block_stabilizer", wrong_cocycle)
+    monkeypatch.setattr(crossrep.reps, "_block_stabilizer", wrong_cocycle)
     with pytest.raises(InvariantViolation, match=r"not scalar multiples of each other at pair \(\d+,\d+\): residual"):
         crossed_irreps(ACTIONS["Weyl q=3"](), seed=0, tol=tol)
 
 
 def test_crossed_irreps_splits_only_twisted_regular_representations(monkeypatch, tol):
-    projective_irreps = crossrep.sampling._projective_irreps
+    projective_irreps = crossrep.reps._projective_irreps
     seen = []
 
     def record(K, c, *args, **kwargs):
         seen.append((K, c))
         return projective_irreps(K, c, *args, **kwargs)
 
-    monkeypatch.setattr(crossrep.sampling, "_projective_irreps", record)
+    monkeypatch.setattr(crossrep.reps, "_projective_irreps", record)
     for make in ACTIONS.values():
         act = make()
         # one split per orbit, of the twisted regular representation of order

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossrep.errors import InvariantViolation
+from crossrep.errors import InvariantViolation, SchemaError
 from crossrep.examples import product_cyclic_group
 from crossrep.groups import (
     FiniteGroup,
@@ -20,6 +20,7 @@ from crossrep.groups import (
     subgroup_closure,
 )
 from crossrep.reps import Rep, decompose
+from crossrep.serialize import group_from_json
 
 
 def test_trivial_group():
@@ -72,6 +73,19 @@ def test_bad_tables_rejected():
     ]
     with pytest.raises(InvariantViolation):
         FiniteGroup(q)
+
+
+def test_duplicate_labels_rejected():
+    # a covariant representation names its unitaries U[label]
+    with pytest.raises(InvariantViolation, match="^group labels must be distinct$"):
+        FiniteGroup([[0, 1], [1, 0]], labels=["x", "x"])
+
+
+@pytest.mark.parametrize("labels", [["x", "x"], "ab", ["a"], ["a", "b", "c"], ["a", 1], [0, 1]])
+def test_group_from_json_refuses_labels_that_are_not_distinct_strings(labels):
+    doc = {"table": [[0, 1], [1, 0]], "identity": 0, "labels": labels}
+    with pytest.raises(SchemaError, match=r"^labels must be a list of 2 distinct strings$"):
+        group_from_json(doc)
 
 
 def test_subgroup_validation():

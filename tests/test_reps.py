@@ -3,8 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from crossrep.algebra import MatAlg, StarAut, GroupAction
-from crossrep.errors import ActionMismatch, InvariantViolation, LabelMismatch, NotIrreducible
+from crossrep.algebra import LabelAction, MatAlg, StarAut, GroupAction
+from crossrep.errors import (
+    ActionMismatch,
+    DimensionMismatch,
+    InvariantViolation,
+    LabelMismatch,
+    NotFactorable,
+    NotIrreducible,
+)
 from crossrep.examples import (
     cute_example,
     expermutation2_example,
@@ -27,6 +34,8 @@ from crossrep.reps import (
     defining_rep,
     direct_sum_reps,
     evaluate,
+    factor_tensor,
+    hom_dim,
     intertwiners,
     is_irreducible,
     regular_irreducibility_criterion,
@@ -404,3 +413,52 @@ def test_projective_validate_names_the_first_failing_triple():
     )
     with pytest.raises(InvariantViolation, match=re.escape(f"({triple[0]},{triple[1]},{triple[2]})")):
         ProjectiveRep(K, [np.zeros((1, 1))] * 3, c).validate(1e-8)
+
+
+def _flip():
+    A = MatAlg([1, 1])
+    return GroupAction(make_cyclic_group(2), A, [StarAut.identity(A), StarAut(A, (1, 0), [np.eye(1)] * 2)])
+
+
+def _trivial_on_flip_algebra():
+    # the algebra of _flip under another group
+    A = MatAlg([1, 1])
+    return GroupAction(make_cyclic_group(1), A, [StarAut.identity(A)])
+
+
+def _swap_ab():
+    # Z2 swapping the labels a and b
+    return LabelAction(make_cyclic_group(2), [{"a": "a", "b": "b"}, {"a": "b", "b": "a"}])
+
+
+def _covariant_over(action, base):
+    return CovariantRep(base, action, [np.eye(base.dim)] * action.group.order)
+
+
+REFUSALS = {
+    "images of two sizes": (
+        lambda: rep_from_images(MatAlg([1, 1]), lambda e: np.eye(1 + int(e.blocks[1].any()))),
+        DimensionMismatch, "images have inconsistent dimensions"),
+    "summands with different labels": (
+        lambda: direct_sum_reps([Rep(1, {"a": np.eye(1)}), Rep(1, {"b": np.eye(1)})]),
+        LabelMismatch, "direct summands must share generator labels"),
+    "hom_dim over two actions": (
+        lambda: hom_dim(_covariant_over(_flip(), defining_rep(MatAlg([1, 1]))),
+                        _covariant_over(_trivial_on_flip_algebra(), defining_rep(MatAlg([1, 1])))),
+        ActionMismatch, "covariant representations over different actions"),
+    "generators that are not the matrix units": (
+        lambda: hom_dim(*[_covariant_over(_flip(), Rep(1, {"a": np.eye(1), "b": np.eye(1)}))] * 2),
+        LabelMismatch, "representation is not labeled by the expected generators"),
+    "factor_tensor of a wrongly sized W": (
+        lambda: factor_tensor(np.eye(3), np.eye(2), 2), NotFactorable, "W must be 4 x 4"),
+    "rep_compose of a label the action does not map": (
+        lambda: rep_compose(Rep(1, {"a": np.eye(1), "c": np.eye(1)}), _swap_ab(), 1),
+        LabelMismatch, "generator 'c' is not a label the action maps"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_public_refusals_raise_their_typed_error(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
