@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import AlgElement, GroupAction
 from .errors import ActionMismatch, InvariantViolation
 from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, _require, orthonormal_span
-from .reps import CovariantRep, Rep, defining_rep, evaluate, induce, trivial_covariant
+from .reps import CovariantRep, Rep, _ranks, defining_rep, evaluate, induce, trivial_covariant
 
 __all__ = [
     "CrossedElement",
@@ -228,7 +228,9 @@ def fixed_point_algebra(
     """Basis of the fixed-point subalgebra and its defining inclusion.
 
     The basis spans ``{x : alpha_g(x) = x for all g}``, computed as the
-    range of the trivial-character projection and re-orthonormalized.  The
+    range of the trivial-character projection P: the eigenvectors of its
+    tr P largest eigenvalues, with tr P rounded by ``reps._ranks`` (else
+    :class:`InvariantViolation` naming the projection trace).  The
     returned representation packages the basis images on the defining
     space so the decomposition engine can enumerate the irreducibles.
     Both depend on the action alone: they are computed once per ``tol``
@@ -238,9 +240,11 @@ def fixed_point_algebra(
     def build():
         P = projection_matrix(action, np.ones(action.group.order))
         # alpha_g preserves the Frobenius inner product, so P is an orthogonal
-        # projection and its range is read off the eigenvectors at eigenvalue 1
-        evals, evecs = np.linalg.eigh((P + P.conj().T) / 2)
-        basis = tuple(action.algebra.from_coeffs(evecs[:, j]) for j in range(len(evals)) if evals[j] > 0.5)
+        # projection of rank tr P, and its range is read off the eigenvectors
+        # of its tr P largest eigenvalues (eigh sorts them in ascending order)
+        [rank] = _ranks(P[None], tol)
+        evecs = np.linalg.eigh((P + P.conj().T) / 2)[1]
+        basis = tuple(action.algebra.from_coeffs(evecs[:, j]) for j in range(len(P) - rank, len(P)))
         d = action.algebra.defining_dim
         images = np.array([b.to_matrix() for b in basis]).reshape(-1, d, d)
         for a in (images, *(block for b in basis for block in b.blocks)):

@@ -22,14 +22,7 @@ class LabelMismatch(CrossrepError):
 
 
 class NotIrreducible(CrossrepError):
-    """An operation requiring an irreducible representation got a reducible one.
-
-    Carries the offending decomposition when available.
-    """
-
-    def __init__(self, message, decomposition=None):
-        super().__init__(message)
-        self.decomposition = decomposition
+    """An operation requiring an irreducible representation got a reducible one."""
 
 
 class DecompositionFailed(CrossrepError):

@@ -14,13 +14,16 @@ theorem is read off in one place, ``_mackey_orbit``: an irreducible of
 M_{n_1} + ... + M_{n_b} is the compression to one block k up to a unitary,
 its stabilizer is {g : alpha_g fixes k} (:func:`translate_stabilizer`), and
 a covariant representation over the orbit of k is a sum of
-Ind_H^G(Lambda (x) V) (:func:`induce`).  :func:`decompose` and the
-analyzer go through it.  The construction runs forward in one place too,
-``_orbit_irreps``: over the orbit of block k, one Ind_H^G(lambda (x) V)
-per class lambda that ``_projective_irreps`` splits from the twisted
-regular representation of H, each certified by dim End = 1 (``_end_dims``).
-``crossed_irreps`` is a loop of it over the orbits, and ``character_table``
-takes its classes from ``_projective_irreps`` with the trivial cocycle.
+Ind_H^G(lambda (x) V) over the classes lambda split from Lambda.
+:func:`decompose` and the analyzer go through it.  The construction runs
+forward in one place too, ``_orbit_irreps``: over the orbit of block k,
+one Ind_H^G(lambda (x) V) per class lambda that ``_projective_irreps``
+splits from the twisted regular representation of H, each certified by
+dim End = 1 (``_end_dims``).  ``crossed_irreps`` is a loop of it over the
+orbits, and ``character_table`` takes its classes from
+``_projective_irreps`` with the trivial cocycle.  Both directions build
+their Ind_H^G(lambda (x) V) in ``_induced``: one stacked :func:`induce`
+per (orbit, dimension).
 """
 
 from __future__ import annotations
@@ -337,8 +340,8 @@ def _character_keys(dims, chi: np.ndarray, tol: Tolerance) -> list[tuple]:
     elements h in index order on the ``rank_eps`` grid.  Characters are
     constant on classes, so this is the order over classes by their
     smallest member."""
-    chi = chi / tol.rank_eps
-    grid = np.rint(np.stack([chi.real, chi.imag], axis=-1)).reshape(len(chi), -1).tolist()
+    # a complex row viewed as floats is its (real, imaginary) pairs in order
+    grid = np.rint(np.ascontiguousarray(chi / tol.rank_eps).view(float)).tolist()
     return [(dim, *row) for dim, row in zip(dims, grid)]
 
 
@@ -983,8 +986,8 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
     result acts on m copies of the space of ``psi``: block i of the algebra
     carries ``psi.base o alpha_{c_i}``, and block (i, j) of U_g is psi(h)
     when c_i g = h c_j, every other block zero.  The one-psi case of
-    ``_induce_stack``, which ``_orbit_irreps`` calls once per (orbit,
-    dimension).
+    ``_induce_stack``, which ``_induced`` calls once per (orbit, dimension)
+    for both ``_orbit_irreps`` and ``_mackey_orbit``.
     """
     if psi.group.order != subgroup.order:
         raise InvariantViolation("psi is not a representation of the subgroup")
@@ -1017,6 +1020,17 @@ def _induce_stack(base: Rep, unitaries: np.ndarray, action, subgroup: Subgroup, 
     stack.setflags(write=False)  # shared by the whole stack
     induced = Rep(m * d, stack, labels)
     return [CovariantRep(induced, action, u) for u in U]
+
+
+def _induced(action, subgroup: Subgroup, coset_reps, pi1: Rep, V, lams):
+    """Ind_H^G(lambda (x) V) for the classes ``lams`` of H in
+    :func:`_character_keys` order, one stack per dimension r: yields the
+    shared base 1_r (x) pi1, the psi stack lambda (x) V of one
+    :func:`_tensor_stack` and that stack's inductions from one
+    :func:`_induce_stack`."""
+    for _, same in groupby(lams, lambda lam: lam.dim):
+        base, psis = _tensor_stack([lam.mats for lam in same], V, pi1)
+        yield base, psis, _induce_stack(base, psis, action, subgroup, coset_reps)
 
 
 def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -1077,7 +1091,9 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
     :func:`factor_tensor` of C* Pi(U_h) C against V_h, of cocycle conj(c_V).
     Each irreducible lambda in Lambda gives one class Ind_H^G(lambda (x) V),
     and each copy Q of it the isometry [U_c* C (Q (x) 1)] over the coset
-    representatives c, carrying Pi onto its Ind, in :func:`_character_keys` order.
+    representatives c, carrying Pi onto its Ind.  The classes are put in
+    :func:`_character_keys` order first and then built by :func:`_induced`,
+    one stack per dimension.
     """
     H, sub_action, members, coset_reps, coset_table = action.restriction(witnesses.members)
     K, V, c_V = sub_action.group, witnesses.V, witnesses.cocycle
@@ -1086,21 +1102,22 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
     lam_mats = factor_tensor(compressed, V, C.shape[1] // pi1.dim, tol)
     # C* Pi(U_h) C = Lambda_h (x) V_h is a genuine representation, so Lambda carries conj(c_V)
     lam = ProjectiveRep(K, lam_mats, _cocycle(K, lam_mats, tol, c_V.conj()))
-    dec, pos, classes = _decompose(lam, seed, tol), 0, []
+    dec, pos, parts = _decompose(lam, seed, tol), 0, []
     D, r, p = C.shape[0], len(dec.basis_change), pi1.dim
-    # carried[c, :, j, b] = U_c* C (Q (x) 1) at column (j, b), for every coset representative c in one product
+    # carried[:, c, j, b] = U_c* C (Q (x) 1) at column (j, b), for every coset representative c in one product
     W = np.einsum("xib,ij->xjb", C.reshape(D, r, p), dec.basis_change).reshape(D, r * p)
-    carried = (Pi.unitaries[list(coset_reps)].conj().transpose(0, 2, 1) @ W).reshape(-1, D, r, p)
+    carried = (Pi.unitaries[list(coset_reps)].conj().transpose(0, 2, 1) @ W).reshape(-1, D, r, p).transpose(1, 0, 2, 3)
     for rep, m in dec.components:
-        base, unitaries = _tensor_stack(rep.mats[None], V, pi1)
-        psi = CovariantRep(base, sub_action, unitaries[0])
-        isometries = []
-        for _ in range(m):
-            # the copy's columns, side by side over the coset representatives
-            isometries.append(carried[:, :, pos : pos + rep.dim].transpose(1, 0, 2, 3).reshape(D, -1))
-            pos += rep.dim
-        classes.append(_Class(rep, psi, induce(psi, action, H, coset_reps), isometries))
-    classes.sort(key=lambda cls: _character_keys([cls.lam.dim], np.trace(cls.lam.mats, axis1=1, axis2=2)[None], tol)[0])
+        # each copy's columns, side by side over the coset representatives
+        starts = range(pos, pos + m * rep.dim, rep.dim)
+        parts.append((rep, [carried[:, :, q : q + rep.dim].reshape(D, -1) for q in starts]))
+        pos = starts.stop
+    chi = np.array([np.trace(rep.mats, axis1=1, axis2=2) for rep, _ in parts])
+    keys = _character_keys([rep.dim for rep, _ in parts], chi, tol)
+    parts = [parts[i] for i in sorted(range(len(parts)), key=keys.__getitem__)]
+    built = _induced(action, H, coset_reps, pi1, V, [rep for rep, _ in parts])
+    induced = [(CovariantRep(base, sub_action, u), cov) for base, psis, stack in built for u, cov in zip(psis, stack)]
+    classes = [_Class(rep, psi, cov, isometries) for (rep, isometries), (psi, cov) in zip(parts, induced)]
     return _Orbit(H, sub_action, members, V, c_V, coset_reps, coset_table, pi1, lam, classes)
 
 
@@ -1116,31 +1133,25 @@ def _orbit_irreps(action: GroupAction, k: int, seed: int, tol: Tolerance) -> lis
     With H = {g : alpha_g fixes k} and V_h = U^h_k of cocycle c_V
     (:func:`_block_stabilizer`), one Ind_H^G(lambda (x) V) on 1 (x) pi_k per
     class of irreducible lambda of H with cocycle conj(c_V)
-    (:func:`_projective_irreps`).  The classes of one dimension r are one
-    stack: the base 1_r (x) pi_k and every lambda (x) V in one
-    :func:`_tensor_stack`, every induction in one :func:`_induce_stack`.
-    Each member is certified by dim End = 1, the character sum of
-    :meth:`CovariantRep.end_dim` read by :func:`_end_dims` for the members
-    that share a base in one product, :class:`InvariantViolation` naming
-    the dimension of the first that fails.  c_V passes one cocycle
+    (:func:`_projective_irreps`), built by :func:`_induced`, one stack per
+    dimension.  Each member is certified by dim End = 1, the character sum
+    of :meth:`CovariantRep.end_dim` read by :func:`_end_dims` for the
+    members that share a base in one product, :class:`InvariantViolation`
+    naming the dimension of the first that fails.  c_V passes one cocycle
     residual check, so the results are covariant and not re-validated.  In
     :func:`_character_keys` order, dimension first.
     """
     pi_k, stab = _block_stabilizer(action, k, tol)
     H, sub_action, _, coset_reps, _ = action.restriction(stab.members)
     weights = np.append(_unit_pattern(action.algebra.block_dims)[0], 1.0)
-    irreps = []
-    # the classes come in _character_keys order, dimension first
-    for _, same in groupby(_projective_irreps(sub_action.group, stab.cocycle, seed, tol), lambda lam: lam.dim):
-        base, unitaries = _tensor_stack([lam.mats for lam in same], stab.V, pi_k)
-        stack = _induce_stack(base, unitaries, action, H, coset_reps)
-        for _, shared in groupby(stack, lambda cov: id(cov.base)):
-            shared = list(shared)
-            chi = _characters(shared[0].base, np.array([cov.unitaries for cov in shared]), action.algebra)
-            # dim End = |G|^-1 sum_g [sum_k n_k^-1 sum_ij |chi(g, e^k_ij)|^2 + |chi(g, 1 - pi(1))|^2];
-            # members that share a base share its dimension
-            _end_dims(chi, weights, tol, f"an induced representation of dim {shared[0].dim} is reducible")
-        irreps += stack
+    lams = _projective_irreps(sub_action.group, stab.cocycle, seed, tol)
+    irreps = [cov for _, _, stack in _induced(action, H, coset_reps, pi_k, stab.V, lams) for cov in stack]
+    for _, shared in groupby(irreps, lambda cov: id(cov.base)):
+        shared = list(shared)
+        chi = _characters(shared[0].base, np.array([cov.unitaries for cov in shared]), action.algebra)
+        # dim End = |G|^-1 sum_g [sum_k n_k^-1 sum_ij |chi(g, e^k_ij)|^2 + |chi(g, 1 - pi(1))|^2];
+        # members that share a base share its dimension
+        _end_dims(chi, weights, tol, f"an induced representation of dim {shared[0].dim} is reducible")
     return irreps
 
 

@@ -186,6 +186,7 @@ def action_from_json(obj, tol: Tolerance = DEFAULT_TOL):
         for g in range(G.order):
             _expect(isinstance(obj["maps"].get(str(g)), dict), f"label map for element {g} must be an object")
             maps.append(dict(obj["maps"][str(g)]))
+            _expect(all(isinstance(v, str) for v in maps[g].values()), f"label map for element {g} must map to strings")
         return LabelAction(G, maps)
     raise SchemaError("action needs either auts or maps")
 
@@ -354,10 +355,10 @@ def s3_class_to_json(v: S3Class) -> dict:
     return out
 
 
-def format_complex(z, digits: int = 6) -> str:
+def format_complex(z) -> str:
     """Fixed 6-significant-digit a+bi rendering with -0 normalized to 0."""
     z = complex(z)
-    re, im = float(f"{z.real:.{digits}g}"), float(f"{z.imag:.{digits}g}")
+    re, im = float(f"{z.real:.6g}"), float(f"{z.imag:.6g}")
     if re == 0.0:
         re = 0.0
     if im == 0.0:

@@ -282,6 +282,18 @@ def test_group_labels_that_are_not_distinct_strings_exit_2(tmp_path, capsys, lab
     assert json.loads(capsys.readouterr().err)["error"] == "labels must be a list of 2 distinct strings"
 
 
+@pytest.mark.parametrize("value", [["b"], 7])
+def test_label_map_with_a_non_string_value_exits_2(tmp_path, capsys, value):
+    # a list value reached the set of images in LabelAction (exit 5), a number
+    # its bijection check (exit 3)
+    doc = covariant_to_json(_swap_ab_covariant(["a", "b"], [[0, 1], [1, 0]]))
+    doc["action_ref"]["maps"]["1"]["a"] = value
+    f = _write(tmp_path / "map.json", doc)
+    assert main(["analyze", f]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "label map for element 1 must map to strings", "exit": 2}
+
+
 def test_analyze_zero_algebra_part_exit_3(tmp_path, capsys):
     A = MatAlg([1, 1])
     flip = StarAut(A, (1, 0), [np.eye(1)] * 2)

@@ -368,6 +368,47 @@ def test_host_108_model_matches_the_host_size_split(tol):
     _assert_certified(cov, dec, tol)
 
 
+STACKED = {
+    "Z12[3,3,3] model": lambda: _cyclic_model(12, [3, 3, 3], 0),
+    "S3 permutation model": lambda: build_crossed_model(
+        random_s3_action(np.random.default_rng(0), "permutation")
+    ).defining_covariant_rep(),
+}
+
+
+def _stacks(dec, tol):
+    """The components of a decomposition grouped by (dimension, blocks their
+    algebra part reaches): by the (orbit, dimension) they were built in."""
+    stacks = {}
+    for comp, _ in dec.components:
+        ranks = crossrep.reps._frame_ranks(comp.base, comp.action.algebra, tol)
+        stacks.setdefault((comp.dim, tuple(r > 0 for r in ranks)), []).append(comp)
+    return list(stacks.values())
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_decompose_components_of_one_orbit_and_dimension_share_one_induced_base(name, tol):
+    stacks = _stacks(decompose(STACKED[name](), seed=0, tol=tol), tol)
+    assert max(len(comps) for comps in stacks) > 1
+    assert all(len({id(comp.base) for comp in comps}) == 1 for comps in stacks)
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_decompose_induces_once_per_orbit_and_dimension(name, monkeypatch, tol):
+    # one _induce_stack of all classes of an (orbit, dimension), as in
+    # crossed_irreps, rather than one induction per class
+    cov, calls = STACKED[name](), []  # the model is built by an induction too
+    induce_stack = crossrep.reps._induce_stack
+
+    def counting(base, unitaries, *args):
+        calls.append(len(unitaries))
+        return induce_stack(base, unitaries, *args)
+
+    monkeypatch.setattr(crossrep.reps, "_induce_stack", counting)
+    stacks = _stacks(decompose(cov, seed=0, tol=tol), tol)
+    assert sorted(calls) == sorted(len(comps) for comps in stacks)
+
+
 def _split_sizes(cov, tol):
     """The frame rank r of each orbit with r > 0, then dim(1 - Pi(1)) if > 0."""
     A = cov.action.algebra

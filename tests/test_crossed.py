@@ -301,6 +301,20 @@ def test_fixed_point_rotation_is_constants(tol):
     assert len(basis) == 1
 
 
+@pytest.mark.parametrize(
+    "make_action, dim", [(lambda: rotation_action(4), 1), (lambda: cute_example()[0], 2)], ids=["rotation", "cute"]
+)
+def test_fixed_point_rank_is_the_rounded_projection_trace(make_action, dim, monkeypatch, tol):
+    # every eigenvalue of 0.4 P is 0.4, so a cut at 0.5 kept none of them and
+    # returned an empty basis; tr 0.4 P = 0.4 dim is no rank
+    act = make_action()  # fresh: the basis is computed once per action
+    projection = crossrep.crossed.projection_matrix
+    assert round(np.trace(projection(act, np.ones(act.group.order))).real) == dim
+    monkeypatch.setattr(crossrep.crossed, "projection_matrix", lambda *args: 0.4 * projection(*args))
+    with pytest.raises(InvariantViolation, match="projection trace"):
+        fixed_point_algebra(act, tol)
+
+
 def test_crossed_element_norm_and_scalar(rng):
     act = _flip_action()
     x = monomial(act, act.algebra.unit(), 1)

@@ -261,6 +261,16 @@ def test_a_block_of_one_item_is_read_without_a_leading_axis():
     assert _block(a, slice(0, 2)).shape == (2, 4)
 
 
+def test_character_keys_of_a_strided_stack_are_the_keys_of_its_rows():
+    # a Fortran-ordered stack, whose rows are not contiguous, against the per-row
+    # (real, imaginary) pairs of the reference's key
+    chi = 1.5 * np.exp(2j * np.pi * np.arange(24).reshape(6, 4) / 7).T
+    want = []
+    for dim, row in zip([1, 1, 2, 2], chi / TOL.rank_eps):
+        want.append((dim, *np.rint(np.column_stack([row.real, row.imag])).ravel().tolist()))
+    assert crossrep.reps._character_keys([1, 1, 2, 2], chi, TOL) == want
+
+
 @pytest.mark.parametrize(
     "group, picks",
     [("Z8", [(1, 0), (1, 1)]), ("S3", [(1, 0), (2, 0)]), ("Z64", [(1, 0), (1, 60)])],
