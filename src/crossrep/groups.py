@@ -338,7 +338,8 @@ def character_table(
     G: FiniteGroup, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> CharacterTable:
     """Character table read from the irreducibles of the regular representation,
-    one per class (``reps._projective_irreps`` with the trivial cocycle), in
+    one per class (``reps._classes`` with the trivial cocycle: written down
+    for a cyclic G, split from the regular representation otherwise), in
     its order, which no seed changes.
 
     Characters are their traces, which must be constant on each conjugacy
@@ -346,10 +347,10 @@ def character_table(
     orthogonality.  Either failure raises :class:`InvariantViolation`.
     """
     # deferred: reps imports this module
-    from .reps import _projective_irreps
+    from .reps import _classes
 
     classes = G.conjugacy_classes()
-    irreps = _projective_irreps(G, np.ones((G.order, G.order)), seed, tol)
+    irreps = _classes(G, np.ones((G.order, G.order)), seed, tol)
     chars = []
     for irrep in irreps:
         chi = np.trace(irrep.mats, axis1=1, axis2=2)

@@ -17,13 +17,16 @@ a covariant representation over the orbit of k is a sum of
 Ind_H^G(lambda (x) V) over the classes lambda split from Lambda.
 :func:`decompose` and the analyzer go through it.  The construction runs
 forward in one place too, ``_orbit_irreps``: over the orbit of block k,
-one Ind_H^G(lambda (x) V) per class lambda that ``_projective_irreps``
-splits from the twisted regular representation of H, each certified by
-dim End = 1 (``_end_dims``).  ``crossed_irreps`` is a loop of it over the
-orbits, and ``character_table`` takes its classes from
-``_projective_irreps`` with the trivial cocycle.  Both directions build
-their Ind_H^G(lambda (x) V) in ``_induced``: one stacked :func:`induce`
-per (orbit, dimension).
+one Ind_H^G(lambda (x) V) per class lambda of projective irreducibles of
+H, each certified by dim End = 1 (``_end_dims``).  ``crossed_irreps`` is
+a loop of it over the orbits, and ``character_table`` reads its classes
+from the same source with the trivial cocycle.  That source is one
+dispatch, ``_classes``: a cyclic H has one-dimensional classes, written
+down in closed form by ``_cyclic_classes`` with no eigensolve and no
+random draw; any other H is split from its twisted regular
+representation by ``_projective_irreps``.  Both directions build their
+Ind_H^G(lambda (x) V) in ``_induced``: one stacked :func:`induce` per
+(orbit, dimension).
 """
 
 from __future__ import annotations
@@ -220,11 +223,21 @@ def _composed_images(rep: Rep, action, gs) -> np.ndarray:
     """The generator images of ``x -> rep(alpha_g(x))`` for each g in ``gs``,
     in ``rep``'s label order: one (len(gs), n, dim, dim) stack, over a
     :class:`GroupAction` one contraction with the stacked coefficient
-    matrices of the alpha_g."""
+    matrices of the alpha_g.  When every g is the identity and its
+    coefficient matrix is exactly 1 (an induction from H = G), the result
+    is a read-only view of the stored images, equal entry for entry to
+    what the contraction gives."""
     if isinstance(action, GroupAction):
         basis = tuple(action.algebra.basis_labels())
-        coefficients = np.array([action.aut(g).coefficient_matrix for g in gs])
-        return _relabelled(np.tensordot(coefficients, _unit_images(rep, basis), axes=1), basis, rep.labels)
+        units = _unit_images(rep, basis)
+        e = action.group.identity
+        C = action.aut(e).coefficient_matrix
+        if all(g == e for g in gs) and np.array_equal(C, np.eye(len(C))):
+            images = np.broadcast_to(units, (len(gs), *units.shape))
+        else:
+            coefficients = np.array([action.aut(g).coefficient_matrix for g in gs])
+            images = np.tensordot(coefficients, units, axes=1)
+        return _relabelled(images, basis, rep.labels)
     if isinstance(action, LabelAction):
         return np.array([_unit_images(rep, [action.map_label(g, l) for l in rep.labels]) for g in gs])
     raise TypeError(f"unsupported action type {type(action)!r}")
@@ -345,16 +358,77 @@ def _character_keys(dims, chi: np.ndarray, tol: Tolerance) -> list[tuple]:
     return [(dim, *row) for dim, row in zip(dims, grid)]
 
 
+def _require_cocycle(K: FiniteGroup, c, tol: Tolerance):
+    """The 2-cocycle identity of c at (a, b, x) over every x, which is the
+    relation L_ab = conj(c)(a, b) L_a L_b of the twisted regular
+    representation L_a delta_x = c(a, x) delta_{ax}: one row norm over x
+    per pair (a, b) at the ``identity_bound(sqrt|K|)`` of :func:`_cocycle`,
+    over blocks of rows a, naming the first failing pair."""
+    n = K.order
+    for rows in _blocks(n, n):
+        # held until the next block is computed: freed before it, the pages of
+        # every row are returned and faulted in again (20 times the faults at |K| = 256)
+        defects = _cocycle_defects(c, K.table, rows)
+        _require(np.linalg.norm(defects, axis=-1).reshape(-1, n), tol.identity_bound(np.sqrt(n)),
+                 "matrices are not scalar multiples of each other at pair ({},{})", names=np.arange(n)[rows])
+
+
+def _classes(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[ProjectiveRep]:
+    """One irreducible per class of projective representations of K with
+    cocycle conj(c), in :func:`_character_keys` order: written down by
+    :func:`_cyclic_classes` when K is cyclic, split from the twisted regular
+    representation by :func:`_projective_irreps` otherwise.  Only the split
+    draws random numbers."""
+    g = K.cyclic_generator()
+    return _projective_irreps(K, c, seed, tol) if g is None else _cyclic_classes(K, c, g, tol)
+
+
+def _cyclic_classes(K: FiniteGroup, c, g: int, tol: Tolerance) -> list[ProjectiveRep]:
+    """The |K| classes of projective representations of a cyclic K = <g> of
+    order m with cocycle conj(c), in closed form: every 2-cocycle of a cyclic
+    group is a coboundary (Karpilovsky 1985), so they are one-dimensional.
+
+    After the identity check of :func:`_require_cocycle`, the relation
+    lambda(ab) = conj(c(a, b)) lambda(a) lambda(b) along the powers of g and
+    the wrap g^m = e give nu(g^k) = c(e, e) exp(i (sum_{j<k} theta_j
+    - k Theta / m)), theta_j = -arg c(g^j, g) and Theta = sum_j theta_j, and
+    the classes lambda_j(g^k) = nu(g^k) omega^(jk mod m), omega = exp(2 pi
+    i / m).  The phases are summed as angles, not multiplied up as a
+    running product, whose rounding grows m times over.  lambda_0 is
+    certified on all |K|^2 pairs at ``identity_bound(1)``; the lambda_j
+    = lambda_0 chi_j then have distinct characters, and m classes of
+    dimension 1 give sum d^2 = |K|, so the list is complete.  No random
+    number is drawn."""
+    m, T = K.order, K.table
+    _require_cocycle(K, c, tol)
+    powers = [K.identity]
+    for _ in range(m - 1):
+        powers.append(int(T[powers[-1], g]))
+    theta = -np.angle(c[powers, g])
+    k = np.arange(m)
+    sums = np.concatenate([[0.0], np.cumsum(theta[:-1])])  # sum_{j<k} theta_j
+    nu = c[K.identity, K.identity] * np.exp(1j * (sums - k * theta.sum() / m))
+    # chi[j, g^k] = lambda_j(g^k), omega^(jk) read from the m exact roots
+    chi = np.empty((m, m), dtype=complex)
+    chi[:, powers] = nu * np.exp(2j * np.pi * k / m)[np.outer(k, k) % m]
+    lam0, cocycle = chi[0], c.conj()
+    _require(np.abs(lam0[T] - cocycle * np.outer(lam0, lam0)), tol.identity_bound(1.0),
+             "closed-form class fails the projective relation at pair ({},{})")
+    keys = _character_keys([1] * m, chi, tol)
+    mats = chi[sorted(range(m), key=keys.__getitem__), :, None, None]
+    return [ProjectiveRep(K, lam, cocycle) for lam in mats]
+
+
 def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[ProjectiveRep]:
     """One irreducible per class of projective representations of K with
     cocycle conj(c), split from the twisted regular representation
     L_a delta_x = c(a, x) delta_{ax} without forming it.
 
     L's relation L_ab = conj(c)(a, b) L_a L_b is the 2-cocycle identity of
-    c at (a, b, x) over every x, checked at the ``identity_bound(sqrt|K|)``
-    of :func:`_cocycle`, naming the first failing pair.  At (a, x, b) it
-    makes the right translations R_b delta_x = c(x, b) delta_{xb}, which
-    span L's commutant (Karpilovsky 1985), commute with L.  So L splits
+    c at (a, b, x) over every x, checked by :func:`_require_cocycle`.  At
+    (a, x, b) it makes the right translations R_b delta_x = c(x, b)
+    delta_{xb}, which span L's commutant (Karpilovsky 1985), commute with
+    L.  So L splits
     along the eigenspaces Q of Y + Y*, Y = sum_b z_b R_b for z drawn from
     ``seed``, into leaves lambda_a = Q* L_a Q read from the permuted rows
     (L_a Q)[ax] = c(a, x) Q[x].  A leaf whose range is not invariant raises
@@ -378,12 +452,7 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
     every leaf before any leaf's dim End, and in width order.
     """
     n, T = K.order, K.table
-    for rows in _blocks(n, n):
-        # held until the next block is computed: freed before it, the pages of
-        # every row are returned and faulted in again (20 times the faults at |K| = 256)
-        defects = _cocycle_defects(c, T, rows)
-        _require(np.linalg.norm(defects, axis=-1).reshape(-1, n), tol.identity_bound(np.sqrt(n)),
-                 "matrices are not scalar multiples of each other at pair ({},{})", names=np.arange(n)[rows])
+    _require_cocycle(K, c, tol)
     # source[a, y] = a^-1 y and weights[a, y] = c(a, a^-1 y): row y of L_a
     source, cocycle = T[K.inverse], c.conj()
     weights = c[np.arange(n)[:, None], source]
@@ -991,29 +1060,32 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
     """
     if psi.group.order != subgroup.order:
         raise InvariantViolation("psi is not a representation of the subgroup")
-    return _induce_stack(psi.base, psi.unitaries[None], action, subgroup, coset_reps)[0]
-
-
-def _induce_stack(base: Rep, unitaries: np.ndarray, action, subgroup: Subgroup, coset_reps) -> list[CovariantRep]:
-    """:func:`induce` of T psi's that share ``base``, from their (T, |H|, d, d)
-    stack of unitaries, in a fixed number of array passes: the block images
-    base o alpha_{c_i} of every coset are one contraction
-    (:func:`_composed_images`) and fill the block diagonal in one
-    assignment, the coset table is read once, and every U_g of the stack is
-    filled in one assignment.  The T results share one read-only induced
-    base."""
-    d, m, labels = base.dim, len(coset_reps), base.labels
-    images = _composed_images(base, action, coset_reps)
-    # (g, i) -> (j, h) with c_i g = h c_j, kept by the restriction for its own
-    # representatives; restrict_action regrounds the subgroup in ascending
-    # member order, so h is psi's element searchsorted(h)
+    # the restriction keeps the coset table of its own representatives only
     found = action.restriction(subgroup.members)
     reps = tuple(int(c) for c in coset_reps)
-    table = found.coset_table if reps == found.coset_reps else np.array(coset_action(subgroup, reps))
-    i, j, h = table.transpose(2, 0, 1)
+    if reps != found.coset_reps:
+        found = found._replace(coset_reps=reps, coset_table=np.array(coset_action(subgroup, reps)))
+    return _induce_stack(psi.base, psi.unitaries[None], action, found)[0]
+
+
+def _induce_stack(base: Rep, unitaries: np.ndarray, action, restriction) -> list[CovariantRep]:
+    """:func:`induce` of T psi's that share ``base``, from their (T, |H|, d, d)
+    stack of unitaries, over the cosets and coset table of ``restriction``
+    (:meth:`~crossrep.algebra.GroupAction.restriction`), in a fixed number
+    of array passes: the block images base o alpha_{c_i} of every coset
+    are one contraction (:func:`_composed_images`) and fill the block
+    diagonal in one assignment, the coset table is read once, and every
+    U_g of the stack is filled in one assignment.  The T results share one
+    read-only induced base."""
+    coset_reps, d, labels = restriction.coset_reps, base.dim, base.labels
+    m = len(coset_reps)
+    images = _composed_images(base, action, coset_reps)
+    # (g, i) -> (j, h) with c_i g = h c_j; restrict_action regrounds the
+    # subgroup in ascending member order, so h is psi's element searchsorted(h)
+    i, j, h = restriction.coset_table.transpose(2, 0, 1)
     T, n, cosets = len(unitaries), action.group.order, np.arange(m)
     U = np.zeros((T, n, m * d, m * d), dtype=complex)
-    psi = unitaries[:, np.searchsorted(subgroup.members, h)]
+    psi = unitaries[:, np.searchsorted(restriction.members, h)]
     U.reshape(T, n, m, d, m, d)[np.arange(T)[:, None, None], np.arange(n)[:, None], i, :, j, :] = psi
     stack = np.zeros((len(labels), m * d, m * d), dtype=complex)
     stack.reshape(-1, m, d, m, d)[:, cosets, :, cosets, :] = images
@@ -1022,15 +1094,15 @@ def _induce_stack(base: Rep, unitaries: np.ndarray, action, subgroup: Subgroup, 
     return [CovariantRep(induced, action, u) for u in U]
 
 
-def _induced(action, subgroup: Subgroup, coset_reps, pi1: Rep, V, lams):
+def _induced(action, restriction, pi1: Rep, V, lams):
     """Ind_H^G(lambda (x) V) for the classes ``lams`` of H in
-    :func:`_character_keys` order, one stack per dimension r: yields the
-    shared base 1_r (x) pi1, the psi stack lambda (x) V of one
-    :func:`_tensor_stack` and that stack's inductions from one
-    :func:`_induce_stack`."""
+    :func:`_character_keys` order, over the cosets of H's ``restriction``,
+    one stack per dimension r: yields the shared base 1_r (x) pi1, the psi
+    stack lambda (x) V of one :func:`_tensor_stack` and that stack's
+    inductions from one :func:`_induce_stack`."""
     for _, same in groupby(lams, lambda lam: lam.dim):
         base, psis = _tensor_stack([lam.mats for lam in same], V, pi1)
-        yield base, psis, _induce_stack(base, psis, action, subgroup, coset_reps)
+        yield base, psis, _induce_stack(base, psis, action, restriction)
 
 
 def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -1095,7 +1167,8 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
     :func:`_character_keys` order first and then built by :func:`_induced`,
     one stack per dimension.
     """
-    H, sub_action, members, coset_reps, coset_table = action.restriction(witnesses.members)
+    restriction = action.restriction(witnesses.members)
+    H, sub_action, members, coset_reps, coset_table = restriction
     K, V, c_V = sub_action.group, witnesses.V, witnesses.cocycle
     Pi, C = frame
     compressed = C.conj().T @ Pi.unitaries[list(members)] @ C
@@ -1115,7 +1188,7 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
     chi = np.array([np.trace(rep.mats, axis1=1, axis2=2) for rep, _ in parts])
     keys = _character_keys([rep.dim for rep, _ in parts], chi, tol)
     parts = [parts[i] for i in sorted(range(len(parts)), key=keys.__getitem__)]
-    built = _induced(action, H, coset_reps, pi1, V, [rep for rep, _ in parts])
+    built = _induced(action, restriction, pi1, V, [rep for rep, _ in parts])
     induced = [(CovariantRep(base, sub_action, u), cov) for base, psis, stack in built for u, cov in zip(psis, stack)]
     classes = [_Class(rep, psi, cov, isometries) for (rep, isometries), (psi, cov) in zip(parts, induced)]
     return _Orbit(H, sub_action, members, V, c_V, coset_reps, coset_table, pi1, lam, classes)
@@ -1132,9 +1205,10 @@ def _orbit_irreps(action: GroupAction, k: int, seed: int, tol: Tolerance) -> lis
 
     With H = {g : alpha_g fixes k} and V_h = U^h_k of cocycle c_V
     (:func:`_block_stabilizer`), one Ind_H^G(lambda (x) V) on 1 (x) pi_k per
-    class of irreducible lambda of H with cocycle conj(c_V)
-    (:func:`_projective_irreps`), built by :func:`_induced`, one stack per
-    dimension.  Each member is certified by dim End = 1, the character sum
+    class of irreducible lambda of H with cocycle conj(c_V), from
+    :func:`_classes` (in closed form for a cyclic H, split otherwise),
+    built by :func:`_induced`, one stack per dimension.  Each member is
+    certified by dim End = 1, the character sum
     of :meth:`CovariantRep.end_dim` read by :func:`_end_dims` for the
     members that share a base in one product, :class:`InvariantViolation`
     naming the dimension of the first that fails.  c_V passes one cocycle
@@ -1142,10 +1216,10 @@ def _orbit_irreps(action: GroupAction, k: int, seed: int, tol: Tolerance) -> lis
     :func:`_character_keys` order, dimension first.
     """
     pi_k, stab = _block_stabilizer(action, k, tol)
-    H, sub_action, _, coset_reps, _ = action.restriction(stab.members)
+    restriction = action.restriction(stab.members)
     weights = np.append(_unit_pattern(action.algebra.block_dims)[0], 1.0)
-    lams = _projective_irreps(sub_action.group, stab.cocycle, seed, tol)
-    irreps = [cov for _, _, stack in _induced(action, H, coset_reps, pi_k, stab.V, lams) for cov in stack]
+    lams = _classes(restriction.action.group, stab.cocycle, seed, tol)
+    irreps = [cov for _, _, stack in _induced(action, restriction, pi_k, stab.V, lams) for cov in stack]
     for _, shared in groupby(irreps, lambda cov: id(cov.base)):
         shared = list(shared)
         chi = _characters(shared[0].base, np.array([cov.unitaries for cov in shared]), action.algebra)

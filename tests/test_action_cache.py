@@ -18,7 +18,7 @@ from crossrep.crossed import fixed_point_algebra
 from crossrep.examples import s3_label_action, weyl_pair_homogeneous
 from crossrep.groups import is_standard_cyclic, make_symmetric_group_3
 from crossrep.linalg import Tolerance
-from crossrep.reps import CovariantRep, _block_stabilizer
+from crossrep.reps import CovariantRep, _block_stabilizer, _orbit_blocks
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 
 # each builds the same action afresh on every call
@@ -163,3 +163,21 @@ def test_restriction_is_shared_and_keyed_by_members():
             assert act.group.mul(found.coset_reps[i], g) == act.group.mul(h, found.coset_reps[j])
     assert act.trivial_restriction is act.restriction((0,)).action
     assert make_symmetric_group_3() is make_symmetric_group_3()
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_crossed_irreps_looks_up_each_orbit_restriction_once(name, monkeypatch):
+    # the induction reads the coset table from the restriction its caller
+    # holds, so a warm crossed_irreps makes one lookup per orbit, not one
+    # per (orbit, dimension)
+    act = ACTIONS[name]()
+    crossed_irreps(act, seed=0)
+    lookups, restriction = [], type(act).restriction
+
+    def counted(self, members):
+        lookups.append(tuple(members))
+        return restriction(self, members)
+
+    monkeypatch.setattr(type(act), "restriction", counted)
+    crossed_irreps(act, seed=0)
+    assert len(lookups) == len(_orbit_blocks(act))

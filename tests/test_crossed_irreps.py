@@ -7,8 +7,11 @@ reference is the host-size route, the decomposition of the defining
 representation of the crossed-product matrix model, kept only here.
 """
 
+import importlib.util
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +26,21 @@ from crossrep.analyzer import analyze, classify_s3, cyclic_analyze, factor_tenso
 from crossrep.crossed import build_crossed_model
 from crossrep.errors import InvariantViolation
 from crossrep.examples import product_cyclic_group, weyl_pair_homogeneous
-from crossrep.groups import Subgroup, character_table, is_standard_cyclic, make_cyclic_group, make_symmetric_group_3
+from crossrep.groups import (
+    FiniteGroup,
+    Subgroup,
+    character_table,
+    is_standard_cyclic,
+    make_cyclic_group,
+    make_symmetric_group_3,
+)
 from crossrep.linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
 from crossrep.reps import (
     CovariantRep,
     ProjectiveRep,
     Rep,
     _block_stabilizer,
+    _classes,
     _cocycle,
     _hom,
     _orbit_blocks,
@@ -155,7 +166,7 @@ def _one_at_a_time(act, seed, tol):
     for k in _orbit_blocks(act):
         pi_k, stab = _block_stabilizer(act, k, tol)
         H, sub_action, _, coset_reps, _ = act.restriction(stab.members)
-        for lam in _projective_irreps(sub_action.group, stab.cocycle, seed, tol):
+        for lam in _classes(sub_action.group, stab.cocycle, seed, tol):
             base, unitaries = _tensor_stack(lam.mats[None], stab.V, pi_k)
             irreps.append(induce(CovariantRep(base, sub_action, unitaries[0]), act, H, coset_reps))
     return sorted(irreps, key=lambda cov: cov.dim)
@@ -206,6 +217,14 @@ def test_crossed_irreps_of_z128_stay_small_in_memory(tol):
     assert peak < 64 * 2**20
 
 
+def _assert_same_classes(split, closed):
+    """The closed form gives the split's classes, in its order, within 1e-12."""
+    assert [lam.dim for lam in closed] == [lam.dim for lam in split]
+    for a, b in zip(split, closed):
+        assert np.max(np.abs(a.mats - b.mats), initial=0.0) < 1e-12
+        assert np.array_equal(a.cocycle, b.cocycle)
+
+
 COARSE = {
     "Z32[1] eig_sep 0.1": (32, [1], 0.1),
     "Z32[1] eig_sep 0.5": (32, [1], 0.5),
@@ -216,7 +235,9 @@ COARSE = {
 @pytest.mark.parametrize("name", sorted(COARSE))
 def test_crossed_irreps_refine_a_reducible_leaf_at_a_coarse_eig_sep(name, monkeypatch):
     # at this gap, inequivalent leaves of the split share a cluster: the
-    # reducible leaf is refined, where the whole split used to be redrawn
+    # reducible leaf is refined, where the whole split used to be redrawn.
+    # The stabilizers are cyclic, so crossed_irreps writes their classes
+    # down; the split is run on the same (K, c) and must agree with them
     n, blocks, eig_sep = COARSE[name]
     tol = Tolerance(eig_sep=eig_sep)
     act = random_cyclic_action(n, blocks, np.random.default_rng(0))
@@ -227,9 +248,13 @@ def test_crossed_irreps_refine_a_reducible_leaf_at_a_coarse_eig_sep(name, monkey
         return pieces(r, *args)
 
     monkeypatch.setattr(crossrep.reps, "_pieces", counted)
-    got = crossed_irreps(act, seed=0, tol=tol)
+    for k in _orbit_blocks(act):
+        _, stab = _block_stabilizer(act, k, tol)
+        K = act.restriction(stab.members).action.group
+        _assert_same_classes(_projective_irreps(K, stab.cocycle, 0, tol), _classes(K, stab.cocycle, 0, tol))
     monkeypatch.undo()
     assert refined
+    got = crossed_irreps(act, seed=0, tol=tol)
     model = build_crossed_model(act, tol).defining_covariant_rep()
     _assert_one_to_one(got, [rep for rep, _ in decompose(model, 0, tol).components], tol)
 
@@ -293,6 +318,122 @@ def test_projective_irreps_refuse_a_leaf_whose_range_is_not_invariant(monkeypatc
     residuals = np.linalg.norm(L @ Q - Q @ (Q.conj().T @ L @ Q), axis=(1, 2))
     a = int(np.argmax(residuals > tol.identity_bound(np.sqrt(Q.shape[1]))))
     assert f"at element {a}: residual {residuals[a]:.3e}" in str(err.value)
+
+
+def _ladder_actions():
+    """The benchmark's enumerate ladder at seeds 0, 7 and 41 with its extra
+    actions, built by its numpy-only input module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_ladder_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return {
+        f"ladder {seed} {a.name}": lambda a=a: inputs.to_action(a)
+        for seed in (0, 7, 41)
+        for a in inputs.enumerate_actions(seed, extra=True)
+    }
+
+
+def _cyclic_stabilizers(act, tol):
+    """(K, c_V) of every orbit of ``act`` whose stabilizer is cyclic."""
+    out = []
+    for k in _orbit_blocks(act):
+        _, stab = _block_stabilizer(act, k, tol)
+        K = act.restriction(stab.members).action.group
+        if K.cyclic_generator() is not None:
+            out.append((K, stab.cocycle))
+    return out
+
+
+# Z1-Z16 and a ladder to 512 on a 2x2 block, whose phase-normalized V_h
+# carry a non-trivial coboundary (on a 1x1 block c_V = 1)
+CYCLIC_SIZES = [*range(1, 17), 30, 64, 128, 256, 512]
+
+
+@pytest.mark.parametrize("n", CYCLIC_SIZES)
+def test_cyclic_classes_are_the_split_classes_in_its_order(n, tol):
+    [(K, c)] = _cyclic_stabilizers(random_cyclic_action(n, [2], np.random.default_rng(0)), tol)
+    assert K.order == n
+    _assert_same_classes(_projective_irreps(K, c, 0, tol), _classes(K, c, 0, tol))
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 64])
+def test_cyclic_classes_of_a_random_coboundary_are_the_split_classes(n, tol):
+    # c(a, b) = mu_a mu_b / mu_ab with random phases mu, on a standard Z_n
+    # and on Z_n with its elements listed in a shuffled order
+    rng = np.random.default_rng(n)
+    mu = np.exp(2j * np.pi * rng.random(n))
+    for K in (make_cyclic_group(n), _shuffled_cyclic(n, rng)):
+        c = np.outer(mu, mu) / mu[K.table]
+        _assert_same_classes(_projective_irreps(K, c, 0, tol), _classes(K, c, 0, tol))
+
+
+def _shuffled_cyclic(n, rng):
+    """Z_n with its elements renumbered by a random permutation."""
+    p = rng.permutation(n)
+    table = np.empty((n, n), dtype=int)
+    table[np.ix_(p, p)] = p[(np.arange(n)[:, None] + np.arange(n)) % n]
+    return FiniteGroup(table)
+
+
+CLASS_SOURCES = {**ORDER, **_ladder_actions()}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_SOURCES))
+def test_every_cyclic_stabilizer_gets_the_split_classes(name, tol):
+    for K, c in _cyclic_stabilizers(CLASS_SOURCES[name](), tol):
+        _assert_same_classes(_projective_irreps(K, c, 0, tol), _classes(K, c, 0, tol))
+
+
+def test_cyclic_classes_are_refused_at_a_broken_cocycle_as_the_split_refuses(tol):
+    # one entry off by a phase: the identity check both class sources share
+    # refuses it first, with one message
+    [(K, c)] = _cyclic_stabilizers(random_cyclic_action(8, [2], np.random.default_rng(0)), tol)
+    c = c.copy()
+    c[1, 1] *= 1j
+    with pytest.raises(InvariantViolation, match="not scalar multiples of each other at pair") as split:
+        _projective_irreps(K, c, 0, tol)
+    with pytest.raises(InvariantViolation) as closed:
+        _classes(K, c, 0, tol)
+    assert str(closed.value) == str(split.value)
+
+
+def test_cyclic_classes_are_orthonormal_characters_of_the_cocycle(tol):
+    # |K| one-dimensional classes whose characters are orthonormal, each
+    # satisfying lambda(ab) = conj(c(a, b)) lambda(a) lambda(b)
+    [(K, c)] = _cyclic_stabilizers(random_cyclic_action(12, [3], np.random.default_rng(2)), tol)
+    classes = _classes(K, c, 0, tol)
+    chi = np.array([lam.mats[:, 0, 0] for lam in classes])
+    assert np.allclose(chi.conj() @ chi.T / K.order, np.eye(K.order), atol=1e-12)
+    for lam in chi:
+        assert np.max(np.abs(lam[K.table] - c.conj() * np.outer(lam, lam))) < 1e-12
+
+
+def test_crossed_irreps_rejects_a_missing_cyclic_class(monkeypatch, tol):
+    cyclic_classes = crossrep.reps._cyclic_classes
+
+    def drop_last(*args, **kwargs):
+        return cyclic_classes(*args, **kwargs)[:-1]
+
+    monkeypatch.setattr(crossrep.reps, "_cyclic_classes", drop_last)
+    with pytest.raises(InvariantViolation, match="dim A"):
+        crossed_irreps(ACTIONS["Z4[2,2,1]"](), seed=0, tol=tol)
+
+
+def test_crossed_irreps_and_character_table_draw_nothing_over_a_cyclic_group(monkeypatch, tol):
+    acts = [ACTIONS[name]() for name in ("Z4[2,2,1]", "Z6[1,1,2]", "Z6[2,2] untwisted")]
+    acts.append(random_cyclic_action(64, [2], np.random.default_rng(0)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random number was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for act in acts:
+        assert sum(cov.dim**2 for cov in crossed_irreps(act, seed=0, tol=tol)) == (
+            act.group.order * act.algebra.linear_dim
+        )
+    for n in (1, 8, 12):
+        assert character_table(make_cyclic_group(n), tol=tol).dims == [1] * n
 
 
 def _stabilizer_block(cov, tol):
@@ -392,18 +533,18 @@ def test_crossed_irreps_checks_the_twisted_regular_relation(monkeypatch, tol):
 
 
 def test_crossed_irreps_splits_only_twisted_regular_representations(monkeypatch, tol):
-    projective_irreps = crossrep.reps._projective_irreps
+    classes = crossrep.reps._classes
     seen = []
 
     def record(K, c, *args, **kwargs):
         seen.append((K, c))
-        return projective_irreps(K, c, *args, **kwargs)
+        return classes(K, c, *args, **kwargs)
 
-    monkeypatch.setattr(crossrep.reps, "_projective_irreps", record)
+    monkeypatch.setattr(crossrep.reps, "_classes", record)
     for make in ACTIONS.values():
         act = make()
-        # one split per orbit, of the twisted regular representation of order
-        # |H| for its smallest block k
+        # one class source per orbit, the classes of the twisted regular
+        # representation of order |H| for its smallest block k
         orders, covered = [], set()
         for k in range(act.algebra.n_blocks):
             if k not in covered:

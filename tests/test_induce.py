@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crossrep import induce
-from crossrep.algebra import restrict_action
+from crossrep.algebra import GroupAction, StarAut, restrict_action
 from crossrep.analyzer import analyze, build_cyclic_irrep
 from crossrep.crossed import build_crossed_model
 from crossrep.errors import InvariantViolation
@@ -25,7 +25,9 @@ from crossrep.linalg import orthonormal_span, scalar_quotient
 from crossrep.reps import (
     CovariantRep,
     Rep,
+    _composed_images,
     are_equivalent,
+    defining_rep,
     rep_compose,
     regular_representation,
     trivial_covariant,
@@ -234,3 +236,38 @@ def test_induce_rejects_bad_coset_data(tol):
         induce(psi, act, H, [0, 2])  # both representatives lie in H
     with pytest.raises(InvariantViolation):
         induce(trivial_covariant(pi1, act), act, H, [0, 1])  # psi is over {e}
+
+
+def _rephased_identity(act, z):
+    """The same action with the identity's unitaries multiplied by the phase z."""
+    e = act.group.identity
+    auts = list(act.auts)
+    auts[e] = StarAut(act.algebra, auts[e].perm, [z * U for U in auts[e].unitaries])
+    return GroupAction(act.group, act.algebra, auts)
+
+
+@pytest.mark.parametrize("phase", [None, 0.3])
+def test_composing_with_the_identity_equals_the_contraction(phase):
+    # the stored images stand in for the contraction with alpha_e's
+    # coefficient matrix only where every g is e and that matrix is exactly 1
+    act = _z4_twisted() if phase is None else _rephased_identity(_z4_twisted(), np.exp(1j * phase))
+    pi = defining_rep(act.algebra)
+    e = act.group.identity
+    for gs in ([e], [e, e], [e, 1, 3], [2, e]):
+        want = np.tensordot(np.array([act.aut(g).coefficient_matrix for g in gs]), pi.stack, axes=1)
+        assert np.array_equal(_composed_images(pi, act, gs), want)
+    if phase is None:
+        assert np.array_equal(rep_compose(pi, act, e).stack, pi.stack)
+
+
+def test_composing_with_the_identity_hands_out_no_writable_alias():
+    act = _z4_twisted()
+    pi = defining_rep(act.algebra)
+    e = act.group.identity
+    alone = _composed_images(pi, act, [e])
+    assert np.shares_memory(alone, pi.stack) and not alone.flags.writeable
+    with pytest.raises(ValueError):
+        rep_compose(pi, act, e).stack[0, 0, 0] = 7
+    mixed = _composed_images(pi, act, [e, 1])
+    assert mixed.flags.writeable and not np.shares_memory(mixed, pi.stack)
+    assert pi.stack.flags.writeable
