@@ -52,6 +52,7 @@ from .reps import (
     _covariance_residuals,
     _mackey_orbit,
     _orbit_frames,
+    _witness_classes,
     _witness_stack,
     decompose,
     evaluate,
@@ -116,27 +117,29 @@ def _require_irreducible(Pi: CovariantRep, tol: Tolerance):
 
 def _orbit(Pi: CovariantRep, seed: int, tol: Tolerance):
     """The one-component Mackey read-off of a valid irreducible Pi, at its
-    orbit frame, or over a :class:`LabelAction` at the isotypic frame of
-    the first component pi1 of the restriction with its translate witnesses."""
+    orbit frame with the classes the action keeps for it, or over a
+    :class:`LabelAction` at the isotypic frame of the first component pi1
+    of the restriction, split by ``seed``, with its translate witnesses."""
     if isinstance(Pi.action, GroupAction):
-        pi1, witnesses, C0 = _orbit_frames(Pi, tol)[0]
+        pi1, witnesses, classes, C0 = _orbit_frames(Pi, tol)[0]
     else:
         dec = decompose(Pi.base, seed, tol)
         pi1, r = dec.components[0]
         C0 = dec.basis_change[:, : r * pi1.dim]
         witnesses = _witness_stack(Pi.action, translate_stabilizer(pi1, Pi.action, tol), tol)
-    return _mackey_orbit(Pi.action, pi1, witnesses, (Pi, C0), seed, tol)
+        classes = _witness_classes(Pi.action, witnesses, tol)
+    return _mackey_orbit(Pi.action, pi1, witnesses, classes, (Pi, C0), tol)
 
 
 def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
     """The structure report of an irreducible Pi, read off its one orbit
     component: the conjugator must carry Pi onto Ind_H^G psi, and the
     permutation and block-unitary data are read from the induced form."""
-    # End psi = End Lambda = 1: the orbit's decomposition of Lambda, whose
+    # End psi = End Lambda = 1: the orbit's read-off of Lambda, whose
     # squared multiplicities sum to dim End Lambda, has one class and copy
     if [len(cls.isometries) for cls in orbit.classes] != [1]:
         raise BlockStructureViolation("tensor factor on the multiplicity space is reducible")
-    [(_, psi, induced, [C])] = orbit.classes
+    [(lam, psi, induced, [C])] = orbit.classes
     # C* C = 1 is the U_e case of the carried check
     if C.shape != (Pi.dim, Pi.dim):
         raise BlockStructureViolation("conjugator is not square; dimensions conflict")
@@ -159,7 +162,7 @@ def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
         perms=perms,
         block_unitaries=block_unitaries,
         psi=psi,
-        lambda_rep=orbit.lam,
+        lambda_rep=lam,
         v_rep=ProjectiveRep(orbit.action.group, orbit.V, orbit.cocycle),
         conjugator=C,
         h_is_normal=all(perm[0] != 0 or np.array_equal(perm, np.arange(m)) for perm in perms),
@@ -174,10 +177,15 @@ def analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> St
     the first block k that Pi does not annihilate, H = {g : alpha_g fixes
     block k} and the action's unitaries on block k are the ``v_rep``
     witnesses; over a :class:`LabelAction` pi1 is the first component of
-    the decomposed restriction.  A Pi that annihilates the algebra raises
-    :class:`InvariantViolation`.  The conjugator's coset block i is
-    U_{c_i}* applied to the pi1-isotypic subspace; the one self-check is
-    that it carries Pi onto ``induce(report.psi, action, H, coset_reps)``.
+    the decomposed restriction, split by ``seed``.  A Pi that annihilates
+    the algebra raises :class:`InvariantViolation`.  ``lambda_rep`` is the
+    class lambda that the action keeps for the stabilizer (the one
+    ``crossed_irreps`` builds from), and ``psi`` = ``lambda_rep`` (x)
+    ``v_rep``, so over a :class:`GroupAction` neither depends on the basis
+    Pi is given in, and no random number is drawn.  The conjugator's
+    coset block i is U_{c_i}* applied to the pi1-isotypic subspace, in
+    the basis of the copy of lambda; the one self-check is that it carries
+    Pi onto ``induce(report.psi, action, H, coset_reps)``.
     """
     _require_irreducible(Pi, tol)
     return _report(Pi, _orbit(Pi, seed, tol), tol)
@@ -293,7 +301,8 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     ``Psi(a) = 1_r (x) pi1(a)``; each group unitary then factors as
     ``Lambda_h (x) V^h`` and the verdict is the irreducibility of the
     projective Lambda family on the multiplicity space, the character sum
-    |G|^-1 sum_h |tr Lambda_h|^2 == 1, read off the decomposition of Lambda.
+    |G|^-1 sum_h |tr Lambda_h|^2 == 1, read off Lambda against the classes
+    of its cocycle.
     """
     end_dim = rep_end_dim(Psi.base, Psi.action, tol)
     r = int(round(np.sqrt(end_dim)))
@@ -313,7 +322,7 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
         raise InvariantViolation("every group element must fix the class of the base irreducible")
     # the identity is the frame of 1_r (x) pi1, and Lambda its tensor factor
     stab = _witness_stack(Psi.action, witnesses, tol)
-    orbit = _mackey_orbit(Psi.action, pi1, stab, (Psi, np.eye(Psi.dim)), 0, tol)
+    orbit = _mackey_orbit(Psi.action, pi1, stab, _witness_classes(Psi.action, stab, tol), (Psi, np.eye(Psi.dim)), tol)
     return [len(cls.isometries) for cls in orbit.classes] == [1]
 
 
@@ -427,10 +436,13 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     EtaTriple (2, 1), Regular6 (1, 1); any other pair raises
     :class:`BlockStructureViolation`.  EtaTriple reports the cyclic form
     of the restriction to the 3-cycle subgroup.  For TauPair the first
-    eigenvector e1 of the 3-cycle's factor Lambda_eta gives the half
-    W1 = C0 (e1 (x) 1) of the pi1-isotypic frame C0, and Q = [W1, U_tau W1]
-    carries Pi onto the representation induced over the cosets {e, tau}.
-    Over a :class:`GroupAction` no random numbers are drawn.
+    eigenvector e1 of the 3-cycle's class matrix lambda_eta gives the half
+    W1 = C0 (e1 (x) 1) of the pi1-isotypic frame C0 in the gauge of the
+    class, and Q = [W1, U_tau W1] carries Pi onto the representation
+    induced over the cosets {e, tau}.  The sub-stabilizers of the 3-cycle
+    subgroup are cyclic, so their classes are written down.  Over a
+    :class:`GroupAction` no random numbers are drawn and ``seed`` is not
+    read; over a :class:`LabelAction` it splits the restriction.
     """
     G = Pi.group
     if G != make_symmetric_group_3():
@@ -443,7 +455,8 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         raise BlockStructureViolation(f"no S3 case has |H| = {H.order} and r = {r}")
     z3 = Pi.action.restriction((S3_E, S3_ETA, S3_ETA2))
     V = dict(zip(orbit.members, orbit.V))
-    # the class isometry's first coset block, U_e* C0, is the pi1-isotypic frame C0
+    # the class isometry's first coset block, U_e* C0, is the pi1-isotypic
+    # frame C0 in the basis of the copy of the class lambda
     C0 = orbit.classes[0].isometries[0][:, : r * pi1.dim]
     if case != "TauPair":
         if case == "EtaTriple":
@@ -453,21 +466,22 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
             U_eta = Pi.unitaries[S3_ETA]
             z3_cov = CovariantRep(Pi.base, z3.action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
             stab = _witness_stack(z3.action, {0: V[S3_E]}, tol)
-            z3_orbit = _mackey_orbit(z3.action, pi1, stab, (z3_cov, C0), seed, tol)
+            z3_orbit = _mackey_orbit(z3.action, pi1, stab, _witness_classes(z3.action, stab, tol), (z3_cov, C0), tol)
             report = _cyclic_canonical_form(z3_cov, z3_orbit, tol)[0]
         else:
             report = _report(Pi, orbit, tol)
         return S3Class(case, report.base_irrep, report.conjugator, 1, report=report)
 
-    # eta is in H, so C0* U_eta C0 = Lambda_eta (x) V_eta; the eigenvectors
-    # of Lambda_eta split the frame into the two halves that tau swaps, and
-    # the first half W1 is a frame of Pi with stabilizer z3
-    spectrum = unitary_eigenspaces(orbit.lam.mats[orbit.members.index(S3_ETA)], tol)
+    # eta is in H, so C0* U_eta C0 = lambda_eta (x) V_eta, lambda the class in
+    # the gauge of C0; the eigenvectors of lambda_eta split the frame into the
+    # two halves that tau swaps, and the first half W1 is a frame of Pi with
+    # stabilizer z3
+    spectrum = unitary_eigenspaces(orbit.classes[0].lam.mats[orbit.members.index(S3_ETA)], tol)
     if len(spectrum) != r or any(iso.shape[1] != 1 for _, iso in spectrum):
         raise BlockStructureViolation("the 3-cycle factor must have simple eigenvalues")
     W1 = C0 @ np.kron(spectrum[0][1], np.eye(pi1.dim))
     stab = _witness_stack(Pi.action, {h: V[h] for h in z3.members}, tol)
-    z3_orbit = _mackey_orbit(Pi.action, pi1, stab, (Pi, W1), seed, tol)
+    z3_orbit = _mackey_orbit(Pi.action, pi1, stab, _witness_classes(Pi.action, stab, tol), (Pi, W1), tol)
     # Q is the induced conjugator over the cosets {e, tau}, [W1, U_tau* W1];
     # on U_e the check below is Q* Q = 1
     [(_, psi, induced, [Q])] = z3_orbit.classes

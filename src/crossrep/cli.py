@@ -63,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Crossed products of block C*-algebras by finite groups: "
         "models, equivalence, decomposition, structure reports.",
     )
-    p.add_argument("--seed", type=_seed, default=42, help="seed for randomized splits, a non-negative integer")
+    p.add_argument("--seed", type=_seed, default=42,
+                   help="seed for the randomized split of a plain representation or one over a label action, "
+                   "a non-negative integer; a covariant input over a block-algebra action draws no random number")
     p.add_argument("--abs-eps", type=float, default=DEFAULT_TOL.abs_eps)
     p.add_argument("--rank-eps", type=float, default=DEFAULT_TOL.rank_eps)
     p.add_argument("--eig-sep", type=float, default=DEFAULT_TOL.eig_sep)

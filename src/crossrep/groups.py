@@ -339,8 +339,9 @@ def character_table(
 ) -> CharacterTable:
     """Character table read from the irreducibles of the regular representation,
     one per class (``reps._classes`` with the trivial cocycle: written down
-    for a cyclic G, split from the regular representation otherwise), in
-    its order, which no seed changes.
+    for a cyclic G, split from the regular representation along its right
+    translations otherwise), in its order.  No random number is drawn;
+    ``seed`` is kept for compatibility and not read.
 
     Characters are their traces, which must be constant on each conjugacy
     class; :meth:`CharacterTable.validate` certifies sum dim^2 = |G| and
@@ -350,7 +351,7 @@ def character_table(
     from .reps import _classes
 
     classes = G.conjugacy_classes()
-    irreps = _classes(G, np.ones((G.order, G.order)), seed, tol)
+    irreps = _classes(G, np.ones((G.order, G.order)), tol)
     chars = []
     for irrep in irreps:
         chi = np.trace(irrep.mats, axis1=1, axis2=2)

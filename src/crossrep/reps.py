@@ -14,19 +14,25 @@ theorem is read off in one place, ``_mackey_orbit``: an irreducible of
 M_{n_1} + ... + M_{n_b} is the compression to one block k up to a unitary,
 its stabilizer is {g : alpha_g fixes k} (:func:`translate_stabilizer`), and
 a covariant representation over the orbit of k is a sum of
-Ind_H^G(lambda (x) V) over the classes lambda split from Lambda.
+Ind_H^G(lambda (x) V) over the classes lambda in Lambda, read against the
+classes of H by Serre's explicit projections (``_copies``).
 :func:`decompose` and the analyzer go through it.  The construction runs
 forward in one place too, ``_orbit_irreps``: over the orbit of block k,
 one Ind_H^G(lambda (x) V) per class lambda of projective irreducibles of
 H, each certified by dim End = 1 (``_end_dims``).  ``crossed_irreps`` is
 a loop of it over the orbits, and ``character_table`` reads its classes
 from the same source with the trivial cocycle.  That source is one
-dispatch, ``_classes``: a cyclic H has one-dimensional classes, written
-down in closed form by ``_cyclic_classes`` with no eigensolve and no
-random draw; any other H is split from its twisted regular
-representation by ``_projective_irreps``.  Both directions build their
-Ind_H^G(lambda (x) V) in ``_induced``: one stacked :func:`induce` per
-(orbit, dimension).
+dispatch, ``_classes``, a function of (H, cocycle, tolerance) alone: a
+cyclic H has one-dimensional classes, written down in closed form by
+``_cyclic_classes``; any other H is split from its twisted regular
+representation along the compressions of its right translations by
+``_projective_irreps``.  Neither draws a random number, so both
+directions build their Ind_H^G(lambda (x) V) from the same lambda
+matrices, in ``_induced``: one stacked :func:`induce` per (orbit,
+dimension).  An action keeps the classes of each orbit's stabilizer for
+the read-off (``_stabilizer_classes``).  Random numbers are drawn only to split a plain
+:class:`Rep` (``_pieces``) and for an equivalence witness
+(:func:`covariant_equivalence`).
 """
 
 from __future__ import annotations
@@ -146,6 +152,12 @@ class ProjectiveRep(Rep):
     def conjugate(self, Q) -> "ProjectiveRep":
         return ProjectiveRep(self.group, super().conjugate(Q).stack, self.cocycle)
 
+    @cached_property
+    def _character(self) -> np.ndarray:
+        """tr mats[g] for every g, computed on first use: a class kept by an
+        action is read against many Lambda."""
+        return np.trace(self.mats, axis1=1, axis2=2)
+
     def validate(self, threshold: float = DEFAULT_TOL.rank_eps):
         T, c = self.group.table, self.cocycle
         _require(np.abs(np.abs(c) - 1.0), threshold, "cocycle values must have modulus 1 at ({},{})")
@@ -223,16 +235,14 @@ def _composed_images(rep: Rep, action, gs) -> np.ndarray:
     """The generator images of ``x -> rep(alpha_g(x))`` for each g in ``gs``,
     in ``rep``'s label order: one (len(gs), n, dim, dim) stack, over a
     :class:`GroupAction` one contraction with the stacked coefficient
-    matrices of the alpha_g.  When every g is the identity and its
-    coefficient matrix is exactly 1 (an induction from H = G), the result
-    is a read-only view of the stored images, equal entry for entry to
-    what the contraction gives."""
+    matrices of the alpha_g.  When every g is the identity (an induction
+    from H = G), the result is a read-only view of the stored images:
+    :meth:`GroupAction.validate` holds alpha_e to the identity map, so the
+    contraction would differ from them in the last bits at most."""
     if isinstance(action, GroupAction):
         basis = tuple(action.algebra.basis_labels())
         units = _unit_images(rep, basis)
-        e = action.group.identity
-        C = action.aut(e).coefficient_matrix
-        if all(g == e for g in gs) and np.array_equal(C, np.eye(len(C))):
+        if all(g == action.group.identity for g in gs):
             images = np.broadcast_to(units, (len(gs), *units.shape))
         else:
             coefficients = np.array([action.aut(g).coefficient_matrix for g in gs])
@@ -306,8 +316,8 @@ class IrrepDecomposition:
     ``basis_change`` is a unitary Q with ``Q* pi(x) Q`` block diagonal,
     blocks ordered class by class, each class repeated multiplicity times,
     every copy exactly equal to the class representative.  Components have
-    the input's type; over a :class:`GroupAction` they are ordered, with no
-    seed, by (dimension, orbit, character of lambda), otherwise by (dimension, first occurrence).
+    the input's type; over a :class:`GroupAction` they are ordered by
+    (dimension, orbit, character of lambda), otherwise by (dimension, first occurrence).
     """
 
     components: list[tuple[Rep | CovariantRep, int]]
@@ -373,14 +383,15 @@ def _require_cocycle(K: FiniteGroup, c, tol: Tolerance):
                  "matrices are not scalar multiples of each other at pair ({},{})", names=np.arange(n)[rows])
 
 
-def _classes(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[ProjectiveRep]:
+def _classes(K: FiniteGroup, c, tol: Tolerance) -> list[ProjectiveRep]:
     """One irreducible per class of projective representations of K with
-    cocycle conj(c), in :func:`_character_keys` order: written down by
-    :func:`_cyclic_classes` when K is cyclic, split from the twisted regular
-    representation by :func:`_projective_irreps` otherwise.  Only the split
-    draws random numbers."""
+    cocycle conj(c), in :func:`_character_keys` order, a function of (K, c,
+    tol) alone: written down by :func:`_cyclic_classes` when K is cyclic,
+    split from the twisted regular representation along its right
+    translations by :func:`_projective_irreps` otherwise.  Neither draws a
+    random number."""
     g = K.cyclic_generator()
-    return _projective_irreps(K, c, seed, tol) if g is None else _cyclic_classes(K, c, g, tol)
+    return _projective_irreps(K, c, tol) if g is None else _cyclic_classes(K, c, g, tol)
 
 
 def _cyclic_classes(K: FiniteGroup, c, g: int, tol: Tolerance) -> list[ProjectiveRep]:
@@ -419,81 +430,66 @@ def _cyclic_classes(K: FiniteGroup, c, g: int, tol: Tolerance) -> list[Projectiv
     return [ProjectiveRep(K, lam, cocycle) for lam in mats]
 
 
-def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[ProjectiveRep]:
+def _projective_irreps(K: FiniteGroup, c, tol: Tolerance) -> list[ProjectiveRep]:
     """One irreducible per class of projective representations of K with
     cocycle conj(c), split from the twisted regular representation
-    L_a delta_x = c(a, x) delta_{ax} without forming it.
+    L_a delta_x = c(a, x) delta_{ax} without forming it, with no random draw.
 
     L's relation L_ab = conj(c)(a, b) L_a L_b is the 2-cocycle identity of
     c at (a, b, x) over every x, checked by :func:`_require_cocycle`.  At
     (a, x, b) it makes the right translations R_b delta_x = c(x, b)
-    delta_{xb}, which span L's commutant (Karpilovsky 1985), commute with
-    L.  So L splits
-    along the eigenspaces Q of Y + Y*, Y = sum_b z_b R_b for z drawn from
-    ``seed``, into leaves lambda_a = Q* L_a Q read from the permuted rows
-    (L_a Q)[ax] = c(a, x) Q[x].  A leaf whose range is not invariant raises
-    :class:`InvariantViolation` naming a, and a reducible leaf (dim End
-    = |K|^-1 sum_a |tr lambda_a|^2 above 1) is refined by :func:`_pieces`.
-    No irreducible of K has dimension above sqrt|K|, so a wider cluster,
-    whose gather would cost |K|^2 d memory, reseeds the split, up to 5
-    times, then :class:`DecompositionFailed`.  Characters separate the
+    delta_{xb} commute with L, and they span L's commutant (Karpilovsky
+    1985).  So their compressions Q* R_b Q span End_L of any invariant
+    leaf Q, and a leaf that none of them splits is irreducible.  Starting
+    from the whole space, a leaf is split along the eigenspaces
+    (:func:`_eigen_clusters`) of Q* (R_b + R_b*) Q, or of Q* i(R_b - R_b*)
+    Q when that is one cluster, for the b != e in element order from the
+    one that split its parent (:func:`_split_leaf`); R_e = c(e, e) 1 is a
+    scalar.  No irreducible of K has
+    dimension above sqrt|K|, so only leaves of width w with w^2 <= |K|
+    are gathered, lambda_a = Q* L_a Q read from the permuted rows (L_a
+    Q)[ax] = c(a, x) Q[x]: one whose range is not invariant raises
+    :class:`InvariantViolation` naming a, and one with dim End = |K|^-1
+    sum_a |tr lambda_a|^2 = 1 is kept; the others are split again.  A
+    reducible leaf that no compression splits at ``eig_sep`` raises
+    :class:`DecompositionFailed` naming its width.  Characters separate the
     classes (Cheng 2015): a leaf is kept unless its character inner product
     with a kept one is 1, the inner products of every pair of leaves read
     from one product and rounded by :func:`_character_dims`; kept ones come
     in :func:`_character_keys` order, read from the same characters.
 
     Each step is a fixed number of array passes over the :func:`_blocks` of
-    |K|: the identity is checked over blocks of rows a, the leaves are
-    gathered and checked over blocks of clusters of one width, narrowest
-    first, and every leaf's dim End is rounded in one :func:`_end_dims`.
-    One failure is named as a loop over the rows, then over the leaves,
-    would name it, with the same residual.  Where several leaves fail, the
-    one named may differ from such a loop's: invariance is checked for
-    every leaf before any leaf's dim End, and in width order.
+    |K|: the identity is checked over blocks of rows a, and each round of
+    splits gathers and checks its leaves over blocks of leaves of one
+    width, narrowest first, and rounds their dim End in one
+    :func:`_end_dims`.  One failure is named as a loop over the rows, then
+    over the leaves, would name it, with the same residual.  Where several
+    leaves fail, the one named may differ from such a loop's: invariance is
+    checked for every leaf of a round before any leaf's dim End, and in
+    width order.
     """
     n, T = K.order, K.table
     _require_cocycle(K, c, tol)
-    # source[a, y] = a^-1 y and weights[a, y] = c(a, a^-1 y): row y of L_a
+    # source[a, y] = a^-1 y and weights[a, y] = c(a, a^-1 y): row y of L_a;
+    # before[i, y] = y b^-1 and right[i, y] = c(y b^-1, b): row y of R_b for
+    # the i-th b != e, since R_e = c(e, e) 1 is a scalar and splits nothing
     source, cocycle = T[K.inverse], c.conj()
     weights = c[np.arange(n)[:, None], source]
-    for attempt in range(5):
-        rng = np.random.default_rng(seed + attempt)
-        # Y[y, x] = z_b c(x, b) at b = x^-1 y, so Y transposed reads like L
-        YT = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[source] * weights
-        clusters = _eigen_clusters(YT.T + YT.conj(), tol) or [np.eye(n)]
-        if all(Q.shape[1] ** 2 <= n for Q in clusters):
-            break
-    else:
-        raise DecompositionFailed("a split cluster is wider than sqrt|K| after 5 reseeded retries: too large to gather")
-    widths = np.array([Q.shape[1] for Q in clusters])
-    lams, chi = [None] * len(clusters), np.empty((len(clusters), n), dtype=complex)
-    for w in sorted(set(widths.tolist())):
-        same = np.flatnonzero(widths == w)
-        frames = [clusters[i] for i in same]
-        for block in _blocks(len(same), n):
-            members, Q = same[block], np.array(_block(frames, block))
-            # LQ[l, a] = L_a Q_l and lam[l, a] = Q_l* L_a Q_l for the leaves l of the block
-            LQ = weights[..., None] * np.take(Q, source, axis=-2)
-            lam = Q.conj().swapaxes(-2, -1)[..., None, :, :] @ LQ
-            residuals = np.linalg.norm(LQ - Q[..., None, :, :] @ lam, axis=(-2, -1))
-            _require(residuals.reshape(-1, n), tol.identity_bound(np.sqrt(w)),
-                     "split leaf is not invariant under L at element {1}")
-            lam = lam.reshape(-1, n, w, w)
-            chi[members] = np.trace(lam, axis1=2, axis2=3)
-            for i, mats in zip(members, lam):
-                lams[i] = mats
-    # dim End of every leaf, by the rule of _character_dim on the terms |chi(a)|^2
-    dims = _end_dims(chi, 1.0, tol)
-    leaves, characters = [], []
-    for i, mats in enumerate(lams):
-        if dims[i] == 1:
-            leaves.append(mats)
-            characters.append(chi[i])
-            continue
-        leaf = ProjectiveRep(K, mats, cocycle)
-        for piece, _ in _pieces(leaf, _hom(leaf, leaf, tol), seed, tol):
-            leaves.append(piece.mats)
-            characters.append(np.trace(piece.mats, axis1=1, axis2=2))
+    translations = np.flatnonzero(np.arange(n) != K.identity)
+    before = T[:, K.inverse[translations]].T
+    right = c[before, translations[:, None]]
+    pending, leaves, characters = [(np.eye(n, dtype=complex), 0)], [], []
+    while pending:
+        gathered = [i for i, (Q, _) in enumerate(pending) if Q.shape[1] ** 2 <= n]
+        lams, chi = _gather_leaves([pending[i][0] for i in gathered], source, weights, tol)
+        irreducible = set()
+        for i, mats, row, end in zip(gathered, lams, chi, _end_dims(chi, 1.0, tol).tolist()):
+            if end == 1:
+                irreducible.add(i)
+                leaves.append(mats)
+                characters.append(row)
+        pending = [child for i, (Q, b) in enumerate(pending) if i not in irreducible
+                   for child in _split_leaf(Q, b, before, right, tol)]
     # every pair of leaf characters in one product: means[j, i] = <chi_j, chi_i>
     chi = np.array(characters)
     means = chi.conj() @ chi.T / n
@@ -509,6 +505,52 @@ def _projective_irreps(K: FiniteGroup, c, seed: int, tol: Tolerance) -> list[Pro
             _sum_dim(means[first, i], bounds[first, i])
     keys = _character_keys([len(leaves[i][0]) for i in kept], chi[kept], tol)
     return [ProjectiveRep(K, leaves[i], cocycle) for _, i in sorted(zip(keys, kept))]
+
+
+def _gather_leaves(frames, source, weights, tol: Tolerance):
+    """The leaves lambda_a = Q* L_a Q of the frames Q of a round of
+    :func:`_projective_irreps`, over blocks of frames of one width,
+    narrowest first: the list of (|K|, w, w) stacks, in the order of
+    ``frames``, and their characters.  A frame whose range is not
+    invariant under L raises :class:`InvariantViolation` naming a."""
+    n = len(source)
+    widths = np.array([Q.shape[1] for Q in frames], dtype=int)
+    lams, chi = [None] * len(frames), np.empty((len(frames), n), dtype=complex)
+    for w in sorted(set(widths.tolist())):
+        same = np.flatnonzero(widths == w)
+        frames_w = [frames[i] for i in same]
+        for block in _blocks(len(same), n):
+            members, Q = same[block], np.array(_block(frames_w, block))
+            # LQ[l, a] = L_a Q_l and lam[l, a] = Q_l* L_a Q_l for the leaves l of the block
+            LQ = weights[..., None] * np.take(Q, source, axis=-2)
+            lam = Q.conj().swapaxes(-2, -1)[..., None, :, :] @ LQ
+            # Q_l lam[l, a] for every a in one product per leaf: rows (a, j) of lam^T times Q^T
+            lead = lam.shape[:-3]
+            Qlam = (lam.swapaxes(-2, -1).reshape(*lead, n * w, w) @ Q.swapaxes(-2, -1)).reshape(*lead, n, w, n)
+            residuals = np.linalg.norm(LQ - Qlam.swapaxes(-2, -1), axis=(-2, -1))
+            _require(residuals.reshape(-1, n), tol.identity_bound(np.sqrt(w)),
+                     "split leaf is not invariant under L at element {1}")
+            lam = lam.reshape(-1, n, w, w)
+            chi[members] = np.trace(lam, axis1=2, axis2=3)
+            for i, mats in zip(members, lam):
+                lams[i] = mats
+    return lams, chi
+
+
+def _split_leaf(Q: np.ndarray, start: int, before, right, tol: Tolerance) -> list[tuple]:
+    """The children (Q V, i) of a leaf Q of :func:`_projective_irreps`, V
+    the :func:`_eigen_clusters` of Q* (R_b + R_b*) Q, or of Q* i(R_b - R_b*)
+    Q when that is one cluster, at the first right translation b, the i-th
+    of ``before`` and ``right``, from the ``start``-th on that splits Q;
+    (R_b Q)[y] = c(y b^-1, b) Q[y b^-1] is a gather of |K| w entries.
+    :class:`DecompositionFailed` when none does."""
+    for i in range(start, len(before)):
+        M = Q.conj().T @ (right[i][:, None] * Q[before[i]])
+        for H in (M + M.conj().T, 1j * (M - M.conj().T)):
+            clusters = _eigen_clusters(H, tol)
+            if clusters is not None:
+                return [(Q @ V, i) for V in clusters]
+    raise DecompositionFailed(f"a reducible split leaf of width {Q.shape[1]} is split by no right translation")
 
 
 def _pieces(r, hom, seed: int, tol: Tolerance):
@@ -587,16 +629,20 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
 
     A covariant Pi over a :class:`GroupAction` is read off its matrix-unit
     frames (:func:`_orbit_frames`): per orbit of blocks, the r-dimensional
-    Lambda with C* Pi(U_h) C = Lambda_h (x) V_h on the frame C is split, and
-    each copy of a class lambda is a copy of Ind_H^G(lambda (x) V); the
-    basis change must carry Pi onto the components, ordered with no seed
-    by (dimension, orbit, character of lambda).  Any other input is split
-    along the eigenspaces of the commutant projection of a random Hermitian
-    X (:func:`_hom`), pieces with dim End > 1 again, and leaves are matched
-    by :func:`covariant_equivalence`, ordered by (dimension, first occurrence).
-    Either way the squared multiplicities must sum to dim End, else
-    :class:`InvariantViolation`; the multiset of components does not
-    depend on the seed.
+    Lambda with C* Pi(U_h) C = Lambda_h (x) V_h on the frame C is read
+    against the classes the action keeps for the orbit's stabilizer
+    (:func:`_copies`), and each copy of a class lambda is a copy of
+    Ind_H^G(lambda (x) V), built from the class's own matrices, so the
+    components are those of ``crossed_irreps``, array for array; the basis
+    change must carry Pi onto the components, ordered by (dimension, orbit,
+    character of lambda).  No random number is drawn and ``seed`` is not
+    read.  Any other input is split along the eigenspaces of the commutant
+    projection of a random Hermitian X drawn from ``seed`` (:func:`_hom`),
+    pieces with dim End > 1 again, and leaves are matched by
+    :func:`covariant_equivalence`, ordered by (dimension, first occurrence);
+    the multiset of components does not depend on the seed.  Either way the
+    squared multiplicities must sum to dim End, else
+    :class:`InvariantViolation`.
     """
     if isinstance(r, CovariantRep):
         r.validate(tol)
@@ -604,8 +650,8 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
         return _decompose(r, seed, tol)
     end_dim = hom_dim(r, r, tol)
     classes, covered = [], 0
-    for pi1, witnesses, C in _orbit_frames(r, tol):
-        orbit = _mackey_orbit(r.action, pi1, witnesses, (r, C), seed, tol)
+    for pi1, witnesses, classes_k, C in _orbit_frames(r, tol):
+        orbit = _mackey_orbit(r.action, pi1, witnesses, classes_k, (r, C), tol)
         covered += C.shape[1] * len(orbit.coset_reps)
         classes += [(cls.induced, cls.isometries) for cls in orbit.classes]
     # sum r n_k [G:H] + dim(1 - Pi(1)) = dim Pi, sum m^2 = dim End Pi, and Pi carried
@@ -1008,6 +1054,31 @@ def _block_stabilizer(action: GroupAction, k: int, tol: Tolerance) -> tuple[Rep,
     return action._once(("block_stabilizer", k, tol), build)
 
 
+def _witness_classes(action, witnesses: _Witnesses, tol: Tolerance) -> list[ProjectiveRep]:
+    """The :func:`_classes` of a stabilizer H with its :func:`_witness_stack`:
+    one irreducible per class of projective representations of H with
+    cocycle conj(c_V), the lambda of the structure theorem."""
+    return _classes(action.restriction(witnesses.members).action.group, witnesses.cocycle, tol)
+
+
+def _stabilizer_classes(action: GroupAction, k: int, tol: Tolerance) -> list[ProjectiveRep]:
+    """The :func:`_witness_classes` of block k's stabilizer
+    (:func:`_block_stabilizer`), which the read-off of every Lambda over
+    the orbit of k is read against.  They depend on the action alone, so
+    they are computed once per (k, tol), on first use, so that
+    :func:`translate_stabilizer` does not pay for them; their arrays are
+    read-only."""
+
+    def build():
+        classes = _witness_classes(action, _block_stabilizer(action, k, tol)[1], tol)
+        for lam in classes:
+            lam.mats.setflags(write=False)
+            lam.cocycle.setflags(write=False)
+        return classes
+
+    return action._once(("stabilizer_classes", k, tol), build)
+
+
 def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[int, np.ndarray]:
     """The elements g whose translate ``pi o alpha_g`` is equivalent to the
     irreducible ``pi``, mapped to witnesses W with ``W pi W* = pi o alpha_g``.
@@ -1153,19 +1224,64 @@ _Orbit = namedtuple(
 _Class = namedtuple("_Class", ["lam", "psi", "induced", "isometries"])
 
 
-def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol: Tolerance) -> _Orbit:
+def _copies(lam: ProjectiveRep, classes, tol: Tolerance) -> tuple[list[tuple], np.ndarray]:
+    """Lambda read against the classes of its cocycle by Serre's explicit
+    projections (Serre, *Linear Representations of Finite Groups*, 2.7):
+    the pairs (lambda, m) of the classes with m > 0, in the order of
+    ``classes``, and the r x r unitary whose columns are their copies, the
+    copies of a class adjacent.
+
+    The multiplicities m = <chi_lambda, chi_Lambda> of every class are one
+    product, rounded by :func:`_character_dims`.  conj(lambda) (x) Lambda is
+    a genuine representation, so P = |K|^-1 sum_h Lambda_h (x) conj(lambda_h)
+    is the projection onto the W with Lambda_h W = W lambda_h, of trace m;
+    its top m eigenvectors, read as r x d matrices W_j, are orthogonal
+    intertwiners with W_j* W_j = 1/d, so the copies are the isometries
+    sqrt(d) W_j, held to ``identity_bound(r)`` on Lambda_h W = W lambda_h.
+    sum m d = r and sum m^2 = dim End Lambda, else :class:`InvariantViolation`."""
+    L, n, r = lam.mats, len(lam.mats), lam.dim
+    # <chi, chi_Lambda> for the character of every class, then for chi_Lambda itself (dim End Lambda)
+    chi = np.array([cls._character for cls in classes] + [lam._character])
+    means = chi.conj() @ chi[-1] / n
+    dims, bounds = _character_dims(means, np.abs(chi) @ np.abs(chi[-1]) / n, tol)
+    misses = np.flatnonzero(dims < 0)
+    if misses.size:
+        _sum_dim(means[misses[0]], bounds[misses[0]])  # raises: the sum is no dimension
+    *mults, end_dim = dims.tolist()
+    present, copies = [], []
+    for cls, m in zip(classes, mults):
+        if m == 0:
+            continue
+        d = cls.dim
+        P = np.einsum("hij,hab->iajb", L, cls.mats.conj()).reshape(r * d, r * d) / n
+        W = np.sqrt(d) * np.linalg.eigh((P + P.conj().T) / 2)[1][:, -m:].T.reshape(m, r, d)
+        _require(np.linalg.norm(L @ W[:, None] - W[:, None] @ cls.mats, axis=(-2, -1)), tol.identity_bound(r),
+                 f"copy {{}} of a class of dim {d} fails Lambda_h W = W lambda_h at h = {{}}")
+        present.append((cls, m))
+        copies.extend(W)
+    covered = sum(cls.dim * m for cls, m in present)
+    if covered != r:
+        raise InvariantViolation(f"the classes in Lambda cover {covered} of r = {r} dimensions")
+    if sum(m * m for _, m in present) != end_dim:
+        raise InvariantViolation(f"multiplicities {[m for _, m in present]} do not match dim End = {end_dim}")
+    return present, np.concatenate(copies, axis=1)
+
+
+def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, classes, frame, tol: Tolerance) -> _Orbit:
     """Mackey's read-off over one orbit (the little-group method with multipliers).
 
     ``witnesses`` (:func:`_witness_stack`) holds for each h of the stabilizer
     H of ``pi1`` a V_h with V_h pi1 V_h* = pi1 o alpha_h, and their cocycle
-    c_V; H, its action and its cosets are read from ``action.restriction``.
-    With ``frame`` (Pi, C), C* Pi(x) C = 1_r (x) pi1(x), Lambda is the
-    :func:`factor_tensor` of C* Pi(U_h) C against V_h, of cocycle conj(c_V).
-    Each irreducible lambda in Lambda gives one class Ind_H^G(lambda (x) V),
+    c_V; H, its action and its cosets are read from ``action.restriction``,
+    and ``classes`` are H's classes of cocycle conj(c_V) in
+    :func:`_character_keys` order (:func:`_stabilizer_classes` or
+    :func:`_witness_classes`).  With ``frame`` (Pi, C), C* Pi(x) C = 1_r (x)
+    pi1(x), Lambda is the :func:`factor_tensor` of C* Pi(U_h) C against
+    V_h, of cocycle conj(c_V), read against the classes by :func:`_copies`.
+    Each class lambda in Lambda gives one Ind_H^G(lambda (x) V), built from
+    the class's own matrices by :func:`_induced`, one stack per dimension,
     and each copy Q of it the isometry [U_c* C (Q (x) 1)] over the coset
-    representatives c, carrying Pi onto its Ind.  The classes are put in
-    :func:`_character_keys` order first and then built by :func:`_induced`,
-    one stack per dimension.
+    representatives c, carrying Pi onto its Ind.  No random number is drawn.
     """
     restriction = action.restriction(witnesses.members)
     H, sub_action, members, coset_reps, coset_table = restriction
@@ -1175,22 +1291,20 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, frame, seed: int, tol
     lam_mats = factor_tensor(compressed, V, C.shape[1] // pi1.dim, tol)
     # C* Pi(U_h) C = Lambda_h (x) V_h is a genuine representation, so Lambda carries conj(c_V)
     lam = ProjectiveRep(K, lam_mats, _cocycle(K, lam_mats, tol, c_V.conj()))
-    dec, pos, parts = _decompose(lam, seed, tol), 0, []
-    D, r, p = C.shape[0], len(dec.basis_change), pi1.dim
-    # carried[:, c, j, b] = U_c* C (Q (x) 1) at column (j, b), for every coset representative c in one product
-    W = np.einsum("xib,ij->xjb", C.reshape(D, r, p), dec.basis_change).reshape(D, r * p)
+    present, Y = _copies(lam, classes, tol)
+    D, r, p = C.shape[0], lam.dim, pi1.dim
+    # carried[:, c, j, b] = U_c* C (Y (x) 1) at column (j, b), for every coset representative c in one product
+    W = np.einsum("xib,ij->xjb", C.reshape(D, r, p), Y).reshape(D, r * p)
     carried = (Pi.unitaries[list(coset_reps)].conj().transpose(0, 2, 1) @ W).reshape(-1, D, r, p).transpose(1, 0, 2, 3)
-    for rep, m in dec.components:
+    parts, pos = [], 0
+    for cls, m in present:
         # each copy's columns, side by side over the coset representatives
-        starts = range(pos, pos + m * rep.dim, rep.dim)
-        parts.append((rep, [carried[:, :, q : q + rep.dim].reshape(D, -1) for q in starts]))
+        starts = range(pos, pos + m * cls.dim, cls.dim)
+        parts.append([carried[:, :, q : q + cls.dim].reshape(D, -1) for q in starts])
         pos = starts.stop
-    chi = np.array([np.trace(rep.mats, axis1=1, axis2=2) for rep, _ in parts])
-    keys = _character_keys([rep.dim for rep, _ in parts], chi, tol)
-    parts = [parts[i] for i in sorted(range(len(parts)), key=keys.__getitem__)]
-    built = _induced(action, restriction, pi1, V, [rep for rep, _ in parts])
+    built = _induced(action, restriction, pi1, V, [cls for cls, _ in present])
     induced = [(CovariantRep(base, sub_action, u), cov) for base, psis, stack in built for u, cov in zip(psis, stack)]
-    classes = [_Class(rep, psi, cov, isometries) for (rep, isometries), (psi, cov) in zip(parts, induced)]
+    classes = [_Class(cls, psi, cov, isometries) for (cls, _), isometries, (psi, cov) in zip(present, parts, induced)]
     return _Orbit(H, sub_action, members, V, c_V, coset_reps, coset_table, pi1, lam, classes)
 
 
@@ -1199,16 +1313,16 @@ def _orbit_blocks(action: GroupAction) -> list[int]:
     return [k for k in range(action.algebra.n_blocks) if min(aut.perm[k] for aut in action.auts) == k]
 
 
-def _orbit_irreps(action: GroupAction, k: int, seed: int, tol: Tolerance) -> list[CovariantRep]:
+def _orbit_irreps(action: GroupAction, k: int, tol: Tolerance) -> list[CovariantRep]:
     """Every irreducible over the orbit of block k, built and certified:
     Mackey's construction with multipliers read forward.
 
     With H = {g : alpha_g fixes k} and V_h = U^h_k of cocycle c_V
     (:func:`_block_stabilizer`), one Ind_H^G(lambda (x) V) on 1 (x) pi_k per
     class of irreducible lambda of H with cocycle conj(c_V), from
-    :func:`_classes` (in closed form for a cyclic H, split otherwise),
-    built by :func:`_induced`, one stack per dimension.  Each member is
-    certified by dim End = 1, the character sum
+    :func:`_classes` (in closed form for a cyclic H, split otherwise; the
+    same arrays as the read-off's :func:`_stabilizer_classes`, since neither
+    draws), built by :func:`_induced`, one stack per dimension.  Each member is certified by dim End = 1, the character sum
     of :meth:`CovariantRep.end_dim` read by :func:`_end_dims` for the
     members that share a base in one product, :class:`InvariantViolation`
     naming the dimension of the first that fails.  c_V passes one cocycle
@@ -1218,7 +1332,7 @@ def _orbit_irreps(action: GroupAction, k: int, seed: int, tol: Tolerance) -> lis
     pi_k, stab = _block_stabilizer(action, k, tol)
     restriction = action.restriction(stab.members)
     weights = np.append(_unit_pattern(action.algebra.block_dims)[0], 1.0)
-    lams = _classes(restriction.action.group, stab.cocycle, seed, tol)
+    lams = _classes(restriction.action.group, stab.cocycle, tol)
     irreps = [cov for _, _, stack in _induced(action, restriction, pi_k, stab.V, lams) for cov in stack]
     for _, shared in groupby(irreps, lambda cov: id(cov.base)):
         shared = list(shared)
@@ -1230,14 +1344,16 @@ def _orbit_irreps(action: GroupAction, k: int, seed: int, tol: Tolerance) -> lis
 
 
 def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
-    """(pi1, witnesses, C) of :func:`_mackey_orbit` for Pi over a :class:`GroupAction`:
-    pi_k and its :func:`_block_frame` per orbit whose smallest block k has r_k > 0,
-    then pi1 = 0, V_g = 1 at the range of 1 - Pi(1), which U commutes with."""
+    """(pi1, witnesses, classes, C) of :func:`_mackey_orbit` for Pi over a
+    :class:`GroupAction`: pi_k, its :func:`_stabilizer_classes` and its
+    :func:`_block_frame` per orbit whose smallest block k has r_k > 0, then
+    pi1 = 0, V_g = 1 and the classes of G at the range of 1 - Pi(1), which U
+    commutes with."""
     action, A = Pi.action, Pi.action.algebra
     labels = A.basis_labels()
     ranks = _frame_ranks(Pi.base, A, tol)
     frames = [
-        (*_block_stabilizer(action, k, tol), _block_frame(Pi.base, A, k, ranks[k]))
+        (*_block_stabilizer(action, k, tol), _stabilizer_classes(action, k, tol), _block_frame(Pi.base, A, k, ranks[k]))
         for k in _orbit_blocks(action)
         if ranks[k]
     ]
@@ -1246,7 +1362,8 @@ def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
     if a:
         B = np.linalg.eigh((rest + rest.conj().T) / 2)[1][:, -a:]
         zero = Rep(1, np.zeros((len(labels), 1, 1)), labels)
-        frames.append((zero, _witness_stack(action, {g: np.eye(1) for g in range(Pi.group.order)}, tol), B))
+        stab = _witness_stack(action, {g: np.eye(1) for g in range(Pi.group.order)}, tol)
+        frames.append((zero, stab, _witness_classes(action, stab, tol), B))
     return frames
 
 

@@ -179,11 +179,15 @@ def crossed_irreps(
     projective representations of H with cocycle conj(c_V), and certifies
     each by dim End = 1.  The whole list is certified by the Wedderburn
     count sum dim^2 = |G| dim A, :class:`InvariantViolation` otherwise.
-    Ordered with no seed by dimension, then orbit (smallest block first),
-    then the character of lambda, as :func:`~crossrep.reps.decompose`
-    orders the crossed model's defining representation.
+    Ordered by dimension, then orbit (smallest block first), then the
+    character of lambda, as :func:`~crossrep.reps.decompose` orders the
+    crossed model's defining representation, which it matches member for
+    member, array for array: both read their classes lambda from
+    ``reps._classes``, a function of the stabilizer, its cocycle and
+    ``tol`` alone.  No random number is drawn; ``seed`` is kept for
+    compatibility and not read.
     """
-    irreps = [cov for k in _orbit_blocks(action) for cov in _orbit_irreps(action, k, seed, tol)]
+    irreps = [cov for k in _orbit_blocks(action) for cov in _orbit_irreps(action, k, tol)]
     irreps.sort(key=lambda cov: cov.dim)
     if sum(cov.dim**2 for cov in irreps) != action.group.order * action.algebra.linear_dim:
         raise InvariantViolation("irreducible dimensions fail sum dim^2 = |G| dim A")

@@ -562,16 +562,19 @@ def test_lambda_irreducibility_is_asked_of_the_projective_rep(monkeypatch, tol):
 
 
 def test_lambda_is_decided_by_one_projective_hom(monkeypatch, tol):
-    from crossrep.reps import ProjectiveRep
+    # Lambda is read once against the classes of its cocycle, by character
+    # products, with no intertwiner solve
+    original, asked = crossrep.reps._copies, []
 
-    original, asked = crossrep.reps._hom, []
+    def counting(lam, *args):
+        asked.append(lam)
+        return original(lam, *args)
 
-    def counting(a, b, tol):
-        if isinstance(a, ProjectiveRep):
-            asked.append(a)
-        return original(a, b, tol)
+    def refuse(*args, **kwargs):
+        raise AssertionError("an intertwiner solve was made")
 
-    monkeypatch.setattr(crossrep.reps, "_hom", counting)
+    monkeypatch.setattr(crossrep.reps, "_copies", counting)
+    monkeypatch.setattr(crossrep.reps, "intertwiners", refuse)
     analyze(weyl_pair_homogeneous(2), seed=0, tol=tol)
     [lam] = asked
     assert lam.dim == 2 and len(lam.mats) == lam.group.order == 4

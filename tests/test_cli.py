@@ -324,12 +324,14 @@ def test_analyze_phase_drift_is_an_invariant_failure_with_its_margin(tmp_path, c
     assert doc["error"] == (
         "matrices are not scalar multiples of each other at pair (1,1): residual 1.200e-06 > bound 1.000e-06"
     )
-    # at half the drift the pair passes, and the corner V = e^{i delta} u of
-    # the cyclic form is refused, off V^2 = 1 by 2 sin delta |1_16|
+    # at half the drift the pair passes, and Lambda is refused where it is
+    # read against the two classes of Z2: its character product with the
+    # class it is not, (1 - e^{i delta}) / 2, is off 0 by sin(delta / 2)
     assert main(["analyze", _write(tmp_path / "half.json", covariant_to_json(_phase_drift_covariant(3e-7)))]) == 3
-    assert json.loads(capsys.readouterr().err)["error"] == (
-        "corner unitary does not satisfy V^k = 1: residual 2.400e-06 > bound 1.600e-06"
-    )
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["exit"] == 3
+    assert doc["error"].startswith("character sum ")
+    assert doc["error"].endswith(" is not a dimension: 1.500e-07 from 0, bound rank_eps*scale = 1.000e-08")
 
 
 def test_action_ref_path_resolution(tmp_path, capsys):

@@ -252,10 +252,25 @@ def test_merged_clusters_are_split_again(tol):
 
 
 def test_no_eigenvalue_gap_raises():
-    # the orbit frame's Lambda has dimension 6 and dim End 12
-    cov = _doubled(_s3_regular("permutation", 8))
-    with pytest.raises(DecompositionFailed):
+    # the orbit frame's Lambda is read against its classes with no
+    # eigenvalue gap; the classes of the inner action's stabilizer S3 are
+    # split, which finds no gap above this eig_sep
+    cov = _doubled(_s3_regular("inner", 2))
+    with pytest.raises(DecompositionFailed, match="split by no right translation"):
         decompose(cov, seed=0, tol=Tolerance(eig_sep=1e6))
+    # the generic splitter of a plain representation, on the 6-dimensional
+    # twisted regular Lambda of dim End 6
+    with pytest.raises(DecompositionFailed, match="no eigenvalue gap"):
+        decompose(_s3_regular_projective(), seed=0, tol=Tolerance(eig_sep=1e6))
+
+
+def _s3_regular_projective() -> ProjectiveRep:
+    """The regular representation L_a delta_x = delta_{ax} of S3."""
+    from crossrep.groups import make_symmetric_group_3
+
+    K = make_symmetric_group_3()
+    L = (K.table[:, None, :] == np.arange(6)[:, None]).astype(complex)
+    return ProjectiveRep(K, L, np.ones((6, 6), dtype=complex))
 
 
 def test_label_action_covariant_decomposes_like_joint_rep(tol):
@@ -281,7 +296,7 @@ def test_rep_decomposition_certified_by_end_dim(monkeypatch, tol):
 
 def test_split_element_must_commute(monkeypatch, tol):
     # a projection that returns X unchanged gives a split element outside
-    # the commutant of the 6-dimensional Lambda split at the orbit frame
+    # the commutant of the 6-dimensional regular representation of S3
     hom = crossrep.reps._hom
 
     def unprojected(a, b, tol):
@@ -289,7 +304,7 @@ def test_split_element_must_commute(monkeypatch, tol):
 
     monkeypatch.setattr(crossrep.reps, "_hom", unprojected)
     with pytest.raises(InvariantViolation, match="fails to commute"):
-        decompose(_doubled(_s3_regular("permutation", 8)), seed=0, tol=tol)
+        decompose(_s3_regular_projective(), seed=0, tol=tol)
 
 
 def test_unit_tables_are_cached_and_read_only():
@@ -425,22 +440,45 @@ def _split_sizes(cov, tol):
 
 @pytest.mark.parametrize("name", sorted(FRAME_CASES))
 def test_no_host_size_split(name, monkeypatch, tol):
-    # every random split runs on a Lambda of one orbit (or of the annihilated
-    # subspace), never on the covariant input itself
+    # the only read-off runs on a Lambda of one orbit (or of the annihilated
+    # subspace), never on the covariant input itself, and nothing is split
+    # at random: no _decompose and no _pieces
     cov = FRAME_CASES[name]()
-    splits, pieces = [], []
-    decompose_, pieces_ = crossrep.reps._decompose, crossrep.reps._pieces
+    reads, copies = [], crossrep.reps._copies
 
-    def record_split(r, *args):
-        splits.append(r)
-        return decompose_(r, *args)
+    def record(lam, *args):
+        reads.append(lam)
+        return copies(lam, *args)
 
-    def record_piece(r, *args):
-        pieces.append((r, splits[-1].dim))
-        return pieces_(r, *args)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a covariant input over a GroupAction was split at random")
 
-    monkeypatch.setattr(crossrep.reps, "_decompose", record_split)
-    monkeypatch.setattr(crossrep.reps, "_pieces", record_piece)
+    monkeypatch.setattr(crossrep.reps, "_copies", record)
+    monkeypatch.setattr(crossrep.reps, "_decompose", refuse)
+    monkeypatch.setattr(crossrep.reps, "_pieces", refuse)
     decompose(cov, seed=0, tol=tol)
-    assert [r.dim for r in splits] == _split_sizes(cov, tol)
-    assert pieces and all(type(r) is ProjectiveRep and r.dim <= size for r, size in pieces)
+    assert [lam.dim for lam in reads] == _split_sizes(cov, tol)
+    assert all(type(lam) is ProjectiveRep for lam in reads)
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_the_read_off_carries_lambda_onto_copies_of_its_classes(name, monkeypatch, tol):
+    # Y* Lambda_h Y is the block diagonal of m copies of each class lambda,
+    # in the order of the classes, with Y unitary
+    cov, seen = _gauged(FRAME_CASES[name](), 3), []
+    copies = crossrep.reps._copies
+
+    def record(lam, classes, tol):
+        out = copies(lam, classes, tol)
+        seen.append((lam, classes, out))
+        return out
+
+    monkeypatch.setattr(crossrep.reps, "_copies", record)
+    decompose(cov, seed=0, tol=tol)
+    assert seen
+    for lam, classes, (present, Y) in seen:
+        order = [next(i for i, cls in enumerate(classes) if cls is lam_i) for lam_i, _ in present]
+        assert order == sorted(order) and all(m > 0 for _, m in present)
+        assert np.linalg.norm(Y.conj().T @ Y - np.eye(lam.dim)) < 1e-12
+        blocks = block_diag(*(cls.mats for cls, m in present for _ in range(m)))
+        assert np.max(np.abs(Y.conj().T @ lam.mats @ Y - blocks)) < 1e-12

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 import crossrep.crossed
 import crossrep.reps
 import crossrep.sampling
-from crossrep.algebra import GroupAction, StarAut, restrict_action
-from crossrep.analyzer import analyze, classify_s3, cyclic_analyze, factor_tensor
+from crossrep.algebra import GroupAction, MatAlg, StarAut, restrict_action
+from crossrep.analyzer import analyze, classify_s3, cyclic_analyze, factor_tensor, homogeneous_irreducibility
 from crossrep.crossed import build_crossed_model
 from crossrep.errors import InvariantViolation
 from crossrep.examples import product_cyclic_group, weyl_pair_homogeneous
@@ -30,9 +30,11 @@ from crossrep.groups import (
     FiniteGroup,
     Subgroup,
     character_table,
+    coset_action,
     is_standard_cyclic,
     make_cyclic_group,
     make_symmetric_group_3,
+    right_coset_reps,
 )
 from crossrep.linalg import DEFAULT_TOL, Tolerance, block_diag, random_unitary
 from crossrep.reps import (
@@ -70,6 +72,28 @@ def _rephased(act, rng):
     return GroupAction(act.group, act.algebra, auts)
 
 
+def _d4_action():
+    """The dihedral group of order 8 (r^k s^e at index 4e + k) permuting four
+    1x1 blocks along the right cosets of the reflection subgroup {e, s},
+    and acting on a fifth, 2x2 block by conjugation with its two-dimensional
+    irreducible: a non-abelian stabilizer that is not S3."""
+    e, k = np.divmod(np.arange(8), 4)
+    G = FiniteGroup((e[:, None] + e) % 2 * 4 + (k[:, None] + np.where(e[:, None] == 0, k, -k)) % 4, identity=0)
+    H = Subgroup(G, [0, 4])
+    table = coset_action(H, right_coset_reps(H))
+    A = MatAlg([1, 1, 1, 1, 2])
+    R, S = np.array([[0, -1], [1, 0]], dtype=complex), np.diag([1, -1]).astype(complex)
+    auts = []
+    for g in range(8):
+        perm = [None] * 4 + [4]
+        # alpha_g(f)(Hx) = f(Hxg), so source block j lands on H c_j g^{-1}
+        for j, target, _ in table[G.inv(g)]:
+            perm[j] = target
+        rho = np.linalg.matrix_power(R, int(k[g])) @ np.linalg.matrix_power(S, int(e[g]))
+        auts.append(StarAut(A, perm, [np.eye(1, dtype=complex)] * 4 + [rho]))
+    return GroupAction(G, A, auts)
+
+
 ACTIONS = {
     "Z2[1,1]": lambda: random_cyclic_action(2, [1, 1], np.random.default_rng(1)),
     "Z3[3,1]": lambda: random_cyclic_action(3, [3, 1], np.random.default_rng(7)),
@@ -87,6 +111,7 @@ ACTIONS = {
     "Weyl q=2": lambda: weyl_pair_homogeneous(2).action,
     "Weyl q=3": lambda: weyl_pair_homogeneous(3).action,
     "Weyl q=3 rephased": lambda: _rephased(weyl_pair_homogeneous(3).action, np.random.default_rng(3)),
+    "D4 reflection cosets": _d4_action,
 }
 WEYL = [name for name in ACTIONS if name.startswith("Weyl")]
 # ACTIONS and a random cyclic and S3 set, for the order of the irreducibles
@@ -160,13 +185,13 @@ def test_crossed_irreps_agree_by_position_with_decompose_of_the_model(name, tol)
     _assert_by_position(crossed_irreps(act, seed=0, tol=tol), _model_irreps(act, 0, tol), tol)
 
 
-def _one_at_a_time(act, seed, tol):
+def _one_at_a_time(act, tol):
     """The irreducibles built one class at a time: one psi and one induce each."""
     irreps = []
     for k in _orbit_blocks(act):
         pi_k, stab = _block_stabilizer(act, k, tol)
         H, sub_action, _, coset_reps, _ = act.restriction(stab.members)
-        for lam in _classes(sub_action.group, stab.cocycle, seed, tol):
+        for lam in _classes(sub_action.group, stab.cocycle, tol):
             base, unitaries = _tensor_stack(lam.mats[None], stab.V, pi_k)
             irreps.append(induce(CovariantRep(base, sub_action, unitaries[0]), act, H, coset_reps))
     return sorted(irreps, key=lambda cov: cov.dim)
@@ -176,7 +201,7 @@ def _one_at_a_time(act, seed, tol):
 @pytest.mark.parametrize("name", sorted(ORDER))
 def test_stacked_build_matches_one_induction_per_class_array_for_array(name, seed, tol):
     act = ORDER[name]()
-    got, want = crossed_irreps(act, seed=seed, tol=tol), _one_at_a_time(act, seed, tol)
+    got, want = crossed_irreps(act, seed=seed, tol=tol), _one_at_a_time(act, tol)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.base.labels == b.base.labels
@@ -234,24 +259,26 @@ COARSE = {
 
 @pytest.mark.parametrize("name", sorted(COARSE))
 def test_crossed_irreps_refine_a_reducible_leaf_at_a_coarse_eig_sep(name, monkeypatch):
-    # at this gap, inequivalent leaves of the split share a cluster: the
-    # reducible leaf is refined, where the whole split used to be redrawn.
-    # The stabilizers are cyclic, so crossed_irreps writes their classes
-    # down; the split is run on the same (K, c) and must agree with them
+    # at this gap, inequivalent leaves of the split share a cluster: a
+    # gathered leaf (width w with w^2 <= |K|) of dim End > 1 is split again
+    # along the next right translations.  The stabilizers are cyclic, so
+    # crossed_irreps writes their classes down; the split is run on the
+    # same (K, c) and must agree with them
     n, blocks, eig_sep = COARSE[name]
     tol = Tolerance(eig_sep=eig_sep)
     act = random_cyclic_action(n, blocks, np.random.default_rng(0))
-    refined, pieces = [], crossrep.reps._pieces
+    refined, split_leaf = [], crossrep.reps._split_leaf
 
-    def counted(r, *args):
-        refined.append(r.dim)
-        return pieces(r, *args)
+    def counted(Q, *args):
+        if Q.shape[1] ** 2 <= Q.shape[0]:
+            refined.append(Q.shape[1])
+        return split_leaf(Q, *args)
 
-    monkeypatch.setattr(crossrep.reps, "_pieces", counted)
+    monkeypatch.setattr(crossrep.reps, "_split_leaf", counted)
     for k in _orbit_blocks(act):
         _, stab = _block_stabilizer(act, k, tol)
         K = act.restriction(stab.members).action.group
-        _assert_same_classes(_projective_irreps(K, stab.cocycle, 0, tol), _classes(K, stab.cocycle, 0, tol))
+        _assert_same_classes(_projective_irreps(K, stab.cocycle, tol), _classes(K, stab.cocycle, tol))
     monkeypatch.undo()
     assert refined
     got = crossed_irreps(act, seed=0, tol=tol)
@@ -288,7 +315,7 @@ SPLITS = {
 def test_projective_irreps_keep_inequivalent_leaves_of_equal_dimension_apart(name, tol):
     make, c, dims = SPLITS[name]
     K = make()
-    irreps = _projective_irreps(K, np.ones((K.order, K.order)) if c is None else c, 0, tol)
+    irreps = _projective_irreps(K, np.ones((K.order, K.order)) if c is None else c, tol)
     assert sorted(r.dim for r in irreps) == dims
     # one irreducible per class: dim Hom is 1 on the diagonal and 0 off it
     counts = [[_hom(a, b, tol)[0] for b in irreps] for a in irreps]
@@ -300,9 +327,12 @@ def test_projective_irreps_refuse_a_leaf_whose_range_is_not_invariant(monkeypatc
     rotated = []
 
     def rotate_first(H, tol):
-        # mix a column of the second cluster into the first: an orthonormal
-        # frame whose range is no longer invariant under L
+        # mix a column of the second cluster into the first, at the first
+        # split (of the whole space): an orthonormal frame whose range is no
+        # longer invariant under L
         clusters = eigen_clusters(H, tol)
+        if clusters is None or rotated:
+            return clusters
         first = clusters[0].copy()
         first[:, 0] = (first[:, 0] + clusters[1][:, 0]) / np.sqrt(2)
         rotated.append(first)
@@ -311,7 +341,7 @@ def test_projective_irreps_refuse_a_leaf_whose_range_is_not_invariant(monkeypatc
     monkeypatch.setattr(crossrep.reps, "_eigen_clusters", rotate_first)
     K = make_cyclic_group(5)
     with pytest.raises(InvariantViolation, match="not invariant under L at element") as err:
-        _projective_irreps(K, np.ones((5, 5)), 0, tol)
+        _projective_irreps(K, np.ones((5, 5)), tol)
     # the dense reference L_a delta_x = delta_{ax} names the same element
     [Q] = rotated
     L = (K.table[:, None, :] == np.arange(5)[:, None]).astype(complex)
@@ -354,7 +384,7 @@ CYCLIC_SIZES = [*range(1, 17), 30, 64, 128, 256, 512]
 def test_cyclic_classes_are_the_split_classes_in_its_order(n, tol):
     [(K, c)] = _cyclic_stabilizers(random_cyclic_action(n, [2], np.random.default_rng(0)), tol)
     assert K.order == n
-    _assert_same_classes(_projective_irreps(K, c, 0, tol), _classes(K, c, 0, tol))
+    _assert_same_classes(_projective_irreps(K, c, tol), _classes(K, c, tol))
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 64])
@@ -365,7 +395,7 @@ def test_cyclic_classes_of_a_random_coboundary_are_the_split_classes(n, tol):
     mu = np.exp(2j * np.pi * rng.random(n))
     for K in (make_cyclic_group(n), _shuffled_cyclic(n, rng)):
         c = np.outer(mu, mu) / mu[K.table]
-        _assert_same_classes(_projective_irreps(K, c, 0, tol), _classes(K, c, 0, tol))
+        _assert_same_classes(_projective_irreps(K, c, tol), _classes(K, c, tol))
 
 
 def _shuffled_cyclic(n, rng):
@@ -382,7 +412,7 @@ CLASS_SOURCES = {**ORDER, **_ladder_actions()}
 @pytest.mark.parametrize("name", sorted(CLASS_SOURCES))
 def test_every_cyclic_stabilizer_gets_the_split_classes(name, tol):
     for K, c in _cyclic_stabilizers(CLASS_SOURCES[name](), tol):
-        _assert_same_classes(_projective_irreps(K, c, 0, tol), _classes(K, c, 0, tol))
+        _assert_same_classes(_projective_irreps(K, c, tol), _classes(K, c, tol))
 
 
 def test_cyclic_classes_are_refused_at_a_broken_cocycle_as_the_split_refuses(tol):
@@ -392,9 +422,9 @@ def test_cyclic_classes_are_refused_at_a_broken_cocycle_as_the_split_refuses(tol
     c = c.copy()
     c[1, 1] *= 1j
     with pytest.raises(InvariantViolation, match="not scalar multiples of each other at pair") as split:
-        _projective_irreps(K, c, 0, tol)
+        _projective_irreps(K, c, tol)
     with pytest.raises(InvariantViolation) as closed:
-        _classes(K, c, 0, tol)
+        _classes(K, c, tol)
     assert str(closed.value) == str(split.value)
 
 
@@ -402,7 +432,7 @@ def test_cyclic_classes_are_orthonormal_characters_of_the_cocycle(tol):
     # |K| one-dimensional classes whose characters are orthonormal, each
     # satisfying lambda(ab) = conj(c(a, b)) lambda(a) lambda(b)
     [(K, c)] = _cyclic_stabilizers(random_cyclic_action(12, [3], np.random.default_rng(2)), tol)
-    classes = _classes(K, c, 0, tol)
+    classes = _classes(K, c, tol)
     chi = np.array([lam.mats[:, 0, 0] for lam in classes])
     assert np.allclose(chi.conj() @ chi.T / K.order, np.eye(K.order), atol=1e-12)
     for lam in chi:
@@ -639,3 +669,102 @@ def test_reports_of_crossed_irreps_dump_as_finite_json(act):
             docs.append(s3_class_to_json(classify_s3(cov, seed=0)))
         for doc in docs:
             json.dumps(doc, allow_nan=False)
+
+
+# ---------------------------------------------------------------------------
+# one class source: crossed_irreps, decompose and the analyzers read the
+# classes the action keeps per orbit, and no GroupAction path draws
+
+
+NO_DRAW = ["S3 permutation", "S3 inner", "S3 conjugated", "Weyl q=2", "Weyl q=3", "D4 reflection cosets"]
+
+
+def _analyzed(cov, seed):
+    """analyze and the CLI's analyzer dispatch on ``cov``, as JSON documents."""
+    docs = [structure_report_to_json(analyze(cov, seed=seed))]
+    if cov.group == make_symmetric_group_3():
+        docs.append(s3_class_to_json(classify_s3(cov, seed=seed)))
+    elif is_standard_cyclic(cov.group):
+        docs.append(cyclic_report_to_json(cyclic_analyze(cov, seed=seed)))
+    return docs
+
+
+def _outputs(act, extra, seed):
+    """Every GroupAction entry point on ``act``, and analyze on ``extra``."""
+    irreps = crossed_irreps(act, seed=seed)
+    table = character_table(act.group, seed=seed)
+    dec = decompose(build_crossed_model(act).defining_covariant_rep(), seed=seed)
+    docs = [_analyzed(cov, seed) for cov in [*irreps, *extra]]
+    verdicts = [homogeneous_irreducibility(cov) for cov in extra]
+    return irreps, table, dec, docs, verdicts
+
+
+@pytest.mark.parametrize("name", NO_DRAW)
+def test_no_group_action_path_draws_and_no_seed_changes_its_output(name, monkeypatch):
+    # a fresh copy of the action for each seed, so that neither run reads
+    # what the other left in the action's caches
+    extra = [[weyl_pair_homogeneous(int(name[-1]))] if name.startswith("Weyl") else [] for _ in range(2)]
+    acts = [ACTIONS[name]() for _ in range(2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random number was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    (irreps, table, dec, docs, verdicts), again = (_outputs(a, e, s) for a, e, s in zip(acts, extra, (0, 12345)))
+    assert len(irreps) == len(again[0]) and len(dec.components) == len(again[2].components)
+    for a, b in zip(irreps, again[0]):
+        assert np.array_equal(a.base.stack, b.base.stack) and np.array_equal(a.unitaries, b.unitaries)
+    assert table.dims == again[1].dims and np.array_equal(table.chars, again[1].chars)
+    for (a, m), (b, n) in zip(dec.components, again[2].components):
+        assert m == n and np.array_equal(a.base.stack, b.base.stack) and np.array_equal(a.unitaries, b.unitaries)
+    assert np.array_equal(dec.basis_change, again[2].basis_change)
+    assert docs == again[3]
+    assert verdicts == again[4] == [True] * len(extra[0])
+
+
+@pytest.mark.parametrize("name", sorted(ORDER))
+def test_decompose_of_the_defining_model_is_crossed_irreps_array_for_array(name, tol):
+    # both build Ind_H^G(lambda (x) V) from the same class matrices lambda
+    act = ORDER[name]()
+    got = decompose(build_crossed_model(act, tol).defining_covariant_rep(), seed=0, tol=tol).components
+    want = crossed_irreps(act, tol=tol)
+    assert len(got) == len(want)
+    for (a, _), b in zip(got, want):
+        assert a.base.labels == b.base.labels
+        assert np.array_equal(a.base.stack, b.base.stack)
+        assert np.array_equal(a.unitaries, b.unitaries)
+
+
+def test_analyze_psi_does_not_depend_on_the_basis_pi_is_given_in(tol):
+    # psi = lambda_rep (x) v_rep from the class lambda the action keeps, so a
+    # Haar-random change of basis of Pi moves only the conjugator
+    Pi = weyl_pair_homogeneous(3)
+    W = random_unitary(Pi.dim, np.random.default_rng(29))
+    report, moved = analyze(Pi, seed=0, tol=tol), analyze(Pi.conjugate(W), seed=0, tol=tol)
+    assert np.array_equal(report.psi.unitaries, moved.psi.unitaries)
+    assert np.array_equal(report.psi.base.stack, moved.psi.base.stack)
+    assert np.array_equal(report.lambda_rep.mats, moved.lambda_rep.mats)
+    lam, V = report.lambda_rep.mats, report.v_rep.mats
+    assert np.array_equal(report.psi.unitaries, np.einsum("hij,hab->hiajb", lam, V).reshape(report.psi.unitaries.shape))
+    # the conjugator carrying an irreducible onto a fixed form is unique up to a phase
+    C = W.conj().T @ report.conjugator
+    z = np.vdot(C, moved.conjugator) / Pi.dim
+    assert abs(abs(z) - 1) < 1e-9 and np.linalg.norm(moved.conjugator - z * C) < 1e-9
+
+
+def test_an_induction_from_the_whole_group_reads_the_stored_images(monkeypatch, tol):
+    # the one block of this conjugated S3 action is fixed by every element,
+    # and its identity unitary W W* is off 1 in the last bits
+    act = random_s3_action(np.random.default_rng(11), "conjugated")
+    C = act.aut(act.group.identity).coefficient_matrix
+    assert act.algebra.n_blocks == 1 and not np.array_equal(C, np.eye(len(C)))
+    seen, composed = [], crossrep.reps._composed_images
+
+    def record(rep, action, gs):
+        images = composed(rep, action, gs)
+        seen.append((tuple(gs), np.shares_memory(images, rep.stack)))
+        return images
+
+    monkeypatch.setattr(crossrep.reps, "_composed_images", record)
+    crossed_irreps(act, tol=tol)
+    assert seen and all(entry == ((act.group.identity,), True) for entry in seen)

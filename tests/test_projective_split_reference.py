@@ -1,10 +1,13 @@
-"""The blocked split of the twisted regular representation against the
-row-by-row and leaf-by-leaf loops it replaced.
+"""The blocked split of the twisted regular representation against two
+references.
 
 ``reps._projective_irreps`` checks the 2-cocycle identity over blocks of
-rows and gathers and checks its leaves over blocks of clusters of one
-width.  The reference below is the same function written as one pass per
-row a and one gather per leaf.  On every input both must agree:
+rows, then splits the whole space along the compressions of the right
+translations R_b, round by round, and gathers and checks the leaves of a
+round over blocks of leaves of one width.  The first reference,
+``_loop_split``, is the same split written as one pass per row a, one
+gather per leaf and one row at a time for each R_b Q.  On every input both
+must agree:
 
 - where the identity fails, both name the same first pair (a, h) with the
   same residual, since blocks of rows keep the row-major order;
@@ -17,6 +20,13 @@ Where several leaves fail, the leaf named may differ: the blocked code
 checks every leaf's invariance before any leaf's dim End, in width order,
 and the loop checks each leaf in turn.  Such inputs are only required to
 be refused.
+
+The second reference, ``_random_split``, is the split this one replaced:
+along the eigenspaces of a random element of L's commutant drawn from a
+seed, reducible leaves refined by ``reps._pieces``.  It shares no split
+code with the first, so it is an independent check that the classes are
+the same, by character within 1e-12 and in the same order, and that the
+identity check refuses the same inputs with the same message.
 """
 
 import tracemalloc
@@ -28,7 +38,7 @@ import crossrep.reps
 from crossrep.errors import DecompositionFailed, InvariantViolation
 from crossrep.examples import product_cyclic_group
 from crossrep.groups import FiniteGroup, make_cyclic_group, make_symmetric_group_3
-from crossrep.linalg import DEFAULT_TOL, _require
+from crossrep.linalg import DEFAULT_TOL, Tolerance, _require
 from crossrep.reps import (ProjectiveRep, _block, _blocks, _character_dim, _character_dims, _hom, _pieces,
                            _projective_irreps, _sum_dim)
 
@@ -57,14 +67,99 @@ def _weyl(q):
     return np.exp(2j * np.pi / q) ** np.outer(b, a)
 
 
-def _reference(K, c, seed, tol):
-    """``_projective_irreps`` as one pass per row and one gather per leaf."""
+def _row_identity(K, c, tol):
+    """The 2-cocycle identity of c, one pass per row a."""
     n = K.order
     for a, row in enumerate(K.table):
         defects = np.abs(c[a][:, None] * c[row] - c * c[a][K.table])
         _require(np.linalg.norm(defects, axis=1), tol.identity_bound(np.sqrt(n)),
                  f"matrices are not scalar multiples of each other at pair ({a},{{}})")
-    source, cocycle = K.table[K.inverse], c.conj()
+
+
+def _classes_of(K, leaves, tol):
+    """One leaf per class, in the order of the dimension and then the
+    character on the ``rank_eps`` grid."""
+    chi = np.array([np.trace(mats, axis1=1, axis2=2) for mats in leaves])
+    means = chi.conj() @ chi.T / K.order
+    dims, bounds = _character_dims(means, np.abs(chi) @ np.abs(chi).T / K.order, tol)
+    kept, table = [], dims.tolist()
+    for i in range(len(leaves)):
+        first = next((j for j in kept if table[j][i] in (1, -1)), None)
+        if first is None:
+            kept.append(i)
+        elif table[first][i] < 0:
+            _sum_dim(means[first, i], bounds[first, i])
+
+    def key(mats):
+        x = np.trace(mats, axis1=1, axis2=2) / tol.rank_eps
+        return len(mats[0]), *np.rint(np.column_stack([x.real, x.imag])).ravel().tolist()
+
+    return sorted((leaves[i] for i in kept), key=key)
+
+
+def _gather(K, c, Q):
+    """lambda_a = Q* L_a Q, one row a at a time: (L_a Q)[ax] = c(a, x) Q[x]."""
+    n = K.order
+    LQ = np.zeros((n, n, Q.shape[1]), dtype=complex)
+    for a in range(n):
+        LQ[a, K.table[a]] = c[a][:, None] * Q
+    return LQ, Q.conj().T @ LQ
+
+
+def _loop_children(K, c, Q, b, tol):
+    """The children of leaf Q at the first right translation from b on that
+    splits it, R_b Q one row y = x b at a time; R_e is a scalar."""
+    n = K.order
+    for b in range(b, n):
+        if b == K.identity:
+            continue
+        RQ = np.empty_like(Q)
+        for y in range(n):
+            x = K.table[y, K.inverse[b]]
+            RQ[y] = c[x, b] * Q[x]
+        M = Q.conj().T @ RQ
+        for H in (M + M.conj().T, 1j * (M - M.conj().T)):
+            clusters = crossrep.reps._eigen_clusters(H, tol)
+            if clusters is not None:
+                return [(Q @ V, b) for V in clusters]
+    raise DecompositionFailed(f"a reducible split leaf of width {Q.shape[1]} is split by no right translation")
+
+
+def _loop_split(K, c, tol):
+    """``_projective_irreps`` as one pass per row, one gather per leaf and
+    one row at a time for each right translation."""
+    n = K.order
+    _row_identity(K, c, tol)
+    pending, leaves = [(np.eye(n, dtype=complex), 0)], []
+    while pending:
+        # the leaves of a round narrow enough to gather, in width order
+        lams = {}
+        for i in sorted(range(len(pending)), key=lambda i: pending[i][0].shape[1]):
+            Q = pending[i][0]
+            if Q.shape[1] ** 2 > n:
+                continue
+            LQ, lam = _gather(K, c, Q)
+            _require(np.linalg.norm(LQ - Q @ lam, axis=(1, 2)), tol.identity_bound(np.sqrt(Q.shape[1])),
+                     "split leaf is not invariant under L at element {}")
+            lams[i] = lam
+        ends = {i: _character_dim(np.abs(np.trace(lams[i], axis1=1, axis2=2)) ** 2, tol) for i in sorted(lams)}
+        children = []
+        for i, (Q, b) in enumerate(pending):
+            if ends.get(i) == 1:
+                leaves.append(lams[i])
+            else:
+                children += _loop_children(K, c, Q, b, tol)
+        pending = children
+    return [ProjectiveRep(K, mats, c.conj()) for mats in _classes_of(K, leaves, tol)]
+
+
+def _random_split(K, c, seed, tol):
+    """The seeded split along a random element Y = sum_b z_b R_b of L's
+    commutant, reseeded while a cluster is wider than sqrt|K|, its
+    reducible leaves refined by ``reps._pieces``."""
+    n = K.order
+    _row_identity(K, c, tol)
+    source = K.table[K.inverse]
     weights = np.take_along_axis(c, source, axis=1)
     for attempt in range(5):
         rng = np.random.default_rng(seed + attempt)
@@ -83,61 +178,27 @@ def _reference(K, c, seed, tol):
         if _character_dim(np.abs(np.trace(lam, axis1=1, axis2=2)) ** 2, tol) == 1:
             leaves.append(lam)
         else:
-            leaf = ProjectiveRep(K, lam, cocycle)
+            leaf = ProjectiveRep(K, lam, c.conj())
             leaves += [piece.mats for piece, _ in _pieces(leaf, _hom(leaf, leaf, tol), seed, tol)]
-    chi = np.array([np.trace(mats, axis1=1, axis2=2) for mats in leaves])
-    means = chi.conj() @ chi.T / n
-    dims, bounds = _character_dims(means, np.abs(chi) @ np.abs(chi).T / n, tol)
-    kept, table = [], dims.tolist()
-    for i in range(len(leaves)):
-        first = next((j for j in kept if table[j][i] in (1, -1)), None)
-        if first is None:
-            kept.append(i)
-        elif table[first][i] < 0:
-            _sum_dim(means[first, i], bounds[first, i])
-
-    def key(mats):
-        x = np.trace(mats, axis1=1, axis2=2) / tol.rank_eps
-        return len(mats[0]), *np.rint(np.column_stack([x.real, x.imag])).ravel().tolist()
-
-    return [ProjectiveRep(K, mats, cocycle) for mats in sorted((leaves[i] for i in kept), key=key)]
+    return [ProjectiveRep(K, mats, c.conj()) for mats in _classes_of(K, leaves, tol)]
 
 
-def _outcome(split, K, c, seed):
+def _outcome(split, *args):
     try:
-        return split(K, c, seed, TOL), None
+        return split(*args), None
     except (InvariantViolation, DecompositionFailed) as err:
         return None, f"{type(err).__name__}: {err}"
 
 
-def _failing_leaves(K, c, seed):
-    """The clusters of the split whose range is not invariant, by the
-    reference's gather, on the first split without a wide cluster."""
-    n, source = K.order, K.table[K.inverse]
-    weights = np.take_along_axis(c, source, axis=1)
-    for attempt in range(5):
-        rng = np.random.default_rng(seed + attempt)
-        YT = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[source] * weights
-        clusters = crossrep.reps._eigen_clusters(YT.T + YT.conj(), TOL) or [np.eye(n)]
-        if all(Q.shape[1] ** 2 <= n for Q in clusters):
-            break
-    failing = []
-    for i, Q in enumerate(clusters):
-        LQ = weights[..., None] * Q[source]
-        residuals = np.linalg.norm(LQ - Q @ (Q.conj().T @ LQ), axis=(1, 2))
-        if not np.all(residuals <= TOL.identity_bound(np.sqrt(Q.shape[1]))):
-            failing.append(i)
-    return failing
-
-
-def _assert_same(K, c, seed):
-    """Both splits refuse with one message, or return the same classes.
-    Where several leaves are not invariant, each may name a different one."""
-    ref, ref_error = _outcome(_reference, K, c, seed)
-    new, new_error = _outcome(_projective_irreps, K, c, seed)
+def _assert_same(K, c, tol=TOL, several=False):
+    """The blocked split and the loop refuse with one message, or return
+    the same classes.  With ``several`` leaves not invariant, each may name
+    a different one."""
+    ref, ref_error = _outcome(_loop_split, K, c, tol)
+    new, new_error = _outcome(_projective_irreps, K, c, tol)
     if new_error != ref_error:
         assert "not invariant under L" in str(ref_error) and "not invariant under L" in str(new_error)
-        assert len(_failing_leaves(K, c, seed)) > 1, (ref_error, new_error)
+        assert several, (ref_error, new_error)
         return ref_error
     if ref_error is None:
         assert [r.dim for r in new] == [r.dim for r in ref]
@@ -161,10 +222,25 @@ CASES = [(g, kind) for g in GROUPS for kind in ("trivial", "coboundary")] + [("Z
 
 
 @pytest.mark.parametrize("group, kind", CASES)
-@pytest.mark.parametrize("seed", [0, 7])
-def test_the_blocked_split_returns_what_the_loops_return(group, kind, seed):
+@pytest.mark.parametrize("eig_sep", [1e-6, 0.5])
+def test_the_blocked_split_returns_what_the_loops_return(group, kind, eig_sep):
+    # at eig_sep 0.5 inequivalent classes share clusters, so gathered
+    # leaves of dim End > 1 are split again
     K = GROUPS[group]()
-    assert _assert_same(K, _cocycle(K, kind, np.random.default_rng(seed)), seed) is None
+    assert _assert_same(K, _cocycle(K, kind, np.random.default_rng(7)), Tolerance(eig_sep=eig_sep)) is None
+
+
+@pytest.mark.parametrize("group, kind", CASES)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_split_finds_the_classes_of_the_random_split_in_its_order(group, kind, seed):
+    K = GROUPS[group]()
+    c = _cocycle(K, kind, np.random.default_rng(seed))
+    new, ref = _projective_irreps(K, c, TOL), _random_split(K, c, seed, TOL)
+    assert [r.dim for r in new] == [r.dim for r in ref]
+    for a, b in zip(new, ref):
+        np.testing.assert_allclose(np.trace(a.mats, axis1=1, axis2=2), np.trace(b.mats, axis1=1, axis2=2),
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(a.cocycle, b.cocycle)
 
 
 @pytest.mark.parametrize("group, kind", CASES)
@@ -178,20 +254,28 @@ def test_a_broken_cocycle_is_named_at_the_pair_the_row_loop_names(group, kind, c
         c = _cocycle(K, kind, rng)
         a, b = rng.integers(K.order, size=2)
         c[a, b] *= np.exp(1j * (rng.uniform(0.1, 6.0) if corrupt == "far" else 10 ** rng.uniform(-7, -5)))
-        error = _assert_same(K, c, 0)
+        error = _assert_same(K, c)
         if corrupt == "far":
             assert "scalar multiples of each other at pair" in error
+        if error is not None and "scalar multiples" in error:
+            # the random split refuses it at its own row loop, with the same message
+            assert _outcome(_random_split, K, c, 0, TOL)[1] == error
 
 
 def _rotate(picks):
-    """An ``_eigen_clusters`` that mixes column 0 of the next cluster into
-    column 0 of each picked cluster, (w, k) picking the k-th last cluster
-    of width w: an orthonormal frame whose range is no longer invariant,
-    one failing leaf per pick."""
+    """An ``_eigen_clusters`` that, at the split of the whole space, mixes
+    column 0 of the next cluster into column 0 of each picked cluster,
+    (w, k) picking the k-th last cluster of width w: an orthonormal frame
+    whose range is no longer invariant, one failing leaf per pick."""
     eigen_clusters = crossrep.reps._eigen_clusters
+    done = []
 
     def rotated(H, tol):
-        clusters = [Q.copy() for Q in eigen_clusters(H, tol)]
+        clusters = eigen_clusters(H, tol)
+        if clusters is None or done:
+            return clusters
+        done.append(True)
+        clusters = [Q.copy() for Q in clusters]
         widths = [Q.shape[1] for Q in clusters]
         for w, back in picks:
             i = [j for j, width in enumerate(widths) if width == w][-1 - back]
@@ -205,51 +289,63 @@ def _rotate(picks):
 @pytest.mark.parametrize(
     "group, kind, pick",
     [
-        # a failing leaf in the middle of the one block of width-1 leaves
-        ("Z8", "trivial", (1, 3)),
+        # a failing leaf in the middle of the one block of width-2 leaves, and
+        # the first of the two width-1 leaves
+        ("Z8", "trivial", (2, 1)),
+        ("Z8", "trivial", (1, 1)),
         ("Z12", "coboundary", (1, 5)),
-        ("Z2xZ4", "coboundary", (1, 1)),
+        ("Z2xZ4", "coboundary", (2, 1)),
         ("Z5", "trivial", (1, 0)),
-        # the second leaf of S3's width-2 block, and the first
+        # the width-2 leaf of S3 beside the width-4 cluster that is split
+        # again, and the middle one of three width-2 leaves
         ("S3", "trivial", (2, 0)),
         ("S3", "coboundary", (2, 1)),
-        # a width-1 leaf of S3, ahead of the width-2 block
-        ("S3", "trivial", (1, 0)),
-        ("Z3xZ3", "weyl", (3, 1)),
-        # the third leaf of the fifth of 16 blocks, and the last leaf of all
-        ("Z64", "trivial", (1, 45)),
+        ("Z3xZ3", "weyl", (3, 0)),
+        # the second leaf of the fifth of 8 blocks of width-2 leaves, and the
+        # last leaf of all
+        ("Z64", "trivial", (2, 13)),
         ("Z64", "coboundary", (1, 0)),
     ],
 )
 def test_one_leaf_that_is_not_invariant_is_named_as_the_leaf_loop_names_it(monkeypatch, group, kind, pick):
     K = GROUPS[group]()
+    c = _cocycle(K, kind, np.random.default_rng(1))
+    # each split gets a fresh hook, so each rotates its own split of the whole space
     monkeypatch.setattr(crossrep.reps, "_eigen_clusters", _rotate([pick]))
-    error = _assert_same(K, _cocycle(K, kind, np.random.default_rng(1)), 0)
-    assert "not invariant under L at element" in error
+    ref, ref_error = _outcome(_loop_split, K, c, TOL)
+    monkeypatch.setattr(crossrep.reps, "_eigen_clusters", _rotate([pick]))
+    new, new_error = _outcome(_projective_irreps, K, c, TOL)
+    assert "not invariant under L at element" in ref_error
+    assert new_error == ref_error
 
 
 @pytest.mark.parametrize(
     "group, kind, widths",
-    [("Z8", "trivial", [1] * 8), ("Z12", "coboundary", [1] * 12), ("Z2xZ4", "coboundary", [1] * 8),
-     ("S3", "trivial", [1, 1, 2, 2]), ("S3", "coboundary", [1, 1, 2, 2]), ("Z3xZ3", "weyl", [3, 3, 3]),
-     ("Z64", "trivial", [1] * 64)],
+    [("Z8", "trivial", [1, 1, 2, 2, 2]), ("Z12", "coboundary", [1] * 12), ("Z2xZ4", "coboundary", [2] * 4),
+     ("Z5", "trivial", [1, 2, 2]), ("S3", "trivial", [2, 4]), ("S3", "coboundary", [2, 2, 2]),
+     ("Z3xZ3", "weyl", [3, 6]), ("Z64", "trivial", [1, 1] + [2] * 31), ("Z64", "coboundary", [1] * 64)],
 )
 def test_the_rotated_leaves_above_sit_where_their_cases_say(monkeypatch, group, kind, widths):
-    # the cluster widths and the blocks that the single-leaf cases rely on:
-    # one block below |K| = 64, and sixteen blocks of four leaves at 64
+    # the cluster widths of the split of the whole space and the blocks
+    # that the single-leaf cases rely on: one block of each width below
+    # |K| = 64, and blocks of four leaves at 64
     K, seen = GROUPS[group](), []
     eigen_clusters = crossrep.reps._eigen_clusters
 
     def record(H, tol):
         clusters = eigen_clusters(H, tol)
-        seen.append(sorted(Q.shape[1] for Q in clusters))
+        if clusters is not None and not seen:
+            seen.append(sorted(Q.shape[1] for Q in clusters))
         return clusters
 
     monkeypatch.setattr(crossrep.reps, "_eigen_clusters", record)
-    _projective_irreps(K, _cocycle(K, kind, np.random.default_rng(1)), 0, TOL)
+    _projective_irreps(K, _cocycle(K, kind, np.random.default_rng(1)), TOL)
     assert seen == [widths]
-    blocks = _blocks(len(widths), K.order)
-    assert blocks == ([slice(4 * i, 4 * i + 4) for i in range(16)] if K.order == 64 else [slice(0, len(widths))])
+    for w in set(widths):
+        count = widths.count(w)
+        blocks = _blocks(count, K.order)
+        assert blocks == ([slice(s, min(s + 4, count)) for s in range(0, count, 4)] if K.order == 64
+                          else [slice(0, count)])
 
 
 def test_a_block_of_one_item_is_read_without_a_leading_axis():
@@ -273,13 +369,13 @@ def test_character_keys_of_a_strided_stack_are_the_keys_of_its_rows():
 
 @pytest.mark.parametrize(
     "group, picks",
-    [("Z8", [(1, 0), (1, 1)]), ("S3", [(1, 0), (2, 0)]), ("Z64", [(1, 0), (1, 60)])],
+    [("Z8", [(1, 0), (1, 1)]), ("S3", [(2, 0), (4, 0)]), ("Z64", [(1, 0), (2, 30)])],
 )
 def test_several_failing_leaves_are_refused(monkeypatch, group, picks):
     K = GROUPS[group]()
     monkeypatch.setattr(crossrep.reps, "_eigen_clusters", _rotate(picks))
     with pytest.raises(InvariantViolation, match="not invariant under L at element"):
-        _projective_irreps(K, np.ones((K.order, K.order)), 0, TOL)
+        _projective_irreps(K, np.ones((K.order, K.order)), TOL)
 
 
 @pytest.mark.parametrize("n", [128, 256])
@@ -289,7 +385,7 @@ def test_the_blocks_keep_the_split_within_32_n_squared_entries(n):
     K, c = make_cyclic_group(n), np.ones((n, n))
     tracemalloc.start()
     try:
-        irreps = _projective_irreps(K, c, 0, TOL)
+        irreps = _projective_irreps(K, c, TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

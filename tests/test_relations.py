@@ -168,7 +168,7 @@ def test_twisted_regular_refuses_where_the_dense_reference_does(group, corrupt, 
         assert len(bad)
     if not len(bad):
         try:
-            irreps = _projective_irreps(K, c, seed, DEFAULT_TOL)
+            irreps = _projective_irreps(K, c, DEFAULT_TOL)
         except (InvariantViolation, DecompositionFailed) as err:
             # a near-cocycle passes the relation check; its split may still
             # refuse leaves that are only nearly invariant
@@ -181,4 +181,4 @@ def test_twisted_regular_refuses_where_the_dense_reference_does(group, corrupt, 
         return
     pair = f"pair ({bad[0][0]},{bad[0][1]}): residual {dense[tuple(bad[0])]:.3e}"
     with pytest.raises(InvariantViolation, match=re.escape(pair)):
-        _projective_irreps(K, c, seed, DEFAULT_TOL)
+        _projective_irreps(K, c, DEFAULT_TOL)

@@ -139,15 +139,26 @@ def test_check_carried_follows_the_tolerance():
 
 
 def _drifted_z8(eps):
-    # U_j = e^{ij eps} U0^j: a phase drift that only the corner relation V^8 = 1 sees
+    # U_j = e^{ij eps} U0^j: a phase drift of U, so of Lambda_j = e^{ij eps}
     act, cov = inner_z8_minimal()
     U = cov.unitaries * np.exp(1j * eps * np.arange(8))[:, None, None]
     return CovariantRep(cov.base, act, U)
 
 
 def _canonical_form_site(eps):
-    Pi = _drifted_z8(eps)
-    return lambda tol: _cyclic_canonical_form(Pi, _orbit(Pi, 0, tol), tol)
+    # psi is built from the stabilizer's class lambda, not from Lambda, so
+    # the drift is put on the read-off's psi_j = e^{ij eps} psi0_j, which
+    # only the corner relation V^8 = 1 sees
+    act, Pi = inner_z8_minimal()
+
+    def site(tol):
+        orbit = _orbit(Pi, 0, tol)
+        [cls] = orbit.classes
+        drift = np.exp(1j * eps * np.arange(8))[:, None, None]
+        psi = CovariantRep(cls.psi.base, cls.psi.action, cls.psi.unitaries * drift)
+        return _cyclic_canonical_form(Pi, orbit._replace(classes=[cls._replace(psi=psi)]), tol)
+
+    return site
 
 
 def test_cyclic_canonical_form_corner_power_follows_the_tolerance():
@@ -156,6 +167,15 @@ def test_cyclic_canonical_form_corner_power_follows_the_tolerance():
     _canonical_form_site(5e-8)(LOOSE)
     _canonical_form_site(3e-10)(DEFAULT_TOL)
     _refused(_canonical_form_site(3e-10), TIGHT, CanonicalFormViolation)
+
+
+def test_a_drifted_lambda_is_refused_where_it_is_read_against_the_classes():
+    # the drift of U stays in Lambda, whose character products with the
+    # eight classes of Z8 are off an integer by about eps, against rank_eps
+    Pi = _drifted_z8(5e-8)
+    with pytest.raises(InvariantViolation, match="is not a dimension"):
+        _orbit(Pi, 0, DEFAULT_TOL)
+    assert _orbit(Pi, 0, LOOSE).lam.dim == 1
 
 
 def _corner_power_site(eps):
@@ -243,8 +263,8 @@ def _shifted_components(monkeypatch, elements, eps):
     """Make ``_projective_irreps`` shift the character of its first
     one-dimensional irreducible by eps at each of ``elements``."""
 
-    def shifted(K, c, seed, tol):
-        irreps = _PROJECTIVE_IRREPS(K, c, seed, tol)
+    def shifted(K, c, tol):
+        irreps = _PROJECTIVE_IRREPS(K, c, tol)
         i = next(i for i, rep in enumerate(irreps) if rep.dim == 1)
         mats = irreps[i].mats.copy()
         mats[list(elements)] += eps
