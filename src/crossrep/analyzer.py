@@ -115,20 +115,44 @@ def _require_irreducible(Pi: CovariantRep, tol: Tolerance):
         raise InvariantViolation("the representation annihilates the algebra")
 
 
-def _orbit(Pi: CovariantRep, seed: int, tol: Tolerance):
-    """The one-component Mackey read-off of a valid irreducible Pi, at its
-    orbit frame with the classes the action keeps for it, or over a
-    :class:`LabelAction` at the isotypic frame of the first component pi1
-    of the restriction, split by ``seed``, with its translate witnesses."""
+def _orbit_frame(Pi: CovariantRep, seed: int, tol: Tolerance) -> tuple:
+    """(k, pi1, witnesses, classes, C0) of the one orbit of a valid
+    irreducible Pi: over a :class:`GroupAction` its block k and orbit
+    frame with the classes the action keeps for it, or over a
+    :class:`LabelAction` k = None and the isotypic frame of the first
+    component pi1 of the restriction, split by ``seed``, with its
+    translate witnesses."""
     if isinstance(Pi.action, GroupAction):
-        pi1, witnesses, classes, C0 = _orbit_frames(Pi, tol)[0]
-    else:
-        dec = decompose(Pi.base, seed, tol)
-        pi1, r = dec.components[0]
-        C0 = dec.basis_change[:, : r * pi1.dim]
-        witnesses = _witness_stack(Pi.action, translate_stabilizer(pi1, Pi.action, tol), tol)
-        classes = _witness_classes(Pi.action, witnesses, tol)
+        return _orbit_frames(Pi, tol)[0]
+    dec = decompose(Pi.base, seed, tol)
+    pi1, r = dec.components[0]
+    witnesses = _witness_stack(Pi.action, translate_stabilizer(pi1, Pi.action, tol), tol)
+    return None, pi1, witnesses, _witness_classes(Pi.action, witnesses, tol), dec.basis_change[:, : r * pi1.dim]
+
+
+def _orbit(Pi: CovariantRep, seed: int, tol: Tolerance):
+    """The one-component Mackey read-off of a valid irreducible Pi at its
+    :func:`_orbit_frame`."""
+    _, pi1, witnesses, classes, C0 = _orbit_frame(Pi, seed, tol)
     return _mackey_orbit(Pi.action, pi1, witnesses, classes, (Pi, C0), tol)
+
+
+def _sub_stabilizer(action, k, witnesses: dict, tol: Tolerance) -> tuple:
+    """The :func:`_witness_stack` of the ``witnesses`` {h: V_h} of a
+    subgroup of block k's stabilizer and its :func:`_witness_classes`.
+    Over a :class:`GroupAction` the V_h are the action's own unitaries, so
+    the pair is computed once per (k, members, tol) and its arrays are
+    read-only; at k = None (a :class:`LabelAction`, whose witnesses depend
+    on the input) it is computed on every call."""
+
+    def build():
+        stab = _witness_stack(action, witnesses, tol)
+        classes = _witness_classes(action, stab, tol)
+        for a in (stab.V, stab.cocycle, *(x for lam in classes for x in (lam.mats, lam.cocycle))):
+            a.setflags(write=False)
+        return stab, classes
+
+    return build() if k is None else action._once(("sub_stabilizer", k, tuple(sorted(witnesses)), tol), build)
 
 
 def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
@@ -442,14 +466,17 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     induced over the cosets {e, tau}.  The sub-stabilizers of the 3-cycle
     subgroup are cyclic, so their classes are written down.  Over a
     :class:`GroupAction` no random numbers are drawn and ``seed`` is not
-    read; over a :class:`LabelAction` it splits the restriction.
+    read, and the action keeps the witnesses and classes of those
+    sub-stabilizers (:func:`_sub_stabilizer`); over a :class:`LabelAction`
+    ``seed`` splits the restriction.
     """
     G = Pi.group
     if G != make_symmetric_group_3():
         raise InvariantViolation("group must be the standard 3-letter permutation group")
     _require_irreducible(Pi, tol)
-    orbit = _orbit(Pi, seed, tol)
-    pi1, r, H = orbit.pi, orbit.lam.dim, orbit.subgroup
+    k, pi1, witnesses, classes, C = _orbit_frame(Pi, seed, tol)
+    orbit = _mackey_orbit(Pi.action, pi1, witnesses, classes, (Pi, C), tol)
+    r, H = orbit.lam.dim, orbit.subgroup
     case = _S3_CASES.get((H.order, r))
     if case is None:
         raise BlockStructureViolation(f"no S3 case has |H| = {H.order} and r = {r}")
@@ -465,8 +492,8 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
             # Its orbit is read at Pi's frame C0 with stabilizer {e}
             U_eta = Pi.unitaries[S3_ETA]
             z3_cov = CovariantRep(Pi.base, z3.action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
-            stab = _witness_stack(z3.action, {0: V[S3_E]}, tol)
-            z3_orbit = _mackey_orbit(z3.action, pi1, stab, _witness_classes(z3.action, stab, tol), (z3_cov, C0), tol)
+            stab, z3_classes = _sub_stabilizer(z3.action, k, {0: V[S3_E]}, tol)
+            z3_orbit = _mackey_orbit(z3.action, pi1, stab, z3_classes, (z3_cov, C0), tol)
             report = _cyclic_canonical_form(z3_cov, z3_orbit, tol)[0]
         else:
             report = _report(Pi, orbit, tol)
@@ -480,8 +507,8 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     if len(spectrum) != r or any(iso.shape[1] != 1 for _, iso in spectrum):
         raise BlockStructureViolation("the 3-cycle factor must have simple eigenvalues")
     W1 = C0 @ np.kron(spectrum[0][1], np.eye(pi1.dim))
-    stab = _witness_stack(Pi.action, {h: V[h] for h in z3.members}, tol)
-    z3_orbit = _mackey_orbit(Pi.action, pi1, stab, _witness_classes(Pi.action, stab, tol), (Pi, W1), tol)
+    stab, z3_classes = _sub_stabilizer(Pi.action, k, {h: V[h] for h in z3.members}, tol)
+    z3_orbit = _mackey_orbit(Pi.action, pi1, stab, z3_classes, (Pi, W1), tol)
     # Q is the induced conjugator over the cosets {e, tau}, [W1, U_tau* W1];
     # on U_e the check below is Q* Q = 1
     [(_, psi, induced, [Q])] = z3_orbit.classes

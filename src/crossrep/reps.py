@@ -25,8 +25,9 @@ from the same source with the trivial cocycle.  That source is one
 dispatch, ``_classes``, a function of (H, cocycle, tolerance) alone: a
 cyclic H has one-dimensional classes, written down in closed form by
 ``_cyclic_classes``; any other H is split from its twisted regular
-representation along the compressions of its right translations by
-``_projective_irreps``.  Neither draws a random number, so both
+representation by ``_projective_irreps``, once along a fixed combination
+of its right translations and then, where that leaves a reducible leaf,
+along their compressions.  Neither draws a random number, so both
 directions build their Ind_H^G(lambda (x) V) from the same lambda
 matrices, in ``_induced``: one stacked :func:`induce` per (orbit,
 dimension).  An action keeps the classes of each orbit's stabilizer for
@@ -387,8 +388,9 @@ def _classes(K: FiniteGroup, c, tol: Tolerance) -> list[ProjectiveRep]:
     """One irreducible per class of projective representations of K with
     cocycle conj(c), in :func:`_character_keys` order, a function of (K, c,
     tol) alone: written down by :func:`_cyclic_classes` when K is cyclic,
-    split from the twisted regular representation along its right
-    translations by :func:`_projective_irreps` otherwise.  Neither draws a
+    split from the twisted regular representation along a fixed
+    combination of its right translations, then along their compressions,
+    by :func:`_projective_irreps` otherwise.  Neither draws a
     random number."""
     g = K.cyclic_generator()
     return _projective_irreps(K, c, tol) if g is None else _cyclic_classes(K, c, g, tol)
@@ -430,6 +432,11 @@ def _cyclic_classes(K: FiniteGroup, c, g: int, tol: Tolerance) -> list[Projectiv
     return [ProjectiveRep(K, lam, cocycle) for lam in mats]
 
 
+# the golden ratio, whose multiples spread evenly mod 1 (Weyl 1916): the
+# phases exp(2 pi i frac(b phi)) of the first split of _projective_irreps
+_GOLDEN = (1 + 5**0.5) / 2
+
+
 def _projective_irreps(K: FiniteGroup, c, tol: Tolerance) -> list[ProjectiveRep]:
     """One irreducible per class of projective representations of K with
     cocycle conj(c), split from the twisted regular representation
@@ -439,13 +446,18 @@ def _projective_irreps(K: FiniteGroup, c, tol: Tolerance) -> list[ProjectiveRep]
     c at (a, b, x) over every x, checked by :func:`_require_cocycle`.  At
     (a, x, b) it makes the right translations R_b delta_x = c(x, b)
     delta_{xb} commute with L, and they span L's commutant (Karpilovsky
-    1985).  So their compressions Q* R_b Q span End_L of any invariant
-    leaf Q, and a leaf that none of them splits is irreducible.  Starting
-    from the whole space, a leaf is split along the eigenspaces
-    (:func:`_eigen_clusters`) of Q* (R_b + R_b*) Q, or of Q* i(R_b - R_b*)
-    Q when that is one cluster, for the b != e in element order from the
-    one that split its parent (:func:`_split_leaf`); R_e = c(e, e) 1 is a
-    scalar.  No irreducible of K has
+    1985).  One generic element of a commutant splits a representation
+    into irreducible blocks (Murota, Kanno, Kojima & Kojima 2010), so the
+    whole space is split once along the eigenspaces
+    (:func:`_eigen_clusters`) of Y + Y*, for the fixed Y = sum_{b != e}
+    z_b R_b with z_b = exp(2 pi i frac(b phi)), phi the golden ratio and b
+    the element index; R_e = c(e, e) 1 is a scalar.  The compressions
+    Q* R_b Q span End_L of any invariant leaf Q, so they certify what Y
+    leaves reducible: such a leaf, or the whole space when Y + Y* is one
+    cluster, is split along the eigenspaces of Q* (R_b + R_b*) Q, or of
+    Q* i(R_b - R_b*) Q when that is one cluster, for the b != e in element
+    order from the one that split its parent (:func:`_split_leaf`), and a
+    leaf that none of them splits is irreducible.  No irreducible of K has
     dimension above sqrt|K|, so only leaves of width w with w^2 <= |K|
     are gathered, lambda_a = Q* L_a Q read from the permuted rows (L_a
     Q)[ax] = c(a, x) Q[x]: one whose range is not invariant raises
@@ -459,7 +471,9 @@ def _projective_irreps(K: FiniteGroup, c, tol: Tolerance) -> list[ProjectiveRep]
     in :func:`_character_keys` order, read from the same characters.
 
     Each step is a fixed number of array passes over the :func:`_blocks` of
-    |K|: the identity is checked over blocks of rows a, and each round of
+    |K|: the identity is checked over blocks of rows a, Y is one dense
+    (|K|, |K|) array written at its entries (y, y b^-1), which are
+    distinct over every b, and one eigensolve, and each round of
     splits gathers and checks its leaves over blocks of leaves of one
     width, narrowest first, and rounds their dim End in one
     :func:`_end_dims`.  One failure is named as a loop over the rows, then
@@ -478,7 +492,11 @@ def _projective_irreps(K: FiniteGroup, c, tol: Tolerance) -> list[ProjectiveRep]
     translations = np.flatnonzero(np.arange(n) != K.identity)
     before = T[:, K.inverse[translations]].T
     right = c[before, translations[:, None]]
-    pending, leaves, characters = [(np.eye(n, dtype=complex), 0)], [], []
+    # Y = sum_b z_b R_b at its entries (y, y b^-1), distinct over every b != e
+    Y = np.zeros((n, n), dtype=complex)
+    Y[np.arange(n), before] = np.exp(2j * np.pi * (translations * _GOLDEN % 1))[:, None] * right
+    clusters = _eigen_clusters(Y + Y.conj().T, tol) or [np.eye(n, dtype=complex)]
+    pending, leaves, characters = [(Q, 0) for Q in clusters], [], []
     while pending:
         gathered = [i for i, (Q, _) in enumerate(pending) if Q.shape[1] ** 2 <= n]
         lams, chi = _gather_leaves([pending[i][0] for i in gathered], source, weights, tol)
@@ -650,7 +668,7 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
         return _decompose(r, seed, tol)
     end_dim = hom_dim(r, r, tol)
     classes, covered = [], 0
-    for pi1, witnesses, classes_k, C in _orbit_frames(r, tol):
+    for _, pi1, witnesses, classes_k, C in _orbit_frames(r, tol):
         orbit = _mackey_orbit(r.action, pi1, witnesses, classes_k, (r, C), tol)
         covered += C.shape[1] * len(orbit.coset_reps)
         classes += [(cls.induced, cls.isometries) for cls in orbit.classes]
@@ -1237,7 +1255,8 @@ def _copies(lam: ProjectiveRep, classes, tol: Tolerance) -> tuple[list[tuple], n
     is the projection onto the W with Lambda_h W = W lambda_h, of trace m;
     its top m eigenvectors, read as r x d matrices W_j, are orthogonal
     intertwiners with W_j* W_j = 1/d, so the copies are the isometries
-    sqrt(d) W_j, held to ``identity_bound(r)`` on Lambda_h W = W lambda_h.
+    sqrt(d) W_j (at r = 1 the one copy is 1, written down without P),
+    held to ``identity_bound(r)`` on Lambda_h W = W lambda_h.
     sum m d = r and sum m^2 = dim End Lambda, else :class:`InvariantViolation`."""
     L, n, r = lam.mats, len(lam.mats), lam.dim
     # <chi, chi_Lambda> for the character of every class, then for chi_Lambda itself (dim End Lambda)
@@ -1253,8 +1272,12 @@ def _copies(lam: ProjectiveRep, classes, tol: Tolerance) -> tuple[list[tuple], n
         if m == 0:
             continue
         d = cls.dim
-        P = np.einsum("hij,hab->iajb", L, cls.mats.conj()).reshape(r * d, r * d) / n
-        W = np.sqrt(d) * np.linalg.eigh((P + P.conj().T) / 2)[1][:, -m:].T.reshape(m, r, d)
+        if r == 1:
+            # then d = m = 1, and the eigenvector of the 1 x 1 P is exactly 1
+            W = np.ones((1, 1, 1), dtype=complex)
+        else:
+            P = np.einsum("hij,hab->iajb", L, cls.mats.conj()).reshape(r * d, r * d) / n
+            W = np.sqrt(d) * np.linalg.eigh((P + P.conj().T) / 2)[1][:, -m:].T.reshape(m, r, d)
         _require(np.linalg.norm(L @ W[:, None] - W[:, None] @ cls.mats, axis=(-2, -1)), tol.identity_bound(r),
                  f"copy {{}} of a class of dim {d} fails Lambda_h W = W lambda_h at h = {{}}")
         present.append((cls, m))
@@ -1344,16 +1367,17 @@ def _orbit_irreps(action: GroupAction, k: int, tol: Tolerance) -> list[Covariant
 
 
 def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
-    """(pi1, witnesses, classes, C) of :func:`_mackey_orbit` for Pi over a
-    :class:`GroupAction`: pi_k, its :func:`_stabilizer_classes` and its
-    :func:`_block_frame` per orbit whose smallest block k has r_k > 0, then
-    pi1 = 0, V_g = 1 and the classes of G at the range of 1 - Pi(1), which U
-    commutes with."""
+    """(k, pi1, witnesses, classes, C), the last four those of
+    :func:`_mackey_orbit`, for Pi over a :class:`GroupAction`: pi_k, its
+    :func:`_stabilizer_classes` and its :func:`_block_frame` per orbit
+    whose smallest block k has r_k > 0, then k = None, pi1 = 0, V_g = 1 and
+    the classes of G at the range of 1 - Pi(1), which U commutes with."""
     action, A = Pi.action, Pi.action.algebra
     labels = A.basis_labels()
     ranks = _frame_ranks(Pi.base, A, tol)
     frames = [
-        (*_block_stabilizer(action, k, tol), _stabilizer_classes(action, k, tol), _block_frame(Pi.base, A, k, ranks[k]))
+        (k, *_block_stabilizer(action, k, tol), _stabilizer_classes(action, k, tol),
+         _block_frame(Pi.base, A, k, ranks[k]))
         for k in _orbit_blocks(action)
         if ranks[k]
     ]
@@ -1363,7 +1387,7 @@ def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
         B = np.linalg.eigh((rest + rest.conj().T) / 2)[1][:, -a:]
         zero = Rep(1, np.zeros((len(labels), 1, 1)), labels)
         stab = _witness_stack(action, {g: np.eye(1) for g in range(Pi.group.order)}, tol)
-        frames.append((zero, stab, _witness_classes(action, stab, tol), B))
+        frames.append((None, zero, stab, _witness_classes(action, stab, tol), B))
     return frames
 
 

@@ -11,6 +11,7 @@ read-only; nothing depends on which irreducible was analysed first.
 import numpy as np
 import pytest
 
+import crossrep.analyzer
 import crossrep.groups
 from crossrep.algebra import GroupAction, MatAlg, StarAut
 from crossrep.analyzer import analyze, classify_s3, cyclic_analyze
@@ -181,3 +182,39 @@ def test_crossed_irreps_looks_up_each_orbit_restriction_once(name, monkeypatch):
     monkeypatch.setattr(type(act), "restriction", counted)
     crossed_irreps(act, seed=0)
     assert len(lookups) == len(_orbit_blocks(act))
+
+
+@pytest.mark.parametrize("kind, seed", [("permutation", 1), ("permutation", 2), ("inner", 6), ("conjugated", 7)])
+def test_classify_s3_builds_the_classes_of_a_3_cycle_sub_stabilizer_once(monkeypatch, kind, seed):
+    # EtaTriple and TauPair read an orbit of the 3-cycle subgroup whose
+    # witnesses are the action's own unitaries of the block: their classes are
+    # built once per (block, members, tol), so a second pass builds none
+    act = random_s3_action(np.random.default_rng(seed), kind)
+    irreps, calls = crossed_irreps(act, seed=0), []
+    witness_classes = crossrep.analyzer._witness_classes
+
+    def counted(*args):
+        calls.append(args)
+        return witness_classes(*args)
+
+    monkeypatch.setattr(crossrep.analyzer, "_witness_classes", counted)
+    first = [classify_s3(cov, seed=0) for cov in irreps]
+    built = len(calls)
+    second = [classify_s3(cov, seed=0) for cov in irreps]
+    assert {v.case for v in first} & {"EtaTriple", "TauPair"} and 0 < built < len(irreps)
+    assert len(calls) == built
+    for a, b in zip(first, second):
+        assert all(np.array_equal(x, y) for x, y in zip(_arrays(a), _arrays(b)))
+
+
+def test_a_sub_stabilizer_is_kept_per_block_and_rebuilt_without_one():
+    # k = None stands for witnesses that depend on the input (a LabelAction)
+    act = ACTIONS["S3 permutation"]()
+    _, stab = _block_stabilizer(act, 0, Tolerance())
+    witnesses = dict(zip(stab.members, stab.V))
+    kept = crossrep.analyzer._sub_stabilizer(act, 0, witnesses, Tolerance())
+    assert crossrep.analyzer._sub_stabilizer(act, 0, witnesses, Tolerance()) is kept
+    assert not kept[0].V.flags.writeable and not kept[1][0].mats.flags.writeable
+    fresh = crossrep.analyzer._sub_stabilizer(act, None, witnesses, Tolerance())
+    assert fresh is not crossrep.analyzer._sub_stabilizer(act, None, witnesses, Tolerance())
+    assert np.array_equal(fresh[1][0].mats, kept[1][0].mats)

@@ -25,7 +25,7 @@ from crossrep.errors import DecompositionFailed, InvariantViolation
 from crossrep.analyzer import classify_s3
 from crossrep.cli import main
 from crossrep.examples import first_s3_example, minimal_covariant, s3_label_action
-from crossrep.groups import make_cyclic_group
+from crossrep.groups import make_cyclic_group, make_symmetric_group_3
 from crossrep.linalg import Tolerance, block_diag, random_unitary
 from crossrep.reps import (
     CovariantRep,
@@ -482,3 +482,18 @@ def test_the_read_off_carries_lambda_onto_copies_of_its_classes(name, monkeypatc
         assert np.linalg.norm(Y.conj().T @ Y - np.eye(lam.dim)) < 1e-12
         blocks = block_diag(*(cls.mats for cls, m in present for _ in range(m)))
         assert np.max(np.abs(Y.conj().T @ lam.mats @ Y - blocks)) < 1e-12
+
+
+@pytest.mark.parametrize("group", ["Z4", "S3"])
+def test_a_one_dimensional_lambda_is_copied_as_the_projection_would_copy_it(group, tol):
+    # at r = 1 the copy is written down as 1: the top eigenvector of the
+    # 1 x 1 projection P, which is exactly 1, array for array
+    K = make_cyclic_group(4) if group == "Z4" else make_symmetric_group_3()
+    classes = crossrep.reps._classes(K, np.ones((K.order, K.order), dtype=complex), tol)
+    for cls in (lam for lam in classes if lam.dim == 1):
+        lam = ProjectiveRep(K, cls.mats.copy(), cls.cocycle)
+        present, Y = crossrep.reps._copies(lam, classes, tol)
+        assert [(c is cls, m) for c, m in present] == [(True, 1)]
+        P = np.einsum("hij,hab->iajb", lam.mats, cls.mats.conj()).reshape(1, 1) / K.order
+        want = np.linalg.eigh((P + P.conj().T) / 2)[1]
+        assert Y.dtype == want.dtype and np.array_equal(Y, want)

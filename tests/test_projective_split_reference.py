@@ -2,12 +2,14 @@
 references.
 
 ``reps._projective_irreps`` checks the 2-cocycle identity over blocks of
-rows, then splits the whole space along the compressions of the right
-translations R_b, round by round, and gathers and checks the leaves of a
-round over blocks of leaves of one width.  The first reference,
-``_loop_split``, is the same split written as one pass per row a, one
-gather per leaf and one row at a time for each R_b Q.  On every input both
-must agree:
+rows, splits the whole space once along Y + Y* for a fixed element
+Y = sum_b z_b R_b of the span of the right translations, then splits the
+leaves that are still reducible along the compressions of single R_b,
+round by round, and gathers and checks the leaves of a round over blocks
+of leaves of one width.  The first reference, ``_loop_split``, is the same
+split written as one pass per row a, Y built one row at a time, one gather
+per leaf and one row at a time for each R_b Q.  On every input both must
+agree:
 
 - where the identity fails, both name the same first pair (a, h) with the
   same residual, since blocks of rows keep the row-major order;
@@ -29,7 +31,10 @@ the same, by character within 1e-12 and in the same order, and that the
 identity check refuses the same inputs with the same message.
 """
 
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,12 +130,29 @@ def _loop_children(K, c, Q, b, tol):
     raise DecompositionFailed(f"a reducible split leaf of width {Q.shape[1]} is split by no right translation")
 
 
+def _loop_first_split(K, c, tol):
+    """The leaves of the first split, along Y + Y* for Y = sum_b z_b R_b,
+    z_b = exp(2 pi i frac(b phi)) with phi the golden ratio, Y built one
+    row y at a time: (R_b)[y, y b^-1] = c(y b^-1, b) over the b != e.  The
+    whole space when Y + Y* is one cluster."""
+    n, phi = K.order, (1 + np.sqrt(5)) / 2
+    b = np.array([b for b in range(n) if b != K.identity], dtype=int)
+    z = np.exp(2j * np.pi * (b * phi % 1))
+    Y = np.zeros((n, n), dtype=complex)
+    for y in range(n):
+        x = K.table[y, K.inverse[b]]
+        Y[y, x] = z * c[x, b]
+    clusters = crossrep.reps._eigen_clusters(Y + Y.conj().T, tol)
+    return [(Q, 0) for Q in clusters] if clusters is not None else [(np.eye(n, dtype=complex), 0)]
+
+
 def _loop_split(K, c, tol):
-    """``_projective_irreps`` as one pass per row, one gather per leaf and
-    one row at a time for each right translation."""
+    """``_projective_irreps`` as one pass per row, a first split built one
+    row at a time, one gather per leaf and one row at a time for each right
+    translation."""
     n = K.order
     _row_identity(K, c, tol)
-    pending, leaves = [(np.eye(n, dtype=complex), 0)], []
+    pending, leaves = _loop_first_split(K, c, tol), []
     while pending:
         # the leaves of a round narrow enough to gather, in width order
         lams = {}
@@ -289,21 +311,21 @@ def _rotate(picks):
 @pytest.mark.parametrize(
     "group, kind, pick",
     [
-        # a failing leaf in the middle of the one block of width-2 leaves, and
-        # the first of the two width-1 leaves
-        ("Z8", "trivial", (2, 1)),
-        ("Z8", "trivial", (1, 1)),
+        # a failing leaf in the middle of the one block of eight width-1
+        # leaves, and the first of them
+        ("Z8", "trivial", (1, 4)),
+        ("Z8", "trivial", (1, 7)),
         ("Z12", "coboundary", (1, 5)),
-        ("Z2xZ4", "coboundary", (2, 1)),
+        ("Z2xZ4", "coboundary", (1, 2)),
         ("Z5", "trivial", (1, 0)),
-        # the width-2 leaf of S3 beside the width-4 cluster that is split
-        # again, and the middle one of three width-2 leaves
+        # the last width-2 leaf of S3, checked after the block of its two
+        # width-1 leaves, and the first of those
         ("S3", "trivial", (2, 0)),
-        ("S3", "coboundary", (2, 1)),
+        ("S3", "coboundary", (1, 1)),
         ("Z3xZ3", "weyl", (3, 0)),
-        # the second leaf of the fifth of 8 blocks of width-2 leaves, and the
+        # the second leaf of the fifth of 16 blocks of width-1 leaves, and the
         # last leaf of all
-        ("Z64", "trivial", (2, 13)),
+        ("Z64", "trivial", (1, 46)),
         ("Z64", "coboundary", (1, 0)),
     ],
 )
@@ -321,9 +343,9 @@ def test_one_leaf_that_is_not_invariant_is_named_as_the_leaf_loop_names_it(monke
 
 @pytest.mark.parametrize(
     "group, kind, widths",
-    [("Z8", "trivial", [1, 1, 2, 2, 2]), ("Z12", "coboundary", [1] * 12), ("Z2xZ4", "coboundary", [2] * 4),
-     ("Z5", "trivial", [1, 2, 2]), ("S3", "trivial", [2, 4]), ("S3", "coboundary", [2, 2, 2]),
-     ("Z3xZ3", "weyl", [3, 6]), ("Z64", "trivial", [1, 1] + [2] * 31), ("Z64", "coboundary", [1] * 64)],
+    [("Z8", "trivial", [1] * 8), ("Z12", "coboundary", [1] * 12), ("Z2xZ4", "coboundary", [1] * 8),
+     ("Z5", "trivial", [1] * 5), ("S3", "trivial", [1, 1, 2, 2]), ("S3", "coboundary", [1, 1, 2, 2]),
+     ("Z3xZ3", "weyl", [3, 3, 3]), ("Z64", "trivial", [1] * 64), ("Z64", "coboundary", [1] * 64)],
 )
 def test_the_rotated_leaves_above_sit_where_their_cases_say(monkeypatch, group, kind, widths):
     # the cluster widths of the split of the whole space and the blocks
@@ -369,7 +391,7 @@ def test_character_keys_of_a_strided_stack_are_the_keys_of_its_rows():
 
 @pytest.mark.parametrize(
     "group, picks",
-    [("Z8", [(1, 0), (1, 1)]), ("S3", [(2, 0), (4, 0)]), ("Z64", [(1, 0), (2, 30)])],
+    [("Z8", [(1, 0), (1, 1)]), ("S3", [(2, 0), (1, 0)]), ("Z64", [(1, 0), (1, 30)])],
 )
 def test_several_failing_leaves_are_refused(monkeypatch, group, picks):
     K = GROUPS[group]()
@@ -391,3 +413,112 @@ def test_the_blocks_keep_the_split_within_32_n_squared_entries(n):
         tracemalloc.stop()
     assert len(irreps) == n
     assert peak <= 32 * n * n * 16, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _dihedral(m) -> FiniteGroup:
+    """The dihedral group of order 2m, r^k s^e at index e m + k."""
+    e, k = np.divmod(np.arange(2 * m), m)
+    return FiniteGroup((e[:, None] + e) % 2 * m + (k[:, None] + np.where(e[:, None] == 0, k, -k)) % m, identity=0)
+
+
+def _ladder_s3_inner():
+    """(K, c_V) of the stabilizers of the S3-inner actions of the benchmark
+    ladder at seed 0, read from its numpy-only input module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_split_ladder_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    out = {}
+    for a in inputs.enumerate_actions(0, extra=True):
+        if a.name.startswith("S3-inner"):
+            act = inputs.to_action(a)
+            for k in crossrep.reps._orbit_blocks(act):
+                stab = crossrep.reps._block_stabilizer(act, k, TOL)[1]
+                out[f"{a.name} block {k}"] = (act.restriction(stab.members).action.group, stab.cocycle)
+    return out
+
+
+S3_INNER = _ladder_s3_inner()
+
+
+def _trivial(K):
+    return K, np.ones((K.order, K.order), dtype=complex)
+
+
+ONE_SPLIT = {
+    "D4": lambda: _trivial(_dihedral(4)),
+    "D32": lambda: _trivial(_dihedral(32)),
+    "S3": lambda: _trivial(make_symmetric_group_3()),
+    "Z3xZ3 weyl": lambda: (product_cyclic_group(3), _weyl(3)),
+    "Z8xZ8 weyl": lambda: (product_cyclic_group(8), _weyl(8)),
+}
+
+
+def _counted(monkeypatch):
+    """The H of every call of ``_eigen_clusters`` from here on."""
+    calls, eigen_clusters = [], crossrep.reps._eigen_clusters
+
+    def counted(H, tol):
+        calls.append(H)
+        return eigen_clusters(H, tol)
+
+    monkeypatch.setattr(crossrep.reps, "_eigen_clusters", counted)
+    return calls
+
+
+def test_the_ladder_has_four_s3_inner_stabilizers():
+    assert len(S3_INNER) == 4 and all(K.order == 6 for K, _ in S3_INNER.values())
+
+
+@pytest.mark.parametrize("name", [*ONE_SPLIT, *S3_INNER])
+def test_the_first_split_is_the_only_eigensolve(monkeypatch, name):
+    # the fixed element Y + Y* leaves no reducible leaf at the default
+    # tolerance, so no right translation is tried
+    K, c = ONE_SPLIT[name]() if name in ONE_SPLIT else S3_INNER[name]
+    calls = _counted(monkeypatch)
+    irreps = _projective_irreps(K, c, TOL)
+    assert [H.shape for H in calls] == [(K.order, K.order)]
+    assert sum(lam.dim ** 2 for lam in irreps) == K.order
+
+
+def _assert_same_characters(got, want):
+    """The same classes in the same order, by character within 1e-12."""
+    assert [lam.dim for lam in got] == [lam.dim for lam in want]
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(np.trace(a.mats, axis1=1, axis2=2), np.trace(b.mats, axis1=1, axis2=2),
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(a.cocycle, b.cocycle)
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_a_coarse_eig_sep_splits_again_along_the_translations_to_the_same_classes(monkeypatch, m):
+    # at eig_sep 0.5 classes share clusters of Y + Y*, and the leaves that
+    # are still reducible are split along single right translations
+    K, c = _trivial(_dihedral(m))
+    want = _projective_irreps(K, c, TOL)
+    calls = _counted(monkeypatch)
+    _assert_same_characters(_projective_irreps(K, c, Tolerance(eig_sep=0.5)), want)
+    assert len(calls) > 1
+
+
+@pytest.mark.parametrize("name", ["D4", "D32", "S3", "S3 coboundary", "Z2xZ4 coboundary", "Z3xZ3 weyl"])
+def test_the_translations_alone_find_the_classes_when_the_first_split_splits_nothing(monkeypatch, name):
+    # a first split that returns the whole space as one cluster: the
+    # translations then split everything from the whole space down, which
+    # shows that the fallback is complete on its own
+    if name in ONE_SPLIT:
+        K, c = ONE_SPLIT[name]()
+    else:
+        group, kind = name.split()
+        K = GROUPS[group]()
+        c = _cocycle(K, kind, np.random.default_rng(3))
+    want = _projective_irreps(K, c, TOL)
+    calls, eigen_clusters = [], crossrep.reps._eigen_clusters
+
+    def whole_first(H, tol):
+        calls.append(H)
+        return None if len(calls) == 1 else eigen_clusters(H, tol)
+
+    monkeypatch.setattr(crossrep.reps, "_eigen_clusters", whole_first)
+    _assert_same_characters(_projective_irreps(K, c, TOL), want)
+    assert len(calls) > 1
