@@ -115,25 +115,25 @@ def _require_irreducible(Pi: CovariantRep, tol: Tolerance):
         raise InvariantViolation("the representation annihilates the algebra")
 
 
-def _orbit_frame(Pi: CovariantRep, seed: int, tol: Tolerance) -> tuple:
+def _orbit_frame(Pi: CovariantRep, tol: Tolerance) -> tuple:
     """(k, pi1, witnesses, classes, C0) of the one orbit of a valid
     irreducible Pi: over a :class:`GroupAction` its block k and orbit
     frame with the classes the action keeps for it, or over a
     :class:`LabelAction` k = None and the isotypic frame of the first
-    component pi1 of the restriction, split by ``seed``, with its
-    translate witnesses."""
+    component pi1 of the decomposed restriction, with its translate
+    witnesses."""
     if isinstance(Pi.action, GroupAction):
         return _orbit_frames(Pi, tol)[0]
-    dec = decompose(Pi.base, seed, tol)
+    dec = decompose(Pi.base, tol=tol)
     pi1, r = dec.components[0]
     witnesses = _witness_stack(Pi.action, translate_stabilizer(pi1, Pi.action, tol), tol)
     return None, pi1, witnesses, _witness_classes(Pi.action, witnesses, tol), dec.basis_change[:, : r * pi1.dim]
 
 
-def _orbit(Pi: CovariantRep, seed: int, tol: Tolerance):
+def _orbit(Pi: CovariantRep, tol: Tolerance):
     """The one-component Mackey read-off of a valid irreducible Pi at its
     :func:`_orbit_frame`."""
-    _, pi1, witnesses, classes, C0 = _orbit_frame(Pi, seed, tol)
+    _, pi1, witnesses, classes, C0 = _orbit_frame(Pi, tol)
     return _mackey_orbit(Pi.action, pi1, witnesses, classes, (Pi, C0), tol)
 
 
@@ -201,18 +201,19 @@ def analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> St
     the first block k that Pi does not annihilate, H = {g : alpha_g fixes
     block k} and the action's unitaries on block k are the ``v_rep``
     witnesses; over a :class:`LabelAction` pi1 is the first component of
-    the decomposed restriction, split by ``seed``.  A Pi that annihilates
-    the algebra raises :class:`InvariantViolation`.  ``lambda_rep`` is the
-    class lambda that the action keeps for the stabilizer (the one
-    ``crossed_irreps`` builds from), and ``psi`` = ``lambda_rep`` (x)
-    ``v_rep``, so over a :class:`GroupAction` neither depends on the basis
-    Pi is given in, and no random number is drawn.  The conjugator's
+    the decomposed restriction.  A Pi that annihilates the algebra raises
+    :class:`InvariantViolation`.  ``lambda_rep`` is the class lambda that
+    the action keeps for the stabilizer (the one ``crossed_irreps`` builds
+    from), and ``psi`` = ``lambda_rep`` (x) ``v_rep``, so over a
+    :class:`GroupAction` neither depends on the basis Pi is given in.  No
+    random number is drawn and ``seed`` is not read; a class of dimension
+    d >= 2 is in the basis ``eigh`` picks.  The conjugator's
     coset block i is U_{c_i}* applied to the pi1-isotypic subspace, in
     the basis of the copy of lambda; the one self-check is that it carries
     Pi onto ``induce(report.psi, action, H, coset_reps)``.
     """
     _require_irreducible(Pi, tol)
-    return _report(Pi, _orbit(Pi, seed, tol), tol)
+    return _report(Pi, _orbit(Pi, tol), tol)
 
 
 @dataclass
@@ -274,12 +275,12 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
     irreducibles are the compressions ``alpha_diag`` of that image to the
     eigenspaces of V, one each.  Requires a concrete block-algebra action
     (the fixed-point subalgebra of an abstract generator action is not
-    computable).
+    computable).  ``seed`` is not read.
     """
     if not isinstance(Pi.action, GroupAction):
         raise InvariantViolation("fixed-point analysis needs a GroupAction on a MatAlg")
     _require_irreducible(Pi, tol)
-    report, m, k, V = _cyclic_canonical_form(Pi, _orbit(Pi, seed, tol), tol)
+    report, m, k, V = _cyclic_canonical_form(Pi, _orbit(Pi, tol), tol)
     pi1 = report.base_irrep
     d1 = pi1.dim
 
@@ -464,17 +465,16 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     W1 = C0 (e1 (x) 1) of the pi1-isotypic frame C0 in the gauge of the
     class, and Q = [W1, U_tau W1] carries Pi onto the representation
     induced over the cosets {e, tau}.  The sub-stabilizers of the 3-cycle
-    subgroup are cyclic, so their classes are written down.  Over a
-    :class:`GroupAction` no random numbers are drawn and ``seed`` is not
-    read, and the action keeps the witnesses and classes of those
-    sub-stabilizers (:func:`_sub_stabilizer`); over a :class:`LabelAction`
-    ``seed`` splits the restriction.
+    subgroup are cyclic, so their classes are written down, and over a
+    :class:`GroupAction` the action keeps their witnesses and classes
+    (:func:`_sub_stabilizer`).  No random number is drawn and ``seed`` is
+    not read; a class of dimension d >= 2 is in the basis ``eigh`` picks.
     """
     G = Pi.group
     if G != make_symmetric_group_3():
         raise InvariantViolation("group must be the standard 3-letter permutation group")
     _require_irreducible(Pi, tol)
-    k, pi1, witnesses, classes, C = _orbit_frame(Pi, seed, tol)
+    k, pi1, witnesses, classes, C = _orbit_frame(Pi, tol)
     orbit = _mackey_orbit(Pi.action, pi1, witnesses, classes, (Pi, C), tol)
     r, H = orbit.lam.dim, orbit.subgroup
     case = _S3_CASES.get((H.order, r))

@@ -47,7 +47,7 @@ _EXIT_INTERNAL = 5
 
 
 def _seed(text: str) -> int:
-    """A ``--seed`` value: numpy seeds its generators with non-negative integers only."""
+    """A ``--seed`` value, a non-negative integer: echoed in the output header, read by no analysis."""
     try:
         seed = int(text)
     except ValueError:
@@ -64,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         "models, equivalence, decomposition, structure reports.",
     )
     p.add_argument("--seed", type=_seed, default=42,
-                   help="seed for the randomized split of a plain representation or one over a label action, "
-                   "a non-negative integer; a covariant input over a block-algebra action draws no random number")
+                   help="accepted for compatibility and echoed in the header; no analysis reads it or draws at random")
     p.add_argument("--abs-eps", type=float, default=DEFAULT_TOL.abs_eps)
     p.add_argument("--rank-eps", type=float, default=DEFAULT_TOL.rank_eps)
     p.add_argument("--eig-sep", type=float, default=DEFAULT_TOL.eig_sep)
@@ -176,7 +175,7 @@ def _cmd_equiv(args, tol) -> int:
     except NotIrreducible:
         detail = {}
         for name, r in (("rep1", r1), ("rep2", r2)):
-            dec = decompose(r, args.seed, tol)
+            dec = decompose(r, tol=tol)
             detail[name] = [
                 {"dim": rep.dim, "multiplicity": m} for rep, m in dec.components
             ]
@@ -198,7 +197,7 @@ def _cmd_equiv(args, tol) -> int:
 
 def _cmd_decompose(args, tol) -> int:
     rep = rep_from_json(_load_json(args.rep))
-    dec = decompose(rep, args.seed, tol)
+    dec = decompose(rep, tol=tol)
     _emit(args, {**_header(args), "result": decomposition_to_json(dec)})
     return _EXIT_OK
 
@@ -208,16 +207,16 @@ def _cmd_analyze(args, tol) -> int:
     G = cov.group
     try:
         if G == make_symmetric_group_3():
-            verdict = classify_s3(cov, args.seed, tol)
+            verdict = classify_s3(cov, tol=tol)
             result = {"kind": "s3-class", **s3_class_to_json(verdict)}
         elif is_standard_cyclic(G) and isinstance(cov.action, GroupAction):
-            report = cyclic_analyze(cov, args.seed, tol)
+            report = cyclic_analyze(cov, tol=tol)
             result = {"kind": "cyclic-report", **cyclic_report_to_json(report)}
         else:
-            report = analyze(cov, args.seed, tol)
+            report = analyze(cov, tol=tol)
             result = {"kind": "structure-report", **structure_report_to_json(report)}
     except NotIrreducible:
-        dec = decompose(cov, args.seed, tol)
+        dec = decompose(cov, tol=tol)
         _emit(
             args,
             {

@@ -260,7 +260,7 @@ def run_s3_example1(tol=DEFAULT_TOL):
 
 def run_minimal(tol=DEFAULT_TOL):
     cov = minimal_covariant()
-    verdict = classify_s3(cov, seed=7, tol=tol)
+    verdict = classify_s3(cov, tol=tol)
     return {
         "irreducible": _row(True, is_irreducible(cov.base, tol)),
         "case": _row("Minimal", verdict.case),
@@ -282,7 +282,7 @@ def run_expermutation2(tol=DEFAULT_TOL):
 def run_torus1(tol=DEFAULT_TOL):
     act, pi = torus_orbit_evaluation()
     reg = regular_representation(pi, act)
-    verdict = classify_s3(reg, seed=3, tol=tol)
+    verdict = classify_s3(reg, tol=tol)
     inequivalent = all(
         not are_equivalent(pi, rep_compose(pi, act, g), tol).equivalent
         for g in range(1, 6)
@@ -297,7 +297,7 @@ def run_torus1(tol=DEFAULT_TOL):
 
 def run_cute(tol=DEFAULT_TOL):
     act, cov = cute_example()
-    report = cyclic_analyze(cov, seed=11, tol=tol)
+    report = cyclic_analyze(cov, tol=tol)
     basis, _ = fixed_point_algebra(act, tol)
     pi1 = report.base.base_irrep
     pieces_inequivalent = not are_equivalent(
@@ -316,7 +316,7 @@ def run_cute(tol=DEFAULT_TOL):
 
 def run_s3_multiplicity_two(tol=DEFAULT_TOL):
     cov = doubled_minimal_covariant()
-    verdict = classify_s3(cov, seed=5, tol=tol)
+    verdict = classify_s3(cov, tol=tol)
     return {
         "irreducible": _row(True, cov.is_irreducible(tol)),
         "case": _row("TauPair", verdict.case),
@@ -327,7 +327,7 @@ def run_s3_multiplicity_two(tol=DEFAULT_TOL):
 
 def run_quantum_mq(q: int, tol=DEFAULT_TOL):
     _, model, pair = quantum_mq(q)
-    dec = decompose(model.defining_covariant_rep(), seed=2, tol=tol)
+    dec = decompose(model.defining_covariant_rep(), tol=tol)
     return {
         "span_dim": _row(q * q, model.span_dim),
         "defining_rep_irreducible": _row(True, pair.is_irreducible(tol)),
@@ -347,7 +347,7 @@ def run_quantum_weyl(tol=DEFAULT_TOL):
 
 def run_inner_z8(tol=DEFAULT_TOL):
     act, cov = inner_z8_minimal()
-    report = cyclic_analyze(cov, seed=13, tol=tol)
+    report = cyclic_analyze(cov, tol=tol)
     vals = sorted(np.angle(v) for v, _ in report.spectrum_of_V)
     ratio_is_minus_one = bool(abs(np.exp(1j * (vals[1] - vals[0])) + 1) < tol.abs_eps)
     return {

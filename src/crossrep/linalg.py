@@ -26,7 +26,6 @@ __all__ = [
     "phase_normalize",
     "scalar_quotient",
     "random_unitary",
-    "random_hermitian",
 ]
 
 
@@ -362,8 +361,3 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(Z)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (Z + Z.conj().T) / 2

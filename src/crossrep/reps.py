@@ -31,9 +31,8 @@ along their compressions.  Neither draws a random number, so both
 directions build their Ind_H^G(lambda (x) V) from the same lambda
 matrices, in ``_induced``: one stacked :func:`induce` per (orbit,
 dimension).  An action keeps the classes of each orbit's stabilizer for
-the read-off (``_stabilizer_classes``).  Random numbers are drawn only to split a plain
-:class:`Rep` (``_pieces``) and for an equivalence witness
-(:func:`covariant_equivalence`).
+the read-off (``_stabilizer_classes``).  A plain :class:`Rep` is split, and
+any equivalence witnessed, along fixed matrices (``_probes``): nothing is random.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from .linalg import (
     as_matrix,
     block_diag,
     phase_normalize,
-    random_hermitian,
     solve_sylvester_family,
 )
 
@@ -291,12 +289,6 @@ def is_irreducible(r: Rep, tol: Tolerance = DEFAULT_TOL) -> bool:
 Equivalence = namedtuple("Equivalence", ["equivalent", "witness"])
 
 
-def _unitarize(T: np.ndarray, tol: Tolerance) -> np.ndarray:
-    lam = np.trace(T.conj().T @ T).real / T.shape[1]
-    U = T / np.sqrt(lam)
-    return phase_normalize(U, tol)
-
-
 def are_equivalent(r1: Rep, r2: Rep, tol: Tolerance = DEFAULT_TOL) -> Equivalence:
     """Unitary equivalence test for two irreducible representations.
 
@@ -433,7 +425,7 @@ def _cyclic_classes(K: FiniteGroup, c, g: int, tol: Tolerance) -> list[Projectiv
 
 
 # the golden ratio, whose multiples spread evenly mod 1 (Weyl 1916): the
-# phases exp(2 pi i frac(b phi)) of the first split of _projective_irreps
+# phases of the first split of _projective_irreps and of the first _probes
 _GOLDEN = (1 + 5**0.5) / 2
 
 
@@ -571,21 +563,33 @@ def _split_leaf(Q: np.ndarray, start: int, before, right, tol: Tolerance) -> lis
     raise DecompositionFailed(f"a reducible split leaf of width {Q.shape[1]} is split by no right translation")
 
 
-def _pieces(r, hom, seed: int, tol: Tolerance):
+def _probes(m: int, n: int):
+    """The fixed m x n matrices a split or a witness is read along: Z_ab =
+    exp(2 pi i frac((a n + b + 1) phi)), then the matrix units E_ab and
+    i E_ab in row-major order, which span every commutant or Hom space."""
+    yield np.exp(2j * np.pi * (np.arange(1, m * n + 1) * _GOLDEN % 1)).reshape(m, n)
+    for ab in np.ndindex(m, n):
+        E = np.zeros((m, n), dtype=complex)
+        E[ab] = 1
+        yield E
+        yield 1j * E
+
+
+def _pieces(r, hom, tol: Tolerance):
     """Depth-first refinement into irreducible (rep, isometry) leaves.
 
     ``hom`` is ``_hom(r, r)``; dim End = 1 marks a leaf.  Otherwise r is
-    split along the eigenvalue clusters of the commutant projection of a
-    random Hermitian matrix, reseeded up to 5 times when it fails to
-    separate, and each cluster is refined again.
+    split along the eigenvalue clusters of P(X + X*), P the orthogonal
+    projection onto the commutant, for the first of the :func:`_probes` X
+    that separates them, and each cluster is refined again; a reducible r
+    that none splits raises :class:`DecompositionFailed`.
     """
     end_dim, project = hom
     if end_dim == 1:
         return [(r, np.eye(r.dim, dtype=complex))]
     gens = r.joint_rep() if isinstance(r, CovariantRep) else r
-    for attempt in range(5):
-        rng = np.random.default_rng(seed + attempt)
-        H = project(random_hermitian(r.dim, rng))
+    for X in _probes(r.dim, r.dim):
+        H = project(X + X.conj().T)
         H = (H + H.conj().T) / 2
         # the eigenspaces of H are invariant only if H is in the commutant
         _require(np.linalg.norm(H @ gens.stack - gens.stack @ H, axis=(1, 2)),
@@ -595,13 +599,11 @@ def _pieces(r, hom, seed: int, tol: Tolerance):
         if isometries is not None:
             break
     else:
-        raise DecompositionFailed(
-            "no eigenvalue gap above eig_sep after 5 reseeded retries"
-        )
+        raise DecompositionFailed("no eigenvalue gap above eig_sep along any probe of the commutant")
     leaves = []
     for Q in isometries:
         sub = r.conjugate(Q)
-        for piece, iso in _pieces(sub, _hom(sub, sub, tol), seed, tol):
+        for piece, iso in _pieces(sub, _hom(sub, sub, tol), tol):
             leaves.append((piece, Q @ iso))
     return leaves
 
@@ -634,11 +636,11 @@ def _assemble(classes, end_dim: int) -> IrrepDecomposition:
     return IrrepDecomposition([(rep, len(isos)) for rep, isos in classes], basis_change)
 
 
-def _decompose(r, seed: int, tol: Tolerance) -> IrrepDecomposition:
-    """:func:`decompose` by random commutant splitting, without validating
-    a covariant input."""
+def _decompose(r, tol: Tolerance) -> IrrepDecomposition:
+    """:func:`decompose` by commutant splitting, without validating a
+    covariant input."""
     hom = _hom(r, r, tol)
-    classes = _collect(_pieces(r, hom, seed, tol), lambda a, b: covariant_equivalence(a, b, tol, seed).witness)
+    classes = _collect(_pieces(r, hom, tol), lambda a, b: covariant_equivalence(a, b, tol).witness)
     return _assemble(classes, hom[0])
 
 
@@ -653,19 +655,19 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
     Ind_H^G(lambda (x) V), built from the class's own matrices, so the
     components are those of ``crossed_irreps``, array for array; the basis
     change must carry Pi onto the components, ordered by (dimension, orbit,
-    character of lambda).  No random number is drawn and ``seed`` is not
-    read.  Any other input is split along the eigenspaces of the commutant
-    projection of a random Hermitian X drawn from ``seed`` (:func:`_hom`),
-    pieces with dim End > 1 again, and leaves are matched by
-    :func:`covariant_equivalence`, ordered by (dimension, first occurrence);
-    the multiset of components does not depend on the seed.  Either way the
-    squared multiplicities must sum to dim End, else
-    :class:`InvariantViolation`.
+    character of lambda).  Any other input is split along the eigenspaces
+    of the commutant projections of fixed probes (``_pieces``), pieces with
+    dim End > 1 again, and leaves are matched by
+    :func:`covariant_equivalence`, ordered by (dimension, first
+    occurrence).  Either way the squared multiplicities must sum to dim
+    End, else :class:`InvariantViolation`.  No random number is drawn and
+    ``seed`` is not read; a component of dimension d >= 2 is in the basis
+    ``eigh`` picks for its eigenspace.
     """
     if isinstance(r, CovariantRep):
         r.validate(tol)
     if not isinstance(r, CovariantRep) or not isinstance(r.action, GroupAction):
-        return _decompose(r, seed, tol)
+        return _decompose(r, tol)
     end_dim = hom_dim(r, r, tol)
     classes, covered = [], 0
     for _, pi1, witnesses, classes_k, C in _orbit_frames(r, tol):
@@ -973,9 +975,10 @@ def covariant_equivalence(cov1, cov2, tol: Tolerance = DEFAULT_TOL, seed: int = 
     action type, or both :class:`Rep` s.  The verdict is dim Hom = 1 as
     :func:`_hom` reads it (a character sum over a :class:`GroupAction`, one
     intertwiner solve otherwise) and the witness is the unitarized
-    projection P12(X) of a random X drawn from ``seed``.  The witness W
-    satisfies ``W Pi1 W* = Pi2``.  Neither input is re-tested for
-    irreducibility.
+    projection P12(X) of the first of the :func:`_probes` X with
+    ||P12(X)|| > abs_eps, so of the one basis matrix of Hom, phase
+    normalized.  The witness W satisfies ``W Pi1 W* = Pi2``.  Neither
+    input is re-tested for irreducibility; ``seed`` is not read.
     """
     if cov1.dim != cov2.dim:
         return Equivalence(False, None)
@@ -984,10 +987,10 @@ def covariant_equivalence(cov1, cov2, tol: Tolerance = DEFAULT_TOL, seed: int = 
         return Equivalence(False, None)
     if count > 1:
         raise InvariantViolation("intertwiner space of irreducibles has dim > 1")
-    rng = np.random.default_rng(seed)
-    shape = (cov2.dim, cov1.dim)
-    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return Equivalence(True, _unitarize(project(X), tol))
+    T = next((P for P in map(project, _probes(cov2.dim, cov1.dim)) if np.linalg.norm(P) > tol.abs_eps), None)
+    if T is None:
+        raise InvariantViolation("no probe has a projection onto the one-dimensional Hom above abs_eps")
+    return Equivalence(True, phase_normalize(T / np.sqrt(np.trace(T.conj().T @ T).real / T.shape[1]), tol))
 
 
 def trivial_covariant(pi: Rep, action) -> CovariantRep:

@@ -379,7 +379,7 @@ def test_host_108_model_matches_the_host_size_split(tol):
     act = random_cyclic_action(12, [3, 3, 3], np.random.default_rng(1))
     cov = _gauged(build_crossed_model(act).defining_covariant_rep(), 5)
     dec = decompose(cov, seed=0, tol=tol)
-    assert decompositions_match(dec, crossrep.reps._decompose(cov, 0, tol), tol)
+    assert decompositions_match(dec, crossrep.reps._decompose(cov, tol), tol)
     _assert_certified(cov, dec, tol)
 
 

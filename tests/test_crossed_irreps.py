@@ -135,7 +135,7 @@ def _host_model_irreps(act):
     # the commutant split at host size, not decompose's frame route, which
     # shares its Mackey read-off with crossed_irreps
     model = build_crossed_model(act).defining_covariant_rep()
-    return [rep for rep, _ in crossrep.reps._decompose(model, 0, DEFAULT_TOL).components]
+    return [rep for rep, _ in crossrep.reps._decompose(model, DEFAULT_TOL).components]
 
 
 def _assert_one_to_one(got, want, tol):

@@ -12,7 +12,6 @@ from crossrep.linalg import (
     nullspace,
     orthonormal_span,
     phase_normalize,
-    random_hermitian,
     random_unitary,
     scalar_quotient,
     solve_sylvester_family,
@@ -187,7 +186,8 @@ def test_unitary_eigenspaces_fix_the_phase_of_one_dimensional_eigenspaces(seed, 
     angles = np.append(rng.uniform(-np.pi, np.pi, size=n - 2), [0.5, 0.5])
     W = random_unitary(n, rng)
     V = W @ np.diag(np.exp(1j * angles)) @ W.conj().T
-    evals, Q = np.linalg.eigh(random_hermitian(n, rng))
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    evals, Q = np.linalg.eigh((Z + Z.conj().T) / 2)
     nearby = V @ Q @ np.diag(np.exp(1e-15j * evals)) @ Q.conj().T
     spaces, moved = unitary_eigenspaces(V, tol), unitary_eigenspaces(nearby, tol)
     assert [iso.shape for _, iso in spaces] == [iso.shape for _, iso in moved]

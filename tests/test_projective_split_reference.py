@@ -201,7 +201,7 @@ def _random_split(K, c, seed, tol):
             leaves.append(lam)
         else:
             leaf = ProjectiveRep(K, lam, c.conj())
-            leaves += [piece.mats for piece, _ in _pieces(leaf, _hom(leaf, leaf, tol), seed, tol)]
+            leaves += [piece.mats for piece, _ in _pieces(leaf, _hom(leaf, leaf, tol), tol)]
     return [ProjectiveRep(K, mats, c.conj()) for mats in _classes_of(K, leaves, tol)]
 
 

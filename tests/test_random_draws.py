@@ -1,8 +1,9 @@
-"""Random numbers are drawn in two places only: the generic splitter of a
+"""No analysis draws a random number.  Every path over a ``GroupAction``
+reads its classes from ``reps._classes``, and the generic splitter of a
 plain representation, ``reps._pieces``, and the generic equivalence
-witness, ``reps.covariant_equivalence``.  Every path over a
-``GroupAction`` reads its classes from ``reps._classes``, which draws
-nothing, so a seed changes no output there."""
+witness, ``reps.covariant_equivalence``, read along the fixed matrices of
+``reps._probes``, so a seed changes no output.  Only the input generators
+of ``sampling`` take a caller's generator, and they do not create one."""
 
 import ast
 from pathlib import Path
@@ -27,11 +28,11 @@ def _draws(path: Path) -> list[str]:
     return found
 
 
-def test_default_rng_is_called_by_the_generic_splitter_and_witness_only():
+def test_default_rng_is_called_nowhere():
     modules = sorted(SRC.rglob("*.py"))
     assert modules
     calls = {(p.name, where) for p in modules for where in _draws(p)}
-    assert calls == {("reps.py", "_pieces"), ("reps.py", "covariant_equivalence")}
+    assert calls == set()
 
 
 def test_no_module_imports_default_rng_by_name():

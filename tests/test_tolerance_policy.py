@@ -152,7 +152,7 @@ def _canonical_form_site(eps):
     act, Pi = inner_z8_minimal()
 
     def site(tol):
-        orbit = _orbit(Pi, 0, tol)
+        orbit = _orbit(Pi, tol)
         [cls] = orbit.classes
         drift = np.exp(1j * eps * np.arange(8))[:, None, None]
         psi = CovariantRep(cls.psi.base, cls.psi.action, cls.psi.unitaries * drift)
@@ -174,8 +174,8 @@ def test_a_drifted_lambda_is_refused_where_it_is_read_against_the_classes():
     # eight classes of Z8 are off an integer by about eps, against rank_eps
     Pi = _drifted_z8(5e-8)
     with pytest.raises(InvariantViolation, match="is not a dimension"):
-        _orbit(Pi, 0, DEFAULT_TOL)
-    assert _orbit(Pi, 0, LOOSE).lam.dim == 1
+        _orbit(Pi, DEFAULT_TOL)
+    assert _orbit(Pi, LOOSE).lam.dim == 1
 
 
 def _corner_power_site(eps):
@@ -336,10 +336,10 @@ class _Spectrum:
 
 def test_example_ratio_check_reads_abs_eps(monkeypatch):
     # eigenvalue ratio -e^{i eps}: "minus one" exactly when eps < abs_eps
-    monkeypatch.setattr(crossrep.examples, "cyclic_analyze", lambda cov, seed, tol: _Spectrum(1e-8))
+    monkeypatch.setattr(crossrep.examples, "cyclic_analyze", lambda cov, tol: _Spectrum(1e-8))
     assert not run_inner_z8(DEFAULT_TOL)["spectrum_is_coset"]["computed"]
     assert run_inner_z8(LOOSE)["spectrum_is_coset"]["computed"]
-    monkeypatch.setattr(crossrep.examples, "cyclic_analyze", lambda cov, seed, tol: _Spectrum(1e-10))
+    monkeypatch.setattr(crossrep.examples, "cyclic_analyze", lambda cov, tol: _Spectrum(1e-10))
     assert run_inner_z8(DEFAULT_TOL)["spectrum_is_coset"]["computed"]
     assert not run_inner_z8(TIGHT)["spectrum_is_coset"]["computed"]
 
