@@ -244,6 +244,16 @@ i), the right coset representatives of :func:`right_coset_reps` and their
 triples (i, j, h) with c_i g = h c_j."""
 
 
+def _once(owner, key, build):
+    """``build()``, computed on the first call with ``key`` for ``owner`` and
+    kept on it, so it lives and dies with ``owner``.  A build that raises
+    keeps nothing, so its checks run again on the next call."""
+    memo = owner.__dict__.setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 class _Action:
     """What :class:`GroupAction` and :class:`LabelAction` share: a group, and
     the data that depends on the action alone, computed once per instance.
@@ -255,10 +265,7 @@ class _Action:
 
     def _once(self, key, build):
         """``build()``, computed on the first call with ``key`` and kept."""
-        memo = self.__dict__.setdefault("_memo", {})
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
+        return _once(self, key, build)
 
     def restriction(self, members) -> _Restriction:
         """The restriction to the subgroup with these members (see

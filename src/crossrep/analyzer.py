@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GroupAction
+from .algebra import GroupAction, _once
 from .crossed import fixed_point_algebra
 from .errors import (
     BlockStructureViolation,
@@ -132,27 +132,29 @@ def _orbit_frame(Pi: CovariantRep, tol: Tolerance) -> tuple:
 
 def _orbit(Pi: CovariantRep, tol: Tolerance):
     """The one-component Mackey read-off of a valid irreducible Pi at its
-    :func:`_orbit_frame`."""
-    _, pi1, witnesses, classes, C0 = _orbit_frame(Pi, tol)
-    return _mackey_orbit(Pi.action, pi1, witnesses, classes, (Pi, C0), tol)
+    :func:`_orbit_frame`, keyed by its block k."""
+    k, pi1, witnesses, classes, C0 = _orbit_frame(Pi, tol)
+    return _mackey_orbit(Pi.action, pi1, witnesses, classes, k, (Pi, C0), tol)
 
 
 def _sub_stabilizer(action, k, witnesses: dict, tol: Tolerance) -> tuple:
     """The :func:`_witness_stack` of the ``witnesses`` {h: V_h} of a
-    subgroup of block k's stabilizer and its :func:`_witness_classes`.
-    Over a :class:`GroupAction` the V_h are the action's own unitaries, so
-    the pair is computed once per (k, members, tol) and its arrays are
+    subgroup of block k's stabilizer, its :func:`_witness_classes` and its
+    orbit key (k, members) for :func:`_mackey_orbit`.  Over a
+    :class:`GroupAction` the V_h are the action's own unitaries, so the
+    triple is computed once per (k, members, tol) and its arrays are
     read-only; at k = None (a :class:`LabelAction`, whose witnesses depend
-    on the input) it is computed on every call."""
+    on the input) it is computed on every call, and the key is None."""
+    key = None if k is None else (k, tuple(sorted(witnesses)))
 
     def build():
         stab = _witness_stack(action, witnesses, tol)
         classes = _witness_classes(action, stab, tol)
         for a in (stab.V, stab.cocycle, *(x for lam in classes for x in (lam.mats, lam.cocycle))):
             a.setflags(write=False)
-        return stab, classes
+        return stab, classes, key
 
-    return build() if k is None else action._once(("sub_stabilizer", k, tuple(sorted(witnesses)), tol), build)
+    return build() if key is None else action._once(("sub_stabilizer", *key, tol), build)
 
 
 def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
@@ -168,14 +170,7 @@ def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
     if C.shape != (Pi.dim, Pi.dim):
         raise BlockStructureViolation("conjugator is not square; dimensions conflict")
     _check_carried(Pi, C, [induced], "conjugator", tol)
-
-    m, block = len(orbit.coset_reps), psi.dim
-    # perms[g][j] is the i with c_i g in H c_j
-    perms = list(np.argsort(orbit.coset_table[:, :, 1], axis=1))
-    # column j of U_g has the one nonzero block (perm[j], j)
-    block_unitaries = [
-        list(U.reshape(m, block, m, block)[perm, :, np.arange(m)]) for U, perm in zip(induced.unitaries, perms)
-    ]
+    perms, block_unitaries, h_is_normal, v_rep = _once(induced, "induced_form", lambda: _induced_form(orbit, induced))
     return StructureReport(
         subgroup=orbit.subgroup,
         subgroup_group=orbit.action.group,
@@ -183,13 +178,36 @@ def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
         coset_reps=list(orbit.coset_reps),
         base_irrep=orbit.pi,
         multiplicity=orbit.lam.dim,
-        perms=perms,
-        block_unitaries=block_unitaries,
+        perms=list(perms),
+        block_unitaries=[list(blocks) for blocks in block_unitaries],
         psi=psi,
         lambda_rep=lam,
-        v_rep=ProjectiveRep(orbit.action.group, orbit.V, orbit.cocycle),
+        v_rep=v_rep,
         conjugator=C,
-        h_is_normal=all(perm[0] != 0 or np.array_equal(perm, np.arange(m)) for perm in perms),
+        h_is_normal=h_is_normal,
+    )
+
+
+def _induced_form(orbit, induced: CovariantRep) -> tuple:
+    """(perms, block_unitaries, h_is_normal, v_rep) of a class's
+    Ind_H^G psi over the cosets of its orbit, with read-only arrays: they
+    do not depend on the frame, so :func:`_report` keeps them on
+    ``induced``, which the action keeps with the class
+    (:func:`~crossrep.reps._class_records`)."""
+    m = len(orbit.coset_reps)
+    block = induced.dim // m
+    # perms[g][j] is the i with c_i g in H c_j
+    perms = np.argsort(orbit.coset_table[:, :, 1], axis=1)
+    perms.setflags(write=False)
+    # column j of U_g has the one nonzero block (perm[j], j)
+    block_unitaries = [U.reshape(m, block, m, block)[perm, :, np.arange(m)] for U, perm in zip(induced.unitaries, perms)]
+    for blocks in block_unitaries:
+        blocks.setflags(write=False)
+    return (
+        tuple(perms),
+        tuple(tuple(blocks) for blocks in block_unitaries),
+        all(perm[0] != 0 or np.array_equal(perm, np.arange(m)) for perm in perms),
+        ProjectiveRep(orbit.action.group, orbit.V, orbit.cocycle),
     )
 
 
@@ -247,7 +265,9 @@ def _cyclic_canonical_form(Pi: CovariantRep, orbit, tol: Tolerance):
     already known to be valid and irreducible, from its :func:`_orbit`.
 
     With coset representatives 0..m-1 the induced conjugator already has
-    identity shift blocks, and the corner is V = psi(U^m).
+    identity shift blocks, and the corner is V = psi(U^m).  V and its check
+    V^k = 1 depend on the class alone, so they are kept on psi, which the
+    action keeps with the class.
     """
     G = Pi.group
     _require_cyclic(G)
@@ -259,12 +279,17 @@ def _cyclic_canonical_form(Pi: CovariantRep, orbit, tol: Tolerance):
         raise CanonicalFormViolation("coset representatives are not 0..m-1")
     k = n // m
     report = _report(Pi, orbit, tol)
+    return report, m, k, _once(report.psi, ("corner", tol), lambda: _corner(report.psi, k, tol))
+
+
+def _corner(psi: CovariantRep, k: int, tol: Tolerance) -> np.ndarray:
+    """The corner V = psi(U^m) of a cyclic stabilizer, checked for V^k = 1."""
     # the stabilizer {0, m, 2m, ...} regrounds onto Z_k with m at index 1
-    V = report.psi.unitaries[1 % k]
+    V = psi.unitaries[1 % k]
     d1 = V.shape[0]
     _require(np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)), tol.reconstruction_bound(d1),
              "corner unitary does not satisfy V^k = 1", CanonicalFormViolation)
-    return report, m, k, V
+    return V
 
 
 def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> CyclicReport:
@@ -276,15 +301,38 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
     eigenspaces of V, one each.  Requires a concrete block-algebra action
     (the fixed-point subalgebra of an abstract generator action is not
     computable).  ``seed`` is not read.
+
+    Everything after the conjugator's check depends on the stabilizer's
+    class alone: V with V^k = 1, its eigenspaces, the fixed-point images
+    and their compressions.  So they are computed, with their checks, the
+    first time a class is met and kept with it on the action
+    (:func:`~crossrep.reps._class_records`); a repeated analysis reads
+    them back, and reads and checks only what depends on Pi.
     """
     if not isinstance(Pi.action, GroupAction):
         raise InvariantViolation("fixed-point analysis needs a GroupAction on a MatAlg")
     _require_irreducible(Pi, tol)
     report, m, k, V = _cyclic_canonical_form(Pi, _orbit(Pi, tol), tol)
-    pi1 = report.base_irrep
-    d1 = pi1.dim
+    spectrum, alpha_diag = _once(report.psi, ("fixed_points", tol),
+                                 lambda: _fixed_points(Pi.action, report.base_irrep, V, k, tol))
+    return CyclicReport(
+        base=report,
+        m=m,
+        k=k,
+        V=V,
+        spectrum_of_V=list(spectrum),
+        alpha_diag=list(alpha_diag),
+        eta=len(spectrum),
+        fixed_pt_irreps=[(block, 1) for block in sorted(alpha_diag, key=lambda r: r.dim)],
+        minimal_piece_is_minimal=True,
+    )
 
-    spectrum = unitary_eigenspaces(V, tol)
+
+def _fixed_points(action: GroupAction, pi1: Rep, V: np.ndarray, k: int, tol: Tolerance) -> tuple:
+    """(spectrum of V, alpha_diag) of :func:`cyclic_analyze` with their
+    checks, as tuples with read-only arrays."""
+    d1 = pi1.dim
+    spectrum = _read_only_spectrum(V, tol)
     _require(np.abs(np.array([val for val, _ in spectrum]) ** k - 1), tol.identity_bound(1.0),
              "corner spectrum is not inside the k-th roots at cluster {}", CanonicalFormViolation)
 
@@ -292,8 +340,8 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
     # in {V}' = sum_lambda B(E_lambda); the two checks below prove equality,
     # which makes the compressions to the eigenspaces E_lambda irreducible,
     # pairwise inequivalent and the whole restriction multiplicity free
-    basis, _ = fixed_point_algebra(Pi.action, tol)
-    alg = Pi.action.algebra
+    basis, _ = fixed_point_algebra(action, tol)
+    alg = action.algebra
     fixed = Rep(d1, [evaluate(pi1, alg, b) for b in basis], [f"fix{i}" for i in range(len(basis))])
     images = fixed.stack
     _require(np.linalg.norm(images @ V - V @ images, axis=(1, 2)), tol.identity_bound(d1),
@@ -306,17 +354,17 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
         )
 
     alpha_diag = [fixed.conjugate(iso) for _, iso in spectrum]
-    return CyclicReport(
-        base=report,
-        m=m,
-        k=k,
-        V=V,
-        spectrum_of_V=spectrum,
-        alpha_diag=alpha_diag,
-        eta=len(spectrum),
-        fixed_pt_irreps=[(block, 1) for block in sorted(alpha_diag, key=lambda r: r.dim)],
-        minimal_piece_is_minimal=True,
-    )
+    for r in alpha_diag:
+        r.stack.setflags(write=False)
+    return spectrum, tuple(alpha_diag)
+
+
+def _read_only_spectrum(U: np.ndarray, tol: Tolerance) -> tuple:
+    """:func:`unitary_eigenspaces` of U as a tuple, its isometries read-only."""
+    spectrum = tuple(unitary_eigenspaces(U, tol))
+    for _, iso in spectrum:
+        iso.setflags(write=False)
+    return spectrum
 
 
 def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -347,7 +395,8 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
         raise InvariantViolation("every group element must fix the class of the base irreducible")
     # the identity is the frame of 1_r (x) pi1, and Lambda its tensor factor
     stab = _witness_stack(Psi.action, witnesses, tol)
-    orbit = _mackey_orbit(Psi.action, pi1, stab, _witness_classes(Psi.action, stab, tol), (Psi, np.eye(Psi.dim)), tol)
+    classes = _witness_classes(Psi.action, stab, tol)
+    orbit = _mackey_orbit(Psi.action, pi1, stab, classes, None, (Psi, np.eye(Psi.dim)), tol)
     return [len(cls.isometries) for cls in orbit.classes] == [1]
 
 
@@ -467,7 +516,12 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     induced over the cosets {e, tau}.  The sub-stabilizers of the 3-cycle
     subgroup are cyclic, so their classes are written down, and over a
     :class:`GroupAction` the action keeps their witnesses and classes
-    (:func:`_sub_stabilizer`).  No random number is drawn and ``seed`` is
+    (:func:`_sub_stabilizer`).  What depends on a class alone is kept with
+    it on the action, for the orbit of Pi and for each sub-stabilizer
+    (:func:`~crossrep.reps._class_records`): Ind(lambda (x) V), the induced
+    form, the corner of EtaTriple with its check V^3 = 1 and the spectrum
+    of lambda_eta; the frame, Lambda and every conjugator are read and
+    checked on every call.  No random number is drawn and ``seed`` is
     not read; a class of dimension d >= 2 is in the basis ``eigh`` picks.
     """
     G = Pi.group
@@ -475,7 +529,7 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
         raise InvariantViolation("group must be the standard 3-letter permutation group")
     _require_irreducible(Pi, tol)
     k, pi1, witnesses, classes, C = _orbit_frame(Pi, tol)
-    orbit = _mackey_orbit(Pi.action, pi1, witnesses, classes, (Pi, C), tol)
+    orbit = _mackey_orbit(Pi.action, pi1, witnesses, classes, k, (Pi, C), tol)
     r, H = orbit.lam.dim, orbit.subgroup
     case = _S3_CASES.get((H.order, r))
     if case is None:
@@ -492,8 +546,8 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
             # Its orbit is read at Pi's frame C0 with stabilizer {e}
             U_eta = Pi.unitaries[S3_ETA]
             z3_cov = CovariantRep(Pi.base, z3.action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
-            stab, z3_classes = _sub_stabilizer(z3.action, k, {0: V[S3_E]}, tol)
-            z3_orbit = _mackey_orbit(z3.action, pi1, stab, z3_classes, (z3_cov, C0), tol)
+            stab, z3_classes, key = _sub_stabilizer(z3.action, k, {0: V[S3_E]}, tol)
+            z3_orbit = _mackey_orbit(z3.action, pi1, stab, z3_classes, key, (z3_cov, C0), tol)
             report = _cyclic_canonical_form(z3_cov, z3_orbit, tol)[0]
         else:
             report = _report(Pi, orbit, tol)
@@ -503,12 +557,13 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     # the gauge of C0; the eigenvectors of lambda_eta split the frame into the
     # two halves that tau swaps, and the first half W1 is a frame of Pi with
     # stabilizer z3
-    spectrum = unitary_eigenspaces(orbit.classes[0].lam.mats[orbit.members.index(S3_ETA)], tol)
+    lam, eta = orbit.classes[0].lam, orbit.members.index(S3_ETA)
+    spectrum = _once(lam, ("spectrum", eta, tol), lambda: _read_only_spectrum(lam.mats[eta], tol))
     if len(spectrum) != r or any(iso.shape[1] != 1 for _, iso in spectrum):
         raise BlockStructureViolation("the 3-cycle factor must have simple eigenvalues")
     W1 = C0 @ np.kron(spectrum[0][1], np.eye(pi1.dim))
-    stab, z3_classes = _sub_stabilizer(Pi.action, k, {h: V[h] for h in z3.members}, tol)
-    z3_orbit = _mackey_orbit(Pi.action, pi1, stab, z3_classes, (Pi, W1), tol)
+    stab, z3_classes, key = _sub_stabilizer(Pi.action, k, {h: V[h] for h in z3.members}, tol)
+    z3_orbit = _mackey_orbit(Pi.action, pi1, stab, z3_classes, key, (Pi, W1), tol)
     # Q is the induced conjugator over the cosets {e, tau}, [W1, U_tau* W1];
     # on U_e the check below is Q* Q = 1
     [(_, psi, induced, [Q])] = z3_orbit.classes

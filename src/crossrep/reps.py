@@ -31,8 +31,10 @@ along their compressions.  Neither draws a random number, so both
 directions build their Ind_H^G(lambda (x) V) from the same lambda
 matrices, in ``_induced``: one stacked :func:`induce` per (orbit,
 dimension).  An action keeps the classes of each orbit's stabilizer for
-the read-off (``_stabilizer_classes``).  A plain :class:`Rep` is split, and
-any equivalence witnessed, along fixed matrices (``_probes``): nothing is random.
+the read-off (``_stabilizer_classes``), and with each class the read-off
+meets its Ind_H^G(lambda (x) V) (``_class_records``).  A plain
+:class:`Rep` is split, and any equivalence witnessed, along fixed
+matrices (``_probes``): nothing is random.
 """
 
 from __future__ import annotations
@@ -563,16 +565,23 @@ def _split_leaf(Q: np.ndarray, start: int, before, right, tol: Tolerance) -> lis
     raise DecompositionFailed(f"a reducible split leaf of width {Q.shape[1]} is split by no right translation")
 
 
-def _probes(m: int, n: int):
-    """The fixed m x n matrices a split or a witness is read along: Z_ab =
-    exp(2 pi i frac((a n + b + 1) phi)), then the matrix units E_ab and
-    i E_ab in row-major order, which span every commutant or Hom space."""
+def _probes(m: int, n: int, split: bool = False):
+    """The fixed m x n matrices a witness or a split is read along: Z_ab =
+    exp(2 pi i frac((a n + b + 1) phi)), then the matrix units E_ab in
+    row-major order, which span every Hom space.  A split reads X + X*
+    (``split``, m = n), whose Hermitian parts E_ab + E_ba and i(E_ab - E_ba)
+    span the Hermitian ones: E_ab for a <= b, each followed by i E_ab when a
+    < b.  What is left out repeats a probe read before it up to sign, or is
+    i(E_aa - E_aa) = 0, so it is never the first to split."""
     yield np.exp(2j * np.pi * (np.arange(1, m * n + 1) * _GOLDEN % 1)).reshape(m, n)
-    for ab in np.ndindex(m, n):
+    for a, b in np.ndindex(m, n):
+        if split and a > b:
+            continue
         E = np.zeros((m, n), dtype=complex)
-        E[ab] = 1
+        E[a, b] = 1
         yield E
-        yield 1j * E
+        if split and a < b:
+            yield 1j * E
 
 
 def _pieces(r, hom, tol: Tolerance):
@@ -580,15 +589,15 @@ def _pieces(r, hom, tol: Tolerance):
 
     ``hom`` is ``_hom(r, r)``; dim End = 1 marks a leaf.  Otherwise r is
     split along the eigenvalue clusters of P(X + X*), P the orthogonal
-    projection onto the commutant, for the first of the :func:`_probes` X
-    that separates them, and each cluster is refined again; a reducible r
-    that none splits raises :class:`DecompositionFailed`.
+    projection onto the commutant, for the first of the 1 + n^2 split
+    :func:`_probes` X that separates them, and each cluster is refined
+    again; a reducible r that none splits raises :class:`DecompositionFailed`.
     """
     end_dim, project = hom
     if end_dim == 1:
         return [(r, np.eye(r.dim, dtype=complex))]
     gens = r.joint_rep() if isinstance(r, CovariantRep) else r
-    for X in _probes(r.dim, r.dim):
+    for X in _probes(r.dim, r.dim, split=True):
         H = project(X + X.conj().T)
         H = (H + H.conj().T) / 2
         # the eigenspaces of H are invariant only if H is in the commutant
@@ -652,8 +661,9 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
     Lambda with C* Pi(U_h) C = Lambda_h (x) V_h on the frame C is read
     against the classes the action keeps for the orbit's stabilizer
     (:func:`_copies`), and each copy of a class lambda is a copy of
-    Ind_H^G(lambda (x) V), built from the class's own matrices, so the
-    components are those of ``crossed_irreps``, array for array; the basis
+    Ind_H^G(lambda (x) V), built from the class's own matrices and kept
+    with the class on the action (:func:`_class_records`, read-only), so
+    the components are those of ``crossed_irreps``, array for array; the basis
     change must carry Pi onto the components, ordered by (dimension, orbit,
     character of lambda).  Any other input is split along the eigenspaces
     of the commutant projections of fixed probes (``_pieces``), pieces with
@@ -670,8 +680,8 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
         return _decompose(r, tol)
     end_dim = hom_dim(r, r, tol)
     classes, covered = [], 0
-    for _, pi1, witnesses, classes_k, C in _orbit_frames(r, tol):
-        orbit = _mackey_orbit(r.action, pi1, witnesses, classes_k, (r, C), tol)
+    for k, pi1, witnesses, classes_k, C in _orbit_frames(r, tol):
+        orbit = _mackey_orbit(r.action, pi1, witnesses, classes_k, k, (r, C), tol)
         covered += C.shape[1] * len(orbit.coset_reps)
         classes += [(cls.induced, cls.isometries) for cls in orbit.classes]
     # sum r n_k [G:H] + dim(1 - Pi(1)) = dim Pi, sum m^2 = dim End Pi, and Pi carried
@@ -976,9 +986,10 @@ def covariant_equivalence(cov1, cov2, tol: Tolerance = DEFAULT_TOL, seed: int = 
     :func:`_hom` reads it (a character sum over a :class:`GroupAction`, one
     intertwiner solve otherwise) and the witness is the unitarized
     projection P12(X) of the first of the :func:`_probes` X with
-    ||P12(X)|| > abs_eps, so of the one basis matrix of Hom, phase
-    normalized.  The witness W satisfies ``W Pi1 W* = Pi2``.  Neither
-    input is re-tested for irreducibility; ``seed`` is not read.
+    ||P12(X)|| > abs_eps (P12(i X) = i P12(X), so no i E_ab is read), so
+    of the one basis matrix of Hom, phase normalized.  The witness W
+    satisfies ``W Pi1 W* = Pi2``.  Neither input is re-tested for
+    irreducibility; ``seed`` is not read.
     """
     if cov1.dim != cov2.dim:
         return Equivalence(False, None)
@@ -1293,7 +1304,7 @@ def _copies(lam: ProjectiveRep, classes, tol: Tolerance) -> tuple[list[tuple], n
     return present, np.concatenate(copies, axis=1)
 
 
-def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, classes, frame, tol: Tolerance) -> _Orbit:
+def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, classes, key, frame, tol: Tolerance) -> _Orbit:
     """Mackey's read-off over one orbit (the little-group method with multipliers).
 
     ``witnesses`` (:func:`_witness_stack`) holds for each h of the stabilizer
@@ -1305,9 +1316,11 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, classes, frame, tol: 
     pi1(x), Lambda is the :func:`factor_tensor` of C* Pi(U_h) C against
     V_h, of cocycle conj(c_V), read against the classes by :func:`_copies`.
     Each class lambda in Lambda gives one Ind_H^G(lambda (x) V), built from
-    the class's own matrices by :func:`_induced`, one stack per dimension,
-    and each copy Q of it the isometry [U_c* C (Q (x) 1)] over the coset
-    representatives c, carrying Pi onto its Ind.  No random number is drawn.
+    the class's own matrices (:func:`_class_records`: kept on the action
+    per orbit ``key`` and class, or at key None built on every call), and
+    each copy Q of it the isometry [U_c* C (Q (x) 1)] over the coset
+    representatives c, carrying Pi onto its Ind.  Everything read from the
+    frame is read on every call.  No random number is drawn.
     """
     restriction = action.restriction(witnesses.members)
     H, sub_action, members, coset_reps, coset_table = restriction
@@ -1328,10 +1341,35 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, classes, frame, tol: 
         starts = range(pos, pos + m * cls.dim, cls.dim)
         parts.append([carried[:, :, q : q + cls.dim].reshape(D, -1) for q in starts])
         pos = starts.stop
-    built = _induced(action, restriction, pi1, V, [cls for cls, _ in present])
-    induced = [(CovariantRep(base, sub_action, u), cov) for base, psis, stack in built for u, cov in zip(psis, stack)]
-    classes = [_Class(cls, psi, cov, isometries) for (cls, _), isometries, (psi, cov) in zip(present, parts, induced)]
+    # present is in the order of classes, so one pass finds their indices
+    remaining = iter(enumerate(classes))
+    indices = [next(i for i, cls in remaining if cls is lam_i) for lam_i, _ in present]
+    records = _class_records(action, key, restriction, pi1, V, classes, indices, tol)
+    classes = [_Class(*record, isometries) for record, isometries in zip(records, parts)]
     return _Orbit(H, sub_action, members, V, c_V, coset_reps, coset_table, pi1, lam, classes)
+
+
+def _class_records(action, key, restriction, pi1: Rep, V, classes, indices, tol: Tolerance) -> list[tuple]:
+    """(lambda, psi, Ind_H^G psi) for the classes lambda = ``classes[i]``,
+    i in ``indices``, with psi = lambda (x) V over H's ``restriction``: what
+    the structure theorem attaches to a class, which depends on the
+    orbit's pi1 and V and the class alone.  At an orbit ``key``, block k
+    or (k, members) for a sub-stabilizer, whose pi1, V and classes the
+    action keeps, the triples are kept on the action per (key, class
+    index, tol): the classes not yet kept are built by one
+    :func:`_induced`, and their arrays are read-only.  At key None (pi1 or
+    V depend on the input) every class is built, on every call."""
+    kept = {} if key is None else action._once(("class_records", key, tol), dict)
+    missing = [i for i in indices if i not in kept]
+    if missing:
+        built = _induced(action, restriction, pi1, V, [classes[i] for i in missing])
+        pairs = [(CovariantRep(base, restriction.action, psi), cov)
+                 for base, psis, stack in built for psi, cov in zip(psis, stack)]
+        for i, (psi, cov) in zip(missing, pairs):
+            for a in (psi.base.stack, psi.unitaries, cov.unitaries):
+                a.setflags(write=False)
+            kept[i] = (classes[i], psi, cov)
+    return [kept[i] for i in indices]
 
 
 def _orbit_blocks(action: GroupAction) -> list[int]:

@@ -2,10 +2,13 @@
 
 The restriction to a subgroup (the subgroup, its regrounded action and
 group, the coset representatives and coset table), each block's
-stabilizer witnesses with their cocycle, and the fixed-point algebra are
-kept on the action instance.  Reports read on a reused action must equal,
-bit for bit, the reports on a freshly built copy; cached arrays are
-read-only; nothing depends on which irreducible was analysed first.
+stabilizer witnesses with their cocycle, the fixed-point algebra, and per
+class of a stabilizer that a read-off meets psi = lambda (x) V, its
+induction and what the analyzers derive from them are kept on the action
+instance.  Reports read on a reused action must equal, bit for bit, the
+reports on a freshly built copy; cached arrays are read-only; nothing
+depends on which irreducible was analysed first; every check of the input
+still runs on a warm action.
 """
 
 import numpy as np
@@ -16,10 +19,18 @@ import crossrep.groups
 from crossrep.algebra import GroupAction, MatAlg, StarAut
 from crossrep.analyzer import analyze, classify_s3, cyclic_analyze
 from crossrep.crossed import fixed_point_algebra
+from crossrep.errors import BlockStructureViolation, CrossrepError, NotIrreducible
 from crossrep.examples import s3_label_action, weyl_pair_homogeneous
 from crossrep.groups import is_standard_cyclic, make_symmetric_group_3
-from crossrep.linalg import Tolerance
-from crossrep.reps import CovariantRep, _block_stabilizer, _orbit_blocks
+from crossrep.linalg import Tolerance, block_diag
+from crossrep.reps import (
+    CovariantRep,
+    _block_stabilizer,
+    _orbit_blocks,
+    _stabilizer_classes,
+    decompose,
+    direct_sum_reps,
+)
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 
 # each builds the same action afresh on every call
@@ -98,13 +109,19 @@ def test_two_tolerances_get_separate_entries():
 def test_cached_arrays_are_read_only():
     act = ACTIONS["Z4[2,2]"]()
     cov = crossed_irreps(act, seed=0)[-1]
-    report = cyclic_analyze(cov, seed=0).base
+    cyclic = cyclic_analyze(cov, seed=0)
+    report = cyclic.base
     basis, fixed = fixed_point_algebra(act)
     found = act.restriction(report.subgroup.members)
     pi_k, stab = _block_stabilizer(act, 0, Tolerance())
+    [(_, _, induced, _)] = crossrep.analyzer._orbit(cov, Tolerance()).classes
     cached = [report.v_rep.mats, report.v_rep.cocycle, found.coset_table, found.action.group.table,
               act.group.table, act.group.inverse, fixed.stack, fixed.gens["fix0"], basis[0].blocks[0],
-              pi_k.stack, pi_k.gens[pi_k.labels[0]], stab.V, stab.cocycle]
+              pi_k.stack, pi_k.gens[pi_k.labels[0]], stab.V, stab.cocycle,
+              # the class record: psi, its induction, the induced form and the cyclic tail
+              report.psi.unitaries, report.psi.base.stack, induced.unitaries, induced.base.stack,
+              *report.perms, *(B for blocks in report.block_unitaries for B in blocks), cyclic.V,
+              *(iso for _, iso in cyclic.spectrum_of_V), *(r.stack for r in cyclic.alpha_diag)]
     for a in cached:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -218,3 +235,109 @@ def test_a_sub_stabilizer_is_kept_per_block_and_rebuilt_without_one():
     fresh = crossrep.analyzer._sub_stabilizer(act, None, witnesses, Tolerance())
     assert fresh is not crossrep.analyzer._sub_stabilizer(act, None, witnesses, Tolerance())
     assert np.array_equal(fresh[1][0].mats, kept[1][0].mats)
+
+
+def _counted(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that appends (name, args) to ``calls``."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((name, args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_a_second_pass_builds_no_class_data(name, monkeypatch):
+    # Ind(lambda (x) V), the eigenspaces of a class's matrices and the
+    # fixed-point images are kept with the class: the first pass builds them,
+    # the second reads them back and gives the same reports
+    act = ACTIONS[name]()
+    irreps, calls = crossed_irreps(act, seed=0), []
+    for module, function in ((crossrep.reps, "_induced"), (crossrep.analyzer, "unitary_eigenspaces"),
+                             (crossrep.analyzer, "evaluate")):
+        _counted(monkeypatch, module, function, calls)
+    first = [_analyze(cov, seed=0) for cov in irreps]
+    built = len(calls)
+    assert {"_induced"} <= {function for function, _ in calls}
+    second = [_analyze(cov, seed=0) for cov in irreps]
+    assert len(calls) == built
+    for a, b in zip(first, second):
+        assert all(np.array_equal(x, y) for x, y in zip(_arrays(a), _arrays(b)))
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_a_cold_analysis_builds_only_the_class_it_meets(name, monkeypatch):
+    # each read-off of an irreducible on a fresh action meets one class of
+    # its stabilizer and builds that one, by one _induced call
+    irreps, reads, calls = crossed_irreps(ACTIONS[name](), seed=0), [], []
+    _counted(monkeypatch, crossrep.analyzer, "_mackey_orbit", reads)
+    _counted(monkeypatch, crossrep.reps, "_induced", calls)
+    for cov in irreps:
+        del reads[:], calls[:]
+        _analyze(_on(cov, ACTIONS[name]()), seed=0)
+        assert reads and [len(args[-1]) for _, args in calls] == [1] * len(reads)
+
+
+def test_a_cold_decompose_builds_only_the_classes_present(monkeypatch):
+    # Z6 on [2, 1, 1]: the sum of two inequivalent irreducibles builds two
+    # of the classes of the stabilizers it meets, and a second decompose none
+    act = ACTIONS["Z6[2,1,1]"]()
+    irreps = crossed_irreps(ACTIONS["Z6[2,1,1]"](), seed=0)
+    a, b = (_on(cov, act) for cov in (irreps[0], irreps[-1]))
+    Pi = CovariantRep(direct_sum_reps([a.base, b.base]), act, block_diag(a.unitaries, b.unitaries))
+    calls = []
+    _counted(monkeypatch, crossrep.reps, "_induced", calls)
+    first = decompose(Pi, seed=0)
+    present = sum(len(args[-1]) for _, args in calls)
+    available = sum(len(_stabilizer_classes(act, k, Tolerance())) for k in _orbit_blocks(act))
+    assert present == len(first.components) == 2 < available
+    second = decompose(Pi, seed=0)
+    assert sum(len(args[-1]) for _, args in calls) == present
+    assert np.array_equal(first.basis_change, second.basis_change)
+    for (x, m), (y, n) in zip(first.components, second.components):
+        assert m == n and np.array_equal(x.unitaries, y.unitaries)
+
+
+def _outcome(analysis, cov):
+    """(type, message) of the error ``analysis(cov)`` raises, or None."""
+    try:
+        analysis(cov, seed=0)
+    except CrossrepError as error:
+        return type(error), str(error)
+    return None
+
+
+def _negated_last_column(read_off):
+    """The read-off with the last column of its one isometry negated: still
+    an isometry, but one that misses Pi wherever the column meets another."""
+
+    def negated(*args):
+        orbit = read_off(*args)
+        [cls] = orbit.classes
+        C = cls.isometries[0].copy()
+        C[:, -1] *= -1
+        return orbit._replace(classes=[cls._replace(isometries=[C])])
+
+    return negated
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_checks_of_the_input_fire_on_a_warm_action_as_on_a_fresh_one(name, monkeypatch):
+    act = ACTIONS[name]()
+    irreps = crossed_irreps(act, seed=0)
+    for cov in irreps:
+        _analyze(cov, seed=0)
+    a, b = irreps[0], irreps[-1]
+    perturbed = b.unitaries.copy()
+    perturbed[1, 0, 0] += 1e-5
+    inputs = [CovariantRep(direct_sum_reps([a.base, b.base]), act, block_diag(a.unitaries, b.unitaries)),
+              CovariantRep(b.base, act, perturbed)]
+    warm = [_outcome(_analyze, cov) for cov in inputs]
+    assert warm == [_outcome(_analyze, _on(cov, ACTIONS[name]())) for cov in inputs]
+    assert warm[0] == (NotIrreducible, "covariant representation is reducible") and warm[1] is not None
+    monkeypatch.setattr(crossrep.analyzer, "_mackey_orbit", _negated_last_column(crossrep.analyzer._mackey_orbit))
+    missed = [_outcome(_analyze, cov) for cov in irreps]
+    assert missed == [_outcome(_analyze, _on(cov, ACTIONS[name]())) for cov in irreps]
+    assert any(out is not None and out[0] is BlockStructureViolation and "is not carried" in out[1] for out in missed)

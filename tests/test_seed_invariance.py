@@ -29,8 +29,9 @@ from crossrep.examples import (
     s3_label_action,
     torus_orbit_evaluation,
 )
+from crossrep.errors import DecompositionFailed
 from crossrep.groups import S3_ETA, S3_TAU, make_cyclic_group, make_symmetric_group_3
-from crossrep.linalg import random_unitary
+from crossrep.linalg import Tolerance, random_unitary
 from crossrep.reps import (
     CovariantRep,
     ProjectiveRep,
@@ -209,8 +210,8 @@ def _first_probe(monkeypatch, make_first):
     count the probes drawn."""
     original, drawn = crossrep.reps._probes, []
 
-    def probes(m, n):
-        for X in itertools.chain([make_first(m, n)], itertools.islice(original(m, n), 1, None)):
+    def probes(m, n, split=False):
+        for X in itertools.chain([make_first(m, n)], itertools.islice(original(m, n, split), 1, None)):
             drawn.append(X)
             yield X
 
@@ -251,3 +252,59 @@ def test_a_first_probe_orthogonal_to_hom_gives_the_same_witness(name, monkeypatc
     assert len(drawn) > 1
     assert np.abs(np.trace(want.conj().T @ drawn[0])) < 1e-12
     assert np.abs(got - want).max() < 1e-12
+
+
+def _interleaved_probes(m, n):
+    """Z, then E_ab and i E_ab for every (a, b) in row-major order: the
+    probes a split and a witness once both read."""
+    first, *units = crossrep.reps._probes(m, n)
+    yield first
+    for E in units:
+        yield E
+        yield 1j * E
+
+
+def _read_by_the_split(i, n):
+    """Whether the i-th of the interleaved probes is one the split reads: Z,
+    E_ab for a <= b and i E_ab for a < b."""
+    if i == 0:
+        return True
+    (a, b), twin = divmod((i - 1) // 2, n), (i - 1) % 2
+    return a < b or (a == b and not twin)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_the_split_reads_the_interleaved_probes_less_the_ones_that_repeat(n):
+    # E_ab for a > b and i E_ab for a >= b are left out: the Hermitian part
+    # of each is, up to sign, that of a probe read before it, or zero, so
+    # the first probe that splits is the same
+    want = [X for i, X in enumerate(_interleaved_probes(n, n)) if _read_by_the_split(i, n)]
+    got = list(crossrep.reps._probes(n, n, split=True))
+    assert len(got) == len(want) == 1 + n * n
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    parts = [X + X.conj().T for X in got[1:]]
+    assert all(np.abs(A - s * B).max() > 0 for i, A in enumerate(parts) for B in parts[:i] for s in (1, -1))
+    assert all(np.abs(A).max() > 0 for A in parts)
+
+
+def test_the_witness_reads_z_then_the_matrix_units():
+    got = list(crossrep.reps._probes(2, 3))
+    assert len(got) == 1 + 6
+    assert all(np.array_equal(X, np.eye(1, 6, i).reshape(2, 3)) for i, X in enumerate(got[1:]))
+
+
+def test_a_refused_split_of_dimension_16_reads_257_probes(monkeypatch):
+    # eight copies of an irreducible of dimension 2 and no gap above eig_sep
+    # on any probe: the refusal reads Z and the 256 split probes once each
+    drawn, original = [], crossrep.reps._probes
+
+    def counted(*args, **kwargs):
+        for X in original(*args, **kwargs):
+            drawn.append(X)
+            yield X
+
+    monkeypatch.setattr(crossrep.reps, "_probes", counted)
+    r = direct_sum_reps([minimal_example()] * 8)
+    with pytest.raises(DecompositionFailed, match="no eigenvalue gap above eig_sep along any probe of the commutant"):
+        decompose(r, tol=Tolerance(eig_sep=1e6))
+    assert len(drawn) == 257
