@@ -206,8 +206,18 @@ class StarAut:
     @cached_property
     def coefficient_matrix(self) -> np.ndarray:
         """Row i holds the coefficients of alpha(e_i) over the matrix-unit basis,
-        so a basis-labeled representation composes with alpha by one tensordot."""
-        return np.array([self.apply(e).coeffs() for e in self.parent.basis_elements()])
+        so a basis-labeled representation composes with alpha by one tensordot.
+        The matrix units E of source block j go to U_i E U_i* in target block
+        i = perm[j] and to zero elsewhere: one stacked product per block, the
+        arithmetic of :meth:`apply` on each unit."""
+        dims = self.parent.block_dims
+        starts = np.cumsum([0, *(d * d for d in dims)]).tolist()
+        C = np.zeros((starts[-1], starts[-1]), dtype=complex)
+        for j, i in enumerate(self.perm):
+            d, U = dims[j], self.unitaries[i]
+            units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
+            C[starts[j] : starts[j + 1], starts[i] : starts[i + 1]] = (U @ units @ U.conj().T).reshape(d * d, -1)
+        return C
 
     def compose(self, other: "StarAut") -> "StarAut":
         """self after other."""

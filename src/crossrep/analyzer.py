@@ -52,8 +52,7 @@ from .reps import (
     _covariance_residuals,
     _mackey_orbit,
     _orbit_frames,
-    _witness_classes,
-    _witness_stack,
+    _stabilizer,
     decompose,
     evaluate,
     factor_tensor,
@@ -116,45 +115,25 @@ def _require_irreducible(Pi: CovariantRep, tol: Tolerance):
 
 
 def _orbit_frame(Pi: CovariantRep, tol: Tolerance) -> tuple:
-    """(k, pi1, witnesses, classes, C0) of the one orbit of a valid
-    irreducible Pi: over a :class:`GroupAction` its block k and orbit
-    frame with the classes the action keeps for it, or over a
-    :class:`LabelAction` k = None and the isotypic frame of the first
-    component pi1 of the decomposed restriction, with its translate
-    witnesses."""
+    """(k, stab, C0) of the one orbit of a valid irreducible Pi: over a
+    :class:`GroupAction` its block k, the stabilizer record the action
+    keeps for k and the orbit frame, or over a :class:`LabelAction` k =
+    None, the record of the first component pi1 of the decomposed
+    restriction with its translate witnesses, built per call, and its
+    isotypic frame."""
     if isinstance(Pi.action, GroupAction):
         return _orbit_frames(Pi, tol)[0]
     dec = decompose(Pi.base, tol=tol)
     pi1, r = dec.components[0]
-    witnesses = _witness_stack(Pi.action, translate_stabilizer(pi1, Pi.action, tol), tol)
-    return None, pi1, witnesses, _witness_classes(Pi.action, witnesses, tol), dec.basis_change[:, : r * pi1.dim]
+    stab = _stabilizer(Pi.action, None, pi1, translate_stabilizer(pi1, Pi.action, tol), tol)
+    return None, stab, dec.basis_change[:, : r * pi1.dim]
 
 
 def _orbit(Pi: CovariantRep, tol: Tolerance):
     """The one-component Mackey read-off of a valid irreducible Pi at its
-    :func:`_orbit_frame`, keyed by its block k."""
-    k, pi1, witnesses, classes, C0 = _orbit_frame(Pi, tol)
-    return _mackey_orbit(Pi.action, pi1, witnesses, classes, k, (Pi, C0), tol)
-
-
-def _sub_stabilizer(action, k, witnesses: dict, tol: Tolerance) -> tuple:
-    """The :func:`_witness_stack` of the ``witnesses`` {h: V_h} of a
-    subgroup of block k's stabilizer, its :func:`_witness_classes` and its
-    orbit key (k, members) for :func:`_mackey_orbit`.  Over a
-    :class:`GroupAction` the V_h are the action's own unitaries, so the
-    triple is computed once per (k, members, tol) and its arrays are
-    read-only; at k = None (a :class:`LabelAction`, whose witnesses depend
-    on the input) it is computed on every call, and the key is None."""
-    key = None if k is None else (k, tuple(sorted(witnesses)))
-
-    def build():
-        stab = _witness_stack(action, witnesses, tol)
-        classes = _witness_classes(action, stab, tol)
-        for a in (stab.V, stab.cocycle, *(x for lam in classes for x in (lam.mats, lam.cocycle))):
-            a.setflags(write=False)
-        return stab, classes, key
-
-    return build() if key is None else action._once(("sub_stabilizer", *key, tol), build)
+    :func:`_orbit_frame`."""
+    _, stab, C0 = _orbit_frame(Pi, tol)
+    return _mackey_orbit(Pi.action, stab, (Pi, C0), tol)
 
 
 def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
@@ -170,13 +149,15 @@ def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
     if C.shape != (Pi.dim, Pi.dim):
         raise BlockStructureViolation("conjugator is not square; dimensions conflict")
     _check_carried(Pi, C, [induced], "conjugator", tol)
-    perms, block_unitaries, h_is_normal, v_rep = _once(induced, "induced_form", lambda: _induced_form(orbit, induced))
+    stab = orbit.stab
+    perms, block_unitaries, h_is_normal, v_rep = _once(induced, "induced_form", lambda: _induced_form(stab, induced))
+    H = stab.restriction
     return StructureReport(
-        subgroup=orbit.subgroup,
-        subgroup_group=orbit.action.group,
-        subgroup_members=list(orbit.members),
-        coset_reps=list(orbit.coset_reps),
-        base_irrep=orbit.pi,
+        subgroup=H.subgroup,
+        subgroup_group=H.action.group,
+        subgroup_members=list(H.members),
+        coset_reps=list(H.coset_reps),
+        base_irrep=stab.pi1,
         multiplicity=orbit.lam.dim,
         perms=list(perms),
         block_unitaries=[list(blocks) for blocks in block_unitaries],
@@ -188,26 +169,33 @@ def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
     )
 
 
-def _induced_form(orbit, induced: CovariantRep) -> tuple:
+def _induced_form(stab, induced: CovariantRep) -> tuple:
     """(perms, block_unitaries, h_is_normal, v_rep) of a class's
-    Ind_H^G psi over the cosets of its orbit, with read-only arrays: they
-    do not depend on the frame, so :func:`_report` keeps them on
-    ``induced``, which the action keeps with the class
-    (:func:`~crossrep.reps._class_records`)."""
-    m = len(orbit.coset_reps)
+    Ind_H^G psi over the cosets of its stabilizer record ``stab``, with
+    read-only arrays: they do not depend on the frame, so :func:`_report`
+    keeps them on ``induced``, which the record keeps with the class
+    (:func:`~crossrep.reps._class_records`).  At H = G (one coset) the
+    one block of U_g is U_g itself, so the blocks are views of
+    ``induced.unitaries``."""
+    H = stab.restriction
+    m = len(H.coset_reps)
     block = induced.dim // m
     # perms[g][j] is the i with c_i g in H c_j
-    perms = np.argsort(orbit.coset_table[:, :, 1], axis=1)
+    perms = np.argsort(H.coset_table[:, :, 1], axis=1)
     perms.setflags(write=False)
-    # column j of U_g has the one nonzero block (perm[j], j)
-    block_unitaries = [U.reshape(m, block, m, block)[perm, :, np.arange(m)] for U, perm in zip(induced.unitaries, perms)]
+    if m == 1:
+        block_unitaries = induced.unitaries[:, None]
+    else:
+        # column j of U_g has the one nonzero block (perm[j], j)
+        block_unitaries = [U.reshape(m, block, m, block)[perm, :, np.arange(m)]
+                           for U, perm in zip(induced.unitaries, perms)]
     for blocks in block_unitaries:
         blocks.setflags(write=False)
     return (
         tuple(perms),
         tuple(tuple(blocks) for blocks in block_unitaries),
         all(perm[0] != 0 or np.array_equal(perm, np.arange(m)) for perm in perms),
-        ProjectiveRep(orbit.action.group, orbit.V, orbit.cocycle),
+        ProjectiveRep(H.action.group, stab.V, stab.cocycle),
     )
 
 
@@ -274,8 +262,9 @@ def _cyclic_canonical_form(Pi: CovariantRep, orbit, tol: Tolerance):
     n = G.order
     if orbit.lam.dim != 1:
         raise CanonicalFormViolation(f"cyclic multiplicity must be one, got {orbit.lam.dim}")
-    m = len(orbit.coset_reps)
-    if orbit.coset_reps != tuple(range(m)):
+    coset_reps = orbit.stab.restriction.coset_reps
+    m = len(coset_reps)
+    if coset_reps != tuple(range(m)):
         raise CanonicalFormViolation("coset representatives are not 0..m-1")
     k = n // m
     report = _report(Pi, orbit, tol)
@@ -394,9 +383,8 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     if len(witnesses) != Psi.group.order:
         raise InvariantViolation("every group element must fix the class of the base irreducible")
     # the identity is the frame of 1_r (x) pi1, and Lambda its tensor factor
-    stab = _witness_stack(Psi.action, witnesses, tol)
-    classes = _witness_classes(Psi.action, stab, tol)
-    orbit = _mackey_orbit(Psi.action, pi1, stab, classes, None, (Psi, np.eye(Psi.dim)), tol)
+    stab = _stabilizer(Psi.action, None, pi1, witnesses, tol)
+    orbit = _mackey_orbit(Psi.action, stab, (Psi, np.eye(Psi.dim)), tol)
     return [len(cls.isometries) for cls in orbit.classes] == [1]
 
 
@@ -428,7 +416,7 @@ def build_cyclic_irrep(
         raise InvariantViolation("corner unitary must act on the space of pi1")
     _require(np.linalg.norm(V.conj().T @ V - np.eye(d1)), tol.identity_bound(d1), "corner matrix is not unitary")
     _require(np.linalg.norm(np.linalg.matrix_power(V, k) - np.eye(d1)), tol.reconstruction_bound(d1), "V^k != 1")
-    _require(_covariance_residuals(V, pi1, action, m % n), tol.reconstruction_bound(d1),
+    _require(_covariance_residuals(V[None], pi1, action, [m % n])[0], tol.reconstruction_bound(d1),
              "V does not conjugate pi1 onto its m-th translate at generator {!r}", names=pi1.labels)
     if rep_end_dim(pi1, action, tol) != 1:
         raise InvariantViolation("pi1 must be irreducible")
@@ -460,7 +448,7 @@ def periodize(base: Rep, U, action, tol: Tolerance = DEFAULT_TOL) -> CovariantRe
     d = base.dim
     if U.shape != (d, d):
         raise InvariantViolation("unitary must act on the space of the base rep")
-    _require(_covariance_residuals(U, base, action, 1 % n), tol.reconstruction_bound(d),
+    _require(_covariance_residuals(U[None], base, action, [1 % n])[0], tol.reconstruction_bound(d),
              "U does not implement the generating automorphism at generator {!r}", names=base.labels)
     Un = np.linalg.matrix_power(U, n)
     lam = complex(np.trace(Un) / d)
@@ -513,29 +501,38 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     eigenvector e1 of the 3-cycle's class matrix lambda_eta gives the half
     W1 = C0 (e1 (x) 1) of the pi1-isotypic frame C0 in the gauge of the
     class, and Q = [W1, U_tau W1] carries Pi onto the representation
-    induced over the cosets {e, tau}.  The sub-stabilizers of the 3-cycle
-    subgroup are cyclic, so their classes are written down, and over a
-    :class:`GroupAction` the action keeps their witnesses and classes
-    (:func:`_sub_stabilizer`).  What depends on a class alone is kept with
-    it on the action, for the orbit of Pi and for each sub-stabilizer
-    (:func:`~crossrep.reps._class_records`): Ind(lambda (x) V), the induced
-    form, the corner of EtaTriple with its check V^3 = 1 and the spectrum
-    of lambda_eta; the frame, Lambda and every conjugator are read and
-    checked on every call.  No random number is drawn and ``seed`` is
-    not read; a class of dimension d >= 2 is in the basis ``eigh`` picks.
+    induced over the cosets {e, tau}.  Each sub-stabilizer of the 3-cycle
+    subgroup is cyclic, so its classes are written down; over a
+    :class:`GroupAction` its V_h are the action's own unitaries of block
+    k, so its stabilizer record is kept per (k, members, tol), on the
+    3-cycle subgroup's action for EtaTriple and on Pi's for TauPair
+    (:func:`~crossrep.reps._stabilizer`).  What depends on a class alone is
+    kept with it in the record, for the orbit of Pi and for each
+    sub-stabilizer (:func:`~crossrep.reps._class_records`):
+    Ind(lambda (x) V), the induced form, the corner of EtaTriple with its
+    check V^3 = 1 and the spectrum of lambda_eta; the frame, Lambda and
+    every conjugator are read and checked on every call.  No random number
+    is drawn and ``seed`` is not read; a class of dimension d >= 2 is in
+    the basis ``eigh`` picks.
     """
     G = Pi.group
     if G != make_symmetric_group_3():
         raise InvariantViolation("group must be the standard 3-letter permutation group")
     _require_irreducible(Pi, tol)
-    k, pi1, witnesses, classes, C = _orbit_frame(Pi, tol)
-    orbit = _mackey_orbit(Pi.action, pi1, witnesses, classes, k, (Pi, C), tol)
-    r, H = orbit.lam.dim, orbit.subgroup
+    k, stab, C = _orbit_frame(Pi, tol)
+    orbit = _mackey_orbit(Pi.action, stab, (Pi, C), tol)
+    r, H, pi1 = orbit.lam.dim, stab.restriction.subgroup, stab.pi1
     case = _S3_CASES.get((H.order, r))
     if case is None:
         raise BlockStructureViolation(f"no S3 case has |H| = {H.order} and r = {r}")
     z3 = Pi.action.restriction((S3_E, S3_ETA, S3_ETA2))
-    V = dict(zip(orbit.members, orbit.V))
+    V = dict(zip(stab.restriction.members, stab.V))
+
+    def sub_stabilizer(owner, witnesses):
+        # at k = None (a LabelAction) the witnesses depend on the input
+        key = None if k is None else (k, tuple(sorted(witnesses)))
+        return _stabilizer(owner, key, pi1, witnesses, tol)
+
     # the class isometry's first coset block, U_e* C0, is the pi1-isotypic
     # frame C0 in the basis of the copy of the class lambda
     C0 = orbit.classes[0].isometries[0][:, : r * pi1.dim]
@@ -546,8 +543,7 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
             # Its orbit is read at Pi's frame C0 with stabilizer {e}
             U_eta = Pi.unitaries[S3_ETA]
             z3_cov = CovariantRep(Pi.base, z3.action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
-            stab, z3_classes, key = _sub_stabilizer(z3.action, k, {0: V[S3_E]}, tol)
-            z3_orbit = _mackey_orbit(z3.action, pi1, stab, z3_classes, key, (z3_cov, C0), tol)
+            z3_orbit = _mackey_orbit(z3.action, sub_stabilizer(z3.action, {0: V[S3_E]}), (z3_cov, C0), tol)
             report = _cyclic_canonical_form(z3_cov, z3_orbit, tol)[0]
         else:
             report = _report(Pi, orbit, tol)
@@ -557,13 +553,12 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     # the gauge of C0; the eigenvectors of lambda_eta split the frame into the
     # two halves that tau swaps, and the first half W1 is a frame of Pi with
     # stabilizer z3
-    lam, eta = orbit.classes[0].lam, orbit.members.index(S3_ETA)
+    lam, eta = orbit.classes[0].lam, stab.restriction.members.index(S3_ETA)
     spectrum = _once(lam, ("spectrum", eta, tol), lambda: _read_only_spectrum(lam.mats[eta], tol))
     if len(spectrum) != r or any(iso.shape[1] != 1 for _, iso in spectrum):
         raise BlockStructureViolation("the 3-cycle factor must have simple eigenvalues")
     W1 = C0 @ np.kron(spectrum[0][1], np.eye(pi1.dim))
-    stab, z3_classes, key = _sub_stabilizer(Pi.action, k, {h: V[h] for h in z3.members}, tol)
-    z3_orbit = _mackey_orbit(Pi.action, pi1, stab, z3_classes, key, (Pi, W1), tol)
+    z3_orbit = _mackey_orbit(Pi.action, sub_stabilizer(Pi.action, {h: V[h] for h in z3.members}), (Pi, W1), tol)
     # Q is the induced conjugator over the cosets {e, tau}, [W1, U_tau* W1];
     # on U_e the check below is Q* Q = 1
     [(_, psi, induced, [Q])] = z3_orbit.classes

@@ -63,6 +63,25 @@ class Tolerance:
         block form, V^k = 1 or the covariance of a corner."""
         return self.identity_bound(scale) / 10
 
+    def certificate_bound(self, rho: float) -> float:
+        """Largest residual |lambda(ab) - conj(c(a, b)) lambda(a) lambda(b)|
+        of a one-dimensional lambda with |lambda| = rho > 0 at which the
+        2-cocycle identity of c follows within ``identity_bound(1)`` at every
+        triple, so within the row bound ``identity_bound(sqrt|K|)`` of the
+        identity check.  A residual delta writes c(a, b) = e(a, b) + eta(a, b)
+        with e(a, b) = conj(lambda(ab)) lambda(a) lambda(b) / rho^4, |e| =
+        1/rho and |eta| <= delta / rho^2; the exact parts of c(g, h) c(gh, k)
+        and c(h, k) c(g, hk) are equal, so each triple defect is at most
+        4 delta / rho^3 + 2 delta^2 / rho^4.  At min(B rho^3 / 5, rho^2
+        sqrt(B / 20)), B = ``identity_bound(1)``, that is at most 9B/10, and
+        the last tenth covers the rounding of both checks (from abs_eps =
+        1e-16 on); |c| != 1 by rounding enters through rho alone.  -inf,
+        which no residual is within, unless rho > 0."""
+        if not rho > 0:
+            return -np.inf
+        B = self.identity_bound(1.0)
+        return min(B, B * rho**3 / 5, rho**2 * np.sqrt(B / 20))
+
 
 DEFAULT_TOL = Tolerance()
 

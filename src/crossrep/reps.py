@@ -9,32 +9,34 @@ a non-invertible intertwiner.
 
 Every Hom question goes through one private oracle, ``_hom(a, b, tol)``:
 character sums over a :class:`GroupAction` (:func:`hom_dim`) or for a
-:class:`ProjectiveRep`, one intertwiner solve otherwise.  The structure
-theorem is read off in one place, ``_mackey_orbit``: an irreducible of
-M_{n_1} + ... + M_{n_b} is the compression to one block k up to a unitary,
-its stabilizer is {g : alpha_g fixes k} (:func:`translate_stabilizer`), and
-a covariant representation over the orbit of k is a sum of
-Ind_H^G(lambda (x) V) over the classes lambda in Lambda, read against the
-classes of H by Serre's explicit projections (``_copies``).
-:func:`decompose` and the analyzer go through it.  The construction runs
-forward in one place too, ``_orbit_irreps``: over the orbit of block k,
-one Ind_H^G(lambda (x) V) per class lambda of projective irreducibles of
-H, each certified by dim End = 1 (``_end_dims``).  ``crossed_irreps`` is
-a loop of it over the orbits, and ``character_table`` reads its classes
-from the same source with the trivial cocycle.  That source is one
-dispatch, ``_classes``, a function of (H, cocycle, tolerance) alone: a
-cyclic H has one-dimensional classes, written down in closed form by
+:class:`ProjectiveRep`, one intertwiner solve otherwise.
+
+What the structure theorem attaches to a stabilizer H is one record,
+``_Stabilizer``: pi1, H with its cosets, the witnesses V_h, their cocycle
+c_V, the classes lambda of H with cocycle conj(c_V) and per class met its
+Ind_H^G(lambda (x) V).  An action keeps the record of each block and of
+each sub-stabilizer ``classify_s3`` reads.  The theorem is read off in one
+place, ``_mackey_orbit``: an irreducible of M_{n_1} + ... + M_{n_b} is the
+compression to one block k up to a unitary, its stabilizer is {g : alpha_g
+fixes k} (:func:`translate_stabilizer`), and a covariant representation
+over the orbit of k is a sum of Ind_H^G(lambda (x) V) over the classes
+lambda in Lambda, read against the record's classes by Serre's explicit
+projections (``_copies``).  :func:`decompose` and the analyzer go through
+it.  The construction runs forward in one place too, ``_orbit_irreps``:
+over the orbit of block k, one Ind_H^G(lambda (x) V) per class lambda, each
+certified by dim End = 1 (``_end_dims``).  ``crossed_irreps`` is a loop of
+it over the orbits, and ``character_table`` reads its classes from the same
+source with the trivial cocycle.  That source is one dispatch,
+``_classes``, a function of (H, cocycle, tolerance) alone: a cyclic H has
+one-dimensional classes, written down in closed form by
 ``_cyclic_classes``; any other H is split from its twisted regular
-representation by ``_projective_irreps``, once along a fixed combination
-of its right translations and then, where that leaves a reducible leaf,
-along their compressions.  Neither draws a random number, so both
-directions build their Ind_H^G(lambda (x) V) from the same lambda
-matrices, in ``_induced``: one stacked :func:`induce` per (orbit,
-dimension).  An action keeps the classes of each orbit's stabilizer for
-the read-off (``_stabilizer_classes``), and with each class the read-off
-meets its Ind_H^G(lambda (x) V) (``_class_records``).  A plain
-:class:`Rep` is split, and any equivalence witnessed, along fixed
-matrices (``_probes``): nothing is random.
+representation by ``_projective_irreps``, once along a fixed combination of
+its right translations and then, where that leaves a reducible leaf, along
+their compressions.  Neither draws a random number, so both directions
+build their Ind_H^G(lambda (x) V) from the same lambda matrices, in
+``_induced``: one stacked :func:`induce` per (orbit, dimension).  A plain
+:class:`Rep` is split, and any equivalence witnessed, along fixed matrices
+(``_probes``): nothing is random.
 """
 
 from __future__ import annotations
@@ -254,11 +256,13 @@ def _composed_images(rep: Rep, action, gs) -> np.ndarray:
     raise TypeError(f"unsupported action type {type(action)!r}")
 
 
-def _covariance_residuals(U, pi: Rep, action, g: int) -> np.ndarray:
-    """||U pi(x) U* - pi(alpha_g(x))|| over the generators x of ``pi``, in
-    label order: U implements alpha_g on ``pi`` when every one vanishes."""
-    twisted = _unit_images(rep_compose(pi, action, g), pi.labels)
-    return np.linalg.norm(U @ pi.stack @ U.conj().T - twisted, axis=(1, 2))
+def _covariance_residuals(U, pi: Rep, action, gs) -> np.ndarray:
+    """||U_g pi(x) U_g* - pi(alpha_g(x))|| for each g in ``gs``, U_g the
+    matching matrix of the stack ``U``, over the generators x of ``pi``: one
+    row per g, in label order, from one :func:`_composed_images`.  U_g
+    implements alpha_g on ``pi`` when its row vanishes."""
+    twisted = _composed_images(pi, action, gs)
+    return np.array([np.linalg.norm(u @ pi.stack @ u.conj().T - t, axis=(1, 2)) for u, t in zip(U, twisted)])
 
 
 def direct_sum_reps(parts: list[Rep]) -> Rep:
@@ -395,7 +399,7 @@ def _cyclic_classes(K: FiniteGroup, c, g: int, tol: Tolerance) -> list[Projectiv
     order m with cocycle conj(c), in closed form: every 2-cocycle of a cyclic
     group is a coboundary (Karpilovsky 1985), so they are one-dimensional.
 
-    After the identity check of :func:`_require_cocycle`, the relation
+    Given the 2-cocycle identity (certified below), the relation
     lambda(ab) = conj(c(a, b)) lambda(a) lambda(b) along the powers of g and
     the wrap g^m = e give nu(g^k) = c(e, e) exp(i (sum_{j<k} theta_j
     - k Theta / m)), theta_j = -arg c(g^j, g) and Theta = sum_j theta_j, and
@@ -405,22 +409,33 @@ def _cyclic_classes(K: FiniteGroup, c, g: int, tol: Tolerance) -> list[Projectiv
     certified on all |K|^2 pairs at ``identity_bound(1)``; the lambda_j
     = lambda_0 chi_j then have distinct characters, and m classes of
     dimension 1 give sum d^2 = |K|, so the list is complete.  No random
-    number is drawn."""
+    number is drawn.
+
+    The O(|K|^3) identity check runs only where lambda_0 misses the
+    tighter :meth:`~crossrep.linalg.Tolerance.certificate_bound`, which
+    implies it and lambda_0's own check.  There the identity check runs
+    first and lambda_0's check second, and the closed form is computed
+    without floating-point warnings, so what is accepted, and every
+    refusal, is decided by those two checks alone."""
     m, T = K.order, K.table
-    _require_cocycle(K, c, tol)
     powers = [K.identity]
     for _ in range(m - 1):
         powers.append(int(T[powers[-1], g]))
-    theta = -np.angle(c[powers, g])
     k = np.arange(m)
-    sums = np.concatenate([[0.0], np.cumsum(theta[:-1])])  # sum_{j<k} theta_j
-    nu = c[K.identity, K.identity] * np.exp(1j * (sums - k * theta.sum() / m))
-    # chi[j, g^k] = lambda_j(g^k), omega^(jk) read from the m exact roots
-    chi = np.empty((m, m), dtype=complex)
-    chi[:, powers] = nu * np.exp(2j * np.pi * k / m)[np.outer(k, k) % m]
-    lam0, cocycle = chi[0], c.conj()
-    _require(np.abs(lam0[T] - cocycle * np.outer(lam0, lam0)), tol.identity_bound(1.0),
-             "closed-form class fails the projective relation at pair ({},{})")
+    # a c that fails the identity check may hold inf or nan; it is refused below
+    with np.errstate(all="ignore"):
+        theta = -np.angle(c[powers, g])
+        sums = np.concatenate([[0.0], np.cumsum(theta[:-1])])  # sum_{j<k} theta_j
+        nu = c[K.identity, K.identity] * np.exp(1j * (sums - k * theta.sum() / m))
+        # chi[j, g^k] = lambda_j(g^k), omega^(jk) read from the m exact roots
+        chi = np.empty((m, m), dtype=complex)
+        chi[:, powers] = nu * np.exp(2j * np.pi * k / m)[np.outer(k, k) % m]
+        lam0, cocycle = chi[0], c.conj()
+        residuals = np.abs(lam0[T] - cocycle * np.outer(lam0, lam0))
+    if not np.all(residuals <= tol.certificate_bound(abs(nu[0]))):
+        _require_cocycle(K, c, tol)
+        _require(residuals, tol.identity_bound(1.0), "closed-form class fails the projective relation at pair ({},{})")
+    del residuals  # |K|^2 floats, not held while the classes are built
     keys = _character_keys([1] * m, chi, tol)
     mats = chi[sorted(range(m), key=keys.__getitem__), :, None, None]
     return [ProjectiveRep(K, lam, cocycle) for lam in mats]
@@ -659,10 +674,10 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
     A covariant Pi over a :class:`GroupAction` is read off its matrix-unit
     frames (:func:`_orbit_frames`): per orbit of blocks, the r-dimensional
     Lambda with C* Pi(U_h) C = Lambda_h (x) V_h on the frame C is read
-    against the classes the action keeps for the orbit's stabilizer
-    (:func:`_copies`), and each copy of a class lambda is a copy of
-    Ind_H^G(lambda (x) V), built from the class's own matrices and kept
-    with the class on the action (:func:`_class_records`, read-only), so
+    against the classes of the stabilizer record the action keeps for the
+    orbit (:class:`_Stabilizer`, :func:`_copies`), and each copy of a class
+    lambda is a copy of Ind_H^G(lambda (x) V), built from the class's own
+    matrices and kept in the record (:func:`_class_records`, read-only), so
     the components are those of ``crossed_irreps``, array for array; the basis
     change must carry Pi onto the components, ordered by (dimension, orbit,
     character of lambda).  Any other input is split along the eigenspaces
@@ -680,9 +695,9 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
         return _decompose(r, tol)
     end_dim = hom_dim(r, r, tol)
     classes, covered = [], 0
-    for k, pi1, witnesses, classes_k, C in _orbit_frames(r, tol):
-        orbit = _mackey_orbit(r.action, pi1, witnesses, classes_k, k, (r, C), tol)
-        covered += C.shape[1] * len(orbit.coset_reps)
+    for _, stab, C in _orbit_frames(r, tol):
+        orbit = _mackey_orbit(r.action, stab, (r, C), tol)
+        covered += C.shape[1] * len(stab.restriction.coset_reps)
         classes += [(cls.induced, cls.isometries) for cls in orbit.classes]
     # sum r n_k [G:H] + dim(1 - Pi(1)) = dim Pi, sum m^2 = dim End Pi, and Pi carried
     if covered != r.dim:
@@ -773,9 +788,8 @@ class CovariantRep:
         _require(_relation_residuals(U, G.table, rows=S), bound, "unitaries fail homomorphism at ({},{})", names=S)
         _require(np.linalg.norm(U[S].conj().transpose(0, 2, 1) @ U[S] - np.eye(self.dim), axis=(1, 2)), bound,
                  "the unitary of element {} fails U*U = 1", names=S)
-        for s in S:
-            _require(_covariance_residuals(U[s], self.base, self.action, s), bound,
-                     f"covariance fails at element {s} on generator {{!r}}", names=self.base.labels)
+        for s, row in zip(S, _covariance_residuals(U[S], self.base, self.action, S)):
+            _require(row, bound, f"covariance fails at element {s} on generator {{!r}}", names=self.base.labels)
 
     def end_dim(self, tol: Tolerance = DEFAULT_TOL) -> int:
         """dim End(self), for a representation already known to be valid:
@@ -1053,62 +1067,62 @@ def _block_frame(pi: Rep, algebra: MatAlg, k: int, r: int) -> np.ndarray:
     return columns.transpose(1, 2, 0).reshape(pi.dim, r * n)
 
 
-_Witnesses = namedtuple("_Witnesses", ["members", "V", "cocycle"])
+class _Stabilizer:
+    """What the structure theorem attaches to the stabilizer H of one orbit:
+    ``pi1``, the witnesses V_h with V_h pi1 V_h* = pi1 o alpha_h stacked
+    over the sorted members of H (``V``), their cocycle c_V
+    (:func:`_cocycle`), H's ``restriction`` (subgroup, regrounded action,
+    members, cosets and coset table), its ``classes`` of cocycle conj(c_V)
+    from :func:`_classes`, built on first read, and the ``records``
+    class index -> (lambda, psi, Ind_H^G psi) that :func:`_class_records`
+    fills.  At an orbit ``key``, block k or (k, members) for a
+    sub-stabilizer, the action keeps the record (:func:`_stabilizer`), and
+    V, c_V and the classes are read-only; at key None (pi1 or V depend on
+    the input) it is built on every call."""
+
+    def __init__(self, action, key, pi1: Rep, witnesses: dict, tol: Tolerance):
+        members = tuple(sorted(witnesses))
+        self.key, self.pi1, self.tol = key, pi1, tol
+        self.restriction = action.restriction(members)
+        self.V = np.array([witnesses[h] for h in members])
+        self.cocycle = _cocycle(self.restriction.action.group, self.V, tol)
+        self.records = {}
+        if key is not None:
+            self.V.setflags(write=False)
+            self.cocycle.setflags(write=False)
+
+    @cached_property
+    def classes(self) -> list[ProjectiveRep]:
+        classes = _classes(self.restriction.action.group, self.cocycle, self.tol)
+        if self.key is not None:
+            for lam in classes:
+                lam.mats.setflags(write=False)
+                lam.cocycle.setflags(write=False)
+        return classes
 
 
-def _witness_stack(action, witnesses: dict, tol: Tolerance) -> _Witnesses:
-    """A stabilizer H's witnesses {h: V_h} stacked over the sorted members of
-    H, with their cocycle c_V (:func:`_cocycle`)."""
-    members = tuple(sorted(witnesses))
-    V = np.array([witnesses[h] for h in members])
-    return _Witnesses(members, V, _cocycle(action.restriction(members).action.group, V, tol))
+def _stabilizer(action, key, pi1: Rep, witnesses: dict, tol: Tolerance) -> _Stabilizer:
+    """The :class:`_Stabilizer` of ``witnesses`` {h: V_h}, kept on the
+    action per (key, tol) when ``key`` names action-only data, built on
+    every call at key None."""
+    if key is None:
+        return _Stabilizer(action, key, pi1, witnesses, tol)
+    return action._once(("stabilizer", key, tol), lambda: _Stabilizer(action, key, pi1, witnesses, tol))
 
 
-def _block_stabilizer(action: GroupAction, k: int, tol: Tolerance) -> tuple[Rep, _Witnesses]:
-    """The compression pi_k to block k and the :func:`_witness_stack` of its
+def _block_stabilizer(action: GroupAction, k: int, tol: Tolerance) -> _Stabilizer:
+    """The :class:`_Stabilizer` of block k: the compression pi_k and the
     stabilizer {h : alpha_h fixes block k}, witnessed by the action's own
-    unitaries U^h_k, phase-normalized.  They depend on the action alone, so
-    they are computed once per (k, tol) and their arrays are read-only."""
+    unitaries U^h_k, phase-normalized.  Kept on the action per (k, tol)."""
 
     def build():
         units = rep_from_images(action.algebra, lambda e: e.blocks[k]).stack
         units.setflags(write=False)
         pi_k = Rep(units.shape[1], units, action.algebra.basis_labels())
-        stab = _witness_stack(
-            action,
-            {g: phase_normalize(aut.unitaries[k], tol) for g, aut in enumerate(action.auts) if aut.perm[k] == k},
-            tol,
-        )
-        for a in stab[1:]:
-            a.setflags(write=False)
-        return pi_k, stab
+        witnesses = {g: phase_normalize(aut.unitaries[k], tol) for g, aut in enumerate(action.auts) if aut.perm[k] == k}
+        return _Stabilizer(action, k, pi_k, witnesses, tol)
 
-    return action._once(("block_stabilizer", k, tol), build)
-
-
-def _witness_classes(action, witnesses: _Witnesses, tol: Tolerance) -> list[ProjectiveRep]:
-    """The :func:`_classes` of a stabilizer H with its :func:`_witness_stack`:
-    one irreducible per class of projective representations of H with
-    cocycle conj(c_V), the lambda of the structure theorem."""
-    return _classes(action.restriction(witnesses.members).action.group, witnesses.cocycle, tol)
-
-
-def _stabilizer_classes(action: GroupAction, k: int, tol: Tolerance) -> list[ProjectiveRep]:
-    """The :func:`_witness_classes` of block k's stabilizer
-    (:func:`_block_stabilizer`), which the read-off of every Lambda over
-    the orbit of k is read against.  They depend on the action alone, so
-    they are computed once per (k, tol), on first use, so that
-    :func:`translate_stabilizer` does not pay for them; their arrays are
-    read-only."""
-
-    def build():
-        classes = _witness_classes(action, _block_stabilizer(action, k, tol)[1], tol)
-        for lam in classes:
-            lam.mats.setflags(write=False)
-            lam.cocycle.setflags(write=False)
-        return classes
-
-    return action._once(("stabilizer_classes", k, tol), build)
+    return action._once(("stabilizer", k, tol), build)
 
 
 def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[int, np.ndarray]:
@@ -1133,8 +1147,8 @@ def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[
     if sum(ranks) != 1 or pi.dim != action.algebra.block_dims[k]:
         raise InvariantViolation("reducible input: its matrix-unit frame is not one square copy")
     C = _block_frame(pi, action.algebra, k, 1)
-    stab = _block_stabilizer(action, k, tol)[1]
-    return {g: phase_normalize(C @ V @ C.conj().T, tol) for g, V in zip(stab.members, stab.V)}
+    stab = _block_stabilizer(action, k, tol)
+    return {g: phase_normalize(C @ V @ C.conj().T, tol) for g, V in zip(stab.restriction.members, stab.V)}
 
 
 def _tensor_stack(lams, V, pi1: Rep) -> tuple[Rep, np.ndarray]:
@@ -1250,9 +1264,7 @@ def _check_carried(Pi: CovariantRep, C, parts: list[CovariantRep], what: str, to
                  f"{what}: {{}} is not carried", BlockStructureViolation, names)
 
 
-_Orbit = namedtuple(
-    "_Orbit", ["subgroup", "action", "members", "V", "cocycle", "coset_reps", "coset_table", "pi", "lam", "classes"]
-)
+_Orbit = namedtuple("_Orbit", ["stab", "lam", "classes"])
 _Class = namedtuple("_Class", ["lam", "psi", "induced", "isometries"])
 
 
@@ -1304,27 +1316,25 @@ def _copies(lam: ProjectiveRep, classes, tol: Tolerance) -> tuple[list[tuple], n
     return present, np.concatenate(copies, axis=1)
 
 
-def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, classes, key, frame, tol: Tolerance) -> _Orbit:
+def _mackey_orbit(action, stab: _Stabilizer, frame, tol: Tolerance) -> _Orbit:
     """Mackey's read-off over one orbit (the little-group method with multipliers).
 
-    ``witnesses`` (:func:`_witness_stack`) holds for each h of the stabilizer
-    H of ``pi1`` a V_h with V_h pi1 V_h* = pi1 o alpha_h, and their cocycle
-    c_V; H, its action and its cosets are read from ``action.restriction``,
-    and ``classes`` are H's classes of cocycle conj(c_V) in
-    :func:`_character_keys` order (:func:`_stabilizer_classes` or
-    :func:`_witness_classes`).  With ``frame`` (Pi, C), C* Pi(x) C = 1_r (x)
-    pi1(x), Lambda is the :func:`factor_tensor` of C* Pi(U_h) C against
-    V_h, of cocycle conj(c_V), read against the classes by :func:`_copies`.
-    Each class lambda in Lambda gives one Ind_H^G(lambda (x) V), built from
-    the class's own matrices (:func:`_class_records`: kept on the action
-    per orbit ``key`` and class, or at key None built on every call), and
-    each copy Q of it the isometry [U_c* C (Q (x) 1)] over the coset
-    representatives c, carrying Pi onto its Ind.  Everything read from the
-    frame is read on every call.  No random number is drawn.
+    ``stab`` (:class:`_Stabilizer`) holds pi1, the stabilizer H of pi1 with
+    its restriction, a V_h with V_h pi1 V_h* = pi1 o alpha_h for each h in
+    H, their cocycle c_V and H's classes of cocycle conj(c_V).  With
+    ``frame`` (Pi, C), C* Pi(x) C = 1_r (x) pi1(x), Lambda is the
+    :func:`factor_tensor` of C* Pi(U_h) C against V_h, of cocycle
+    conj(c_V), read against the classes by :func:`_copies`.  Each class
+    lambda in Lambda gives one Ind_H^G(lambda (x) V), built from the
+    class's own matrices and kept in ``stab.records``
+    (:func:`_class_records`), and each copy Q of it the isometry
+    [U_c* C (Q (x) 1)] over the coset representatives c, carrying Pi onto
+    its Ind.  Everything read from the frame is read on every call.  No
+    random number is drawn.
     """
-    restriction = action.restriction(witnesses.members)
-    H, sub_action, members, coset_reps, coset_table = restriction
-    K, V, c_V = sub_action.group, witnesses.V, witnesses.cocycle
+    classes = stab.classes
+    members, coset_reps = stab.restriction.members, stab.restriction.coset_reps
+    K, V, c_V, pi1 = stab.restriction.action.group, stab.V, stab.cocycle, stab.pi1
     Pi, C = frame
     compressed = C.conj().T @ Pi.unitaries[list(members)] @ C
     lam_mats = factor_tensor(compressed, V, C.shape[1] // pi1.dim, tol)
@@ -1344,31 +1354,28 @@ def _mackey_orbit(action, pi1: Rep, witnesses: _Witnesses, classes, key, frame, 
     # present is in the order of classes, so one pass finds their indices
     remaining = iter(enumerate(classes))
     indices = [next(i for i, cls in remaining if cls is lam_i) for lam_i, _ in present]
-    records = _class_records(action, key, restriction, pi1, V, classes, indices, tol)
-    classes = [_Class(*record, isometries) for record, isometries in zip(records, parts)]
-    return _Orbit(H, sub_action, members, V, c_V, coset_reps, coset_table, pi1, lam, classes)
+    records = _class_records(action, stab, indices)
+    return _Orbit(stab, lam, [_Class(*record, isometries) for record, isometries in zip(records, parts)])
 
 
-def _class_records(action, key, restriction, pi1: Rep, V, classes, indices, tol: Tolerance) -> list[tuple]:
-    """(lambda, psi, Ind_H^G psi) for the classes lambda = ``classes[i]``,
-    i in ``indices``, with psi = lambda (x) V over H's ``restriction``: what
-    the structure theorem attaches to a class, which depends on the
-    orbit's pi1 and V and the class alone.  At an orbit ``key``, block k
-    or (k, members) for a sub-stabilizer, whose pi1, V and classes the
-    action keeps, the triples are kept on the action per (key, class
-    index, tol): the classes not yet kept are built by one
-    :func:`_induced`, and their arrays are read-only.  At key None (pi1 or
-    V depend on the input) every class is built, on every call."""
-    kept = {} if key is None else action._once(("class_records", key, tol), dict)
+def _class_records(action, stab: _Stabilizer, indices) -> list[tuple]:
+    """(lambda, psi, Ind_H^G psi) for the classes lambda = ``stab.classes[i]``,
+    i in ``indices``, with psi = lambda (x) V: what the structure theorem
+    attaches to a class, which depends on the stabilizer record and the
+    class alone.  They are kept in ``stab.records`` per class index, so on
+    a record the action keeps, per (orbit key, class index, tol): the
+    classes not yet kept are built by one :func:`_induced`, and their
+    arrays are read-only."""
+    kept = stab.records
     missing = [i for i in indices if i not in kept]
     if missing:
-        built = _induced(action, restriction, pi1, V, [classes[i] for i in missing])
-        pairs = [(CovariantRep(base, restriction.action, psi), cov)
+        built = _induced(action, stab.restriction, stab.pi1, stab.V, [stab.classes[i] for i in missing])
+        pairs = [(CovariantRep(base, stab.restriction.action, psi), cov)
                  for base, psis, stack in built for psi, cov in zip(psis, stack)]
         for i, (psi, cov) in zip(missing, pairs):
             for a in (psi.base.stack, psi.unitaries, cov.unitaries):
                 a.setflags(write=False)
-            kept[i] = (classes[i], psi, cov)
+            kept[i] = (stab.classes[i], psi, cov)
     return [kept[i] for i in indices]
 
 
@@ -1381,23 +1388,26 @@ def _orbit_irreps(action: GroupAction, k: int, tol: Tolerance) -> list[Covariant
     """Every irreducible over the orbit of block k, built and certified:
     Mackey's construction with multipliers read forward.
 
-    With H = {g : alpha_g fixes k} and V_h = U^h_k of cocycle c_V
-    (:func:`_block_stabilizer`), one Ind_H^G(lambda (x) V) on 1 (x) pi_k per
+    With H = {g : alpha_g fixes k} and V_h = U^h_k of cocycle c_V (block
+    k's :class:`_Stabilizer`), one Ind_H^G(lambda (x) V) on 1 (x) pi_k per
     class of irreducible lambda of H with cocycle conj(c_V), from
     :func:`_classes` (in closed form for a cyclic H, split otherwise; the
-    same arrays as the read-off's :func:`_stabilizer_classes`, since neither
-    draws), built by :func:`_induced`, one stack per dimension.  Each member is certified by dim End = 1, the character sum
-    of :meth:`CovariantRep.end_dim` read by :func:`_end_dims` for the
-    members that share a base in one product, :class:`InvariantViolation`
-    naming the dimension of the first that fails.  c_V passes one cocycle
-    residual check, so the results are covariant and not re-validated.  In
+    same arrays as the record's ``classes``, since neither draws), built by
+    :func:`_induced`, one stack per dimension.  The classes are built on
+    every call, not read from the record: reading them doubles
+    ``enumerate_irreps`` throughput, but reads as +4-6% ``peak_rss_mb``
+    while the benchmark worker keeps one latency per item (ROADMAP 1a).
+    Each member is certified by dim End = 1, the character sum of
+    :meth:`CovariantRep.end_dim` read by :func:`_end_dims` for the members
+    that share a base in one product, :class:`InvariantViolation` naming
+    the dimension of the first that fails.  c_V passes one cocycle residual
+    check, so the results are covariant and not re-validated.  In
     :func:`_character_keys` order, dimension first.
     """
-    pi_k, stab = _block_stabilizer(action, k, tol)
-    restriction = action.restriction(stab.members)
+    stab = _block_stabilizer(action, k, tol)
     weights = np.append(_unit_pattern(action.algebra.block_dims)[0], 1.0)
-    lams = _classes(restriction.action.group, stab.cocycle, tol)
-    irreps = [cov for _, _, stack in _induced(action, restriction, pi_k, stab.V, lams) for cov in stack]
+    lams = _classes(stab.restriction.action.group, stab.cocycle, tol)
+    irreps = [cov for _, _, stack in _induced(action, stab.restriction, stab.pi1, stab.V, lams) for cov in stack]
     for _, shared in groupby(irreps, lambda cov: id(cov.base)):
         shared = list(shared)
         chi = _characters(shared[0].base, np.array([cov.unitaries for cov in shared]), action.algebra)
@@ -1408,27 +1418,23 @@ def _orbit_irreps(action: GroupAction, k: int, tol: Tolerance) -> list[Covariant
 
 
 def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
-    """(k, pi1, witnesses, classes, C), the last four those of
-    :func:`_mackey_orbit`, for Pi over a :class:`GroupAction`: pi_k, its
-    :func:`_stabilizer_classes` and its :func:`_block_frame` per orbit
-    whose smallest block k has r_k > 0, then k = None, pi1 = 0, V_g = 1 and
-    the classes of G at the range of 1 - Pi(1), which U commutes with."""
+    """(k, stab, C) for Pi over a :class:`GroupAction`, the last two those
+    of :func:`_mackey_orbit`: block k's :class:`_Stabilizer` and Pi's
+    :func:`_block_frame` at k, per orbit whose smallest block k has r_k > 0,
+    then k = None, pi1 = 0, V_g = 1 over G and the range of 1 - Pi(1),
+    which U commutes with."""
     action, A = Pi.action, Pi.action.algebra
     labels = A.basis_labels()
     ranks = _frame_ranks(Pi.base, A, tol)
-    frames = [
-        (k, *_block_stabilizer(action, k, tol), _stabilizer_classes(action, k, tol),
-         _block_frame(Pi.base, A, k, ranks[k]))
-        for k in _orbit_blocks(action)
-        if ranks[k]
-    ]
+    frames = [(k, _block_stabilizer(action, k, tol), _block_frame(Pi.base, A, k, ranks[k]))
+              for k in _orbit_blocks(action) if ranks[k]]
     rest = np.eye(Pi.dim) - _unit_images(Pi.base, labels)[_unit_pattern(A.block_dims)[2]].sum(axis=0)
     [a] = _ranks(rest[None], tol)
     if a:
         B = np.linalg.eigh((rest + rest.conj().T) / 2)[1][:, -a:]
         zero = Rep(1, np.zeros((len(labels), 1, 1)), labels)
-        stab = _witness_stack(action, {g: np.eye(1) for g in range(Pi.group.order)}, tol)
-        frames.append((None, zero, stab, _witness_classes(action, stab, tol), B))
+        witnesses = {g: np.eye(1) for g in range(Pi.group.order)}
+        frames.append((None, _stabilizer(action, None, zero, witnesses, tol), B))
     return frames
 
 

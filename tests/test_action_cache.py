@@ -17,19 +17,27 @@ import pytest
 import crossrep.analyzer
 import crossrep.groups
 from crossrep.algebra import GroupAction, MatAlg, StarAut
-from crossrep.analyzer import analyze, classify_s3, cyclic_analyze
+from crossrep.analyzer import analyze, classify_s3, cyclic_analyze, homogeneous_irreducibility
 from crossrep.crossed import fixed_point_algebra
 from crossrep.errors import BlockStructureViolation, CrossrepError, NotIrreducible
-from crossrep.examples import s3_label_action, weyl_pair_homogeneous
+from crossrep.examples import (
+    doubled_minimal_covariant,
+    minimal_covariant,
+    s3_label_action,
+    weyl_pair_homogeneous,
+)
 from crossrep.groups import is_standard_cyclic, make_symmetric_group_3
 from crossrep.linalg import Tolerance, block_diag
 from crossrep.reps import (
     CovariantRep,
+    Rep,
     _block_stabilizer,
     _orbit_blocks,
-    _stabilizer_classes,
+    _stabilizer,
     decompose,
     direct_sum_reps,
+    rep_from_images,
+    translate_stabilizer,
 )
 from crossrep.sampling import crossed_irreps, random_cyclic_action, random_s3_action
 
@@ -113,7 +121,8 @@ def test_cached_arrays_are_read_only():
     report = cyclic.base
     basis, fixed = fixed_point_algebra(act)
     found = act.restriction(report.subgroup.members)
-    pi_k, stab = _block_stabilizer(act, 0, Tolerance())
+    stab = _block_stabilizer(act, 0, Tolerance())
+    pi_k = stab.pi1
     [(_, _, induced, _)] = crossrep.analyzer._orbit(cov, Tolerance()).classes
     cached = [report.v_rep.mats, report.v_rep.cocycle, found.coset_table, found.action.group.table,
               act.group.table, act.group.inverse, fixed.stack, fixed.gens["fix0"], basis[0].blocks[0],
@@ -184,10 +193,10 @@ def test_restriction_is_shared_and_keyed_by_members():
 
 
 @pytest.mark.parametrize("name", sorted(ACTIONS))
-def test_crossed_irreps_looks_up_each_orbit_restriction_once(name, monkeypatch):
-    # the induction reads the coset table from the restriction its caller
-    # holds, so a warm crossed_irreps makes one lookup per orbit, not one
-    # per (orbit, dimension)
+def test_a_warm_crossed_irreps_looks_up_no_restriction(name, monkeypatch):
+    # the induction reads the coset table from the restriction that each
+    # orbit's stabilizer record holds, so a warm crossed_irreps makes no
+    # lookup at all, not one per orbit or per (orbit, dimension)
     act = ACTIONS[name]()
     crossed_irreps(act, seed=0)
     lookups, restriction = [], type(act).restriction
@@ -198,7 +207,7 @@ def test_crossed_irreps_looks_up_each_orbit_restriction_once(name, monkeypatch):
 
     monkeypatch.setattr(type(act), "restriction", counted)
     crossed_irreps(act, seed=0)
-    assert len(lookups) == len(_orbit_blocks(act))
+    assert lookups == []
 
 
 @pytest.mark.parametrize("kind, seed", [("permutation", 1), ("permutation", 2), ("inner", 6), ("conjugated", 7)])
@@ -207,34 +216,39 @@ def test_classify_s3_builds_the_classes_of_a_3_cycle_sub_stabilizer_once(monkeyp
     # witnesses are the action's own unitaries of the block: their classes are
     # built once per (block, members, tol), so a second pass builds none
     act = random_s3_action(np.random.default_rng(seed), kind)
-    irreps, calls = crossed_irreps(act, seed=0), []
-    witness_classes = crossrep.analyzer._witness_classes
+    irreps, calls, keys = crossed_irreps(act, seed=0), [], []
+    _counted(monkeypatch, crossrep.reps, "_classes", calls)
+    record = crossrep.reps._Stabilizer.__init__
 
-    def counted(*args):
-        calls.append(args)
-        return witness_classes(*args)
+    def counted(self, action, key, *args):
+        keys.append(key)
+        record(self, action, key, *args)
 
-    monkeypatch.setattr(crossrep.analyzer, "_witness_classes", counted)
+    monkeypatch.setattr(crossrep.reps._Stabilizer, "__init__", counted)
     first = [classify_s3(cov, seed=0) for cov in irreps]
-    built = len(calls)
+    built, records = len(calls), len(keys)
     second = [classify_s3(cov, seed=0) for cov in irreps]
-    assert {v.case for v in first} & {"EtaTriple", "TauPair"} and 0 < built < len(irreps)
-    assert len(calls) == built
+    sub = [key for key in keys if isinstance(key, tuple)]
+    assert {v.case for v in first} & {"EtaTriple", "TauPair"} and 0 < len(sub) < len(irreps)
+    # a second pass builds no record and no class
+    assert (len(keys), len(calls)) == (records, built)
     for a, b in zip(first, second):
         assert all(np.array_equal(x, y) for x, y in zip(_arrays(a), _arrays(b)))
 
 
 def test_a_sub_stabilizer_is_kept_per_block_and_rebuilt_without_one():
-    # k = None stands for witnesses that depend on the input (a LabelAction)
+    # key None stands for witnesses that depend on the input (a LabelAction)
     act = ACTIONS["S3 permutation"]()
-    _, stab = _block_stabilizer(act, 0, Tolerance())
-    witnesses = dict(zip(stab.members, stab.V))
-    kept = crossrep.analyzer._sub_stabilizer(act, 0, witnesses, Tolerance())
-    assert crossrep.analyzer._sub_stabilizer(act, 0, witnesses, Tolerance()) is kept
-    assert not kept[0].V.flags.writeable and not kept[1][0].mats.flags.writeable
-    fresh = crossrep.analyzer._sub_stabilizer(act, None, witnesses, Tolerance())
-    assert fresh is not crossrep.analyzer._sub_stabilizer(act, None, witnesses, Tolerance())
-    assert np.array_equal(fresh[1][0].mats, kept[1][0].mats)
+    stab = _block_stabilizer(act, 0, Tolerance())
+    witnesses = dict(zip(stab.restriction.members, stab.V))
+    key = (0, tuple(sorted(witnesses)))
+    kept = _stabilizer(act, key, stab.pi1, witnesses, Tolerance())
+    assert _stabilizer(act, key, stab.pi1, witnesses, Tolerance()) is kept
+    assert not kept.V.flags.writeable and not kept.classes[0].mats.flags.writeable
+    fresh = _stabilizer(act, None, stab.pi1, witnesses, Tolerance())
+    assert fresh is not _stabilizer(act, None, stab.pi1, witnesses, Tolerance())
+    assert fresh.V.flags.writeable and fresh.classes[0].mats.flags.writeable
+    assert np.array_equal(fresh.classes[0].mats, kept.classes[0].mats)
 
 
 def _counted(monkeypatch, module, name, calls):
@@ -291,7 +305,7 @@ def test_a_cold_decompose_builds_only_the_classes_present(monkeypatch):
     _counted(monkeypatch, crossrep.reps, "_induced", calls)
     first = decompose(Pi, seed=0)
     present = sum(len(args[-1]) for _, args in calls)
-    available = sum(len(_stabilizer_classes(act, k, Tolerance())) for k in _orbit_blocks(act))
+    available = sum(len(_block_stabilizer(act, k, Tolerance()).classes) for k in _orbit_blocks(act))
     assert present == len(first.components) == 2 < available
     second = decompose(Pi, seed=0)
     assert sum(len(args[-1]) for _, args in calls) == present
@@ -341,3 +355,107 @@ def test_checks_of_the_input_fire_on_a_warm_action_as_on_a_fresh_one(name, monke
     missed = [_outcome(_analyze, cov) for cov in irreps]
     assert missed == [_outcome(_analyze, _on(cov, ACTIONS[name]())) for cov in irreps]
     assert any(out is not None and out[0] is BlockStructureViolation and "is not carried" in out[1] for out in missed)
+
+
+def _record_reads(monkeypatch):
+    """Collect (owner, record) for every stabilizer record that a read-off or
+    :func:`translate_stabilizer` reads, the owner being the action it is read for."""
+    reads = []
+    mackey_orbit, block_stabilizer = crossrep.reps._mackey_orbit, crossrep.reps._block_stabilizer
+
+    def read_off(action, stab, frame, tol):
+        reads.append((action, stab))
+        return mackey_orbit(action, stab, frame, tol)
+
+    def block(action, k, tol):
+        stab = block_stabilizer(action, k, tol)
+        reads.append((action, stab))
+        return stab
+
+    for module in (crossrep.reps, crossrep.analyzer):
+        monkeypatch.setattr(module, "_mackey_orbit", read_off)
+    monkeypatch.setattr(crossrep.reps, "_block_stabilizer", block)
+    return reads
+
+
+def _kept(action):
+    """The stabilizer records an action keeps, by their cache key."""
+    return {key: value for key, value in action.__dict__.get("_memo", {}).items() if key[0] == "stabilizer"}
+
+
+# with EtaTriple and TauPair irreducibles, whose read-offs meet sub-stabilizers
+SUB_STABILIZERS = {
+    "S3 permutation#1": lambda: random_s3_action(np.random.default_rng(1), "permutation"),
+    "S3 inner#6": lambda: random_s3_action(np.random.default_rng(6), "inner"),
+}
+
+
+@pytest.mark.parametrize("name", sorted({**ACTIONS, **SUB_STABILIZERS}))
+def test_every_reader_reads_the_one_record_kept_per_key(name, monkeypatch):
+    # translate_stabilizer, decompose, analyze, cyclic_analyze and classify_s3,
+    # sub-stabilizers included, all read the record the action keeps under
+    # ("stabilizer", key, tol), whichever reads it first
+    act = {**ACTIONS, **SUB_STABILIZERS}[name]()
+    irreps = crossed_irreps(act, seed=0)
+    reads = _record_reads(monkeypatch)
+    for cov in irreps:
+        _analyze(cov, seed=0)
+        analyze(cov, seed=0)
+        decompose(cov, seed=0)
+    for k in _orbit_blocks(act):
+        translate_stabilizer(rep_from_images(act.algebra, lambda e: e.blocks[k]), act)
+    assert reads
+    for owner, stab in reads:
+        assert stab.key is not None and _kept(owner)[("stabilizer", stab.key, stab.tol)] is stab
+    if name in SUB_STABILIZERS:
+        assert any(isinstance(stab.key, tuple) for _, stab in reads)
+
+
+def test_translate_stabilizer_builds_no_classes(monkeypatch):
+    calls = []
+    _counted(monkeypatch, crossrep.reps, "_classes", calls)
+    for name in sorted(ACTIONS):
+        act = ACTIONS[name]()
+        for k in _orbit_blocks(act):
+            assert translate_stabilizer(rep_from_images(act.algebra, lambda e: e.blocks[k]), act)
+        assert _kept(act)
+    assert calls == []
+
+
+def _non_unital():
+    """Z2 swapping two one-dimensional blocks, on C^2 plus a C^2 that the
+    algebra annihilates and the swap permutes."""
+    A = MatAlg([1, 1])
+    act = GroupAction(crossrep.groups.make_cyclic_group(2), A,
+                      [StarAut.identity(A), StarAut(A, (1, 0), [np.eye(1)] * 2)])
+    pi = rep_from_images(A, lambda e: e.to_matrix())
+    zero = Rep(2, np.zeros_like(pi.stack), pi.labels)
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    return CovariantRep(direct_sum_reps([pi, zero]), act, [np.eye(4), block_diag(swap, swap)])
+
+
+def test_a_record_at_key_none_is_never_kept(monkeypatch):
+    # a LabelAction (at multiplicity one and two), the annihilated part of a
+    # decomposition and homogeneous_irreducibility read records whose pi1 or V
+    # depend on the input: each is built for its read and kept nowhere
+    reads = _record_reads(monkeypatch)
+    inputs = [minimal_covariant(), doubled_minimal_covariant(), _non_unital(), weyl_pair_homogeneous(2)]
+    assert {classify_s3(cov, seed=0).case for cov in inputs[:2]} == {"Minimal", "TauPair"}
+    decompose(inputs[2], seed=0)
+    assert homogeneous_irreducibility(inputs[3])
+    fresh = [stab for _, stab in reads if stab.key is None]
+    assert len(fresh) >= 5 and len({id(stab) for stab in fresh}) == len(fresh)
+    for cov in inputs:
+        assert all(stab.key is not None for stab in _kept(cov.action).values())
+
+
+def test_one_coset_block_unitaries_are_read_only_views():
+    # at H = G the one block of U_g is U_g itself: the report hands out views
+    # of the kept induction rather than a second copy of its unitaries
+    Pi = weyl_pair_homogeneous(2)
+    report = analyze(Pi, seed=0)
+    [(_, _, induced, _)] = crossrep.analyzer._orbit(Pi, Tolerance()).classes
+    assert report.index == 1
+    for U, [block] in zip(induced.unitaries, report.block_unitaries):
+        assert np.shares_memory(block, induced.unitaries) and np.array_equal(block, U)
+        assert not block.flags.writeable

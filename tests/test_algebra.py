@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -162,3 +166,25 @@ def test_restrict_label_action():
     sub, members = restrict_action(act, H)
     assert sub.group.order == 3
     assert sub.map_label(1, "U1") == act.map_label(1, "U1")
+
+
+def _ladder_actions():
+    """The benchmark's enumerate ladder at seed 1 with its extra actions,
+    built by its numpy-only input module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_coefficient_ladder_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [inputs.to_action(a) for a in inputs.enumerate_actions(1, extra=True)]
+
+
+def test_coefficient_matrix_is_apply_on_every_matrix_unit(rng):
+    # the stacked product per block against the reference loop of apply over
+    # the units: equal entry for entry (a zero may differ in sign)
+    A = MatAlg([2, 3, 2, 1])
+    swap = StarAut(A, (2, 1, 0, 3), [random_unitary(d, rng) for d in A.block_dims])
+    actions = [*_ladder_actions(), torus_orbit_action(), cute_example()[0]]
+    auts = [swap, StarAut.identity(A), *(aut for act in actions for aut in act.auts)]
+    for aut in auts:
+        reference = np.array([aut.apply(e).coeffs() for e in aut.parent.basis_elements()])
+        assert np.array_equal(aut.coefficient_matrix, reference)

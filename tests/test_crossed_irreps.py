@@ -7,6 +7,7 @@ reference is the host-size route, the decomposition of the defining
 representation of the crossed-product matrix model, kept only here.
 """
 
+import copy
 import importlib.util
 import json
 import sys
@@ -189,10 +190,10 @@ def _one_at_a_time(act, tol):
     """The irreducibles built one class at a time: one psi and one induce each."""
     irreps = []
     for k in _orbit_blocks(act):
-        pi_k, stab = _block_stabilizer(act, k, tol)
-        H, sub_action, _, coset_reps, _ = act.restriction(stab.members)
+        stab = _block_stabilizer(act, k, tol)
+        H, sub_action, _, coset_reps, _ = stab.restriction
         for lam in _classes(sub_action.group, stab.cocycle, tol):
-            base, unitaries = _tensor_stack(lam.mats[None], stab.V, pi_k)
+            base, unitaries = _tensor_stack(lam.mats[None], stab.V, stab.pi1)
             irreps.append(induce(CovariantRep(base, sub_action, unitaries[0]), act, H, coset_reps))
     return sorted(irreps, key=lambda cov: cov.dim)
 
@@ -276,8 +277,8 @@ def test_crossed_irreps_refine_a_reducible_leaf_at_a_coarse_eig_sep(name, monkey
 
     monkeypatch.setattr(crossrep.reps, "_split_leaf", counted)
     for k in _orbit_blocks(act):
-        _, stab = _block_stabilizer(act, k, tol)
-        K = act.restriction(stab.members).action.group
+        stab = _block_stabilizer(act, k, tol)
+        K = stab.restriction.action.group
         _assert_same_classes(_projective_irreps(K, stab.cocycle, tol), _classes(K, stab.cocycle, tol))
     monkeypatch.undo()
     assert refined
@@ -368,8 +369,8 @@ def _cyclic_stabilizers(act, tol):
     """(K, c_V) of every orbit of ``act`` whose stabilizer is cyclic."""
     out = []
     for k in _orbit_blocks(act):
-        _, stab = _block_stabilizer(act, k, tol)
-        K = act.restriction(stab.members).action.group
+        stab = _block_stabilizer(act, k, tol)
+        K = stab.restriction.action.group
         if K.cyclic_generator() is not None:
             out.append((K, stab.cocycle))
     return out
@@ -552,10 +553,10 @@ def test_crossed_irreps_checks_the_twisted_regular_relation(monkeypatch, tol):
     def wrong_cocycle(action, k, tol):
         # c_V with one entry off by a phase is no 2-cocycle, so the twisted
         # regular L of c_V fails its relation
-        pi_k, stab = block_stabilizer(action, k, tol)
-        c = stab.cocycle.copy()
-        c[1, 1] *= 1j
-        return pi_k, stab._replace(cocycle=c)
+        stab = copy.copy(block_stabilizer(action, k, tol))
+        stab.cocycle = stab.cocycle.copy()
+        stab.cocycle[1, 1] *= 1j
+        return stab
 
     monkeypatch.setattr(crossrep.reps, "_block_stabilizer", wrong_cocycle)
     with pytest.raises(InvariantViolation, match=r"not scalar multiples of each other at pair \(\d+,\d+\): residual"):

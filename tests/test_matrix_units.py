@@ -161,7 +161,7 @@ def test_analyze_reads_two_frames(name, monkeypatch, tol):
         return wrapper
 
     frame = counting(crossrep.reps._block_frame, lambda args: args[0].dim)
-    orbit = counting(crossrep.reps._mackey_orbit, lambda args: args[1].dim)
+    orbit = counting(crossrep.reps._mackey_orbit, lambda args: args[1].pi1.dim)
     monkeypatch.setattr(crossrep.reps, "_block_frame", frame)
     for module in (crossrep.reps, crossrep.analyzer):
         monkeypatch.setattr(module, "_mackey_orbit", orbit)

@@ -433,8 +433,8 @@ def _ladder_s3_inner():
         if a.name.startswith("S3-inner"):
             act = inputs.to_action(a)
             for k in crossrep.reps._orbit_blocks(act):
-                stab = crossrep.reps._block_stabilizer(act, k, TOL)[1]
-                out[f"{a.name} block {k}"] = (act.restriction(stab.members).action.group, stab.cocycle)
+                stab = crossrep.reps._block_stabilizer(act, k, TOL)
+                out[f"{a.name} block {k}"] = (stab.restriction.action.group, stab.cocycle)
     return out
 
 

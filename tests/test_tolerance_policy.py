@@ -201,7 +201,7 @@ def _rotated_corner(eps):
     act, cov = inner_z8_minimal()
     W = np.cos(eps) * np.eye(2) + 1j * np.sin(eps) * np.array([[0, 1], [1, 0]])
     V = W @ cov.unitaries[1] @ W.conj().T
-    return act, cov.base, V, _covariance_residuals(V, cov.base, act, 1).max()
+    return act, cov.base, V, _covariance_residuals(V[None], cov.base, act, [1]).max()
 
 
 def test_build_cyclic_irrep_covariance_follows_the_tolerance():
