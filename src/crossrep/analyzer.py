@@ -138,8 +138,10 @@ def _orbit(Pi: CovariantRep, tol: Tolerance):
 
 def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
     """The structure report of an irreducible Pi, read off its one orbit
-    component: the conjugator must carry Pi onto Ind_H^G psi, and the
-    permutation and block-unitary data are read from the induced form."""
+    component: the conjugator must carry Pi onto Ind_H^G psi.  As in
+    :func:`induce`, block j of U_g is psi(h) for the row i = perms[g][j]
+    of H's coset table at g, c_i g = h c_j: read-only, and views of
+    ``psi.unitaries`` at H = G.  The rest of the block form is H's record's."""
     # End psi = End Lambda = 1: the orbit's read-off of Lambda, whose
     # squared multiplicities sum to dim End Lambda, has one class and copy
     if [len(cls.isometries) for cls in orbit.classes] != [1]:
@@ -150,8 +152,14 @@ def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
         raise BlockStructureViolation("conjugator is not square; dimensions conflict")
     _check_carried(Pi, C, [induced], "conjugator", tol)
     stab = orbit.stab
-    perms, block_unitaries, h_is_normal, v_rep = _once(induced, "induced_form", lambda: _induced_form(stab, induced))
     H = stab.restriction
+    if len(H.coset_reps) == 1:
+        block_unitaries = psi.unitaries[:, None]
+    else:
+        # row perms[g][j] of the coset table is (i, j, h) with c_i g = h c_j
+        h = np.take_along_axis(H.coset_table, stab.perms[:, :, None], axis=1)[:, :, 2]
+        block_unitaries = psi.unitaries[np.searchsorted(H.members, h)]
+        block_unitaries.setflags(write=False)
     return StructureReport(
         subgroup=H.subgroup,
         subgroup_group=H.action.group,
@@ -159,43 +167,13 @@ def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
         coset_reps=list(H.coset_reps),
         base_irrep=stab.pi1,
         multiplicity=orbit.lam.dim,
-        perms=list(perms),
+        perms=list(stab.perms),
         block_unitaries=[list(blocks) for blocks in block_unitaries],
         psi=psi,
         lambda_rep=lam,
-        v_rep=v_rep,
+        v_rep=stab.v_rep,
         conjugator=C,
-        h_is_normal=h_is_normal,
-    )
-
-
-def _induced_form(stab, induced: CovariantRep) -> tuple:
-    """(perms, block_unitaries, h_is_normal, v_rep) of a class's
-    Ind_H^G psi over the cosets of its stabilizer record ``stab``, with
-    read-only arrays: they do not depend on the frame, so :func:`_report`
-    keeps them on ``induced``, which the record keeps with the class
-    (:func:`~crossrep.reps._class_records`).  At H = G (one coset) the
-    one block of U_g is U_g itself, so the blocks are views of
-    ``induced.unitaries``."""
-    H = stab.restriction
-    m = len(H.coset_reps)
-    block = induced.dim // m
-    # perms[g][j] is the i with c_i g in H c_j
-    perms = np.argsort(H.coset_table[:, :, 1], axis=1)
-    perms.setflags(write=False)
-    if m == 1:
-        block_unitaries = induced.unitaries[:, None]
-    else:
-        # column j of U_g has the one nonzero block (perm[j], j)
-        block_unitaries = [U.reshape(m, block, m, block)[perm, :, np.arange(m)]
-                           for U, perm in zip(induced.unitaries, perms)]
-    for blocks in block_unitaries:
-        blocks.setflags(write=False)
-    return (
-        tuple(perms),
-        tuple(tuple(blocks) for blocks in block_unitaries),
-        all(perm[0] != 0 or np.array_equal(perm, np.arange(m)) for perm in perms),
-        ProjectiveRep(H.action.group, stab.V, stab.cocycle),
+        h_is_normal=stab.h_is_normal,
     )
 
 
@@ -509,11 +487,11 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     (:func:`~crossrep.reps._stabilizer`).  What depends on a class alone is
     kept with it in the record, for the orbit of Pi and for each
     sub-stabilizer (:func:`~crossrep.reps._class_records`):
-    Ind(lambda (x) V), the induced form, the corner of EtaTriple with its
-    check V^3 = 1 and the spectrum of lambda_eta; the frame, Lambda and
-    every conjugator are read and checked on every call.  No random number
-    is drawn and ``seed`` is not read; a class of dimension d >= 2 is in
-    the basis ``eigh`` picks.
+    Ind(lambda (x) V), the corner of EtaTriple with its check V^3 = 1 and
+    the spectrum of lambda_eta; the frame, Lambda, every conjugator and
+    the report's block form are read and checked on every call.  No
+    random number is drawn and ``seed`` is not read; a class of dimension
+    d >= 2 is in the basis ``eigh`` picks.
     """
     G = Pi.group
     if G != make_symmetric_group_3():

@@ -1075,9 +1075,13 @@ class _Stabilizer:
     members, cosets and coset table), its ``classes`` of cocycle conj(c_V)
     from :func:`_classes`, built on first read, and the ``records``
     class index -> (lambda, psi, Ind_H^G psi) that :func:`_class_records`
-    fills.  At an orbit ``key``, block k or (k, members) for a
-    sub-stabilizer, the action keeps the record (:func:`_stabilizer`), and
-    V, c_V and the classes are read-only; at key None (pi1 or V depend on
+    fills.  What the structure report reads off H alone is built on first
+    read too: the coset permutations ``perms``, ``h_is_normal`` and
+    ``v_rep``, the projective representation V of cocycle c_V.  At an
+    orbit ``key`` the action keeps the record (:func:`_stabilizer`): block
+    k, (k, members) for a sub-stabilizer, or ``"annihilated"`` for the
+    subspace the algebra annihilates (:func:`_orbit_frames`); then pi1, V,
+    c_V and the classes are read-only.  At key None (pi1 or V depend on
     the input) it is built on every call."""
 
     def __init__(self, action, key, pi1: Rep, witnesses: dict, tol: Tolerance):
@@ -1088,8 +1092,8 @@ class _Stabilizer:
         self.cocycle = _cocycle(self.restriction.action.group, self.V, tol)
         self.records = {}
         if key is not None:
-            self.V.setflags(write=False)
-            self.cocycle.setflags(write=False)
+            for a in (pi1.stack, self.V, self.cocycle):
+                a.setflags(write=False)
 
     @cached_property
     def classes(self) -> list[ProjectiveRep]:
@@ -1099,6 +1103,23 @@ class _Stabilizer:
                 lam.mats.setflags(write=False)
                 lam.cocycle.setflags(write=False)
         return classes
+
+    @cached_property
+    def perms(self) -> np.ndarray:
+        """Row g sends j to the i with c_i g in H c_j; read-only."""
+        perms = np.argsort(self.restriction.coset_table[:, :, 1], axis=1)
+        perms.setflags(write=False)
+        return perms
+
+    @cached_property
+    def h_is_normal(self) -> bool:
+        """Whether H is normal: each g with c_0 g in H = H c_0 fixes every coset."""
+        identity = np.arange(len(self.restriction.coset_reps))
+        return all(perm[0] != 0 or np.array_equal(perm, identity) for perm in self.perms)
+
+    @cached_property
+    def v_rep(self) -> ProjectiveRep:
+        return ProjectiveRep(self.restriction.action.group, self.V, self.cocycle)
 
 
 def _stabilizer(action, key, pi1: Rep, witnesses: dict, tol: Tolerance) -> _Stabilizer:
@@ -1117,7 +1138,6 @@ def _block_stabilizer(action: GroupAction, k: int, tol: Tolerance) -> _Stabilize
 
     def build():
         units = rep_from_images(action.algebra, lambda e: e.blocks[k]).stack
-        units.setflags(write=False)
         pi_k = Rep(units.shape[1], units, action.algebra.basis_labels())
         witnesses = {g: phase_normalize(aut.unitaries[k], tol) for g, aut in enumerate(action.auts) if aut.perm[k] == k}
         return _Stabilizer(action, k, pi_k, witnesses, tol)
@@ -1271,8 +1291,8 @@ _Class = namedtuple("_Class", ["lam", "psi", "induced", "isometries"])
 def _copies(lam: ProjectiveRep, classes, tol: Tolerance) -> tuple[list[tuple], np.ndarray]:
     """Lambda read against the classes of its cocycle by Serre's explicit
     projections (Serre, *Linear Representations of Finite Groups*, 2.7):
-    the pairs (lambda, m) of the classes with m > 0, in the order of
-    ``classes``, and the r x r unitary whose columns are their copies, the
+    the pairs (i, m) of the classes lambda = ``classes[i]`` with m > 0, in
+    ascending i, and the r x r unitary whose columns are their copies, the
     copies of a class adjacent.
 
     The multiplicities m = <chi_lambda, chi_Lambda> of every class are one
@@ -1294,7 +1314,7 @@ def _copies(lam: ProjectiveRep, classes, tol: Tolerance) -> tuple[list[tuple], n
         _sum_dim(means[misses[0]], bounds[misses[0]])  # raises: the sum is no dimension
     *mults, end_dim = dims.tolist()
     present, copies = [], []
-    for cls, m in zip(classes, mults):
+    for i, (cls, m) in enumerate(zip(classes, mults)):
         if m == 0:
             continue
         d = cls.dim
@@ -1306,9 +1326,9 @@ def _copies(lam: ProjectiveRep, classes, tol: Tolerance) -> tuple[list[tuple], n
             W = np.sqrt(d) * np.linalg.eigh((P + P.conj().T) / 2)[1][:, -m:].T.reshape(m, r, d)
         _require(np.linalg.norm(L @ W[:, None] - W[:, None] @ cls.mats, axis=(-2, -1)), tol.identity_bound(r),
                  f"copy {{}} of a class of dim {d} fails Lambda_h W = W lambda_h at h = {{}}")
-        present.append((cls, m))
+        present.append((i, m))
         copies.extend(W)
-    covered = sum(cls.dim * m for cls, m in present)
+    covered = sum(classes[i].dim * m for i, m in present)
     if covered != r:
         raise InvariantViolation(f"the classes in Lambda cover {covered} of r = {r} dimensions")
     if sum(m * m for _, m in present) != end_dim:
@@ -1346,15 +1366,13 @@ def _mackey_orbit(action, stab: _Stabilizer, frame, tol: Tolerance) -> _Orbit:
     W = np.einsum("xib,ij->xjb", C.reshape(D, r, p), Y).reshape(D, r * p)
     carried = (Pi.unitaries[list(coset_reps)].conj().transpose(0, 2, 1) @ W).reshape(-1, D, r, p).transpose(1, 0, 2, 3)
     parts, pos = [], 0
-    for cls, m in present:
+    for i, m in present:
         # each copy's columns, side by side over the coset representatives
-        starts = range(pos, pos + m * cls.dim, cls.dim)
-        parts.append([carried[:, :, q : q + cls.dim].reshape(D, -1) for q in starts])
+        d = classes[i].dim
+        starts = range(pos, pos + m * d, d)
+        parts.append([carried[:, :, q : q + d].reshape(D, -1) for q in starts])
         pos = starts.stop
-    # present is in the order of classes, so one pass finds their indices
-    remaining = iter(enumerate(classes))
-    indices = [next(i for i, cls in remaining if cls is lam_i) for lam_i, _ in present]
-    records = _class_records(action, stab, indices)
+    records = _class_records(action, stab, [i for i, _ in present])
     return _Orbit(stab, lam, [_Class(*record, isometries) for record, isometries in zip(records, parts)])
 
 
@@ -1421,8 +1439,9 @@ def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
     """(k, stab, C) for Pi over a :class:`GroupAction`, the last two those
     of :func:`_mackey_orbit`: block k's :class:`_Stabilizer` and Pi's
     :func:`_block_frame` at k, per orbit whose smallest block k has r_k > 0,
-    then k = None, pi1 = 0, V_g = 1 over G and the range of 1 - Pi(1),
-    which U commutes with."""
+    then k = None, the record at key ``"annihilated"`` of pi1 = 0 and V_g
+    = 1 over G, which depend on the action alone, and the range of
+    1 - Pi(1), which U commutes with."""
     action, A = Pi.action, Pi.action.algebra
     labels = A.basis_labels()
     ranks = _frame_ranks(Pi.base, A, tol)
@@ -1434,7 +1453,7 @@ def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
         B = np.linalg.eigh((rest + rest.conj().T) / 2)[1][:, -a:]
         zero = Rep(1, np.zeros((len(labels), 1, 1)), labels)
         witnesses = {g: np.eye(1) for g in range(Pi.group.order)}
-        frames.append((None, _stabilizer(action, None, zero, witnesses, tol), B))
+        frames.append((None, _stabilizer(action, "annihilated", zero, witnesses, tol), B))
     return frames
 
 

@@ -26,7 +26,7 @@ from crossrep.examples import (
     s3_label_action,
     weyl_pair_homogeneous,
 )
-from crossrep.groups import is_standard_cyclic, make_symmetric_group_3
+from crossrep.groups import S3_E, S3_ETA, S3_ETA2, is_standard_cyclic, make_symmetric_group_3
 from crossrep.linalg import Tolerance, block_diag
 from crossrep.reps import (
     CovariantRep,
@@ -127,7 +127,7 @@ def test_cached_arrays_are_read_only():
     cached = [report.v_rep.mats, report.v_rep.cocycle, found.coset_table, found.action.group.table,
               act.group.table, act.group.inverse, fixed.stack, fixed.gens["fix0"], basis[0].blocks[0],
               pi_k.stack, pi_k.gens[pi_k.labels[0]], stab.V, stab.cocycle,
-              # the class record: psi, its induction, the induced form and the cyclic tail
+              # the class record: psi, its induction, the block form read off psi and the cyclic tail
               report.psi.unitaries, report.psi.base.stack, induced.unitaries, induced.base.stack,
               *report.perms, *(B for blocks in report.block_unitaries for B in blocks), cyclic.V,
               *(iso for _, iso in cyclic.spectrum_of_V), *(r.stack for r in cyclic.alpha_diag)]
@@ -435,27 +435,64 @@ def _non_unital():
 
 
 def test_a_record_at_key_none_is_never_kept(monkeypatch):
-    # a LabelAction (at multiplicity one and two), the annihilated part of a
-    # decomposition and homogeneous_irreducibility read records whose pi1 or V
-    # depend on the input: each is built for its read and kept nowhere
+    # a LabelAction (at multiplicity one and two) and homogeneous_irreducibility
+    # read records whose pi1 or V depend on the input: each is built for its
+    # read and kept nowhere
     reads = _record_reads(monkeypatch)
-    inputs = [minimal_covariant(), doubled_minimal_covariant(), _non_unital(), weyl_pair_homogeneous(2)]
+    inputs = [minimal_covariant(), doubled_minimal_covariant(), weyl_pair_homogeneous(2)]
     assert {classify_s3(cov, seed=0).case for cov in inputs[:2]} == {"Minimal", "TauPair"}
-    decompose(inputs[2], seed=0)
-    assert homogeneous_irreducibility(inputs[3])
+    assert homogeneous_irreducibility(inputs[2])
     fresh = [stab for _, stab in reads if stab.key is None]
-    assert len(fresh) >= 5 and len({id(stab) for stab in fresh}) == len(fresh)
+    assert len(fresh) == 4 and len({id(stab) for stab in fresh}) == len(fresh)
     for cov in inputs:
         assert all(stab.key is not None for stab in _kept(cov.action).values())
 
 
+def test_the_annihilated_record_is_kept_once_per_action(monkeypatch):
+    # pi1 = 0 and V_g = 1 on the subspace the algebra annihilates depend on
+    # the action alone: a warm decompose builds no record and no classes
+    cov = _non_unital()
+    first = decompose(cov, seed=0)
+    kept = _kept(cov.action)[("stabilizer", "annihilated", Tolerance())]
+    assert kept.key == "annihilated" and kept.records
+    assert not kept.V.flags.writeable and not kept.pi1.stack.flags.writeable
+    calls, built = [], []
+    _counted(monkeypatch, crossrep.reps, "_classes", calls)
+    init = crossrep.reps._Stabilizer.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(crossrep.reps._Stabilizer, "__init__", counted)
+    reads = _record_reads(monkeypatch)
+    again = decompose(cov, seed=0)
+    assert calls == [] and built == []
+    assert any(stab is kept for _, stab in reads)
+    assert np.array_equal(again.basis_change, first.basis_change)
+    assert all(r is s for (r, _), (s, _) in zip(again.components, first.components))
+
+
 def test_one_coset_block_unitaries_are_read_only_views():
-    # at H = G the one block of U_g is U_g itself: the report hands out views
-    # of the kept induction rather than a second copy of its unitaries
+    # at H = G the one block of U_g is psi(g) itself, equal to U_g of Ind psi:
+    # the report hands out views of psi's kept unitaries, not a copy of them
     Pi = weyl_pair_homogeneous(2)
     report = analyze(Pi, seed=0)
-    [(_, _, induced, _)] = crossrep.analyzer._orbit(Pi, Tolerance()).classes
-    assert report.index == 1
+    [(_, psi, induced, _)] = crossrep.analyzer._orbit(Pi, Tolerance()).classes
+    assert report.index == 1 and report.psi is psi
     for U, [block] in zip(induced.unitaries, report.block_unitaries):
-        assert np.shares_memory(block, induced.unitaries) and np.array_equal(block, U)
+        assert np.shares_memory(block, psi.unitaries) and np.array_equal(block, U)
         assert not block.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted({**ACTIONS, **SUB_STABILIZERS}))
+def test_no_induction_carries_a_memo(name):
+    # the block form is read off psi per report: nothing is kept on Ind psi
+    act = {**ACTIONS, **SUB_STABILIZERS}[name]()
+    for cov in crossed_irreps(act, seed=0):
+        _analyze(cov, seed=0)
+        analyze(cov, seed=0)
+    owners = [act, act.restriction((S3_E, S3_ETA, S3_ETA2)).action] if act.group == make_symmetric_group_3() else [act]
+    inductions = [cov for owner in owners for stab in _kept(owner).values()
+                  for _, _, cov in stab.records.values()]
+    assert inductions and all("_memo" not in cov.__dict__ for cov in inductions)
