@@ -52,7 +52,7 @@ from .reps import (
     _covariance_residuals,
     _mackey_orbit,
     _orbit_frames,
-    _stabilizer,
+    _Stabilizer,
     decompose,
     evaluate,
     factor_tensor,
@@ -119,13 +119,13 @@ def _orbit_frame(Pi: CovariantRep, tol: Tolerance) -> tuple:
     :class:`GroupAction` its block k, the stabilizer record the action
     keeps for k and the orbit frame, or over a :class:`LabelAction` k =
     None, the record of the first component pi1 of the decomposed
-    restriction with its translate witnesses, built per call, and its
-    isotypic frame."""
+    restriction with its translate witnesses, built per call and kept
+    nowhere, and its isotypic frame."""
     if isinstance(Pi.action, GroupAction):
         return _orbit_frames(Pi, tol)[0]
     dec = decompose(Pi.base, tol=tol)
     pi1, r = dec.components[0]
-    stab = _stabilizer(Pi.action, None, pi1, translate_stabilizer(pi1, Pi.action, tol), tol)
+    stab = _Stabilizer(Pi.action, pi1, translate_stabilizer(pi1, Pi.action, tol), tol)
     return None, stab, dec.basis_change[:, : r * pi1.dim]
 
 
@@ -361,7 +361,7 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
     if len(witnesses) != Psi.group.order:
         raise InvariantViolation("every group element must fix the class of the base irreducible")
     # the identity is the frame of 1_r (x) pi1, and Lambda its tensor factor
-    stab = _stabilizer(Psi.action, None, pi1, witnesses, tol)
+    stab = _Stabilizer(Psi.action, pi1, witnesses, tol)
     orbit = _mackey_orbit(Psi.action, stab, (Psi, np.eye(Psi.dim)), tol)
     return [len(cls.isometries) for cls in orbit.classes] == [1]
 
@@ -480,13 +480,16 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     W1 = C0 (e1 (x) 1) of the pi1-isotypic frame C0 in the gauge of the
     class, and Q = [W1, U_tau W1] carries Pi onto the representation
     induced over the cosets {e, tau}.  Each sub-stabilizer of the 3-cycle
-    subgroup is cyclic, so its classes are written down; over a
-    :class:`GroupAction` its V_h are the action's own unitaries of block
-    k, so its stabilizer record is kept per (k, members, tol), on the
-    3-cycle subgroup's action for EtaTriple and on Pi's for TauPair
-    (:func:`~crossrep.reps._stabilizer`).  What depends on a class alone is
-    kept with it in the record, for the orbit of Pi and for each
-    sub-stabilizer (:func:`~crossrep.reps._class_records`):
+    subgroup is cyclic, so its classes are written down.  It is the
+    record of the orbit's pi1 with the witnesses V_h of its members, read
+    off the orbit's record by :meth:`~crossrep.reps._Stabilizer.sub` and
+    kept on it: over the 3-cycle subgroup's action for EtaTriple, over Pi's
+    for TauPair, and the orbit's record itself when H is the 3-cycle
+    subgroup.  Over a :class:`GroupAction` that is block k's record, which
+    the action keeps; over a :class:`LabelAction` it is built per call.
+    What depends on a class alone is kept with it in the record, for the
+    orbit of Pi and for each sub-stabilizer
+    (:func:`~crossrep.reps._class_records`):
     Ind(lambda (x) V), the corner of EtaTriple with its check V^3 = 1 and
     the spectrum of lambda_eta; the frame, Lambda, every conjugator and
     the report's block form are read and checked on every call.  No
@@ -497,20 +500,13 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     if G != make_symmetric_group_3():
         raise InvariantViolation("group must be the standard 3-letter permutation group")
     _require_irreducible(Pi, tol)
-    k, stab, C = _orbit_frame(Pi, tol)
+    _, stab, C = _orbit_frame(Pi, tol)
     orbit = _mackey_orbit(Pi.action, stab, (Pi, C), tol)
     r, H, pi1 = orbit.lam.dim, stab.restriction.subgroup, stab.pi1
     case = _S3_CASES.get((H.order, r))
     if case is None:
         raise BlockStructureViolation(f"no S3 case has |H| = {H.order} and r = {r}")
     z3 = Pi.action.restriction((S3_E, S3_ETA, S3_ETA2))
-    V = dict(zip(stab.restriction.members, stab.V))
-
-    def sub_stabilizer(owner, witnesses):
-        # at k = None (a LabelAction) the witnesses depend on the input
-        key = None if k is None else (k, tuple(sorted(witnesses)))
-        return _stabilizer(owner, key, pi1, witnesses, tol)
-
     # the class isometry's first coset block, U_e* C0, is the pi1-isotypic
     # frame C0 in the basis of the copy of the class lambda
     C0 = orbit.classes[0].isometries[0][:, : r * pi1.dim]
@@ -521,7 +517,7 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
             # Its orbit is read at Pi's frame C0 with stabilizer {e}
             U_eta = Pi.unitaries[S3_ETA]
             z3_cov = CovariantRep(Pi.base, z3.action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
-            z3_orbit = _mackey_orbit(z3.action, sub_stabilizer(z3.action, {0: V[S3_E]}), (z3_cov, C0), tol)
+            z3_orbit = _mackey_orbit(z3.action, stab.sub((S3_E,), z3.members), (z3_cov, C0), tol)
             report = _cyclic_canonical_form(z3_cov, z3_orbit, tol)[0]
         else:
             report = _report(Pi, orbit, tol)
@@ -536,12 +532,12 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     if len(spectrum) != r or any(iso.shape[1] != 1 for _, iso in spectrum):
         raise BlockStructureViolation("the 3-cycle factor must have simple eigenvalues")
     W1 = C0 @ np.kron(spectrum[0][1], np.eye(pi1.dim))
-    z3_orbit = _mackey_orbit(Pi.action, sub_stabilizer(Pi.action, {h: V[h] for h in z3.members}), (Pi, W1), tol)
+    z3_orbit = _mackey_orbit(Pi.action, stab.sub(z3.members), (Pi, W1), tol)
     # Q is the induced conjugator over the cosets {e, tau}, [W1, U_tau* W1];
     # on U_e the check below is Q* Q = 1
     [(_, psi, induced, [Q])] = z3_orbit.classes
     _check_carried(Pi, Q, [induced], "swap conjugator", tol)
-    tau_witness = V.get(S3_TAU)
+    tau_witness = dict(zip(stab.restriction.members, stab.V)).get(S3_TAU)
     return S3Class(
         case="TauPair",
         pi1=pi1,

@@ -14,9 +14,10 @@ character sums over a :class:`GroupAction` (:func:`hom_dim`) or for a
 What the structure theorem attaches to a stabilizer H is one record,
 ``_Stabilizer``: pi1, H with its cosets, the witnesses V_h, their cocycle
 c_V, the classes lambda of H with cocycle conj(c_V) and per class met its
-Ind_H^G(lambda (x) V).  An action keeps the record of each block and of
-each sub-stabilizer ``classify_s3`` reads.  The theorem is read off in one
-place, ``_mackey_orbit``: an irreducible of M_{n_1} + ... + M_{n_b} is the
+Ind_H^G(lambda (x) V).  An action keeps the record of each block, and a
+record keeps the sub-stabilizers ``classify_s3`` reads off it
+(``_Stabilizer.sub``).  The theorem is read off in one place,
+``_mackey_orbit``: an irreducible of M_{n_1} + ... + M_{n_b} is the
 compression to one block k up to a unitary, its stabilizer is {g : alpha_g
 fixes k} (:func:`translate_stabilizer`), and a covariant representation
 over the orbit of k is a sum of Ind_H^G(lambda (x) V) over the classes
@@ -49,7 +50,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import AlgElement, GroupAction, LabelAction, MatAlg
+from .algebra import AlgElement, GroupAction, LabelAction, MatAlg, _once
 from .errors import (
     ActionMismatch,
     BlockStructureViolation,
@@ -238,10 +239,11 @@ def _composed_images(rep: Rep, action, gs) -> np.ndarray:
     """The generator images of ``x -> rep(alpha_g(x))`` for each g in ``gs``,
     in ``rep``'s label order: one (len(gs), n, dim, dim) stack, over a
     :class:`GroupAction` one contraction with the stacked coefficient
-    matrices of the alpha_g.  When every g is the identity (an induction
-    from H = G), the result is a read-only view of the stored images:
-    :meth:`GroupAction.validate` holds alpha_e to the identity map, so the
-    contraction would differ from them in the last bits at most."""
+    matrices of the alpha_g.  When every g is the identity (as in
+    ``rep_compose(pi, action, e)``), the result is a read-only view of the
+    stored images: :meth:`GroupAction.validate` holds alpha_e to the
+    identity map, so the contraction would differ from them in the last
+    bits at most."""
     if isinstance(action, GroupAction):
         basis = tuple(action.algebra.basis_labels())
         units = _unit_images(rep, basis)
@@ -1068,41 +1070,58 @@ def _block_frame(pi: Rep, algebra: MatAlg, k: int, r: int) -> np.ndarray:
 
 
 class _Stabilizer:
-    """What the structure theorem attaches to the stabilizer H of one orbit:
-    ``pi1``, the witnesses V_h with V_h pi1 V_h* = pi1 o alpha_h stacked
-    over the sorted members of H (``V``), their cocycle c_V
+    """What the structure theorem attaches to the stabilizer H of one orbit
+    in ``action``: ``pi1``, the witnesses V_h with V_h pi1 V_h* = pi1 o
+    alpha_h stacked over the sorted members of H (``V``), their cocycle c_V
     (:func:`_cocycle`), H's ``restriction`` (subgroup, regrounded action,
     members, cosets and coset table), its ``classes`` of cocycle conj(c_V)
-    from :func:`_classes`, built on first read, and the ``records``
-    class index -> (lambda, psi, Ind_H^G psi) that :func:`_class_records`
-    fills.  What the structure report reads off H alone is built on first
-    read too: the coset permutations ``perms``, ``h_is_normal`` and
-    ``v_rep``, the projective representation V of cocycle c_V.  At an
-    orbit ``key`` the action keeps the record (:func:`_stabilizer`): block
-    k, (k, members) for a sub-stabilizer, or ``"annihilated"`` for the
-    subspace the algebra annihilates (:func:`_orbit_frames`); then pi1, V,
-    c_V and the classes are read-only.  At key None (pi1 or V depend on
-    the input) it is built on every call."""
+    from :func:`_classes`, built on first read, and the ``records`` class
+    index -> (lambda, psi, Ind_H^G psi) that :func:`_class_records` fills;
+    pi1, V, c_V and the classes are read-only.  What the structure report
+    reads off H alone is built on first read too: the coset permutations
+    ``perms``, ``h_is_normal`` and ``v_rep``, the projective
+    representation V of cocycle c_V.  A record owns what is derived from
+    it, its :meth:`sub` records included: the action keeps block k's
+    record (:func:`_block_stabilizer`) and the annihilated subspace's
+    (:func:`_orbit_frames`) with everything derived from them, and a record
+    whose pi1 or V depend on the input (a :class:`LabelAction` frame,
+    ``homogeneous_irreducibility``) is built per call and dies with what
+    it derived."""
 
-    def __init__(self, action, key, pi1: Rep, witnesses: dict, tol: Tolerance):
+    def __init__(self, action, pi1: Rep, witnesses: dict, tol: Tolerance):
         members = tuple(sorted(witnesses))
-        self.key, self.pi1, self.tol = key, pi1, tol
+        self.action, self.pi1, self.tol = action, pi1, tol
         self.restriction = action.restriction(members)
         self.V = np.array([witnesses[h] for h in members])
         self.cocycle = _cocycle(self.restriction.action.group, self.V, tol)
         self.records = {}
-        if key is not None:
-            for a in (pi1.stack, self.V, self.cocycle):
-                a.setflags(write=False)
+        for a in (pi1.stack, self.V, self.cocycle):
+            a.setflags(write=False)
 
     @cached_property
     def classes(self) -> list[ProjectiveRep]:
         classes = _classes(self.restriction.action.group, self.cocycle, self.tol)
-        if self.key is not None:
-            for lam in classes:
-                lam.mats.setflags(write=False)
-                lam.cocycle.setflags(write=False)
+        for lam in classes:
+            lam.mats.setflags(write=False)
+            lam.cocycle.setflags(write=False)
         return classes
+
+    def sub(self, members: tuple, within: tuple | None = None) -> "_Stabilizer":
+        """The record of pi1 with the witnesses V_h for the sorted
+        ``members`` h of H, over ``action.restriction(within).action`` when
+        ``within`` is given (h is then its element ``within.index(h)``),
+        built once and kept on this record; this record itself at H's own
+        members and no ``within``."""
+        if within is None and members == self.restriction.members:
+            return self
+
+        def build():
+            V = dict(zip(self.restriction.members, self.V))
+            action = self.action if within is None else self.action.restriction(within).action
+            index = members if within is None else [within.index(h) for h in members]
+            return _Stabilizer(action, self.pi1, {i: V[h] for i, h in zip(index, members)}, self.tol)
+
+        return _once(self, (members, within), build)
 
     @cached_property
     def perms(self) -> np.ndarray:
@@ -1122,25 +1141,15 @@ class _Stabilizer:
         return ProjectiveRep(self.restriction.action.group, self.V, self.cocycle)
 
 
-def _stabilizer(action, key, pi1: Rep, witnesses: dict, tol: Tolerance) -> _Stabilizer:
-    """The :class:`_Stabilizer` of ``witnesses`` {h: V_h}, kept on the
-    action per (key, tol) when ``key`` names action-only data, built on
-    every call at key None."""
-    if key is None:
-        return _Stabilizer(action, key, pi1, witnesses, tol)
-    return action._once(("stabilizer", key, tol), lambda: _Stabilizer(action, key, pi1, witnesses, tol))
-
-
 def _block_stabilizer(action: GroupAction, k: int, tol: Tolerance) -> _Stabilizer:
     """The :class:`_Stabilizer` of block k: the compression pi_k and the
     stabilizer {h : alpha_h fixes block k}, witnessed by the action's own
     unitaries U^h_k, phase-normalized.  Kept on the action per (k, tol)."""
 
     def build():
-        units = rep_from_images(action.algebra, lambda e: e.blocks[k]).stack
-        pi_k = Rep(units.shape[1], units, action.algebra.basis_labels())
+        pi_k = rep_from_images(action.algebra, lambda e: e.blocks[k])
         witnesses = {g: phase_normalize(aut.unitaries[k], tol) for g, aut in enumerate(action.auts) if aut.perm[k] == k}
-        return _Stabilizer(action, k, pi_k, witnesses, tol)
+        return _Stabilizer(action, pi_k, witnesses, tol)
 
     return action._once(("stabilizer", k, tol), build)
 
@@ -1193,7 +1202,9 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
     carries ``psi.base o alpha_{c_i}``, and block (i, j) of U_g is psi(h)
     when c_i g = h c_j, every other block zero.  The one-psi case of
     ``_induce_stack``, which ``_induced`` calls once per (orbit, dimension)
-    for both ``_orbit_irreps`` and ``_mackey_orbit``.
+    for both ``_orbit_irreps`` and ``_mackey_orbit``, here run on copies
+    of psi's arrays: the result shares no memory with ``psi``, even at
+    H = G, and its unitaries are writable.
     """
     if psi.group.order != subgroup.order:
         raise InvariantViolation("psi is not a representation of the subgroup")
@@ -1202,7 +1213,8 @@ def induce(psi: CovariantRep, action, subgroup: Subgroup, coset_reps) -> Covaria
     reps = tuple(int(c) for c in coset_reps)
     if reps != found.coset_reps:
         found = found._replace(coset_reps=reps, coset_table=np.array(coset_action(subgroup, reps)))
-    return _induce_stack(psi.base, psi.unitaries[None], action, found)[0]
+    base = Rep(psi.dim, psi.base.stack.copy(), psi.base.labels)
+    return _induce_stack(base, psi.unitaries[None].copy(), action, found)[0]
 
 
 def _induce_stack(base: Rep, unitaries: np.ndarray, action, restriction) -> list[CovariantRep]:
@@ -1213,8 +1225,15 @@ def _induce_stack(base: Rep, unitaries: np.ndarray, action, restriction) -> list
     are one contraction (:func:`_composed_images`) and fill the block
     diagonal in one assignment, the coset table is read once, and every
     U_g of the stack is filled in one assignment.  The T results share one
-    read-only induced base."""
+    read-only induced base.  From H = G over the one coset of the identity,
+    Ind psi is psi over ``action``: then the results are views of
+    ``base.stack``, read-only, and of their rows of ``unitaries``."""
     coset_reps, d, labels = restriction.coset_reps, base.dim, base.labels
+    if coset_reps == (action.group.identity,):
+        stack = base.stack.view()
+        stack.setflags(write=False)
+        induced = Rep(d, stack, labels)
+        return [CovariantRep(induced, action, u) for u in unitaries]
     m = len(coset_reps)
     images = _composed_images(base, action, coset_reps)
     # (g, i) -> (j, h) with c_i g = h c_j; restrict_action regrounds the
@@ -1380,10 +1399,9 @@ def _class_records(action, stab: _Stabilizer, indices) -> list[tuple]:
     """(lambda, psi, Ind_H^G psi) for the classes lambda = ``stab.classes[i]``,
     i in ``indices``, with psi = lambda (x) V: what the structure theorem
     attaches to a class, which depends on the stabilizer record and the
-    class alone.  They are kept in ``stab.records`` per class index, so on
-    a record the action keeps, per (orbit key, class index, tol): the
-    classes not yet kept are built by one :func:`_induced`, and their
-    arrays are read-only."""
+    class alone.  They are kept in ``stab.records`` per class index, so as
+    long as the record lives: the classes not yet kept are built by one
+    :func:`_induced`, and their arrays are read-only."""
     kept = stab.records
     missing = [i for i in indices if i not in kept]
     if missing:
@@ -1439,8 +1457,8 @@ def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
     """(k, stab, C) for Pi over a :class:`GroupAction`, the last two those
     of :func:`_mackey_orbit`: block k's :class:`_Stabilizer` and Pi's
     :func:`_block_frame` at k, per orbit whose smallest block k has r_k > 0,
-    then k = None, the record at key ``"annihilated"`` of pi1 = 0 and V_g
-    = 1 over G, which depend on the action alone, and the range of
+    then k = None, the record of pi1 = 0 and V_g = 1 over G, which depend
+    on the action alone and are kept on it per tol, and the range of
     1 - Pi(1), which U commutes with."""
     action, A = Pi.action, Pi.action.algebra
     labels = A.basis_labels()
@@ -1453,7 +1471,7 @@ def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
         B = np.linalg.eigh((rest + rest.conj().T) / 2)[1][:, -a:]
         zero = Rep(1, np.zeros((len(labels), 1, 1)), labels)
         witnesses = {g: np.eye(1) for g in range(Pi.group.order)}
-        frames.append((None, _stabilizer(action, "annihilated", zero, witnesses, tol), B))
+        frames.append((None, action._once(("annihilated", tol), lambda: _Stabilizer(action, zero, witnesses, tol)), B))
     return frames
 
 

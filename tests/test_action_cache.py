@@ -16,7 +16,7 @@ import pytest
 
 import crossrep.analyzer
 import crossrep.groups
-from crossrep.algebra import GroupAction, MatAlg, StarAut
+from crossrep.algebra import GroupAction, MatAlg, StarAut, _Restriction
 from crossrep.analyzer import analyze, classify_s3, cyclic_analyze, homogeneous_irreducibility
 from crossrep.crossed import fixed_point_algebra
 from crossrep.errors import BlockStructureViolation, CrossrepError, NotIrreducible
@@ -26,14 +26,14 @@ from crossrep.examples import (
     s3_label_action,
     weyl_pair_homogeneous,
 )
-from crossrep.groups import S3_E, S3_ETA, S3_ETA2, is_standard_cyclic, make_symmetric_group_3
+from crossrep.groups import S3_E, S3_ETA, S3_ETA2, S3_TAU, is_standard_cyclic, make_symmetric_group_3
 from crossrep.linalg import Tolerance, block_diag
 from crossrep.reps import (
     CovariantRep,
     Rep,
     _block_stabilizer,
     _orbit_blocks,
-    _stabilizer,
+    _Stabilizer,
     decompose,
     direct_sum_reps,
     rep_from_images,
@@ -213,42 +213,60 @@ def test_a_warm_crossed_irreps_looks_up_no_restriction(name, monkeypatch):
 @pytest.mark.parametrize("kind, seed", [("permutation", 1), ("permutation", 2), ("inner", 6), ("conjugated", 7)])
 def test_classify_s3_builds_the_classes_of_a_3_cycle_sub_stabilizer_once(monkeypatch, kind, seed):
     # EtaTriple and TauPair read an orbit of the 3-cycle subgroup whose
-    # witnesses are the action's own unitaries of the block: their classes are
-    # built once per (block, members, tol), so a second pass builds none
-    act = random_s3_action(np.random.default_rng(seed), kind)
-    irreps, calls, keys = crossed_irreps(act, seed=0), [], []
-    _counted(monkeypatch, crossrep.reps, "_classes", calls)
-    record = crossrep.reps._Stabilizer.__init__
-
-    def counted(self, action, key, *args):
-        keys.append(key)
-        record(self, action, key, *args)
-
-    monkeypatch.setattr(crossrep.reps._Stabilizer, "__init__", counted)
-    first = [classify_s3(cov, seed=0) for cov in irreps]
-    built, records = len(calls), len(keys)
-    second = [classify_s3(cov, seed=0) for cov in irreps]
-    sub = [key for key in keys if isinstance(key, tuple)]
-    assert {v.case for v in first} & {"EtaTriple", "TauPair"} and 0 < len(sub) < len(irreps)
+    # witnesses are the action's own unitaries of the block: its record is
+    # a sub-record of block k's, kept on it, or block k's own at H = z3, so
     # a second pass builds no record and no class
-    assert (len(keys), len(calls)) == (records, built)
+    act = random_s3_action(np.random.default_rng(seed), kind)
+    irreps, calls, built = crossed_irreps(act, seed=0), [], []
+    _counted(monkeypatch, crossrep.reps, "_classes", calls)
+    _count_records(monkeypatch, built)
+    first = [classify_s3(cov, seed=0) for cov in irreps]
+    counts = len(built), len(calls)
+    second = [classify_s3(cov, seed=0) for cov in irreps]
+    assert {v.case for v in first} & {"EtaTriple", "TauPair"} and counts[0] < len(irreps)
+    assert (len(built), len(calls)) == counts
     for a, b in zip(first, second):
         assert all(np.array_equal(x, y) for x, y in zip(_arrays(a), _arrays(b)))
+    # each record built is a sub-record kept on block k's, built once; at
+    # H = z3 (TauPair at r = 1) none is
+    blocks = [_block_stabilizer(act, k, Tolerance()) for k in _orbit_blocks(act)]
+    subs = [stab for block in blocks for stab in _subs(block)]
+    assert bool(subs) == any(v.case == "EtaTriple" or v.multiplicity == 2 for v in first)
+    assert len(built) == len(subs) and all(any(stab is sub for sub in subs) for stab in built)
 
 
-def test_a_sub_stabilizer_is_kept_per_block_and_rebuilt_without_one():
-    # key None stands for witnesses that depend on the input (a LabelAction)
-    act = ACTIONS["S3 permutation"]()
+def test_a_sub_record_is_read_off_its_record_and_kept_on_it():
+    # every element fixes every block of an inner S3 action, so H = S3
+    act = ACTIONS["S3 inner"]()
+    z3 = act.restriction((S3_E, S3_ETA, S3_ETA2))
     stab = _block_stabilizer(act, 0, Tolerance())
-    witnesses = dict(zip(stab.restriction.members, stab.V))
-    key = (0, tuple(sorted(witnesses)))
-    kept = _stabilizer(act, key, stab.pi1, witnesses, Tolerance())
-    assert _stabilizer(act, key, stab.pi1, witnesses, Tolerance()) is kept
-    assert not kept.V.flags.writeable and not kept.classes[0].mats.flags.writeable
-    fresh = _stabilizer(act, None, stab.pi1, witnesses, Tolerance())
-    assert fresh is not _stabilizer(act, None, stab.pi1, witnesses, Tolerance())
-    assert fresh.V.flags.writeable and fresh.classes[0].mats.flags.writeable
-    assert np.array_equal(fresh.classes[0].mats, kept.classes[0].mats)
+    assert stab.restriction.members == tuple(range(6))
+    assert stab.sub(stab.restriction.members) is stab
+    for members, within, owner, index in (
+        (z3.members, None, act, list(z3.members)),
+        ((S3_E,), z3.members, z3.action, [0]),
+        ((S3_E, S3_TAU), None, act, [S3_E, S3_TAU]),
+    ):
+        sub = stab.sub(members, within)
+        assert sub is not stab and stab.sub(members, within) is sub and sub in _subs(stab)
+        assert sub.restriction is owner.restriction(index) and sub.action is owner
+        assert sub.pi1 is stab.pi1 and sub.tol is stab.tol
+        assert np.array_equal(sub.V, stab.V[list(members)]) and not sub.V.flags.writeable
+    # with ``within`` the sub-record lives in another action, even at H's own members
+    whole = act.restriction(stab.restriction.members)
+    sub = stab.sub(whole.members, whole.members)
+    assert sub is not stab and sub.action is whole.action and sub.restriction.members == whole.members
+
+
+def _count_records(monkeypatch, built):
+    """Append every :class:`_Stabilizer` built from now on to ``built``."""
+    init = crossrep.reps._Stabilizer.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(crossrep.reps._Stabilizer, "__init__", counted)
 
 
 def _counted(monkeypatch, module, name, calls):
@@ -378,9 +396,26 @@ def _record_reads(monkeypatch):
     return reads
 
 
+def _subs(stab):
+    """The sub-records kept on a record, and theirs."""
+    subs = [value for value in stab.__dict__.get("_memo", {}).values() if isinstance(value, _Stabilizer)]
+    return subs + [deeper for sub in subs for deeper in _subs(sub)]
+
+
 def _kept(action):
-    """The stabilizer records an action keeps, by their cache key."""
-    return {key: value for key, value in action.__dict__.get("_memo", {}).items() if key[0] == "stabilizer"}
+    """The stabilizer records an action keeps: on itself, on the actions of
+    its restrictions, and on a record so kept."""
+    found, owners, seen = [], [action], set()
+    while owners:
+        owner = owners.pop()
+        for value in owner.__dict__.get("_memo", {}).values():
+            if isinstance(value, _Stabilizer) and id(value) not in seen:
+                seen.add(id(value))
+                found.append(value)
+                owners.append(value)
+            elif isinstance(value, _Restriction):
+                owners.append(value.action)
+    return found
 
 
 # with EtaTriple and TauPair irreducibles, whose read-offs meet sub-stabilizers
@@ -388,13 +423,17 @@ SUB_STABILIZERS = {
     "S3 permutation#1": lambda: random_s3_action(np.random.default_rng(1), "permutation"),
     "S3 inner#6": lambda: random_s3_action(np.random.default_rng(6), "inner"),
 }
+# with TauPair irreducibles whose stabilizer is the 3-cycle subgroup itself
+TAU_PAIRS = {
+    "S3 permutation#2": lambda: random_s3_action(np.random.default_rng(2), "permutation"),
+}
 
 
 @pytest.mark.parametrize("name", sorted({**ACTIONS, **SUB_STABILIZERS}))
-def test_every_reader_reads_the_one_record_kept_per_key(name, monkeypatch):
+def test_every_reader_reads_a_record_the_action_keeps(name, monkeypatch):
     # translate_stabilizer, decompose, analyze, cyclic_analyze and classify_s3,
-    # sub-stabilizers included, all read the record the action keeps under
-    # ("stabilizer", key, tol), whichever reads it first
+    # sub-stabilizers included, all read a record the action keeps: block k's,
+    # or one kept on it, whichever reads it first
     act = {**ACTIONS, **SUB_STABILIZERS}[name]()
     irreps = crossed_irreps(act, seed=0)
     reads = _record_reads(monkeypatch)
@@ -405,10 +444,28 @@ def test_every_reader_reads_the_one_record_kept_per_key(name, monkeypatch):
     for k in _orbit_blocks(act):
         translate_stabilizer(rep_from_images(act.algebra, lambda e: e.blocks[k]), act)
     assert reads
-    for owner, stab in reads:
-        assert stab.key is not None and _kept(owner)[("stabilizer", stab.key, stab.tol)] is stab
+    kept = _kept(act)
+    for _, stab in reads:
+        assert any(stab is record for record in kept)
+    blocks = [_block_stabilizer(act, k, Tolerance()) for k in _orbit_blocks(act)]
+    assert all(any(stab is block for block in blocks) or any(stab in _subs(block) for block in blocks)
+               for stab in kept)
     if name in SUB_STABILIZERS:
-        assert any(isinstance(stab.key, tuple) for _, stab in reads)
+        assert any(stab in _subs(block) for _, stab in reads for block in blocks)
+
+
+@pytest.mark.parametrize("name", sorted({**ACTIONS, **SUB_STABILIZERS, **TAU_PAIRS}))
+def test_no_two_kept_records_hold_one_stabilizer(name):
+    # a record is (ambient action, members of H, pi1, tol): the ambient action
+    # and the members name one restriction, so one TauPair read-off at H = z3
+    # reads block k's record rather than keeping a second, equal one
+    act = {**ACTIONS, **SUB_STABILIZERS, **TAU_PAIRS}[name]()
+    for cov in crossed_irreps(act, seed=0):
+        _analyze(cov, seed=0)
+        analyze(cov, seed=0)
+        decompose(cov, seed=0)
+    kept = [(id(stab.restriction), id(stab.pi1), stab.tol) for stab in _kept(act)]
+    assert kept and len(set(kept)) == len(kept)
 
 
 def test_translate_stabilizer_builds_no_classes(monkeypatch):
@@ -434,18 +491,25 @@ def _non_unital():
     return CovariantRep(direct_sum_reps([pi, zero]), act, [np.eye(4), block_diag(swap, swap)])
 
 
-def test_a_record_at_key_none_is_never_kept(monkeypatch):
+def test_a_record_whose_pi1_or_v_depend_on_the_input_is_never_kept(monkeypatch):
     # a LabelAction (at multiplicity one and two) and homogeneous_irreducibility
     # read records whose pi1 or V depend on the input: each is built for its
-    # read and kept nowhere
-    reads = _record_reads(monkeypatch)
+    # read, its sub-records are kept on it, and nothing is kept on the action
+    reads = []
+    for module in (crossrep.reps, crossrep.analyzer):
+        _counted(monkeypatch, module, "_mackey_orbit", reads)
     inputs = [minimal_covariant(), doubled_minimal_covariant(), weyl_pair_homogeneous(2)]
-    assert {classify_s3(cov, seed=0).case for cov in inputs[:2]} == {"Minimal", "TauPair"}
+    results = [classify_s3(cov, seed=0) for cov in inputs[:2]]
+    assert {v.case for v in results} == {"Minimal", "TauPair"}
     assert homogeneous_irreducibility(inputs[2])
-    fresh = [stab for _, stab in reads if stab.key is None]
+    fresh = [args[1] for _, args in reads]
     assert len(fresh) == 4 and len({id(stab) for stab in fresh}) == len(fresh)
-    for cov in inputs:
-        assert all(stab.key is not None for stab in _kept(cov.action).values())
+    # the TauPair read-off at H = S3 reads a sub-record of its per-call record
+    assert any(sub is stab for parent in fresh for sub in _subs(parent) for stab in fresh)
+    assert _kept(inputs[0].action) == _kept(inputs[1].action) == []
+    assert not any(stab is record for stab in fresh for record in _kept(inputs[2].action))
+    # the report's pi1 is its record's, read-only like every record's
+    assert not results[0].report.base_irrep.stack.flags.writeable
 
 
 def test_the_annihilated_record_is_kept_once_per_action(monkeypatch):
@@ -453,18 +517,12 @@ def test_the_annihilated_record_is_kept_once_per_action(monkeypatch):
     # the action alone: a warm decompose builds no record and no classes
     cov = _non_unital()
     first = decompose(cov, seed=0)
-    kept = _kept(cov.action)[("stabilizer", "annihilated", Tolerance())]
-    assert kept.key == "annihilated" and kept.records
+    [kept] = [stab for stab in _kept(cov.action) if stab.pi1.dim == 1 and not stab.pi1.stack.any()]
+    assert kept.records and kept.restriction.members == (0, 1)
     assert not kept.V.flags.writeable and not kept.pi1.stack.flags.writeable
     calls, built = [], []
     _counted(monkeypatch, crossrep.reps, "_classes", calls)
-    init = crossrep.reps._Stabilizer.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(crossrep.reps._Stabilizer, "__init__", counted)
+    _count_records(monkeypatch, built)
     reads = _record_reads(monkeypatch)
     again = decompose(cov, seed=0)
     assert calls == [] and built == []
@@ -492,7 +550,5 @@ def test_no_induction_carries_a_memo(name):
     for cov in crossed_irreps(act, seed=0):
         _analyze(cov, seed=0)
         analyze(cov, seed=0)
-    owners = [act, act.restriction((S3_E, S3_ETA, S3_ETA2)).action] if act.group == make_symmetric_group_3() else [act]
-    inductions = [cov for owner in owners for stab in _kept(owner).values()
-                  for _, _, cov in stab.records.values()]
+    inductions = [cov for stab in _kept(act) for _, _, cov in stab.records.values()]
     assert inductions and all("_memo" not in cov.__dict__ for cov in inductions)

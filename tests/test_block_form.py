@@ -163,7 +163,7 @@ def test_h_is_normal_on_every_subgroup(group, tol):
     pi1 = Rep(1, np.ones((1, 1, 1)), A.basis_labels())
     verdicts = []
     for members in _subgroups(G):
-        stab = _Stabilizer(act, None, pi1, {h: np.eye(1) for h in members}, tol)
+        stab = _Stabilizer(act, pi1, {h: np.eye(1) for h in members}, tol)
         verdicts.append(stab.h_is_normal)
         assert stab.h_is_normal == _normal(G, members), members
     assert len(verdicts) == (6 if group == "S3" else 10) and True in verdicts and False in verdicts

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossrep.analyzer
 import crossrep.crossed
 import crossrep.reps
 import crossrep.sampling
@@ -755,17 +756,69 @@ def test_analyze_psi_does_not_depend_on_the_basis_pi_is_given_in(tol):
 
 def test_an_induction_from_the_whole_group_reads_the_stored_images(monkeypatch, tol):
     # the one block of this conjugated S3 action is fixed by every element,
-    # and its identity unitary W W* is off 1 in the last bits
+    # and its identity unitary W W* is off 1 in the last bits: Ind psi over
+    # the one coset is psi itself, read on psi's stored arrays, with no
+    # composition with alpha_e
     act = random_s3_action(np.random.default_rng(11), "conjugated")
     C = act.aut(act.group.identity).coefficient_matrix
     assert act.algebra.n_blocks == 1 and not np.array_equal(C, np.eye(len(C)))
-    seen, composed = [], crossrep.reps._composed_images
+    stored, composed, tensor_stack = [], [], crossrep.reps._tensor_stack
 
-    def record(rep, action, gs):
-        images = composed(rep, action, gs)
-        seen.append((tuple(gs), np.shares_memory(images, rep.stack)))
-        return images
+    def record(*args):
+        out = tensor_stack(*args)
+        stored.append(out)
+        return out
 
-    monkeypatch.setattr(crossrep.reps, "_composed_images", record)
-    crossed_irreps(act, tol=tol)
-    assert seen and all(entry == ((act.group.identity,), True) for entry in seen)
+    monkeypatch.setattr(crossrep.reps, "_tensor_stack", record)
+    monkeypatch.setattr(crossrep.reps, "_composed_images", lambda *args: composed.append(args))
+    irreps = crossed_irreps(act, tol=tol)
+    assert composed == [] and len(stored) > 1
+    members = [(base, psi) for base, psis in stored for psi in psis]
+    assert len(members) == len(irreps)
+    for cov in irreps:
+        [(base, psi)] = [(b, u) for b, u in members if np.shares_memory(cov.unitaries, u)]
+        assert np.shares_memory(cov.base.stack, base.stack) and not cov.base.stack.flags.writeable
+        assert np.array_equal(cov.base.stack, base.stack) and np.array_equal(cov.unitaries, psi)
+
+
+def test_a_class_record_at_h_equal_g_holds_psi_once(tol):
+    # at H = G the record's Ind psi is psi over the action of G: views of
+    # psi's arrays, read-only, and no second copy
+    for Pi in (weyl_pair_homogeneous(2), crossed_irreps(random_s3_action(np.random.default_rng(6), "inner"))[-1]):
+        orbit = crossrep.analyzer._orbit(Pi, tol)
+        [(_, psi, induced, _)] = orbit.classes
+        assert len(orbit.stab.restriction.coset_reps) == 1 and induced.action is Pi.action
+        assert np.shares_memory(induced.unitaries, psi.unitaries)
+        assert np.shares_memory(induced.base.stack, psi.base.stack)
+        assert np.array_equal(induced.unitaries, psi.unitaries)
+        for a in (induced.unitaries, induced.base.stack, psi.unitaries, psi.base.stack):
+            assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["S3 inner", "Z4[2,2,1]"])
+def test_public_results_share_no_memory_with_the_callers_arrays(name, tol):
+    # crossed_irreps and induce hand out unitaries the caller may write:
+    # at H = G as at H < G, they share no memory with the action, its kept
+    # records or the psi induced
+    act = random_s3_action(np.random.default_rng(6), "inner") if name == "S3 inner" else ACTIONS[name]()
+    irreps = crossed_irreps(act, tol=tol)
+    for cov in irreps:
+        analyze(cov, tol=tol)
+    stabs = [_block_stabilizer(act, k, tol) for k in _orbit_blocks(act)]
+    kept = [a for stab in stabs for a in (stab.pi1.stack, stab.V, *(lam.mats for lam in stab.classes))]
+    kept += [a for stab in stabs for _, psi, ind in stab.records.values()
+             for a in (psi.unitaries, psi.base.stack, ind.unitaries, ind.base.stack)]
+    kept += [u for aut in act.auts for u in aut.unitaries]
+    again = crossed_irreps(act, tol=tol)
+    for cov, other in zip(irreps, again):
+        assert cov.unitaries.flags.writeable
+        assert not any(np.shares_memory(x, a) for x in (cov.unitaries, cov.base.stack) for a in kept)
+        assert not np.shares_memory(cov.unitaries, other.unitaries)
+        assert not np.shares_memory(cov.base.stack, other.base.stack)
+    for stab in stabs:
+        # a read-only psi kept by the action induces to writable unitaries
+        H, [(_, psi, _)] = stab.restriction, list(stab.records.values())[:1]
+        cov = induce(psi, act, H.subgroup, H.coset_reps)
+        assert cov.unitaries.flags.writeable and not cov.base.stack.flags.writeable
+        assert not np.shares_memory(cov.unitaries, psi.unitaries)
+        assert not np.shares_memory(cov.base.stack, psi.base.stack)
