@@ -273,15 +273,11 @@ class _Action:
     shared by every caller.
     """
 
-    def _once(self, key, build):
-        """``build()``, computed on the first call with ``key`` and kept."""
-        return _once(self, key, build)
-
     def restriction(self, members) -> _Restriction:
         """The restriction to the subgroup with these members (see
         :func:`restrict_action`), with its right cosets."""
         members = tuple(sorted(int(m) for m in members))
-        return self._once(("restriction", members), lambda: self._restrict(members))
+        return _once(self, ("restriction", members), lambda: self._restrict(members))
 
     def _restrict(self, members) -> _Restriction:
         H = Subgroup(self.group, members)

@@ -114,34 +114,30 @@ def _require_irreducible(Pi: CovariantRep, tol: Tolerance):
         raise InvariantViolation("the representation annihilates the algebra")
 
 
-def _orbit_frame(Pi: CovariantRep, tol: Tolerance) -> tuple:
-    """(k, stab, C0) of the one orbit of a valid irreducible Pi: over a
-    :class:`GroupAction` its block k, the stabilizer record the action
-    keeps for k and the orbit frame, or over a :class:`LabelAction` k =
-    None, the record of the first component pi1 of the decomposed
-    restriction with its translate witnesses, built per call and kept
-    nowhere, and its isotypic frame."""
-    if isinstance(Pi.action, GroupAction):
-        return _orbit_frames(Pi, tol)[0]
-    dec = decompose(Pi.base, tol=tol)
-    pi1, r = dec.components[0]
-    stab = _Stabilizer(Pi.action, pi1, translate_stabilizer(pi1, Pi.action, tol), tol)
-    return None, stab, dec.basis_change[:, : r * pi1.dim]
-
-
 def _orbit(Pi: CovariantRep, tol: Tolerance):
-    """The one-component Mackey read-off of a valid irreducible Pi at its
-    :func:`_orbit_frame`."""
-    _, stab, C0 = _orbit_frame(Pi, tol)
-    return _mackey_orbit(Pi.action, stab, (Pi, C0), tol)
+    """The one-component Mackey read-off of a valid irreducible Pi, from its
+    one (record, frame): over a :class:`GroupAction` the stabilizer record
+    the action keeps for its block and the orbit frame, over a
+    :class:`LabelAction` the record of the first component pi1 of the
+    decomposed restriction with its translate witnesses, built per call and
+    kept nowhere, and its isotypic frame."""
+    if isinstance(Pi.action, GroupAction):
+        stab, C0 = _orbit_frames(Pi, tol)[0]
+    else:
+        dec = decompose(Pi.base, tol=tol)
+        pi1, r = dec.components[0]
+        stab = _Stabilizer(Pi.action, pi1, translate_stabilizer(pi1, Pi.action, tol), tol)
+        C0 = dec.basis_change[:, : r * pi1.dim]
+    return _mackey_orbit(stab, (Pi, C0))
 
 
-def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
+def _report(Pi: CovariantRep, orbit) -> StructureReport:
     """The structure report of an irreducible Pi, read off its one orbit
     component: the conjugator must carry Pi onto Ind_H^G psi.  As in
     :func:`induce`, block j of U_g is psi(h) for the row i = perms[g][j]
     of H's coset table at g, c_i g = h c_j: read-only, and views of
-    ``psi.unitaries`` at H = G.  The rest of the block form is H's record's."""
+    ``psi.unitaries`` at H = G.  The rest of the block form is H's record's,
+    and the carried check is made at its tolerance."""
     # End psi = End Lambda = 1: the orbit's read-off of Lambda, whose
     # squared multiplicities sum to dim End Lambda, has one class and copy
     if [len(cls.isometries) for cls in orbit.classes] != [1]:
@@ -150,8 +146,8 @@ def _report(Pi: CovariantRep, orbit, tol: Tolerance) -> StructureReport:
     # C* C = 1 is the U_e case of the carried check
     if C.shape != (Pi.dim, Pi.dim):
         raise BlockStructureViolation("conjugator is not square; dimensions conflict")
-    _check_carried(Pi, C, [induced], "conjugator", tol)
     stab = orbit.stab
+    _check_carried(Pi, C, [induced], "conjugator", stab.tol)
     H = stab.restriction
     if len(H.coset_reps) == 1:
         block_unitaries = psi.unitaries[:, None]
@@ -197,7 +193,7 @@ def analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> St
     Pi onto ``induce(report.psi, action, H, coset_reps)``.
     """
     _require_irreducible(Pi, tol)
-    return _report(Pi, _orbit(Pi, tol), tol)
+    return _report(Pi, _orbit(Pi, tol))
 
 
 @dataclass
@@ -226,14 +222,16 @@ def _require_cyclic(G: FiniteGroup):
         raise InvariantViolation("group must be Z_n in standard form")
 
 
-def _cyclic_canonical_form(Pi: CovariantRep, orbit, tol: Tolerance):
+def _cyclic_canonical_form(Pi: CovariantRep, orbit):
     """Analysis in shift-with-corner form of a covariant representation
-    already known to be valid and irreducible, from its :func:`_orbit`.
+    already known to be valid and irreducible, from its :func:`_orbit`, at
+    the tolerance of the orbit's record.
 
     With coset representatives 0..m-1 the induced conjugator already has
     identity shift blocks, and the corner is V = psi(U^m).  V and its check
     V^k = 1 depend on the class alone, so they are kept on psi, which the
-    action keeps with the class.
+    record keeps with the class: psi belongs to one record, so to one
+    tolerance and one H.
     """
     G = Pi.group
     _require_cyclic(G)
@@ -245,8 +243,8 @@ def _cyclic_canonical_form(Pi: CovariantRep, orbit, tol: Tolerance):
     if coset_reps != tuple(range(m)):
         raise CanonicalFormViolation("coset representatives are not 0..m-1")
     k = n // m
-    report = _report(Pi, orbit, tol)
-    return report, m, k, _once(report.psi, ("corner", tol), lambda: _corner(report.psi, k, tol))
+    report = _report(Pi, orbit)
+    return report, m, k, _once(report.psi, "corner", lambda: _corner(report.psi, k, orbit.stab.tol))
 
 
 def _corner(psi: CovariantRep, k: int, tol: Tolerance) -> np.ndarray:
@@ -279,8 +277,8 @@ def cyclic_analyze(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL
     if not isinstance(Pi.action, GroupAction):
         raise InvariantViolation("fixed-point analysis needs a GroupAction on a MatAlg")
     _require_irreducible(Pi, tol)
-    report, m, k, V = _cyclic_canonical_form(Pi, _orbit(Pi, tol), tol)
-    spectrum, alpha_diag = _once(report.psi, ("fixed_points", tol),
+    report, m, k, V = _cyclic_canonical_form(Pi, _orbit(Pi, tol))
+    spectrum, alpha_diag = _once(report.psi, "fixed_points",
                                  lambda: _fixed_points(Pi.action, report.base_irrep, V, k, tol))
     return CyclicReport(
         base=report,
@@ -362,7 +360,7 @@ def homogeneous_irreducibility(Psi: CovariantRep, tol: Tolerance = DEFAULT_TOL) 
         raise InvariantViolation("every group element must fix the class of the base irreducible")
     # the identity is the frame of 1_r (x) pi1, and Lambda its tensor factor
     stab = _Stabilizer(Psi.action, pi1, witnesses, tol)
-    orbit = _mackey_orbit(Psi.action, stab, (Psi, np.eye(Psi.dim)), tol)
+    orbit = _mackey_orbit(stab, (Psi, np.eye(Psi.dim)))
     return [len(cls.isometries) for cls in orbit.classes] == [1]
 
 
@@ -500,8 +498,8 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     if G != make_symmetric_group_3():
         raise InvariantViolation("group must be the standard 3-letter permutation group")
     _require_irreducible(Pi, tol)
-    _, stab, C = _orbit_frame(Pi, tol)
-    orbit = _mackey_orbit(Pi.action, stab, (Pi, C), tol)
+    orbit = _orbit(Pi, tol)
+    stab = orbit.stab
     r, H, pi1 = orbit.lam.dim, stab.restriction.subgroup, stab.pi1
     case = _S3_CASES.get((H.order, r))
     if case is None:
@@ -517,10 +515,10 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
             # Its orbit is read at Pi's frame C0 with stabilizer {e}
             U_eta = Pi.unitaries[S3_ETA]
             z3_cov = CovariantRep(Pi.base, z3.action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
-            z3_orbit = _mackey_orbit(z3.action, stab.sub((S3_E,), z3.members), (z3_cov, C0), tol)
-            report = _cyclic_canonical_form(z3_cov, z3_orbit, tol)[0]
+            z3_orbit = _mackey_orbit(stab.sub((S3_E,), z3.members), (z3_cov, C0))
+            report = _cyclic_canonical_form(z3_cov, z3_orbit)[0]
         else:
-            report = _report(Pi, orbit, tol)
+            report = _report(Pi, orbit)
         return S3Class(case, report.base_irrep, report.conjugator, 1, report=report)
 
     # eta is in H, so C0* U_eta C0 = lambda_eta (x) V_eta, lambda the class in
@@ -528,11 +526,11 @@ def classify_s3(Pi: CovariantRep, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -
     # two halves that tau swaps, and the first half W1 is a frame of Pi with
     # stabilizer z3
     lam, eta = orbit.classes[0].lam, stab.restriction.members.index(S3_ETA)
-    spectrum = _once(lam, ("spectrum", eta, tol), lambda: _read_only_spectrum(lam.mats[eta], tol))
+    spectrum = _once(lam, "spectrum", lambda: _read_only_spectrum(lam.mats[eta], tol))
     if len(spectrum) != r or any(iso.shape[1] != 1 for _, iso in spectrum):
         raise BlockStructureViolation("the 3-cycle factor must have simple eigenvalues")
     W1 = C0 @ np.kron(spectrum[0][1], np.eye(pi1.dim))
-    z3_orbit = _mackey_orbit(Pi.action, stab.sub(z3.members), (Pi, W1), tol)
+    z3_orbit = _mackey_orbit(stab.sub(z3.members), (Pi, W1))
     # Q is the induced conjugator over the cosets {e, tau}, [W1, U_tau* W1];
     # on U_e the check below is Q* Q = 1
     [(_, psi, induced, [Q])] = z3_orbit.classes

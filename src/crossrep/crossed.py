@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgElement, GroupAction
+from .algebra import AlgElement, GroupAction, _once
 from .errors import ActionMismatch, InvariantViolation
 from .linalg import DEFAULT_TOL, Tolerance, _relation_residuals, _require, orthonormal_span
 from .reps import CovariantRep, Rep, _ranks, defining_rep, evaluate, induce, trivial_covariant
@@ -251,4 +251,4 @@ def fixed_point_algebra(
             a.setflags(write=False)
         return basis, Rep(d, images, [f"fix{i}" for i in range(len(basis))])
 
-    return action._once(("fixed_point_algebra", tol), build)
+    return _once(action, ("fixed_point_algebra", tol), build)

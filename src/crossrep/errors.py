@@ -26,7 +26,9 @@ class NotIrreducible(CrossrepError):
 
 
 class DecompositionFailed(CrossrepError):
-    """Random-splitting decomposition exhausted its retry budget."""
+    """No split was found: no eigenvalue gap above ``eig_sep`` along any
+    fixed probe of the commutant, or a reducible leaf that no right
+    translation splits."""
 
 
 class ActionMismatch(CrossrepError):

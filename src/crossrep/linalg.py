@@ -38,7 +38,17 @@ class Tolerance:
     eig_sep   gap below which eigenvalues, on the line or the unit circle, are one cluster
 
     Every numerical tolerance in the package is one of these or is derived
-    from them by :meth:`identity_bound` or :meth:`reconstruction_bound`.
+    from them by :meth:`identity_bound`, :meth:`reconstruction_bound` or
+    :meth:`certificate_bound`.
+
+    The three are positive, with abs_eps < 1, rank_eps < 1/2, eig_sep
+    finite and abs_eps < eig_sep; anything else raises ``ValueError``.  At
+    rank_eps >= 1/2 every sum of scale 1 is within its bound of an integer,
+    so no rank or dimension would be decided; below these bounds, the
+    squares the intertwiner solve takes of abs_eps and rank_eps stay
+    finite.  eig_sep has no finite upper bound: a gap wider than any
+    spectrum makes a split fail with
+    :class:`~crossrep.errors.DecompositionFailed`.
     """
 
     abs_eps: float = 1e-9
@@ -48,6 +58,8 @@ class Tolerance:
     def __post_init__(self):
         if not (self.abs_eps > 0 and self.rank_eps > 0 and self.eig_sep > 0):
             raise ValueError("tolerances must be strictly positive")
+        if not (self.abs_eps < 1 and self.rank_eps < 0.5 and self.eig_sep < np.inf):
+            raise ValueError("tolerances must have abs_eps < 1, rank_eps < 1/2 and a finite eig_sep")
         if not self.abs_eps < self.eig_sep:
             raise ValueError("abs_eps must be smaller than eig_sep")
 

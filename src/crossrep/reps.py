@@ -12,14 +12,18 @@ character sums over a :class:`GroupAction` (:func:`hom_dim`) or for a
 :class:`ProjectiveRep`, one intertwiner solve otherwise.
 
 What the structure theorem attaches to a stabilizer H is one record,
-``_Stabilizer``: pi1, H with its cosets, the witnesses V_h, their cocycle
-c_V, the classes lambda of H with cocycle conj(c_V) and per class met its
-Ind_H^G(lambda (x) V).  An action keeps the record of each block, and a
-record keeps the sub-stabilizers ``classify_s3`` reads off it
-(``_Stabilizer.sub``).  The theorem is read off in one place,
-``_mackey_orbit``: an irreducible of M_{n_1} + ... + M_{n_b} is the
-compression to one block k up to a unitary, its stabilizer is {g : alpha_g
-fixes k} (:func:`translate_stabilizer`), and a covariant representation
+``_Stabilizer``: the action and tolerance it is read at, pi1, H with its
+cosets, the witnesses V_h, their cocycle c_V, the classes lambda of H with
+cocycle conj(c_V) and per class met its Ind_H^G(lambda (x) V).  An action
+keeps the record of each block, and a record keeps the sub-stabilizers
+``classify_s3`` reads off it (``_Stabilizer.sub``).  The theorem is read
+off in one place, ``_mackey_orbit``, a function of a record and a frame
+(Pi, C) alone, as are the class records and inductions it reads
+(``_class_records``, ``_induced``): nothing the record holds is passed
+beside it, and ``_orbit_frames`` yields one (record, frame) per orbit.  An
+irreducible of M_{n_1} + ... + M_{n_b} is the compression to one block k
+up to a unitary, its stabilizer is {g : alpha_g fixes k}
+(:func:`translate_stabilizer`), and a covariant representation
 over the orbit of k is a sum of Ind_H^G(lambda (x) V) over the classes
 lambda in Lambda, read against the record's classes by Serre's explicit
 projections (``_copies``).  :func:`decompose` and the analyzer go through
@@ -237,22 +241,17 @@ def rep_compose(rep: Rep, action, g: int) -> Rep:
 
 def _composed_images(rep: Rep, action, gs) -> np.ndarray:
     """The generator images of ``x -> rep(alpha_g(x))`` for each g in ``gs``,
-    in ``rep``'s label order: one (len(gs), n, dim, dim) stack, over a
-    :class:`GroupAction` one contraction with the stacked coefficient
-    matrices of the alpha_g.  When every g is the identity (as in
-    ``rep_compose(pi, action, e)``), the result is a read-only view of the
-    stored images: :meth:`GroupAction.validate` holds alpha_e to the
-    identity map, so the contraction would differ from them in the last
-    bits at most."""
+    in ``rep``'s label order: one new, writable (len(gs), n, dim, dim)
+    stack, over a :class:`GroupAction` one contraction with the
+    (len(gs), N, N) stack of the coefficient matrices of the alpha_g, N
+    the number of matrix units, for every g alike (the identity included,
+    whose contraction equals the stored images when alpha_e is exactly the
+    identity map, and to the last bits when its unitaries are a phase)."""
     if isinstance(action, GroupAction):
         basis = tuple(action.algebra.basis_labels())
-        units = _unit_images(rep, basis)
-        if all(g == action.group.identity for g in gs):
-            images = np.broadcast_to(units, (len(gs), *units.shape))
-        else:
-            coefficients = np.array([action.aut(g).coefficient_matrix for g in gs])
-            images = np.tensordot(coefficients, units, axes=1)
-        return _relabelled(images, basis, rep.labels)
+        N = len(basis)
+        coefficients = np.array([action.aut(g).coefficient_matrix for g in gs]).reshape(len(gs), N, N)
+        return _relabelled(np.tensordot(coefficients, _unit_images(rep, basis), axes=1), basis, rep.labels)
     if isinstance(action, LabelAction):
         return np.array([_unit_images(rep, [action.map_label(g, l) for l in rep.labels]) for g in gs])
     raise TypeError(f"unsupported action type {type(action)!r}")
@@ -697,8 +696,8 @@ def decompose(r, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> IrrepDecomposit
         return _decompose(r, tol)
     end_dim = hom_dim(r, r, tol)
     classes, covered = [], 0
-    for _, stab, C in _orbit_frames(r, tol):
-        orbit = _mackey_orbit(r.action, stab, (r, C), tol)
+    for stab, C in _orbit_frames(r, tol):
+        orbit = _mackey_orbit(stab, (r, C))
         covered += C.shape[1] * len(stab.restriction.coset_reps)
         classes += [(cls.induced, cls.isometries) for cls in orbit.classes]
     # sum r n_k [G:H] + dim(1 - Pi(1)) = dim Pi, sum m^2 = dim End Pi, and Pi carried
@@ -1071,11 +1070,12 @@ def _block_frame(pi: Rep, algebra: MatAlg, k: int, r: int) -> np.ndarray:
 
 class _Stabilizer:
     """What the structure theorem attaches to the stabilizer H of one orbit
-    in ``action``: ``pi1``, the witnesses V_h with V_h pi1 V_h* = pi1 o
-    alpha_h stacked over the sorted members of H (``V``), their cocycle c_V
-    (:func:`_cocycle`), H's ``restriction`` (subgroup, regrounded action,
-    members, cosets and coset table), its ``classes`` of cocycle conj(c_V)
-    from :func:`_classes`, built on first read, and the ``records`` class
+    in ``action``, read at ``tol``: ``pi1``, the witnesses V_h with V_h pi1
+    V_h* = pi1 o alpha_h stacked over the sorted members of H (``V``), their
+    cocycle c_V (:func:`_cocycle`), H's ``restriction`` (subgroup,
+    regrounded action, members, cosets and coset table), its ``classes`` of
+    cocycle conj(c_V) from :func:`_classes`, built on first read, and the
+    ``records`` class
     index -> (lambda, psi, Ind_H^G psi) that :func:`_class_records` fills;
     pi1, V, c_V and the classes are read-only.  What the structure report
     reads off H alone is built on first read too: the coset permutations
@@ -1151,7 +1151,7 @@ def _block_stabilizer(action: GroupAction, k: int, tol: Tolerance) -> _Stabilize
         witnesses = {g: phase_normalize(aut.unitaries[k], tol) for g, aut in enumerate(action.auts) if aut.perm[k] == k}
         return _Stabilizer(action, pi_k, witnesses, tol)
 
-    return action._once(("stabilizer", k, tol), build)
+    return _once(action, ("stabilizer", k, tol), build)
 
 
 def translate_stabilizer(pi: Rep, action, tol: Tolerance = DEFAULT_TOL) -> dict[int, np.ndarray]:
@@ -1250,15 +1250,17 @@ def _induce_stack(base: Rep, unitaries: np.ndarray, action, restriction) -> list
     return [CovariantRep(induced, action, u) for u in U]
 
 
-def _induced(action, restriction, pi1: Rep, V, lams):
+def _induced(stab: _Stabilizer, lams):
     """Ind_H^G(lambda (x) V) for the classes ``lams`` of H in
-    :func:`_character_keys` order, over the cosets of H's ``restriction``,
-    one stack per dimension r: yields the shared base 1_r (x) pi1, the psi
-    stack lambda (x) V of one :func:`_tensor_stack` and that stack's
-    inductions from one :func:`_induce_stack`."""
+    :func:`_character_keys` order, a function of the record ``stab`` and
+    the classes alone: over ``stab.action`` and the cosets of its
+    ``restriction``, with its pi1 and V, one stack per dimension r.  Yields
+    the shared base 1_r (x) pi1, the psi stack lambda (x) V of one
+    :func:`_tensor_stack` and that stack's inductions from one
+    :func:`_induce_stack`."""
     for _, same in groupby(lams, lambda lam: lam.dim):
-        base, psis = _tensor_stack([lam.mats for lam in same], V, pi1)
-        yield base, psis, _induce_stack(base, psis, action, restriction)
+        base, psis = _tensor_stack([lam.mats for lam in same], stab.V, stab.pi1)
+        yield base, psis, _induce_stack(base, psis, stab.action, stab.restriction)
 
 
 def factor_tensor(W, V, r: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -1355,13 +1357,15 @@ def _copies(lam: ProjectiveRep, classes, tol: Tolerance) -> tuple[list[tuple], n
     return present, np.concatenate(copies, axis=1)
 
 
-def _mackey_orbit(action, stab: _Stabilizer, frame, tol: Tolerance) -> _Orbit:
+def _mackey_orbit(stab: _Stabilizer, frame) -> _Orbit:
     """Mackey's read-off over one orbit (the little-group method with multipliers).
 
-    ``stab`` (:class:`_Stabilizer`) holds pi1, the stabilizer H of pi1 with
-    its restriction, a V_h with V_h pi1 V_h* = pi1 o alpha_h for each h in
-    H, their cocycle c_V and H's classes of cocycle conj(c_V).  With
-    ``frame`` (Pi, C), C* Pi(x) C = 1_r (x) pi1(x), Lambda is the
+    A function of the record and the frame alone.  ``stab``
+    (:class:`_Stabilizer`) holds the action, pi1, the stabilizer H of pi1
+    with its restriction, a V_h with V_h pi1 V_h* = pi1 o alpha_h for each
+    h in H, their cocycle c_V, H's classes of cocycle conj(c_V) and the
+    tolerance every decision here is made at.  With ``frame`` (Pi, C),
+    C* Pi(x) C = 1_r (x) pi1(x), Lambda is the
     :func:`factor_tensor` of C* Pi(U_h) C against V_h, of cocycle
     conj(c_V), read against the classes by :func:`_copies`.  Each class
     lambda in Lambda gives one Ind_H^G(lambda (x) V), built from the
@@ -1371,7 +1375,7 @@ def _mackey_orbit(action, stab: _Stabilizer, frame, tol: Tolerance) -> _Orbit:
     its Ind.  Everything read from the frame is read on every call.  No
     random number is drawn.
     """
-    classes = stab.classes
+    classes, tol = stab.classes, stab.tol
     members, coset_reps = stab.restriction.members, stab.restriction.coset_reps
     K, V, c_V, pi1 = stab.restriction.action.group, stab.V, stab.cocycle, stab.pi1
     Pi, C = frame
@@ -1391,21 +1395,21 @@ def _mackey_orbit(action, stab: _Stabilizer, frame, tol: Tolerance) -> _Orbit:
         starts = range(pos, pos + m * d, d)
         parts.append([carried[:, :, q : q + d].reshape(D, -1) for q in starts])
         pos = starts.stop
-    records = _class_records(action, stab, [i for i, _ in present])
+    records = _class_records(stab, [i for i, _ in present])
     return _Orbit(stab, lam, [_Class(*record, isometries) for record, isometries in zip(records, parts)])
 
 
-def _class_records(action, stab: _Stabilizer, indices) -> list[tuple]:
+def _class_records(stab: _Stabilizer, indices) -> list[tuple]:
     """(lambda, psi, Ind_H^G psi) for the classes lambda = ``stab.classes[i]``,
     i in ``indices``, with psi = lambda (x) V: what the structure theorem
-    attaches to a class, which depends on the stabilizer record and the
-    class alone.  They are kept in ``stab.records`` per class index, so as
+    attaches to a class, a function of the stabilizer record and the class
+    index alone.  They are kept in ``stab.records`` per class index, so as
     long as the record lives: the classes not yet kept are built by one
     :func:`_induced`, and their arrays are read-only."""
     kept = stab.records
     missing = [i for i in indices if i not in kept]
     if missing:
-        built = _induced(action, stab.restriction, stab.pi1, stab.V, [stab.classes[i] for i in missing])
+        built = _induced(stab, [stab.classes[i] for i in missing])
         pairs = [(CovariantRep(base, stab.restriction.action, psi), cov)
                  for base, psis, stack in built for psi, cov in zip(psis, stack)]
         for i, (psi, cov) in zip(missing, pairs):
@@ -1443,7 +1447,7 @@ def _orbit_irreps(action: GroupAction, k: int, tol: Tolerance) -> list[Covariant
     stab = _block_stabilizer(action, k, tol)
     weights = np.append(_unit_pattern(action.algebra.block_dims)[0], 1.0)
     lams = _classes(stab.restriction.action.group, stab.cocycle, tol)
-    irreps = [cov for _, _, stack in _induced(action, stab.restriction, stab.pi1, stab.V, lams) for cov in stack]
+    irreps = [cov for _, _, stack in _induced(stab, lams) for cov in stack]
     for _, shared in groupby(irreps, lambda cov: id(cov.base)):
         shared = list(shared)
         chi = _characters(shared[0].base, np.array([cov.unitaries for cov in shared]), action.algebra)
@@ -1454,16 +1458,16 @@ def _orbit_irreps(action: GroupAction, k: int, tol: Tolerance) -> list[Covariant
 
 
 def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
-    """(k, stab, C) for Pi over a :class:`GroupAction`, the last two those
-    of :func:`_mackey_orbit`: block k's :class:`_Stabilizer` and Pi's
+    """The (stab, C) that :func:`_mackey_orbit` reads off, one per orbit of
+    Pi over a :class:`GroupAction`: block k's :class:`_Stabilizer` and Pi's
     :func:`_block_frame` at k, per orbit whose smallest block k has r_k > 0,
-    then k = None, the record of pi1 = 0 and V_g = 1 over G, which depend
-    on the action alone and are kept on it per tol, and the range of
-    1 - Pi(1), which U commutes with."""
+    then the record of pi1 = 0 and V_g = 1 over G, which depend on the
+    action alone and are kept on it per tol, with the range of 1 - Pi(1),
+    which U commutes with."""
     action, A = Pi.action, Pi.action.algebra
     labels = A.basis_labels()
     ranks = _frame_ranks(Pi.base, A, tol)
-    frames = [(k, _block_stabilizer(action, k, tol), _block_frame(Pi.base, A, k, ranks[k]))
+    frames = [(_block_stabilizer(action, k, tol), _block_frame(Pi.base, A, k, ranks[k]))
               for k in _orbit_blocks(action) if ranks[k]]
     rest = np.eye(Pi.dim) - _unit_images(Pi.base, labels)[_unit_pattern(A.block_dims)[2]].sum(axis=0)
     [a] = _ranks(rest[None], tol)
@@ -1471,7 +1475,7 @@ def _orbit_frames(Pi: CovariantRep, tol: Tolerance) -> list[tuple]:
         B = np.linalg.eigh((rest + rest.conj().T) / 2)[1][:, -a:]
         zero = Rep(1, np.zeros((len(labels), 1, 1)), labels)
         witnesses = {g: np.eye(1) for g in range(Pi.group.order)}
-        frames.append((None, action._once(("annihilated", tol), lambda: _Stabilizer(action, zero, witnesses, tol)), B))
+        frames.append((_once(action, ("annihilated", tol), lambda: _Stabilizer(action, zero, witnesses, tol)), B))
     return frames
 
 

@@ -22,6 +22,7 @@ from crossrep.crossed import fixed_point_algebra
 from crossrep.errors import BlockStructureViolation, CrossrepError, NotIrreducible
 from crossrep.examples import (
     doubled_minimal_covariant,
+    inner_z8_minimal,
     minimal_covariant,
     s3_label_action,
     weyl_pair_homogeneous,
@@ -56,13 +57,13 @@ def _rebuilt(act):
     return GroupAction(act.group, act.algebra, act.auts)
 
 
-def _analyze(cov, seed):
+def _analyze(cov, seed, tol=Tolerance()):
     """The CLI's dispatch: S3 classification, cyclic report or generic."""
     if cov.group == make_symmetric_group_3():
-        return classify_s3(cov, seed)
+        return classify_s3(cov, seed, tol)
     if is_standard_cyclic(cov.group):
-        return cyclic_analyze(cov, seed)
-    return analyze(cov, seed)
+        return cyclic_analyze(cov, seed, tol)
+    return analyze(cov, seed, tol)
 
 
 def _arrays(report):
@@ -377,13 +378,14 @@ def test_checks_of_the_input_fire_on_a_warm_action_as_on_a_fresh_one(name, monke
 
 def _record_reads(monkeypatch):
     """Collect (owner, record) for every stabilizer record that a read-off or
-    :func:`translate_stabilizer` reads, the owner being the action it is read for."""
+    :func:`translate_stabilizer` reads, the owner being the action it is read
+    for: the record's own, since a read-off takes the record and a frame alone."""
     reads = []
     mackey_orbit, block_stabilizer = crossrep.reps._mackey_orbit, crossrep.reps._block_stabilizer
 
-    def read_off(action, stab, frame, tol):
-        reads.append((action, stab))
-        return mackey_orbit(action, stab, frame, tol)
+    def read_off(stab, frame):
+        reads.append((stab.action, stab))
+        return mackey_orbit(stab, frame)
 
     def block(action, k, tol):
         stab = block_stabilizer(action, k, tol)
@@ -502,7 +504,7 @@ def test_a_record_whose_pi1_or_v_depend_on_the_input_is_never_kept(monkeypatch):
     results = [classify_s3(cov, seed=0) for cov in inputs[:2]]
     assert {v.case for v in results} == {"Minimal", "TauPair"}
     assert homogeneous_irreducibility(inputs[2])
-    fresh = [args[1] for _, args in reads]
+    fresh = [args[0] for _, args in reads]
     assert len(fresh) == 4 and len({id(stab) for stab in fresh}) == len(fresh)
     # the TauPair read-off at H = S3 reads a sub-record of its per-call record
     assert any(sub is stab for parent in fresh for sub in _subs(parent) for stab in fresh)
@@ -552,3 +554,85 @@ def test_no_induction_carries_a_memo(name):
         analyze(cov, seed=0)
     inductions = [cov for stab in _kept(act) for _, _, cov in stab.records.values()]
     assert inductions and all("_memo" not in cov.__dict__ for cov in inductions)
+
+
+LOOSE = Tolerance(abs_eps=1e-7, rank_eps=1e-6, eig_sep=1e-4)
+# the cyclic corner and fixed points (Z8 inner, Z6), the TauPair spectrum
+# at |H| = 3 and 6, and the EtaTriple sub-record
+TWO_TOLERANCES = {
+    "Z8 inner": lambda: inner_z8_minimal()[0],
+    "Z6[2,1,1]": ACTIONS["Z6[2,1,1]"],
+    **SUB_STABILIZERS,
+    **TAU_PAIRS,
+}
+
+
+def _read(cov, tol):
+    """The arrays of the report on ``cov`` at ``tol``, or the (type, message)
+    of its refusal."""
+    try:
+        return _arrays(_analyze(cov, 0, tol))
+    except CrossrepError as error:
+        return type(error), str(error)
+
+
+def _held(records):
+    """The ids of the class records (lambda, psi, Ind psi) that ``records``
+    keep and of every value memoized on their lambda and psi."""
+    held = set()
+    for stab in records:
+        for lam, psi, induced in stab.records.values():
+            held |= {id(lam), id(psi), id(induced)}
+            held |= {id(value) for owner in (lam, psi) for value in owner.__dict__.get("_memo", {}).values()}
+    return held
+
+
+@pytest.mark.parametrize("name", sorted(TWO_TOLERANCES))
+def test_one_action_at_two_tolerances_reads_one_record_per_tolerance(name):
+    # every irreducible analysed at the default and at a loosened tolerance in
+    # turn, on one action: each tolerance reads its own block records,
+    # sub-records, class records and memos, and gets the reports (or the
+    # refusal) of a fresh action at that tolerance.  On Z8 the drift
+    # U_j -> e^{ij eps} U_j is refused at the default and accepted loosened
+    make = TWO_TOLERANCES[name]
+    act, tols = make(), (Tolerance(), LOOSE)
+    inputs = crossed_irreps(act, seed=0)
+    if name == "Z8 inner":
+        drift = np.exp(5e-8j * np.arange(8))[:, None, None]
+        inputs.append(CovariantRep(inputs[0].base, act, inputs[0].unitaries * drift))
+    reads = {tol: [] for tol in tols}
+    for cov in inputs:
+        for tol in tols:
+            reads[tol].append(_read(cov, tol))
+    for tol in tols:
+        for got, want in zip(reads[tol], [_read(_on(cov, make()), tol) for cov in inputs]):
+            assert type(got) is type(want) and len(got) == len(want)
+            if isinstance(got, tuple):
+                assert got == want
+            else:
+                assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+    if name == "Z8 inner":
+        assert [type(reads[tol][-1]) for tol in tols] == [tuple, list]
+    kept = {tol: [stab for stab in _kept(act) if stab.tol == tol] for tol in tols}
+    assert sum(map(len, kept.values())) == len(_kept(act))
+    for tol in tols:
+        blocks = [_block_stabilizer(act, k, tol) for k in _orbit_blocks(act)]
+        # the sub-records are read at their record's tolerance
+        assert all(sub.tol is block.tol for block in blocks for sub in _subs(block))
+        assert all(any(stab is block or stab in _subs(block) for block in blocks) for stab in kept[tol])
+    held = [_held(kept[tol]) for tol in tols]
+    assert all(held) and not held[0] & held[1]
+    # a memo is keyed by what it holds alone: its psi or lambda fixes the record
+    keys = [{key for stab in kept[tol] for record in stab.records.values() for owner in record[:2]
+             for key in owner.__dict__.get("_memo", {})} for tol in tols]
+    assert keys[0] == keys[1]
+    if not name.startswith("S3"):
+        assert keys[0] == {"corner", "fixed_points"}
+        return
+    cases = {_analyze(cov, 0).case for cov in inputs}
+    assert cases & {"TauPair", "EtaTriple"}
+    assert ("spectrum" in keys[0]) == ("TauPair" in cases)
+    # EtaTriple reads its corner off a sub-record of the 3-cycle subgroup
+    assert ("corner" in keys[0]) == ("EtaTriple" in cases)
+    if "EtaTriple" in cases:
+        assert all(any(_subs(_block_stabilizer(act, k, tol)) for k in _orbit_blocks(act)) for tol in tols)

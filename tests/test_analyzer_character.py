@@ -139,7 +139,7 @@ def test_eta_triple_reads_one_structure_core(monkeypatch, tol):
     z3_action, _ = restrict_action(Pi.action, Subgroup(Pi.group, (S3_E, S3_ETA, S3_ETA2)))
     z3_cov = CovariantRep(Pi.base, z3_action, [np.eye(Pi.dim), U_eta, U_eta @ U_eta])
     analyzer = crossrep.analyzer
-    want = analyzer._cyclic_canonical_form(z3_cov, analyzer._orbit(z3_cov, tol), tol)[0]
+    want = analyzer._cyclic_canonical_form(z3_cov, analyzer._orbit(z3_cov, tol))[0]
 
     orbit = counted("_mackey_orbit", crossrep.reps._mackey_orbit)
     frame = counted("_block_frame", crossrep.reps._block_frame)

@@ -426,6 +426,17 @@ def test_a_seed_that_is_no_non_negative_integer_is_a_usage_error(tmp_path, capsy
     assert main(["--seed", "0", "decompose", f]) == 0
 
 
+@pytest.mark.parametrize("flags", [["--rank-eps", "inf"], ["--eig-sep", "inf"], ["--rank-eps", "1e300"],
+                                   ["--abs-eps", "1e200", "--eig-sep", "1e300"]])
+def test_a_flag_that_is_no_tolerance_is_a_usage_error(capsys, flags):
+    # each ran the examples: rank_eps = inf to the false verdict "first
+    # representation is reducible" (exit 4), eig_sep = inf to exit 5, and
+    # the two large values to an OverflowError squaring them (exit 5)
+    assert main([*flags, "--format", "text", "verify-examples"]) == 2
+    message = "tolerances must have abs_eps < 1, rank_eps < 1/2 and a finite eig_sep"
+    assert json.loads(capsys.readouterr().err) == {"error": message, "exit": 2}
+
+
 def test_json_output_is_byte_identical(tmp_path, capsys):
     pi = expermutation2_example()
     f = _write(tmp_path / "d.json", rep_to_json(direct_sum_reps([pi, pi])))

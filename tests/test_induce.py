@@ -248,31 +248,25 @@ def _rephased_identity(act, z):
 
 @pytest.mark.parametrize("phase", [None, 0.3])
 def test_composing_with_the_identity_equals_the_contraction(phase):
-    # the stored images stand in for the contraction with alpha_e's
-    # coefficient matrix wherever every g is e: validate holds alpha_e to the
-    # identity map, and a rephased identity's matrix z conj(z) is off 1 in
-    # the last bits, so the two agree exactly, or to the last bits
+    # the identity composes like any g, by the contraction with alpha_e's
+    # coefficient matrix: the stored images exactly when alpha_e is exactly
+    # the identity, to the last bits when its unitaries carry a phase z
+    # (its matrix holds z conj(z)); a new, writable stack either way
     act = _z4_twisted() if phase is None else _rephased_identity(_z4_twisted(), np.exp(1j * phase))
     pi = defining_rep(act.algebra)
     e = act.group.identity
     for gs in ([e], [e, e], [e, 1, 3], [2, e]):
         want = np.tensordot(np.array([act.aut(g).coefficient_matrix for g in gs]), pi.stack, axes=1)
         got = _composed_images(pi, act, gs)
-        if phase is None or any(g != e for g in gs):
-            assert np.array_equal(got, want)
-        else:
-            assert np.shares_memory(got, pi.stack) and np.max(np.abs(got - want)) <= 4e-16
-    assert np.array_equal(rep_compose(pi, act, e).stack, pi.stack)
-
-
-def test_composing_with_the_identity_hands_out_no_writable_alias():
-    act = _z4_twisted()
-    pi = defining_rep(act.algebra)
-    e = act.group.identity
-    alone = _composed_images(pi, act, [e])
-    assert np.shares_memory(alone, pi.stack) and not alone.flags.writeable
-    with pytest.raises(ValueError):
-        rep_compose(pi, act, e).stack[0, 0, 0] = 7
-    mixed = _composed_images(pi, act, [e, 1])
-    assert mixed.flags.writeable and not np.shares_memory(mixed, pi.stack)
-    assert pi.stack.flags.writeable
+        assert np.array_equal(got, want) and got.flags.writeable and not np.shares_memory(got, pi.stack)
+    for g in range(act.group.order):
+        composed = rep_compose(pi, act, g)
+        assert np.array_equal(composed.stack, _composed_images(pi, act, [g])[0])
+        assert composed.stack.flags.writeable and not np.shares_memory(composed.stack, pi.stack)
+        composed.stack[0, 0, 0] = 7
+    identity = rep_compose(pi, act, e).stack
+    if phase is None:
+        assert np.array_equal(identity, pi.stack)
+    else:
+        assert np.max(np.abs(identity - pi.stack)) <= 4e-16
+    assert pi.stack.flags.writeable and pi.stack[0, 0, 0] != 7

@@ -24,6 +24,17 @@ def test_tolerance_validation():
         Tolerance(abs_eps=-1.0)
     with pytest.raises(ValueError):
         Tolerance(abs_eps=1e-3, eig_sep=1e-6)
+    # non-finite values, abs_eps >= 1 and rank_eps >= 1/2 decide nothing
+    inf, nan = float("inf"), float("nan")
+    for kwargs in ({"abs_eps": nan}, {"rank_eps": nan}, {"eig_sep": nan}, {"rank_eps": inf}, {"eig_sep": inf},
+                   {"abs_eps": inf, "eig_sep": inf}, {"rank_eps": 0.5}, {"rank_eps": 1e300},
+                   {"abs_eps": 1.0, "eig_sep": 2.0}, {"abs_eps": 1e200, "eig_sep": 1e300}):
+        with pytest.raises(ValueError):
+            Tolerance(**kwargs)
+    # the edges of the domain, and the largest values the tests use
+    for kwargs in ({"rank_eps": 0.4999}, {"abs_eps": 0.999, "eig_sep": 1.0}, {"abs_eps": 0.5, "eig_sep": 1.0},
+                   {"eig_sep": 1e6}, {"eig_sep": 1e300}, {"abs_eps": 1e-7, "rank_eps": 1e-6, "eig_sep": 1e-4}):
+        Tolerance(**kwargs)
 
 
 def test_nullspace_identity_is_trivial(tol):

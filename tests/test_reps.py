@@ -269,7 +269,7 @@ def test_decompose_exhausts_retries_when_gap_unreachable():
     from crossrep.errors import DecompositionFailed
     from crossrep.linalg import Tolerance
 
-    # an eigenvalue gap this wide can never appear, so the retry budget runs out
+    # an eigenvalue gap this wide can never appear, so no probe splits the sum
     coarse = Tolerance(eig_sep=1e6)
     pi = minimal_example()
     with pytest.raises(DecompositionFailed):

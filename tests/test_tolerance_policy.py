@@ -156,7 +156,7 @@ def _canonical_form_site(eps):
         [cls] = orbit.classes
         drift = np.exp(1j * eps * np.arange(8))[:, None, None]
         psi = CovariantRep(cls.psi.base, cls.psi.action, cls.psi.unitaries * drift)
-        return _cyclic_canonical_form(Pi, orbit._replace(classes=[cls._replace(psi=psi)]), tol)
+        return _cyclic_canonical_form(Pi, orbit._replace(classes=[cls._replace(psi=psi)]))
 
     return site
 
